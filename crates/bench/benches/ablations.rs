@@ -160,22 +160,6 @@ fn ablation_steady(c: &mut Criterion) {
                 options: IterOptions::default(),
             },
         ),
-        (
-            "sor_1.3",
-            SteadyMethod::Sor {
-                options: IterOptions {
-                    relaxation: 1.3,
-                    ..IterOptions::default()
-                },
-            },
-        ),
-        (
-            "power",
-            SteadyMethod::Power {
-                max_iterations: 10_000_000,
-                tolerance: 1e-12,
-            },
-        ),
     ];
     for (name, method) in methods {
         group.bench_function(name, |b| {

@@ -68,22 +68,6 @@ fn bench_steady_methods(c: &mut Criterion) {
                 options: IterOptions::default(),
             },
         ),
-        (
-            "sor_1.5",
-            SteadyMethod::Sor {
-                options: IterOptions {
-                    relaxation: 1.5,
-                    ..IterOptions::default()
-                },
-            },
-        ),
-        (
-            "power",
-            SteadyMethod::Power {
-                max_iterations: 1_000_000,
-                tolerance: 1e-12,
-            },
-        ),
     ];
     for (name, method) in methods {
         group.bench_function(name, |b| b.iter(|| steady_state(&chain, &method).unwrap()));

@@ -1,6 +1,8 @@
-//! `gsu-bench`: harness utilities as a CLI. Four subcommands:
+//! `gsu-bench`: the experiment runner and harness utilities as a CLI. Five
+//! subcommands:
 //!
 //! ```text
+//! gsu-bench run <experiment>|all [--steps N] [--out DIR]
 //! gsu-bench regress [--baseline PATH] [--current PATH]
 //!                   [--threshold FRACTION] [--no-update] [--allow-missing]
 //! gsu-bench profile --trace PATH [--folded | --table]
@@ -12,6 +14,11 @@
 //!                   [--scenarios PATH] [--report PATH] [--bench PATH]
 //!                   [--check]
 //! ```
+//!
+//! `run` regenerates the paper's tables, figures and studies from the
+//! [`gsu_bench::experiments`] table, in-process; every file it writes lands
+//! under `--out` (default `results`), and `--steps` sets the φ grid of
+//! fig9–fig12 (default 10).
 //!
 //! `regress` compares the current `BENCH_sweep.json` against the committed
 //! baseline — wall time *and* deterministic work metrics — and exits 0 on
@@ -38,9 +45,11 @@
 
 use std::process::ExitCode;
 
+use gsu_bench::experiments::{self, RunContext, EXPERIMENTS};
 use gsu_bench::regress::{RegressConfig, DEFAULT_THRESHOLD};
 
-const USAGE: &str = "usage: gsu-bench regress [--baseline PATH] [--current PATH] \
+const USAGE: &str = "usage: gsu-bench run <experiment>|all [--steps N] [--out DIR]\n  \
+                     | gsu-bench regress [--baseline PATH] [--current PATH] \
                      [--threshold FRACTION] [--no-update] [--allow-missing]\n  \
                      | gsu-bench profile --trace PATH [--folded | --table]\n  \
                      | gsu-bench scenarios [--dir PATH] [--golden PATH] [--out PATH] \
@@ -54,16 +63,54 @@ fn main() -> ExitCode {
     telemetry::init_log_from_env("GSU_LOG");
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
+        Some("run") => run(args),
         Some("regress") => regress(args),
         Some("profile") => profile(args),
         Some("scenarios") => scenarios(args),
         Some("loadgen") => loadgen(args),
-        Some("--help") | Some("-h") | None => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
+        Some("--help") | Some("-h") | None => usage("a subcommand is required"),
+        Some(other) => usage(&format!("unknown subcommand {other:?}")),
+    }
+}
+
+fn run(mut args: impl Iterator<Item = String>) -> ExitCode {
+    let mut ctx = RunContext::default();
+    let mut name: Option<String> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--steps" => match args.next().and_then(|raw| raw.parse::<usize>().ok()) {
+                Some(steps) if steps >= 1 => ctx.steps = steps,
+                _ => return usage("--steps needs a count of at least 1"),
+            },
+            "--out" => match args.next() {
+                Some(path) => ctx.out_dir = path.into(),
+                None => return usage("--out needs a directory"),
+            },
+            other if other.starts_with('-') || name.is_some() => {
+                return usage(&format!("unknown argument {other:?}"))
+            }
+            other => name = Some(other.to_string()),
         }
-        Some(other) => {
-            eprintln!("gsu-bench: unknown subcommand {other:?}\n{USAGE}");
+    }
+    let selected: Vec<&experiments::Experiment> = match name.as_deref() {
+        None => return usage("run needs an experiment name or `all`"),
+        Some("all") => EXPERIMENTS.iter().collect(),
+        Some(name) => match experiments::find(name) {
+            Some(experiment) => vec![experiment],
+            None => return usage(&format!("unknown experiment {name:?}")),
+        },
+    };
+    match experiments::run(&selected, &ctx) {
+        Ok(failed) if failed.is_empty() => ExitCode::SUCCESS,
+        Ok(failed) => {
+            eprintln!("gsu-bench run: failed experiments: {}", failed.join(", "));
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!(
+                "gsu-bench run: cannot create {}: {e}",
+                ctx.out_dir.display()
+            );
             ExitCode::from(2)
         }
     }
@@ -269,6 +316,10 @@ fn loadgen(mut args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 fn usage(why: &str) -> ExitCode {
-    eprintln!("gsu-bench: {why}\n{USAGE}");
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    eprintln!(
+        "gsu-bench: {why}\n{USAGE}\nexperiments: {}",
+        names.join(", ")
+    );
     ExitCode::from(2)
 }

@@ -1,10 +1,9 @@
-//! Shared harness utilities for the figure/table regeneration binaries and
-//! the Criterion benches.
+//! Shared harness utilities for `gsu-bench` and the Criterion benches.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §6 for the experiment index); this library provides the
-//! common plumbing: φ grids, labelled curve sweeps, ASCII plotting for the
-//! terminal, and CSV emission under `results/`.
+//! [`experiments`] is the table of paper experiments behind
+//! `gsu-bench run` (see `DESIGN.md` §6 for the index); this library also
+//! provides their common plumbing: φ grids, labelled curve sweeps, ASCII
+//! plotting for the terminal, CSV emission, and the `BENCH_sweep.json` log.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +13,7 @@ use std::path::Path;
 
 use performability::{GsuAnalysis, PerfError, SweepPoint};
 
+pub mod experiments;
 pub mod loadgen;
 pub mod profile;
 pub mod regress;
@@ -97,7 +97,7 @@ impl Curve {
 /// One record of the `BENCH_sweep.json` performance log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Experiment binary name (e.g. `fig9`).
+    /// Experiment name (e.g. `fig9`).
     pub name: String,
     /// End-to-end wall time of the run in milliseconds.
     pub wall_ms: f64,
@@ -113,9 +113,9 @@ pub struct BenchRecord {
     pub spmv_ops: u64,
 }
 
-/// Wall-clock and work guard for an experiment binary.
+/// Wall-clock and work guard for an experiment run.
 ///
-/// Construct at the top of `main`; on drop it measures the elapsed time plus
+/// Construct before the timed work starts; on drop it measures the elapsed time plus
 /// the [`telemetry::work`] counter deltas and merges a [`BenchRecord`] into
 /// `<out_dir>/BENCH_sweep.json`, keyed on `(name, threads)` so repeated runs
 /// update in place and serial/parallel numbers for the same experiment sit
@@ -264,7 +264,7 @@ fn json_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim())
 }
 
-/// Run-scoped telemetry session for the experiment binaries.
+/// Run-scoped telemetry session for `gsu-bench run`.
 ///
 /// When the `GSU_TELEMETRY` environment variable is `1`, construction
 /// installs a [`telemetry::Collector`] as the global sink; dropping the
@@ -280,8 +280,7 @@ pub struct TelemetrySession {
 }
 
 impl TelemetrySession {
-    /// Starts a session writing into `out_dir` (usually
-    /// [`ExperimentArgs::out_dir`]).
+    /// Starts a session writing into `out_dir`.
     pub fn new(out_dir: &Path) -> Self {
         telemetry::init_log_from_env("GSU_LOG");
         TelemetrySession {
@@ -423,63 +422,6 @@ pub fn write_csv(path: &Path, curves: &[Curve]) -> std::io::Result<()> {
         let _ = writeln!(body);
     }
     std::fs::write(path, body)
-}
-
-/// Command-line options shared by the figure-regeneration binaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExperimentArgs {
-    /// Number of φ grid intervals (`--steps N`; figures default to 10).
-    pub steps: usize,
-    /// Output directory for CSVs (`--out DIR`; default `results`).
-    pub out_dir: std::path::PathBuf,
-}
-
-impl ExperimentArgs {
-    /// Parses `--steps N` and `--out DIR` from the process arguments,
-    /// ignoring anything else (so the binaries stay composable with cargo).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message when a flag is present without a valid
-    /// value — the binaries are terminal tools, not a library surface.
-    pub fn parse(default_steps: usize) -> Self {
-        let mut args = std::env::args().skip(1);
-        let mut parsed = ExperimentArgs {
-            steps: default_steps,
-            out_dir: std::path::PathBuf::from("results"),
-        };
-        while let Some(flag) = args.next() {
-            match flag.as_str() {
-                "--steps" => {
-                    let value = args.next().expect("--steps requires a number");
-                    parsed.steps = value
-                        .parse()
-                        .unwrap_or_else(|_| panic!("invalid --steps value '{value}'"));
-                    assert!(parsed.steps >= 1, "--steps must be >= 1");
-                }
-                "--out" => {
-                    let value = args.next().expect("--out requires a directory");
-                    parsed.out_dir = std::path::PathBuf::from(value);
-                }
-                other => {
-                    eprintln!("(ignoring unknown argument '{other}')");
-                }
-            }
-        }
-        parsed
-    }
-
-    /// Path for a CSV file inside the output directory.
-    pub fn csv_path(&self, name: &str) -> std::path::PathBuf {
-        self.out_dir.join(name)
-    }
-}
-
-/// Prints the standard header for an experiment binary.
-pub fn banner(experiment: &str, description: &str) {
-    println!("==============================================================");
-    println!("{experiment}: {description}");
-    println!("==============================================================");
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The bench regression gate: `gsu-bench regress`.
 //!
-//! Compares the current `BENCH_sweep.json` (written by the experiment
-//! binaries' [`BenchTimer`](crate::BenchTimer)s) against a committed
+//! Compares the current `BENCH_sweep.json` (written by the
+//! [`BenchTimer`](crate::BenchTimer)s of `gsu-bench run`) against a committed
 //! baseline, keyed on `(name, threads)`. A run **regresses** when its wall
 //! time exceeds the baseline by more than the threshold fraction (default
 //! 10%). On a clean pass the current numbers are merged into the baseline —

@@ -1,0 +1,146 @@
+//! End-to-end tests of `gsu-bench run`: each experiment writes only under
+//! `--out`, its CSV, markdown and DOT outputs match the committed
+//! `results/` files byte for byte, its work counters match the committed
+//! baseline, and malformed invocations exit 2 through the usage path.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// The committed results directory.
+const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+
+fn gsu_bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gsu-bench"))
+        .args(args)
+        .output()
+        .expect("launch gsu-bench")
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("gsu-run-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Runs one experiment into a fresh directory and returns it.
+fn run_into_fresh_dir(name: &str) -> PathBuf {
+    let out = fresh_dir(name);
+    let output = gsu_bench(&["run", name, "--out", out.to_str().expect("utf-8 temp path")]);
+    assert!(
+        output.status.success(),
+        "run {name} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    out
+}
+
+/// The experiments that merge a wall-time and work record into
+/// `<out>/BENCH_sweep.json`, keyed on their name.
+const TIMED: &[&str] = &["fig9", "fig10", "fig11", "fig12", "tornado"];
+
+/// A timed experiment must leave its record, carrying the committed
+/// baseline's iteration and SpMV counts (they are identical at any pool
+/// width); any other experiment must leave no record at all.
+fn assert_work_record(out: &Path, name: &str) {
+    let sweep = out.join("BENCH_sweep.json");
+    if !TIMED.contains(&name) {
+        assert!(!sweep.exists(), "{name} wrote {}", sweep.display());
+        return;
+    }
+    let records = gsu_bench::read_bench_records(&sweep)
+        .unwrap_or_else(|e| panic!("{name} left no readable {}: {e}", sweep.display()));
+    let record = records
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("{name} left no record in {}", sweep.display()));
+    let baseline =
+        gsu_bench::read_bench_records(&Path::new(RESULTS).join("BENCH_baseline.json")).unwrap();
+    let base = baseline
+        .iter()
+        .find(|b| b.name == name)
+        .unwrap_or_else(|| panic!("{name} has no baseline record"));
+    assert_eq!(
+        (record.iterations, record.spmv_ops),
+        (base.iterations, base.spmv_ops),
+        "{name}"
+    );
+}
+
+#[test]
+fn outputs_match_the_committed_results() {
+    let cases: &[(&str, &[&str])] = &[
+        ("fig9", &["fig9.csv"]),
+        ("fig10", &["fig10.csv"]),
+        ("fig11", &["fig11.csv"]),
+        ("fig12", &["fig12.csv"]),
+        ("lowcov", &["lowcov.csv"]),
+        ("report", &["analysis_report.md"]),
+        (
+            "export_dot",
+            &[
+                "rmgd_model.dot",
+                "rmgd_states.dot",
+                "rmgp_model.dot",
+                "rmgp_states.dot",
+                "rmnd_model.dot",
+                "rmnd_states.dot",
+            ],
+        ),
+    ];
+    for (name, files) in cases {
+        let out = run_into_fresh_dir(name);
+        for file in *files {
+            let got = std::fs::read(out.join(file))
+                .unwrap_or_else(|e| panic!("{name} did not write {file}: {e}"));
+            let want = std::fs::read(Path::new(RESULTS).join(file)).unwrap();
+            assert!(got == want, "{name}: {file} differs from results/{file}");
+        }
+        assert_work_record(&out, name);
+        std::fs::remove_dir_all(&out).ok();
+    }
+}
+
+#[test]
+fn tornado_records_its_timing_under_out_only() {
+    let committed = Path::new(RESULTS).join("BENCH_sweep.json");
+    let before = std::fs::read(&committed).unwrap();
+    let out = run_into_fresh_dir("tornado");
+    assert!(
+        std::fs::read(&committed).unwrap() == before,
+        "run tornado --out changed results/BENCH_sweep.json"
+    );
+    let records = gsu_bench::read_bench_records(&out.join("BENCH_sweep.json")).unwrap();
+    let keys: Vec<(&str, usize)> = records.iter().map(|r| (r.name.as_str(), r.grid)).collect();
+    assert_eq!(keys, [("tornado", 10)]);
+    assert_work_record(&out, "tornado");
+    std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
+fn usage_errors_exit_2_and_list_the_experiments() {
+    let out = fresh_dir("usage");
+    let out_arg = out.to_str().expect("utf-8 temp path");
+    for rest in [
+        &[][..],
+        &["nosuch"],
+        &["fig9", "--bogus"],
+        &["fig9", "--steps", "x"],
+        &["fig9", "--steps", "0"],
+        &["fig9", "--steps"],
+        &["fig9", "fig10"],
+        &["fig9", "--out"],
+    ] {
+        let args: Vec<&str> = ["run", "--out", out_arg]
+            .into_iter()
+            .chain(rest.iter().copied())
+            .collect();
+        let output = gsu_bench(&args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("usage:") && stderr.contains("fig9, fig10"),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!out.exists(), "a rejected invocation must not write output");
+}

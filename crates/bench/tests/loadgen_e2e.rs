@@ -26,10 +26,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn open_loop_check_run_against_a_live_server() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let collector = Collector::install();
-    let server = Server::bind("127.0.0.1:0", collector).expect("bind ephemeral port");
-    server
-        .load_scenarios(Path::new(SCENARIOS))
-        .expect("load catalog");
+    let server = Server::bind("127.0.0.1:0", collector, Path::new(SCENARIOS))
+        .expect("bind with the committed catalog");
     let addr = server.local_addr();
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(2));
@@ -114,10 +112,8 @@ fn open_loop_check_run_against_a_live_server() {
 fn closed_loop_without_keepalive_reconnects_per_request() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let collector = Collector::install();
-    let server = Server::bind("127.0.0.1:0", collector).expect("bind ephemeral port");
-    server
-        .load_scenarios(Path::new(SCENARIOS))
-        .expect("load catalog");
+    let server = Server::bind("127.0.0.1:0", collector, Path::new(SCENARIOS))
+        .expect("bind with the committed catalog");
     let addr = server.local_addr();
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(2));

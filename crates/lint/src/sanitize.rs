@@ -326,10 +326,15 @@ mod tests {
         }
     }
 
+    /// Keeps the clean run out of the seeded-defect test's window: the
+    /// defect hook is process-wide and [`run`] deliberately leaves it alone.
+    static DEFECT_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn clean_pipeline_is_bitwise_schedule_invariant() {
         // The acceptance criterion itself: fig9 + catalog scenarios produce
         // identical bits under permuted schedules at 1/2/4 threads.
+        let _defect = DEFECT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let report = run(&quick_opts()).unwrap();
         assert!(
             report.findings.is_empty(),
@@ -350,6 +355,7 @@ mod tests {
         // differential harness catch it by scenario name. Completion order
         // can coincide with spawn order on a lucky schedule, so retry a few
         // times; the serial baseline is immune by construction.
+        let _defect = DEFECT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _cleanup = EnvState::capture();
         std::env::set_var(pool::DEFECT_ENV, "completion-order");
         let mut caught = Vec::new();

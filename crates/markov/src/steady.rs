@@ -22,23 +22,11 @@ pub enum SteadyMethod {
         /// Iteration budget and tolerance.
         options: IterOptions,
     },
-    /// Successive over-relaxation sweeps on `πQ = 0`.
-    Sor {
-        /// Iteration budget, tolerance, and relaxation factor.
-        options: IterOptions,
-    },
-    /// Power iteration on the uniformized DTMC.
-    Power {
-        /// Maximum iterations.
-        max_iterations: usize,
-        /// Convergence tolerance on the ∞-norm of iterate differences.
-        tolerance: f64,
-    },
     /// Jacobi-preconditioned BiCGStab on `Qᵀπ = 0` with one equation
     /// replaced by normalization. Converges in far fewer matrix products
     /// than the stationary sweeps on stiff chains.
     BiCgStab {
-        /// Iteration budget and tolerance (relaxation is ignored).
+        /// Iteration budget and tolerance.
         options: IterOptions,
     },
     /// Cost-based choice: dense LU for chains up to
@@ -156,16 +144,7 @@ pub fn steady_state_with_hint(
 fn solve_irreducible(ctmc: &Ctmc, method: &SteadyMethod, hint: Option<&[f64]>) -> Result<Vec<f64>> {
     match method {
         SteadyMethod::Direct => direct(ctmc),
-        SteadyMethod::GaussSeidel { options } => {
-            let mut o = options.clone();
-            o.relaxation = 1.0;
-            sweep(ctmc, &o, hint).map(|(pi, _)| pi)
-        }
-        SteadyMethod::Sor { options } => sweep(ctmc, options, hint).map(|(pi, _)| pi),
-        SteadyMethod::Power {
-            max_iterations,
-            tolerance,
-        } => power(ctmc, *max_iterations, *tolerance, hint),
+        SteadyMethod::GaussSeidel { options } => sweep(ctmc, options, hint).map(|(pi, _)| pi),
         SteadyMethod::BiCgStab { options } => bicgstab_steady(ctmc, options, hint),
         SteadyMethod::Auto => {
             if ctmc.n_states() <= AUTO_DIRECT_CUTOFF {
@@ -178,9 +157,7 @@ fn solve_irreducible(ctmc: &Ctmc, method: &SteadyMethod, hint: Option<&[f64]>) -
                 // the unconditionally convergent Gauss–Seidel sweep.
                 Err(MarkovError::LinAlg(_)) => {
                     telemetry::counter("solver.auto_fallback", 1);
-                    let mut o = options;
-                    o.relaxation = 1.0;
-                    sweep(ctmc, &o, hint).map(|(pi, _)| pi)
+                    sweep(ctmc, &options, hint).map(|(pi, _)| pi)
                 }
                 Err(e) => Err(e),
             }
@@ -238,26 +215,15 @@ fn direct(ctmc: &Ctmc) -> Result<Vec<f64>> {
     Ok(pi)
 }
 
-/// Gauss–Seidel / SOR sweeps on the balance equations
+/// Gauss–Seidel sweeps on the balance equations
 /// `π_j · (−q_jj) = Σ_{i≠j} π_i q_ij`.
 /// Returns the stationary vector and the number of sweeps it took (the
 /// iteration count is what the warm-start tests assert on).
 fn sweep(ctmc: &Ctmc, options: &IterOptions, hint: Option<&[f64]>) -> Result<(Vec<f64>, usize)> {
     let n = ctmc.n_states();
     let qt = ctmc.generator().transpose();
-    let omega = options.relaxation;
-    if !(omega > 0.0 && omega < 2.0) {
-        return Err(MarkovError::LinAlg(sparsela::LinAlgError::InvalidValue {
-            context: format!("SOR relaxation factor {omega} outside (0, 2)"),
-        }));
-    }
-    let method = if sparsela::vector::approx_eq(omega, 1.0, 0.0) {
-        "gauss_seidel"
-    } else {
-        "sor"
-    };
     let mut span = telemetry::span("markov.solve.steady");
-    let mut flight = telemetry::SolveDiag::new(method);
+    let mut flight = telemetry::SolveDiag::new("gauss_seidel");
     let mut pi = start_vector(n, hint);
     let mut delta = f64::INFINITY;
     for it in 1..=options.max_iterations {
@@ -274,8 +240,7 @@ fn sweep(ctmc: &Ctmc, options: &IterOptions, hint: Option<&[f64]>) -> Result<(Ve
                     inflow += pi[i] * v;
                 }
             }
-            let gs = inflow / exit;
-            let new = (1.0 - omega) * pi[j] + omega * gs;
+            let new = inflow / exit;
             delta = delta.max((new - pi[j]).abs());
             pi[j] = new;
         }
@@ -288,7 +253,7 @@ fn sweep(ctmc: &Ctmc, options: &IterOptions, hint: Option<&[f64]>) -> Result<(Ve
             cleanup(&mut pi);
             flight.iterations = it as u64;
             flight.record_on(&mut span);
-            record_steady_solve(method, it, delta, options.tolerance);
+            record_steady_solve("gauss_seidel", it, delta, options.tolerance);
             return Ok((pi, it));
         }
     }
@@ -300,55 +265,6 @@ fn sweep(ctmc: &Ctmc, options: &IterOptions, hint: Option<&[f64]>) -> Result<(Ve
         iterations: options.max_iterations,
         residual: delta,
         tolerance: options.tolerance,
-    }))
-}
-
-fn power(
-    ctmc: &Ctmc,
-    max_iterations: usize,
-    tolerance: f64,
-    hint: Option<&[f64]>,
-) -> Result<Vec<f64>> {
-    let n = ctmc.n_states();
-    // Inflated Λ puts positive mass on every diagonal, making the
-    // uniformized chain aperiodic.
-    let lambda = ctmc.max_exit_rate() * 1.05;
-    let p = ctmc.uniformized(lambda)?;
-    // One blocked layout amortized over every iteration of the power loop.
-    let kernel = sparsela::BlockedKernel::from_csr(p.matrix());
-    let mut span = telemetry::span("markov.solve.steady");
-    let mut flight = telemetry::SolveDiag::new("power");
-    flight.uniformization_rate = Some(lambda);
-    let mut pi = start_vector(n, hint);
-    let mut next = vec![0.0; n];
-    let mut delta = f64::INFINITY;
-    for it in 1..=max_iterations {
-        kernel.apply(&pi, &mut next);
-        delta = vector::diff_norm_inf(&pi, &next);
-        std::mem::swap(&mut pi, &mut next);
-        if telemetry::enabled() {
-            flight.push_residual(delta);
-        }
-        if delta <= tolerance {
-            telemetry::work::count_iterations(it as u64);
-            vector::normalize_l1(&mut pi);
-            cleanup(&mut pi);
-            flight.iterations = it as u64;
-            flight.spmv_ops = it as u64;
-            flight.record_on(&mut span);
-            record_steady_solve("power", it, delta, tolerance);
-            return Ok(pi);
-        }
-    }
-    telemetry::work::count_iterations(max_iterations as u64);
-    flight.iterations = max_iterations as u64;
-    flight.spmv_ops = max_iterations as u64;
-    flight.record_on(&mut span);
-    telemetry::counter("solver.not_converged", 1);
-    Err(MarkovError::LinAlg(sparsela::LinAlgError::NotConverged {
-        iterations: max_iterations,
-        residual: delta,
-        tolerance,
     }))
 }
 
@@ -600,20 +516,15 @@ mod tests {
             },
         )
         .unwrap();
-        let sor_opts = IterOptions {
-            relaxation: 1.2,
-            ..Default::default()
-        };
-        let s = steady_state(&c, &SteadyMethod::Sor { options: sor_opts }).unwrap();
-        let p = steady_state(
+        let k = steady_state(
             &c,
-            &SteadyMethod::Power {
-                max_iterations: 200_000,
-                tolerance: 1e-14,
+            &SteadyMethod::BiCgStab {
+                options: IterOptions::default(),
             },
         )
         .unwrap();
-        for other in [&g, &s, &p] {
+        let a = steady_state(&c, &SteadyMethod::Auto).unwrap();
+        for other in [&g, &k, &a] {
             assert!(vector::diff_norm_inf(&d, other) < 1e-8);
         }
     }
@@ -650,7 +561,6 @@ mod tests {
         let exact = steady_state(&c, &SteadyMethod::Direct).unwrap();
         let opts = IterOptions {
             tolerance: 1e-12,
-            relaxation: 1.0,
             ..Default::default()
         };
         let (cold_pi, cold) = sweep(&c, &opts, None).unwrap();
@@ -710,12 +620,13 @@ mod tests {
         // 0 → {1, 2} cycle: state 0 is transient, long-run mass sits on the
         // 1 <-> 2 cycle with rates 1 and 3 ⇒ π = (0, 3/4, 1/4).
         let c = Ctmc::from_transitions(3, [(0, 1, 5.0), (1, 2, 1.0), (2, 1, 3.0)]).unwrap();
+        let options = IterOptions::default();
         for method in [
             SteadyMethod::Direct,
-            SteadyMethod::Power {
-                max_iterations: 100_000,
-                tolerance: 1e-13,
+            SteadyMethod::GaussSeidel {
+                options: options.clone(),
             },
+            SteadyMethod::BiCgStab { options },
         ] {
             let pi = steady_state(&c, &method).unwrap();
             assert!(pi[0].abs() < 1e-10);
@@ -739,19 +650,20 @@ mod tests {
     }
 
     #[test]
-    fn periodic_chain_power_still_converges() {
-        // 0 <-> 1 with equal rates: uniformized chain would be periodic
-        // without Λ inflation.
+    fn periodic_chain_iterative_methods_converge() {
+        // 0 <-> 1 with equal rates: the embedded jump chain is periodic, so
+        // a plain power iteration on it would oscillate forever.
         let c = Ctmc::from_transitions(2, [(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let pi = steady_state(
-            &c,
-            &SteadyMethod::Power {
-                max_iterations: 100_000,
-                tolerance: 1e-13,
+        let options = IterOptions::default();
+        for method in [
+            SteadyMethod::GaussSeidel {
+                options: options.clone(),
             },
-        )
-        .unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-9);
+            SteadyMethod::BiCgStab { options },
+        ] {
+            let pi = steady_state(&c, &method).unwrap();
+            assert!((pi[0] - 0.5).abs() < 1e-9, "{method:?}: {pi:?}");
+        }
     }
 
     #[test]

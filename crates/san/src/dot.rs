@@ -8,7 +8,7 @@
 //! rates.
 //!
 //! ```console
-//! cargo run --release -p gsu-bench --bin export_dot
+//! cargo run --release -p gsu-bench -- run export_dot --out results
 //! dot -Tsvg results/rmgd_model.dot -o rmgd.svg
 //! ```
 

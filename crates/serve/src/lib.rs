@@ -115,8 +115,8 @@ struct ServerState {
     /// Bounded ring of canonical `/eval` wide-event JSONL lines.
     requests: Mutex<VecDeque<String>>,
     /// The `.gsu` scenario catalog served by `/eval?scenario=`, keyed by
-    /// scenario name.
-    scenarios: Mutex<BTreeMap<String, ScenarioSpec>>,
+    /// scenario name; read once by [`Server::bind`].
+    scenarios: BTreeMap<String, ScenarioSpec>,
     /// Lazily built per-scenario analyses: scenario pipelines are expensive
     /// to construct (state-space generation), so each is built on first
     /// request and reused.
@@ -133,9 +133,8 @@ struct ServerState {
 /// writes, relative to the daemon's working directory.
 pub const LINT_FINDINGS_PATH: &str = "results/lint-findings.jsonl";
 
-/// Default location of the `.gsu` scenario catalog, relative to the
-/// daemon's working directory. A missing directory just disables
-/// `/eval?scenario=`; a present-but-broken catalog fails `bind`.
+/// Location of the `.gsu` scenario catalog the daemon serves, relative to
+/// its working directory.
 pub const SCENARIOS_DIR: &str = "scenarios";
 
 /// A bound (but not yet running) observability daemon.
@@ -153,20 +152,38 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and builds
-    /// the paper-baseline [`GsuAnalysis`] that `/eval` serves. `collector`
-    /// is the (already installed) sink that `/metrics` and `/trace` render.
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), builds the
+    /// paper-baseline [`GsuAnalysis`] that `/eval` serves, and reads the
+    /// `.gsu` catalog that `/eval?scenario=` serves from `scenarios_dir`
+    /// (usually [`SCENARIOS_DIR`]). A missing directory just disables the
+    /// scenario route. `collector` is the (already installed) sink that
+    /// `/metrics` and `/trace` render.
     ///
     /// # Errors
     ///
-    /// Socket errors, and analysis construction failures (surfaced as
-    /// `io::Error` — the daemon is useless without its workload).
-    pub fn bind(addr: &str, collector: Arc<Collector>) -> std::io::Result<Server> {
+    /// Socket errors, analysis construction failures (surfaced as
+    /// `io::Error` — the daemon is useless without its workload), and
+    /// catalog I/O or parse errors (a deployment with a broken catalog
+    /// should fail loudly, not serve a partial one).
+    pub fn bind(
+        addr: &str,
+        collector: Arc<Collector>,
+        scenarios_dir: &Path,
+    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let params = GsuParams::paper_baseline();
         let analysis = GsuAnalysis::new(params)
             .map_err(|e| std::io::Error::other(format!("building GsuAnalysis: {e}")))?;
+        let scenarios = if scenarios_dir.is_dir() {
+            gsu_scenario::load_dir(scenarios_dir)
+                .map_err(|e| std::io::Error::other(format!("loading scenario catalog: {e}")))?
+                .into_iter()
+                .map(|s| (s.name.clone(), s))
+                .collect()
+        } else {
+            BTreeMap::new()
+        };
         // A missing SLO file just disables attainment reporting; a present
         // but malformed one fails bind (same policy as the scenario
         // catalog: never serve against a silently broken committed file).
@@ -205,47 +222,15 @@ impl Server {
             inflight: AtomicU64::new(0),
             params_fingerprint: params_fingerprint(&params),
             requests: Mutex::new(VecDeque::with_capacity(request_log_cap.min(1024))),
-            scenarios: Mutex::new(BTreeMap::new()),
+            scenarios,
             scenario_cache: Mutex::new(HashMap::new()),
             analysis_cache: Mutex::new(HashMap::new()),
         });
-        let server = Server {
+        Ok(Server {
             listener,
             addr,
             state,
-        };
-        if Path::new(SCENARIOS_DIR).is_dir() {
-            server.load_scenarios(Path::new(SCENARIOS_DIR))?;
-        }
-        Ok(server)
-    }
-
-    /// Loads (or replaces) the `.gsu` scenario catalog served by
-    /// `/eval?scenario=`, returning how many scenarios are now available.
-    /// [`Server::bind`] calls this automatically when [`SCENARIOS_DIR`]
-    /// exists; tests point it at their own directories.
-    ///
-    /// # Errors
-    ///
-    /// Catalog I/O and parse errors (a deployment with a broken committed
-    /// catalog should fail loudly, not serve a partial catalog).
-    pub fn load_scenarios(&self, dir: &Path) -> std::io::Result<usize> {
-        let specs = gsu_scenario::load_dir(dir)
-            .map_err(|e| std::io::Error::other(format!("loading scenario catalog: {e}")))?;
-        let count = specs.len();
-        let mut scenarios = self
-            .state
-            .scenarios
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        *scenarios = specs.into_iter().map(|s| (s.name.clone(), s)).collect();
-        drop(scenarios);
-        self.state
-            .scenario_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        Ok(count)
+        })
     }
 
     /// The bound socket address (the real port, after `:0` resolution).
@@ -655,9 +640,9 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
 }
 
 /// Finds a scenario by name in the loaded catalog.
-fn lookup_scenario(state: &ServerState, name: &str) -> Result<ScenarioSpec, String> {
-    let scenarios = state.scenarios.lock().unwrap_or_else(|e| e.into_inner());
-    scenarios.get(name).cloned().ok_or_else(|| {
+fn lookup_scenario<'a>(state: &'a ServerState, name: &str) -> Result<&'a ScenarioSpec, String> {
+    let scenarios = &state.scenarios;
+    scenarios.get(name).ok_or_else(|| {
         if scenarios.is_empty() {
             format!("unknown scenario `{name}` (no catalog loaded)")
         } else {
@@ -735,7 +720,7 @@ fn paper_analysis(state: &ServerState, params: GsuParams) -> Result<Arc<GsuAnaly
 /// cold-start cost is visible in the request's trace.
 fn scenario_analysis(
     state: &ServerState,
-    spec: ScenarioSpec,
+    spec: &ScenarioSpec,
 ) -> Result<Arc<ScenarioAnalysis>, String> {
     let name = spec.name.clone();
     {
@@ -750,7 +735,7 @@ fn scenario_analysis(
     // Built outside the lock: a slow cold start must not block requests for
     // other (already cached) scenarios. A lost race just builds twice.
     let built = Arc::new(
-        ScenarioAnalysis::new(spec)
+        ScenarioAnalysis::new(spec.clone())
             .map_err(|e| format!("scenario `{name}` failed to build: {e}"))?,
     );
     let mut cache = state

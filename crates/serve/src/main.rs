@@ -10,11 +10,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use gsu_serve::http::http_get;
-use gsu_serve::{validate_exposition, Server, DEFAULT_WORKERS};
+use gsu_serve::{validate_exposition, Server, DEFAULT_WORKERS, SCENARIOS_DIR};
 use telemetry::Collector;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:9184";
@@ -68,7 +69,7 @@ fn main() -> ExitCode {
         return smoke(collector, args.workers);
     }
 
-    let server = match Server::bind(&args.addr, collector) {
+    let server = match Server::bind(&args.addr, collector, Path::new(SCENARIOS_DIR)) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("gsu-serve: cannot bind {}: {e}", args.addr);
@@ -88,7 +89,7 @@ fn main() -> ExitCode {
 /// stack, and shuts down. The CI smoke gate (scripts/check.sh) runs this
 /// when `curl` is unavailable; it is also a quick manual sanity check.
 fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
-    let server = match Server::bind("127.0.0.1:0", collector) {
+    let server = match Server::bind("127.0.0.1:0", collector, Path::new(SCENARIOS_DIR)) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("smoke: bind failed: {e}");
@@ -143,7 +144,7 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
     });
     // Scenario routes, when a catalog is present next to the daemon (the CI
     // smoke runs from the workspace root, where `scenarios/` is committed).
-    if std::path::Path::new(gsu_serve::SCENARIOS_DIR).is_dir() {
+    if Path::new(SCENARIOS_DIR).is_dir() {
         check("/eval?scenario=paper-baseline&phi=5000", 200, &|body| {
             (body.contains("\"scenario\":\"paper-baseline\"") && body.contains("\"y\":"))
                 .then_some(())

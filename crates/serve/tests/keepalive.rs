@@ -6,9 +6,10 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 
 use gsu_serve::http::HttpClient;
-use gsu_serve::Server;
+use gsu_serve::{Server, SCENARIOS_DIR};
 use telemetry::Collector;
 
 /// Reads one full response off `reader` and returns
@@ -50,7 +51,8 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String, String) {
 #[test]
 fn keep_alive_serves_multiple_requests_with_exact_framing() {
     let collector = Collector::install();
-    let server = Server::bind("127.0.0.1:0", collector).expect("bind ephemeral port");
+    let server = Server::bind("127.0.0.1:0", collector, Path::new(SCENARIOS_DIR))
+        .expect("bind ephemeral port");
     let addr = server.local_addr();
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(2));

@@ -4,19 +4,21 @@
 //!
 //! One `#[test]` because the telemetry sink is process-global.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gsu_serve::http::http_get;
-use gsu_serve::{validate_exposition, Server};
+use gsu_serve::{validate_exposition, Server, SCENARIOS_DIR};
 use performability::{GsuAnalysis, GsuParams};
 use telemetry::Collector;
 
 #[test]
 fn serves_live_metrics_during_a_sweep() {
     let collector = Collector::install();
-    let server = Server::bind("127.0.0.1:0", collector.clone()).expect("bind ephemeral port");
+    let server = Server::bind("127.0.0.1:0", collector.clone(), Path::new(SCENARIOS_DIR))
+        .expect("bind ephemeral port");
     let addr = server.local_addr();
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(2));

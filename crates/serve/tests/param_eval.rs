@@ -3,15 +3,18 @@
 //! pattern), agrees with a direct evaluation, and validation failures name
 //! the offending query parameter.
 
+use std::path::Path;
+
 use gsu_serve::http::http_get;
-use gsu_serve::Server;
+use gsu_serve::{Server, SCENARIOS_DIR};
 use performability::{GsuAnalysis, GsuParams};
 use telemetry::Collector;
 
 #[test]
 fn param_override_eval_is_memoized_and_validated() {
     let collector = Collector::install();
-    let server = Server::bind("127.0.0.1:0", collector.clone()).expect("bind ephemeral port");
+    let server = Server::bind("127.0.0.1:0", collector.clone(), Path::new(SCENARIOS_DIR))
+        .expect("bind ephemeral port");
     let addr = server.local_addr();
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(2));

@@ -28,8 +28,7 @@ fn scenario_eval_round_trip_and_structured_errors() {
     std::fs::write(dir.join("tiny.gsu"), TINY).unwrap();
 
     let collector = Collector::install();
-    let server = Server::bind("127.0.0.1:0", collector).expect("bind ephemeral port");
-    assert_eq!(server.load_scenarios(&dir).expect("load catalog"), 1);
+    let server = Server::bind("127.0.0.1:0", collector, &dir).expect("bind with the catalog");
     let addr = server.local_addr();
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(2));
@@ -63,7 +62,7 @@ fn scenario_eval_round_trip_and_structured_errors() {
     assert!(body.contains("\"param\":\"scenario\""), "{body}");
     assert!(body.contains("unknown scenario `nope`"), "{body}");
     assert!(
-        body.contains("tiny"),
+        body.contains("catalog has 1: tiny"),
         "error should list the catalog: {body}"
     );
     for target in [

@@ -1,10 +1,11 @@
-//! Iterative solvers for sparse linear systems `A·x = b`.
+//! Iterative solvers for sparse linear systems `A·x = b`: Gauss–Seidel,
+//! the classical stationary sweep of UltraSAN-era tools, and
+//! Jacobi-preconditioned BiCGStab.
 //!
-//! These are the classical stationary methods (Jacobi, Gauss–Seidel, SOR)
-//! that UltraSAN-era tools used for steady-state reward model solution. The
-//! `markov` crate builds its steady-state solvers on top of these; they are
-//! exposed here so benchmarks can compare them directly (see the
-//! `ablation_steady` bench).
+//! `markov::steady` solves its Krylov steady-state systems with
+//! [`bicgstab`]; its Gauss–Seidel method sweeps the balance equations
+//! directly rather than calling [`gauss_seidel`], which serves as the
+//! reference the BiCGStab tests compare against.
 
 use crate::{CsrMatrix, LinAlgError, Result};
 
@@ -35,9 +36,6 @@ pub struct IterOptions {
     /// Convergence tolerance on the ∞-norm of successive iterates'
     /// difference.
     pub tolerance: f64,
-    /// Relaxation factor for SOR (ignored by Jacobi / Gauss–Seidel);
-    /// `1.0` reduces SOR to Gauss–Seidel.
-    pub relaxation: f64,
 }
 
 impl Default for IterOptions {
@@ -45,7 +43,6 @@ impl Default for IterOptions {
         IterOptions {
             max_iterations: 10_000,
             tolerance: 1e-12,
-            relaxation: 1.0,
         }
     }
 }
@@ -59,7 +56,7 @@ pub struct Convergence {
     pub final_delta: f64,
 }
 
-/// Solves `A·x = b` by Jacobi iteration, starting from `x0`.
+/// Solves `A·x = b` by Gauss–Seidel iteration, starting from `x0`.
 ///
 /// # Errors
 ///
@@ -67,104 +64,17 @@ pub struct Convergence {
 /// * [`LinAlgError::Singular`] when a diagonal entry is zero.
 /// * [`LinAlgError::NotConverged`] when the tolerance is not met within the
 ///   iteration budget.
-pub fn jacobi(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    opts: &IterOptions,
-) -> Result<(Vec<f64>, Convergence)> {
-    check_square(a, b, x0)?;
-    let n = a.rows();
-    let diag = checked_diagonal(a)?;
-    let mut span = telemetry::span("sparsela.solve");
-    let mut flight = telemetry::SolveDiag::new("jacobi");
-    let mut x = x0.to_vec();
-    let mut x_next = vec![0.0; n];
-    let mut delta = f64::INFINITY;
-    for it in 1..=opts.max_iterations {
-        for r in 0..n {
-            let mut acc = b[r];
-            for (c, v) in a.row(r) {
-                if c != r {
-                    acc -= v * x[c];
-                }
-            }
-            x_next[r] = acc / diag[r];
-        }
-        delta = crate::vector::diff_norm_inf(&x, &x_next);
-        std::mem::swap(&mut x, &mut x_next);
-        if telemetry::enabled() {
-            flight.push_residual(delta);
-        }
-        if delta <= opts.tolerance {
-            telemetry::work::count_iterations(it as u64);
-            let conv = Convergence {
-                iterations: it,
-                final_delta: delta,
-            };
-            flight.iterations = it as u64;
-            flight.record_on(&mut span);
-            record_solve("jacobi", &conv, opts);
-            return Ok((x, conv));
-        }
-    }
-    telemetry::work::count_iterations(opts.max_iterations as u64);
-    flight.iterations = opts.max_iterations as u64;
-    flight.record_on(&mut span);
-    telemetry::counter("solver.not_converged", 1);
-    Err(LinAlgError::NotConverged {
-        iterations: opts.max_iterations,
-        residual: delta,
-        tolerance: opts.tolerance,
-    })
-}
-
-/// Solves `A·x = b` by Gauss–Seidel iteration, starting from `x0`.
-///
-/// # Errors
-///
-/// Same failure modes as [`jacobi`].
 pub fn gauss_seidel(
     a: &CsrMatrix,
     b: &[f64],
     x0: &[f64],
     opts: &IterOptions,
 ) -> Result<(Vec<f64>, Convergence)> {
-    let mut o = opts.clone();
-    o.relaxation = 1.0;
-    sor(a, b, x0, &o)
-}
-
-/// Solves `A·x = b` by successive over-relaxation, starting from `x0`.
-///
-/// With `opts.relaxation == 1.0` this is exactly Gauss–Seidel.
-///
-/// # Errors
-///
-/// Same failure modes as [`jacobi`], plus [`LinAlgError::InvalidValue`] when
-/// the relaxation factor is outside `(0, 2)`.
-pub fn sor(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    opts: &IterOptions,
-) -> Result<(Vec<f64>, Convergence)> {
     check_square(a, b, x0)?;
-    if !(opts.relaxation > 0.0 && opts.relaxation < 2.0) {
-        return Err(LinAlgError::InvalidValue {
-            context: format!("SOR relaxation factor {} outside (0, 2)", opts.relaxation),
-        });
-    }
     let n = a.rows();
     let diag = checked_diagonal(a)?;
-    let omega = opts.relaxation;
-    let method = if crate::vector::approx_eq(omega, 1.0, 0.0) {
-        "gauss_seidel"
-    } else {
-        "sor"
-    };
     let mut span = telemetry::span("sparsela.solve");
-    let mut flight = telemetry::SolveDiag::new(method);
+    let mut flight = telemetry::SolveDiag::new("gauss_seidel");
     let mut x = x0.to_vec();
     let mut delta = f64::INFINITY;
     for it in 1..=opts.max_iterations {
@@ -176,8 +86,7 @@ pub fn sor(
                     acc -= v * x[c];
                 }
             }
-            let gs = acc / diag[r];
-            let new = (1.0 - omega) * x[r] + omega * gs;
+            let new = acc / diag[r];
             delta = delta.max((new - x[r]).abs());
             x[r] = new;
         }
@@ -192,7 +101,7 @@ pub fn sor(
             };
             flight.iterations = it as u64;
             flight.record_on(&mut span);
-            record_solve(method, &conv, opts);
+            record_solve("gauss_seidel", &conv, opts);
             return Ok((x, conv));
         }
     }
@@ -212,13 +121,13 @@ pub fn sor(
 ///
 /// BiCGStab is the workspace's Krylov option for the ill-conditioned,
 /// non-symmetric systems that steady-state and absorbing analyses produce:
-/// where the stationary sweeps (Jacobi/Gauss–Seidel/SOR) converge linearly
+/// where stationary sweeps such as Gauss–Seidel converge linearly
 /// at a rate set by the spectral radius, BiCGStab typically needs far fewer
 /// matrix–vector products, and a good initial guess (warm start from a
 /// neighbouring parameter point) directly shortens the iteration.
 ///
 /// Convergence is declared on `‖r‖∞ ≤ opts.tolerance` where `r = b − A·x`
-/// is the true (unpreconditioned) residual. `opts.relaxation` is ignored.
+/// is the true (unpreconditioned) residual.
 ///
 /// # Errors
 ///
@@ -399,7 +308,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
-        // Tridiagonal [−1, 2, −1]: symmetric positive definite, so all three
+        // Tridiagonal [−1, 2, −1]: symmetric positive definite, so both
         // methods converge.
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -413,34 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_solves_spd_system() {
+    fn gauss_seidel_solves_spd_system() {
         let a = laplacian_1d(8);
         let b = vec![1.0; 8];
-        let (x, conv) = jacobi(&a, &b, &[0.0; 8], &IterOptions::default()).unwrap();
+        let (x, conv) = gauss_seidel(&a, &b, &[0.0; 8], &IterOptions::default()).unwrap();
         assert!(residual_inf(&a, &x, &b) < 1e-9);
         assert!(conv.iterations > 1);
-    }
-
-    #[test]
-    fn gauss_seidel_faster_than_jacobi() {
-        let a = laplacian_1d(8);
-        let b = vec![1.0; 8];
-        let opts = IterOptions::default();
-        let (_, cj) = jacobi(&a, &b, &[0.0; 8], &opts).unwrap();
-        let (_, cg) = gauss_seidel(&a, &b, &[0.0; 8], &opts).unwrap();
-        assert!(cg.iterations < cj.iterations);
-    }
-
-    #[test]
-    fn sor_with_good_omega_beats_gauss_seidel() {
-        let a = laplacian_1d(16);
-        let b = vec![1.0; 16];
-        let mut opts = IterOptions::default();
-        let (_, cg) = gauss_seidel(&a, &b, &[0.0; 16], &opts).unwrap();
-        opts.relaxation = 1.6;
-        let (x, cs) = sor(&a, &b, &[0.0; 16], &opts).unwrap();
-        assert!(residual_inf(&a, &x, &b) < 1e-9);
-        assert!(cs.iterations < cg.iterations);
     }
 
     #[test]
@@ -455,8 +342,8 @@ mod tests {
 
     #[test]
     fn divergent_system_reports_not_converged() {
-        // Jacobi diverges when the matrix is not diagonally dominant enough:
-        // [[1, 2], [3, 1]] has spectral radius of iteration matrix > 1.
+        // Gauss–Seidel diverges when the matrix is not diagonally dominant
+        // enough: on [[1, 2], [3, 1]] each sweep multiplies the error by 6.
         let mut coo = CooMatrix::new(2, 2);
         coo.push(0, 0, 1.0);
         coo.push(0, 1, 2.0);
@@ -467,25 +354,14 @@ mod tests {
             max_iterations: 50,
             ..Default::default()
         };
-        let r = jacobi(&a, &[1.0, 1.0], &[0.0, 0.0], &opts);
+        let r = gauss_seidel(&a, &[1.0, 1.0], &[0.0, 0.0], &opts);
         assert!(matches!(r, Err(LinAlgError::NotConverged { .. })));
-    }
-
-    #[test]
-    fn bad_relaxation_rejected() {
-        let a = laplacian_1d(3);
-        let opts = IterOptions {
-            relaxation: 2.5,
-            ..Default::default()
-        };
-        let r = sor(&a, &[1.0; 3], &[0.0; 3], &opts);
-        assert!(matches!(r, Err(LinAlgError::InvalidValue { .. })));
     }
 
     #[test]
     fn shape_mismatch_rejected() {
         let a = laplacian_1d(3);
-        let r = jacobi(&a, &[1.0; 2], &[0.0; 3], &IterOptions::default());
+        let r = gauss_seidel(&a, &[1.0; 2], &[0.0; 3], &IterOptions::default());
         assert!(matches!(r, Err(LinAlgError::DimensionMismatch { .. })));
     }
 
@@ -557,7 +433,6 @@ mod tests {
         let opts = IterOptions {
             max_iterations: 1,
             tolerance: 1e-15,
-            ..Default::default()
         };
         let r = bicgstab(&a, &[1.0; 32], &[0.0; 32], &opts);
         assert!(matches!(r, Err(LinAlgError::NotConverged { .. })));
@@ -587,32 +462,6 @@ mod tests {
             let (xg, _) = gauss_seidel(&a, &b, &[0.0; 6], &opts).unwrap();
             prop_assert!(crate::vector::diff_norm_inf(&xb, &xg) < 1e-8);
             prop_assert!(residual_inf(&a, &xb, &b) < 1e-8);
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn methods_agree_on_dominant_systems(
-            offdiag in proptest::collection::vec(-0.2..0.2f64, 16),
-            b in proptest::collection::vec(-5.0..5.0f64, 4),
-        ) {
-            // Build a strictly diagonally dominant 4x4 matrix.
-            let mut coo = CooMatrix::new(4, 4);
-            for r in 0..4 {
-                for c in 0..4 {
-                    if r == c {
-                        coo.push(r, c, 2.0);
-                    } else {
-                        coo.push(r, c, offdiag[r * 4 + c]);
-                    }
-                }
-            }
-            let a = coo.to_csr();
-            let opts = IterOptions::default();
-            let (xj, _) = jacobi(&a, &b, &[0.0; 4], &opts).unwrap();
-            let (xg, _) = gauss_seidel(&a, &b, &[0.0; 4], &opts).unwrap();
-            prop_assert!(crate::vector::diff_norm_inf(&xj, &xg) < 1e-8);
-            prop_assert!(residual_inf(&a, &xj, &b) < 1e-8);
         }
     }
 }

@@ -8,8 +8,8 @@
 //! * [`CooMatrix`] — a coordinate-format builder for assembling matrices from
 //!   unordered `(row, col, value)` triplets (duplicate entries are summed).
 //! * [`CsrMatrix`] — compressed sparse row storage with the matrix-vector
-//!   products (`A·x` and `Aᵀ·x`) that drive uniformization and power
-//!   iteration.
+//!   products (`A·x` and `Aᵀ·x`) that drive uniformization and the Krylov
+//!   solves.
 //! * [`DenseMatrix`] — a small dense matrix with LU factorization
 //!   ([`LuDecomposition`]), used for direct steady-state solutions and by the
 //!   matrix-exponential transient solver in the `markov` crate.
@@ -17,8 +17,8 @@
 //!   matrix built once and applied across all powers of a uniformization
 //!   pass, with a fused step-plus-weighted-accumulate and an adaptive
 //!   (mass-dropping) scatter variant.
-//! * [`iterative`] — Jacobi, Gauss–Seidel, SOR, and Jacobi-preconditioned
-//!   BiCGStab iterations for `A·x = b`, with convergence diagnostics.
+//! * [`iterative`] — Gauss–Seidel and Jacobi-preconditioned BiCGStab
+//!   iterations for `A·x = b`, with convergence diagnostics.
 //! * [`vector`] — the handful of BLAS-1 style kernels (`axpy`, `dot`, norms)
 //!   the solvers need.
 //!

@@ -17,13 +17,14 @@ pub const RESIDUAL_TAIL_LEN: usize = 8;
 
 /// Diagnostics for one numerical solve.
 ///
-/// Only the fields a given method produces are recorded: a power iteration
-/// has a residual trajectory but no Fox-Glynn window; uniformization has a
+/// Only the fields a given method produces are recorded: a Gauss–Seidel
+/// sweep has a residual trajectory but no Fox-Glynn window; uniformization has a
 /// rate and a window but its "iterations" are Poisson terms; a direct LU
 /// solve has neither.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveDiag {
-    /// Method label, e.g. `"power"`, `"sor"`, `"uniformization"`, `"expm"`.
+    /// Method label, e.g. `"gauss_seidel"`, `"bicgstab"`, `"uniformization"`,
+    /// `"expm"`.
     pub method: String,
     /// Iterations (or Poisson terms) the solve consumed.
     pub iterations: u64,

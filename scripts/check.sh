@@ -138,7 +138,7 @@ target/release/gsu-bench regress --baseline results/BENCH_serve_baseline.json \
 # stacks (`path;to;span N`) and a per-span self-time table.
 echo "==> gsu-bench profile (fig9 flight recorder)"
 PROFILE_DIR="$(mktemp -d)"
-GSU_TELEMETRY=1 target/release/fig9 --steps 4 --out "$PROFILE_DIR" > /dev/null
+GSU_TELEMETRY=1 target/release/gsu-bench run fig9 --steps 4 --out "$PROFILE_DIR" > /dev/null
 [ -s "$PROFILE_DIR/trace.json" ] || { echo "fig9 wrote no trace.json"; exit 1; }
 FOLDED="$(target/release/gsu-bench profile --trace "$PROFILE_DIR/trace.json" --folded)"
 echo "$FOLDED" | grep -Eq '^[^ ;]+(;[^ ;]+)+ [0-9]+$' \
@@ -156,7 +156,7 @@ rm -rf "$PROFILE_DIR"
 # top, the hot path drifted and this fails next to the wall/work ratchet.
 echo "==> gsu-bench profile (fig12 hot-path pin)"
 PROFILE_DIR="$(mktemp -d)"
-GSU_TELEMETRY=1 target/release/fig12 --steps 4 --out "$PROFILE_DIR" > /dev/null
+GSU_TELEMETRY=1 target/release/gsu-bench run fig12 --steps 4 --out "$PROFILE_DIR" > /dev/null
 [ -s "$PROFILE_DIR/trace.json" ] || { echo "fig12 wrote no trace.json"; exit 1; }
 TOP_SPAN="$(target/release/gsu-bench profile --trace "$PROFILE_DIR/trace.json" --table \
     | awk 'NR==2 {print $1}')"

@@ -55,10 +55,10 @@ fn mm1k_mean_queue_length_by_all_steady_methods() {
         SteadyMethod::GaussSeidel {
             options: Default::default(),
         },
-        SteadyMethod::Power {
-            max_iterations: 1_000_000,
-            tolerance: 1e-13,
+        SteadyMethod::BiCgStab {
+            options: Default::default(),
         },
+        SteadyMethod::Auto,
     ];
     for method in methods {
         let analyzer = san::Analyzer::from_state_space(
