@@ -236,7 +236,7 @@ fn table1(_: &RunContext) -> ExperimentResult {
     let params = GsuParams::paper_baseline();
     let model = rmgd::build(&params)?;
     let analyzer = Analyzer::generate(&model.model, &Default::default())?;
-    let p = model.places;
+    let p = model.places.gop;
 
     println!(
         "RMGd state space: {} tangible states\n",

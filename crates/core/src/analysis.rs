@@ -1,28 +1,24 @@
 //! The end-to-end analysis pipeline: base models → constituent measures →
 //! performability index.
+//!
+//! [`GsuAnalysis`] is the one φ-evaluation engine. Its constructor
+//! [`GsuAnalysis::from_models`] takes built models — a G-OP dependability
+//! model classified by [`GopPlaces`] and two normal-mode models — so the
+//! paper's `RMGd`/`RMNd` ([`GsuAnalysis::new`]) and the scenario layer's
+//! generalized models lower into the same evaluation path.
 
-use san::Analyzer;
+use san::{Analyzer, PlaceId, SanModel};
 
-use crate::gsu::{self, rmgd, rmgp, rmnd};
+use crate::gsu::{self, rmgd, rmgp, rmnd, GopMeasures, GopPlaces};
 use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, SweepPoint};
-
-/// Where the forward-progress fractions `ρ1`, `ρ2` come from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OverheadSource {
-    /// Solved as steady-state rewards on `RMGp` (the paper's method).
-    Computed,
-    /// Supplied directly — used to reproduce figures whose captions pin
-    /// `(ρ1, ρ2)` rather than `(α, β)`.
-    Fixed(f64, f64),
-}
 
 /// The complete guarded-operation performability analysis for one parameter
 /// set.
 ///
 /// Construction builds and solves everything that does not depend on φ (the
-/// `RMGp` steady state and the `RMNd(µnew)` full-window probability);
-/// evaluating a φ then costs three transient solutions on the small `RMGd` /
-/// `RMNd` chains.
+/// overhead steady state and the normal-mode full-window probability);
+/// evaluating a φ then costs three transient solutions on the small G-OP /
+/// normal-mode chains.
 ///
 /// # Example
 ///
@@ -40,15 +36,15 @@ pub struct GsuAnalysis {
     params: GsuParams,
     gamma_policy: GammaPolicy,
     rho: (f64, f64),
-    /// Stationary vector of the `RMGp` solve (when ρ was computed) — the
-    /// warm-start seed for analyses at neighboring parameter points.
+    /// Stationary vector of the overhead-model solve (when ρ was computed)
+    /// — the warm-start seed for analyses at neighboring parameter points.
     rho_pi: Option<Vec<f64>>,
-    rmgd_analyzer: Analyzer,
-    rmgd_places: rmgd::RmgdPlaces,
-    rmnd_new: Analyzer,
-    rmnd_new_places: rmnd::RmndPlaces,
-    rmnd_old: Analyzer,
-    rmnd_old_places: rmnd::RmndPlaces,
+    gd: Analyzer,
+    gd_places: GopPlaces,
+    np_new: Analyzer,
+    np_new_failure: PlaceId,
+    np_old: Analyzer,
+    np_old_failure: PlaceId,
     /// `P(X''_θ ∈ A''1)` — φ-independent, solved once.
     p_a1_norm_theta: f64,
 }
@@ -62,7 +58,7 @@ impl GsuAnalysis {
     /// Propagates parameter validation and model generation/solution
     /// failures.
     pub fn new(params: GsuParams) -> Result<Self> {
-        Self::build(params, OverheadSource::Computed, None)
+        Self::new_continued(params, None)
     }
 
     /// Like [`GsuAnalysis::new`] but warm-starting the `RMGp` steady solve
@@ -75,7 +71,10 @@ impl GsuAnalysis {
     ///
     /// Same failure modes as [`GsuAnalysis::new`].
     pub fn new_continued(params: GsuParams, hint: Option<&[f64]>) -> Result<Self> {
-        Self::build(params, OverheadSource::Computed, hint)
+        Self::from_paper_models(params, |params| {
+            let s = rmgp::solve_rho_continued(params, hint)?;
+            Ok(((s.rho1, s.rho2), Some(s.pi)))
+        })
     }
 
     /// Like [`GsuAnalysis::new`] but with `(ρ1, ρ2)` supplied directly
@@ -86,61 +85,92 @@ impl GsuAnalysis {
     /// Returns [`PerfError::InvalidParameter`] when a fraction is outside
     /// `[0, 1]`, and propagates model-building failures.
     pub fn with_fixed_overhead(params: GsuParams, rho1: f64, rho2: f64) -> Result<Self> {
-        for (name, v) in [("rho1", rho1), ("rho2", rho2)] {
-            if !(0.0..=1.0).contains(&v) {
+        Self::from_paper_models(params, |_| Ok(((rho1, rho2), None)))
+    }
+
+    /// The paper's lowering: `rho` yields `(ρ1, ρ2)` and the optional
+    /// stationary vector, then `RMGd` and `RMNd` at µ_new and µ_old feed
+    /// [`GsuAnalysis::from_models`].
+    fn from_paper_models(
+        params: GsuParams,
+        rho: impl FnOnce(&GsuParams) -> Result<((f64, f64), Option<Vec<f64>>)>,
+    ) -> Result<Self> {
+        // Validated before the builds too: the models assume valid rates.
+        params.validate()?;
+        let mut span = telemetry::span("performability.build");
+        let (rho, rho_pi) = rho(&params)?;
+        let gd = rmgd::build(&params)?;
+        let new = rmnd::build(&params, params.mu_new)?;
+        let old = rmnd::build(&params, params.mu_old)?;
+        let analysis = Self::from_models(
+            params,
+            rho,
+            rho_pi,
+            (&gd.model, gd.places.gop),
+            (&new.model, new.places.failure),
+            (&old.model, old.places.failure),
+        )?;
+        if telemetry::enabled() {
+            telemetry::gauge("performability.rho1", rho.0);
+            telemetry::gauge("performability.rho2", rho.1);
+            telemetry::gauge("performability.p_a1_norm_theta", analysis.p_a1_norm_theta);
+            span.record("rho1", rho.0);
+            span.record("rho2", rho.1);
+        }
+        Ok(analysis)
+    }
+
+    /// The one constructor every lowering goes through: generates the state
+    /// spaces of the built models and solves the φ-independent
+    /// full-window survival.
+    ///
+    /// * `rho` — the forward-progress fractions `(ρ1, ρ2)`, with the
+    ///   stationary vector they were read from when they were solved
+    ///   (`rho_pi`, the seed for [`GsuAnalysis::new_continued`]);
+    /// * `gd` — the G-OP dependability model and the places that classify
+    ///   its states into the `A'` sets;
+    /// * `np_new` / `np_old` — the normal-mode models with the first
+    ///   component at µ_new and at µ_old, each with its `failure` place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PerfError::InvalidParameter`] when `params` fail
+    /// [`GsuParams::validate`] or a fraction of `rho` is outside `[0, 1]`,
+    /// and propagates state-space generation and solver failures.
+    pub fn from_models(
+        params: GsuParams,
+        rho: (f64, f64),
+        rho_pi: Option<Vec<f64>>,
+        gd: (&SanModel, GopPlaces),
+        np_new: (&SanModel, PlaceId),
+        np_old: (&SanModel, PlaceId),
+    ) -> Result<Self> {
+        params.validate()?;
+        for (name, value) in [("rho1", rho.0), ("rho2", rho.1)] {
+            if !(0.0..=1.0).contains(&value) {
                 return Err(PerfError::InvalidParameter {
                     name,
-                    value: v,
+                    value,
                     expected: "within [0, 1]",
                 });
             }
         }
-        Self::build(params, OverheadSource::Fixed(rho1, rho2), None)
-    }
-
-    fn build(params: GsuParams, overhead: OverheadSource, hint: Option<&[f64]>) -> Result<Self> {
-        params.validate()?;
-        let mut span = telemetry::span("performability.build");
-
-        let (rho, rho_pi) = match overhead {
-            OverheadSource::Computed => {
-                let s = rmgp::solve_rho_continued(&params, hint)?;
-                ((s.rho1, s.rho2), Some(s.pi))
-            }
-            OverheadSource::Fixed(r1, r2) => ((r1, r2), None),
-        };
-
-        let rmgd = rmgd::build(&params)?;
-        let rmgd_analyzer = Analyzer::generate(&rmgd.model, &Default::default())?;
-
-        let new = rmnd::build(&params, params.mu_new)?;
-        let rmnd_new = Analyzer::generate(&new.model, &Default::default())?;
-        let old = rmnd::build(&params, params.mu_old)?;
-        let rmnd_old = Analyzer::generate(&old.model, &Default::default())?;
-
-        let failure = new.places.failure;
-        let p_a1_norm_theta =
-            rmnd_new.probability_at(params.theta, move |mk| mk.tokens(failure) == 0)?;
-
-        if telemetry::enabled() {
-            telemetry::gauge("performability.rho1", rho.0);
-            telemetry::gauge("performability.rho2", rho.1);
-            telemetry::gauge("performability.p_a1_norm_theta", p_a1_norm_theta);
-            span.record("rho1", rho.0);
-            span.record("rho2", rho.1);
-        }
-
+        let generate = |model: &SanModel| Analyzer::generate(model, &Default::default());
+        let gd_analyzer = generate(gd.0)?;
+        let np_new_analyzer = generate(np_new.0)?;
+        let np_old_analyzer = generate(np_old.0)?;
+        let p_a1_norm_theta = survival(&np_new_analyzer, np_new.1, params.theta)?;
         Ok(GsuAnalysis {
             params,
             gamma_policy: GammaPolicy::default(),
             rho,
             rho_pi,
-            rmgd_analyzer,
-            rmgd_places: rmgd.places,
-            rmnd_new,
-            rmnd_new_places: new.places,
-            rmnd_old,
-            rmnd_old_places: old.places,
+            gd: gd_analyzer,
+            gd_places: gd.1,
+            np_new: np_new_analyzer,
+            np_new_failure: np_new.1,
+            np_old: np_old_analyzer,
+            np_old_failure: np_old.1,
             p_a1_norm_theta,
         })
     }
@@ -168,6 +198,12 @@ impl GsuAnalysis {
         self.rho_pi.as_deref()
     }
 
+    /// The analyzer of the G-OP dependability model — for probes of its
+    /// `A'` sets, such as the discrete-event cross-validation.
+    pub fn gd_analyzer(&self) -> &Analyzer {
+        &self.gd
+    }
+
     /// Solves all nine constituent reward variables for a G-OP duration φ.
     ///
     /// # Errors
@@ -178,45 +214,40 @@ impl GsuAnalysis {
         self.params.validate_phi(phi)?;
         let mut span = telemetry::span("performability.measures");
         span.record("phi", phi);
-        let theta = self.params.theta;
 
-        // RMGd measures (Table 1), via the state-set–generic engine shared
-        // with the scenario layer.
-        let gop = gsu::gop_measures(&self.rmgd_analyzer, self.rmgd_places, phi)?;
-        let (p_a1_gop, i_h, i_hf, i_tau_h, i_tau_h_exact) =
-            (gop.p_a1, gop.i_h, gop.i_hf, gop.i_tau_h, gop.i_tau_h_exact);
+        // G-OP measures (Table 1).
+        let gop = gsu::gop_measures(&self.gd, self.gd_places, phi)?;
 
-        // RMNd measures (§5.2.3).
-        let remaining = theta - phi;
-        let new_failure = self.rmnd_new_places.failure;
-        let p_a1_norm_rem = self
-            .rmnd_new
-            .probability_at(remaining, move |mk| mk.tokens(new_failure) == 0)?;
-        let old_failure = self.rmnd_old_places.failure;
-        let i_f = 1.0
-            - self
-                .rmnd_old
-                .probability_at(remaining, move |mk| mk.tokens(old_failure) == 0)?;
+        // Normal-mode measures (§5.2.3).
+        let remaining = self.params.theta - phi;
+        let p_a1_norm_rem = survival(&self.np_new, self.np_new_failure, remaining)?;
+        let i_f = 1.0 - survival(&self.np_old, self.np_old_failure, remaining)?;
 
         if telemetry::enabled() {
-            span.record("p_a1_gop", p_a1_gop);
+            span.record("p_a1_gop", gop.p_a1);
             span.record("p_a1_norm_rem", p_a1_norm_rem);
-            span.record("i_h", i_h);
+            span.record("i_h", gop.i_h);
             span.record("i_f", i_f);
         }
+        Ok(self.constituents(gop, p_a1_norm_rem, i_f))
+    }
 
-        Ok(ConstituentMeasures {
-            p_a1_gop,
+    /// The nine constituent measures at one φ, from its G-OP measures and
+    /// remaining-window normal-mode probabilities plus the φ-independent
+    /// ones solved at construction.
+    fn constituents(&self, gop: GopMeasures, p_a1_norm_rem: f64, i_f: f64) -> ConstituentMeasures {
+        ConstituentMeasures {
+            p_a1_gop: gop.p_a1,
             p_a1_norm_theta: self.p_a1_norm_theta,
             p_a1_norm_rem,
             rho1: self.rho.0,
             rho2: self.rho.1,
-            i_h,
-            i_tau_h,
-            i_tau_h_exact,
-            i_hf,
+            i_h: gop.i_h,
+            i_tau_h: gop.i_tau_h,
+            i_tau_h_exact: gop.i_tau_h_exact,
+            i_hf: gop.i_hf,
             i_f,
-        })
+        }
     }
 
     /// Evaluates the performability index and all intermediate quantities at
@@ -241,7 +272,7 @@ impl GsuAnalysis {
     /// `(model name, total dropped rate)` pairs — nonzero values are
     /// surfaced as warnings in reports.
     pub fn dropped_self_loop_rates(&self) -> Vec<(String, f64)> {
-        [&self.rmgd_analyzer, &self.rmnd_new, &self.rmnd_old]
+        [&self.gd, &self.np_new, &self.np_old]
             .iter()
             .map(|a| {
                 let space = a.state_space();
@@ -305,24 +336,22 @@ impl GsuAnalysis {
             return Ok(Vec::new());
         }
         let opts = markov::transient::Options::default();
-        let p = self.rmgd_places;
+        let batch = |chain: &markov::Ctmc, init: &[f64], ts: &[f64]| {
+            markov::transient::distribution_batch(chain, init, ts, &opts)
+        };
+        let p = self.gd_places;
 
-        // --- RMGd: distributions and accumulated rewards along the grid. --
-        let gd_space = self.rmgd_analyzer.state_space();
+        // --- G-OP model: distributions and accumulated rewards along the grid.
+        let gd_space = self.gd.state_space();
         let gd = gd_space.ctmc();
-        let pi_at = markov::transient::distribution_batch(
-            gd,
-            gd_space.initial_distribution(),
-            phis,
-            &opts,
-        )?;
+        let pi_at = batch(gd, gd_space.initial_distribution(), phis)?;
         // Accumulated ∫τh: propagate occupancy over each gap.
         let tau_spec = san::RewardSpec::new()
             .rate_when(move |mk| p.in_a2(mk), 1.0)
             .rate_when(move |mk| p.in_a4(mk), -1.0);
         let tau_structure = tau_spec.to_structure(gd_space);
         // Stopped chain for the exact truncated moment.
-        let detected_states = gd_space.states_where(|mk| mk.tokens(p.detected) == 1);
+        let detected_states = gd_space.states_where(|mk| !p.in_a2(mk));
         let mut is_target = vec![false; gd.n_states()];
         for &s in &detected_states {
             is_target[s] = true;
@@ -331,31 +360,16 @@ impl GsuAnalysis {
             gd.n_states(),
             gd.transitions().filter(|&(from, _, _)| !is_target[from]),
         )?;
-        let stopped_pi_at = markov::transient::distribution_batch(
-            &stopped,
-            gd_space.initial_distribution(),
-            phis,
-            &opts,
-        )?;
+        let stopped_pi_at = batch(&stopped, gd_space.initial_distribution(), phis)?;
 
-        // --- RMNd: remaining-window survivals (ascending in θ−φ). ----------
+        // --- Normal mode: remaining-window survivals (ascending in θ−φ). ---
         let remaining: Vec<f64> = phis.iter().rev().map(|&phi| theta - phi).collect();
-        let new_space = self.rmnd_new.state_space();
-        let new_pi = markov::transient::distribution_batch(
-            new_space.ctmc(),
-            new_space.initial_distribution(),
-            &remaining,
-            &opts,
-        )?;
-        let old_space = self.rmnd_old.state_space();
-        let old_pi = markov::transient::distribution_batch(
-            old_space.ctmc(),
-            old_space.initial_distribution(),
-            &remaining,
-            &opts,
-        )?;
-        let new_failure = self.rmnd_new_places.failure;
-        let old_failure = self.rmnd_old_places.failure;
+        let on_remaining =
+            |space: &san::StateSpace| batch(space.ctmc(), space.initial_distribution(), &remaining);
+        let (new_space, old_space) = (self.np_new.state_space(), self.np_old.state_space());
+        let (new_pi, old_pi) = (on_remaining(new_space)?, on_remaining(old_space)?);
+        let new_failure = self.np_new_failure;
+        let old_failure = self.np_old_failure;
 
         let mut out = Vec::with_capacity(phis.len());
         let mut prev_phi = 0.0;
@@ -378,18 +392,18 @@ impl GsuAnalysis {
             stopped_pi_prev = stopped_pi_at[k].clone();
             prev_phi = phi;
 
-            let (p_a1_gop, i_h, i_hf, i_tau_h, i_tau_h_exact) = if phi == 0.0 {
-                (1.0, 0.0, 0.0, 0.0, 0.0)
+            let gop = if phi == 0.0 {
+                GopMeasures::AT_PHI_ZERO
             } else {
                 let pi = &pi_at[k];
                 let d_phi: f64 = detected_states.iter().map(|&s| stopped_pi_at[k][s]).sum();
-                (
-                    gd_space.probability_of(pi, |mk| p.in_a1(mk)),
-                    gd_space.probability_of(pi, |mk| p.in_a3(mk)),
-                    gd_space.probability_of(pi, |mk| p.detected_then_failed(mk)),
-                    tau_acc,
-                    (phi * d_phi - exact_acc).max(0.0),
-                )
+                GopMeasures {
+                    p_a1: gd_space.probability_of(pi, |mk| p.in_a1(mk)),
+                    i_h: gd_space.probability_of(pi, |mk| p.in_a3(mk)),
+                    i_hf: gd_space.probability_of(pi, |mk| p.detected_then_failed(mk)),
+                    i_tau_h: tau_acc,
+                    i_tau_h_exact: (phi * d_phi - exact_acc).max(0.0),
+                }
             };
 
             // Remaining-window survivals were computed on the reversed grid.
@@ -397,19 +411,7 @@ impl GsuAnalysis {
             let p_a1_norm_rem =
                 new_space.probability_of(&new_pi[rk], |mk| mk.tokens(new_failure) == 0);
             let i_f = 1.0 - old_space.probability_of(&old_pi[rk], |mk| mk.tokens(old_failure) == 0);
-
-            let measures = ConstituentMeasures {
-                p_a1_gop,
-                p_a1_norm_theta: self.p_a1_norm_theta,
-                p_a1_norm_rem,
-                rho1: self.rho.0,
-                rho2: self.rho.1,
-                i_h,
-                i_tau_h,
-                i_tau_h_exact,
-                i_hf,
-                i_f,
-            };
+            let measures = self.constituents(gop, p_a1_norm_rem, i_f);
             out.push(assemble(theta, phi, &measures, self.gamma_policy)?);
         }
         Ok(out)
@@ -476,6 +478,11 @@ impl GsuAnalysis {
         }
         Ok(best)
     }
+}
+
+/// `P(failure place empty at t)` on a normal-mode model.
+fn survival(np: &Analyzer, failure: PlaceId, t: f64) -> Result<f64> {
+    Ok(np.probability_at(t, move |mk| mk.tokens(failure) == 0)?)
 }
 
 impl std::fmt::Debug for GsuAnalysis {
@@ -546,6 +553,22 @@ mod tests {
         let an = GsuAnalysis::with_fixed_overhead(GsuParams::paper_baseline(), 0.95, 0.90).unwrap();
         assert_eq!(an.rho(), (0.95, 0.90));
         assert!(GsuAnalysis::with_fixed_overhead(GsuParams::paper_baseline(), 1.5, 0.9).is_err());
+    }
+
+    #[test]
+    fn from_models_validates_params_and_rho() {
+        let params = GsuParams::paper_baseline();
+        let gd = rmgd::build(&params).unwrap();
+        let np = rmnd::build(&params, 1e-4).unwrap();
+        let build = |params: GsuParams, rho| {
+            let np = (&np.model, np.places.failure);
+            GsuAnalysis::from_models(params, rho, None, (&gd.model, gd.places.gop), np, np)
+        };
+        assert!(build(params, (0.98, 0.95)).is_ok());
+        assert!(build(params, (0.98, f64::NAN)).is_err());
+        let mut bad = params;
+        bad.coverage = 2.0;
+        assert!(build(bad, (0.98, 0.95)).is_err());
     }
 
     #[test]

@@ -2,59 +2,59 @@
 //!
 //! The Table 1 constituent measures are defined purely in terms of the
 //! `A'1 … A'4` state sets of a dependability model — not in terms of the
-//! paper's specific `RMGd` net. This module captures that contract as the
-//! [`GopStateSets`] trait plus one solver routine, [`gop_measures`], so the
-//! scenario layer can feed *generalized* G-OP models (multiple escorts,
-//! upgrade waves, aging states) through exactly the same translation that
-//! [`crate::GsuAnalysis`] uses for the paper's model.
+//! paper's specific `RMGd` net — and every one of those sets is fixed by two
+//! places, `detected` and `failure`. This module captures that contract as
+//! the [`GopPlaces`] pair plus one solver routine, [`gop_measures`], so the
+//! paper's `RMGd` and the scenario layer's *generalized* G-OP models
+//! (multiple escorts, upgrade waves, aging states) go through exactly the
+//! same translation inside [`crate::GsuAnalysis`].
 
-use san::{Analyzer, Marking, RewardSpec};
+use san::{Analyzer, Marking, PlaceId, RewardSpec};
 
-use crate::gsu::rmgd::RmgdPlaces;
 use crate::Result;
 
-/// The state-set classification every guarded-operation dependability model
-/// must expose (paper §4.2):
+/// The two places that classify every state of a guarded-operation
+/// dependability model into the state sets of paper §4.2:
 ///
 /// * `A'1` — no error has occurred;
 /// * `A'2` — no error has been *detected* (includes undetected failures);
+///   its complement is the first-passage target of the exact truncated
+///   detection-time moment;
 /// * `A'3` — an error was detected and the system is alive;
 /// * `A'4 ⊂ A'2` — failed without successful detection;
 /// * detected-then-failed — the target set of the `∫∫ h·f` measure.
-pub trait GopStateSets {
-    /// `A'1`: no error has occurred.
-    fn in_a1(&self, mk: &Marking) -> bool;
-    /// `A'2`: no error has been detected.
-    fn in_a2(&self, mk: &Marking) -> bool;
-    /// `A'3`: error detected, system alive.
-    fn in_a3(&self, mk: &Marking) -> bool;
-    /// `A'4`: failed without successful detection.
-    fn in_a4(&self, mk: &Marking) -> bool;
-    /// Detected and subsequently failed again.
-    fn detected_then_failed(&self, mk: &Marking) -> bool;
-    /// An error has been detected (alive or not) — the first-passage target
-    /// of the exact truncated detection-time moment.
-    fn is_detected(&self, mk: &Marking) -> bool;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GopPlaces {
+    /// An error has been detected (recovery happened; normal mode follows).
+    pub detected: PlaceId,
+    /// System failure (absorbing).
+    pub failure: PlaceId,
 }
 
-impl GopStateSets for RmgdPlaces {
-    fn in_a1(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a1(self, mk)
+impl GopPlaces {
+    /// `A'1`: no error has occurred.
+    pub fn in_a1(&self, mk: &Marking) -> bool {
+        mk.tokens(self.detected) == 0 && mk.tokens(self.failure) == 0
     }
-    fn in_a2(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a2(self, mk)
+
+    /// `A'2`: no error has been detected (includes undetected failures).
+    pub fn in_a2(&self, mk: &Marking) -> bool {
+        mk.tokens(self.detected) == 0
     }
-    fn in_a3(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a3(self, mk)
+
+    /// `A'3`: an error has occurred and been successfully detected.
+    pub fn in_a3(&self, mk: &Marking) -> bool {
+        mk.tokens(self.detected) == 1 && mk.tokens(self.failure) == 0
     }
-    fn in_a4(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a4(self, mk)
+
+    /// `A'4`: failed without successful detection.
+    pub fn in_a4(&self, mk: &Marking) -> bool {
+        mk.tokens(self.detected) == 0 && mk.tokens(self.failure) == 1
     }
-    fn detected_then_failed(&self, mk: &Marking) -> bool {
-        RmgdPlaces::detected_then_failed(self, mk)
-    }
-    fn is_detected(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 1
+
+    /// Detected and subsequently failed (the `∫∫ h·f` measure's target set).
+    pub fn detected_then_failed(&self, mk: &Marking) -> bool {
+        mk.tokens(self.detected) == 1 && mk.tokens(self.failure) == 1
     }
 }
 
@@ -75,48 +75,46 @@ pub struct GopMeasures {
     pub i_tau_h_exact: f64,
 }
 
+impl GopMeasures {
+    /// The measures at `φ = 0`, where the G-OP process is degenerate (no
+    /// error can occur in an empty interval).
+    pub const AT_PHI_ZERO: GopMeasures = GopMeasures {
+        p_a1: 1.0,
+        i_h: 0.0,
+        i_hf: 0.0,
+        i_tau_h: 0.0,
+        i_tau_h_exact: 0.0,
+    };
+}
+
 /// Solves the five G-OP dependability measures on `analyzer` using the
-/// state classification in `sets`.
+/// state classification of `places`.
 ///
-/// At `φ = 0` the G-OP process is degenerate (no error can occur in an
-/// empty interval) and the measures are returned in closed form, exactly
-/// as [`crate::GsuAnalysis`] does for the paper's model.
+/// At `φ = 0` the measures are [`GopMeasures::AT_PHI_ZERO`].
 ///
 /// # Errors
 ///
 /// Propagates transient-solver and first-passage failures.
-pub fn gop_measures<S: GopStateSets + Clone + Send + Sync + 'static>(
-    analyzer: &Analyzer,
-    sets: S,
-    phi: f64,
-) -> Result<GopMeasures> {
+pub fn gop_measures(analyzer: &Analyzer, places: GopPlaces, phi: f64) -> Result<GopMeasures> {
     if phi == 0.0 {
-        return Ok(GopMeasures {
-            p_a1: 1.0,
-            i_h: 0.0,
-            i_hf: 0.0,
-            i_tau_h: 0.0,
-            i_tau_h_exact: 0.0,
-        });
+        return Ok(GopMeasures::AT_PHI_ZERO);
     }
     // One transient solve serves all three instant-of-time measures: they
     // only differ in which states of π(φ) they sum.
     let pi_phi = analyzer.distribution_at(phi)?;
     let space = analyzer.state_space();
-    let p_a1 = space.probability_of(&pi_phi, |mk| sets.in_a1(mk));
-    let i_h = space.probability_of(&pi_phi, |mk| sets.in_a3(mk));
-    let i_hf = space.probability_of(&pi_phi, |mk| sets.detected_then_failed(mk));
+    let p_a1 = space.probability_of(&pi_phi, |mk| places.in_a1(mk));
+    let i_h = space.probability_of(&pi_phi, |mk| places.in_a3(mk));
+    let i_hf = space.probability_of(&pi_phi, |mk| places.detected_then_failed(mk));
     // Table 1: rate +1 on A'2 (no detection), −1 on A'4 (failed without
     // detection), accumulated over [0, φ].
-    let s2 = sets.clone();
-    let s4 = sets.clone();
     let spec = RewardSpec::new()
-        .rate_when(move |mk| s2.in_a2(mk), 1.0)
-        .rate_when(move |mk| s4.in_a4(mk), -1.0);
+        .rate_when(move |mk| places.in_a2(mk), 1.0)
+        .rate_when(move |mk| places.in_a4(mk), -1.0);
     let i_tau_h = analyzer.accumulated_reward(&spec, phi)?;
     // The exact truncated moment E[τ·1{τ ≤ φ}] by first-passage analysis
     // into the detected states — see DESIGN.md on the Table-1 censoring.
-    let detected_states = space.states_where(|mk| sets.is_detected(mk));
+    let detected_states = space.states_where(|mk| !places.in_a2(mk));
     let i_tau_h_exact = markov::first_passage::truncated_mean_hitting_time(
         space.ctmc(),
         space.initial_distribution(),
@@ -146,7 +144,7 @@ mod tests {
         let analyzer = Analyzer::generate(&built.model, &Default::default()).unwrap();
         let direct = crate::GsuAnalysis::new(params).unwrap();
         for phi in [0.0, 2500.0, 7000.0] {
-            let engine = gop_measures(&analyzer, built.places, phi).unwrap();
+            let engine = gop_measures(&analyzer, built.places.gop, phi).unwrap();
             let m = direct.measures(phi).unwrap();
             assert_eq!(engine.p_a1, m.p_a1_gop, "phi = {phi}");
             assert_eq!(engine.i_h, m.i_h, "phi = {phi}");
@@ -161,7 +159,7 @@ mod tests {
         let params = GsuParams::paper_baseline();
         let built = rmgd::build(&params).unwrap();
         let analyzer = Analyzer::generate(&built.model, &Default::default()).unwrap();
-        let m = gop_measures(&analyzer, built.places, 0.0).unwrap();
+        let m = gop_measures(&analyzer, built.places.gop, 0.0).unwrap();
         assert_eq!(m.p_a1, 1.0);
         assert_eq!(m.i_h, 0.0);
         assert_eq!(m.i_tau_h_exact, 0.0);

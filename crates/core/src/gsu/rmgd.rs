@@ -30,7 +30,7 @@
 //! *duration* matters only for the overhead model `RMGp`.
 //!
 //! The state sets of the translated measures (paper §4.2) are expressed over
-//! the `detected`/`failure` places:
+//! the `detected`/`failure` places ([`RmgdPlaces::gop`]):
 //!
 //! * `A'1` — no error occurred: `detected == 0 && failure == 0`;
 //! * `A'2` — no error *detected*: `detected == 0`;
@@ -39,6 +39,7 @@
 
 use san::{Activity, Case, Marking, PlaceId, SanModel};
 
+use crate::gsu::GopPlaces;
 use crate::GsuParams;
 
 /// The places of the guarded-operation dependability model.
@@ -52,37 +53,9 @@ pub struct RmgdPlaces {
     pub p2_ctn: PlaceId,
     /// Perceived potential contamination of `P2` (the paper's `dirty_bit`).
     pub dirty_bit: PlaceId,
-    /// An error has been detected (recovery happened; normal mode follows).
-    pub detected: PlaceId,
-    /// System failure (absorbing).
-    pub failure: PlaceId,
-}
-
-impl RmgdPlaces {
-    /// `A'1`: no error has occurred.
-    pub fn in_a1(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 0 && mk.tokens(self.failure) == 0
-    }
-
-    /// `A'2`: no error has been detected (includes undetected failures).
-    pub fn in_a2(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 0
-    }
-
-    /// `A'3`: an error has occurred and been successfully detected.
-    pub fn in_a3(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 1 && mk.tokens(self.failure) == 0
-    }
-
-    /// `A'4`: failed without successful detection.
-    pub fn in_a4(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 0 && mk.tokens(self.failure) == 1
-    }
-
-    /// Detected and subsequently failed (the `∫∫ h·f` measure's target set).
-    pub fn detected_then_failed(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 1 && mk.tokens(self.failure) == 1
-    }
+    /// The `detected`/`failure` pair that classifies every state into the
+    /// `A'` sets of the translated measures.
+    pub gop: GopPlaces,
 }
 
 /// A built guarded-operation dependability model plus its place handles.
@@ -312,8 +285,7 @@ pub fn build(params: &GsuParams) -> san::Result<Rmgd> {
             p1o_ctn,
             p2_ctn,
             dirty_bit,
-            detected,
-            failure,
+            gop: GopPlaces { detected, failure },
         },
     })
 }
@@ -339,7 +311,7 @@ mod tests {
     fn a_sets_partition_reachable_states() {
         let rmgd = build(&baseline()).unwrap();
         let ss = StateSpace::generate(&rmgd.model, &Default::default()).unwrap();
-        let p = rmgd.places;
+        let p = rmgd.places.gop;
         for i in 0..ss.n_states() {
             let mk = ss.marking(i);
             let cats = [
@@ -366,7 +338,7 @@ mod tests {
         let ss = StateSpace::generate(&rmgd.model, &Default::default()).unwrap();
         let init: Vec<f64> = ss.initial_distribution().to_vec();
         let idx = init.iter().position(|&p| p == 1.0).unwrap();
-        assert!(rmgd.places.in_a1(ss.marking(idx)));
+        assert!(rmgd.places.gop.in_a1(ss.marking(idx)));
         assert_eq!(ss.marking(idx).total_tokens(), 0);
     }
 
@@ -378,7 +350,7 @@ mod tests {
             let p = baseline().with_coverage(cov).unwrap();
             let rmgd = build(&p).unwrap();
             let an = Analyzer::generate(&rmgd.model, &Default::default()).unwrap();
-            let places = rmgd.places;
+            let places = rmgd.places.gop;
             let det = an.probability_at(phi, move |mk| places.in_a3(mk)).unwrap();
             assert!(det > last, "coverage {cov}: {det} should exceed {last}");
             last = det;
@@ -393,7 +365,7 @@ mod tests {
         p.mu_old = 0.0;
         let rmgd = build(&p).unwrap();
         let an = Analyzer::generate(&rmgd.model, &Default::default()).unwrap();
-        let places = rmgd.places;
+        let places = rmgd.places.gop;
         let a1 = an
             .probability_at(10_000.0, move |mk| places.in_a1(mk))
             .unwrap();
@@ -408,7 +380,7 @@ mod tests {
         let p = baseline();
         let rmgd = build(&p).unwrap();
         let an = Analyzer::generate(&rmgd.model, &Default::default()).unwrap();
-        let places = rmgd.places;
+        let places = rmgd.places.gop;
         let phi = 5_000.0;
         let a1 = an.probability_at(phi, move |mk| places.in_a1(mk)).unwrap();
         let expect = (-p.mu_new * phi).exp();
@@ -429,7 +401,7 @@ mod tests {
         let p = baseline();
         let rmgd = build(&p).unwrap();
         let an = Analyzer::generate(&rmgd.model, &Default::default()).unwrap();
-        let places = rmgd.places;
+        let places = rmgd.places.gop;
         let hf = an
             .probability_at(10_000.0, move |mk| places.detected_then_failed(mk))
             .unwrap();
@@ -442,7 +414,7 @@ mod tests {
         let p = baseline().with_coverage(0.0).unwrap();
         let rmgd = build(&p).unwrap();
         let an = Analyzer::generate(&rmgd.model, &Default::default()).unwrap();
-        let places = rmgd.places;
+        let places = rmgd.places.gop;
         let det = an
             .probability_at(10_000.0, move |mk| mk.tokens(places.detected) == 1)
             .unwrap();

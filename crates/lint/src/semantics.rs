@@ -10,9 +10,10 @@
 //! offending state, activity, pair, or parameter.
 
 use markov::graph::{can_reach, strongly_connected_components};
-use performability::gsu::{rmgd, rmgp, rmnd, GopStateSets};
+use performability::gsu::rmgp::RmgpPlaces;
+use performability::gsu::{rmgd, rmgp, rmnd, GopPlaces};
 use performability::GsuParams;
-use san::{RewardSpec, SanModel, StateSpace};
+use san::{PlaceId, RewardSpec, SanModel, StateSpace};
 use sparsela::CsrMatrix;
 
 use crate::diag::Finding;
@@ -336,55 +337,72 @@ pub const GSU_PLACE_BOUND: u32 = 1;
 pub fn check_gsu_models(params: &GsuParams) -> Vec<Finding> {
     let mut span = telemetry::span("lint.models");
     let mut findings = check_params(params, &[0.0, params.theta * 0.5, params.theta]);
+    findings.extend(check_model_family(
+        ["RMGd", "RMGp", "RMNd[mu_new]", "RMNd[mu_old]"].map(String::from),
+        params,
+        GSU_PLACE_BOUND,
+        || rmgd::build(params).map(|b| (b.model, b.places.gop)),
+        || rmgp::build(params).map(|b| (b.model, b.places)),
+        |mu_first| rmnd::build(params, mu_first).map(|b| (b.model, b.places.failure)),
+    ));
+    span.record("findings", findings.len());
+    findings
+}
 
-    findings.extend(check_one_san(
-        "RMGd",
-        || -> san::Result<_> {
-            let built = rmgd::build(params)?;
-            let in_a1 = built.places;
-            let spec =
-                RewardSpec::new().rate_fn(move |mk| in_a1.in_a1(mk) || in_a1.in_a2(mk), |_| 1.0);
-            Ok((built.model, vec![("occupancy".to_string(), spec)]))
+/// The semantic battery over the four models of one analysis, in order:
+/// the G-OP dependability model (absorbing, with the `A'1 ∪ A'2` occupancy
+/// reward), the overhead model (steady state, with the Table 2 rewards),
+/// and the normal-mode model at µ_new and at µ_old (absorbing, with the
+/// survival reward). `labels` name the four models in findings.
+fn check_model_family<E: std::fmt::Display>(
+    labels: [String; 4],
+    params: &GsuParams,
+    bound: u32,
+    gd: impl FnOnce() -> Result<(SanModel, GopPlaces), E>,
+    gp: impl FnOnce() -> Result<(SanModel, RmgpPlaces), E>,
+    np: impl Fn(f64) -> Result<(SanModel, PlaceId), E>,
+) -> Vec<Finding> {
+    let [gd_label, gp_label, np_new_label, np_old_label] = labels;
+    let mut findings = check_one_san(
+        &gd_label,
+        || {
+            gd().map(|(model, places)| {
+                let occupancy = RewardSpec::new()
+                    .rate_fn(move |mk| places.in_a1(mk) || places.in_a2(mk), |_| 1.0);
+                (model, vec![("occupancy".to_string(), occupancy)])
+            })
         },
         SolverIntent::Absorbing,
-        GSU_PLACE_BOUND,
-    ));
-
+        bound,
+    );
     findings.extend(check_one_san(
-        "RMGp",
-        || -> san::Result<_> {
-            let built = rmgp::build(params)?;
-            let places = built.places;
-            Ok((
-                built.model,
-                vec![
+        &gp_label,
+        || {
+            gp().map(|(model, places)| {
+                let specs = vec![
                     ("1-rho1".to_string(), rmgp::one_minus_rho1_spec(&places)),
                     ("1-rho2".to_string(), rmgp::one_minus_rho2_spec(&places)),
-                ],
-            ))
+                ];
+                (model, specs)
+            })
         },
         SolverIntent::SteadyState,
-        GSU_PLACE_BOUND,
+        bound,
     ));
-
-    for (label, mu_first) in [
-        ("RMNd[mu_new]", params.mu_new),
-        ("RMNd[mu_old]", params.mu_old),
-    ] {
+    for (label, mu_first) in [(np_new_label, params.mu_new), (np_old_label, params.mu_old)] {
         findings.extend(check_one_san(
-            label,
-            || -> san::Result<_> {
-                let built = rmnd::build(params, mu_first)?;
-                let failure = built.places.failure;
-                let spec = RewardSpec::new().rate_when(move |mk| mk.tokens(failure) == 0, 1.0);
-                Ok((built.model, vec![("survival".to_string(), spec)]))
+            &label,
+            || {
+                np(mu_first).map(|(model, failure)| {
+                    let survival =
+                        RewardSpec::new().rate_when(move |mk| mk.tokens(failure) == 0, 1.0);
+                    (model, vec![("survival".to_string(), survival)])
+                })
             },
             SolverIntent::Absorbing,
-            GSU_PLACE_BOUND,
+            bound,
         ));
     }
-
-    span.record("findings", findings.len());
     findings
 }
 
@@ -459,58 +477,21 @@ pub fn check_scenarios(dir: &std::path::Path) -> Vec<Finding> {
     findings
 }
 
-/// Compiles one scenario's three generalized models and runs the full
-/// semantic battery on each.
+/// Compiles one scenario's generalized models and runs the full semantic
+/// battery on each.
 pub fn check_scenario_models(spec: &gsu_scenario::ScenarioSpec) -> Vec<Finding> {
     use gsu_scenario::model as scen;
 
     let name = &spec.name;
-    let bound = scenario_place_bound(spec);
     let mut findings = check_params(&spec.params, &spec.phi_grid);
-    findings.extend(check_one_san(
-        &format!("scenario:{name}/Gd"),
-        || -> performability::Result<_> {
-            let built = scen::build_gd(spec)?;
-            let places = built.places.clone();
-            let occupancy =
-                RewardSpec::new().rate_fn(move |mk| places.in_a1(mk) || places.in_a2(mk), |_| 1.0);
-            Ok((built.model, vec![("occupancy".to_string(), occupancy)]))
-        },
-        SolverIntent::Absorbing,
-        bound,
+    findings.extend(check_model_family(
+        ["Gd", "Gp", "Np[mu_new]", "Np[mu_old]"].map(|m| format!("scenario:{name}/{m}")),
+        &spec.params,
+        scenario_place_bound(spec),
+        || scen::build_gd(spec).map(|b| (b.model, b.places.gop)),
+        || scen::build_gp(spec).map(|b| (b.model, b.places)),
+        |mu_first| scen::build_np(spec, mu_first).map(|b| (b.model, b.places.failure)),
     ));
-    findings.extend(check_one_san(
-        &format!("scenario:{name}/Gp"),
-        || -> performability::Result<_> {
-            let built = scen::build_gp(spec)?;
-            let places = built.places;
-            Ok((
-                built.model,
-                vec![
-                    ("1-rho1".to_string(), scen::one_minus_rho1_spec(&places)),
-                    ("1-rho2".to_string(), scen::one_minus_rho2_spec(&places)),
-                ],
-            ))
-        },
-        SolverIntent::SteadyState,
-        bound,
-    ));
-    for (label, mu_first) in [
-        ("mu_new", spec.params.mu_new),
-        ("mu_old", spec.params.mu_old),
-    ] {
-        findings.extend(check_one_san(
-            &format!("scenario:{name}/Np[{label}]"),
-            || -> performability::Result<_> {
-                let built = scen::build_np(spec, mu_first)?;
-                let failure = built.places.failure;
-                let survival = RewardSpec::new().rate_when(move |mk| mk.tokens(failure) == 0, 1.0);
-                Ok((built.model, vec![("survival".to_string(), survival)]))
-            },
-            SolverIntent::Absorbing,
-            bound,
-        ));
-    }
     findings
 }
 

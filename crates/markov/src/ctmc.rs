@@ -159,25 +159,6 @@ impl Ctmc {
         Dtmc::from_matrix(coo.to_csr())
     }
 
-    /// The embedded jump chain: `P[i → j] = q_ij / exit(i)` for non-absorbing
-    /// states; absorbing states get a self-loop.
-    ///
-    /// The jump chain, together with the exit rates, fully determines the
-    /// CTMC; it is the object iterative steady-state methods and simulation
-    /// both walk.
-    ///
-    /// # Errors
-    ///
-    /// Cannot fail for a validly constructed chain; solver errors are
-    /// propagated defensively.
-    pub fn embedded_dtmc(&self) -> Result<Dtmc> {
-        let mut rows = Vec::new();
-        for (from, to, rate) in self.transitions() {
-            rows.push((from, to, rate / self.exit_rates[from]));
-        }
-        Dtmc::from_rows(self.n, rows)
-    }
-
     /// Validates that `pi` is a probability distribution over this chain's
     /// states.
     ///
@@ -307,31 +288,6 @@ mod tests {
         let pi = c.point_distribution(1);
         assert_eq!(pi, vec![0.0, 1.0, 0.0]);
         c.check_distribution(&pi).unwrap();
-    }
-
-    #[test]
-    fn embedded_chain_jump_probabilities() {
-        let c = Ctmc::from_transitions(3, [(0, 1, 1.0), (0, 2, 3.0), (1, 0, 5.0)]).unwrap();
-        let jump = c.embedded_dtmc().unwrap();
-        assert!((jump.matrix().get(0, 1) - 0.25).abs() < 1e-12);
-        assert!((jump.matrix().get(0, 2) - 0.75).abs() < 1e-12);
-        assert_eq!(jump.matrix().get(1, 0), 1.0);
-        // Absorbing state 2 becomes a self-loop.
-        assert_eq!(jump.matrix().get(2, 2), 1.0);
-    }
-
-    #[test]
-    fn embedded_chain_steady_state_relates_to_ctmc() {
-        // π_ctmc(s) ∝ π_jump(s)/exit(s) for positive-recurrent chains.
-        let c = Ctmc::from_transitions(2, [(0, 1, 2.0), (1, 0, 3.0)]).unwrap();
-        let jump = c.embedded_dtmc().unwrap();
-        let pj = jump.steady_state(100_000, 1e-13).unwrap();
-        let mut weighted: Vec<f64> = (0..2).map(|s| pj[s] / c.exit_rate(s)).collect();
-        sparsela::vector::normalize_l1(&mut weighted);
-        let pc = crate::steady::steady_state(&c, &Default::default()).unwrap();
-        for (a, b) in weighted.iter().zip(&pc) {
-            assert!((a - b).abs() < 1e-8);
-        }
     }
 
     #[test]

@@ -107,28 +107,6 @@ pub fn is_irreducible(m: &CsrMatrix) -> bool {
     strongly_connected_components(m).1 == 1
 }
 
-/// Vertices reachable from `start` (inclusive) following non-zero
-/// off-diagonal entries.
-pub fn reachable_from(m: &CsrMatrix, start: usize) -> Vec<bool> {
-    let n = m.rows();
-    let mut seen = vec![false; n];
-    if start >= n {
-        return seen;
-    }
-    let mut queue = std::collections::VecDeque::new();
-    seen[start] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        for (c, w) in m.row(v) {
-            if c != v && w != 0.0 && !seen[c] {
-                seen[c] = true;
-                queue.push_back(c);
-            }
-        }
-    }
-    seen
-}
-
 /// Vertices from which some vertex in `targets` is reachable (inclusive).
 ///
 /// Used to check that every transient state can reach absorption.
@@ -212,13 +190,6 @@ mod tests {
         assert_eq!(count, 0);
         assert!(comp.is_empty());
         assert!(!is_irreducible(&g));
-    }
-
-    #[test]
-    fn reachable_follows_edges() {
-        let g = graph(4, &[(0, 1), (1, 2)]);
-        let r = reachable_from(&g, 0);
-        assert_eq!(r, vec![true, true, true, false]);
     }
 
     #[test]

@@ -146,23 +146,6 @@ impl RewardStructure {
         Ok(total)
     }
 
-    /// Expected **time-averaged** interval-of-time reward over `[0, t]`:
-    /// the accumulated reward divided by the interval length (the third
-    /// reward-variable class of Sanders & Meyer's unified specification).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidModel`] for a non-positive interval or
-    /// on state-count mismatches.
-    pub fn time_averaged(&self, ctmc: &Ctmc, l: &[f64], t: f64) -> Result<f64> {
-        if !t.is_finite() || t <= 0.0 {
-            return Err(MarkovError::InvalidModel {
-                context: format!("time-averaged reward needs t > 0, got {t}"),
-            });
-        }
-        Ok(self.accumulated(ctmc, l)? / t)
-    }
-
     fn check_against(&self, ctmc: &Ctmc) -> Result<()> {
         if ctmc.n_states() != self.rates.len() {
             return Err(MarkovError::InvalidModel {
@@ -246,19 +229,6 @@ mod tests {
         let got = r.accumulated(&c, &l).unwrap();
         let want = (1.0 - (-mu * t).exp()) / mu;
         assert!((got - want).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_averaged_converges_to_steady_reward() {
-        let c = Ctmc::from_transitions(2, [(0, 1, 2.0), (1, 0, 3.0)]).unwrap();
-        let r = RewardStructure::from_rates(vec![1.0, 0.0]);
-        let t = 200.0;
-        let l = transient::occupancy(&c, &[1.0, 0.0], t, &Options::default()).unwrap();
-        let avg = r.time_averaged(&c, &l, t).unwrap();
-        // Steady-state fraction in state 0 is 0.6.
-        assert!((avg - 0.6).abs() < 0.01, "avg = {avg}");
-        assert!(r.time_averaged(&c, &l, 0.0).is_err());
-        assert!(r.time_averaged(&c, &l, f64::NAN).is_err());
     }
 
     #[test]

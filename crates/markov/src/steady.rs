@@ -1,7 +1,7 @@
 //! Steady-state and absorbing-chain analysis.
 
 use sparsela::iterative::IterOptions;
-use sparsela::{vector, CooMatrix, CsrMatrix, DenseMatrix};
+use sparsela::{vector, CooMatrix, DenseMatrix};
 
 use crate::{graph, Ctmc, MarkovError, Result};
 
@@ -466,12 +466,6 @@ pub fn absorbing_analysis(ctmc: &Ctmc) -> Result<AbsorbingAnalysis> {
 pub fn stationarity_residual(ctmc: &Ctmc, pi: &[f64]) -> f64 {
     let flow: Vec<f64> = ctmc.generator().mul_vec_transpose(pi);
     vector::norm_inf(&flow)
-}
-
-/// Exposes the generator's transpose, which the sweep solvers need; public
-/// for benchmark instrumentation.
-pub fn generator_transpose(ctmc: &Ctmc) -> CsrMatrix {
-    ctmc.generator().transpose()
 }
 
 #[cfg(test)]

@@ -1,37 +1,28 @@
-//! The scenario analysis pipeline: generalized models → constituent
-//! measures → performability curve.
+//! The scenario analysis pipeline: a [`ScenarioSpec`] lowered into the one
+//! φ-evaluation engine, `performability::GsuAnalysis`.
 //!
-//! [`ScenarioAnalysis`] is the scenario-level counterpart of
-//! `performability::GsuAnalysis`: it lowers one [`ScenarioSpec`] through
-//! [`crate::model`] and drives the same successive translation — the
-//! φ-independent pieces (overhead steady state, full-window normal-mode
-//! survival) are solved at construction, and every φ evaluation reuses the
-//! generic `gop_measures` engine plus two normal-mode transients. For a
-//! paper-shaped scenario the numbers match `GsuAnalysis` (asserted below).
+//! [`ScenarioAnalysis::new`] compiles the spec through [`crate::model`] —
+//! the generalized overhead model for `(ρ1, ρ2)`, the generalized G-OP
+//! dependability model, and the normal-mode model at µ_new and µ_old — and
+//! hands the built models to `GsuAnalysis::from_models`. Every φ evaluation
+//! then runs exactly the code path the paper's models do; for a
+//! paper-shaped scenario the numbers match `GsuAnalysis::new` (asserted
+//! below).
 
-use performability::gsu::gop_measures;
-use performability::{assemble, ConstituentMeasures, GammaPolicy, Result, SweepPoint};
-use san::Analyzer;
+use performability::{GsuAnalysis, Result, SweepPoint};
 
 use crate::ast::ScenarioSpec;
-use crate::model::{self, GdPlaces};
+use crate::model;
 
 /// A fully prepared scenario: models built, φ-independent measures solved.
+#[derive(Debug)]
 pub struct ScenarioAnalysis {
     spec: ScenarioSpec,
-    gamma_policy: GammaPolicy,
-    rho: (f64, f64),
-    gd_analyzer: Analyzer,
-    gd_places: GdPlaces,
-    np_new: Analyzer,
-    np_new_failure: san::PlaceId,
-    np_old: Analyzer,
-    np_old_failure: san::PlaceId,
-    p_a1_norm_theta: f64,
+    analysis: GsuAnalysis,
 }
 
 impl ScenarioAnalysis {
-    /// Lowers the scenario to its three generalized models and solves the
+    /// Lowers the scenario to its generalized models and solves the
     /// φ-independent measures.
     ///
     /// # Errors
@@ -39,42 +30,30 @@ impl ScenarioAnalysis {
     /// Propagates parameter validation, phase-type compilation, and model
     /// generation/solution failures.
     pub fn new(spec: ScenarioSpec) -> Result<Self> {
+        // `from_models` validates too, but the models are built first.
         spec.params.validate()?;
         let mut span = telemetry::span("scenario.build");
         span.record("escorts", spec.escorts);
 
         let rho = model::solve_rho(&spec)?;
-
         let gd = model::build_gd(&spec)?;
-        let gd_analyzer = Analyzer::generate(&gd.model, &Default::default())?;
-
         let np_new = model::build_np(&spec, spec.params.mu_new)?;
-        let np_new_analyzer = Analyzer::generate(&np_new.model, &Default::default())?;
         let np_old = model::build_np(&spec, spec.params.mu_old)?;
-        let np_old_analyzer = Analyzer::generate(&np_old.model, &Default::default())?;
-
-        let failure = np_new.places.failure;
-        let p_a1_norm_theta =
-            np_new_analyzer.probability_at(spec.params.theta, move |mk| mk.tokens(failure) == 0)?;
+        let analysis = GsuAnalysis::from_models(
+            spec.params,
+            rho,
+            None,
+            (&gd.model, gd.places.gop),
+            (&np_new.model, np_new.places.failure),
+            (&np_old.model, np_old.places.failure),
+        )?;
 
         if telemetry::enabled() {
             span.record("rho1", rho.0);
             span.record("rho2", rho.1);
-            span.record("gd_states", gd_analyzer.state_space().n_states());
+            span.record("gd_states", analysis.gd_analyzer().state_space().n_states());
         }
-
-        Ok(ScenarioAnalysis {
-            spec,
-            gamma_policy: GammaPolicy::default(),
-            rho,
-            gd_analyzer,
-            gd_places: gd.places,
-            np_new: np_new_analyzer,
-            np_new_failure: np_new.places.failure,
-            np_old: np_old_analyzer,
-            np_old_failure: np_old.places.failure,
-            p_a1_norm_theta,
-        })
+        Ok(ScenarioAnalysis { spec, analysis })
     }
 
     /// The scenario under analysis.
@@ -82,90 +61,27 @@ impl ScenarioAnalysis {
         &self.spec
     }
 
-    /// The forward-progress fractions `(ρ1, ρ2)` of the overhead model.
-    pub fn rho(&self) -> (f64, f64) {
-        self.rho
+    /// The lowered analysis — evaluate any φ, sweep, or optimize through it.
+    pub fn analysis(&self) -> &GsuAnalysis {
+        &self.analysis
     }
 
-    /// The analyzer of the generalized dependability model (for
-    /// cross-validation probes).
-    pub fn gd_analyzer(&self) -> &Analyzer {
-        &self.gd_analyzer
+    /// Gives up the spec and keeps the lowered analysis.
+    pub fn into_analysis(self) -> GsuAnalysis {
+        self.analysis
     }
 
-    /// The place handles of the generalized dependability model.
-    pub fn gd_places(&self) -> &GdPlaces {
-        &self.gd_places
-    }
-
-    /// Solves the nine constituent reward variables at one φ.
-    ///
-    /// # Errors
-    ///
-    /// Rejects φ outside `[0, θ]` and propagates solver failures.
-    pub fn measures(&self, phi: f64) -> Result<ConstituentMeasures> {
-        self.spec.params.validate_phi(phi)?;
-        let gop = gop_measures(&self.gd_analyzer, self.gd_places.clone(), phi)?;
-
-        let remaining = self.spec.params.theta - phi;
-        let new_failure = self.np_new_failure;
-        let p_a1_norm_rem = self
-            .np_new
-            .probability_at(remaining, move |mk| mk.tokens(new_failure) == 0)?;
-        let old_failure = self.np_old_failure;
-        let i_f = 1.0
-            - self
-                .np_old
-                .probability_at(remaining, move |mk| mk.tokens(old_failure) == 0)?;
-
-        Ok(ConstituentMeasures {
-            p_a1_gop: gop.p_a1,
-            p_a1_norm_theta: self.p_a1_norm_theta,
-            p_a1_norm_rem,
-            rho1: self.rho.0,
-            rho2: self.rho.1,
-            i_h: gop.i_h,
-            i_tau_h: gop.i_tau_h,
-            i_tau_h_exact: gop.i_tau_h_exact,
-            i_hf: gop.i_hf,
-            i_f,
-        })
-    }
-
-    /// Evaluates the performability index at one φ.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ScenarioAnalysis::measures`].
-    pub fn evaluate(&self, phi: f64) -> Result<SweepPoint> {
-        let measures = self.measures(phi)?;
-        assemble(self.spec.params.theta, phi, &measures, self.gamma_policy)
-    }
-
-    /// Evaluates the scenario's own φ grid — the golden curve. Points are
-    /// solved in parallel on the global [`pool::Pool`]; each φ is an
-    /// independent evaluation, so the curve is bitwise identical at any
-    /// thread count.
+    /// Evaluates the scenario's own φ grid — the golden curve — through
+    /// [`GsuAnalysis::sweep`], so it is bitwise identical at any thread
+    /// count.
     ///
     /// # Errors
     ///
     /// Fails with the error of the lowest-index φ whose evaluation fails.
     pub fn curve(&self) -> Result<Vec<SweepPoint>> {
-        self.spec.params.validate_phi_grid(&self.spec.phi_grid)?;
-        let workers = pool::Pool::current();
         let mut span = telemetry::span("scenario.curve");
         span.record("points", self.spec.phi_grid.len());
-        workers.try_map_indexed(self.spec.phi_grid.clone(), |_, phi| self.evaluate(phi))
-    }
-}
-
-impl std::fmt::Debug for ScenarioAnalysis {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioAnalysis")
-            .field("scenario", &self.spec.name)
-            .field("rho", &self.rho)
-            .field("p_a1_norm_theta", &self.p_a1_norm_theta)
-            .finish_non_exhaustive()
+        self.analysis.sweep(self.spec.phi_grid.iter().copied())
     }
 }
 
@@ -173,7 +89,7 @@ impl std::fmt::Debug for ScenarioAnalysis {
 mod tests {
     use super::*;
     use crate::ast::Dist;
-    use performability::{GsuAnalysis, GsuParams};
+    use performability::GsuParams;
 
     fn paper_spec() -> ScenarioSpec {
         let params = GsuParams::paper_baseline();
@@ -198,7 +114,7 @@ mod tests {
         let scenario = ScenarioAnalysis::new(spec.clone()).unwrap();
         let direct = GsuAnalysis::new(spec.params).unwrap();
         for phi in [0.0, 2500.0, 7000.0, 10_000.0] {
-            let s = scenario.evaluate(phi).unwrap();
+            let s = scenario.analysis().evaluate(phi).unwrap();
             let d = direct.evaluate(phi).unwrap();
             assert!(
                 (s.y - d.y).abs() < 1e-9,
@@ -229,7 +145,7 @@ mod tests {
         };
         let scenario = ScenarioAnalysis::new(spec).unwrap();
         for phi in [0.0, 5000.0, 10_000.0] {
-            let m = scenario.measures(phi).unwrap();
+            let m = scenario.analysis().measures(phi).unwrap();
             m.validate(phi).unwrap();
         }
     }

@@ -18,8 +18,9 @@
 //! All seeds derive from the scenario's `sim_seed`, so a passing report is
 //! deterministic — the catalog test is not flaky by construction.
 
+use performability::gsu::GopPlaces;
 use san::simulate::{estimate_instant_reward, SimulationOptions};
-use san::RewardSpec;
+use san::{Marking, RewardSpec};
 
 use crate::analysis::ScenarioAnalysis;
 use crate::ScenarioError;
@@ -149,7 +150,7 @@ pub fn crossval(
             };
             let mut points = Vec::with_capacity(phis.len());
             for (i, &phi) in phis.iter().enumerate() {
-                let analytic = analysis.evaluate(phi)?;
+                let analytic = analysis.analysis().evaluate(phi)?;
                 let est = mdcd_sim::estimate_y_matched(
                     spec.params,
                     phi,
@@ -185,22 +186,25 @@ pub fn crossval(
                 });
             }
             let gd = crate::model::build_gd(spec)?;
-            let places = gd.places.clone();
+            let places = gd.places.gop;
+            let analyzer = analysis.analysis().gd_analyzer();
             let opts = SimulationOptions::default();
             let mut points = Vec::with_capacity(2 * phis.len());
+            let sets = [
+                (
+                    "P(A'1)",
+                    GopPlaces::in_a1 as fn(&GopPlaces, &Marking) -> bool,
+                ),
+                ("P(A'3)", GopPlaces::in_a3),
+            ];
             for (i, &phi) in phis.iter().enumerate() {
                 let seed = spec.sim_seed.wrapping_add(i as u64);
-                for (j, (measure, kind)) in [("P(A'1)", SetKind::A1), ("P(A'3)", SetKind::A3)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let analyzer = analysis.gd_analyzer();
-                    let p = places.clone();
+                for (j, (measure, in_set)) in sets.into_iter().enumerate() {
                     let analytic = analyzer
-                        .probability_at(phi, move |mk| kind.test(&p, mk))
+                        .probability_at(phi, move |mk| in_set(&places, mk))
                         .map_err(performability::PerfError::from)?;
-                    let p = places.clone();
-                    let spec_reward = RewardSpec::new().rate_when(move |mk| kind.test(&p, mk), 1.0);
+                    let spec_reward =
+                        RewardSpec::new().rate_when(move |mk| in_set(&places, mk), 1.0);
                     let est = estimate_instant_reward(
                         &gd.model,
                         &spec_reward,
@@ -235,23 +239,6 @@ pub fn crossval(
         backend,
         points,
     })
-}
-
-/// Which A' state set a DES probe compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SetKind {
-    A1,
-    A3,
-}
-
-impl SetKind {
-    fn test(self, places: &crate::model::GdPlaces, mk: &san::Marking) -> bool {
-        use performability::gsu::GopStateSets;
-        match self {
-            SetKind::A1 => places.in_a1(mk),
-            SetKind::A3 => places.in_a3(mk),
-        }
-    }
 }
 
 #[cfg(test)]

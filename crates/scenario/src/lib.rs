@@ -20,7 +20,7 @@
 //! )
 //! .unwrap();
 //! let analysis = ScenarioAnalysis::new(spec).unwrap();
-//! assert!(analysis.evaluate(5000.0).unwrap().y > 1.0);
+//! assert!(analysis.analysis().evaluate(5000.0).unwrap().y > 1.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -19,9 +19,10 @@
 //!   modelled on the single representative escorted pair; with `n > 1`
 //!   each escort pays the same per-pair overhead `ρ2`.
 
-use performability::gsu::GopStateSets;
+use performability::gsu::rmgp::{self, Rmgp, RmgpPlaces};
+use performability::gsu::GopPlaces;
 use performability::Result;
-use san::{Activity, Case, Marking, PlaceId, RewardSpec, SanModel};
+use san::{Activity, Case, Marking, PlaceId, SanModel};
 
 use crate::ast::{Dist, ScenarioSpec};
 
@@ -40,31 +41,9 @@ pub struct GdPlaces {
     pub aged: Vec<PlaceId>,
     /// Completed upgrade waves (present only with a wave spec).
     pub wave: Option<PlaceId>,
-    /// An error has been detected (recovery happened).
-    pub detected: PlaceId,
-    /// System failure (absorbing).
-    pub failure: PlaceId,
-}
-
-impl GopStateSets for GdPlaces {
-    fn in_a1(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 0 && mk.tokens(self.failure) == 0
-    }
-    fn in_a2(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 0
-    }
-    fn in_a3(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 1 && mk.tokens(self.failure) == 0
-    }
-    fn in_a4(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 0 && mk.tokens(self.failure) == 1
-    }
-    fn detected_then_failed(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 1 && mk.tokens(self.failure) == 1
-    }
-    fn is_detected(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 1
-    }
+    /// The `detected`/`failure` pair that classifies every state into the
+    /// `A'` sets — the same classification as the paper's `RMGd`.
+    pub gop: GopPlaces,
 }
 
 /// A built generalized dependability model plus its place handles.
@@ -401,8 +380,7 @@ pub fn build_gd(spec: &ScenarioSpec) -> Result<Gd> {
             escort_dirty,
             aged,
             wave,
-            detected,
-            failure,
+            gop: GopPlaces { detected, failure },
         },
     })
 }
@@ -489,38 +467,6 @@ pub fn build_np(spec: &ScenarioSpec, mu_first: f64) -> Result<Np> {
     })
 }
 
-/// The places of the generalized overhead model (the `RMGp` layout).
-#[derive(Debug, Clone, Copy)]
-pub struct GpPlaces {
-    /// `P1new` ready to make forward progress.
-    pub p1n_ready: PlaceId,
-    /// `P1new` blocked on an AT of its own external message.
-    pub p1n_ext: PlaceId,
-    /// `P2` blocked establishing a checkpoint for a `P1new` internal message.
-    pub p1n_int: PlaceId,
-    /// `P2` ready to make forward progress.
-    pub p2_ready: PlaceId,
-    /// `P2` blocked on an AT of its own external message.
-    pub p2_ext: PlaceId,
-    /// `P1old` blocked establishing a checkpoint for a `P2` internal message.
-    pub p2_int: PlaceId,
-    /// `P1old` ready.
-    pub p1o_ready: PlaceId,
-    /// `P2`'s dirty bit.
-    pub p2_db: PlaceId,
-    /// `P1old`'s dirty bit.
-    pub p1o_db: PlaceId,
-}
-
-/// A built generalized overhead model plus its place handles.
-#[derive(Debug)]
-pub struct Gp {
-    /// The SAN.
-    pub model: SanModel,
-    /// Handles to the places, for reward predicates.
-    pub places: GpPlaces,
-}
-
 /// Adds a safeguard activity with a general phase-type duration.
 ///
 /// The activity waits for one token in `trigger`; completion consumes the
@@ -598,12 +544,15 @@ fn add_safeguard(
 }
 
 /// Builds the generalized overhead model with phase-type safeguard
-/// durations.
+/// durations. It keeps the `RMGp` place layout, so the paper's Table 2
+/// reward structures ([`rmgp::one_minus_rho1_spec`],
+/// [`rmgp::one_minus_rho2_spec`]) apply unchanged: the phase expansion
+/// keeps each trigger token in place for the whole safeguard duration.
 ///
 /// # Errors
 ///
 /// Propagates phase-type compilation and SAN construction failures.
-pub fn build_gp(spec: &ScenarioSpec) -> Result<Gp> {
+pub fn build_gp(spec: &ScenarioSpec) -> Result<Rmgp> {
     let p = &spec.params;
     let lambda = p.lambda;
     let p_ext = p.p_ext;
@@ -672,9 +621,9 @@ pub fn build_gp(spec: &ScenarioSpec) -> Result<Gp> {
         mk.set_tokens(p1o_db, 1);
     })?;
 
-    Ok(Gp {
+    Ok(Rmgp {
         model: m,
-        places: GpPlaces {
+        places: RmgpPlaces {
             p1n_ready,
             p1n_ext,
             p1n_int,
@@ -688,29 +637,6 @@ pub fn build_gp(spec: &ScenarioSpec) -> Result<Gp> {
     })
 }
 
-/// The Table 2 reward structure for `1 − ρ1` on the generalized overhead
-/// model (predicate unchanged: the phase expansion keeps the trigger token
-/// in `P1nExt` for the whole AT duration).
-pub fn one_minus_rho1_spec(places: &GpPlaces) -> RewardSpec {
-    let p1n_ext = places.p1n_ext;
-    RewardSpec::new().rate_when(move |mk: &Marking| mk.tokens(p1n_ext) == 1, 1.0)
-}
-
-/// The Table 2 reward structure for `1 − ρ2` on the generalized overhead
-/// model.
-pub fn one_minus_rho2_spec(places: &GpPlaces) -> RewardSpec {
-    let p1n_int = places.p1n_int;
-    let p2_ext = places.p2_ext;
-    let p2_db = places.p2_db;
-    RewardSpec::new().rate_when(
-        move |mk: &Marking| {
-            (mk.tokens(p1n_int) == 1 && mk.tokens(p2_db) == 0)
-                || (mk.tokens(p2_ext) == 1 && mk.tokens(p2_db) == 1)
-        },
-        1.0,
-    )
-}
-
 /// Solves the scenario's steady-state overhead measures `(ρ1, ρ2)` on the
 /// generalized overhead model.
 ///
@@ -720,15 +646,15 @@ pub fn one_minus_rho2_spec(places: &GpPlaces) -> RewardSpec {
 pub fn solve_rho(spec: &ScenarioSpec) -> Result<(f64, f64)> {
     let gp = build_gp(spec)?;
     let analyzer = san::Analyzer::generate(&gp.model, &Default::default())?;
-    let overhead1 = analyzer.steady_reward(&one_minus_rho1_spec(&gp.places))?;
-    let overhead2 = analyzer.steady_reward(&one_minus_rho2_spec(&gp.places))?;
+    let overhead1 = analyzer.steady_reward(&rmgp::one_minus_rho1_spec(&gp.places))?;
+    let overhead2 = analyzer.steady_reward(&rmgp::one_minus_rho2_spec(&gp.places))?;
     Ok((1.0 - overhead1, 1.0 - overhead2))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use performability::gsu::{gop_measures, rmgp};
+    use performability::gsu::gop_measures;
     use performability::GsuParams;
     use san::Analyzer;
 
@@ -784,7 +710,7 @@ mod tests {
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
         let direct = performability::GsuAnalysis::new(spec.params).unwrap();
         for phi in [0.0, 2500.0, 7000.0] {
-            let engine = gop_measures(&an, gd.places.clone(), phi).unwrap();
+            let engine = gop_measures(&an, gd.places.gop, phi).unwrap();
             let m = direct.measures(phi).unwrap();
             assert!((engine.p_a1 - m.p_a1_gop).abs() < 1e-12, "phi = {phi}");
             assert!((engine.i_h - m.i_h).abs() < 1e-12, "phi = {phi}");
@@ -795,6 +721,54 @@ mod tests {
                 "phi = {phi}"
             );
         }
+    }
+
+    #[test]
+    fn a_sets_partition_generalized_gd_states() {
+        // The RMGd partition test, on a Gd with every generalization on:
+        // the `detected`/`failure` pair alone must still put each reachable
+        // state in exactly one of A'1, A'3, A'4, detected-then-failed.
+        let mut spec = scaled_spec();
+        spec.escorts = 2;
+        spec.coverage_decay = 0.2;
+        spec.waves = Some(crate::ast::WaveSpec {
+            count: 3,
+            rate: 0.5,
+            factor: 0.1,
+        });
+        spec.aging = Some(crate::ast::AgingSpec {
+            rate: 0.5,
+            factor: 4.0,
+            rejuvenation: Some(2.0),
+        });
+        let gd = build_gd(&spec).unwrap();
+        let ss = san::StateSpace::generate(&gd.model, &Default::default()).unwrap();
+        let p = gd.places.gop;
+        let mut seen = [0usize; 4];
+        for i in 0..ss.n_states() {
+            let mk = ss.marking(i);
+            let cats = [
+                p.in_a1(mk),
+                p.in_a3(mk),
+                p.in_a4(mk),
+                p.detected_then_failed(mk),
+            ];
+            assert_eq!(
+                cats.iter().filter(|&&b| b).count(),
+                1,
+                "state {mk} must be in exactly one category"
+            );
+            for (count, &hit) in seen.iter_mut().zip(&cats) {
+                *count += usize::from(hit);
+            }
+            if p.in_a4(mk) {
+                assert!(p.in_a2(mk));
+            }
+        }
+        // Every set is reachable, and A'1 carries the escort, wave and aging
+        // variety the generalizations add.
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+        assert!(seen[0] > 8, "{seen:?}");
     }
 
     #[test]
@@ -870,7 +844,7 @@ mod tests {
             let gd = build_gd(&spec).unwrap();
             let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
             let phi = spec.params.theta;
-            let m = gop_measures(&an, gd.places.clone(), phi).unwrap();
+            let m = gop_measures(&an, gd.places.gop, phi).unwrap();
             assert!(
                 m.p_a1 < last + 1e-12,
                 "escorts = {n}: {} should not exceed {last}",
@@ -887,11 +861,11 @@ mod tests {
         spec.params.mu_old = 0.01;
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let base = gop_measures(&an, gd.places.clone(), 50.0).unwrap();
+        let base = gop_measures(&an, gd.places.gop, 50.0).unwrap();
         spec.coverage_decay = 0.5;
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let decayed = gop_measures(&an, gd.places.clone(), 50.0).unwrap();
+        let decayed = gop_measures(&an, gd.places.gop, 50.0).unwrap();
         assert!(
             decayed.i_h < base.i_h,
             "decay should reduce detection: {} vs {}",
@@ -905,7 +879,7 @@ mod tests {
         let mut spec = scaled_spec();
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let base = gop_measures(&an, gd.places.clone(), 50.0).unwrap();
+        let base = gop_measures(&an, gd.places.gop, 50.0).unwrap();
         spec.waves = Some(crate::ast::WaveSpec {
             count: 3,
             rate: 0.5,
@@ -913,7 +887,7 @@ mod tests {
         });
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let waved = gop_measures(&an, gd.places.clone(), 50.0).unwrap();
+        let waved = gop_measures(&an, gd.places.gop, 50.0).unwrap();
         assert!(
             waved.p_a1 > base.p_a1,
             "waves should improve survival: {} vs {}",
@@ -927,7 +901,7 @@ mod tests {
         let mut spec = scaled_spec();
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let base = gop_measures(&an, gd.places.clone(), 50.0).unwrap();
+        let base = gop_measures(&an, gd.places.gop, 50.0).unwrap();
         spec.aging = Some(crate::ast::AgingSpec {
             rate: 0.5,
             factor: 200.0,
@@ -935,7 +909,7 @@ mod tests {
         });
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let aged = gop_measures(&an, gd.places.clone(), 50.0).unwrap();
+        let aged = gop_measures(&an, gd.places.gop, 50.0).unwrap();
         assert!(aged.p_a1 < base.p_a1, "{} vs {}", aged.p_a1, base.p_a1);
         spec.aging = Some(crate::ast::AgingSpec {
             rate: 0.5,
@@ -944,7 +918,7 @@ mod tests {
         });
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let rejuv = gop_measures(&an, gd.places.clone(), 50.0).unwrap();
+        let rejuv = gop_measures(&an, gd.places.gop, 50.0).unwrap();
         assert!(
             rejuv.p_a1 > aged.p_a1,
             "rejuvenation should help: {} vs {}",

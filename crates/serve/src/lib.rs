@@ -13,7 +13,7 @@
 //! | `GET /trace`        | the Chrome `trace_event` document collected so far          |
 //! | `GET /trace?id=…`   | the same document restricted to one request's span tree     |
 //! | `GET /eval?phi=…`   | a span-instrumented `Y(φ)` evaluation, as JSON              |
-//! | `GET /eval?phi=…&mu_new=…` | the same with paper-parameter overrides, memoized per params fingerprint |
+//! | `GET /eval?phi=…&mu_new=…` | the same with paper-parameter overrides, memoized per params fingerprint in a bounded cache |
 //! | `GET /eval?scenario=…&phi=…` | the same against a named `.gsu` catalog scenario   |
 //! | `GET /requests`     | recent `/eval` wide-event lines (JSONL, newest last; `?n=` limits) |
 //! | `GET /stats`        | windowed per-route latency quantiles and SLO attainment     |
@@ -38,7 +38,7 @@
 pub mod http;
 pub mod slo;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -81,7 +81,8 @@ pub const WINDOW_ROUTES: &[&str] = &[
 pub const OTHER_ROUTE: &str = "other";
 
 struct ServerState {
-    analysis: GsuAnalysis,
+    /// The paper-baseline analysis, built at bind and never evicted.
+    analysis: Arc<GsuAnalysis>,
     collector: Arc<Collector>,
     start: Instant,
     ready: AtomicBool,
@@ -117,16 +118,45 @@ struct ServerState {
     /// The `.gsu` scenario catalog served by `/eval?scenario=`, keyed by
     /// scenario name; read once by [`Server::bind`].
     scenarios: BTreeMap<String, ScenarioSpec>,
-    /// Lazily built per-scenario analyses: scenario pipelines are expensive
-    /// to construct (state-space generation), so each is built on first
-    /// request and reused.
-    scenario_cache: Mutex<HashMap<String, Arc<ScenarioAnalysis>>>,
-    /// Lazily built paper analyses for `/eval` parameter overrides
-    /// (`mu_new=`, `coverage=`, `theta=`), keyed by the params fingerprint —
-    /// the same memoization pattern as `scenario_cache`, so repeated
-    /// evaluations against one parameter assignment build its state spaces
-    /// and ρ solve once.
-    analysis_cache: Mutex<HashMap<String, Arc<GsuAnalysis>>>,
+    /// Lazily built analyses for `/eval` parameter overrides (`mu_new=`,
+    /// `coverage=`, `theta=`, keyed by the params fingerprint) and catalog
+    /// scenarios (keyed `scenario:<name>`): each is built on first request
+    /// and reused, and at most [`ANALYSIS_CACHE_CAPACITY`] are kept.
+    analysis_cache: Mutex<AnalysisCache>,
+}
+
+/// How many analyses the `/eval` cache keeps. Each distinct override
+/// assignment builds one, so the cap is what stops clients from growing
+/// the daemon's memory without bound.
+pub const ANALYSIS_CACHE_CAPACITY: usize = 32;
+
+/// The bounded analysis cache, in insertion order. At
+/// [`ANALYSIS_CACHE_CAPACITY`] entries a linear scan costs less than hashing.
+#[derive(Default)]
+struct AnalysisCache(VecDeque<(String, Arc<GsuAnalysis>)>);
+
+impl AnalysisCache {
+    /// The entry under `key`.
+    fn get(&self, key: &str) -> Option<Arc<GsuAnalysis>> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, a)| a.clone())
+    }
+
+    /// Inserts `built` unless a concurrent build got there first, evicting
+    /// the oldest insertion past capacity, and returns the cached entry.
+    fn insert(&mut self, key: String, built: Arc<GsuAnalysis>) -> Arc<GsuAnalysis> {
+        if let Some(raced) = self.get(&key) {
+            return raced;
+        }
+        self.0.push_back((key, built.clone()));
+        if self.0.len() > ANALYSIS_CACHE_CAPACITY {
+            self.0.pop_front();
+            telemetry::counter("serve.analysis_cache.evictions", 1);
+        }
+        built
+    }
 }
 
 /// Default location of the findings file `gsu-lint --emit-telemetry`
@@ -174,6 +204,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let params = GsuParams::paper_baseline();
         let analysis = GsuAnalysis::new(params)
+            .map(Arc::new)
             .map_err(|e| std::io::Error::other(format!("building GsuAnalysis: {e}")))?;
         let scenarios = if scenarios_dir.is_dir() {
             gsu_scenario::load_dir(scenarios_dir)
@@ -223,8 +254,7 @@ impl Server {
             params_fingerprint: params_fingerprint(&params),
             requests: Mutex::new(VecDeque::with_capacity(request_log_cap.min(1024))),
             scenarios,
-            scenario_cache: Mutex::new(HashMap::new()),
-            analysis_cache: Mutex::new(HashMap::new()),
+            analysis_cache: Mutex::new(AnalysisCache::default()),
         });
         Ok(Server {
             listener,
@@ -587,25 +617,25 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
     let result = {
         let mut span = telemetry::span("serve.eval");
         span.record("phi", phi);
-        let result = match scenario_spec {
-            None => match overridden {
-                None => state
-                    .analysis
-                    .evaluate(phi)
-                    .map_err(|e| ("phi", e.to_string())),
-                Some(params) => paper_analysis(state, params)
-                    .map_err(|msg| ("params", msg))
-                    .and_then(|analysis| {
-                        analysis.evaluate(phi).map_err(|e| ("phi", e.to_string()))
-                    }),
-            },
-            Some(spec) => {
+        let analysis = match (scenario_spec, overridden) {
+            (None, None) => Ok(state.analysis.clone()),
+            (None, Some(params)) => cached_analysis(state, params_fingerprint(&params), || {
+                GsuAnalysis::new(params)
+                    .map_err(|e| format!("overridden analysis failed to build: {e}"))
+            })
+            .map_err(|msg| ("params", msg)),
+            (Some(spec), _) => {
                 span.record("scenario", spec.name.as_str());
-                scenario_analysis(state, spec)
-                    .map_err(|msg| ("scenario", msg))
-                    .and_then(|analysis| analysis.evaluate(phi).map_err(|e| ("phi", e.to_string())))
+                cached_analysis(state, format!("scenario:{}", spec.name), || {
+                    ScenarioAnalysis::new(spec.clone())
+                        .map(ScenarioAnalysis::into_analysis)
+                        .map_err(|e| format!("scenario `{}` failed to build: {e}", spec.name))
+                })
+                .map_err(|msg| ("scenario", msg))
             }
         };
+        let result = analysis
+            .and_then(|analysis| analysis.evaluate(phi).map_err(|e| ("phi", e.to_string())));
         if let Ok(point) = &result {
             span.record("y", point.y);
         }
@@ -685,64 +715,29 @@ fn paper_overrides(request: &Request) -> Result<Option<GsuParams>, (&'static str
     Ok(any.then_some(params))
 }
 
-/// Returns the cached paper analysis for an overridden parameter assignment,
-/// building (and caching) it on first use — keyed by the params fingerprint,
-/// exactly like `scenario_analysis`. Construction runs inside the caller's
-/// `serve.eval` span, so cold-start cost is visible in the request's trace.
-fn paper_analysis(state: &ServerState, params: GsuParams) -> Result<Arc<GsuAnalysis>, String> {
-    let fingerprint = params_fingerprint(&params);
-    {
-        let cache = state
+/// Returns the cached analysis under `key`, building (and caching) it with
+/// `build` on first use. Construction runs inside the caller's `serve.eval`
+/// span, so cold-start cost is visible in the request's trace.
+fn cached_analysis(
+    state: &ServerState,
+    key: String,
+    build: impl FnOnce() -> Result<GsuAnalysis, String>,
+) -> Result<Arc<GsuAnalysis>, String> {
+    let lock = || {
+        state
             .analysis_cache
             .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.get(&fingerprint) {
-            telemetry::counter("serve.analysis_cache.hits", 1);
-            return Ok(hit.clone());
-        }
-    }
-    // Built outside the lock, same as `scenario_analysis`: a slow cold start
-    // must not block cached requests. A lost race just builds twice.
-    telemetry::counter("serve.analysis_cache.misses", 1);
-    let built = Arc::new(
-        GsuAnalysis::new(params)
-            .map_err(|e| format!("overridden analysis failed to build: {e}"))?,
-    );
-    let mut cache = state
-        .analysis_cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    Ok(cache.entry(fingerprint).or_insert(built).clone())
-}
-
-/// Returns the cached analysis for a scenario, building (and caching) it on
-/// first use. Construction runs inside the caller's `serve.eval` span, so
-/// cold-start cost is visible in the request's trace.
-fn scenario_analysis(
-    state: &ServerState,
-    spec: &ScenarioSpec,
-) -> Result<Arc<ScenarioAnalysis>, String> {
-    let name = spec.name.clone();
-    {
-        let cache = state
-            .scenario_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.get(&name) {
-            return Ok(hit.clone());
-        }
+            .unwrap_or_else(|e| e.into_inner())
+    };
+    if let Some(hit) = lock().get(&key) {
+        telemetry::counter("serve.analysis_cache.hits", 1);
+        return Ok(hit);
     }
     // Built outside the lock: a slow cold start must not block requests for
-    // other (already cached) scenarios. A lost race just builds twice.
-    let built = Arc::new(
-        ScenarioAnalysis::new(spec.clone())
-            .map_err(|e| format!("scenario `{name}` failed to build: {e}"))?,
-    );
-    let mut cache = state
-        .scenario_cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    Ok(cache.entry(name).or_insert(built).clone())
+    // cached analyses. A lost race just builds twice.
+    telemetry::counter("serve.analysis_cache.misses", 1);
+    let built = Arc::new(build()?);
+    Ok(lock().insert(key, built))
 }
 
 /// Builds the canonical wide-event line for one `/eval` request — trace id,

@@ -1,12 +1,12 @@
 //! End-to-end test of `/eval` paper-parameter overrides: the overridden
-//! analysis is memoized per params fingerprint (the `scenario_cache`
-//! pattern), agrees with a direct evaluation, and validation failures name
-//! the offending query parameter.
+//! analysis is memoized per params fingerprint in a cache bounded at
+//! `ANALYSIS_CACHE_CAPACITY`, agrees with a direct evaluation, and
+//! validation failures name the offending query parameter.
 
 use std::path::Path;
 
 use gsu_serve::http::http_get;
-use gsu_serve::{Server, SCENARIOS_DIR};
+use gsu_serve::{Server, ANALYSIS_CACHE_CAPACITY, SCENARIOS_DIR};
 use performability::{GsuAnalysis, GsuParams};
 use telemetry::Collector;
 
@@ -62,6 +62,48 @@ fn param_override_eval_is_memoized_and_validated() {
     assert_eq!(
         collector.counter_value("serve.analysis_cache.misses"),
         Some(2)
+    );
+
+    // The cache is bounded: distinct assignments beyond its capacity evict
+    // the oldest insertion, which then has to be rebuilt. A hit does not
+    // refresh an entry, so the first assignment goes first even though it
+    // was requested again more recently than the second.
+    assert_eq!(
+        collector.counter_value("serve.analysis_cache.evictions"),
+        None
+    );
+    let (status, _) = http_get(addr, "/eval?phi=2500&mu_new=0.00005").expect("cached eval");
+    assert_eq!(status, 200);
+    assert_eq!(
+        collector.counter_value("serve.analysis_cache.hits"),
+        Some(2)
+    );
+    for i in 2..=ANALYSIS_CACHE_CAPACITY {
+        let target = format!("/eval?phi=2500&mu_new={}", 1e-5 * (i + 20) as f64);
+        let (status, body) = http_get(addr, &target).expect(&target);
+        assert_eq!(status, 200, "{target}: {body}");
+    }
+    assert_eq!(
+        collector.counter_value("serve.analysis_cache.misses"),
+        Some(ANALYSIS_CACHE_CAPACITY as u64 + 1)
+    );
+    assert_eq!(
+        collector.counter_value("serve.analysis_cache.evictions"),
+        Some(1)
+    );
+    let (status, kept) = http_get(addr, "/eval?phi=2500&mu_new=0.0002").expect("kept");
+    assert_eq!(status, 200);
+    assert_eq!(json_number(&kept, "y"), json_number(&other, "y"));
+    assert_eq!(
+        collector.counter_value("serve.analysis_cache.misses"),
+        Some(ANALYSIS_CACHE_CAPACITY as u64 + 1)
+    );
+    let (status, rebuilt) = http_get(addr, "/eval?phi=2500&mu_new=0.00005").expect("evicted");
+    assert_eq!(status, 200);
+    assert_eq!(json_number(&rebuilt, "y"), Some(served_y));
+    assert_eq!(
+        collector.counter_value("serve.analysis_cache.misses"),
+        Some(ANALYSIS_CACHE_CAPACITY as u64 + 2)
     );
 
     // Validation failures name the offending parameter.

@@ -42,6 +42,7 @@ fn scenario_eval_round_trip_and_structured_errors() {
     let spec = gsu_scenario::parse(TINY).unwrap();
     let direct = gsu_scenario::ScenarioAnalysis::new(spec)
         .unwrap()
+        .analysis()
         .evaluate(25.0)
         .unwrap();
     assert!(

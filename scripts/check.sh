@@ -28,6 +28,15 @@ GSU_THREADS=4 cargo test --offline --workspace -q
 
 cargo build --offline --release -p gsu-serve -p gsu-bench -p gsu-lint --bins
 
+# Benchmark link gate: gsu-benchmark/ is a workspace of its own that links
+# these crates through path dependencies, so a public-API change that breaks
+# it fails here instead of when the benchmark next runs. The line count is
+# the non-vendor Rust size the ROADMAP tracks.
+echo "==> cargo build gsu-benchmark (--locked)"
+cargo build --offline --release --locked --manifest-path gsu-benchmark/Cargo.toml
+echo "non-vendor Rust lines: $(git ls-files '*.rs' \
+    | grep -v -e '^crates/vendor/' -e '^gsu-benchmark/' | xargs cat | wc -l)"
+
 # Static-analysis gate: the linter first proves it can catch seeded
 # violations (self-test), then must find nothing deniable in the tree.
 # --emit-telemetry refreshes results/lint-findings.jsonl for /metrics.

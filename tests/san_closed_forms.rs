@@ -243,7 +243,7 @@ fn detection_time_is_a_phase_type_law_of_rmgd() {
     let analysis = GsuAnalysis::new(params).unwrap();
     let model = rmgd::build(&params).unwrap();
     let space = StateSpace::generate(&model.model, &Default::default()).unwrap();
-    let detected_place = model.places.detected;
+    let detected_place = model.places.gop.detected;
     let targets = space.states_where(|mk| mk.tokens(detected_place) == 1);
     let ph =
         PhaseType::first_passage(space.ctmc(), space.initial_distribution(), &targets).unwrap();
