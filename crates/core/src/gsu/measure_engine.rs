@@ -99,9 +99,10 @@ pub fn gop_measures(analyzer: &Analyzer, places: GopPlaces, phi: f64) -> Result<
     if phi == 0.0 {
         return Ok(GopMeasures::AT_PHI_ZERO);
     }
-    // One transient solve serves all three instant-of-time measures: they
-    // only differ in which states of π(φ) they sum.
-    let pi_phi = analyzer.distribution_at(phi)?;
+    // One transient solve serves all four measures: the three
+    // instant-of-time ones only differ in which states of π(φ) they sum, and
+    // ∫τh is a rate reward on the occupancy L(φ) of the same pass.
+    let (pi_phi, l_phi) = analyzer.distribution_and_occupancy_at(phi)?;
     let space = analyzer.state_space();
     let p_a1 = space.probability_of(&pi_phi, |mk| places.in_a1(mk));
     let i_h = space.probability_of(&pi_phi, |mk| places.in_a3(mk));
@@ -111,7 +112,7 @@ pub fn gop_measures(analyzer: &Analyzer, places: GopPlaces, phi: f64) -> Result<
     let spec = RewardSpec::new()
         .rate_when(move |mk| places.in_a2(mk), 1.0)
         .rate_when(move |mk| places.in_a4(mk), -1.0);
-    let i_tau_h = analyzer.accumulated_reward(&spec, phi)?;
+    let i_tau_h = spec.to_structure(space).accumulated(space.ctmc(), &l_phi)?;
     // The exact truncated moment E[τ·1{τ ≤ φ}] by first-passage analysis
     // into the detected states — see DESIGN.md on the Table-1 censoring.
     let detected_states = space.states_where(|mk| !places.in_a2(mk));

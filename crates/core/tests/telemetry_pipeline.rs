@@ -62,4 +62,35 @@ fn evaluate_records_solver_and_state_space_metrics() {
         collector.counter_value("performability.evaluations"),
         Some(2)
     );
+
+    // At tiny φ the G-OP chain's π(φ) and L(φ) both resolve to
+    // uniformization, so they come from one shared pass: one fused span
+    // with exactly one uniformization solve under it.
+    let collector = Collector::install();
+    let (pi, l) = analysis
+        .gd_analyzer()
+        .distribution_and_occupancy_at(0.5)
+        .expect("fused solve");
+    telemetry::clear_sink();
+    assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    assert!((l.iter().sum::<f64>() - 0.5).abs() < 1e-12);
+    let spans = collector.spans();
+    let fused: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "markov.transient.distribution_and_occupancy")
+        .collect();
+    assert_eq!(fused.len(), 1, "one fused transient span");
+    let solves: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "markov.solve.uniformization")
+        .collect();
+    assert_eq!(solves.len(), 1, "one uniformization solve");
+    assert_eq!(solves[0].parent_id, fused[0].span_id);
+    assert!(!spans.iter().any(
+        |s| s.name == "markov.transient.distribution" || s.name == "markov.transient.occupancy"
+    ));
+    assert_eq!(
+        collector.counter_value("markov.uniformization.solves"),
+        Some(1)
+    );
 }

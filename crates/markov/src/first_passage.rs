@@ -192,14 +192,13 @@ pub fn truncated_mean_hitting_time(
         n,
         ctmc.transitions().filter(|&(from, _, _)| !is_target[from]),
     )?;
-    let pi_h = transient::distribution(&stopped, pi0, horizon, opts)?;
+    let (pi_h, occupancy) = transient::distribution_and_occupancy(&stopped, pi0, horizon, opts)?;
     let cdf_h: f64 = pi_h
         .iter()
         .enumerate()
         .filter(|&(s, _)| is_target[s])
         .map(|(_, p)| p)
         .sum();
-    let occupancy = transient::occupancy(&stopped, pi0, horizon, opts)?;
     let integral_cdf: f64 = occupancy
         .iter()
         .enumerate()

@@ -22,6 +22,14 @@
 //! under a rigorously-budgeted drop tolerance while the support is small
 //! and switching to a blocked gather kernel (with the Fox–Glynn
 //! accumulation fused into the same pass) once mass has spread.
+//!
+//! Every uniformization solve is one stepping loop over the power sequence
+//! `π₀·P^k` feeding one accumulator per output: the Poisson pmf for `π(t)`,
+//! the right tails for `L(t)`, one window per time point for
+//! [`distribution_batch`]. [`distribution_and_occupancy`] runs that loop
+//! once for both `π(t)` and `L(t)` when both resolve to uniformization, and
+//! returns the same bits as the two separate calls at half the sparse
+//! products.
 
 use sparsela::blocked::{spmv_transpose_adaptive, BlockedKernel};
 use sparsela::{vector, CsrMatrix};
@@ -128,6 +136,56 @@ pub fn occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec
         Method::MatrixExponential => expm_occupancy(ctmc, pi0, t, opts),
         Method::Auto => unreachable!("select_method resolves Auto"),
     }
+}
+
+/// Computes the distribution `π(t)` and the occupancy `L(t)` together.
+///
+/// Both are weightings of one power sequence `π₀·P^k` of the uniformized
+/// chain: the Poisson pmf gives `π(t)`, the right tails give `L(t)`. When
+/// [`distribution`] and [`occupancy`] would both run uniformization, one
+/// pass steps the sequence once and feeds both accumulators; the answer is
+/// bitwise identical to the two separate calls, at half the sparse
+/// products. Otherwise (either solve resolves to the matrix exponential)
+/// this is exactly the two separate calls.
+///
+/// # Errors
+///
+/// Same failure modes as [`distribution`] and [`occupancy`].
+pub fn distribution_and_occupancy(
+    ctmc: &Ctmc,
+    pi0: &[f64],
+    t: f64,
+    opts: &Options,
+) -> Result<(Vec<f64>, Vec<f64>)> {
+    ctmc.check_distribution(pi0)?;
+    check_time(t)?;
+    let shared_pass = t > 0.0
+        && ctmc.max_exit_rate() > 0.0
+        && select_method(ctmc, t, opts, 1)? == Method::Uniformization
+        && select_method(ctmc, t, opts, 2)? == Method::Uniformization;
+    if !shared_pass {
+        return Ok((
+            distribution(ctmc, pi0, t, opts)?,
+            occupancy(ctmc, pi0, t, opts)?,
+        ));
+    }
+    let mut span = telemetry::span("markov.transient.distribution_and_occupancy");
+    span.record("states", ctmc.n_states());
+    span.record("t", t);
+    span.record("method", method_name(Method::Uniformization));
+    let lambda = uniformization_rate(ctmc);
+    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
+    let tails = window.right_tails();
+    let n = ctmc.n_states();
+    let mut accs = [
+        Accumulator::new(Weights::Pmf(&window), n),
+        Accumulator::new(Weights::Tail(&window, &tails), n),
+    ];
+    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
+    let [Accumulator { sum: mut pi, .. }, Accumulator { sum: mut l, .. }] = accs;
+    vector::normalize_l1(&mut pi);
+    vector::scale(1.0 / lambda, &mut l);
+    Ok((pi, l))
 }
 
 fn method_name(m: Method) -> &'static str {
@@ -246,7 +304,6 @@ fn batch_uniformized(
     opts: &Options,
 ) -> Result<Vec<Vec<f64>>> {
     let lambda = uniformization_rate(ctmc);
-    let p = ctmc.uniformized(lambda)?;
     let windows: Vec<Option<PoissonWindow>> = times
         .iter()
         .map(|&t| {
@@ -257,77 +314,23 @@ fn batch_uniformized(
             }
         })
         .collect::<Result<_>>()?;
-    // `t_max > 0` guarantees at least one window; if none exists anyway,
-    // every requested time was 0 and the initial distribution is the answer.
-    let Some(k_max) = windows.iter().flatten().map(|w| w.right).max() else {
-        return Ok(times.iter().map(|_| pi0.to_vec()).collect());
-    };
-    let mut span = telemetry::span("markov.solve.uniformization");
-    let mut flight = telemetry::SolveDiag::new("uniformization");
-    flight.uniformization_rate = Some(lambda);
-    if let Some(widest) = windows.iter().flatten().last() {
-        record_uniformization(lambda, widest);
-        flight.fox_glynn_window = Some((widest.left as u64, widest.right as u64));
-    }
-
     let n = ctmc.n_states();
-    // One blocked layout (inside the stepper) is shared across the whole
-    // sweep: every time point's window accumulates the same power sequence.
-    let drop_tol = adaptive_drop_tol(opts.epsilon, k_max as u64, n);
-    let mut stepper = PowerStepper::new(p.matrix(), pi0, drop_tol);
-    let mut out: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
-    let mut cur = pi0.to_vec();
-    let mut next = vec![0.0; n];
-    let mut steps = 0u64;
-    let mut axpys = 0u64;
-
-    let mut ssd = SsdTracker::new(opts.epsilon.max(1e-15));
-    'power: for k in 0..=k_max {
-        for (acc, window) in out.iter_mut().zip(&windows) {
-            if let Some(w) = window {
-                if k >= w.left && k <= w.right {
-                    vector::axpy(w.weight(k), &cur, acc);
-                    axpys += 1;
-                }
-            }
-        }
-        if k < k_max {
-            stepper.step(&cur, &mut next);
-            steps += 1;
-            if opts.steady_state_detection {
-                let diff = vector::diff_norm_inf(&cur, &next);
-                if telemetry::enabled() {
-                    flight.push_residual(diff);
-                }
-                if ssd.converged(diff, steps) {
-                    // The DTMC has converged: every window's remaining mass
-                    // sees the same vector.
-                    for (acc, window) in out.iter_mut().zip(&windows) {
-                        if let Some(w) = window {
-                            let remaining: f64 =
-                                ((k + 1).max(w.left)..=w.right).map(|j| w.weight(j)).sum();
-                            if remaining > 0.0 {
-                                vector::axpy(remaining, &next, acc);
-                                axpys += 1;
-                            }
-                        }
-                    }
-                    break 'power;
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-    }
-    flight.ssd_trigger_step = ssd.trigger_step;
-    flight.active_states = Some(stepper.peak_active);
-    finish_uniformized(&mut flight, &mut span, steps, axpys);
-    for (acc, window) in out.iter_mut().zip(&windows) {
-        match window {
-            None => acc.copy_from_slice(pi0),
-            Some(_) => {
-                vector::normalize_l1(acc);
-            }
-        }
+    let mut accs: Vec<Accumulator> = windows
+        .iter()
+        .flatten()
+        .map(|w| Accumulator::new(Weights::Pmf(w), n))
+        .collect();
+    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
+    // Time 0 keeps the initial distribution; every other point takes its
+    // window's accumulator, in order.
+    let mut out: Vec<Vec<f64>> = times.iter().map(|_| pi0.to_vec()).collect();
+    let solved = out
+        .iter_mut()
+        .zip(&windows)
+        .filter(|(_, window)| window.is_some());
+    for ((slot, _), acc) in solved.zip(accs) {
+        *slot = acc.sum;
+        vector::normalize_l1(slot);
     }
     Ok(out)
 }
@@ -574,23 +577,6 @@ impl<'a> PowerStepper<'a> {
             kernel.apply_fused(cur, next, weight, acc);
         }
     }
-
-    /// One step `next = cur·P` without accumulation (batch passes keep one
-    /// accumulator per time point and cannot fuse).
-    fn step(&mut self, cur: &[f64], next: &mut [f64]) {
-        if self.adaptive {
-            let st = spmv_transpose_adaptive(self.p, cur, next, self.drop_tol);
-            self.dropped_mass += st.dropped_mass;
-            self.note_active(st.active_sources);
-        } else {
-            self.peak_active = self.peak_active.max(self.p.rows() as u64);
-            let p = self.p;
-            let kernel = self
-                .kernel
-                .get_or_insert_with(|| BlockedKernel::from_csr(p));
-            kernel.apply(cur, next);
-        }
-    }
 }
 
 /// Steady-state detection for the uniformized power sequence.
@@ -663,39 +649,118 @@ fn finish_uniformized(
     flight.record_on(span);
 }
 
-fn uniformized_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
-    let lambda = uniformization_rate(ctmc);
+/// The weights one accumulator of a uniformization pass puts on the power
+/// sequence `π₀·P^k`.
+#[derive(Clone, Copy)]
+enum Weights<'w> {
+    /// The Poisson pmf `P[N = k]` on the window: accumulates `π(t)`.
+    Pmf(&'w PoissonWindow),
+    /// The right tails `P[N > k]` (1 below the window, `tails` inside it):
+    /// accumulates `Λ·L(t)`.
+    Tail(&'w PoissonWindow, &'w [f64]),
+}
+
+impl<'w> Weights<'w> {
+    fn window(self) -> &'w PoissonWindow {
+        match self {
+            Weights::Pmf(w) | Weights::Tail(w, _) => w,
+        }
+    }
+
+    fn at(self, k: usize) -> f64 {
+        match self {
+            Weights::Pmf(w) => w.weight(k),
+            Weights::Tail(w, _) if k < w.left => 1.0,
+            Weights::Tail(w, tails) => tails.get(k - w.left).copied().unwrap_or(0.0),
+        }
+    }
+
+    /// The weight still owed after power `k`: once the iterates have
+    /// converged, every later power sees the same vector.
+    fn remaining_after(self, k: usize) -> f64 {
+        ((k + 1)..=self.window().right).map(|j| self.at(j)).sum()
+    }
+}
+
+/// One output of a uniformization pass: `sum = Σ_k weights(k)·π₀·P^k`,
+/// unnormalized.
+struct Accumulator<'w> {
+    weights: Weights<'w>,
+    sum: Vec<f64>,
+}
+
+impl<'w> Accumulator<'w> {
+    fn new(weights: Weights<'w>, n: usize) -> Self {
+        Accumulator {
+            weights,
+            sum: vec![0.0; n],
+        }
+    }
+
+    /// `sum += weight·x` unless the weight is zero; returns the axpys run.
+    fn add(&mut self, weight: f64, x: &[f64]) -> u64 {
+        if weight == 0.0 {
+            return 0;
+        }
+        vector::axpy(weight, x, &mut self.sum);
+        1
+    }
+}
+
+/// The one uniformization stepping loop: steps the power sequence
+/// `π₀·P^k` once, up to the widest window among `accs`, and adds every
+/// power into every accumulator under its own weights.
+///
+/// Every accumulator sees the same iterates, so a pass with several
+/// accumulators is bitwise identical to one pass per accumulator whenever
+/// their widest windows agree: the drop tolerance, the scatter/gather
+/// switch and the steady-state stop depend only on that window and the
+/// iterates, and each accumulation is the same elementwise `acc += w·x`
+/// whether it runs fused into the step or as a separate axpy.
+fn uniformized_pass(
+    ctmc: &Ctmc,
+    pi0: &[f64],
+    lambda: f64,
+    accs: &mut [Accumulator],
+    opts: &Options,
+) -> Result<()> {
+    let Some(widest) = accs
+        .iter()
+        .map(|a| a.weights.window())
+        .max_by_key(|w| w.right)
+    else {
+        return Ok(());
+    };
     let p = ctmc.uniformized(lambda)?;
-    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    record_uniformization(lambda, &window);
+    let k_max = widest.right;
+    record_uniformization(lambda, widest);
     let mut span = telemetry::span("markov.solve.uniformization");
     let mut flight = telemetry::SolveDiag::new("uniformization");
     flight.uniformization_rate = Some(lambda);
-    flight.fox_glynn_window = Some((window.left as u64, window.right as u64));
+    flight.fox_glynn_window = Some((widest.left as u64, widest.right as u64));
 
     let n = ctmc.n_states();
-    let drop_tol = adaptive_drop_tol(opts.epsilon, window.right as u64, n);
+    let drop_tol = adaptive_drop_tol(opts.epsilon, k_max as u64, n);
     let mut stepper = PowerStepper::new(p.matrix(), pi0, drop_tol);
     let mut cur = pi0.to_vec();
     let mut next = vec![0.0; n];
-    let mut out = vec![0.0; n];
     let mut steps = 0u64;
     let mut axpys = 0u64;
 
     let mut ssd = SsdTracker::new(opts.epsilon.max(1e-15));
     let mut truncated = false;
-    for k in 0..window.right {
-        // The accumulation for power k is fused into the step producing
-        // power k+1 (weight 0 outside the Poisson window skips it).
-        let weight = if k >= window.left {
-            window.weight(k)
-        } else {
-            0.0
-        };
+    for k in 0..k_max {
+        // The first accumulator's update for power k is fused into the step
+        // producing power k+1 (a zero weight skips it); the others are
+        // separate axpys over the same vector.
+        for acc in &mut accs[1..] {
+            axpys += acc.add(acc.weights.at(k), &cur);
+        }
+        let weight = accs[0].weights.at(k);
         if weight != 0.0 {
             axpys += 1;
         }
-        stepper.step_fused(&cur, &mut next, weight, &mut out);
+        stepper.step_fused(&cur, &mut next, weight, &mut accs[0].sum);
         steps += 1;
         if opts.steady_state_detection {
             let diff = vector::diff_norm_inf(&cur, &next);
@@ -703,82 +768,9 @@ fn uniformized_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) ->
                 flight.push_residual(diff);
             }
             if ssd.converged(diff, steps) {
-                // The DTMC has converged: all remaining Poisson mass sees
-                // the same vector.
-                let remaining: f64 = ((k + 1).max(window.left)..=window.right)
-                    .map(|j| window.weight(j))
-                    .sum();
-                vector::axpy(remaining, &next, &mut out);
-                axpys += 1;
-                truncated = true;
-                break;
-            }
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    if !truncated && window.right >= window.left {
-        vector::axpy(window.weight(window.right), &cur, &mut out);
-        axpys += 1;
-    }
-    vector::normalize_l1(&mut out);
-    flight.ssd_trigger_step = ssd.trigger_step;
-    flight.active_states = Some(stepper.peak_active);
-    finish_uniformized(&mut flight, &mut span, steps, axpys);
-    Ok(out)
-}
-
-fn uniformized_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
-    // L(t) = (1/Λ) Σ_{k≥0} P[N > k] · π P^k  with N ~ Poisson(Λt).
-    let lambda = uniformization_rate(ctmc);
-    let p = ctmc.uniformized(lambda)?;
-    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    record_uniformization(lambda, &window);
-    let mut span = telemetry::span("markov.solve.uniformization");
-    let mut flight = telemetry::SolveDiag::new("uniformization");
-    flight.uniformization_rate = Some(lambda);
-    flight.fox_glynn_window = Some((window.left as u64, window.right as u64));
-    let tails = window.right_tails();
-
-    let n = ctmc.n_states();
-    let drop_tol = adaptive_drop_tol(opts.epsilon, window.right as u64, n);
-    let mut stepper = PowerStepper::new(p.matrix(), pi0, drop_tol);
-    let mut cur = pi0.to_vec();
-    let mut next = vec![0.0; n];
-    let mut acc = vec![0.0; n];
-    let mut steps = 0u64;
-    let mut axpys = 0u64;
-
-    // P[N > k]: 1 below the window, the right-tail inside it.
-    let tail_at = |k: usize| {
-        if k < window.left {
-            1.0
-        } else {
-            tails[k - window.left]
-        }
-    };
-    let mut ssd = SsdTracker::new(opts.epsilon.max(1e-15));
-    let mut truncated = false;
-    for k in 0..window.right {
-        let tail = tail_at(k);
-        if tail > 0.0 {
-            axpys += 1;
-        }
-        stepper.step_fused(&cur, &mut next, tail, &mut acc);
-        steps += 1;
-        if opts.steady_state_detection {
-            let diff = vector::diff_norm_inf(&cur, &next);
-            if telemetry::enabled() {
-                flight.push_residual(diff);
-            }
-            if ssd.converged(diff, steps) {
-                // Remaining contributions all use (approximately) the same
-                // vector: Σ_{j>k} P[N > j] = E[(N − k − 1)⁺].
-                let mut remaining = 0.0;
-                for j in (k + 1)..=window.right {
-                    remaining += tail_at(j);
+                for acc in accs.iter_mut() {
+                    axpys += acc.add(acc.weights.remaining_after(k), &next);
                 }
-                vector::axpy(remaining, &next, &mut acc);
-                axpys += 1;
                 truncated = true;
                 break;
             }
@@ -786,17 +778,39 @@ fn uniformized_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Re
         std::mem::swap(&mut cur, &mut next);
     }
     if !truncated {
-        let tail = tail_at(window.right);
-        if tail > 0.0 {
-            vector::axpy(tail, &cur, &mut acc);
-            axpys += 1;
+        for acc in accs.iter_mut() {
+            axpys += acc.add(acc.weights.at(k_max), &cur);
         }
     }
-    vector::scale(1.0 / lambda, &mut acc);
     flight.ssd_trigger_step = ssd.trigger_step;
     flight.active_states = Some(stepper.peak_active);
     finish_uniformized(&mut flight, &mut span, steps, axpys);
-    Ok(acc)
+    Ok(())
+}
+
+fn uniformized_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
+    let lambda = uniformization_rate(ctmc);
+    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
+    let mut accs = [Accumulator::new(Weights::Pmf(&window), ctmc.n_states())];
+    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
+    let [Accumulator { sum: mut pi, .. }] = accs;
+    vector::normalize_l1(&mut pi);
+    Ok(pi)
+}
+
+fn uniformized_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
+    // L(t) = (1/Λ) Σ_{k≥0} P[N > k] · π P^k  with N ~ Poisson(Λt).
+    let lambda = uniformization_rate(ctmc);
+    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
+    let tails = window.right_tails();
+    let mut accs = [Accumulator::new(
+        Weights::Tail(&window, &tails),
+        ctmc.n_states(),
+    )];
+    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
+    let [Accumulator { sum: mut l, .. }] = accs;
+    vector::scale(1.0 / lambda, &mut l);
+    Ok(l)
 }
 
 fn expm_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
@@ -1052,6 +1066,85 @@ mod tests {
                 .unwrap()
                 .is_empty()
         );
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The fused solve against the two separate calls, bit for bit.
+    fn assert_fused_matches_separate(c: &Ctmc, pi0: &[f64], t: f64, opts: &Options) {
+        let (pi, l) = distribution_and_occupancy(c, pi0, t, opts).unwrap();
+        let want_pi = distribution(c, pi0, t, opts).unwrap();
+        let want_l = occupancy(c, pi0, t, opts).unwrap();
+        assert_eq!(bits(&pi), bits(&want_pi), "π at t = {t}, {opts:?}");
+        assert_eq!(bits(&l), bits(&want_l), "L at t = {t}, {opts:?}");
+    }
+
+    #[test]
+    fn fused_solve_matches_separate_calls_bitwise() {
+        let erlang = Ctmc::from_transitions(6, (0..5).map(|i| (i, i + 1, 1.7))).unwrap();
+        let absorbing = Ctmc::from_transitions(2, std::iter::empty()).unwrap();
+        for method in [
+            Method::Auto,
+            Method::Uniformization,
+            Method::MatrixExponential,
+        ] {
+            for steady_state_detection in [true, false] {
+                let opts = Options {
+                    method,
+                    steady_state_detection,
+                    ..Default::default()
+                };
+                // t = 50 on the two-state chain mixes fully, so detection
+                // stops the pass early when it is on.
+                for t in [0.0, 0.01, 0.5, 3.0, 50.0] {
+                    assert_fused_matches_separate(&two_state(), &[1.0, 0.0], t, &opts);
+                    assert_fused_matches_separate(&two_state(), &[0.3, 0.7], t, &opts);
+                    assert_fused_matches_separate(&erlang, &erlang.point_distribution(0), t, &opts);
+                    assert_fused_matches_separate(&absorbing, &[0.4, 0.6], t, &opts);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_solve_falls_back_on_mixed_engine_selection() {
+        // On two states, Λt ≈ 49 makes uniformization dearer than a 2×2
+        // exponential but cheaper than the 4×4 occupancy block: π resolves
+        // to the matrix exponential, L to uniformization.
+        let c = two_state();
+        let t = 16.0;
+        let opts = Options::default();
+        assert_eq!(
+            select_method(&c, t, &opts, 1).unwrap(),
+            Method::MatrixExponential
+        );
+        assert_eq!(
+            select_method(&c, t, &opts, 2).unwrap(),
+            Method::Uniformization
+        );
+        assert_fused_matches_separate(&c, &[1.0, 0.0], t, &opts);
+        // Both past the uniformization budget: both on the exponential.
+        let stiff = Ctmc::from_transitions(2, [(0, 1, 5000.0), (1, 0, 1000.0)]).unwrap();
+        assert_fused_matches_separate(&stiff, &[1.0, 0.0], 10_000.0, &opts);
+    }
+
+    #[test]
+    fn fused_solve_rejects_what_the_separate_calls_reject() {
+        let c = two_state();
+        let opts = Options::default();
+        assert!(distribution_and_occupancy(&c, &[0.5, 0.6], 1.0, &opts).is_err());
+        assert!(distribution_and_occupancy(&c, &[1.0, 0.0], -1.0, &opts).is_err());
+        let stiff = Ctmc::from_transitions(2, [(0, 1, 5000.0), (1, 0, 1000.0)]).unwrap();
+        let forced = Options {
+            method: Method::Uniformization,
+            ..Default::default()
+        };
+        assert!(matches!(
+            distribution_and_occupancy(&stiff, &[1.0, 0.0], 10_000.0, &forced),
+            Err(MarkovError::LimitExceeded { .. })
+        ));
     }
 
     #[test]

@@ -108,4 +108,55 @@ proptest! {
         prop_assert!((truncated - mean).abs() < 0.02 * mean.max(0.1),
             "truncated {truncated} vs mean {mean}");
     }
+
+    #[test]
+    fn fused_transient_solve_is_bitwise_the_two_calls(
+        chain in arb_ctmc(5, 2.0),
+        t in 0.0..30.0f64,
+        start in 0usize..5,
+        method in 0usize..3,
+        ssd in 0usize..2,
+    ) {
+        let pi0 = chain.point_distribution(start);
+        let opts = Options {
+            method: [Method::Auto, Method::Uniformization, Method::MatrixExponential][method],
+            steady_state_detection: ssd == 1,
+            ..Default::default()
+        };
+        let (pi, l) = transient::distribution_and_occupancy(&chain, &pi0, t, &opts).unwrap();
+        let want_pi = transient::distribution(&chain, &pi0, t, &opts).unwrap();
+        let want_l = transient::occupancy(&chain, &pi0, t, &opts).unwrap();
+        prop_assert!(bits(&pi) == bits(&want_pi), "π at t = {t}");
+        prop_assert!(bits(&l) == bits(&want_l), "L at t = {t}");
+    }
+
+    #[test]
+    fn truncated_mean_hitting_time_is_bitwise_the_two_call_reference(
+        chain in arb_ctmc(5, 2.0),
+        target in 1usize..5,
+        horizon in 0.0..30.0f64,
+        ssd in 0usize..2,
+    ) {
+        let pi0 = chain.point_distribution(0);
+        let opts = Options {
+            steady_state_detection: ssd == 1,
+            ..Default::default()
+        };
+        let got = markov::first_passage::truncated_mean_hitting_time(
+            &chain, &pi0, &[target], horizon, &opts,
+        ).unwrap();
+        // h·P[T ≤ h] − ∫₀ʰ P[T ≤ t] dt on the chain stopped at the target,
+        // from separate distribution and occupancy solves.
+        let stopped = Ctmc::from_transitions(
+            chain.n_states(),
+            chain.transitions().filter(|&(from, _, _)| from != target),
+        ).unwrap();
+        let cdf = transient::distribution(&stopped, &pi0, horizon, &opts).unwrap()[target];
+        let integral = transient::occupancy(&stopped, &pi0, horizon, &opts).unwrap()[target];
+        prop_assert_eq!(got.to_bits(), (horizon * cdf - integral).to_bits());
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }

@@ -100,6 +100,23 @@ impl Analyzer {
         )?)
     }
 
+    /// The state distribution `π(t)` and the accumulated occupancy `L(t)`
+    /// from one transient solve (see
+    /// [`transient::distribution_and_occupancy`]): the basis of an
+    /// instant-of-time and an interval-of-time reward over the same `[0, t]`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transient-solver failures.
+    pub fn distribution_and_occupancy_at(&self, t: f64) -> Result<(Vec<f64>, Vec<f64>)> {
+        Ok(transient::distribution_and_occupancy(
+            self.space.ctmc(),
+            self.space.initial_distribution(),
+            t,
+            &self.transient_options,
+        )?)
+    }
+
     /// Expected **instant-of-time** reward at time `t`.
     ///
     /// # Errors

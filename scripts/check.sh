@@ -33,9 +33,22 @@ cargo build --offline --release -p gsu-serve -p gsu-bench -p gsu-lint --bins
 # it fails here instead of when the benchmark next runs. The line count is
 # the non-vendor Rust size the ROADMAP tracks.
 echo "==> cargo build gsu-benchmark (--locked)"
-cargo build --offline --release --locked --manifest-path gsu-benchmark/Cargo.toml
+CARGO_TARGET_DIR=target cargo build --offline --release --locked \
+    --manifest-path gsu-benchmark/Cargo.toml
 echo "non-vendor Rust lines: $(git ls-files '*.rs' \
     | grep -v -e '^crates/vendor/' -e '^gsu-benchmark/' | xargs cat | wc -l)"
+
+# Benchmark answer gate: short traced runs of the paper figures and the
+# scenario catalog. The benchmark checks its own answers (fig CSVs and the
+# catalog goldens at 1e-9) and exits non-zero when any check fails. Both
+# binaries were built into target/ above, so run.sh rebuilds nothing.
+echo "==> gsu-benchmark run (figures, catalog)"
+BENCH_OUT="$(mktemp -d)"
+for workload in figures catalog; do
+    CARGO_TARGET_DIR=target bash gsu-benchmark/run.sh --workload "$workload" \
+        --seconds 2 --trace 1 --out "$BENCH_OUT"
+done
+rm -rf "$BENCH_OUT"
 
 # Static-analysis gate: the linter first proves it can catch seeded
 # violations (self-test), then must find nothing deniable in the tree.
@@ -176,8 +189,10 @@ rm -rf "$PROFILE_DIR"
 # Scenario-catalog gate: every committed .gsu scenario must reproduce its
 # committed golden Y(phi) curve bit-tightly; the per-scenario timing/work
 # records land in results/BENCH_sweep.json and feed the regress gate below.
+# Pinned to one thread like the test stages: the baseline holds threads=1
+# scenario records, and regress only compares records of equal thread count.
 echo "==> gsu-bench scenarios --check"
-target/release/gsu-bench scenarios --check
+GSU_THREADS=1 target/release/gsu-bench scenarios --check
 
 # Bench regression gate: committed sweep numbers vs the committed baseline —
 # wall time plus the deterministic work metrics (solver iterations, SpMV
