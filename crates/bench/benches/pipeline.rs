@@ -27,14 +27,6 @@ fn bench_evaluation(c: &mut Criterion) {
     group.bench_function("figure_sweep_11_points", |b| {
         b.iter(|| analysis.sweep_grid(10).unwrap())
     });
-    let grid: Vec<f64> = (0..=10).map(|i| 1000.0 * i as f64).collect();
-    group.bench_function("figure_sweep_11_points_incremental", |b| {
-        b.iter(|| analysis.sweep_incremental(&grid).unwrap())
-    });
-    let dense: Vec<f64> = (0..=100).map(|i| 100.0 * i as f64).collect();
-    group.bench_function("dense_sweep_101_points_incremental", |b| {
-        b.iter(|| analysis.sweep_incremental(&dense).unwrap())
-    });
     group.bench_function("optimal_phi_search", |b| {
         b.iter(|| analysis.optimal_phi(10, 8).unwrap())
     });

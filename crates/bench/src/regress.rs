@@ -4,7 +4,8 @@
 //! [`BenchTimer`](crate::BenchTimer)s of `gsu-bench run`) against a committed
 //! baseline, keyed on `(name, threads)`. A run **regresses** when its wall
 //! time exceeds the baseline by more than the threshold fraction (default
-//! 10%). On a clean pass the current numbers are merged into the baseline —
+//! 10%), or when a deterministic work counter (solver iterations, SpMV
+//! operations) exceeds its baseline at all. On a clean pass the current numbers are merged into the baseline —
 //! speedups ratchet the bar down, new experiments get seeded — unless the
 //! caller asks for a read-only check (`--no-update`, used by CI so the tree
 //! stays pristine).
@@ -14,7 +15,8 @@ use std::path::PathBuf;
 
 use crate::{read_bench_records, write_bench_records, BenchRecord};
 
-/// Default regression threshold: 10% slower than baseline fails.
+/// Default wall-time regression threshold: 10% slower than baseline fails.
+/// Work counters get no tolerance.
 pub const DEFAULT_THRESHOLD: f64 = 0.10;
 
 /// Configuration for one gate run.
@@ -24,7 +26,8 @@ pub struct RegressConfig {
     pub baseline: PathBuf,
     /// Current log path (`results/BENCH_sweep.json`).
     pub current: PathBuf,
-    /// Allowed fractional slowdown before a run counts as a regression.
+    /// Allowed fractional wall-time slowdown before a run counts as a
+    /// regression.
     pub threshold: f64,
     /// Whether a passing run merges current numbers into the baseline.
     pub update: bool,
@@ -69,9 +72,10 @@ pub struct Comparison {
     pub baseline_spmv_ops: u64,
     /// Current SpMV count.
     pub current_spmv_ops: u64,
-    /// Whether a work metric breaches the threshold. Work counters are
+    /// Whether a work metric exceeds its baseline. Work counters are
     /// deterministic, so unlike wall time this cannot be scheduler noise:
-    /// the algorithm itself started doing more work.
+    /// the algorithm itself started doing more work, and any increase
+    /// fails.
     pub work_regressed: bool,
 }
 
@@ -82,10 +86,11 @@ impl Comparison {
     }
 }
 
-/// Work-metric breach test: a zero baseline means the metric predates the
-/// counters — seed it on the next ratchet instead of comparing.
-fn work_breach(baseline: u64, current: u64, threshold: f64) -> bool {
-    baseline > 0 && current as f64 > baseline as f64 * (1.0 + threshold)
+/// Work-metric breach test at zero tolerance: a zero baseline means the
+/// metric predates the counters — seed it on the next ratchet instead of
+/// comparing.
+fn work_breach(baseline: u64, current: u64) -> bool {
+    baseline > 0 && current > baseline
 }
 
 /// The outcome of a gate run.
@@ -132,12 +137,11 @@ impl RegressReport {
                 verdict
             );
             if c.baseline_iterations > 0 || c.current_iterations > 0 {
-                let verdict =
-                    if work_breach(c.baseline_iterations, c.current_iterations, self.threshold) {
-                        "WORK REGRESSED"
-                    } else {
-                        "ok"
-                    };
+                let verdict = if work_breach(c.baseline_iterations, c.current_iterations) {
+                    "WORK REGRESSED"
+                } else {
+                    "ok"
+                };
                 let delta = if c.baseline_iterations > 0 {
                     format!(
                         " ({:+.1}%)",
@@ -153,12 +157,11 @@ impl RegressReport {
                 );
             }
             if c.baseline_spmv_ops > 0 || c.current_spmv_ops > 0 {
-                let verdict =
-                    if work_breach(c.baseline_spmv_ops, c.current_spmv_ops, self.threshold) {
-                        "WORK REGRESSED"
-                    } else {
-                        "ok"
-                    };
+                let verdict = if work_breach(c.baseline_spmv_ops, c.current_spmv_ops) {
+                    "WORK REGRESSED"
+                } else {
+                    "ok"
+                };
                 let _ = writeln!(
                     out,
                     "regress: {:<22} threads={} {:>9} vs {:>9} baseline spmv_ops {}",
@@ -225,7 +228,7 @@ impl RegressReport {
         }
         let _ = writeln!(
             out,
-            "regress: {} compared, {} new, {} stale; threshold {:.0}% -> {}",
+            "regress: {} compared, {} new, {} stale; wall threshold {:.0}%, work exact -> {}",
             self.compared.len(),
             self.added.len(),
             self.stale.len(),
@@ -262,8 +265,8 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], threshold: f64
                     current_iterations: cur.iterations,
                     baseline_spmv_ops: base.spmv_ops,
                     current_spmv_ops: cur.spmv_ops,
-                    work_regressed: work_breach(base.iterations, cur.iterations, threshold)
-                        || work_breach(base.spmv_ops, cur.spmv_ops, threshold),
+                    work_regressed: work_breach(base.iterations, cur.iterations)
+                        || work_breach(base.spmv_ops, cur.spmv_ops),
                 });
             }
             None => added.push(cur.clone()),
@@ -406,21 +409,27 @@ mod tests {
         assert!(rendered.contains("WORK REGRESSED"), "{rendered}");
         assert!(rendered.contains("FAIL"), "{rendered}");
 
-        // SpMV inflation alone fails too.
-        let report = compare(
-            &[rec_work("fig9", 100.0, 1000, 5000)],
-            &[rec_work("fig9", 100.0, 1000, 6000)],
-            DEFAULT_THRESHOLD,
-        );
-        assert!(!report.passed());
+        // Work counters get no tolerance: one extra SpMV or iteration fails,
+        // well inside the wall-time threshold.
+        for (iterations, spmv_ops) in [(1000, 5001), (1001, 5000)] {
+            let report = compare(
+                &[rec_work("fig9", 100.0, 1000, 5000)],
+                &[rec_work("fig9", 100.0, iterations, spmv_ops)],
+                DEFAULT_THRESHOLD,
+            );
+            assert!(!report.passed(), "{iterations} / {spmv_ops}");
+            assert!(report.compared[0].work_regressed);
+        }
 
-        // Within threshold (and work ratcheting down) passes.
-        let report = compare(
-            &[rec_work("fig9", 100.0, 1000, 5000)],
-            &[rec_work("fig9", 100.0, 1050, 4000)],
-            DEFAULT_THRESHOLD,
-        );
-        assert!(report.passed());
+        // Equal work, or work ratcheting down, passes.
+        for (iterations, spmv_ops) in [(1000, 5000), (1000, 4000), (900, 5000)] {
+            let report = compare(
+                &[rec_work("fig9", 100.0, 1000, 5000)],
+                &[rec_work("fig9", 100.0, iterations, spmv_ops)],
+                DEFAULT_THRESHOLD,
+            );
+            assert!(report.passed(), "{iterations} / {spmv_ops}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use san::{Analyzer, PlaceId, SanModel};
 
-use crate::gsu::{self, rmgd, rmgp, rmnd, GopMeasures, GopPlaces};
+use crate::gsu::{self, rmgd, rmgp, rmnd, GopPlaces};
 use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, SweepPoint};
 
 /// The complete guarded-operation performability analysis for one parameter
@@ -229,14 +229,7 @@ impl GsuAnalysis {
             span.record("i_h", gop.i_h);
             span.record("i_f", i_f);
         }
-        Ok(self.constituents(gop, p_a1_norm_rem, i_f))
-    }
-
-    /// The nine constituent measures at one φ, from its G-OP measures and
-    /// remaining-window normal-mode probabilities plus the φ-independent
-    /// ones solved at construction.
-    fn constituents(&self, gop: GopMeasures, p_a1_norm_rem: f64, i_f: f64) -> ConstituentMeasures {
-        ConstituentMeasures {
+        Ok(ConstituentMeasures {
             p_a1_gop: gop.p_a1,
             p_a1_norm_theta: self.p_a1_norm_theta,
             p_a1_norm_rem,
@@ -247,7 +240,7 @@ impl GsuAnalysis {
             i_tau_h_exact: gop.i_tau_h_exact,
             i_hf: gop.i_hf,
             i_f,
-        }
+        })
     }
 
     /// Evaluates the performability index and all intermediate quantities at
@@ -286,9 +279,8 @@ impl GsuAnalysis {
 
     /// Evaluates a sweep of φ values (e.g. the grid of Figures 9–12).
     ///
-    /// The grid must be **ascending** within `[0, θ]` (shared validation
-    /// with [`GsuAnalysis::sweep_incremental`]). Points are evaluated in
-    /// parallel on the global [`pool::Pool`] (`GSU_THREADS` wide); each φ is
+    /// The grid must be **ascending** within `[0, θ]`. Points are evaluated
+    /// in parallel on the global [`pool::Pool`] (`GSU_THREADS` wide); each φ is
     /// an independent evaluation of the same φ-independent prefix, so the
     /// result is bitwise identical at any thread count.
     ///
@@ -315,106 +307,6 @@ impl GsuAnalysis {
         let theta = self.params.theta;
         let n = n.max(1);
         self.sweep((0..=n).map(|i| theta * i as f64 / n as f64))
-    }
-
-    /// Evaluates an **ascending** φ grid in a single incremental pass:
-    /// instead of solving every transient measure from `t = 0` for each φ,
-    /// the state distributions and accumulated rewards are propagated from
-    /// grid point to grid point. Produces the same numbers as
-    /// [`GsuAnalysis::sweep`] (asserted by tests) at a fraction of the cost
-    /// for dense grids — see the `pipeline` bench.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PerfError::PhiOutOfRange`] for any φ outside `[0, θ]`, an
-    /// invalid-parameter error when the grid is not ascending, and
-    /// propagates solver failures.
-    pub fn sweep_incremental(&self, phis: &[f64]) -> Result<Vec<SweepPoint>> {
-        let theta = self.params.theta;
-        self.params.validate_phi_grid(phis)?;
-        if phis.is_empty() {
-            return Ok(Vec::new());
-        }
-        let opts = markov::transient::Options::default();
-        let batch = |chain: &markov::Ctmc, init: &[f64], ts: &[f64]| {
-            markov::transient::distribution_batch(chain, init, ts, &opts)
-        };
-        let p = self.gd_places;
-
-        // --- G-OP model: distributions and accumulated rewards along the grid.
-        let gd_space = self.gd.state_space();
-        let gd = gd_space.ctmc();
-        let pi_at = batch(gd, gd_space.initial_distribution(), phis)?;
-        // Accumulated ∫τh: propagate occupancy over each gap.
-        let tau_spec = san::RewardSpec::new()
-            .rate_when(move |mk| p.in_a2(mk), 1.0)
-            .rate_when(move |mk| p.in_a4(mk), -1.0);
-        let tau_structure = tau_spec.to_structure(gd_space);
-        // Stopped chain for the exact truncated moment.
-        let detected_states = gd_space.states_where(|mk| !p.in_a2(mk));
-        let mut is_target = vec![false; gd.n_states()];
-        for &s in &detected_states {
-            is_target[s] = true;
-        }
-        let stopped = markov::Ctmc::from_transitions(
-            gd.n_states(),
-            gd.transitions().filter(|&(from, _, _)| !is_target[from]),
-        )?;
-        let stopped_pi_at = batch(&stopped, gd_space.initial_distribution(), phis)?;
-
-        // --- Normal mode: remaining-window survivals (ascending in θ−φ). ---
-        let remaining: Vec<f64> = phis.iter().rev().map(|&phi| theta - phi).collect();
-        let on_remaining =
-            |space: &san::StateSpace| batch(space.ctmc(), space.initial_distribution(), &remaining);
-        let (new_space, old_space) = (self.np_new.state_space(), self.np_old.state_space());
-        let (new_pi, old_pi) = (on_remaining(new_space)?, on_remaining(old_space)?);
-        let new_failure = self.np_new_failure;
-        let old_failure = self.np_old_failure;
-
-        let mut out = Vec::with_capacity(phis.len());
-        let mut prev_phi = 0.0;
-        let mut tau_acc = 0.0;
-        let mut exact_acc = 0.0; // ∫₀^φ D(t)dt on the stopped chain
-        let mut gd_pi_prev = gd_space.initial_distribution().to_vec();
-        let mut stopped_pi_prev = gd_space.initial_distribution().to_vec();
-
-        for (k, &phi) in phis.iter().enumerate() {
-            // Advance the accumulated integrals over (prev_phi, phi].
-            let gap = phi - prev_phi;
-            if gap > 0.0 {
-                let occ = markov::transient::occupancy(gd, &gd_pi_prev, gap, &opts)?;
-                tau_acc += tau_structure.accumulated(gd, &occ)?;
-                let occ_stopped =
-                    markov::transient::occupancy(&stopped, &stopped_pi_prev, gap, &opts)?;
-                exact_acc += detected_states.iter().map(|&s| occ_stopped[s]).sum::<f64>();
-            }
-            gd_pi_prev = pi_at[k].clone();
-            stopped_pi_prev = stopped_pi_at[k].clone();
-            prev_phi = phi;
-
-            let gop = if phi == 0.0 {
-                GopMeasures::AT_PHI_ZERO
-            } else {
-                let pi = &pi_at[k];
-                let d_phi: f64 = detected_states.iter().map(|&s| stopped_pi_at[k][s]).sum();
-                GopMeasures {
-                    p_a1: gd_space.probability_of(pi, |mk| p.in_a1(mk)),
-                    i_h: gd_space.probability_of(pi, |mk| p.in_a3(mk)),
-                    i_hf: gd_space.probability_of(pi, |mk| p.detected_then_failed(mk)),
-                    i_tau_h: tau_acc,
-                    i_tau_h_exact: (phi * d_phi - exact_acc).max(0.0),
-                }
-            };
-
-            // Remaining-window survivals were computed on the reversed grid.
-            let rk = phis.len() - 1 - k;
-            let p_a1_norm_rem =
-                new_space.probability_of(&new_pi[rk], |mk| mk.tokens(new_failure) == 0);
-            let i_f = 1.0 - old_space.probability_of(&old_pi[rk], |mk| mk.tokens(old_failure) == 0);
-            let measures = self.constituents(gop, p_a1_norm_rem, i_f);
-            out.push(assemble(theta, phi, &measures, self.gamma_policy)?);
-        }
-        Ok(out)
     }
 
     /// Finds the φ maximizing `Y` by coarse grid search followed by
@@ -586,35 +478,6 @@ mod tests {
         assert_eq!(pts.len(), 5);
         assert_eq!(pts[0].phi, 0.0);
         assert_eq!(pts[4].phi, 10_000.0);
-    }
-
-    #[test]
-    fn incremental_sweep_matches_pointwise_sweep() {
-        let an = analysis();
-        let phis = [0.0, 1500.0, 4000.0, 4000.0, 8500.0, 10_000.0];
-        let fast = an.sweep_incremental(&phis).unwrap();
-        let slow = an.sweep(phis.iter().copied()).unwrap();
-        assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(&slow) {
-            assert!(
-                (f.y - s.y).abs() < 1e-6,
-                "φ={}: incremental {} vs pointwise {}",
-                f.phi,
-                f.y,
-                s.y
-            );
-            assert!((f.measures.i_tau_h - s.measures.i_tau_h).abs() < 1e-4);
-            assert!((f.measures.i_tau_h_exact - s.measures.i_tau_h_exact).abs() < 1e-4);
-            assert!((f.measures.i_h - s.measures.i_h).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn incremental_sweep_rejects_descending_grid() {
-        let an = analysis();
-        assert!(an.sweep_incremental(&[5000.0, 1000.0]).is_err());
-        assert!(an.sweep_incremental(&[]).unwrap().is_empty());
-        assert!(an.sweep_incremental(&[20_000.0]).is_err());
     }
 
     #[test]

@@ -114,12 +114,8 @@ impl GsuParams {
     }
 
     /// Checks that `phis` is a valid φ *grid*: every point within `[0, θ]`
-    /// and the sequence ascending (repeated points allowed).
-    ///
-    /// This is the single validation gate shared by
-    /// [`GsuAnalysis::sweep`](crate::GsuAnalysis::sweep) and
-    /// [`GsuAnalysis::sweep_incremental`](crate::GsuAnalysis::sweep_incremental),
-    /// so both report identical errors for identical bad inputs.
+    /// and the sequence ascending (repeated points allowed). This is the
+    /// validation gate of [`GsuAnalysis::sweep`](crate::GsuAnalysis::sweep).
     ///
     /// # Errors
     ///

@@ -1,74 +1,21 @@
 //! Discrete-time Markov chains.
 
-use sparsela::{CooMatrix, CsrMatrix};
+use sparsela::CsrMatrix;
 
 use crate::{MarkovError, Result};
 
-/// A discrete-time Markov chain stored as its (row-)stochastic transition
-/// matrix.
+/// A discrete-time Markov chain stored as its validated (row-)stochastic
+/// transition matrix.
 ///
-/// Used directly for discrete models and as the uniformized embedding of a
-/// [`Ctmc`](crate::Ctmc) inside the transient solvers.
-///
-/// # Example
-///
-/// ```
-/// use markov::Dtmc;
-///
-/// # fn main() -> Result<(), markov::MarkovError> {
-/// let p = Dtmc::from_rows(2, [(0, 1, 1.0), (1, 0, 0.25), (1, 1, 0.75)])?;
-/// let pi1 = p.step(&[1.0, 0.0]);
-/// assert_eq!(pi1, vec![0.0, 1.0]);
-/// # Ok(())
-/// # }
-/// ```
+/// [`Ctmc::uniformized`](crate::Ctmc::uniformized) returns one: the
+/// uniformized embedding `P = I + Q/Λ` whose power sequence the transient
+/// solvers step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dtmc {
     p: CsrMatrix,
 }
 
 impl Dtmc {
-    /// Builds a chain over states `0..n` from `(from, to, probability)`
-    /// triplets; duplicates are summed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidModel`] when indices are out of range,
-    /// probabilities are negative or non-finite, or some row does not sum to
-    /// 1 within `1e-9` (rows with no entries are treated as absorbing and
-    /// get an implicit self-loop).
-    pub fn from_rows<I>(n: usize, transitions: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (usize, usize, f64)>,
-    {
-        let mut coo = CooMatrix::new(n, n);
-        let mut row_sum = vec![0.0f64; n];
-        for (from, to, p) in transitions {
-            if from >= n || to >= n {
-                return Err(MarkovError::InvalidModel {
-                    context: format!("transition ({from} -> {to}) outside 0..{n}"),
-                });
-            }
-            if !p.is_finite() || p < 0.0 {
-                return Err(MarkovError::InvalidModel {
-                    context: format!("transition ({from} -> {to}) has invalid probability {p}"),
-                });
-            }
-            coo.push(from, to, p);
-            row_sum[from] += p;
-        }
-        for (s, &sum) in row_sum.iter().enumerate() {
-            if sum == 0.0 {
-                coo.push(s, s, 1.0); // absorbing
-            } else if (sum - 1.0).abs() > 1e-9 {
-                return Err(MarkovError::InvalidModel {
-                    context: format!("row {s} sums to {sum}, expected 1"),
-                });
-            }
-        }
-        Ok(Dtmc { p: coo.to_csr() })
-    }
-
     /// Wraps an existing stochastic matrix.
     ///
     /// # Errors
@@ -111,113 +58,12 @@ impl Dtmc {
     pub fn matrix(&self) -> &CsrMatrix {
         &self.p
     }
-
-    /// One step of the chain: `π' = π · P`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != self.n_states()`.
-    pub fn step(&self, pi: &[f64]) -> Vec<f64> {
-        self.p.mul_vec_transpose(pi)
-    }
-
-    /// One step into a caller-provided buffer (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn step_into(&self, pi: &[f64], out: &mut [f64]) {
-        self.p.mul_vec_transpose_into(pi, out);
-    }
-
-    /// Distribution after `k` steps from `pi0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi0.len() != self.n_states()`.
-    pub fn steps(&self, pi0: &[f64], k: usize) -> Vec<f64> {
-        let mut cur = pi0.to_vec();
-        let mut next = vec![0.0; cur.len()];
-        for _ in 0..k {
-            self.step_into(&cur, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
-    }
-
-    /// Stationary distribution by damped power iteration.
-    ///
-    /// The damping (`π ← (1−θ)·π·P + θ·π` with θ = 0.05) makes the
-    /// iteration converge even for periodic chains without changing the
-    /// fixed point.
-    ///
-    /// # Errors
-    ///
-    /// * [`MarkovError::Reducible`] when the chain has several closed
-    ///   communicating classes (non-unique stationary distribution).
-    /// * [`MarkovError::LinAlg`] when the iteration budget is exhausted.
-    pub fn steady_state(&self, max_iterations: usize, tolerance: f64) -> Result<Vec<f64>> {
-        let n = self.n_states();
-        if n == 0 {
-            return Err(MarkovError::InvalidModel {
-                context: "steady state of an empty chain".to_string(),
-            });
-        }
-        // Uniqueness: exactly one terminal SCC.
-        let (component_of, components) = crate::graph::strongly_connected_components(&self.p);
-        let mut terminal = vec![true; components];
-        for (u, v, w) in self.p.iter() {
-            if w > 0.0 && component_of[u] != component_of[v] {
-                terminal[component_of[u]] = false;
-            }
-        }
-        let terminal_count = terminal.iter().filter(|&&t| t).count();
-        if terminal_count != 1 {
-            return Err(MarkovError::Reducible {
-                components: terminal_count,
-            });
-        }
-        let damping = 0.05;
-        let mut pi = vec![1.0 / n as f64; n];
-        let mut next = vec![0.0; n];
-        let mut delta = f64::INFINITY;
-        for _ in 0..max_iterations {
-            self.step_into(&pi, &mut next);
-            for (nx, &old) in next.iter_mut().zip(&pi) {
-                *nx = (1.0 - damping) * *nx + damping * old;
-            }
-            delta = sparsela::vector::diff_norm_inf(&pi, &next);
-            std::mem::swap(&mut pi, &mut next);
-            if delta <= tolerance {
-                sparsela::vector::normalize_l1(&mut pi);
-                return Ok(pi);
-            }
-        }
-        Err(MarkovError::LinAlg(sparsela::LinAlgError::NotConverged {
-            iterations: max_iterations,
-            residual: delta,
-            tolerance,
-        }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn absorbing_rows_get_self_loops() {
-        let p = Dtmc::from_rows(2, [(0, 1, 1.0)]).unwrap();
-        assert_eq!(p.matrix().get(1, 1), 1.0);
-    }
-
-    #[test]
-    fn bad_rows_rejected() {
-        assert!(Dtmc::from_rows(2, [(0, 1, 0.5)]).is_err()); // sums to 0.5
-        assert!(Dtmc::from_rows(2, [(0, 1, -0.5), (0, 0, 1.5)]).is_err());
-        assert!(Dtmc::from_rows(1, [(0, 1, 1.0)]).is_err());
-    }
+    use sparsela::CooMatrix;
 
     #[test]
     fn from_matrix_validates() {
@@ -231,72 +77,5 @@ mod tests {
         bad.push(0, 0, 0.9);
         bad.push(1, 1, 1.0);
         assert!(Dtmc::from_matrix(bad.to_csr()).is_err());
-    }
-
-    #[test]
-    fn step_preserves_mass() {
-        let p = Dtmc::from_rows(3, [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0), (2, 2, 1.0)]).unwrap();
-        let pi = p.step(&[0.2, 0.3, 0.5]);
-        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert_eq!(pi, vec![0.3, 0.1, 0.6]);
-    }
-
-    #[test]
-    fn multi_step_periodic_chain() {
-        // Period-2 chain: 0 <-> 1.
-        let p = Dtmc::from_rows(2, [(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        assert_eq!(p.steps(&[1.0, 0.0], 2), vec![1.0, 0.0]);
-        assert_eq!(p.steps(&[1.0, 0.0], 3), vec![0.0, 1.0]);
-        assert_eq!(p.steps(&[1.0, 0.0], 0), vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn steady_state_of_two_state_chain() {
-        let p = Dtmc::from_rows(2, [(0, 0, 0.7), (0, 1, 0.3), (1, 0, 0.6), (1, 1, 0.4)]).unwrap();
-        let pi = p.steady_state(100_000, 1e-13).unwrap();
-        // π0·0.3 = π1·0.6 ⇒ π = (2/3, 1/3).
-        assert!((pi[0] - 2.0 / 3.0).abs() < 1e-9);
-        assert!((pi[1] - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn steady_state_of_periodic_chain_converges_via_damping() {
-        let p = Dtmc::from_rows(2, [(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let pi = p.steady_state(100_000, 1e-12).unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn steady_state_rejects_two_absorbing_states() {
-        let p = Dtmc::from_rows(3, [(0, 1, 0.5), (0, 2, 0.5)]).unwrap();
-        assert!(matches!(
-            p.steady_state(1000, 1e-9),
-            Err(MarkovError::Reducible { components: 2 })
-        ));
-    }
-
-    #[test]
-    fn steady_state_with_transient_prefix() {
-        let p = Dtmc::from_rows(3, [(0, 1, 1.0), (1, 1, 0.5), (1, 2, 0.5), (2, 1, 1.0)]).unwrap();
-        let pi = p.steady_state(100_000, 1e-13).unwrap();
-        assert!(pi[0].abs() < 1e-6);
-        assert!((pi[1] - 2.0 / 3.0).abs() < 1e-6);
-        assert!((pi[2] - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    proptest! {
-        #[test]
-        fn random_walk_stays_stochastic(
-            stay in 0.0..1.0f64,
-            k in 0usize..50,
-        ) {
-            let p = Dtmc::from_rows(3, [
-                (0, 0, stay), (0, 1, 1.0 - stay),
-                (1, 0, 0.3), (1, 2, 0.7),
-                (2, 1, 1.0),
-            ]).unwrap();
-            let pi = p.steps(&[1.0, 0.0, 0.0], k);
-            prop_assert!(sparsela::vector::is_stochastic(&pi, 1e-9));
-        }
     }
 }

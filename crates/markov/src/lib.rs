@@ -6,7 +6,8 @@
 //!
 //! * [`Ctmc`] — continuous-time Markov chains assembled from transition
 //!   triplets, with generator validation;
-//! * [`Dtmc`] — discrete-time chains (used as the uniformized embedding);
+//! * [`Dtmc`] — a validated stochastic matrix: the uniformized embedding
+//!   of a [`Ctmc`] that the transient solvers step;
 //! * [`transient`] — transient state distributions `π(t)` and accumulated
 //!   occupancy `L(t) = ∫₀ᵗ π(s) ds`, solved by **uniformization** with
 //!   Fox–Glynn Poisson weights or by dense **matrix exponential**

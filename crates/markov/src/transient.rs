@@ -24,12 +24,11 @@
 //! accumulation fused into the same pass) once mass has spread.
 //!
 //! Every uniformization solve is one stepping loop over the power sequence
-//! `π₀·P^k` feeding one accumulator per output: the Poisson pmf for `π(t)`,
-//! the right tails for `L(t)`, one window per time point for
-//! [`distribution_batch`]. [`distribution_and_occupancy`] runs that loop
-//! once for both `π(t)` and `L(t)` when both resolve to uniformization, and
-//! returns the same bits as the two separate calls at half the sparse
-//! products.
+//! `π₀·P^k` under one Poisson window, feeding one accumulator per output:
+//! the Poisson pmf for `π(t)`, the right tails for `L(t)`.
+//! [`distribution_and_occupancy`] runs that loop once for both `π(t)` and
+//! `L(t)` when both resolve to uniformization, and returns the same bits as
+//! the two separate calls at half the sparse products.
 
 use sparsela::blocked::{spmv_transpose_adaptive, BlockedKernel};
 use sparsela::{vector, CsrMatrix};
@@ -178,10 +177,10 @@ pub fn distribution_and_occupancy(
     let tails = window.right_tails();
     let n = ctmc.n_states();
     let mut accs = [
-        Accumulator::new(Weights::Pmf(&window), n),
-        Accumulator::new(Weights::Tail(&window, &tails), n),
+        Accumulator::new(Weights::Pmf, n),
+        Accumulator::new(Weights::Tail(&tails), n),
     ];
-    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
+    uniformized_pass(ctmc, pi0, lambda, &window, &mut accs, opts)?;
     let [Accumulator { sum: mut pi, .. }, Accumulator { sum: mut l, .. }] = accs;
     vector::normalize_l1(&mut pi);
     vector::scale(1.0 / lambda, &mut l);
@@ -194,209 +193,6 @@ fn method_name(m: Method) -> &'static str {
         Method::Uniformization => "uniformization",
         Method::MatrixExponential => "matrix_exponential",
     }
-}
-
-/// Computes the state distribution at each of several **ascending** time
-/// points in one pass, propagating incrementally from point to point
-/// (`π(t_{k+1})` is solved from `π(t_k)` over the gap). For `m` points this
-/// costs `m` short solves instead of `m` solves from zero — the natural way
-/// to evaluate a φ-sweep.
-///
-/// # Errors
-///
-/// * [`MarkovError::InvalidModel`] when the time points are not finite,
-///   non-negative, and ascending.
-/// * Propagates per-interval solver failures.
-pub fn distribution_at_times(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    times: &[f64],
-    opts: &Options,
-) -> Result<Vec<Vec<f64>>> {
-    ctmc.check_distribution(pi0)?;
-    check_ascending_times(times)?;
-    let mut out = Vec::with_capacity(times.len());
-    let mut current = pi0.to_vec();
-    let mut current_t = 0.0;
-    for &t in times {
-        let gap = t - current_t;
-        if gap > 0.0 {
-            current = distribution(ctmc, &current, gap, opts)?;
-            current_t = t;
-        }
-        out.push(current.clone());
-    }
-    Ok(out)
-}
-
-/// Computes the state distribution at each of several **ascending** time
-/// points from one shared pass, reusing the `t`-independent work across the
-/// whole batch:
-///
-/// * On the uniformization path the power sequence `π₀·P^k` is computed
-///   **once** and each time point accumulates it under its own Fox–Glynn
-///   truncation window, so `m` points cost a single pass up to the largest
-///   window instead of `m` solves.
-/// * On the matrix-exponential path (stiff chains — the guarded-operation
-///   models) the dense propagator `e^{Q·δ}` is cached per distinct gap `δ`
-///   of the grid, so a uniform sweep grid costs **one** matrix exponential
-///   plus `m` matrix–vector products. For equal gaps this is bitwise
-///   identical to [`distribution_at_times`] (the same propagator multiplies
-///   the same vectors).
-///
-/// Agrees with repeated single-`t` [`distribution`] calls up to the window
-/// truncation tolerance (property-tested to `1e-12`).
-///
-/// # Errors
-///
-/// Same failure modes as [`distribution_at_times`].
-pub fn distribution_batch(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    times: &[f64],
-    opts: &Options,
-) -> Result<Vec<Vec<f64>>> {
-    ctmc.check_distribution(pi0)?;
-    check_ascending_times(times)?;
-    let Some(&t_max) = times.last() else {
-        return Ok(Vec::new());
-    };
-    if t_max == 0.0 || ctmc.max_exit_rate() == 0.0 {
-        return Ok(times.iter().map(|_| pi0.to_vec()).collect());
-    }
-    // A single shared power sequence is only possible when uniformization can
-    // reach the *largest* time point; otherwise fall back to incremental
-    // propagation (with propagator caching on matrix-exponential gaps). A
-    // forced engine keeps the forced engine's budget errors.
-    let shared_pass = match opts.method {
-        Method::MatrixExponential => false,
-        Method::Uniformization => {
-            select_method(ctmc, t_max, opts, 1)?;
-            true
-        }
-        Method::Auto => matches!(select_method(ctmc, t_max, opts, 1)?, Method::Uniformization),
-    };
-    let mut span = telemetry::span("markov.transient.distribution_batch");
-    span.record("states", ctmc.n_states());
-    span.record("points", times.len());
-    span.record("t_max", t_max);
-    span.record(
-        "mode",
-        if shared_pass {
-            "shared_uniformization"
-        } else {
-            "cached_propagation"
-        },
-    );
-    if shared_pass {
-        batch_uniformized(ctmc, pi0, times, opts)
-    } else {
-        batch_propagated(ctmc, pi0, times, opts)
-    }
-}
-
-/// One uniformization pass serving every time point: each point accumulates
-/// the shared iterates `π₀·P^k` under its own Poisson window.
-fn batch_uniformized(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    times: &[f64],
-    opts: &Options,
-) -> Result<Vec<Vec<f64>>> {
-    let lambda = uniformization_rate(ctmc);
-    let windows: Vec<Option<PoissonWindow>> = times
-        .iter()
-        .map(|&t| {
-            if t == 0.0 {
-                Ok(None)
-            } else {
-                PoissonWindow::compute(lambda * t, opts.epsilon).map(Some)
-            }
-        })
-        .collect::<Result<_>>()?;
-    let n = ctmc.n_states();
-    let mut accs: Vec<Accumulator> = windows
-        .iter()
-        .flatten()
-        .map(|w| Accumulator::new(Weights::Pmf(w), n))
-        .collect();
-    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
-    // Time 0 keeps the initial distribution; every other point takes its
-    // window's accumulator, in order.
-    let mut out: Vec<Vec<f64>> = times.iter().map(|_| pi0.to_vec()).collect();
-    let solved = out
-        .iter_mut()
-        .zip(&windows)
-        .filter(|(_, window)| window.is_some());
-    for ((slot, _), acc) in solved.zip(accs) {
-        *slot = acc.sum;
-        vector::normalize_l1(slot);
-    }
-    Ok(out)
-}
-
-/// Incremental gap-to-gap propagation (the [`distribution_at_times`]
-/// recurrence) with a per-gap cache of dense matrix-exponential propagators.
-fn batch_propagated(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    times: &[f64],
-    opts: &Options,
-) -> Result<Vec<Vec<f64>>> {
-    let mut propagators: std::collections::HashMap<u64, sparsela::DenseMatrix> =
-        std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(times.len());
-    let mut current = pi0.to_vec();
-    let mut current_t = 0.0;
-    for &t in times {
-        let gap = t - current_t;
-        if gap > 0.0 {
-            match select_method(ctmc, gap, opts, 1)? {
-                Method::Uniformization => {
-                    current = uniformized_distribution(ctmc, &current, gap, opts)?;
-                }
-                Method::MatrixExponential => {
-                    let e = match propagators.entry(gap.to_bits()) {
-                        std::collections::hash_map::Entry::Occupied(hit) => {
-                            telemetry::counter("markov.expm.cache_hits", 1);
-                            hit.into_mut()
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            telemetry::counter("markov.expm.solves", 1);
-                            let q = ctmc
-                                .generator()
-                                .to_dense_checked(opts.dense_state_limit * opts.dense_state_limit)
-                                .map_err(MarkovError::from)?;
-                            let mut qt = q;
-                            qt.scale(gap);
-                            slot.insert(expm::expm(&qt)?)
-                        }
-                    };
-                    let mut pi = e.vec_mul(&current);
-                    clamp_probabilities(&mut pi);
-                    current = pi;
-                }
-                Method::Auto => unreachable!("select_method resolves Auto"),
-            }
-            current_t = t;
-        }
-        out.push(current.clone());
-    }
-    Ok(out)
-}
-
-fn check_ascending_times(times: &[f64]) -> Result<()> {
-    let mut last_t = 0.0;
-    for &t in times {
-        check_time(t)?;
-        if t < last_t {
-            return Err(MarkovError::InvalidModel {
-                context: format!("time points must be ascending: {t} after {last_t}"),
-            });
-        }
-        last_t = t;
-    }
-    Ok(())
 }
 
 fn check_time(t: f64) -> Result<()> {
@@ -650,35 +446,29 @@ fn finish_uniformized(
 }
 
 /// The weights one accumulator of a uniformization pass puts on the power
-/// sequence `π₀·P^k`.
+/// sequence `π₀·P^k`, relative to the pass's Poisson window.
 #[derive(Clone, Copy)]
 enum Weights<'w> {
     /// The Poisson pmf `P[N = k]` on the window: accumulates `π(t)`.
-    Pmf(&'w PoissonWindow),
-    /// The right tails `P[N > k]` (1 below the window, `tails` inside it):
-    /// accumulates `Λ·L(t)`.
-    Tail(&'w PoissonWindow, &'w [f64]),
+    Pmf,
+    /// The right tails `P[N > k]` (1 below the window, the given tails
+    /// inside it): accumulates `Λ·L(t)`.
+    Tail(&'w [f64]),
 }
 
-impl<'w> Weights<'w> {
-    fn window(self) -> &'w PoissonWindow {
+impl Weights<'_> {
+    fn at(self, window: &PoissonWindow, k: usize) -> f64 {
         match self {
-            Weights::Pmf(w) | Weights::Tail(w, _) => w,
-        }
-    }
-
-    fn at(self, k: usize) -> f64 {
-        match self {
-            Weights::Pmf(w) => w.weight(k),
-            Weights::Tail(w, _) if k < w.left => 1.0,
-            Weights::Tail(w, tails) => tails.get(k - w.left).copied().unwrap_or(0.0),
+            Weights::Pmf => window.weight(k),
+            Weights::Tail(_) if k < window.left => 1.0,
+            Weights::Tail(tails) => tails.get(k - window.left).copied().unwrap_or(0.0),
         }
     }
 
     /// The weight still owed after power `k`: once the iterates have
     /// converged, every later power sees the same vector.
-    fn remaining_after(self, k: usize) -> f64 {
-        ((k + 1)..=self.window().right).map(|j| self.at(j)).sum()
+    fn remaining_after(self, window: &PoissonWindow, k: usize) -> f64 {
+        ((k + 1)..=window.right).map(|j| self.at(window, j)).sum()
     }
 }
 
@@ -708,36 +498,30 @@ impl<'w> Accumulator<'w> {
 }
 
 /// The one uniformization stepping loop: steps the power sequence
-/// `π₀·P^k` once, up to the widest window among `accs`, and adds every
-/// power into every accumulator under its own weights.
+/// `π₀·P^k` once over `window` and adds every power into every accumulator
+/// under its own weights.
 ///
 /// Every accumulator sees the same iterates, so a pass with several
-/// accumulators is bitwise identical to one pass per accumulator whenever
-/// their widest windows agree: the drop tolerance, the scatter/gather
-/// switch and the steady-state stop depend only on that window and the
-/// iterates, and each accumulation is the same elementwise `acc += w·x`
-/// whether it runs fused into the step or as a separate axpy.
+/// accumulators is bitwise identical to one pass per accumulator: the drop
+/// tolerance, the scatter/gather switch and the steady-state stop depend
+/// only on the window and the iterates, and each accumulation is the same
+/// elementwise `acc += w·x` whether it runs fused into the step or as a
+/// separate axpy.
 fn uniformized_pass(
     ctmc: &Ctmc,
     pi0: &[f64],
     lambda: f64,
+    window: &PoissonWindow,
     accs: &mut [Accumulator],
     opts: &Options,
 ) -> Result<()> {
-    let Some(widest) = accs
-        .iter()
-        .map(|a| a.weights.window())
-        .max_by_key(|w| w.right)
-    else {
-        return Ok(());
-    };
     let p = ctmc.uniformized(lambda)?;
-    let k_max = widest.right;
-    record_uniformization(lambda, widest);
+    let k_max = window.right;
+    record_uniformization(lambda, window);
     let mut span = telemetry::span("markov.solve.uniformization");
     let mut flight = telemetry::SolveDiag::new("uniformization");
     flight.uniformization_rate = Some(lambda);
-    flight.fox_glynn_window = Some((widest.left as u64, widest.right as u64));
+    flight.fox_glynn_window = Some((window.left as u64, window.right as u64));
 
     let n = ctmc.n_states();
     let drop_tol = adaptive_drop_tol(opts.epsilon, k_max as u64, n);
@@ -754,9 +538,9 @@ fn uniformized_pass(
         // producing power k+1 (a zero weight skips it); the others are
         // separate axpys over the same vector.
         for acc in &mut accs[1..] {
-            axpys += acc.add(acc.weights.at(k), &cur);
+            axpys += acc.add(acc.weights.at(window, k), &cur);
         }
-        let weight = accs[0].weights.at(k);
+        let weight = accs[0].weights.at(window, k);
         if weight != 0.0 {
             axpys += 1;
         }
@@ -769,7 +553,7 @@ fn uniformized_pass(
             }
             if ssd.converged(diff, steps) {
                 for acc in accs.iter_mut() {
-                    axpys += acc.add(acc.weights.remaining_after(k), &next);
+                    axpys += acc.add(acc.weights.remaining_after(window, k), &next);
                 }
                 truncated = true;
                 break;
@@ -779,7 +563,7 @@ fn uniformized_pass(
     }
     if !truncated {
         for acc in accs.iter_mut() {
-            axpys += acc.add(acc.weights.at(k_max), &cur);
+            axpys += acc.add(acc.weights.at(window, k_max), &cur);
         }
     }
     flight.ssd_trigger_step = ssd.trigger_step;
@@ -791,8 +575,8 @@ fn uniformized_pass(
 fn uniformized_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
     let lambda = uniformization_rate(ctmc);
     let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    let mut accs = [Accumulator::new(Weights::Pmf(&window), ctmc.n_states())];
-    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
+    let mut accs = [Accumulator::new(Weights::Pmf, ctmc.n_states())];
+    uniformized_pass(ctmc, pi0, lambda, &window, &mut accs, opts)?;
     let [Accumulator { sum: mut pi, .. }] = accs;
     vector::normalize_l1(&mut pi);
     Ok(pi)
@@ -803,11 +587,8 @@ fn uniformized_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Re
     let lambda = uniformization_rate(ctmc);
     let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
     let tails = window.right_tails();
-    let mut accs = [Accumulator::new(
-        Weights::Tail(&window, &tails),
-        ctmc.n_states(),
-    )];
-    uniformized_pass(ctmc, pi0, lambda, &mut accs, opts)?;
+    let mut accs = [Accumulator::new(Weights::Tail(&tails), ctmc.n_states())];
+    uniformized_pass(ctmc, pi0, lambda, &window, &mut accs, opts)?;
     let [Accumulator { sum: mut l, .. }] = accs;
     vector::scale(1.0 / lambda, &mut l);
     Ok(l)
@@ -1040,32 +821,6 @@ mod tests {
         assert!(sparsela::vector::diff_norm_inf(&a, &b) < 1e-9);
         // And both equal the steady state 3/5, 2/5.
         assert!((a[0] - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn at_times_matches_independent_solves() {
-        let c = two_state();
-        let times = [0.0, 0.2, 0.2, 1.0, 4.0];
-        let batch = distribution_at_times(&c, &[1.0, 0.0], &times, &Options::default()).unwrap();
-        assert_eq!(batch.len(), times.len());
-        for (&t, pi) in times.iter().zip(&batch) {
-            let solo = distribution(&c, &[1.0, 0.0], t, &Options::default()).unwrap();
-            assert!(sparsela::vector::diff_norm_inf(pi, &solo) < 1e-9, "t={t}");
-        }
-    }
-
-    #[test]
-    fn at_times_rejects_unsorted() {
-        let c = two_state();
-        assert!(matches!(
-            distribution_at_times(&c, &[1.0, 0.0], &[1.0, 0.5], &Options::default()),
-            Err(MarkovError::InvalidModel { .. })
-        ));
-        assert!(
-            distribution_at_times(&c, &[1.0, 0.0], &[], &Options::default())
-                .unwrap()
-                .is_empty()
-        );
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {

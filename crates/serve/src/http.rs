@@ -28,6 +28,11 @@ pub const KEEPALIVE_MAX_REQUESTS: usize = 100;
 /// client's own latency problem).
 pub const KEEPALIVE_IDLE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Cap on the bytes of one request head (request line plus headers): a
+/// longer head is answered `400` instead of being buffered, so no client
+/// can grow a worker's memory without bound.
+pub const MAX_REQUEST_HEAD_BYTES: u64 = 8192;
+
 /// A parsed request line plus the connection-management headers (all other
 /// headers are read and discarded).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +100,9 @@ impl Response {
 ///
 /// # Errors
 ///
-/// I/O failures, timeouts, and malformed request lines.
+/// I/O failures, timeouts, malformed request lines, and heads longer than
+/// [`MAX_REQUEST_HEAD_BYTES`] (all [`std::io::ErrorKind::InvalidData`]
+/// except the I/O ones).
 pub fn read_request(stream: &mut TcpStream, first: bool) -> std::io::Result<Option<Request>> {
     let read_timeout = if first {
         IO_TIMEOUT
@@ -104,9 +111,9 @@ pub fn read_request(stream: &mut TcpStream, first: bool) -> std::io::Result<Opti
     };
     stream.set_read_timeout(Some(read_timeout))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(&mut *stream);
+    let mut reader = BufReader::new((&mut *stream).take(MAX_REQUEST_HEAD_BYTES));
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_head_line(&mut reader, &mut line)? == 0 {
         return Ok(None); // clean EOF before a request line
     }
     let mut request = parse_request_line(&line).ok_or_else(|| {
@@ -119,7 +126,7 @@ pub fn read_request(stream: &mut TcpStream, first: bool) -> std::io::Result<Opti
     // routes we serve.
     loop {
         let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
+        let n = read_head_line(&mut reader, &mut header)?;
         if n == 0 || header == "\r\n" || header == "\n" {
             break;
         }
@@ -135,6 +142,23 @@ pub fn read_request(stream: &mut TcpStream, first: bool) -> std::io::Result<Opti
         }
     }
     Ok(Some(request))
+}
+
+/// One line of a request head. A line cut short by the
+/// [`MAX_REQUEST_HEAD_BYTES`] cap, rather than by the client closing, is an
+/// `InvalidData` error.
+fn read_head_line(
+    reader: &mut BufReader<std::io::Take<&mut TcpStream>>,
+    line: &mut String,
+) -> std::io::Result<usize> {
+    let n = reader.read_line(line)?;
+    if !line.ends_with('\n') && reader.get_ref().limit() == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request head exceeds {MAX_REQUEST_HEAD_BYTES} bytes"),
+        ));
+    }
+    Ok(n)
 }
 
 /// Parses `"GET /path?query HTTP/1.1"`. The HTTP version sets the

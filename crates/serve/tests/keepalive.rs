@@ -2,13 +2,14 @@
 //! requests, each response is exactly `Content-Length` bytes with the right
 //! `Connection:` header, and both the explicit-`close` and HTTP/1.0 paths
 //! still close after one exchange. Also exercises the persistent
-//! [`HttpClient`] against a live server.
+//! [`HttpClient`] against a live server, and checks that a request head
+//! over [`MAX_REQUEST_HEAD_BYTES`] gets a `400` without harming the server.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
 
-use gsu_serve::http::HttpClient;
+use gsu_serve::http::{HttpClient, MAX_REQUEST_HEAD_BYTES};
 use gsu_serve::{Server, SCENARIOS_DIR};
 use telemetry::Collector;
 
@@ -46,6 +47,24 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String, String) {
         connection,
         String::from_utf8(body).expect("utf8 body"),
     )
+}
+
+/// Sends `head` on a fresh connection from a writer thread (the server
+/// stops reading at the cap, so the tail of the write may fail) and returns
+/// the status of the response.
+fn status_for_head(addr: std::net::SocketAddr, head: Vec<u8>) -> u16 {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sending = std::thread::spawn(move || {
+        let _ = writer.write_all(&head);
+    });
+    let (status, connection, _) = read_response(&mut BufReader::new(stream));
+    assert_eq!(
+        connection, "close",
+        "an oversized head closes the connection"
+    );
+    sending.join().expect("writer thread");
+    status
 }
 
 #[test]
@@ -121,6 +140,25 @@ fn keep_alive_serves_multiple_requests_with_exact_framing() {
         assert_eq!(status, 200);
     }
     assert_eq!(oneshot.connects(), 3, "close mode must not reuse");
+
+    // A well-formed request whose head runs past the cap is a 400, whether
+    // through a 1 MiB request line or 10,000 headers, and the server keeps
+    // serving.
+    let mut long_line = b"GET /healthz?pad=".to_vec();
+    long_line.resize(1 << 20, b'a');
+    long_line.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+    assert_eq!(status_for_head(addr, long_line), 400);
+    let mut many_headers = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    for i in 0..10_000 {
+        many_headers.extend_from_slice(format!("X-Pad-{i}: a\r\n").as_bytes());
+    }
+    many_headers.extend_from_slice(b"\r\n");
+    assert!(many_headers.len() as u64 > MAX_REQUEST_HEAD_BYTES);
+    assert_eq!(status_for_head(addr, many_headers), 400);
+    let (status, body) = HttpClient::new(addr, false)
+        .get("/healthz")
+        .expect("healthz after oversized heads");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     handle.shutdown();
     serving.join().expect("server thread");

@@ -51,11 +51,11 @@ fn thread_count_never_changes_results() {
     assert_eq!(est_one.guarded, est_four.guarded);
     assert_eq!(est_one.unguarded, est_four.unguarded);
 
-    // --- Grid validation is shared (and identical) across sweep flavours. -
+    // --- Grid validation runs before the fan-out: same error at any width. -
     let bad = [4000.0, 1000.0];
-    let from_sweep = with_threads("4", || analysis.sweep(bad).unwrap_err());
-    let from_incremental = analysis.sweep_incremental(&bad).unwrap_err();
-    assert_eq!(format!("{from_sweep}"), format!("{from_incremental}"));
+    let bad_one = with_threads("1", || analysis.sweep(bad).unwrap_err());
+    let bad_four = with_threads("4", || analysis.sweep(bad).unwrap_err());
+    assert_eq!(format!("{bad_one}"), format!("{bad_four}"));
     assert!(analysis.sweep([-5.0]).is_err());
     assert!(analysis.sweep([params.theta + 1.0]).is_err());
 }

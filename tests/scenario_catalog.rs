@@ -106,40 +106,3 @@ fn catalog_cross_validates_against_simulation() {
         );
     }
 }
-
-#[test]
-fn incremental_sweep_matches_catalog_curves() {
-    // Generalized Gd models (waves, aging) through the incremental path,
-    // within the pointwise-vs-incremental tolerances of the paper models.
-    for spec in catalog()
-        .into_iter()
-        .filter(|s| s.waves.is_some() || s.aging.is_some())
-    {
-        let name = spec.name.clone();
-        let scenario = ScenarioAnalysis::new(spec).unwrap();
-        let curve = scenario.curve().unwrap();
-        let fast = scenario
-            .analysis()
-            .sweep_incremental(&scenario.spec().phi_grid)
-            .unwrap();
-        assert_eq!(fast.len(), curve.len(), "{name}");
-        for (f, s) in fast.iter().zip(&curve) {
-            assert_eq!(f.phi, s.phi, "{name}");
-            assert!(
-                (f.y - s.y).abs() < 1e-6,
-                "{name} φ={}: {} vs {}",
-                f.phi,
-                f.y,
-                s.y
-            );
-            let (fm, sm) = (&f.measures, &s.measures);
-            assert!((fm.i_tau_h - sm.i_tau_h).abs() < 1e-4, "{name} φ={}", f.phi);
-            assert!(
-                (fm.i_tau_h_exact - sm.i_tau_h_exact).abs() < 1e-4,
-                "{name} φ={}",
-                f.phi
-            );
-            assert!((fm.i_h - sm.i_h).abs() < 1e-9, "{name} φ={}", f.phi);
-        }
-    }
-}
