@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! gsu-bench run <experiment>|all [--steps N] [--out DIR]
-//! gsu-bench regress [--baseline PATH] [--current PATH]
+//! gsu-bench regress [--baseline PATH] [--current PATH | --benchmark PATH]
 //!                   [--threshold FRACTION] [--no-update] [--allow-missing]
 //! gsu-bench profile --trace PATH [--folded | --table]
 //! gsu-bench scenarios [--dir PATH] [--golden PATH] [--out PATH]
@@ -24,7 +24,9 @@
 //! baseline — wall time *and* deterministic work metrics — and exits 0 on
 //! pass, 1 on regression or on a baseline entry missing from the current log
 //! (`--allow-missing` downgrades the latter to a note), and 2 on usage or
-//! I/O errors. See [`gsu_bench::regress`] for the gate semantics.
+//! I/O errors. With `--benchmark PATH` it gates the per-layer work counters
+//! of a `gsu-benchmark` run set instead, at zero tolerance per workload.
+//! See [`gsu_bench::regress`] for the gate semantics.
 //!
 //! `profile` rebuilds the span tree of a Chrome trace written by a
 //! `GSU_TELEMETRY=1` run (or fetched from `gsu-serve /trace?id=`) and prints
@@ -49,7 +51,7 @@ use gsu_bench::experiments::{self, RunContext, EXPERIMENTS};
 use gsu_bench::regress::{RegressConfig, DEFAULT_THRESHOLD};
 
 const USAGE: &str = "usage: gsu-bench run <experiment>|all [--steps N] [--out DIR]\n  \
-                     | gsu-bench regress [--baseline PATH] [--current PATH] \
+                     | gsu-bench regress [--baseline PATH] [--current PATH | --benchmark PATH] \
                      [--threshold FRACTION] [--no-update] [--allow-missing]\n  \
                      | gsu-bench profile --trace PATH [--folded | --table]\n  \
                      | gsu-bench scenarios [--dir PATH] [--golden PATH] [--out PATH] \
@@ -174,6 +176,10 @@ fn regress(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Some(path) => config.current = path.into(),
                 None => return usage("--current needs a path"),
             },
+            "--benchmark" => match args.next() {
+                Some(path) => config.benchmark = Some(path.into()),
+                None => return usage("--benchmark needs a path"),
+            },
             "--threshold" => match args.next().and_then(|raw| raw.parse::<f64>().ok()) {
                 Some(t) if t.is_finite() && t >= 0.0 => config.threshold = t,
                 _ => return usage("--threshold needs a non-negative fraction (e.g. 0.10)"),
@@ -192,10 +198,15 @@ fn regress(mut args: impl Iterator<Item = String>) -> ExitCode {
             _ => return usage("GSU_REGRESS_THRESHOLD must be a non-negative fraction"),
         }
     }
-    match gsu_bench::regress::run(&config) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.passed() {
+    let outcome = if config.benchmark.is_some() {
+        gsu_bench::regress::run_counters(&config).map(|r| (r.render(), r.passed()))
+    } else {
+        gsu_bench::regress::run(&config).map(|r| (r.render(), r.passed()))
+    };
+    match outcome {
+        Ok((rendered, passed)) => {
+            print!("{rendered}");
+            if passed {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

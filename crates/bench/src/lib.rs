@@ -48,44 +48,26 @@ impl Curve {
     }
 
     /// Sweeps several analyses over their standard figure grids through
-    /// **one** pool fan-out: all `(curve, φ)` evaluations become a single
-    /// task list, so a wide pool stays busy across curve boundaries instead
-    /// of draining at the tail of each curve. Produces exactly the curves
-    /// that per-analysis [`Curve::sweep`] calls would (asserted by tests).
+    /// **one** pool fan-out with one task per curve: each task is one
+    /// [`GsuAnalysis::sweep_grid`], whose φ values share one transient pass,
+    /// so curves run in parallel and every φ of a curve runs in the one
+    /// engine. Produces exactly the curves that per-analysis
+    /// [`Curve::sweep`] calls would (asserted by tests).
     ///
     /// # Errors
     ///
-    /// Propagates evaluation failures (lowest curve/φ index first).
+    /// Propagates evaluation failures (lowest curve index first).
     pub fn sweep_many(
         entries: &[(&str, &GsuAnalysis)],
         steps: usize,
     ) -> Result<Vec<Curve>, PerfError> {
-        let n = steps.max(1);
-        let tasks: Vec<(usize, f64)> = entries
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, (_, analysis))| {
-                let theta = analysis.params().theta;
-                (0..=n).map(move |i| (ci, theta * i as f64 / n as f64))
-            })
-            .collect();
         let workers = pool::Pool::current();
         let mut span = telemetry::span("bench.sweep_many");
         span.record("curves", entries.len());
-        span.record("points", tasks.len());
         span.record("threads", workers.threads());
-        let points = workers.try_map_indexed(tasks, |_, (ci, phi): (usize, f64)| {
-            entries[ci].1.evaluate(phi)
-        })?;
-        let mut out = Vec::with_capacity(entries.len());
-        let mut iter = points.into_iter();
-        for (label, _) in entries {
-            out.push(Curve {
-                label: (*label).to_string(),
-                points: iter.by_ref().take(n + 1).collect(),
-            });
-        }
-        Ok(out)
+        workers.try_map_indexed(entries.to_vec(), |_, (label, analysis)| {
+            Curve::sweep(label, analysis, steps)
+        })
     }
 
     /// The point with the largest `Y`, or `None` for an empty curve.
@@ -198,20 +180,35 @@ pub fn read_bench_records(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
 ///
 /// Returns I/O errors from directory creation or the write.
 pub fn write_bench_records(path: &Path, records: &[BenchRecord]) -> std::io::Result<()> {
+    write_json_lines(path, &bench_record_lines(records))
+}
+
+/// One JSON object per record, sorted by `(name, threads)`.
+pub(crate) fn bench_record_lines(records: &[BenchRecord]) -> Vec<String> {
     let mut records: Vec<&BenchRecord> = records.iter().collect();
     records.sort_by(|a, b| a.name.cmp(&b.name).then(a.threads.cmp(&b.threads)));
+    records
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
+                 \"iterations\": {}, \"spmv_ops\": {}}}",
+                r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops
+            )
+        })
+        .collect()
+}
+
+/// Writes `objects` as a JSON array, one per line, creating parent
+/// directories as needed.
+pub(crate) fn write_json_lines(path: &Path, objects: &[String]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let mut body = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        let _ = writeln!(
-            body,
-            "  {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
-             \"iterations\": {}, \"spmv_ops\": {}}}{comma}",
-            r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops
-        );
+    for (i, object) in objects.iter().enumerate() {
+        let comma = if i + 1 < objects.len() { "," } else { "" };
+        let _ = writeln!(body, "  {object}{comma}");
     }
     body.push_str("]\n");
     std::fs::write(path, body)
@@ -252,7 +249,9 @@ fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
     out
 }
 
-fn json_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+/// The raw value of `key` in one flat JSON object body (string values
+/// unquoted), or `None` when absent.
+pub(crate) fn json_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     let marker = format!("\"{key}\"");
     let rest = &body[body.find(&marker)? + marker.len()..];
     let rest = rest.trim_start().strip_prefix(':')?.trim_start();

@@ -9,11 +9,16 @@
 //! speedups ratchet the bar down, new experiments get seeded — unless the
 //! caller asks for a read-only check (`--no-update`, used by CI so the tree
 //! stays pristine).
+//!
+//! With `--benchmark PATH` the gate instead reads a `gsu-benchmark` run set
+//! (`benchmark.json`) and ratchets the per-layer work counters of its
+//! traced runs ([`BENCHMARK_COUNTERS`]) per workload, at zero tolerance,
+//! against the baseline's `benchmark:<workload>` [`CounterRecord`]s.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use crate::{read_bench_records, write_bench_records, BenchRecord};
+use crate::{bench_record_lines, json_field, read_bench_records, write_json_lines, BenchRecord};
 
 /// Default wall-time regression threshold: 10% slower than baseline fails.
 /// Work counters get no tolerance.
@@ -35,6 +40,9 @@ pub struct RegressConfig {
     /// Off by default: a silently vanished experiment is exactly the kind
     /// of coverage loss the gate exists to catch.
     pub allow_missing: bool,
+    /// A `gsu-benchmark` run set whose traced work counters are gated
+    /// instead of the sweep log (see [`run_counters`]).
+    pub benchmark: Option<PathBuf>,
 }
 
 impl Default for RegressConfig {
@@ -45,6 +53,7 @@ impl Default for RegressConfig {
             threshold: DEFAULT_THRESHOLD,
             update: true,
             allow_missing: false,
+            benchmark: None,
         }
     }
 }
@@ -328,7 +337,291 @@ pub fn run(config: &RegressConfig) -> std::io::Result<RegressReport> {
                 None => merged.push(cur.clone()),
             }
         }
-        write_bench_records(&config.baseline, &merged)?;
+        let counters = read_counter_records(&config.baseline)?;
+        write_baseline(&config.baseline, &merged, &counters)?;
+    }
+    Ok(report)
+}
+
+/// The per-layer work counters of the repository benchmark that
+/// [`run_counters`] ratchets: deterministic per pass, so any increase is
+/// the algorithm doing more work.
+pub const BENCHMARK_COUNTERS: [&str; 5] = [
+    "markov.spmv_ops",
+    "markov.iterations",
+    "markov.expm_solves",
+    "san.states",
+    "san.nnz",
+];
+
+/// Prefix of the baseline records that hold a benchmark workload's
+/// counters.
+const COUNTER_PREFIX: &str = "benchmark:";
+
+/// The work counters of one benchmark workload, per pass: the baseline
+/// record `{"name": "benchmark:<workload>", "<counter>": value, ...}`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CounterRecord {
+    /// `benchmark:<workload>`.
+    pub name: String,
+    /// `(counter, value)` in [`BENCHMARK_COUNTERS`] order.
+    pub counters: Vec<(String, f64)>,
+}
+
+/// Reads the counter records of a baseline log; a missing file has none.
+///
+/// # Errors
+///
+/// Read failures other than `NotFound`.
+pub fn read_counter_records(path: &Path) -> std::io::Result<Vec<CounterRecord>> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(parse_counter_records(&text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e),
+    }
+}
+
+fn parse_counter_records(text: &str) -> Vec<CounterRecord> {
+    text.split('{')
+        .skip(1)
+        .filter_map(|chunk| {
+            let body = chunk.split('}').next().unwrap_or("");
+            let name = json_field(body, "name")?;
+            name.starts_with(COUNTER_PREFIX).then(|| CounterRecord {
+                name: name.to_string(),
+                counters: BENCHMARK_COUNTERS
+                    .iter()
+                    .filter_map(|&c| {
+                        let value = json_field(body, c)?.parse().ok()?;
+                        Some((c.to_string(), value))
+                    })
+                    .collect(),
+            })
+        })
+        .collect()
+}
+
+/// Writes a baseline log: the sweep records (as
+/// [`write_bench_records`](crate::write_bench_records)),
+/// then the counter records sorted by name.
+fn write_baseline(
+    path: &Path,
+    records: &[BenchRecord],
+    counters: &[CounterRecord],
+) -> std::io::Result<()> {
+    let mut counters: Vec<&CounterRecord> = counters.iter().collect();
+    counters.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut objects = bench_record_lines(records);
+    objects.extend(counters.iter().map(|c| {
+        let mut object = format!("{{\"name\": \"{}\"", c.name);
+        for (counter, value) in &c.counters {
+            let _ = write!(object, ", \"{counter}\": {value}");
+        }
+        object.push('}');
+        object
+    }));
+    write_json_lines(path, &objects)
+}
+
+/// The traced runs of a `gsu-benchmark` run set as counter records, one
+/// per workload. Each counter is the largest value over the workload's
+/// traced runs, so a run that did more work than another cannot hide.
+///
+/// # Errors
+///
+/// Text that is not a `gsu-benchmark-v1` run set, or a counter without a
+/// numeric value.
+pub fn parse_run_set(text: &str) -> Result<Vec<CounterRecord>, String> {
+    if !text.contains("\"gsu-benchmark-v1\"") {
+        return Err("not a gsu-benchmark-v1 run set".to_string());
+    }
+    let mut out: Vec<CounterRecord> = Vec::new();
+    for run in text.split("{\"workload\":").skip(1) {
+        if json_field(run, "trace") != Some("true") {
+            continue;
+        }
+        let workload = run.trim_start().split('"').nth(1).unwrap_or_default();
+        let name = format!("{COUNTER_PREFIX}{workload}");
+        let mut counters = Vec::new();
+        for counter in BENCHMARK_COUNTERS {
+            let marker = format!("{{\"name\": \"{counter}\", \"value\":");
+            let value = run
+                .split(&marker)
+                .nth(1)
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|v| v.trim().parse::<f64>().ok())
+                .ok_or_else(|| format!("{workload}: no numeric {counter}"))?;
+            counters.push((counter.to_string(), value));
+        }
+        match out.iter_mut().find(|r| r.name == name) {
+            Some(seen) => {
+                for ((_, kept), (_, value)) in seen.counters.iter_mut().zip(counters) {
+                    *kept = kept.max(value);
+                }
+            }
+            None => out.push(CounterRecord { name, counters }),
+        }
+    }
+    Ok(out)
+}
+
+/// One counter of one workload present in both the baseline and the run
+/// set.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CounterComparison {
+    /// `benchmark:<workload>`.
+    pub name: String,
+    /// The counter.
+    pub counter: String,
+    /// Baseline value per pass.
+    pub baseline: f64,
+    /// Current value per pass.
+    pub current: f64,
+}
+
+impl CounterComparison {
+    /// Zero tolerance: any increase fails.
+    pub fn regressed(&self) -> bool {
+        self.current > self.baseline
+    }
+}
+
+/// The outcome of a counter gate run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CounterReport {
+    /// Counters present in both, in baseline order.
+    pub compared: Vec<CounterComparison>,
+    /// Workloads of the run set with no baseline record (seeded).
+    pub added: Vec<CounterRecord>,
+    /// Baseline workloads the run set has no traced run of.
+    pub stale: Vec<CounterRecord>,
+    /// Whether stale baseline records were tolerated.
+    pub allow_missing: bool,
+}
+
+impl CounterReport {
+    /// `true` when no counter rose and no baseline workload went missing
+    /// (unless that was allowed).
+    pub fn passed(&self) -> bool {
+        self.compared.iter().all(|c| !c.regressed())
+            && (self.allow_missing || self.stale.is_empty())
+    }
+
+    /// Human-readable gate summary (one line per counter).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for c in &self.compared {
+            let _ = writeln!(
+                out,
+                "regress: {:<22} {:<20} {:>10} vs {:>10} baseline {}",
+                c.name,
+                c.counter,
+                c.current,
+                c.baseline,
+                if c.regressed() {
+                    "WORK REGRESSED"
+                } else {
+                    "ok"
+                }
+            );
+        }
+        for r in &self.added {
+            let _ = writeln!(out, "regress: {:<22} (new; no baseline)", r.name);
+        }
+        for r in &self.stale {
+            let _ = writeln!(
+                out,
+                "regress: {:<22} baseline entry MISSING from the run set{}",
+                r.name,
+                if self.allow_missing {
+                    " (allowed by --allow-missing)"
+                } else {
+                    ""
+                }
+            );
+        }
+        let _ = writeln!(
+            out,
+            "regress: {} counters compared, {} new, {} stale; work exact -> {}",
+            self.compared.len(),
+            self.added.len(),
+            self.stale.len(),
+            if self.passed() { "PASS" } else { "FAIL" }
+        );
+        out
+    }
+}
+
+/// Pure comparison of baseline and current counter records (no I/O). A
+/// counter missing from the baseline record is not gated.
+pub fn compare_counters(baseline: &[CounterRecord], current: &[CounterRecord]) -> CounterReport {
+    let mut compared = Vec::new();
+    let mut stale = Vec::new();
+    for base in baseline {
+        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
+            stale.push(base.clone());
+            continue;
+        };
+        for (counter, baseline) in &base.counters {
+            if let Some((_, current)) = cur.counters.iter().find(|(c, _)| c == counter) {
+                compared.push(CounterComparison {
+                    name: base.name.clone(),
+                    counter: counter.clone(),
+                    baseline: *baseline,
+                    current: *current,
+                });
+            }
+        }
+    }
+    let added = current
+        .iter()
+        .filter(|c| !baseline.iter().any(|b| b.name == c.name))
+        .cloned()
+        .collect();
+    CounterReport {
+        compared,
+        added,
+        stale,
+        allow_missing: false,
+    }
+}
+
+/// Runs the counter gate on the run set `config.benchmark`: compare its
+/// traced counters with the baseline's counter records and (on a pass,
+/// when `config.update`) merge them in, keeping the sweep records.
+///
+/// # Errors
+///
+/// No run set configured, I/O failures, a malformed run set, or one with
+/// no traced run.
+pub fn run_counters(config: &RegressConfig) -> std::io::Result<CounterReport> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let path = config
+        .benchmark
+        .as_deref()
+        .ok_or_else(|| invalid("no benchmark run set given".to_string()))?;
+    let current = parse_run_set(&std::fs::read_to_string(path)?)
+        .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+    if current.is_empty() {
+        return Err(invalid(format!("no traced runs in {}", path.display())));
+    }
+    let baseline = read_counter_records(&config.baseline)?;
+    let mut report = compare_counters(&baseline, &current);
+    report.allow_missing = config.allow_missing;
+    if report.passed() && config.update {
+        let mut merged = baseline;
+        for cur in current {
+            match merged.iter_mut().find(|b| b.name == cur.name) {
+                Some(slot) => *slot = cur,
+                None => merged.push(cur),
+            }
+        }
+        let records = match read_bench_records(&config.baseline) {
+            Ok(records) => records,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        write_baseline(&config.baseline, &records, &merged)?;
     }
     Ok(report)
 }
@@ -336,6 +629,7 @@ pub fn run(config: &RegressConfig) -> std::io::Result<RegressReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::write_bench_records;
 
     fn rec(name: &str, wall_ms: f64, threads: usize) -> BenchRecord {
         BenchRecord {
@@ -566,6 +860,120 @@ mod tests {
             read_bench_records(&frozen.baseline).unwrap()[0].wall_ms,
             105.0
         );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `gsu-benchmark-v1` run set with one run per `(workload, trace,
+    /// spmv_ops)`; the other counters are fixed.
+    fn run_set(runs: &[(&str, bool, u64)]) -> String {
+        let mut out = String::from("{\"schema\": \"gsu-benchmark-v1\", \"runs\": [");
+        for (i, (workload, trace, spmv)) in runs.iter().enumerate() {
+            let sep = if i == 0 { "\n  " } else { ",\n  " };
+            out.push_str(&format!(
+                "{sep}{{\"workload\": \"{workload}\", \"seed\": 1, \"seconds\": 2, \
+                 \"trace\": {trace}, \"attempted\": 9, \"failed\": 0, \"metrics\": [\
+                 {{\"name\": \"op_ms.p50\", \"value\": 55.1, \"unit\": \"ms\", \"n\": 9}}, \
+                 {{\"name\": \"markov.spmv_ops\", \"value\": {spmv}, \"unit\": \"count\", \"n\": 10}}, \
+                 {{\"name\": \"markov.iterations\", \"value\": 900, \"unit\": \"count\", \"n\": 10}}, \
+                 {{\"name\": \"markov.expm_solves\", \"value\": 20, \"unit\": \"count\", \"n\": 10}}, \
+                 {{\"name\": \"san.states\", \"value\": 150, \"unit\": \"count\", \"n\": 10}}, \
+                 {{\"name\": \"san.nnz\", \"value\": 700, \"unit\": \"count\", \"n\": 10}}]}}"
+            ));
+        }
+        out.push_str("\n]}\n");
+        out
+    }
+
+    #[test]
+    fn run_set_counters_come_from_traced_runs_at_their_worst() {
+        let text = run_set(&[
+            ("catalog", true, 800),
+            ("catalog", false, 0),
+            ("catalog", true, 801),
+            ("figures", true, 0),
+        ]);
+        let records = parse_run_set(&text).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].name, "benchmark:catalog");
+        assert_eq!(
+            records[0].counters[0],
+            ("markov.spmv_ops".to_string(), 801.0)
+        );
+        assert_eq!(records[0].counters.len(), BENCHMARK_COUNTERS.len());
+        assert_eq!(records[1].counters[0].1, 0.0);
+        assert!(parse_run_set("[]").is_err());
+        let untraced = run_set(&[("catalog", false, 0)]);
+        assert!(parse_run_set(&untraced).unwrap().is_empty());
+    }
+
+    #[test]
+    fn counters_are_ratcheted_at_zero_tolerance() {
+        let base =
+            parse_run_set(&run_set(&[("catalog", true, 800), ("figures", true, 0)])).unwrap();
+        let same = compare_counters(&base, &base);
+        assert!(same.passed());
+        assert_eq!(same.compared.len(), 2 * BENCHMARK_COUNTERS.len());
+
+        // One extra SpMV fails, and so does any SpMV where the baseline has
+        // none: a zero counter is gated, not seeded.
+        for (workload, spmv) in [("catalog", 801), ("figures", 1)] {
+            let mut runs = vec![("catalog", true, 800), ("figures", true, 0)];
+            runs.retain(|r| r.0 != workload);
+            runs.push((workload, true, spmv));
+            let current = parse_run_set(&run_set(&runs)).unwrap();
+            let report = compare_counters(&base, &current);
+            assert!(!report.passed(), "{workload}");
+            assert!(report.render().contains("WORK REGRESSED"));
+        }
+
+        // A workload that stopped running fails unless allowed; a new one
+        // is seeded.
+        let current =
+            parse_run_set(&run_set(&[("catalog", true, 700), ("serve", true, 5)])).unwrap();
+        let mut report = compare_counters(&base, &current);
+        assert_eq!(report.stale.len(), 1);
+        assert_eq!(report.added.len(), 1);
+        assert!(!report.passed());
+        report.allow_missing = true;
+        assert!(report.passed());
+    }
+
+    #[test]
+    fn counter_and_sweep_gates_keep_each_others_records() {
+        let dir = std::env::temp_dir().join("gsu-regress-counter-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let benchmark = dir.join("benchmark.json");
+        let config = RegressConfig {
+            baseline: dir.join("BENCH_baseline.json"),
+            current: dir.join("BENCH_sweep.json"),
+            benchmark: Some(benchmark.clone()),
+            ..RegressConfig::default()
+        };
+        write_bench_records(&config.baseline, &[rec_work("fig9", 100.0, 1000, 0)]).unwrap();
+
+        // The counter gate seeds its records beside the sweep record.
+        std::fs::write(&benchmark, run_set(&[("catalog", true, 800)])).unwrap();
+        assert!(run_counters(&config).unwrap().passed());
+        assert_eq!(read_bench_records(&config.baseline).unwrap().len(), 1);
+        let counters = read_counter_records(&config.baseline).unwrap();
+        assert_eq!(counters.len(), 1);
+        assert_eq!(counters[0].counters[0].1, 800.0);
+
+        // More work fails and leaves the baseline alone.
+        std::fs::write(&benchmark, run_set(&[("catalog", true, 900)])).unwrap();
+        assert!(!run_counters(&config).unwrap().passed());
+        assert_eq!(read_counter_records(&config.baseline).unwrap(), counters);
+
+        // A sweep-gate update keeps the counter records.
+        write_bench_records(&config.current, &[rec_work("fig9", 90.0, 900, 0)]).unwrap();
+        assert!(run(&config).unwrap().passed());
+        assert_eq!(
+            read_bench_records(&config.baseline).unwrap()[0].iterations,
+            900
+        );
+        assert_eq!(read_counter_records(&config.baseline).unwrap(), counters);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,16 +9,17 @@
 
 use san::{Analyzer, PlaceId, SanModel};
 
-use crate::gsu::{self, rmgd, rmgp, rmnd, GopPlaces};
+use crate::gsu::{rmgd, rmgp, rmnd, GopChain, GopPlaces};
 use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, SweepPoint};
 
 /// The complete guarded-operation performability analysis for one parameter
 /// set.
 ///
 /// Construction builds and solves everything that does not depend on φ (the
-/// overhead steady state and the normal-mode full-window probability);
-/// evaluating a φ then costs three transient solutions on the small G-OP /
-/// normal-mode chains.
+/// overhead steady state, the normal-mode full-window probability, and the
+/// G-OP chain's reward structure and detected set). A sweep then costs one
+/// transient pass on the G-OP chain for all its φ, plus two normal-mode
+/// survivals per φ; [`GsuAnalysis::evaluate`] is the one-point sweep.
 ///
 /// # Example
 ///
@@ -40,7 +41,7 @@ pub struct GsuAnalysis {
     /// — the warm-start seed for analyses at neighboring parameter points.
     rho_pi: Option<Vec<f64>>,
     gd: Analyzer,
-    gd_places: GopPlaces,
+    gd_chain: GopChain,
     np_new: Analyzer,
     np_new_failure: PlaceId,
     np_old: Analyzer,
@@ -121,7 +122,8 @@ impl GsuAnalysis {
     }
 
     /// The one constructor every lowering goes through: generates the state
-    /// spaces of the built models and solves the φ-independent
+    /// spaces of the built models, prepares the G-OP chain (checking that
+    /// its detected set is closed), and solves the φ-independent
     /// full-window survival.
     ///
     /// * `rho` — the forward-progress fractions `(ρ1, ρ2)`, with the
@@ -136,7 +138,9 @@ impl GsuAnalysis {
     ///
     /// Returns [`PerfError::InvalidParameter`] when `params` fail
     /// [`GsuParams::validate`] or a fraction of `rho` is outside `[0, 1]`,
-    /// and propagates state-space generation and solver failures.
+    /// [`PerfError::MeasureInvariant`] when a transition of the G-OP chain
+    /// leaves its detected set, and propagates state-space generation and
+    /// solver failures.
     pub fn from_models(
         params: GsuParams,
         rho: (f64, f64),
@@ -157,6 +161,7 @@ impl GsuAnalysis {
         }
         let generate = |model: &SanModel| Analyzer::generate(model, &Default::default());
         let gd_analyzer = generate(gd.0)?;
+        let gd_chain = GopChain::new(&gd_analyzer, gd.1)?;
         let np_new_analyzer = generate(np_new.0)?;
         let np_old_analyzer = generate(np_old.0)?;
         let p_a1_norm_theta = survival(&np_new_analyzer, np_new.1, params.theta)?;
@@ -166,7 +171,7 @@ impl GsuAnalysis {
             rho,
             rho_pi,
             gd: gd_analyzer,
-            gd_places: gd.1,
+            gd_chain,
             np_new: np_new_analyzer,
             np_new_failure: np_new.1,
             np_old: np_old_analyzer,
@@ -212,39 +217,45 @@ impl GsuAnalysis {
     /// propagates solver failures.
     pub fn measures(&self, phi: f64) -> Result<ConstituentMeasures> {
         self.params.validate_phi(phi)?;
+        let mut all = self.measures_at(&[phi])?;
+        Ok(all.remove(0))
+    }
+
+    /// The constituent measures at every φ of an already validated grid:
+    /// one G-OP pass for all of them, then the normal-mode survivals over
+    /// the remaining window `θ − φ` of each.
+    fn measures_at(&self, phis: &[f64]) -> Result<Vec<ConstituentMeasures>> {
         let mut span = telemetry::span("performability.measures");
-        span.record("phi", phi);
+        span.record("points", phis.len());
 
         // G-OP measures (Table 1).
-        let gop = gsu::gop_measures(&self.gd, self.gd_places, phi)?;
+        let gop = self.gd_chain.measures(&self.gd, phis)?;
 
         // Normal-mode measures (§5.2.3).
-        let remaining = self.params.theta - phi;
-        let p_a1_norm_rem = survival(&self.np_new, self.np_new_failure, remaining)?;
-        let i_f = 1.0 - survival(&self.np_old, self.np_old_failure, remaining)?;
-
-        if telemetry::enabled() {
-            span.record("p_a1_gop", gop.p_a1);
-            span.record("p_a1_norm_rem", p_a1_norm_rem);
-            span.record("i_h", gop.i_h);
-            span.record("i_f", i_f);
-        }
-        Ok(ConstituentMeasures {
-            p_a1_gop: gop.p_a1,
-            p_a1_norm_theta: self.p_a1_norm_theta,
-            p_a1_norm_rem,
-            rho1: self.rho.0,
-            rho2: self.rho.1,
-            i_h: gop.i_h,
-            i_tau_h: gop.i_tau_h,
-            i_tau_h_exact: gop.i_tau_h_exact,
-            i_hf: gop.i_hf,
-            i_f,
-        })
+        phis.iter()
+            .zip(gop)
+            .map(|(&phi, gop)| {
+                let remaining = self.params.theta - phi;
+                let p_a1_norm_rem = survival(&self.np_new, self.np_new_failure, remaining)?;
+                let i_f = 1.0 - survival(&self.np_old, self.np_old_failure, remaining)?;
+                Ok(ConstituentMeasures {
+                    p_a1_gop: gop.p_a1,
+                    p_a1_norm_theta: self.p_a1_norm_theta,
+                    p_a1_norm_rem,
+                    rho1: self.rho.0,
+                    rho2: self.rho.1,
+                    i_h: gop.i_h,
+                    i_tau_h: gop.i_tau_h,
+                    i_tau_h_exact: gop.i_tau_h_exact,
+                    i_hf: gop.i_hf,
+                    i_f,
+                })
+            })
+            .collect()
     }
 
     /// Evaluates the performability index and all intermediate quantities at
-    /// one φ.
+    /// one φ: the one-point case of [`GsuAnalysis::sweep`].
     ///
     /// # Errors
     ///
@@ -252,13 +263,27 @@ impl GsuAnalysis {
     pub fn evaluate(&self, phi: f64) -> Result<SweepPoint> {
         let mut span = telemetry::span("performability.evaluate");
         span.record("phi", phi);
-        let measures = self.measures(phi)?;
-        let point = assemble(self.params.theta, phi, &measures, self.gamma_policy)?;
+        self.params.validate_phi(phi)?;
+        let mut points = self.points(&[phi])?;
+        let point = points.remove(0);
         if telemetry::enabled() {
-            telemetry::counter("performability.evaluations", 1);
             span.record("y", point.y);
         }
         Ok(point)
+    }
+
+    /// Assembles the sweep points of an already validated grid.
+    fn points(&self, phis: &[f64]) -> Result<Vec<SweepPoint>> {
+        let measures = self.measures_at(phis)?;
+        let points = phis
+            .iter()
+            .zip(&measures)
+            .map(|(&phi, m)| assemble(self.params.theta, phi, m, self.gamma_policy))
+            .collect::<Result<Vec<_>>>()?;
+        if telemetry::enabled() {
+            telemetry::counter("performability.evaluations", points.len() as u64);
+        }
+        Ok(points)
     }
 
     /// The dropped-self-loop diagnostic of each generated state space, as
@@ -279,23 +304,23 @@ impl GsuAnalysis {
 
     /// Evaluates a sweep of φ values (e.g. the grid of Figures 9–12).
     ///
-    /// The grid must be **ascending** within `[0, θ]`. Points are evaluated
-    /// in parallel on the global [`pool::Pool`] (`GSU_THREADS` wide); each φ is
-    /// an independent evaluation of the same φ-independent prefix, so the
-    /// result is bitwise identical at any thread count.
+    /// The grid must be **ascending** within `[0, θ]`. Every φ is a horizon
+    /// of one transient pass on the G-OP chain (see
+    /// `markov::transient::distribution_and_occupancy_at_times`); the
+    /// normal-mode survivals follow per φ. The sweep runs serially on the
+    /// calling thread, so it is bitwise identical at any `GSU_THREADS`;
+    /// parallel work belongs across curves.
     ///
     /// # Errors
     ///
-    /// Rejects invalid grids up front; otherwise fails with the error of the
-    /// lowest-index φ whose evaluation fails.
+    /// Rejects invalid grids up front; otherwise propagates the first
+    /// solver failure.
     pub fn sweep<I: IntoIterator<Item = f64>>(&self, phis: I) -> Result<Vec<SweepPoint>> {
         let phis: Vec<f64> = phis.into_iter().collect();
         self.params.validate_phi_grid(&phis)?;
-        let workers = pool::Pool::current();
         let mut span = telemetry::span("performability.sweep");
         span.record("points", phis.len());
-        span.record("threads", workers.threads());
-        workers.try_map_indexed(phis, |_, phi| self.evaluate(phi))
+        self.points(&phis)
     }
 
     /// Evaluates a uniform grid of `n + 1` φ values over `[0, θ]`.
@@ -461,6 +486,36 @@ mod tests {
         let mut bad = params;
         bad.coverage = 2.0;
         assert!(build(bad, (0.98, 0.95)).is_err());
+    }
+
+    #[test]
+    fn from_models_rejects_a_gop_model_that_clears_detection() {
+        use san::Activity;
+        // Errors are detected at rate 1, and the `detected` token can be
+        // taken back at rate 2: the detected set is not closed, so its
+        // occupancy is not the detection-time CDF.
+        let mut gd = SanModel::new("undetect");
+        let detected = gd.add_place("detected", 0);
+        let failure = gd.add_place("failure", 0);
+        gd.add_activity(
+            Activity::timed("detect", 1.0)
+                .with_enabling(move |mk| mk.tokens(detected) == 0)
+                .with_output_arc(detected, 1),
+        )
+        .unwrap();
+        gd.add_activity(Activity::timed("undetect", 2.0).with_input_arc(detected, 1))
+            .unwrap();
+        let params = GsuParams::paper_baseline();
+        let np = rmnd::build(&params, 1e-4).unwrap();
+        let np = (&np.model, np.places.failure);
+        let places = GopPlaces { detected, failure };
+        let err = GsuAnalysis::from_models(params, (0.98, 0.95), None, (&gd, places), np, np)
+            .unwrap_err();
+        assert!(
+            matches!(err, PerfError::MeasureInvariant { .. }),
+            "unexpected error: {err}"
+        );
+        assert!(err.to_string().contains("leaves the detected set"), "{err}");
     }
 
     #[test]

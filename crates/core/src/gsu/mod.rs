@@ -19,7 +19,7 @@ pub mod rmgd;
 pub mod rmgp;
 pub mod rmnd;
 
-pub use measure_engine::{gop_measures, GopMeasures, GopPlaces};
+pub use measure_engine::{gop_measures, GopChain, GopMeasures, GopPlaces};
 pub use rmgd::{Rmgd, RmgdPlaces};
 pub use rmgp::{Rmgp, RmgpPlaces};
 pub use rmnd::{Rmnd, RmndPlaces};

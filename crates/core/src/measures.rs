@@ -37,8 +37,9 @@ pub struct ConstituentMeasures {
     /// DESIGN.md).
     pub i_tau_h: f64,
     /// The exact truncated first moment `E[τ_d·1{τ_d ≤ φ}]` of the
-    /// detection time, computed by first-passage analysis; always ≤
-    /// [`i_tau_h`](Self::i_tau_h).
+    /// detection time, by parts over the closed detected set:
+    /// `φ·P[τ_d ≤ φ] − ∫₀^φ P[τ_d ≤ t] dt`, read off the G-OP chain's
+    /// `π(φ)` and `L(φ)`; always ≤ [`i_tau_h`](Self::i_tau_h).
     pub i_tau_h_exact: f64,
     /// Probability of detection followed by a second failure before φ.
     pub i_hf: f64,

@@ -64,33 +64,34 @@ fn evaluate_records_solver_and_state_space_metrics() {
     );
 
     // At tiny φ the G-OP chain's π(φ) and L(φ) both resolve to
-    // uniformization, so they come from one shared pass: one fused span
-    // with exactly one uniformization solve under it.
+    // uniformization, so a whole sweep takes them from one shared pass: one
+    // fused span over every positive φ, with exactly one uniformization
+    // solve under it. The exact detection moment reads the same π/L, so no
+    // stopped-chain solve runs, and the only other transient spans are the
+    // two normal-mode survivals per φ.
     let collector = Collector::install();
-    let (pi, l) = analysis
-        .gd_analyzer()
-        .distribution_and_occupancy_at(0.5)
-        .expect("fused solve");
+    let points = analysis.sweep([0.0, 0.25, 0.5]).expect("tiny-φ sweep");
     telemetry::clear_sink();
-    assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    assert!((l.iter().sum::<f64>() - 0.5).abs() < 1e-12);
+    assert_eq!(points.len(), 3);
     let spans = collector.spans();
-    let fused: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name == "markov.transient.distribution_and_occupancy")
-        .collect();
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+    let fused = named("markov.transient.distribution_and_occupancy");
     assert_eq!(fused.len(), 1, "one fused transient span");
-    let solves: Vec<_> = spans
+    assert!(fused[0]
+        .args
         .iter()
-        .filter(|s| s.name == "markov.solve.uniformization")
-        .collect();
+        .any(|(k, v)| k == "horizons" && *v == telemetry::ArgValue::U64(2)));
+    let solves = named("markov.solve.uniformization");
     assert_eq!(solves.len(), 1, "one uniformization solve");
     assert_eq!(solves[0].parent_id, fused[0].span_id);
-    assert!(!spans.iter().any(
-        |s| s.name == "markov.transient.distribution" || s.name == "markov.transient.occupancy"
-    ));
+    assert!(named("markov.transient.occupancy").is_empty());
+    assert_eq!(named("markov.transient.distribution").len(), 6);
     assert_eq!(
         collector.counter_value("markov.uniformization.solves"),
         Some(1)
+    );
+    assert_eq!(
+        collector.counter_value("performability.evaluations"),
+        Some(3)
     );
 }

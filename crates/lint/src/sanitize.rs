@@ -1,7 +1,8 @@
 //! The runtime sanitizer: `gsu-lint sanitize`.
 //!
 //! Every static determinism rule in this linter has a dynamic witness
-//! here. The harness evaluates the paper's fig. 9 baseline sweep plus two
+//! here. The harness evaluates the curves of the paper's figs. 9–12 — one
+//! pool task per curve, as the figure experiments fan them out — plus two
 //! catalog scenarios, first serially (`GSU_THREADS=1`, the reference
 //! schedule), then across a matrix of thread counts and adversarially
 //! permuted worker wake orders (the [`pool::PERMUTE_ENV`] debug hook), and
@@ -43,7 +44,7 @@ const FULL_SCENARIOS: &[&str] = &["paper-short-window", "two-escorts"];
 /// Catalog scenarios for `--quick`.
 const QUICK_SCENARIOS: &[&str] = &["paper-short-window", "small-exact"];
 
-/// φ-grid size of the fig. 9 baseline sweep.
+/// φ-grid size of the figure curves.
 const FULL_GRID: usize = 9;
 /// φ-grid size under `--quick`.
 const QUICK_GRID: usize = 5;
@@ -120,9 +121,33 @@ fn encode(points: &[SweepPoint]) -> Vec<u64> {
         .collect()
 }
 
-/// Builds the case list: fig. 9 plus two catalog scenarios. Each case
-/// reconstructs its analysis inside the run so the *whole* pipeline
-/// (model build included) executes under the schedule being tested.
+/// The parameter set of every curve of figs. 9–12, in figure order.
+fn figure_curves() -> Result<Vec<GsuParams>, String> {
+    let base = GsuParams::paper_baseline();
+    let slow = base
+        .with_overhead_rates(2500.0, 2500.0)
+        .map_err(|e| e.to_string())?;
+    let short = base.with_theta(5000.0).map_err(|e| e.to_string())?;
+    [
+        Ok(base),
+        base.with_mu_new(5e-5),
+        Ok(base),
+        Ok(slow),
+        slow.with_coverage(0.95),
+        slow.with_coverage(0.75),
+        slow.with_coverage(0.50),
+        Ok(short),
+        short.with_mu_new(5e-5),
+    ]
+    .into_iter()
+    .map(|p| p.map_err(|e| e.to_string()))
+    .collect()
+}
+
+/// Builds the case list: the figure curves plus two catalog scenarios.
+/// Each case reconstructs its analyses inside the run so the *whole*
+/// pipeline (model build included) executes under the schedule being
+/// tested.
 fn build_cases(opts: &SanitizeOptions) -> Result<Vec<Case>, String> {
     let grid = if opts.quick { QUICK_GRID } else { FULL_GRID };
     let wanted = if opts.quick {
@@ -131,15 +156,15 @@ fn build_cases(opts: &SanitizeOptions) -> Result<Vec<Case>, String> {
         FULL_SCENARIOS
     };
 
+    let curves = figure_curves()?;
     let mut cases = vec![Case {
-        name: "fig9".to_string(),
+        name: "fig9-fig12".to_string(),
         eval: Box::new(move || {
-            let analysis = GsuAnalysis::new(GsuParams::paper_baseline())
-                .map_err(|e| format!("fig9 build failed: {e}"))?;
-            let points = analysis
-                .sweep_grid(grid)
-                .map_err(|e| format!("fig9 sweep failed: {e}"))?;
-            Ok(encode(&points))
+            let swept = pool::Pool::current().try_map_indexed(curves.clone(), |_, params| {
+                GsuAnalysis::new(params)?.sweep_grid(grid)
+            });
+            let curves = swept.map_err(|e| format!("figure sweep failed: {e}"))?;
+            Ok(curves.iter().flat_map(|points| encode(points)).collect())
         }),
     }];
 
@@ -332,7 +357,7 @@ mod tests {
 
     #[test]
     fn clean_pipeline_is_bitwise_schedule_invariant() {
-        // The acceptance criterion itself: fig9 + catalog scenarios produce
+        // The acceptance criterion itself: figure curves + catalog scenarios produce
         // identical bits under permuted schedules at 1/2/4 threads.
         let _defect = DEFECT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let report = run(&quick_opts()).unwrap();

@@ -3,9 +3,13 @@
 //! These solvers answer "when does the chain first enter a target set?" —
 //! the question behind the paper's detection-time density `h(τ)`: with the
 //! detected-states set as target, `P[T ≤ t]` *is* `∫₀ᵗ h(τ)dτ` and the
-//! moments below give the exact (uncensored) mean detection time. The
-//! `ablation_tau` experiment uses this to quantify the approximation in the
-//! paper's Table 1 `∫τh` reward structure.
+//! moments below give the exact (uncensored) mean detection time. When the
+//! target set is closed (no transition leaves it), stopping the chain
+//! changes nothing on it, so `P[T ≤ t]` is the target mass of the
+//! unstopped chain's `π(t)`; the G-OP measure engine reads the exact
+//! truncated detection moment that way, off the `π`/`L` of its one sweep
+//! pass, and [`truncated_mean_hitting_time`] is the general stopped-chain
+//! reference it is tested against.
 
 use sparsela::DenseMatrix;
 

@@ -24,11 +24,17 @@
 //! accumulation fused into the same pass) once mass has spread.
 //!
 //! Every uniformization solve is one stepping loop over the power sequence
-//! `π₀·P^k` under one Poisson window, feeding one accumulator per output:
-//! the Poisson pmf for `π(t)`, the right tails for `L(t)`.
-//! [`distribution_and_occupancy`] runs that loop once for both `π(t)` and
-//! `L(t)` when both resolve to uniformization, and returns the same bits as
-//! the two separate calls at half the sparse products.
+//! `π₀·P^k`. The sequence does not depend on the horizon — only the Poisson
+//! weights do — so one loop serves any number of horizons, each with its
+//! own Fox–Glynn window and its own accumulators: the Poisson pmf for
+//! `π(t)`, the right tails for `L(t)`. Below a window's left point every
+//! tail weight is 1, so that part of each `L(t)` is one shared running sum
+//! of the powers, fused into the step and copied when the window opens.
+//! [`distribution_and_occupancy_at_times`] steps the sequence once, up to
+//! the largest right truncation point, for every horizon whose `π(t)` and
+//! `L(t)` both resolve to uniformization; [`distribution_and_occupancy`] is
+//! its one-horizon case and returns the same bits as the two separate
+//! calls at half the sparse products.
 
 use sparsela::blocked::{spmv_transpose_adaptive, BlockedKernel};
 use sparsela::{vector, CsrMatrix};
@@ -147,6 +153,8 @@ pub fn occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec
 /// products. Otherwise (either solve resolves to the matrix exponential)
 /// this is exactly the two separate calls.
 ///
+/// This is the one-horizon case of [`distribution_and_occupancy_at_times`].
+///
 /// # Errors
 ///
 /// Same failure modes as [`distribution`] and [`occupancy`].
@@ -156,35 +164,75 @@ pub fn distribution_and_occupancy(
     t: f64,
     opts: &Options,
 ) -> Result<(Vec<f64>, Vec<f64>)> {
+    let mut out = distribution_and_occupancy_at_times(ctmc, pi0, &[t], opts)?;
+    Ok(out.remove(0))
+}
+
+/// Computes `(π(t), L(t))` for every horizon in `times`, in order.
+///
+/// Every horizon whose `π(t)` and `L(t)` both resolve to uniformization is
+/// served by **one** pass: the power sequence `π₀·P^k` is stepped once, up
+/// to the largest right truncation point, and each horizon accumulates its
+/// own Fox–Glynn window of it. Steady-state detection, when it stops the
+/// pass, applies the remaining weights of every unfinished horizon. Every
+/// other horizon (`t = 0`, a chain without transitions, or an engine
+/// choice of the matrix exponential) is exactly the two calls
+/// [`distribution`] and [`occupancy`].
+///
+/// With one horizon this is the operation sequence of the one-horizon
+/// pass, bit for bit. With several, each horizon's answer differs from its
+/// one-horizon solve only through the drop tolerance, which follows the
+/// largest window.
+///
+/// # Errors
+///
+/// Same failure modes as [`distribution`] and [`occupancy`]; horizons are
+/// checked and their engines resolved in order, so the first failing
+/// horizon reports.
+pub fn distribution_and_occupancy_at_times(
+    ctmc: &Ctmc,
+    pi0: &[f64],
+    times: &[f64],
+    opts: &Options,
+) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
     ctmc.check_distribution(pi0)?;
-    check_time(t)?;
-    let shared_pass = t > 0.0
-        && ctmc.max_exit_rate() > 0.0
-        && select_method(ctmc, t, opts, 1)? == Method::Uniformization
-        && select_method(ctmc, t, opts, 2)? == Method::Uniformization;
-    if !shared_pass {
-        return Ok((
-            distribution(ctmc, pi0, t, opts)?,
-            occupancy(ctmc, pi0, t, opts)?,
-        ));
+    let lambda = uniformization_rate(ctmc);
+    let n = ctmc.n_states();
+    let mut out = Vec::with_capacity(times.len());
+    let mut horizons = Vec::new();
+    for &t in times {
+        check_time(t)?;
+        let shared_pass = t > 0.0
+            && ctmc.max_exit_rate() > 0.0
+            && select_method(ctmc, t, opts, 1)? == Method::Uniformization
+            && select_method(ctmc, t, opts, 2)? == Method::Uniformization;
+        if shared_pass {
+            let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
+            horizons.push((out.len(), Horizon::new(window, true, true, n)));
+            out.push((Vec::new(), Vec::new()));
+        } else {
+            out.push((
+                distribution(ctmc, pi0, t, opts)?,
+                occupancy(ctmc, pi0, t, opts)?,
+            ));
+        }
+    }
+    if horizons.is_empty() {
+        return Ok(out);
     }
     let mut span = telemetry::span("markov.transient.distribution_and_occupancy");
-    span.record("states", ctmc.n_states());
-    span.record("t", t);
+    span.record("states", n);
+    span.record("horizons", horizons.len());
     span.record("method", method_name(Method::Uniformization));
-    let lambda = uniformization_rate(ctmc);
-    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    let tails = window.right_tails();
-    let n = ctmc.n_states();
-    let mut accs = [
-        Accumulator::new(Weights::Pmf, n),
-        Accumulator::new(Weights::Tail(&tails), n),
-    ];
-    uniformized_pass(ctmc, pi0, lambda, &window, &mut accs, opts)?;
-    let [Accumulator { sum: mut pi, .. }, Accumulator { sum: mut l, .. }] = accs;
-    vector::normalize_l1(&mut pi);
-    vector::scale(1.0 / lambda, &mut l);
-    Ok((pi, l))
+    let (slots, mut horizons): (Vec<usize>, Vec<Horizon>) = horizons.into_iter().unzip();
+    uniformized_pass(ctmc, pi0, lambda, &mut horizons, opts)?;
+    for (slot, horizon) in slots.into_iter().zip(horizons) {
+        let (mut pi, mut l) = horizon.into_sums();
+        vector::normalize_l1(&mut pi);
+        vector::scale(1.0 / lambda, &mut l);
+        out[slot] = (pi, l);
+    }
+    Ok(out)
 }
 
 fn method_name(m: Method) -> &'static str {
@@ -417,17 +465,17 @@ impl SsdTracker {
     }
 }
 
-fn record_uniformization(lambda: f64, window: &PoissonWindow) {
+fn record_uniformization(lambda: f64, k_max: usize) {
     if !telemetry::enabled() {
         return;
     }
     telemetry::counter("markov.uniformization.solves", 1);
     telemetry::gauge("markov.uniformization.rate", lambda);
-    telemetry::observe("markov.uniformization.steps", (window.right + 1) as f64);
+    telemetry::observe("markov.uniformization.steps", (k_max + 1) as f64);
     // Each uniformization step is one vector–matrix product: the transient
     // engine's analogue of a linear-solver sweep. Counting it here keeps
     // `solver.iterations` a global work tally across all solve flavours.
-    telemetry::counter("solver.iterations", (window.right + 1) as u64);
+    telemetry::counter("solver.iterations", (k_max + 1) as u64);
 }
 
 /// Closes a uniformization flight record: tallies the executed steps into
@@ -445,106 +493,152 @@ fn finish_uniformized(
     flight.record_on(span);
 }
 
-/// The weights one accumulator of a uniformization pass puts on the power
-/// sequence `π₀·P^k`, relative to the pass's Poisson window.
-#[derive(Clone, Copy)]
-enum Weights<'w> {
-    /// The Poisson pmf `P[N = k]` on the window: accumulates `π(t)`.
-    Pmf,
-    /// The right tails `P[N > k]` (1 below the window, the given tails
-    /// inside it): accumulates `Λ·L(t)`.
-    Tail(&'w [f64]),
+/// One horizon `t` of a uniformization pass: its Poisson window over the
+/// power sequence `π₀·P^k` and the sums it accumulates, unnormalized.
+struct Horizon {
+    window: PoissonWindow,
+    /// `Σ_k P[N = k]·π₀·P^k` (`π(t)`), when wanted.
+    pi: Option<Vec<f64>>,
+    /// The right tails `P[N > k]` on the window, when `L(t)` is wanted.
+    tails: Option<Vec<f64>>,
+    /// `Σ_k P[N > k]·π₀·P^k` (`Λ·L(t)`): the shared running sum copied at
+    /// the window's left point, then fed the window's tails.
+    l: Option<Vec<f64>>,
 }
 
-impl Weights<'_> {
-    fn at(self, window: &PoissonWindow, k: usize) -> f64 {
-        match self {
-            Weights::Pmf => window.weight(k),
-            Weights::Tail(_) if k < window.left => 1.0,
-            Weights::Tail(tails) => tails.get(k - window.left).copied().unwrap_or(0.0),
+impl Horizon {
+    fn new(window: PoissonWindow, want_pi: bool, want_l: bool, n: usize) -> Self {
+        Horizon {
+            pi: want_pi.then(|| vec![0.0; n]),
+            tails: want_l.then(|| window.right_tails()),
+            l: None,
+            window,
         }
     }
 
-    /// The weight still owed after power `k`: once the iterates have
-    /// converged, every later power sees the same vector.
-    fn remaining_after(self, window: &PoissonWindow, k: usize) -> f64 {
-        ((k + 1)..=window.right).map(|j| self.at(window, j)).sum()
-    }
-}
-
-/// One output of a uniformization pass: `sum = Σ_k weights(k)·π₀·P^k`,
-/// unnormalized.
-struct Accumulator<'w> {
-    weights: Weights<'w>,
-    sum: Vec<f64>,
-}
-
-impl<'w> Accumulator<'w> {
-    fn new(weights: Weights<'w>, n: usize) -> Self {
-        Accumulator {
-            weights,
-            sum: vec![0.0; n],
+    /// The occupancy weight `P[N > k]`: 1 below the window, the tails
+    /// inside it, 0 past it.
+    fn tail(&self, tails: &[f64], k: usize) -> f64 {
+        if k < self.window.left {
+            1.0
+        } else {
+            tails.get(k - self.window.left).copied().unwrap_or(0.0)
         }
     }
 
-    /// `sum += weight·x` unless the weight is zero; returns the axpys run.
-    fn add(&mut self, weight: f64, x: &[f64]) -> u64 {
-        if weight == 0.0 {
+    /// Starts `L` from the shared running sum `Σ_{j<k} π₀·P^j` when it is
+    /// wanted and not started yet.
+    fn open_l(&mut self, below: &[f64]) {
+        if self.tails.is_some() && self.l.is_none() {
+            self.l = Some(below.to_vec());
+        }
+    }
+
+    /// Adds power `k` (`x`) under this horizon's weights; `below` holds the
+    /// powers before `k`. Returns the axpys run.
+    fn absorb(&mut self, k: usize, x: &[f64], below: &[f64]) -> u64 {
+        if k < self.window.left || k > self.window.right {
             return 0;
         }
-        vector::axpy(weight, x, &mut self.sum);
-        1
+        self.open_l(below);
+        let tail = self
+            .tails
+            .as_deref()
+            .map_or(0.0, |tails| self.tail(tails, k));
+        add(self.pi.as_mut(), self.window.weight(k), x) + add(self.l.as_mut(), tail, x)
+    }
+
+    /// Steady-state stop after power `k`: every later power equals `next`,
+    /// so it takes the weight still owed after `k`. `below` holds the
+    /// powers up to `k`. Returns the axpys run.
+    fn absorb_remaining(&mut self, k: usize, next: &[f64], below: &[f64]) -> u64 {
+        self.open_l(below);
+        let later = (k + 1)..=self.window.right;
+        let pmf: f64 = later.clone().map(|j| self.window.weight(j)).sum();
+        let tail: f64 = self
+            .tails
+            .as_deref()
+            .map_or(0.0, |tails| later.map(|j| self.tail(tails, j)).sum());
+        add(self.pi.as_mut(), pmf, next) + add(self.l.as_mut(), tail, next)
+    }
+
+    /// The `(π, Λ·L)` sums; an unwanted one is empty.
+    fn into_sums(self) -> (Vec<f64>, Vec<f64>) {
+        (self.pi.unwrap_or_default(), self.l.unwrap_or_default())
+    }
+}
+
+/// `sum += weight·x` unless the sum is absent or the weight is zero;
+/// returns the axpys run.
+fn add(sum: Option<&mut Vec<f64>>, weight: f64, x: &[f64]) -> u64 {
+    match sum {
+        Some(sum) if weight != 0.0 => {
+            vector::axpy(weight, x, sum);
+            1
+        }
+        _ => 0,
     }
 }
 
 /// The one uniformization stepping loop: steps the power sequence
-/// `π₀·P^k` once over `window` and adds every power into every accumulator
-/// under its own weights.
+/// `π₀·P^k` once, up to the largest right truncation point of `horizons`,
+/// and adds every power into every horizon under its own window.
 ///
-/// Every accumulator sees the same iterates, so a pass with several
-/// accumulators is bitwise identical to one pass per accumulator: the drop
-/// tolerance, the scatter/gather switch and the steady-state stop depend
-/// only on the window and the iterates, and each accumulation is the same
-/// elementwise `acc += w·x` whether it runs fused into the step or as a
-/// separate axpy.
+/// Below a window's left point the occupancy weight is 1, so that part of
+/// every `L` is one shared running sum `Σ_{j<k} π₀·P^j`, fused into the
+/// step; each horizon copies it when its window opens and from then on
+/// pays separate axpys only inside its window. Every accumulation is the
+/// same elementwise `acc += w·x` whether it runs fused into the step or as
+/// a separate axpy, so a one-horizon pass is bitwise the pass with that
+/// horizon's outputs in any combination. The drop tolerance follows the
+/// largest window; the scatter/gather switch and the steady-state stop
+/// depend only on the iterates.
 fn uniformized_pass(
     ctmc: &Ctmc,
     pi0: &[f64],
     lambda: f64,
-    window: &PoissonWindow,
-    accs: &mut [Accumulator],
+    horizons: &mut [Horizon],
     opts: &Options,
 ) -> Result<()> {
     let p = ctmc.uniformized(lambda)?;
-    let k_max = window.right;
-    record_uniformization(lambda, window);
+    let k_max = horizons.iter().map(|h| h.window.right).max().unwrap_or(0);
+    let shared_until = horizons
+        .iter()
+        .filter(|h| h.tails.is_some())
+        .map(|h| h.window.left)
+        .max()
+        .unwrap_or(0);
+    record_uniformization(lambda, k_max);
     let mut span = telemetry::span("markov.solve.uniformization");
     let mut flight = telemetry::SolveDiag::new("uniformization");
     flight.uniformization_rate = Some(lambda);
-    flight.fox_glynn_window = Some((window.left as u64, window.right as u64));
+    let k_min = horizons.iter().map(|h| h.window.left).min().unwrap_or(0);
+    flight.fox_glynn_window = Some((k_min as u64, k_max as u64));
 
     let n = ctmc.n_states();
     let drop_tol = adaptive_drop_tol(opts.epsilon, k_max as u64, n);
     let mut stepper = PowerStepper::new(p.matrix(), pi0, drop_tol);
     let mut cur = pi0.to_vec();
     let mut next = vec![0.0; n];
+    let mut below = vec![0.0; n];
     let mut steps = 0u64;
     let mut axpys = 0u64;
 
     let mut ssd = SsdTracker::new(opts.epsilon.max(1e-15));
-    let mut truncated = false;
-    for k in 0..k_max {
-        // The first accumulator's update for power k is fused into the step
-        // producing power k+1 (a zero weight skips it); the others are
-        // separate axpys over the same vector.
-        for acc in &mut accs[1..] {
-            axpys += acc.add(acc.weights.at(window, k), &cur);
+    for k in 0..=k_max {
+        for h in horizons.iter_mut() {
+            axpys += h.absorb(k, &cur, &below);
         }
-        let weight = accs[0].weights.at(window, k);
+        if k == k_max {
+            break;
+        }
+        // The shared running sum takes power k fused into the step that
+        // produces power k+1, while some window has not opened yet.
+        let weight = if k < shared_until { 1.0 } else { 0.0 };
         if weight != 0.0 {
             axpys += 1;
         }
-        stepper.step_fused(&cur, &mut next, weight, &mut accs[0].sum);
+        stepper.step_fused(&cur, &mut next, weight, &mut below);
         steps += 1;
         if opts.steady_state_detection {
             let diff = vector::diff_norm_inf(&cur, &next);
@@ -552,19 +646,13 @@ fn uniformized_pass(
                 flight.push_residual(diff);
             }
             if ssd.converged(diff, steps) {
-                for acc in accs.iter_mut() {
-                    axpys += acc.add(acc.weights.remaining_after(window, k), &next);
+                for h in horizons.iter_mut() {
+                    axpys += h.absorb_remaining(k, &next, &below);
                 }
-                truncated = true;
                 break;
             }
         }
         std::mem::swap(&mut cur, &mut next);
-    }
-    if !truncated {
-        for acc in accs.iter_mut() {
-            axpys += acc.add(acc.weights.at(window, k_max), &cur);
-        }
     }
     flight.ssd_trigger_step = ssd.trigger_step;
     flight.active_states = Some(stepper.peak_active);
@@ -575,9 +663,10 @@ fn uniformized_pass(
 fn uniformized_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
     let lambda = uniformization_rate(ctmc);
     let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    let mut accs = [Accumulator::new(Weights::Pmf, ctmc.n_states())];
-    uniformized_pass(ctmc, pi0, lambda, &window, &mut accs, opts)?;
-    let [Accumulator { sum: mut pi, .. }] = accs;
+    let mut horizons = [Horizon::new(window, true, false, ctmc.n_states())];
+    uniformized_pass(ctmc, pi0, lambda, &mut horizons, opts)?;
+    let [horizon] = horizons;
+    let (mut pi, _) = horizon.into_sums();
     vector::normalize_l1(&mut pi);
     Ok(pi)
 }
@@ -586,10 +675,10 @@ fn uniformized_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Re
     // L(t) = (1/Λ) Σ_{k≥0} P[N > k] · π P^k  with N ~ Poisson(Λt).
     let lambda = uniformization_rate(ctmc);
     let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    let tails = window.right_tails();
-    let mut accs = [Accumulator::new(Weights::Tail(&tails), ctmc.n_states())];
-    uniformized_pass(ctmc, pi0, lambda, &window, &mut accs, opts)?;
-    let [Accumulator { sum: mut l, .. }] = accs;
+    let mut horizons = [Horizon::new(window, false, true, ctmc.n_states())];
+    uniformized_pass(ctmc, pi0, lambda, &mut horizons, opts)?;
+    let [horizon] = horizons;
+    let (_, mut l) = horizon.into_sums();
     vector::scale(1.0 / lambda, &mut l);
     Ok(l)
 }

@@ -131,6 +131,39 @@ proptest! {
     }
 
     #[test]
+    fn multi_horizon_pass_matches_one_horizon_solves(
+        chain in arb_ctmc(5, 2.0),
+        times in proptest::collection::vec(0.0..30.0f64, 1..6),
+        start in 0usize..5,
+        ssd in 0usize..2,
+    ) {
+        // Ascending, with t = 0 and a horizon long enough that Auto resolves
+        // both π and L to the matrix exponential.
+        let mut times = times;
+        times.push(0.0);
+        times.push(200.0);
+        times.sort_by(f64::total_cmp);
+        let pi0 = chain.point_distribution(start);
+        let opts = Options {
+            steady_state_detection: ssd == 1,
+            ..Default::default()
+        };
+        let all = transient::distribution_and_occupancy_at_times(&chain, &pi0, &times, &opts)
+            .unwrap();
+        prop_assert_eq!(all.len(), times.len());
+        for (&t, (pi, l)) in times.iter().zip(&all) {
+            let (want_pi, want_l) =
+                transient::distribution_and_occupancy(&chain, &pi0, t, &opts).unwrap();
+            prop_assert!(relative_diff(pi, &want_pi) <= 1e-12,
+                "π at t = {t}: {}", relative_diff(pi, &want_pi));
+            prop_assert!(relative_diff(l, &want_l) <= 1e-12,
+                "L at t = {t}: {}", relative_diff(l, &want_l));
+            prop_assert!((l.iter().sum::<f64>() - t).abs() <= 1e-9 * t.max(1.0),
+                "Σ L = {} at t = {t}", l.iter().sum::<f64>());
+        }
+    }
+
+    #[test]
     fn truncated_mean_hitting_time_is_bitwise_the_two_call_reference(
         chain in arb_ctmc(5, 2.0),
         target in 1usize..5,
@@ -154,6 +187,17 @@ proptest! {
         let cdf = transient::distribution(&stopped, &pi0, horizon, &opts).unwrap()[target];
         let integral = transient::occupancy(&stopped, &pi0, horizon, &opts).unwrap()[target];
         prop_assert_eq!(got.to_bits(), (horizon * cdf - integral).to_bits());
+    }
+}
+
+/// `‖a − b‖∞ / ‖b‖∞` (the absolute difference against a zero vector).
+fn relative_diff(a: &[f64], b: &[f64]) -> f64 {
+    let scale = b.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let diff = sparsela::vector::diff_norm_inf(a, b);
+    if scale > 0.0 {
+        diff / scale
+    } else {
+        diff
     }
 }
 

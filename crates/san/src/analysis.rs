@@ -117,6 +117,26 @@ impl Analyzer {
         )?)
     }
 
+    /// `(π(t), L(t))` for every horizon in `times` from one transient pass
+    /// where the engines allow (see
+    /// [`transient::distribution_and_occupancy_at_times`]): the basis of
+    /// the instant-of-time and interval-of-time rewards of a whole sweep.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transient-solver failures.
+    pub fn distribution_and_occupancy_at_times(
+        &self,
+        times: &[f64],
+    ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
+        Ok(transient::distribution_and_occupancy_at_times(
+            self.space.ctmc(),
+            self.space.initial_distribution(),
+            times,
+            &self.transient_options,
+        )?)
+    }
+
     /// Expected **instant-of-time** reward at time `t`.
     ///
     /// # Errors

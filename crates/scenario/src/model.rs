@@ -710,7 +710,7 @@ mod tests {
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
         let direct = performability::GsuAnalysis::new(spec.params).unwrap();
         for phi in [0.0, 2500.0, 7000.0] {
-            let engine = gop_measures(&an, gd.places.gop, phi).unwrap();
+            let engine = gop_measures(&an, gd.places.gop, &[phi]).unwrap()[0];
             let m = direct.measures(phi).unwrap();
             assert!((engine.p_a1 - m.p_a1_gop).abs() < 1e-12, "phi = {phi}");
             assert!((engine.i_h - m.i_h).abs() < 1e-12, "phi = {phi}");
@@ -844,7 +844,7 @@ mod tests {
             let gd = build_gd(&spec).unwrap();
             let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
             let phi = spec.params.theta;
-            let m = gop_measures(&an, gd.places.gop, phi).unwrap();
+            let m = gop_measures(&an, gd.places.gop, &[phi]).unwrap()[0];
             assert!(
                 m.p_a1 < last + 1e-12,
                 "escorts = {n}: {} should not exceed {last}",
@@ -861,11 +861,11 @@ mod tests {
         spec.params.mu_old = 0.01;
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let base = gop_measures(&an, gd.places.gop, 50.0).unwrap();
+        let base = gop_measures(&an, gd.places.gop, &[50.0]).unwrap()[0];
         spec.coverage_decay = 0.5;
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let decayed = gop_measures(&an, gd.places.gop, 50.0).unwrap();
+        let decayed = gop_measures(&an, gd.places.gop, &[50.0]).unwrap()[0];
         assert!(
             decayed.i_h < base.i_h,
             "decay should reduce detection: {} vs {}",
@@ -879,7 +879,7 @@ mod tests {
         let mut spec = scaled_spec();
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let base = gop_measures(&an, gd.places.gop, 50.0).unwrap();
+        let base = gop_measures(&an, gd.places.gop, &[50.0]).unwrap()[0];
         spec.waves = Some(crate::ast::WaveSpec {
             count: 3,
             rate: 0.5,
@@ -887,7 +887,7 @@ mod tests {
         });
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let waved = gop_measures(&an, gd.places.gop, 50.0).unwrap();
+        let waved = gop_measures(&an, gd.places.gop, &[50.0]).unwrap()[0];
         assert!(
             waved.p_a1 > base.p_a1,
             "waves should improve survival: {} vs {}",
@@ -901,7 +901,7 @@ mod tests {
         let mut spec = scaled_spec();
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let base = gop_measures(&an, gd.places.gop, 50.0).unwrap();
+        let base = gop_measures(&an, gd.places.gop, &[50.0]).unwrap()[0];
         spec.aging = Some(crate::ast::AgingSpec {
             rate: 0.5,
             factor: 200.0,
@@ -909,7 +909,7 @@ mod tests {
         });
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let aged = gop_measures(&an, gd.places.gop, 50.0).unwrap();
+        let aged = gop_measures(&an, gd.places.gop, &[50.0]).unwrap()[0];
         assert!(aged.p_a1 < base.p_a1, "{} vs {}", aged.p_a1, base.p_a1);
         spec.aging = Some(crate::ast::AgingSpec {
             rate: 0.5,
@@ -918,7 +918,7 @@ mod tests {
         });
         let gd = build_gd(&spec).unwrap();
         let an = Analyzer::generate(&gd.model, &Default::default()).unwrap();
-        let rejuv = gop_measures(&an, gd.places.gop, 50.0).unwrap();
+        let rejuv = gop_measures(&an, gd.places.gop, &[50.0]).unwrap()[0];
         assert!(
             rejuv.p_a1 > aged.p_a1,
             "rejuvenation should help: {} vs {}",

@@ -1,7 +1,10 @@
-//! The G-OP measures take π(φ) and L(φ) from one uniformization pass per
-//! chain (`markov::transient::distribution_and_occupancy`). These tests pin
-//! that the shared pass changes no bit of the answer and halves its sparse
-//! work on catalog scenarios whose G-OP solves run on uniformization.
+//! A G-OP curve costs one uniformization pass on the G-OP chain: every φ of
+//! the grid is a horizon of one power sequence
+//! (`markov::transient::distribution_and_occupancy_at_times`), and the exact
+//! detection moment is read off the same π(φ)/L(φ) through the closed
+//! detected set. These tests pin the one-point solve bitwise against the
+//! separate calls, the closed-set identity against the stopped-chain
+//! first-passage reference, and the sparse work of a whole curve.
 //!
 //! The work counters are process-global, so every test in this binary
 //! holds [`SERIAL`] while it counts.
@@ -11,16 +14,21 @@ use std::sync::Mutex;
 
 use gsu_scenario::model::build_gd;
 use gsu_scenario::{load_dir, ScenarioAnalysis, ScenarioSpec};
+use markov::first_passage::truncated_mean_hitting_time;
 use markov::transient;
-use performability::gsu::{gop_measures, GopMeasures, GopPlaces};
+use performability::gsu::{gop_measures, rmgd, GopMeasures, GopPlaces};
+use performability::GsuParams;
 use san::{Analyzer, RewardSpec};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn scenario(name: &str) -> ScenarioSpec {
+fn catalog() -> Vec<ScenarioSpec> {
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"));
-    load_dir(dir)
-        .expect("catalog parses")
+    load_dir(dir).expect("catalog parses")
+}
+
+fn scenario(name: &str) -> ScenarioSpec {
+    catalog()
         .into_iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("catalog has no scenario {name}"))
@@ -30,52 +38,43 @@ fn spmv_ops() -> u64 {
     telemetry::work::snapshot().spmv_ops
 }
 
-/// The G-OP measures from separate distribution and occupancy solves: one
-/// pass each for π(φ) and L(φ) on the G-OP chain, and one each for the
-/// stopped chain of the exact truncated moment.
-fn unfused_gop_measures(an: &Analyzer, places: GopPlaces, phi: f64) -> GopMeasures {
+/// The four G-OP measures read off π(φ) and L(φ) from separate
+/// distribution and occupancy solves: one pass each on the G-OP chain.
+fn unfused_gop_measures(an: &Analyzer, places: GopPlaces, phi: f64) -> [f64; 4] {
     let space = an.state_space();
     let pi = an.distribution_at(phi).unwrap();
     let spec = RewardSpec::new()
         .rate_when(move |mk| places.in_a2(mk), 1.0)
         .rate_when(move |mk| places.in_a4(mk), -1.0);
-    let detected = space.states_where(|mk| !places.in_a2(mk));
-    let is_target = |s: usize| detected.contains(&s);
-    let stopped = markov::Ctmc::from_transitions(
-        space.n_states(),
-        space
-            .ctmc()
-            .transitions()
-            .filter(|&(from, _, _)| !is_target(from)),
-    )
-    .unwrap();
-    let pi0 = space.initial_distribution();
-    let opts = transient::Options::default();
-    let pi_h = transient::distribution(&stopped, pi0, phi, &opts).unwrap();
-    let l_h = transient::occupancy(&stopped, pi0, phi, &opts).unwrap();
-    let on_target = |v: &[f64]| -> f64 {
-        v.iter()
-            .enumerate()
-            .filter(|&(s, _)| is_target(s))
-            .map(|(_, x)| x)
-            .sum()
-    };
-    GopMeasures {
-        p_a1: space.probability_of(&pi, |mk| places.in_a1(mk)),
-        i_h: space.probability_of(&pi, |mk| places.in_a3(mk)),
-        i_hf: space.probability_of(&pi, |mk| places.detected_then_failed(mk)),
-        i_tau_h: an.accumulated_reward(&spec, phi).unwrap(),
-        i_tau_h_exact: phi * on_target(&pi_h) - on_target(&l_h),
-    }
+    [
+        space.probability_of(&pi, |mk| places.in_a1(mk)),
+        space.probability_of(&pi, |mk| places.in_a3(mk)),
+        space.probability_of(&pi, |mk| places.detected_then_failed(mk)),
+        an.accumulated_reward(&spec, phi).unwrap(),
+    ]
 }
 
-fn bits(m: &GopMeasures) -> [u64; 5] {
+/// The exact truncated detection moment by first passage on the chain
+/// stopped at the detected states.
+fn stopped_chain_moment(an: &Analyzer, places: GopPlaces, phi: f64) -> f64 {
+    let space = an.state_space();
+    let detected = space.states_where(|mk| !places.in_a2(mk));
+    truncated_mean_hitting_time(
+        space.ctmc(),
+        space.initial_distribution(),
+        &detected,
+        phi,
+        &transient::Options::default(),
+    )
+    .unwrap()
+}
+
+fn bits(m: &GopMeasures) -> [u64; 4] {
     [
         m.p_a1.to_bits(),
         m.i_h.to_bits(),
         m.i_hf.to_bits(),
         m.i_tau_h.to_bits(),
-        m.i_tau_h_exact.to_bits(),
     ]
 }
 
@@ -89,26 +88,67 @@ fn shared_pass_gop_measures_are_bitwise_the_unfused_reference() {
     let an = analysis.analysis().gd_analyzer();
     for phi in grid.into_iter().filter(|&phi| phi > 0.0) {
         let before = spmv_ops();
-        let fused = gop_measures(an, places, phi).unwrap();
+        let fused = gop_measures(an, places, &[phi]).unwrap()[0];
         let fused_spmv = spmv_ops() - before;
         let before = spmv_ops();
         let reference = unfused_gop_measures(an, places, phi);
         let reference_spmv = spmv_ops() - before;
-        assert_eq!(bits(&fused), bits(&reference), "phi = {phi}");
-        // Both chains run on uniformization here, so sharing the power
-        // sequence halves the sparse products exactly.
+        assert_eq!(bits(&fused), reference.map(f64::to_bits), "phi = {phi}");
+        // The G-OP chain runs on uniformization here, so sharing the power
+        // sequence halves its sparse products exactly — and the exact
+        // moment adds none.
         assert!(fused_spmv > 0, "phi = {phi}: no uniformization ran");
         assert_eq!(2 * fused_spmv, reference_spmv, "phi = {phi}");
     }
 }
 
+/// `|got − want| ≤ 1e-8·|want|` (absolute at a zero reference).
+fn assert_relative(got: f64, want: f64, what: &str) {
+    let scale = want.abs().max(f64::MIN_POSITIVE);
+    assert!(
+        (got - want).abs() <= 1e-8 * scale,
+        "{what}: {got} vs {want} (relative {:.3e})",
+        (got - want).abs() / scale
+    );
+}
+
 #[test]
-fn three_escorts_curve_costs_one_pass_per_chain_and_phi() {
+fn exact_detection_moment_is_the_stopped_chain_first_passage() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The paper's RMGd on the Figure 9 grid.
+    let params = GsuParams::paper_baseline();
+    let built = rmgd::build(&params).unwrap();
+    let an = Analyzer::generate(&built.model, &Default::default()).unwrap();
+    let grid: Vec<f64> = (0..=10).map(|i| params.theta * i as f64 / 10.0).collect();
+    let curve = gop_measures(&an, built.places.gop, &grid).unwrap();
+    for (&phi, m) in grid.iter().zip(&curve) {
+        let want = stopped_chain_moment(&an, built.places.gop, phi);
+        assert_relative(m.i_tau_h_exact, want, &format!("RMGd, phi = {phi}"));
+    }
+    // Every catalog G-OP model on its own grid, from the one-pass sweep.
+    for spec in catalog() {
+        let places = build_gd(&spec).unwrap().places.gop;
+        let analysis = ScenarioAnalysis::new(spec.clone()).unwrap();
+        let an = analysis.analysis().gd_analyzer();
+        let curve = gop_measures(an, places, &spec.phi_grid).unwrap();
+        for (&phi, m) in spec.phi_grid.iter().zip(&curve) {
+            let want = stopped_chain_moment(an, places, phi);
+            assert_relative(
+                m.i_tau_h_exact,
+                want,
+                &format!("{}, phi = {phi}", spec.name),
+            );
+        }
+    }
+}
+
+#[test]
+fn three_escorts_curve_costs_one_pass_on_the_gop_chain() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let analysis = ScenarioAnalysis::new(scenario("three-escorts")).unwrap();
     let before = telemetry::work::snapshot();
     analysis.curve().unwrap();
     let work = telemetry::work::snapshot().delta_since(&before);
-    // Two separate passes per chain and φ cost 108,200.
-    assert_eq!(work.spmv_ops, 54_100);
+    // One pass per φ on the G-OP chain and on the stopped chain cost 54,100.
+    assert_eq!(work.spmv_ops, 8_842);
 }

@@ -48,6 +48,12 @@ for workload in figures catalog; do
     CARGO_TARGET_DIR=target bash gsu-benchmark/run.sh --workload "$workload" \
         --seconds 2 --trace 1 --out "$BENCH_OUT"
 done
+# Benchmark work ratchet: the traced runs just written hold the per-layer
+# work counters (markov.{spmv_ops,iterations,expm_solves}, san.{states,nnz})
+# of each workload; none may exceed its benchmark:<workload> record in
+# results/BENCH_baseline.json.
+echo "==> gsu-bench regress (benchmark counters)"
+target/release/gsu-bench regress --benchmark "$BENCH_OUT/benchmark.json" --no-update
 rm -rf "$BENCH_OUT"
 
 # Static-analysis gate: the linter first proves it can catch seeded
