@@ -18,14 +18,16 @@
 //! `run` regenerates the paper's tables, figures and studies from the
 //! [`gsu_bench::experiments`] table, in-process; every file it writes lands
 //! under `--out` (default `results`), and `--steps` sets the φ grid of
-//! fig9–fig12 (default 10).
+//! fig9–fig12 (default 10). It records no timings: the benchmark's
+//! `figures` workload runs the same work and `regress --benchmark` gates it.
 //!
-//! `regress` compares the current `BENCH_sweep.json` against the committed
-//! baseline — wall time *and* deterministic work metrics — and exits 0 on
-//! pass, 1 on regression or on a baseline entry missing from the current log
-//! (`--allow-missing` downgrades the latter to a note), and 2 on usage or
-//! I/O errors. With `--benchmark PATH` it gates the per-layer work counters
-//! of a `gsu-benchmark` run set instead, at zero tolerance per workload.
+//! `regress` compares a current `BENCH_sweep.json` (the records `scenarios`
+//! or `loadgen --bench` wrote) against the committed baseline — wall time
+//! *and* deterministic work metrics — and exits 0 on pass, 1 on regression
+//! or on a baseline entry missing from the current log (`--allow-missing`
+//! downgrades the latter to a note), and 2 on usage or I/O errors. With
+//! `--benchmark PATH` it gates the per-layer work counters of a
+//! `gsu-benchmark` run set instead, at zero tolerance per workload.
 //! See [`gsu_bench::regress`] for the gate semantics.
 //!
 //! `profile` rebuilds the span tree of a Chrome trace written by a

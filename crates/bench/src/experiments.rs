@@ -3,13 +3,15 @@
 //! Each [`Experiment`] regenerates one table, figure, or study of the
 //! paper's evaluation (see `DESIGN.md` §6 for the index). The runner shares
 //! the plumbing once: the banner, the telemetry session, and the output
-//! directory, under which every file an experiment writes lands. fig9–fig12
-//! and the tornado also merge a wall-time and work record, keyed on their
-//! name, into `<out>/BENCH_sweep.json` for the regress gate.
+//! directory, under which every file an experiment writes lands. No
+//! experiment records timings: the repository benchmark (`gsu-benchmark`,
+//! workload `figures`) runs the fig9–fig12 sweeps and the tornado and gates
+//! their work counters.
 
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use mdcd_sim::distribution::compare_guarded_unguarded;
 use mdcd_sim::{estimate_y, estimate_y_matched, EngineKind, MonteCarlo, SimConfig};
@@ -19,7 +21,7 @@ use performability::sensitivity::{local_sensitivity, tornado_table};
 use performability::{GammaPolicy, GsuAnalysis, GsuParams};
 use san::{dot, Analyzer, RewardSpec, StateSpace};
 
-use crate::{ascii_chart, curve_table, write_csv, BenchTimer, Curve, TelemetrySession};
+use crate::{ascii_chart, curve_table, write_csv, Curve, TelemetrySession};
 
 /// Outcome of one experiment.
 pub type ExperimentResult = Result<(), Box<dyn Error>>;
@@ -324,7 +326,6 @@ fn table2(_: &RunContext) -> ExperimentResult {
 }
 
 fn fig9(ctx: &RunContext) -> ExperimentResult {
-    let _bench = BenchTimer::start("fig9", ctx.steps, &ctx.out_dir);
     let base = GsuParams::paper_baseline();
     let fast = GsuAnalysis::new(base)?;
     let slow = GsuAnalysis::new(base.with_mu_new(5e-5)?)?;
@@ -337,7 +338,6 @@ fn fig9(ctx: &RunContext) -> ExperimentResult {
 }
 
 fn fig10(ctx: &RunContext) -> ExperimentResult {
-    let _bench = BenchTimer::start("fig10", ctx.steps, &ctx.out_dir);
     let base = GsuParams::paper_baseline();
     let fast = GsuAnalysis::new(base)?;
     let slow = GsuAnalysis::new(base.with_overhead_rates(2500.0, 2500.0)?)?;
@@ -360,7 +360,6 @@ fn fig10(ctx: &RunContext) -> ExperimentResult {
 }
 
 fn fig11(ctx: &RunContext) -> ExperimentResult {
-    let _bench = BenchTimer::start("fig11", ctx.steps, &ctx.out_dir);
     let base = GsuParams::paper_baseline().with_overhead_rates(2500.0, 2500.0)?;
     let mut analyses = Vec::new();
     for c in [0.95, 0.75, 0.50] {
@@ -382,7 +381,6 @@ fn fig11(ctx: &RunContext) -> ExperimentResult {
 }
 
 fn fig12(ctx: &RunContext) -> ExperimentResult {
-    let _bench = BenchTimer::start("fig12", ctx.steps, &ctx.out_dir);
     let base = GsuParams::paper_baseline().with_theta(5000.0)?;
     let fast = GsuAnalysis::new(base)?;
     let slow = GsuAnalysis::new(base.with_mu_new(5e-5)?)?;
@@ -463,8 +461,7 @@ fn ablation_tau(_: &RunContext) -> ExperimentResult {
     Ok(())
 }
 
-fn tornado(ctx: &RunContext) -> ExperimentResult {
-    let _bench = BenchTimer::start("tornado", 10, &ctx.out_dir);
+fn tornado(_: &RunContext) -> ExperimentResult {
     let params = GsuParams::paper_baseline();
     let best = GsuAnalysis::new(params)?.optimal_phi(10, 12)?;
     println!(
@@ -599,11 +596,22 @@ fn validate_sim(_: &RunContext) -> ExperimentResult {
         "{:>8} {:>11} {:>17} {:>10} {:>8} {:>14}",
         "phi", "Y analytic", "Y sim(γ=paper)", "95% ±", "agree?", "Y sim(γ/path)"
     );
+    let phis = [2000.0, 4000.0, 6000.0, 8000.0, 10_000.0];
+    let work_start = telemetry::work::snapshot();
+    let start = Instant::now();
+    let analytic = phis
+        .iter()
+        .map(|&phi| analysis.evaluate(phi))
+        .collect::<Result<Vec<_>, _>>()?;
+    let analytic_ms = start.elapsed().as_secs_f64() * 1e3;
+    let work = telemetry::work::snapshot().delta_since(&work_start);
+    let mut simulation_ms = 0.0;
     let mut worst: f64 = 0.0;
-    for phi in [2000.0, 4000.0, 6000.0, 8000.0, 10_000.0] {
-        let a = analysis.evaluate(phi)?;
+    for (&phi, a) in phis.iter().zip(&analytic) {
+        let start = Instant::now();
         let s_paper = estimate_y_matched(params, phi, a.gamma, 4000, 42, EngineKind::Hybrid)?;
         let s_path = estimate_y(params, phi, 4000, 42)?;
+        simulation_ms += start.elapsed().as_secs_f64() * 1e3;
         let gap = (a.y - s_paper.y).abs();
         worst = worst.max(gap / a.y);
         println!(
@@ -625,6 +633,15 @@ fn validate_sim(_: &RunContext) -> ExperimentResult {
     );
     println!("(residual bias: the Table-1 ∫τh reward structure counts censored paths");
     println!(" at weight φ, a documented approximation the simulator does not share)");
+    println!(
+        "translation vs monolithic simulation: {} analytic evaluations {analytic_ms:.1} ms \
+         ({} iterations, {} SpMV, {} expm) vs {} simulated estimates {simulation_ms:.0} ms",
+        phis.len(),
+        work.solver_iterations,
+        work.spmv_ops,
+        work.expm_solves,
+        2 * phis.len(),
+    );
 
     // Part 2, exact vs hybrid engine at scaled parameters.
     println!("\nPart 2 — scaled scenario (θ=50, λ=40): exact vs hybrid engine (3000 reps):");

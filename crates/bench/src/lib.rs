@@ -1,9 +1,11 @@
-//! Shared harness utilities for `gsu-bench` and the Criterion benches.
+//! Shared harness utilities for `gsu-bench`.
 //!
 //! [`experiments`] is the table of paper experiments behind
 //! `gsu-bench run` (see `DESIGN.md` §6 for the index); this library also
 //! provides their common plumbing: φ grids, labelled curve sweeps, ASCII
-//! plotting for the terminal, CSV emission, and the `BENCH_sweep.json` log.
+//! plotting for the terminal and CSV emission, plus the [`BenchRecord`] log
+//! format (`BENCH_sweep.json`) that `gsu-bench scenarios` and
+//! `gsu-bench loadgen` write and [`regress`] gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,72 +78,24 @@ impl Curve {
     }
 }
 
-/// One record of the `BENCH_sweep.json` performance log.
+/// One record of the `BENCH_sweep.json` performance log, keyed on
+/// `(name, threads)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Experiment name (e.g. `fig9`).
+    /// Record name (e.g. `scenario:paper-baseline`, `serve:open:p99`).
     pub name: String,
     /// End-to-end wall time of the run in milliseconds.
     pub wall_ms: f64,
     /// Pool width the run used (`GSU_THREADS`).
     pub threads: usize,
-    /// φ grid intervals the run swept.
+    /// φ grid points the run swept (request count for `serve:*` records).
     pub grid: usize,
     /// Solver iterations the run performed (deterministic work metric:
     /// sweep/uniformization steps plus expm squarings; see
-    /// [`telemetry::work`]). `0` in logs predating the work counters.
+    /// [`telemetry::work`]). `0` when absent from the log.
     pub iterations: u64,
-    /// Sparse matrix-vector products the run performed. `0` in old logs.
+    /// Sparse matrix-vector products the run performed. `0` when absent.
     pub spmv_ops: u64,
-}
-
-/// Wall-clock and work guard for an experiment run.
-///
-/// Construct before the timed work starts; on drop it measures the elapsed time plus
-/// the [`telemetry::work`] counter deltas and merges a [`BenchRecord`] into
-/// `<out_dir>/BENCH_sweep.json`, keyed on `(name, threads)` so repeated runs
-/// update in place and serial/parallel numbers for the same experiment sit
-/// side by side. The work deltas are deterministic (same totals regardless
-/// of machine or pool width), which is what makes `gsu-bench regress` able
-/// to ratchet on them without wall-clock noise.
-#[derive(Debug)]
-pub struct BenchTimer {
-    name: String,
-    grid: usize,
-    path: std::path::PathBuf,
-    start: std::time::Instant,
-    work_start: telemetry::work::WorkSnapshot,
-}
-
-impl BenchTimer {
-    /// Starts timing experiment `name` sweeping `grid` intervals, logging
-    /// into `out_dir/BENCH_sweep.json`.
-    pub fn start(name: impl Into<String>, grid: usize, out_dir: &Path) -> Self {
-        BenchTimer {
-            name: name.into(),
-            grid,
-            path: out_dir.join("BENCH_sweep.json"),
-            start: std::time::Instant::now(),
-            work_start: telemetry::work::snapshot(),
-        }
-    }
-}
-
-impl Drop for BenchTimer {
-    fn drop(&mut self) {
-        let work = telemetry::work::snapshot().delta_since(&self.work_start);
-        let record = BenchRecord {
-            name: self.name.clone(),
-            wall_ms: self.start.elapsed().as_secs_f64() * 1e3,
-            threads: pool::configured_threads(),
-            grid: self.grid,
-            iterations: work.solver_iterations,
-            spmv_ops: work.spmv_ops,
-        };
-        if let Err(e) = merge_bench_record(&self.path, record) {
-            eprintln!("bench: failed to update {}: {e}", self.path.display());
-        }
-    }
 }
 
 /// Merges `record` into the JSON log at `path`, replacing any existing entry
@@ -226,7 +180,7 @@ fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
         let threads = json_field(body, "threads").and_then(|v| v.parse().ok());
         let grid = json_field(body, "grid").and_then(|v| v.parse().ok());
         // Work metrics default to 0 so logs from before the counters existed
-        // keep parsing (the regress gate treats 0 as "seed, don't compare").
+        // keep parsing (the regress gate then fails any positive count).
         let iterations = json_field(body, "iterations")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);

@@ -1,14 +1,15 @@
 //! The bench regression gate: `gsu-bench regress`.
 //!
-//! Compares the current `BENCH_sweep.json` (written by the
-//! [`BenchTimer`](crate::BenchTimer)s of `gsu-bench run`) against a committed
-//! baseline, keyed on `(name, threads)`. A run **regresses** when its wall
-//! time exceeds the baseline by more than the threshold fraction (default
-//! 10%), or when a deterministic work counter (solver iterations, SpMV
-//! operations) exceeds its baseline at all. On a clean pass the current numbers are merged into the baseline —
-//! speedups ratchet the bar down, new experiments get seeded — unless the
-//! caller asks for a read-only check (`--no-update`, used by CI so the tree
-//! stays pristine).
+//! Compares a current [`BenchRecord`] log (the `scenario:*` records of
+//! `gsu-bench scenarios`, or the `serve:*` records of `gsu-bench loadgen`)
+//! against a committed baseline, keyed on `(name, threads)`. A run
+//! **regresses** when its wall time exceeds the baseline by more than the
+//! threshold fraction (default 10%), or when a deterministic work counter
+//! (solver iterations, SpMV operations) exceeds its baseline at all — a
+//! zero baseline included. On a clean pass the current numbers are merged
+//! into the baseline — speedups ratchet the bar down, new records get
+//! seeded — unless the caller asks for a read-only check (`--no-update`,
+//! used by CI so the tree stays pristine).
 //!
 //! With `--benchmark PATH` the gate instead reads a `gsu-benchmark` run set
 //! (`benchmark.json`) and ratchets the per-layer work counters of its
@@ -73,11 +74,11 @@ pub struct Comparison {
     pub ratio: f64,
     /// Whether wall time breaches the threshold.
     pub regressed: bool,
-    /// Baseline solver iterations (0 = predates work counters, not compared).
+    /// Baseline solver iterations.
     pub baseline_iterations: u64,
     /// Current solver iterations.
     pub current_iterations: u64,
-    /// Baseline SpMV count (0 = predates work counters, not compared).
+    /// Baseline SpMV count.
     pub baseline_spmv_ops: u64,
     /// Current SpMV count.
     pub current_spmv_ops: u64,
@@ -95,11 +96,11 @@ impl Comparison {
     }
 }
 
-/// Work-metric breach test at zero tolerance: a zero baseline means the
-/// metric predates the counters — seed it on the next ratchet instead of
-/// comparing.
+/// Work-metric breach test at zero tolerance. A zero baseline is gated
+/// like any other: a scenario that solved by expm alone (0 SpMV) and now
+/// steps uniformization fails.
 fn work_breach(baseline: u64, current: u64) -> bool {
-    baseline > 0 && current > baseline
+    current > baseline
 }
 
 /// The outcome of a gate run.
@@ -759,17 +760,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_work_baseline_seeds_instead_of_comparing() {
-        // A baseline written before the work counters existed has zeroes:
-        // the first instrumented run must pass (and, with update on, ratchet
-        // the real numbers in) rather than dividing by zero or failing.
+    fn zero_work_baseline_is_gated() {
+        // A scenario solved by expm alone has a 0 SpMV baseline; moving it to
+        // uniformization must fail the gate, not seed a new baseline.
         let report = compare(
-            &[rec("fig9", 100.0, 1)],
-            &[rec_work("fig9", 100.0, 1250, 5000)],
+            &[rec_work("scenario:paper-baseline", 5.0, 467, 0)],
+            &[rec_work("scenario:paper-baseline", 5.0, 467, 120)],
+            DEFAULT_THRESHOLD,
+        );
+        assert!(!report.passed());
+        assert!(report.compared[0].work_regressed);
+        assert!(report.render().contains("WORK REGRESSED"));
+
+        // Records with no work at all (the serve:* latency records) pass.
+        let report = compare(
+            &[rec("serve:open:p99", 6.0, 2)],
+            &[rec("serve:open:p99", 5.0, 2)],
             DEFAULT_THRESHOLD,
         );
         assert!(report.passed());
-        assert!(!report.compared[0].work_regressed);
     }
 
     #[test]

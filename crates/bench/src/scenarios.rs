@@ -4,9 +4,11 @@
 //! analytic pipeline, sweeps the full Y(φ) curve, and either writes the
 //! golden curves (`--write-golden`) or checks the freshly computed curves
 //! against the committed goldens to a tight relative tolerance (`--check`,
-//! the default). Each scenario is timed through [`crate::BenchTimer`], so a
-//! run leaves per-scenario wall/work records in `BENCH_sweep.json` that join
-//! the ratcheting `gsu-bench regress` gate.
+//! the default). Each scenario's wall time (the minimum over warm passes)
+//! and work counters are merged as a `scenario:<name>` [`BenchRecord`] into
+//! `<out>/BENCH_sweep.json`, which `gsu-bench regress` ratchets.
+//!
+//! [`BenchRecord`]: crate::BenchRecord
 
 use std::path::PathBuf;
 

@@ -286,98 +286,6 @@ fn estimate<F: Fn(&Trajectory) -> f64>(
     })
 }
 
-/// Estimates the expected **steady-state** rate reward by a single long
-/// trajectory with batch means: the run is split into `batches` equal
-/// windows after a warm-up of one window, and the confidence interval is
-/// formed over the batch averages (the standard output analysis for
-/// steady-state simulation).
-///
-/// # Errors
-///
-/// Returns [`SanError::InvalidModel`] when `batches < 2` or the horizon is
-/// not positive; propagates trajectory failures.
-pub fn estimate_steady_reward(
-    model: &SanModel,
-    spec: &RewardSpec,
-    batch_length: f64,
-    batches: usize,
-    seed: u64,
-    opts: &SimulationOptions,
-) -> Result<SimEstimate> {
-    if batches < 2 {
-        return Err(SanError::InvalidModel {
-            context: format!("batch-means needs >= 2 batches, got {batches}"),
-        });
-    }
-    if !batch_length.is_finite() || batch_length <= 0.0 {
-        return Err(SanError::InvalidModel {
-            context: format!("batch length must be finite and > 0, got {batch_length}"),
-        });
-    }
-    let mut rng = SanRng::from_seed(seed);
-    let mut marking = model.initial_marking();
-    resolve_instantaneous(model, &mut marking, opts, &mut rng)?;
-
-    // One continuous trajectory; the first window is warm-up and discarded.
-    let mut batch_means = Vec::with_capacity(batches);
-    let mut events = 0usize;
-    for b in 0..=batches {
-        let mut t_in_batch = 0.0;
-        let mut acc = 0.0;
-        while t_in_batch < batch_length {
-            let enabled = semantics::enabled_timed(model, &marking)?;
-            let total_rate: f64 = enabled.iter().map(|&(_, r)| r).sum();
-            let dwell = rng.exp(total_rate);
-            let rate_now = spec.rate_of(&marking);
-            if t_in_batch + dwell >= batch_length || enabled.is_empty() {
-                acc += rate_now * (batch_length - t_in_batch);
-                t_in_batch = batch_length;
-            } else {
-                acc += rate_now * dwell;
-                t_in_batch += dwell;
-                events += 1;
-                if events > opts.max_events {
-                    return Err(SanError::StateSpaceLimit {
-                        limit: opts.max_events,
-                    });
-                }
-                let weighted: Vec<(usize, f64)> = enabled
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &(_, r))| (k, r / total_rate))
-                    .collect();
-                let (act, _) = enabled[rng.pick(&weighted)];
-                let cases = semantics::case_distribution(model, act, &marking)?;
-                let case = cases[rng.pick(
-                    &cases
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &(_, p))| (k, p))
-                        .collect::<Vec<_>>(),
-                )]
-                .0;
-                marking = semantics::fire(model, act, case, &marking)?;
-                resolve_instantaneous(model, &mut marking, opts, &mut rng)?;
-            }
-        }
-        if b > 0 {
-            batch_means.push(acc / batch_length);
-        }
-    }
-    let n = batch_means.len() as f64;
-    let mean = batch_means.iter().sum::<f64>() / n;
-    let var = batch_means
-        .iter()
-        .map(|m| (m - mean) * (m - mean))
-        .sum::<f64>()
-        / (n - 1.0);
-    Ok(SimEstimate {
-        mean,
-        half_width_95: 1.96 * (var / n).sqrt(),
-        replications: batch_means.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,34 +353,6 @@ mod tests {
             est.mean,
             est.half_width_95
         );
-    }
-
-    #[test]
-    fn batch_means_steady_reward_matches_analytic() {
-        let (m, up) = up_down();
-        let spec = RewardSpec::new().rate_when(move |mk| mk.tokens(up) == 1, 1.0);
-        let analytic = Analyzer::generate(&m, &Default::default())
-            .unwrap()
-            .steady_reward(&spec)
-            .unwrap(); // 1.5/2.0 = 0.75
-        let spec2 = RewardSpec::new().rate_when(move |mk| mk.tokens(up) == 1, 1.0);
-        let est = estimate_steady_reward(&m, &spec2, 200.0, 20, 13, &Default::default()).unwrap();
-        assert_eq!(est.replications, 20);
-        assert!(
-            (est.mean - analytic).abs() < (3.0 * est.half_width_95).max(0.02),
-            "batch-means {} ± {} vs analytic {analytic}",
-            est.mean,
-            est.half_width_95
-        );
-    }
-
-    #[test]
-    fn batch_means_validates_inputs() {
-        let (m, _) = up_down();
-        let spec = RewardSpec::new();
-        assert!(estimate_steady_reward(&m, &spec, 10.0, 1, 1, &Default::default()).is_err());
-        assert!(estimate_steady_reward(&m, &spec, 0.0, 5, 1, &Default::default()).is_err());
-        assert!(estimate_steady_reward(&m, &spec, f64::NAN, 5, 1, &Default::default()).is_err());
     }
 
     #[test]

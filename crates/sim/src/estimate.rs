@@ -326,54 +326,6 @@ pub fn estimate_y_matched(
     })
 }
 
-/// Estimates `Y(φ)` over a whole φ grid — the simulation counterpart of
-/// `GsuAnalysis::sweep_grid`, reusing one unguarded baseline run for every
-/// grid point.
-///
-/// # Errors
-///
-/// Propagates configuration validation failures.
-pub fn estimate_y_curve(
-    params: GsuParams,
-    phis: &[f64],
-    replications: usize,
-    seed: u64,
-) -> Result<Vec<(f64, YEstimate)>, PerfError> {
-    let unguarded = MonteCarlo::new(SimConfig::new(params, 0.0)?)
-        .with_replications(replications)
-        .with_seed(seed.wrapping_add(0x5EED))
-        .run();
-    let ideal = 2.0 * params.theta;
-    let numer = ideal - unguarded.mean_worth;
-
-    phis.iter()
-        .map(|&phi| {
-            let guarded = MonteCarlo::new(SimConfig::new(params, phi)?)
-                .with_replications(replications)
-                .with_seed(seed.wrapping_add(phi.to_bits()))
-                .run();
-            let denom = ideal - guarded.mean_worth;
-            let y = if denom > 0.0 { numer / denom } else { f64::NAN };
-            let half_width = if denom > 0.0 && numer > 0.0 {
-                y * ((unguarded.worth_half_width_95 / numer).powi(2)
-                    + (guarded.worth_half_width_95 / denom).powi(2))
-                .sqrt()
-            } else {
-                f64::NAN
-            };
-            Ok((
-                phi,
-                YEstimate {
-                    y,
-                    half_width_95: half_width,
-                    guarded,
-                    unguarded: unguarded.clone(),
-                },
-            ))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,19 +416,6 @@ mod tests {
             est.half_width_95
         );
         assert!(est.half_width_95 < 0.5);
-    }
-
-    #[test]
-    fn y_curve_shares_the_baseline_and_rises_then_falls() {
-        let curve = estimate_y_curve(baseline(), &[2000.0, 6000.0, 10_000.0], 1500, 3).unwrap();
-        assert_eq!(curve.len(), 3);
-        // All points share the identical unguarded baseline.
-        assert_eq!(curve[0].1.unguarded, curve[1].1.unguarded);
-        // The middle of the grid should beat the short guard (Fig. 9 shape).
-        assert!(curve[1].1.y > curve[0].1.y);
-        for (phi, est) in &curve {
-            assert!(est.y.is_finite(), "φ={phi}");
-        }
     }
 
     #[test]

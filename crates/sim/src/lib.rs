@@ -55,9 +55,7 @@ pub mod trace;
 pub use config::{GammaMode, SimConfig};
 pub use distribution::WorthDistribution;
 pub use engine::{simulate_run, simulate_run_with_log, PathClass, RunOutcome};
-pub use estimate::{
-    estimate_y, estimate_y_curve, estimate_y_matched, EngineKind, MonteCarlo, SimSummary, YEstimate,
-};
+pub use estimate::{estimate_y, estimate_y_matched, EngineKind, MonteCarlo, SimSummary, YEstimate};
 pub use fast::{calibrate, simulate_run_hybrid, Calibration};
 pub use rng::SimRng;
 pub use shadow::{run_until_admitted, simulate_validation, CampaignOutcome, ValidationLog};

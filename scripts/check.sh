@@ -141,7 +141,7 @@ done
 [ -n "$SERVE_ADDR" ] || { echo "gsu-serve never reported its address"; exit 1; }
 target/release/gsu-bench loadgen --addr "$SERVE_ADDR" --mode open --duration 5 \
     --label open --report "$LOADGEN_DIR/loadgen-open.json" \
-    --bench results/BENCH_serve.json --check
+    --bench "$LOADGEN_DIR/BENCH_serve.json" --check
 target/release/gsu-bench loadgen --addr "$SERVE_ADDR" --mode closed --duration 2 \
     --report "$LOADGEN_DIR/loadgen-closed.json"
 target/release/gsu-bench loadgen --addr "$SERVE_ADDR" --mode open --duration 2 \
@@ -154,12 +154,13 @@ kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
 # Serving-latency ratchet: the open-loop quantiles the loadgen gate just
-# measured must stay within 2x of the committed baseline (latency on a
-# shared CI box is noisy, hence the wide threshold; the SLO attainment
-# check above is the tight gate).
+# measured (written under $LOADGEN_DIR, so the committed
+# results/BENCH_serve.json stays as it is) must stay within 2x of the
+# committed baseline (latency on a shared CI box is noisy, hence the wide
+# threshold; the SLO attainment check above is the tight gate).
 echo "==> gsu-bench regress (serve latency)"
 target/release/gsu-bench regress --baseline results/BENCH_serve_baseline.json \
-    --current results/BENCH_serve.json --threshold 1.0 --no-update
+    --current "$LOADGEN_DIR/BENCH_serve.json" --threshold 1.0 --no-update
 
 # Flight-recorder round trip: a telemetry-enabled fig9 run must produce a
 # Chrome trace that gsu-bench profile can rebuild into folded flamegraph
@@ -194,17 +195,21 @@ rm -rf "$PROFILE_DIR"
 
 # Scenario-catalog gate: every committed .gsu scenario must reproduce its
 # committed golden Y(phi) curve bit-tightly; the per-scenario timing/work
-# records land in results/BENCH_sweep.json and feed the regress gate below.
-# Pinned to one thread like the test stages: the baseline holds threads=1
-# scenario records, and regress only compares records of equal thread count.
+# records land in a temporary BENCH_sweep.json and feed the regress gate
+# below. Pinned to one thread like the test stages: the baseline holds
+# threads=1 scenario records, and regress only compares records of equal
+# thread count.
 echo "==> gsu-bench scenarios --check"
-GSU_THREADS=1 target/release/gsu-bench scenarios --check
+SWEEP_DIR="$(mktemp -d)"
+GSU_THREADS=1 target/release/gsu-bench scenarios --check --out "$SWEEP_DIR"
 
-# Bench regression gate: committed sweep numbers vs the committed baseline —
-# wall time plus the deterministic work metrics (solver iterations, SpMV
-# ops), so an algorithmic slowdown fails even when wall-clock noise hides it.
-# --no-update keeps the gate read-only so the tree stays clean under CI.
+# Bench regression gate: the scenario records just measured vs the committed
+# baseline — wall time plus the deterministic work metrics (solver
+# iterations, SpMV ops, a zero baseline included), so an algorithmic
+# slowdown fails even when wall-clock noise hides it. --no-update keeps the
+# gate read-only so the tree stays clean under CI.
 echo "==> gsu-bench regress"
-target/release/gsu-bench regress --no-update
+target/release/gsu-bench regress --current "$SWEEP_DIR/BENCH_sweep.json" --no-update
+rm -rf "$SWEEP_DIR"
 
 echo "All checks passed."
