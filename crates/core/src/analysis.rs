@@ -18,8 +18,9 @@ use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Re
 /// Construction builds and solves everything that does not depend on φ (the
 /// overhead steady state, the normal-mode full-window probability, and the
 /// G-OP chain's reward structure and detected set). A sweep then costs one
-/// transient pass on the G-OP chain for all its φ, plus two normal-mode
-/// survivals per φ; [`GsuAnalysis::evaluate`] is the one-point sweep.
+/// transient pass on the G-OP chain for all its φ, plus one survival chain
+/// per normal-mode model over all its windows `θ − φ`;
+/// [`GsuAnalysis::evaluate`] is the one-point sweep.
 ///
 /// # Example
 ///
@@ -164,7 +165,7 @@ impl GsuAnalysis {
         let gd_chain = GopChain::new(&gd_analyzer, gd.1)?;
         let np_new_analyzer = generate(np_new.0)?;
         let np_old_analyzer = generate(np_old.0)?;
-        let p_a1_norm_theta = survival(&np_new_analyzer, np_new.1, params.theta)?;
+        let p_a1_norm_theta = survivals(&np_new_analyzer, np_new.1, &[params.theta])?[0];
         Ok(GsuAnalysis {
             params,
             gamma_policy: GammaPolicy::default(),
@@ -222,8 +223,8 @@ impl GsuAnalysis {
     }
 
     /// The constituent measures at every φ of an already validated grid:
-    /// one G-OP pass for all of them, then the normal-mode survivals over
-    /// the remaining window `θ − φ` of each.
+    /// one G-OP pass for all of them, then one survival chain per
+    /// normal-mode model over the remaining windows `θ − φ`.
     fn measures_at(&self, phis: &[f64]) -> Result<Vec<ConstituentMeasures>> {
         let mut span = telemetry::span("performability.measures");
         span.record("points", phis.len());
@@ -231,27 +232,28 @@ impl GsuAnalysis {
         // G-OP measures (Table 1).
         let gop = self.gd_chain.measures(&self.gd, phis)?;
 
-        // Normal-mode measures (§5.2.3).
-        phis.iter()
-            .zip(gop)
-            .map(|(&phi, gop)| {
-                let remaining = self.params.theta - phi;
-                let p_a1_norm_rem = survival(&self.np_new, self.np_new_failure, remaining)?;
-                let i_f = 1.0 - survival(&self.np_old, self.np_old_failure, remaining)?;
-                Ok(ConstituentMeasures {
-                    p_a1_gop: gop.p_a1,
-                    p_a1_norm_theta: self.p_a1_norm_theta,
-                    p_a1_norm_rem,
-                    rho1: self.rho.0,
-                    rho2: self.rho.1,
-                    i_h: gop.i_h,
-                    i_tau_h: gop.i_tau_h,
-                    i_tau_h_exact: gop.i_tau_h_exact,
-                    i_hf: gop.i_hf,
-                    i_f,
-                })
+        // Normal-mode measures (§5.2.3): one chain per model over the
+        // remaining windows θ − φ.
+        let remaining: Vec<f64> = phis.iter().map(|&phi| self.params.theta - phi).collect();
+        let p_new = survivals(&self.np_new, self.np_new_failure, &remaining)?;
+        let p_old = survivals(&self.np_old, self.np_old_failure, &remaining)?;
+        let measures = gop
+            .into_iter()
+            .zip(p_new.into_iter().zip(p_old))
+            .map(|(gop, (p_a1_norm_rem, p_old_rem))| ConstituentMeasures {
+                p_a1_gop: gop.p_a1,
+                p_a1_norm_theta: self.p_a1_norm_theta,
+                p_a1_norm_rem,
+                rho1: self.rho.0,
+                rho2: self.rho.1,
+                i_h: gop.i_h,
+                i_tau_h: gop.i_tau_h,
+                i_tau_h_exact: gop.i_tau_h_exact,
+                i_hf: gop.i_hf,
+                i_f: 1.0 - p_old_rem,
             })
-            .collect()
+            .collect();
+        Ok(measures)
     }
 
     /// Evaluates the performability index and all intermediate quantities at
@@ -306,10 +308,14 @@ impl GsuAnalysis {
     ///
     /// The grid must be **ascending** within `[0, θ]`. Every φ is a horizon
     /// of one transient pass on the G-OP chain (see
-    /// `markov::transient::distribution_and_occupancy_at_times`); the
-    /// normal-mode survivals follow per φ. The sweep runs serially on the
-    /// calling thread, so it is bitwise identical at any `GSU_THREADS`;
-    /// parallel work belongs across curves.
+    /// `markov::transient::distribution_and_occupancy_at_times`), and every
+    /// window `θ − φ` a horizon of one survival chain per normal-mode model
+    /// (`markov::transient::distribution_at_times`). A one-point sweep is
+    /// [`GsuAnalysis::evaluate`] bit for bit; a point of a longer grid
+    /// agrees with it to rounding, since dense horizons are stepped along
+    /// the grid. The sweep runs serially on the calling thread, so it is
+    /// bitwise identical at any `GSU_THREADS`; parallel work belongs across
+    /// curves.
     ///
     /// # Errors
     ///
@@ -397,9 +403,15 @@ impl GsuAnalysis {
     }
 }
 
-/// `P(failure place empty at t)` on a normal-mode model.
-fn survival(np: &Analyzer, failure: PlaceId, t: f64) -> Result<f64> {
-    Ok(np.probability_at(t, move |mk| mk.tokens(failure) == 0)?)
+/// `P(failure place empty at t)` on a normal-mode model, for every horizon
+/// `t` of `times`, in order.
+fn survivals(np: &Analyzer, failure: PlaceId, times: &[f64]) -> Result<Vec<f64>> {
+    let space = np.state_space();
+    Ok(np
+        .distribution_at_times(times)?
+        .iter()
+        .map(|pi| space.probability_of(pi, |mk| mk.tokens(failure) == 0))
+        .collect())
 }
 
 impl std::fmt::Debug for GsuAnalysis {

@@ -222,6 +222,16 @@ mod tests {
     use crate::gsu::rmgd;
     use crate::GsuParams;
 
+    fn fields(m: &GopMeasures) -> [(&'static str, f64); 5] {
+        [
+            ("p_a1", m.p_a1),
+            ("i_h", m.i_h),
+            ("i_hf", m.i_hf),
+            ("i_tau_h", m.i_tau_h),
+            ("i_tau_h_exact", m.i_tau_h_exact),
+        ]
+    }
+
     #[test]
     fn engine_matches_direct_measures_on_rmgd() {
         let params = GsuParams::paper_baseline();
@@ -229,14 +239,33 @@ mod tests {
         let analyzer = Analyzer::generate(&built.model, &Default::default()).unwrap();
         let direct = crate::GsuAnalysis::new(params).unwrap();
         let phis = [0.0, 2500.0, 7000.0];
-        let curve = gop_measures(&analyzer, built.places.gop, &phis).unwrap();
-        for (phi, engine) in phis.into_iter().zip(curve) {
+        // One φ at a time: bit for bit the analysis' own measures.
+        let mut solo = Vec::new();
+        for phi in phis {
+            let engine = gop_measures(&analyzer, built.places.gop, &[phi]).unwrap()[0];
             let m = direct.measures(phi).unwrap();
-            assert_eq!(engine.p_a1, m.p_a1_gop, "phi = {phi}");
-            assert_eq!(engine.i_h, m.i_h, "phi = {phi}");
-            assert_eq!(engine.i_hf, m.i_hf, "phi = {phi}");
-            assert_eq!(engine.i_tau_h, m.i_tau_h, "phi = {phi}");
-            assert_eq!(engine.i_tau_h_exact, m.i_tau_h_exact, "phi = {phi}");
+            let want = GopMeasures {
+                p_a1: m.p_a1_gop,
+                i_h: m.i_h,
+                i_hf: m.i_hf,
+                i_tau_h: m.i_tau_h,
+                i_tau_h_exact: m.i_tau_h_exact,
+            };
+            for ((name, got), (_, want)) in fields(&engine).into_iter().zip(fields(&want)) {
+                assert_eq!(got.to_bits(), want.to_bits(), "{name} at phi = {phi}");
+            }
+            solo.push(engine);
+        }
+        // The whole grid in one call chains its dense solves: equal to the
+        // one-φ solves up to rounding.
+        let curve = gop_measures(&analyzer, built.places.gop, &phis).unwrap();
+        for ((phi, chained), one) in phis.into_iter().zip(&curve).zip(&solo) {
+            for ((name, got), (_, want)) in fields(chained).into_iter().zip(fields(one)) {
+                assert!(
+                    (got - want).abs() <= 1e-8 * want.abs(),
+                    "{name} at phi = {phi}: {got} vs {want}"
+                );
+            }
         }
     }
 

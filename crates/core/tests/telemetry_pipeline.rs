@@ -67,8 +67,9 @@ fn evaluate_records_solver_and_state_space_metrics() {
     // uniformization, so a whole sweep takes them from one shared pass: one
     // fused span over every positive φ, with exactly one uniformization
     // solve under it. The exact detection moment reads the same π/L, so no
-    // stopped-chain solve runs, and the only other transient spans are the
-    // two normal-mode survivals per φ.
+    // stopped-chain solve runs. The only other transient spans are the two
+    // normal-mode survival chains: one dense chain per model over every
+    // remaining window θ − φ.
     let collector = Collector::install();
     let points = analysis.sweep([0.0, 0.25, 0.5]).expect("tiny-φ sweep");
     telemetry::clear_sink();
@@ -85,7 +86,22 @@ fn evaluate_records_solver_and_state_space_metrics() {
     assert_eq!(solves.len(), 1, "one uniformization solve");
     assert_eq!(solves[0].parent_id, fused[0].span_id);
     assert!(named("markov.transient.occupancy").is_empty());
-    assert_eq!(named("markov.transient.distribution").len(), 6);
+    let chains = named("markov.transient.distribution");
+    assert_eq!(chains.len(), 2, "one survival chain per normal-mode model");
+    for chain in chains {
+        assert!(chain
+            .args
+            .iter()
+            .any(|(k, v)| k == "horizons" && *v == telemetry::ArgValue::U64(3)));
+        assert!(chain
+            .args
+            .iter()
+            .any(|(k, v)| k == "method"
+                && *v == telemetry::ArgValue::Str("matrix_exponential".into())));
+    }
+    // Windows 9999.5, 9999.75, 10000: the gaps 9999.5 and 0.25 (twice) take
+    // one exponential each per chain.
+    assert_eq!(collector.counter_value("markov.expm.solves"), Some(4));
     assert_eq!(
         collector.counter_value("markov.uniformization.solves"),
         Some(1)

@@ -7,7 +7,8 @@
 //! message rates are ~10³/h while the horizons are ~10⁴ h, so `Λ·t ≈ 10⁷⁻⁸`.
 //! For the small state spaces produced by the GSU SANs (tens to hundreds of
 //! states), the dense exponential costs `O(n³ log(‖Q‖t))` and wins by orders
-//! of magnitude. The `ablation_uniformization` bench quantifies this.
+//! of magnitude. [`crate::transient`] picks between the two engines per
+//! horizon by a rough flop count of each.
 
 use sparsela::{DenseMatrix, LinAlgError};
 

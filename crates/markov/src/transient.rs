@@ -35,9 +35,34 @@
 //! `L(t)` both resolve to uniformization; [`distribution_and_occupancy`] is
 //! its one-horizon case and returns the same bits as the two separate
 //! calls at half the sparse products.
+//!
+//! Every dense solve is one chain along its horizons, taken in ascending
+//! order from `(π₀, 0)` at `t = 0`:
+//!
+//! ```text
+//! π(t+Δ) = π(t)·e^{QΔ},    L(t+Δ) = L(t) + π(t)·∫₀^Δ e^{Qs} ds
+//! ```
+//!
+//! A gap `Δ` costs `e^{QΔ}` and the integral block once; a run of equal
+//! gaps (exact `f64` equality) reuses them, so a uniform grid costs one
+//! pair of exponentials and one vector–matrix product per horizon and
+//! output. [`distribution_and_occupancy_at_times`] chains every horizon
+//! whose `π(t)` and `L(t)` both resolve to the matrix exponential, and
+//! [`distribution_at_times`] every horizon whose `π(t)` does; the
+//! one-horizon [`distribution`] and [`occupancy`] are the one-gap chain.
+//!
+//! The contract between a grid and its points: a one-horizon call is the
+//! one-horizon solve bit for bit, at any position of the horizon in a
+//! grid. A horizon of a longer grid differs from its one-horizon solve by
+//! rounding only — the drop tolerance of a shared uniformization pass
+//! follows the largest window, and a chained horizon rounds through its
+//! gaps' exponentials instead of one exponential of `Qt`. Each gap's
+//! exponential needs fewer squarings than the full horizon's, and on the
+//! paper's stiff `RMGd` the chained `π(θ)` and `L(θ)` are the closer ones
+//! to a tight uniformization reference.
 
 use sparsela::blocked::{spmv_transpose_adaptive, BlockedKernel};
-use sparsela::{vector, CsrMatrix};
+use sparsela::{vector, CsrMatrix, DenseMatrix};
 
 use crate::expm;
 use crate::fox_glynn::PoissonWindow;
@@ -109,7 +134,10 @@ pub fn distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<
     span.record("method", method_name(method));
     match method {
         Method::Uniformization => uniformized_distribution(ctmc, pi0, t, opts),
-        Method::MatrixExponential => expm_distribution(ctmc, pi0, t, opts),
+        Method::MatrixExponential => {
+            let mut out = expm_chain(ctmc, pi0, &[t], true, false, opts)?;
+            Ok(out.remove(0).0)
+        }
         Method::Auto => unreachable!("select_method resolves Auto"),
     }
 }
@@ -138,7 +166,10 @@ pub fn occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec
     span.record("method", method_name(method));
     match method {
         Method::Uniformization => uniformized_occupancy(ctmc, pi0, t, opts),
-        Method::MatrixExponential => expm_occupancy(ctmc, pi0, t, opts),
+        Method::MatrixExponential => {
+            let mut out = expm_chain(ctmc, pi0, &[t], false, true, opts)?;
+            Ok(out.remove(0).1)
+        }
         Method::Auto => unreachable!("select_method resolves Auto"),
     }
 }
@@ -150,8 +181,9 @@ pub fn occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec
 /// [`distribution`] and [`occupancy`] would both run uniformization, one
 /// pass steps the sequence once and feeds both accumulators; the answer is
 /// bitwise identical to the two separate calls, at half the sparse
-/// products. Otherwise (either solve resolves to the matrix exponential)
-/// this is exactly the two separate calls.
+/// products. When both resolve to the matrix exponential, one dense step
+/// returns the two calls' bits; a mixed engine choice is exactly the two
+/// separate calls.
 ///
 /// This is the one-horizon case of [`distribution_and_occupancy_at_times`].
 ///
@@ -175,14 +207,15 @@ pub fn distribution_and_occupancy(
 /// to the largest right truncation point, and each horizon accumulates its
 /// own Fox–Glynn window of it. Steady-state detection, when it stops the
 /// pass, applies the remaining weights of every unfinished horizon. Every
-/// other horizon (`t = 0`, a chain without transitions, or an engine
-/// choice of the matrix exponential) is exactly the two calls
-/// [`distribution`] and [`occupancy`].
+/// horizon whose `π(t)` and `L(t)` both resolve to the matrix exponential
+/// is a link of **one** dense chain (see the module docs). Every other
+/// horizon (`t = 0`, a chain without transitions, or a mixed engine
+/// choice) is exactly the two calls [`distribution`] and [`occupancy`].
 ///
-/// With one horizon this is the operation sequence of the one-horizon
-/// pass, bit for bit. With several, each horizon's answer differs from its
-/// one-horizon solve only through the drop tolerance, which follows the
-/// largest window.
+/// With one horizon this is the one-horizon solve, bit for bit. With
+/// several, each horizon's answer differs from its one-horizon solve by
+/// rounding only: through the drop tolerance, which follows the largest
+/// window, or through the gap exponentials of the chain.
 ///
 /// # Errors
 ///
@@ -200,21 +233,42 @@ pub fn distribution_and_occupancy_at_times(
     let n = ctmc.n_states();
     let mut out = Vec::with_capacity(times.len());
     let mut horizons = Vec::new();
+    let mut dense = Vec::new();
     for &t in times {
         check_time(t)?;
-        let shared_pass = t > 0.0
-            && ctmc.max_exit_rate() > 0.0
-            && select_method(ctmc, t, opts, 1)? == Method::Uniformization
-            && select_method(ctmc, t, opts, 2)? == Method::Uniformization;
-        if shared_pass {
-            let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-            horizons.push((out.len(), Horizon::new(window, true, true, n)));
-            out.push((Vec::new(), Vec::new()));
+        let engines = if t > 0.0 && ctmc.max_exit_rate() > 0.0 {
+            Some((
+                select_method(ctmc, t, opts, 1)?,
+                select_method(ctmc, t, opts, 2)?,
+            ))
         } else {
-            out.push((
+            None
+        };
+        match engines {
+            Some((Method::Uniformization, Method::Uniformization)) => {
+                let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
+                horizons.push((out.len(), Horizon::new(window, true, true, n)));
+                out.push((Vec::new(), Vec::new()));
+            }
+            Some((Method::MatrixExponential, Method::MatrixExponential)) => {
+                dense.push((out.len(), t));
+                out.push((Vec::new(), Vec::new()));
+            }
+            _ => out.push((
                 distribution(ctmc, pi0, t, opts)?,
                 occupancy(ctmc, pi0, t, opts)?,
-            ));
+            )),
+        }
+    }
+    if !dense.is_empty() {
+        let mut span = telemetry::span("markov.transient.distribution_and_occupancy");
+        span.record("states", n);
+        span.record("horizons", dense.len());
+        span.record("method", method_name(Method::MatrixExponential));
+        let (slots, dense_times): (Vec<usize>, Vec<f64>) = dense.into_iter().unzip();
+        let solved = expm_chain(ctmc, pi0, &dense_times, true, true, opts)?;
+        for (slot, answer) in slots.into_iter().zip(solved) {
+            out[slot] = answer;
         }
     }
     if horizons.is_empty() {
@@ -231,6 +285,55 @@ pub fn distribution_and_occupancy_at_times(
         vector::normalize_l1(&mut pi);
         vector::scale(1.0 / lambda, &mut l);
         out[slot] = (pi, l);
+    }
+    Ok(out)
+}
+
+/// Computes `π(t)` for every horizon in `times`, in order.
+///
+/// Every horizon whose `π(t)` resolves to the matrix exponential is one
+/// link of the dense chain (see the module docs): the horizons are taken in
+/// ascending order, each stepped from the one before by `e^{QΔ}`, computed
+/// once per run of equal gaps. Every other horizon is exactly
+/// [`distribution`]. With one horizon this is [`distribution`], bit for
+/// bit; with several, a chained answer differs from its one-horizon solve
+/// in the rounding of the exponentials only.
+///
+/// # Errors
+///
+/// Same failure modes as [`distribution`]; horizons are checked and their
+/// engines resolved in order, so the first failing horizon reports.
+pub fn distribution_at_times(
+    ctmc: &Ctmc,
+    pi0: &[f64],
+    times: &[f64],
+    opts: &Options,
+) -> Result<Vec<Vec<f64>>> {
+    ctmc.check_distribution(pi0)?;
+    let mut out = Vec::with_capacity(times.len());
+    let mut dense = Vec::new();
+    for &t in times {
+        check_time(t)?;
+        if t > 0.0
+            && ctmc.max_exit_rate() > 0.0
+            && select_method(ctmc, t, opts, 1)? == Method::MatrixExponential
+        {
+            dense.push((out.len(), t));
+            out.push(Vec::new());
+        } else {
+            out.push(distribution(ctmc, pi0, t, opts)?);
+        }
+    }
+    if !dense.is_empty() {
+        let mut span = telemetry::span("markov.transient.distribution");
+        span.record("states", ctmc.n_states());
+        span.record("horizons", dense.len());
+        span.record("method", method_name(Method::MatrixExponential));
+        let (slots, dense_times): (Vec<usize>, Vec<f64>) = dense.into_iter().unzip();
+        let solved = expm_chain(ctmc, pi0, &dense_times, true, false, opts)?;
+        for (slot, (pi, _)) in slots.into_iter().zip(solved) {
+            out[slot] = pi;
+        }
     }
     Ok(out)
 }
@@ -683,34 +786,118 @@ fn uniformized_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Re
     Ok(l)
 }
 
-fn expm_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
-    telemetry::counter("markov.expm.solves", 1);
+/// The dense chain of the module docs: `(π(t), L(t))` at every horizon of
+/// `times` (each `> 0`, in any order; answered in order), with `e^{QΔ}` and
+/// the integral block of [`expm::expm_with_integral_scaled`] computed once
+/// per run of equal gaps. An output not wanted comes back empty, and
+/// `e^{QΔ}` is skipped where no later horizon needs `π`; a repeated horizon
+/// (`Δ = 0`) repeats the answer. With one horizon the gap is `t` itself, so
+/// the answer is the one-shot `π₀·e^{Qt}` and `π₀·∫₀ᵗ e^{Qs} ds`, bit for
+/// bit.
+fn expm_chain(
+    ctmc: &Ctmc,
+    pi0: &[f64],
+    times: &[f64],
+    want_pi: bool,
+    want_l: bool,
+    opts: &Options,
+) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
     let q = ctmc
         .generator()
         .to_dense_checked(opts.dense_state_limit * opts.dense_state_limit)
         .map_err(MarkovError::from)?;
-    let mut qt = q;
-    qt.scale(t);
-    let e = expm::expm(&qt)?;
-    let mut pi = e.vec_mul(pi0);
-    clamp_probabilities(&mut pi);
-    Ok(pi)
-}
-
-fn expm_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
-    telemetry::counter("markov.expm.solves", 1);
-    let q = ctmc
-        .generator()
-        .to_dense_checked(opts.dense_state_limit * opts.dense_state_limit)
-        .map_err(MarkovError::from)?;
-    let (_, integral) = expm::expm_with_integral_scaled(&q, t)?;
-    let mut occupancy = integral.vec_mul(pi0);
-    for o in &mut occupancy {
-        if *o < 0.0 && *o > -1e-9 {
-            *o = 0.0;
+    let mut gap = GapPropagators::new(f64::NAN);
+    let mut order: Vec<usize> = (0..times.len()).collect();
+    order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
+    let mut pi = pi0.to_vec();
+    // `None` is L(0) = 0: the first gap's integral term is then L itself,
+    // bit for bit, instead of a sum with a zero vector.
+    let mut l: Option<Vec<f64>> = None;
+    let mut now = 0.0;
+    let mut out = vec![(Vec::new(), Vec::new()); times.len()];
+    for (i, &slot) in order.iter().enumerate() {
+        let t = times[slot];
+        let delta = t - now;
+        if delta > 0.0 {
+            if gap.gap != delta {
+                gap = GapPropagators::new(delta);
+            }
+            let next_pi = if want_pi || i + 1 < order.len() {
+                let mut next = gap.e(&q)?.vec_mul(&pi);
+                clamp_probabilities(&mut next);
+                Some(next)
+            } else {
+                None
+            };
+            if want_l {
+                let mut next = gap.f(&q)?.vec_mul(&pi);
+                if let Some(prev) = &l {
+                    for (o, p) in next.iter_mut().zip(prev) {
+                        *o += p;
+                    }
+                }
+                for o in &mut next {
+                    if *o < 0.0 && *o > -1e-9 {
+                        *o = 0.0;
+                    }
+                }
+                l = Some(next);
+            }
+            if let Some(next) = next_pi {
+                pi = next;
+            }
+            now = t;
+        }
+        if want_pi {
+            out[slot].0 = pi.clone();
+        }
+        if let Some(l) = &l {
+            out[slot].1 = l.clone();
         }
     }
-    Ok(occupancy)
+    Ok(out)
+}
+
+/// The propagators of one gap `Δ` of a dense chain, each computed on first
+/// use: `e^{QΔ}` and `∫₀^Δ e^{Qs} ds`.
+struct GapPropagators {
+    gap: f64,
+    e: Option<DenseMatrix>,
+    f: Option<DenseMatrix>,
+}
+
+impl GapPropagators {
+    fn new(gap: f64) -> Self {
+        GapPropagators {
+            gap,
+            e: None,
+            f: None,
+        }
+    }
+
+    fn e(&mut self, q: &DenseMatrix) -> Result<&DenseMatrix> {
+        let e = match self.e.take() {
+            Some(e) => e,
+            None => {
+                telemetry::counter("markov.expm.solves", 1);
+                let mut q_gap = q.clone();
+                q_gap.scale(self.gap);
+                expm::expm(&q_gap)?
+            }
+        };
+        Ok(self.e.insert(e))
+    }
+
+    fn f(&mut self, q: &DenseMatrix) -> Result<&DenseMatrix> {
+        let f = match self.f.take() {
+            Some(f) => f,
+            None => {
+                telemetry::counter("markov.expm.solves", 1);
+                expm::expm_with_integral_scaled(q, self.gap)?.1
+            }
+        };
+        Ok(self.f.insert(f))
+    }
 }
 
 fn clamp_probabilities(pi: &mut [f64]) {

@@ -164,6 +164,55 @@ proptest! {
     }
 
     #[test]
+    fn dense_chain_matches_one_horizon_solves(
+        chain in arb_ctmc(5, 2.0),
+        steps in proptest::collection::vec(0usize..3, 3..8),
+        start in 0usize..5,
+    ) {
+        // Horizons on a power-of-two unit u ≥ 1/(max exit rate), so every
+        // gap is exact and a repeated step is a repeated gap. A 100-step
+        // budget puts Λt ≥ 40 (all dense horizons) on the matrix
+        // exponential and leaves Λt < 1 (t = u/8) on uniformization.
+        let u = (1.0 / chain.max_exit_rate()).log2().ceil().exp2();
+        let opts = Options {
+            max_uniformization_steps: 100,
+            ..Default::default()
+        };
+        let mut times = vec![0.0, u / 8.0];
+        let mut units = 40;
+        for step in steps {
+            units += 8 * step;
+            times.push(u * units as f64);
+        }
+        let pi0 = chain.point_distribution(start);
+        let all = transient::distribution_and_occupancy_at_times(&chain, &pi0, &times, &opts)
+            .unwrap();
+        // The π-only chain, fed the horizons in descending order.
+        let reversed: Vec<f64> = times.iter().rev().copied().collect();
+        let pis = transient::distribution_at_times(&chain, &pi0, &reversed, &opts).unwrap();
+        prop_assert_eq!(all.len(), times.len());
+        for ((&t, (pi, l)), pi_only) in times.iter().zip(&all).zip(pis.iter().rev()) {
+            let want_pi = transient::distribution(&chain, &pi0, t, &opts).unwrap();
+            let want_l = transient::occupancy(&chain, &pi0, t, &opts).unwrap();
+            prop_assert!(relative_diff(pi, &want_pi) <= 1e-9,
+                "π at t = {t}: {}", relative_diff(pi, &want_pi));
+            prop_assert!(relative_diff(pi_only, &want_pi) <= 1e-9,
+                "π-only at t = {t}: {}", relative_diff(pi_only, &want_pi));
+            prop_assert!(relative_diff(l, &want_l) <= 1e-9,
+                "L at t = {t}: {}", relative_diff(l, &want_l));
+            prop_assert!((l.iter().sum::<f64>() - t).abs() <= 1e-9 * t.max(1.0),
+                "Σ L = {} at t = {t}", l.iter().sum::<f64>());
+            // One horizon alone is the separate solves, bit for bit.
+            let (one_pi, one_l) =
+                transient::distribution_and_occupancy(&chain, &pi0, t, &opts).unwrap();
+            let one = transient::distribution_at_times(&chain, &pi0, &[t], &opts).unwrap();
+            prop_assert!(bits(&one_pi) == bits(&want_pi), "one-horizon π at t = {t}");
+            prop_assert!(bits(&one_l) == bits(&want_l), "one-horizon L at t = {t}");
+            prop_assert!(bits(&one[0]) == bits(&want_pi), "one-horizon π-only at t = {t}");
+        }
+    }
+
+    #[test]
     fn truncated_mean_hitting_time_is_bitwise_the_two_call_reference(
         chain in arb_ctmc(5, 2.0),
         target in 1usize..5,

@@ -100,6 +100,22 @@ impl Analyzer {
         )?)
     }
 
+    /// The state distribution at every horizon in `times`, with the dense
+    /// horizons chained (see [`transient::distribution_at_times`]): the
+    /// basis of an instant-of-time reward over a whole grid of horizons.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transient-solver failures.
+    pub fn distribution_at_times(&self, times: &[f64]) -> Result<Vec<Vec<f64>>> {
+        Ok(transient::distribution_at_times(
+            self.space.ctmc(),
+            self.space.initial_distribution(),
+            times,
+            &self.transient_options,
+        )?)
+    }
+
     /// The state distribution `π(t)` and the accumulated occupancy `L(t)`
     /// from one transient solve (see
     /// [`transient::distribution_and_occupancy`]): the basis of an

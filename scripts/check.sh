@@ -26,6 +26,12 @@ GSU_THREADS=1 cargo test --offline --workspace -q
 echo "==> cargo test -q (GSU_THREADS=4)"
 GSU_THREADS=4 cargo test --offline --workspace -q
 
+# Accuracy of the dense chain: the chained RMGd φ grid against a tight
+# uniformization reference. The reference needs ~6e7 sparse steps (~7 s in
+# release), so the test is #[ignore]d in the suites above.
+echo "==> cargo test --release -- --ignored (dense chain accuracy)"
+cargo test --offline --release -p performability --test dense_chain_accuracy -- --ignored
+
 cargo build --offline --release -p gsu-serve -p gsu-bench -p gsu-lint --bins
 
 # Benchmark link gate: gsu-benchmark/ is a workspace of its own that links
