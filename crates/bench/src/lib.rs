@@ -96,6 +96,9 @@ pub struct BenchRecord {
     pub iterations: u64,
     /// Sparse matrix-vector products the run performed. `0` when absent.
     pub spmv_ops: u64,
+    /// Stored matrix entries those products touched — the SpMV count
+    /// weighted by chain size. `0` when absent.
+    pub spmv_nnz: u64,
 }
 
 /// Merges `record` into the JSON log at `path`, replacing any existing entry
@@ -146,8 +149,8 @@ pub(crate) fn bench_record_lines(records: &[BenchRecord]) -> Vec<String> {
         .map(|r| {
             format!(
                 "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
-                 \"iterations\": {}, \"spmv_ops\": {}}}",
-                r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops
+                 \"iterations\": {}, \"spmv_ops\": {}, \"spmv_nnz\": {}}}",
+                r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops, r.spmv_nnz
             )
         })
         .collect()
@@ -187,6 +190,9 @@ fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
         let spmv_ops = json_field(body, "spmv_ops")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
+        let spmv_nnz = json_field(body, "spmv_nnz")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
         if let (Some(name), Some(wall_ms), Some(threads), Some(grid)) =
             (name, wall_ms, threads, grid)
         {
@@ -197,6 +203,7 @@ fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
                 grid,
                 iterations,
                 spmv_ops,
+                spmv_nnz,
             });
         }
     }
@@ -470,6 +477,7 @@ mod tests {
             grid: 10,
             iterations: 128,
             spmv_ops: 640,
+            spmv_nnz: 5120,
         };
         merge_bench_record(&path, rec("fig9", 250.0, 1)).unwrap();
         merge_bench_record(&path, rec("fig9", 80.0, 4)).unwrap();
@@ -488,6 +496,7 @@ mod tests {
                 grid: 10,
                 iterations: 128,
                 spmv_ops: 640,
+                spmv_nnz: 5120,
             }
         );
         assert_eq!(records[2].threads, 4);
@@ -502,6 +511,7 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].iterations, 0);
         assert_eq!(records[0].spmv_ops, 0);
+        assert_eq!(records[0].spmv_nnz, 0);
     }
 
     #[test]

@@ -82,6 +82,10 @@ pub struct Comparison {
     pub baseline_spmv_ops: u64,
     /// Current SpMV count.
     pub current_spmv_ops: u64,
+    /// Baseline stored entries touched by SpMV.
+    pub baseline_spmv_nnz: u64,
+    /// Current stored entries touched by SpMV.
+    pub current_spmv_nnz: u64,
     /// Whether a work metric exceeds its baseline. Work counters are
     /// deterministic, so unlike wall time this cannot be scheduler noise:
     /// the algorithm itself started doing more work, and any increase
@@ -166,16 +170,22 @@ impl RegressReport {
                     c.name, c.threads, c.current_iterations, c.baseline_iterations, delta, verdict
                 );
             }
-            if c.baseline_spmv_ops > 0 || c.current_spmv_ops > 0 {
-                let verdict = if work_breach(c.baseline_spmv_ops, c.current_spmv_ops) {
+            for (counter, current, baseline) in [
+                ("spmv_ops", c.current_spmv_ops, c.baseline_spmv_ops),
+                ("spmv_nnz", c.current_spmv_nnz, c.baseline_spmv_nnz),
+            ] {
+                if baseline == 0 && current == 0 {
+                    continue;
+                }
+                let verdict = if work_breach(baseline, current) {
                     "WORK REGRESSED"
                 } else {
                     "ok"
                 };
                 let _ = writeln!(
                     out,
-                    "regress: {:<22} threads={} {:>9} vs {:>9} baseline spmv_ops {}",
-                    c.name, c.threads, c.current_spmv_ops, c.baseline_spmv_ops, verdict
+                    "regress: {:<22} threads={} {:>9} vs {:>9} baseline {counter} {verdict}",
+                    c.name, c.threads, current, baseline
                 );
             }
         }
@@ -275,8 +285,11 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], threshold: f64
                     current_iterations: cur.iterations,
                     baseline_spmv_ops: base.spmv_ops,
                     current_spmv_ops: cur.spmv_ops,
+                    baseline_spmv_nnz: base.spmv_nnz,
+                    current_spmv_nnz: cur.spmv_nnz,
                     work_regressed: work_breach(base.iterations, cur.iterations)
-                        || work_breach(base.spmv_ops, cur.spmv_ops),
+                        || work_breach(base.spmv_ops, cur.spmv_ops)
+                        || work_breach(base.spmv_nnz, cur.spmv_nnz),
                 });
             }
             None => added.push(cur.clone()),
@@ -640,6 +653,7 @@ mod tests {
             grid: 10,
             iterations: 0,
             spmv_ops: 0,
+            spmv_nnz: 0,
         }
     }
 
@@ -651,6 +665,7 @@ mod tests {
             grid: 10,
             iterations,
             spmv_ops,
+            spmv_nnz: 0,
         }
     }
 
@@ -776,6 +791,31 @@ mod tests {
         let report = compare(
             &[rec("serve:open:p99", 6.0, 2)],
             &[rec("serve:open:p99", 5.0, 2)],
+            DEFAULT_THRESHOLD,
+        );
+        assert!(report.passed());
+    }
+
+    #[test]
+    fn larger_chain_at_equal_spmv_count_is_gated() {
+        // The same products over a chain with more stored entries: invisible
+        // to spmv_ops, caught by spmv_nnz at zero tolerance.
+        let with_nnz = |spmv_nnz| BenchRecord {
+            spmv_nnz,
+            ..rec_work("scenario:three-escorts", 50.0, 8_000, 4_000)
+        };
+        let report = compare(
+            &[with_nnz(1_000_000)],
+            &[with_nnz(1_000_001)],
+            DEFAULT_THRESHOLD,
+        );
+        assert!(!report.passed());
+        assert!(report.compared[0].work_regressed);
+        let rendered = report.render();
+        assert!(rendered.contains("spmv_nnz WORK REGRESSED"), "{rendered}");
+        let report = compare(
+            &[with_nnz(1_000_000)],
+            &[with_nnz(200_000)],
             DEFAULT_THRESHOLD,
         );
         assert!(report.passed());

@@ -176,6 +176,7 @@ pub fn run(config: &ScenariosConfig) -> Result<ScenariosReport, String> {
                 grid: points,
                 iterations: work.solver_iterations,
                 spmv_ops: work.spmv_ops,
+                spmv_nnz: work.spmv_nnz,
             };
             if let Err(e) = crate::merge_bench_record(&config.out.join("BENCH_sweep.json"), record)
             {

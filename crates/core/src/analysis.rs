@@ -7,7 +7,7 @@
 //! paper's `RMGd`/`RMNd` ([`GsuAnalysis::new`]) and the scenario layer's
 //! generalized models lower into the same evaluation path.
 
-use san::{Analyzer, PlaceId, SanModel};
+use san::{Analyzer, LumpedChain, PlaceId, SanModel};
 
 use crate::gsu::{rmgd, rmgp, rmnd, GopChain, GopPlaces};
 use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, SweepPoint};
@@ -17,9 +17,11 @@ use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Re
 ///
 /// Construction builds and solves everything that does not depend on φ (the
 /// overhead steady state, the normal-mode full-window probability, and the
-/// G-OP chain's reward structure and detected set). A sweep then costs one
-/// transient pass on the G-OP chain for all its φ, plus one survival chain
-/// per normal-mode model over all its windows `θ − φ`;
+/// G-OP chain's reward structure and detected set), and lumps each chain by
+/// what its measures observe: the G-OP chain by `(detected, failure)`, the
+/// normal-mode chains by `failure`. A sweep then costs one transient pass on
+/// the lumped G-OP chain for all its φ, plus one survival chain per lumped
+/// normal-mode model over all its windows `θ − φ`;
 /// [`GsuAnalysis::evaluate`] is the one-point sweep.
 ///
 /// # Example
@@ -43,10 +45,11 @@ pub struct GsuAnalysis {
     rho_pi: Option<Vec<f64>>,
     gd: Analyzer,
     gd_chain: GopChain,
-    np_new: Analyzer,
-    np_new_failure: PlaceId,
-    np_old: Analyzer,
-    np_old_failure: PlaceId,
+    np_new: Survival,
+    np_old: Survival,
+    /// `(model name, dropped self-loop rate)` of the G-OP and the two
+    /// normal-mode state spaces.
+    dropped_self_loop_rates: Vec<(String, f64)>,
     /// `P(X''_θ ∈ A''1)` — φ-independent, solved once.
     p_a1_norm_theta: f64,
 }
@@ -123,9 +126,9 @@ impl GsuAnalysis {
     }
 
     /// The one constructor every lowering goes through: generates the state
-    /// spaces of the built models, prepares the G-OP chain (checking that
-    /// its detected set is closed), and solves the φ-independent
-    /// full-window survival.
+    /// spaces of the built models, prepares the lumped G-OP chain (checking
+    /// that its detected set is closed), lumps the normal-mode chains by
+    /// `failure`, and solves the φ-independent full-window survival.
     ///
     /// * `rho` — the forward-progress fractions `(ρ1, ρ2)`, with the
     ///   stationary vector they were read from when they were solved
@@ -165,7 +168,19 @@ impl GsuAnalysis {
         let gd_chain = GopChain::new(&gd_analyzer, gd.1)?;
         let np_new_analyzer = generate(np_new.0)?;
         let np_old_analyzer = generate(np_old.0)?;
-        let p_a1_norm_theta = survivals(&np_new_analyzer, np_new.1, &[params.theta])?[0];
+        let dropped_self_loop_rates = [&gd_analyzer, &np_new_analyzer, &np_old_analyzer]
+            .iter()
+            .map(|a| {
+                let space = a.state_space();
+                (
+                    space.model_name().to_string(),
+                    space.dropped_self_loop_rate(),
+                )
+            })
+            .collect();
+        let np_new = Survival::new(&np_new_analyzer, np_new.1)?;
+        let np_old = Survival::new(&np_old_analyzer, np_old.1)?;
+        let p_a1_norm_theta = np_new.at(&[params.theta])?[0];
         Ok(GsuAnalysis {
             params,
             gamma_policy: GammaPolicy::default(),
@@ -173,10 +188,9 @@ impl GsuAnalysis {
             rho_pi,
             gd: gd_analyzer,
             gd_chain,
-            np_new: np_new_analyzer,
-            np_new_failure: np_new.1,
-            np_old: np_old_analyzer,
-            np_old_failure: np_old.1,
+            np_new,
+            np_old,
+            dropped_self_loop_rates,
             p_a1_norm_theta,
         })
     }
@@ -204,10 +218,17 @@ impl GsuAnalysis {
         self.rho_pi.as_deref()
     }
 
-    /// The analyzer of the G-OP dependability model — for probes of its
-    /// `A'` sets, such as the discrete-event cross-validation.
+    /// The analyzer of the G-OP dependability model, over its full state
+    /// space — for probes of its `A'` sets, such as the discrete-event
+    /// cross-validation.
     pub fn gd_analyzer(&self) -> &Analyzer {
         &self.gd
+    }
+
+    /// The G-OP chain the measures are solved on, lumped by
+    /// `(detected, failure)`.
+    pub fn gop_chain(&self) -> &GopChain {
+        &self.gd_chain
     }
 
     /// Solves all nine constituent reward variables for a G-OP duration φ.
@@ -230,13 +251,13 @@ impl GsuAnalysis {
         span.record("points", phis.len());
 
         // G-OP measures (Table 1).
-        let gop = self.gd_chain.measures(&self.gd, phis)?;
+        let gop = self.gd_chain.measures(phis)?;
 
         // Normal-mode measures (§5.2.3): one chain per model over the
         // remaining windows θ − φ.
         let remaining: Vec<f64> = phis.iter().map(|&phi| self.params.theta - phi).collect();
-        let p_new = survivals(&self.np_new, self.np_new_failure, &remaining)?;
-        let p_old = survivals(&self.np_old, self.np_old_failure, &remaining)?;
+        let p_new = self.np_new.at(&remaining)?;
+        let p_old = self.np_old.at(&remaining)?;
         let measures = gop
             .into_iter()
             .zip(p_new.into_iter().zip(p_old))
@@ -292,16 +313,7 @@ impl GsuAnalysis {
     /// `(model name, total dropped rate)` pairs — nonzero values are
     /// surfaced as warnings in reports.
     pub fn dropped_self_loop_rates(&self) -> Vec<(String, f64)> {
-        [&self.gd, &self.np_new, &self.np_old]
-            .iter()
-            .map(|a| {
-                let space = a.state_space();
-                (
-                    space.model_name().to_string(),
-                    space.dropped_self_loop_rate(),
-                )
-            })
-            .collect()
+        self.dropped_self_loop_rates.clone()
     }
 
     /// Evaluates a sweep of φ values (e.g. the grid of Figures 9–12).
@@ -403,15 +415,31 @@ impl GsuAnalysis {
     }
 }
 
-/// `P(failure place empty at t)` on a normal-mode model, for every horizon
-/// `t` of `times`, in order.
-fn survivals(np: &Analyzer, failure: PlaceId, times: &[f64]) -> Result<Vec<f64>> {
-    let space = np.state_space();
-    Ok(np
-        .distribution_at_times(times)?
-        .iter()
-        .map(|pi| space.probability_of(pi, |mk| mk.tokens(failure) == 0))
-        .collect())
+/// A normal-mode model lumped by its `failure` place, the only thing its
+/// survival reads of a state.
+struct Survival {
+    chain: LumpedChain,
+    /// The blocks where `failure` is empty, ascending.
+    alive: Vec<usize>,
+}
+
+impl Survival {
+    fn new(np: &Analyzer, failure: PlaceId) -> Result<Self> {
+        let chain = np.lumped(|mk| u64::from(mk.tokens(failure)))?;
+        let alive = chain.blocks_of(&np.state_space().states_where(|mk| mk.tokens(failure) == 0));
+        Ok(Survival { chain, alive })
+    }
+
+    /// `P(failure place empty at t)` for every horizon `t` of `times`, in
+    /// order.
+    fn at(&self, times: &[f64]) -> Result<Vec<f64>> {
+        Ok(self
+            .chain
+            .distribution_at_times(times)?
+            .iter()
+            .map(|pi| self.alive.iter().map(|&b| pi[b]).sum())
+            .collect())
+    }
 }
 
 impl std::fmt::Debug for GsuAnalysis {

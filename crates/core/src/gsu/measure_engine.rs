@@ -18,9 +18,13 @@
 //! detected set `¬A'2` is closed, `P[T ≤ t] = π(t)[¬A'2]`, and
 //! `E[T·1{T ≤ φ}] = φ·π(φ)[¬A'2] − Σ_{¬A'2} L(φ)`. [`GopChain::new`]
 //! checks that closure on the generated chain.
+//!
+//! The pass runs on the chain lumped by `(detected, failure)`, the only
+//! thing any of these measures reads of a state: the coarsest ordinarily
+//! lumpable quotient (`markov::lump`), whose block sums are the full
+//! chain's class sums.
 
-use markov::reward::RewardStructure;
-use san::{Analyzer, Marking, PlaceId, RewardSpec};
+use san::{Analyzer, LumpedChain, Marking, PlaceId};
 
 use crate::{PerfError, Result};
 
@@ -99,30 +103,38 @@ impl GopMeasures {
 }
 
 /// The φ-independent parts of the Table 1 measures on one generated G-OP
-/// model: the `∫τh` reward structure and the detected states `¬A'2`.
+/// model: the chain lumped by the `(detected, failure)` pair and the blocks
+/// of each state set.
 ///
-/// Built once per model; [`GopChain::measures`] then solves any φ grid on
-/// the analyzer the chain was built from.
+/// Every Table 1 measure reads a state only through `(detected, failure)`,
+/// so the chain is solved as its coarsest ordinarily lumpable quotient that
+/// refines that pair (`san::Analyzer::lumped`): its block probabilities
+/// and occupancies are the full chain's class sums. Built once per model;
+/// [`GopChain::measures`] then solves any φ grid on the quotient.
 #[derive(Debug, Clone)]
 pub struct GopChain {
     places: GopPlaces,
-    /// Table 1: rate +1 on `A'2` (no detection), −1 on `A'4` (failed
-    /// without detection).
-    tau_reward: RewardStructure,
-    /// The states of `¬A'2`, ascending: the first-passage target of the
+    chain: LumpedChain,
+    /// The blocks of `A'1`, `A'3` and detected-then-failed, ascending.
+    a1: Vec<usize>,
+    a3: Vec<usize>,
+    detected_then_failed: Vec<usize>,
+    /// The blocks of `¬A'2`, ascending: the first-passage target of the
     /// exact detection moment.
     detected: Vec<usize>,
 }
 
 impl GopChain {
-    /// Classifies the states of `analyzer`'s model by `places` and checks
-    /// that the detected set is closed — that no transition leaves it — so
-    /// that `π(t)[¬A'2]` is the detection-time CDF.
+    /// Classifies the states of `analyzer`'s model by `places`, checks on
+    /// the full chain that the detected set is closed — that no transition
+    /// leaves it — so that `π(t)[¬A'2]` is the detection-time CDF, and
+    /// lumps the chain by `(detected, failure)`.
     ///
     /// # Errors
     ///
     /// Returns [`PerfError::MeasureInvariant`] when a transition leads from
-    /// a detected state to an undetected one.
+    /// a detected state to an undetected one, and propagates lumping
+    /// failures.
     pub fn new(analyzer: &Analyzer, places: GopPlaces) -> Result<Self> {
         let space = analyzer.state_space();
         let detected = space.states_where(|mk| !places.in_a2(mk));
@@ -143,14 +155,19 @@ impl GopChain {
                 ),
             });
         }
-        let tau_reward = RewardSpec::new()
-            .rate_when(move |mk| places.in_a2(mk), 1.0)
-            .rate_when(move |mk| places.in_a4(mk), -1.0)
-            .to_structure(space);
+        let chain = analyzer.lumped(|mk| {
+            u64::from(mk.tokens(places.detected)) << 32 | u64::from(mk.tokens(places.failure))
+        })?;
+        let blocks_where = |predicate: fn(&GopPlaces, &Marking) -> bool| {
+            chain.blocks_of(&space.states_where(|mk| predicate(&places, mk)))
+        };
         Ok(GopChain {
             places,
-            tau_reward,
-            detected,
+            a1: blocks_where(GopPlaces::in_a1),
+            a3: blocks_where(GopPlaces::in_a3),
+            detected_then_failed: blocks_where(GopPlaces::detected_then_failed),
+            detected: chain.blocks_of(&detected),
+            chain,
         })
     }
 
@@ -159,45 +176,52 @@ impl GopChain {
         self.places
     }
 
-    /// Solves the five G-OP measures at every φ of `phis`, in order, on
-    /// `analyzer` — the one this chain was built from.
+    /// The lumped G-OP chain the measures are solved on.
+    pub fn lumped(&self) -> &LumpedChain {
+        &self.chain
+    }
+
+    /// Solves the five G-OP measures at every φ of `phis`, in order.
     ///
-    /// Every φ is a horizon of one transient pass; at `φ = 0` the measures
-    /// are [`GopMeasures::AT_PHI_ZERO`].
+    /// Every φ is a horizon of one transient pass on the lumped chain; at
+    /// `φ = 0` the measures are [`GopMeasures::AT_PHI_ZERO`].
     ///
     /// # Errors
     ///
     /// Propagates transient-solver failures.
-    pub fn measures(&self, analyzer: &Analyzer, phis: &[f64]) -> Result<Vec<GopMeasures>> {
-        let solved = analyzer.distribution_and_occupancy_at_times(phis)?;
-        let space = analyzer.state_space();
-        let places = self.places;
-        phis.iter()
+    pub fn measures(&self, phis: &[f64]) -> Result<Vec<GopMeasures>> {
+        let solved = self.chain.distribution_and_occupancy_at_times(phis)?;
+        let sum = |v: &[f64], blocks: &[usize]| -> f64 { blocks.iter().map(|&b| v[b]).sum() };
+        Ok(phis
+            .iter()
             .zip(solved)
             .map(|(&phi, (pi_phi, l_phi))| {
                 if phi == 0.0 {
-                    return Ok(GopMeasures::AT_PHI_ZERO);
+                    return GopMeasures::AT_PHI_ZERO;
                 }
                 // The three instant-of-time measures only differ in which
-                // states of π(φ) they sum; ∫τh is a rate reward on L(φ).
-                let p_a1 = space.probability_of(&pi_phi, |mk| places.in_a1(mk));
-                let i_h = space.probability_of(&pi_phi, |mk| places.in_a3(mk));
-                let i_hf = space.probability_of(&pi_phi, |mk| places.detected_then_failed(mk));
-                let i_tau_h = self.tau_reward.accumulated(space.ctmc(), &l_phi)?;
+                // blocks of π(φ) they sum. ∫τh is Table 1's rate reward, +1
+                // on `A'2` and −1 on `A'4`: failure is an absorbing 0/1
+                // flag, so `A'2 ∖ A'4 = A'1` and the reward is A'1's
+                // occupancy.
+                let p_a1 = sum(&pi_phi, &self.a1);
+                let i_h = sum(&pi_phi, &self.a3);
+                let i_hf = sum(&pi_phi, &self.detected_then_failed);
+                let i_tau_h = sum(&l_phi, &self.a1);
                 // The exact truncated moment E[τ·1{τ ≤ φ}] by parts over the
                 // closed detected set: P[τ ≤ φ] = i_h + i_hf, and
                 // ∫₀^φ P[τ ≤ t] dt is the detected occupancy — see DESIGN.md
                 // on the Table-1 censoring.
-                let detected_time: f64 = self.detected.iter().map(|&s| l_phi[s]).sum();
-                Ok(GopMeasures {
+                let detected_time = sum(&l_phi, &self.detected);
+                GopMeasures {
                     p_a1,
                     i_h,
                     i_hf,
                     i_tau_h,
                     i_tau_h_exact: phi * (i_h + i_hf) - detected_time,
-                })
+                }
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -213,7 +237,7 @@ pub fn gop_measures(
     places: GopPlaces,
     phis: &[f64],
 ) -> Result<Vec<GopMeasures>> {
-    GopChain::new(analyzer, places)?.measures(analyzer, phis)
+    GopChain::new(analyzer, places)?.measures(phis)
 }
 
 #[cfg(test)]

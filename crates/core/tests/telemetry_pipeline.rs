@@ -54,6 +54,23 @@ fn evaluate_records_solver_and_state_space_metrics() {
 
     // The per-φ evaluation span wraps the whole pipeline.
     let spans = collector.spans();
+    // One lumping span per solved chain: RMGd by (detected, failure), the
+    // two RMNd chains by failure.
+    let arg = |span: &telemetry::FinishedSpan, key: &str| {
+        span.args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let lumps: Vec<_> = spans.iter().filter(|s| s.name == "markov.lump").collect();
+    assert_eq!(lumps.len(), 3, "one markov.lump span per lumped chain");
+    for lump in &lumps {
+        assert!(matches!(arg(lump, "rounds"), Some(telemetry::ArgValue::U64(r)) if r >= 1));
+    }
+    assert!(lumps
+        .iter()
+        .any(|s| arg(s, "states") == Some(telemetry::ArgValue::U64(22))
+            && arg(s, "blocks") == Some(telemetry::ArgValue::U64(13))));
     assert!(spans.iter().any(|s| s.name == "performability.evaluate"));
     assert!(spans
         .iter()

@@ -18,6 +18,8 @@
 //! * [`reward`] — UltraSAN-style reward variables: expected instant-of-time
 //!   reward, expected accumulated interval-of-time reward, expected
 //!   steady-state reward, with both rate and impulse rewards;
+//! * [`lump`] — the coarsest ordinarily lumpable partition that refines
+//!   an observation of the states, and its quotient chain;
 //! * [`fox_glynn`] — the Poisson probability window computation.
 //!
 //! # Example: a two-state availability model
@@ -46,6 +48,7 @@ pub mod expm;
 pub mod first_passage;
 pub mod fox_glynn;
 pub mod graph;
+pub mod lump;
 pub mod phase_type;
 pub mod reward;
 pub mod steady;

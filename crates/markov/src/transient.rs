@@ -31,10 +31,18 @@
 //! tail weight is 1, so that part of each `L(t)` is one shared running sum
 //! of the powers, fused into the step and copied when the window opens.
 //! [`distribution_and_occupancy_at_times`] steps the sequence once, up to
-//! the largest right truncation point, for every horizon whose `π(t)` and
-//! `L(t)` both resolve to uniformization; [`distribution_and_occupancy`] is
-//! its one-horizon case and returns the same bits as the two separate
-//! calls at half the sparse products.
+//! the largest right truncation point, for every horizon whose pair resolves
+//! to uniformization; [`distribution_and_occupancy`] is its one-horizon
+//! case and returns the bits of the two separate calls on the pair's engine
+//! at half the sparse products.
+//!
+//! A `(π(t), L(t))` pair resolves to **one** engine per horizon, priced as
+//! the occupancy: under `Auto` its dense side needs the `2n × 2n` integral
+//! block for `L(t)` anyway, so the pair takes [`occupancy`]'s engine.
+//! Every horizon of a pair solve therefore joins either the one
+//! uniformization pass or the one dense chain; `π(t)` alone
+//! ([`distribution`], [`distribution_at_times`]) is priced on the `n × n`
+//! exponential.
 //!
 //! Every dense solve is one chain along its horizons, taken in ascending
 //! order from `(π₀, 0)` at `t = 0`:
@@ -47,7 +55,7 @@
 //! gaps (exact `f64` equality) reuses them, so a uniform grid costs one
 //! pair of exponentials and one vector–matrix product per horizon and
 //! output. [`distribution_and_occupancy_at_times`] chains every horizon
-//! whose `π(t)` and `L(t)` both resolve to the matrix exponential, and
+//! whose pair resolves to the matrix exponential, and
 //! [`distribution_at_times`] every horizon whose `π(t)` does; the
 //! one-horizon [`distribution`] and [`occupancy`] are the one-gap chain.
 //!
@@ -174,16 +182,15 @@ pub fn occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec
     }
 }
 
-/// Computes the distribution `π(t)` and the occupancy `L(t)` together.
+/// Computes the distribution `π(t)` and the occupancy `L(t)` together, on
+/// one engine: the one [`occupancy`] resolves to (see [`pair_method`]).
 ///
 /// Both are weightings of one power sequence `π₀·P^k` of the uniformized
-/// chain: the Poisson pmf gives `π(t)`, the right tails give `L(t)`. When
-/// [`distribution`] and [`occupancy`] would both run uniformization, one
-/// pass steps the sequence once and feeds both accumulators; the answer is
-/// bitwise identical to the two separate calls, at half the sparse
-/// products. When both resolve to the matrix exponential, one dense step
-/// returns the two calls' bits; a mixed engine choice is exactly the two
-/// separate calls.
+/// chain: the Poisson pmf gives `π(t)`, the right tails give `L(t)`. On
+/// uniformization one pass steps the sequence once and feeds both
+/// accumulators, at half the sparse products of two passes; on the matrix
+/// exponential it is one link of the dense chain. Either way the answer is
+/// bitwise the two separate calls forced to the pair's engine.
 ///
 /// This is the one-horizon case of [`distribution_and_occupancy_at_times`].
 ///
@@ -202,15 +209,15 @@ pub fn distribution_and_occupancy(
 
 /// Computes `(π(t), L(t))` for every horizon in `times`, in order.
 ///
-/// Every horizon whose `π(t)` and `L(t)` both resolve to uniformization is
-/// served by **one** pass: the power sequence `π₀·P^k` is stepped once, up
-/// to the largest right truncation point, and each horizon accumulates its
-/// own Fox–Glynn window of it. Steady-state detection, when it stops the
-/// pass, applies the remaining weights of every unfinished horizon. Every
-/// horizon whose `π(t)` and `L(t)` both resolve to the matrix exponential
-/// is a link of **one** dense chain (see the module docs). Every other
-/// horizon (`t = 0`, a chain without transitions, or a mixed engine
-/// choice) is exactly the two calls [`distribution`] and [`occupancy`].
+/// Each horizon resolves one engine for its pair ([`pair_method`]). Every
+/// horizon on uniformization is served by **one** pass: the power sequence
+/// `π₀·P^k` is stepped once, up to the largest right truncation point, and
+/// each horizon accumulates its own Fox–Glynn window of it. Steady-state
+/// detection, when it stops the pass, applies the remaining weights of
+/// every unfinished horizon. Every horizon on the matrix exponential is a
+/// link of **one** dense chain (see the module docs). The trivial horizons
+/// (`t = 0`, a chain without transitions) are exactly the two calls
+/// [`distribution`] and [`occupancy`].
 ///
 /// With one horizon this is the one-horizon solve, bit for bit. With
 /// several, each horizon's answer differs from its one-horizon solve by
@@ -236,29 +243,22 @@ pub fn distribution_and_occupancy_at_times(
     let mut dense = Vec::new();
     for &t in times {
         check_time(t)?;
-        let engines = if t > 0.0 && ctmc.max_exit_rate() > 0.0 {
-            Some((
-                select_method(ctmc, t, opts, 1)?,
-                select_method(ctmc, t, opts, 2)?,
-            ))
-        } else {
-            None
-        };
-        match engines {
-            Some((Method::Uniformization, Method::Uniformization)) => {
-                let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-                horizons.push((out.len(), Horizon::new(window, true, true, n)));
-                out.push((Vec::new(), Vec::new()));
-            }
-            Some((Method::MatrixExponential, Method::MatrixExponential)) => {
-                dense.push((out.len(), t));
-                out.push((Vec::new(), Vec::new()));
-            }
-            _ => out.push((
+        if t == 0.0 || ctmc.max_exit_rate() == 0.0 {
+            out.push((
                 distribution(ctmc, pi0, t, opts)?,
                 occupancy(ctmc, pi0, t, opts)?,
-            )),
+            ));
+            continue;
         }
+        match pair_method(ctmc, t, opts)? {
+            Method::Uniformization => {
+                let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
+                horizons.push((out.len(), Horizon::new(window, true, true, n)));
+            }
+            Method::MatrixExponential => dense.push((out.len(), t)),
+            Method::Auto => unreachable!("select_method resolves Auto"),
+        }
+        out.push((Vec::new(), Vec::new()));
     }
     if !dense.is_empty() {
         let mut span = telemetry::span("markov.transient.distribution_and_occupancy");
@@ -336,6 +336,19 @@ pub fn distribution_at_times(
         }
     }
     Ok(out)
+}
+
+/// The one engine a `(π(t), L(t))` pair resolves to at horizon `t`: the
+/// engine of [`occupancy`], since the pair's dense side costs the `2n × 2n`
+/// integral block for `L(t)` whatever `π(t)` costs. `Auto` is resolved; a
+/// forced method is checked against its budget.
+///
+/// # Errors
+///
+/// [`MarkovError::LimitExceeded`] when the selected engine exceeds its
+/// budget.
+pub fn pair_method(ctmc: &Ctmc, t: f64, opts: &Options) -> Result<Method> {
+    select_method(ctmc, t, opts, 2)
 }
 
 fn method_name(m: Method) -> &'static str {
@@ -1103,11 +1116,16 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The fused solve against the two separate calls, bit for bit.
+    /// The fused solve against the two separate calls forced to the pair's
+    /// engine, bit for bit.
     fn assert_fused_matches_separate(c: &Ctmc, pi0: &[f64], t: f64, opts: &Options) {
         let (pi, l) = distribution_and_occupancy(c, pi0, t, opts).unwrap();
-        let want_pi = distribution(c, pi0, t, opts).unwrap();
-        let want_l = occupancy(c, pi0, t, opts).unwrap();
+        let forced = Options {
+            method: pair_method(c, t, opts).unwrap(),
+            ..opts.clone()
+        };
+        let want_pi = distribution(c, pi0, t, &forced).unwrap();
+        let want_l = occupancy(c, pi0, t, &forced).unwrap();
         assert_eq!(bits(&pi), bits(&want_pi), "π at t = {t}, {opts:?}");
         assert_eq!(bits(&l), bits(&want_l), "L at t = {t}, {opts:?}");
     }
@@ -1140,10 +1158,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_solve_falls_back_on_mixed_engine_selection() {
+    fn fused_solve_takes_one_engine_on_mixed_selection() {
         // On two states, Λt ≈ 49 makes uniformization dearer than a 2×2
-        // exponential but cheaper than the 4×4 occupancy block: π resolves
-        // to the matrix exponential, L to uniformization.
+        // exponential but cheaper than the 4×4 occupancy block: π alone
+        // resolves to the matrix exponential, the pair to uniformization.
         let c = two_state();
         let t = 16.0;
         let opts = Options::default();
@@ -1151,11 +1169,13 @@ mod tests {
             select_method(&c, t, &opts, 1).unwrap(),
             Method::MatrixExponential
         );
-        assert_eq!(
-            select_method(&c, t, &opts, 2).unwrap(),
-            Method::Uniformization
-        );
+        assert_eq!(pair_method(&c, t, &opts).unwrap(), Method::Uniformization);
         assert_fused_matches_separate(&c, &[1.0, 0.0], t, &opts);
+        // The pair's π is the uniformization π, not the dense one.
+        let (pi, _) = distribution_and_occupancy(&c, &[1.0, 0.0], t, &opts).unwrap();
+        let dense_pi = distribution(&c, &[1.0, 0.0], t, &opts).unwrap();
+        assert_ne!(bits(&pi), bits(&dense_pi));
+        assert!(vector::diff_norm_inf(&pi, &dense_pi) < 1e-9);
         // Both past the uniformization budget: both on the exponential.
         let stiff = Ctmc::from_transitions(2, [(0, 1, 5000.0), (1, 0, 1000.0)]).unwrap();
         assert_fused_matches_separate(&stiff, &[1.0, 0.0], 10_000.0, &opts);

@@ -1,6 +1,7 @@
 //! Property tests on randomly generated chains: the different solution
 //! engines must agree with each other and with structural invariants.
 
+use markov::lump::Lumping;
 use markov::steady::{steady_state, SteadyMethod};
 use markov::transient::{self, Method, Options};
 use markov::Ctmc;
@@ -124,8 +125,13 @@ proptest! {
             ..Default::default()
         };
         let (pi, l) = transient::distribution_and_occupancy(&chain, &pi0, t, &opts).unwrap();
-        let want_pi = transient::distribution(&chain, &pi0, t, &opts).unwrap();
-        let want_l = transient::occupancy(&chain, &pi0, t, &opts).unwrap();
+        // The two calls forced to the pair's one engine.
+        let forced = Options {
+            method: transient::pair_method(&chain, t, &opts).unwrap(),
+            ..opts.clone()
+        };
+        let want_pi = transient::distribution(&chain, &pi0, t, &forced).unwrap();
+        let want_l = transient::occupancy(&chain, &pi0, t, &forced).unwrap();
         prop_assert!(bits(&pi) == bits(&want_pi), "π at t = {t}");
         prop_assert!(bits(&l) == bits(&want_l), "L at t = {t}");
     }
@@ -228,14 +234,186 @@ proptest! {
             &chain, &pi0, &[target], horizon, &opts,
         ).unwrap();
         // h·P[T ≤ h] − ∫₀ʰ P[T ≤ t] dt on the chain stopped at the target,
-        // from separate distribution and occupancy solves.
+        // from separate distribution and occupancy solves forced to the
+        // pair's one engine.
         let stopped = Ctmc::from_transitions(
             chain.n_states(),
             chain.transitions().filter(|&(from, _, _)| from != target),
         ).unwrap();
-        let cdf = transient::distribution(&stopped, &pi0, horizon, &opts).unwrap()[target];
-        let integral = transient::occupancy(&stopped, &pi0, horizon, &opts).unwrap()[target];
+        let forced = Options {
+            method: transient::pair_method(&stopped, horizon, &opts).unwrap(),
+            ..opts.clone()
+        };
+        let cdf = transient::distribution(&stopped, &pi0, horizon, &forced).unwrap()[target];
+        let integral = transient::occupancy(&stopped, &pi0, horizon, &forced).unwrap()[target];
         prop_assert_eq!(got.to_bits(), (horizon * cdf - integral).to_bits());
+    }
+}
+
+/// A random chain with planted exchangeable components, and an observation
+/// of it: macro-state `i` is replicated `copies[i]` times, and the rate from
+/// a copy of `i` into macro-state `j ≠ i` is split at random among the
+/// copies of `j`, so every copy of `i` has the same summed rate into `j` up
+/// to rounding. Copies of one macro-state move among themselves at random
+/// rates. Each macro-state carries one of two observation labels.
+fn arb_planted() -> impl Strategy<Value = (Ctmc, Vec<u64>, usize)> {
+    (
+        proptest::collection::vec(1usize..4, 2..6),
+        proptest::collection::vec(0.0..1.0f64, 256),
+        proptest::collection::vec(0u64..2, 6),
+    )
+        .prop_map(|(copies, raw, labels)| {
+            let mut raw = raw.into_iter().cycle();
+            let mut next = move || raw.next().unwrap_or(0.5);
+            let m = copies.len();
+            let first: Vec<usize> = copies
+                .iter()
+                .scan(0, |at, &c| {
+                    *at += c;
+                    Some(*at - c)
+                })
+                .collect();
+            let mut transitions = Vec::new();
+            for i in 0..m {
+                for j in (0..m).filter(|&j| j != i) {
+                    // A base cycle keeps every macro-state reachable.
+                    let cycle = if j == (i + 1) % m { 0.1 } else { 0.0 };
+                    let u = next();
+                    let rate = cycle + if u > 0.4 { 2.0 * u } else { 0.0 };
+                    if rate == 0.0 {
+                        continue;
+                    }
+                    for a in 0..copies[i] {
+                        let weights: Vec<f64> = (0..copies[j]).map(|_| 0.1 + next()).collect();
+                        let total: f64 = weights.iter().sum();
+                        for (b, w) in weights.iter().enumerate() {
+                            transitions.push((first[i] + a, first[j] + b, rate * w / total));
+                        }
+                    }
+                }
+                for a in 0..copies[i] {
+                    for b in (0..copies[i]).filter(|&b| b != a) {
+                        transitions.push((first[i] + a, first[i] + b, 1.5 * next()));
+                    }
+                }
+            }
+            let n: usize = copies.iter().sum();
+            let observation = (0..m)
+                .flat_map(|i| std::iter::repeat_n(labels[i], copies[i]))
+                .collect();
+            let chain = Ctmc::from_transitions(n, transitions).expect("valid planted chain");
+            (chain, observation, m)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lumped_chain_preserves_class_sums_under_each_engine(
+        planted in arb_planted(),
+        t in 0.01..5.0f64,
+        start in 0usize..16,
+    ) {
+        let (chain, observation, _) = planted;
+        let lumping = Lumping::coarsest(&chain, &observation).unwrap();
+        let pi0 = chain.point_distribution(start % chain.n_states());
+        let q_pi0 = lumping.aggregate(&pi0);
+        for method in [Method::Uniformization, Method::MatrixExponential] {
+            let opts = Options {
+                method,
+                epsilon: 1e-15,
+                steady_state_detection: false,
+                ..Default::default()
+            };
+            let (pi, l) = transient::distribution_and_occupancy(&chain, &pi0, t, &opts).unwrap();
+            let (q_pi, q_l) =
+                transient::distribution_and_occupancy(lumping.quotient(), &q_pi0, t, &opts)
+                    .unwrap();
+            let (want_pi, want_l) = (lumping.aggregate(&pi), lumping.aggregate(&l));
+            prop_assert!(relative_diff(&q_pi, &want_pi) <= 1e-12,
+                "π at t = {t}, {method:?}: {}", relative_diff(&q_pi, &want_pi));
+            prop_assert!(relative_diff(&q_l, &want_l) <= 1e-12,
+                "L at t = {t}, {method:?}: {}", relative_diff(&q_l, &want_l));
+        }
+    }
+
+    #[test]
+    fn lumping_refines_the_observation_and_is_at_least_as_coarse_as_planted(
+        planted in arb_planted(),
+    ) {
+        let (chain, observation, macro_states) = planted;
+        let lumping = Lumping::coarsest(&chain, &observation).unwrap();
+        let block_of = lumping.block_of();
+        for s in 0..chain.n_states() {
+            for t in 0..chain.n_states() {
+                if block_of[s] == block_of[t] {
+                    prop_assert_eq!(observation[s], observation[t]);
+                }
+            }
+        }
+        // The planted partition is lumpable and refines the observation;
+        // the coarsest one is at least as coarse.
+        prop_assert!(lumping.n_blocks() <= macro_states,
+            "{} blocks for {macro_states} planted components", lumping.n_blocks());
+        prop_assert!(lumping.rounds() >= 1);
+    }
+
+    #[test]
+    fn lumping_a_quotient_returns_it_unchanged(planted in arb_planted()) {
+        let (chain, observation, _) = planted;
+        let lumping = Lumping::coarsest(&chain, &observation).unwrap();
+        let mut block_observation = vec![0; lumping.n_blocks()];
+        for (&b, &label) in lumping.block_of().iter().zip(&observation) {
+            block_observation[b] = label;
+        }
+        let again = Lumping::coarsest(lumping.quotient(), &block_observation).unwrap();
+        let identity: Vec<usize> = (0..lumping.n_blocks()).collect();
+        prop_assert_eq!(again.block_of(), &identity[..]);
+        prop_assert!(again.quotient() == lumping.quotient());
+    }
+
+    #[test]
+    fn relabelling_states_keeps_the_block_sizes(
+        planted in arb_planted(),
+        keys in proptest::collection::vec(0.0..1.0f64, 20),
+    ) {
+        let (chain, observation, _) = planted;
+        // A permutation of the states: ascending order of random keys.
+        let n = chain.n_states();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+        let mut label_of = vec![0; n];
+        for (new, &old) in order.iter().enumerate() {
+            label_of[old] = new;
+        }
+        let relabelled = Ctmc::from_transitions(
+            n,
+            chain.transitions().map(|(from, to, rate)| (label_of[from], label_of[to], rate)),
+        ).unwrap();
+        let relabelled_observation: Vec<u64> = order.iter().map(|&old| observation[old]).collect();
+        let sizes = |lumping: &Lumping| {
+            let mut sizes = vec![0usize; lumping.n_blocks()];
+            for &b in lumping.block_of() {
+                sizes[b] += 1;
+            }
+            sizes.sort_unstable();
+            sizes
+        };
+        let original = Lumping::coarsest(&chain, &observation).unwrap();
+        let permuted = Lumping::coarsest(&relabelled, &relabelled_observation).unwrap();
+        prop_assert_eq!(sizes(&original), sizes(&permuted));
+        // The same partition, not just the same sizes: two states share a
+        // block exactly when their relabelled copies do.
+        let (before, after) = (original.block_of(), permuted.block_of());
+        for a in 0..n {
+            for b in 0..n {
+                prop_assert_eq!(
+                    before[a] == before[b],
+                    after[label_of[a]] == after[label_of[b]]
+                );
+            }
+        }
     }
 }
 

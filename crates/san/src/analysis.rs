@@ -2,8 +2,9 @@
 
 use std::sync::{Arc, Mutex};
 
+use markov::lump::Lumping;
 use markov::steady::SteadyMethod;
-use markov::transient;
+use markov::{transient, Ctmc};
 
 use crate::{Marking, ReachabilityOptions, Result, RewardSpec, SanModel, StateSpace};
 
@@ -100,57 +101,28 @@ impl Analyzer {
         )?)
     }
 
-    /// The state distribution at every horizon in `times`, with the dense
-    /// horizons chained (see [`transient::distribution_at_times`]): the
-    /// basis of an instant-of-time reward over a whole grid of horizons.
+    /// The chain lumped by `observe`: the coarsest ordinarily lumpable
+    /// partition of the states that refines the observation of their
+    /// markings (see [`markov::lump`]), with its quotient, the aggregated
+    /// initial distribution and the block of every state. Every class sum
+    /// of `π(t)` and `L(t)` over the observation's classes comes off the
+    /// quotient; the quotient is solved with this analyzer's transient
+    /// options.
     ///
     /// # Errors
     ///
-    /// Propagates transient-solver failures.
-    pub fn distribution_at_times(&self, times: &[f64]) -> Result<Vec<Vec<f64>>> {
-        Ok(transient::distribution_at_times(
-            self.space.ctmc(),
-            self.space.initial_distribution(),
-            times,
-            &self.transient_options,
-        )?)
-    }
-
-    /// The state distribution `π(t)` and the accumulated occupancy `L(t)`
-    /// from one transient solve (see
-    /// [`transient::distribution_and_occupancy`]): the basis of an
-    /// instant-of-time and an interval-of-time reward over the same `[0, t]`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient-solver failures.
-    pub fn distribution_and_occupancy_at(&self, t: f64) -> Result<(Vec<f64>, Vec<f64>)> {
-        Ok(transient::distribution_and_occupancy(
-            self.space.ctmc(),
-            self.space.initial_distribution(),
-            t,
-            &self.transient_options,
-        )?)
-    }
-
-    /// `(π(t), L(t))` for every horizon in `times` from one transient pass
-    /// where the engines allow (see
-    /// [`transient::distribution_and_occupancy_at_times`]): the basis of
-    /// the instant-of-time and interval-of-time rewards of a whole sweep.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient-solver failures.
-    pub fn distribution_and_occupancy_at_times(
-        &self,
-        times: &[f64],
-    ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
-        Ok(transient::distribution_and_occupancy_at_times(
-            self.space.ctmc(),
-            self.space.initial_distribution(),
-            times,
-            &self.transient_options,
-        )?)
+    /// Propagates lumping failures.
+    pub fn lumped<F: Fn(&Marking) -> u64>(&self, observe: F) -> Result<LumpedChain> {
+        let space = &self.space;
+        let observation: Vec<u64> = (0..space.n_states())
+            .map(|s| observe(space.marking(s)))
+            .collect();
+        let lumping = Lumping::coarsest(space.ctmc(), &observation)?;
+        Ok(LumpedChain {
+            initial: lumping.aggregate(space.initial_distribution()),
+            lumping,
+            transient_options: self.transient_options.clone(),
+        })
     }
 
     /// Expected **instant-of-time** reward at time `t`.
@@ -222,6 +194,73 @@ impl Analyzer {
     pub fn probability_at<F: Fn(&Marking) -> bool>(&self, t: f64, predicate: F) -> Result<f64> {
         let pi = self.distribution_at(t)?;
         Ok(self.space.probability_of(&pi, predicate))
+    }
+}
+
+/// A generated chain lumped by an observation of its markings
+/// ([`Analyzer::lumped`]): the quotient chain and its initial distribution,
+/// solved in place of the full chain for measures that read states only
+/// through the observation.
+#[derive(Debug, Clone)]
+pub struct LumpedChain {
+    lumping: Lumping,
+    initial: Vec<f64>,
+    transient_options: transient::Options,
+}
+
+impl LumpedChain {
+    /// The quotient chain, one state per block.
+    pub fn ctmc(&self) -> &Ctmc {
+        self.lumping.quotient()
+    }
+
+    /// The full chain's initial distribution, summed per block.
+    pub fn initial_distribution(&self) -> &[f64] {
+        &self.initial
+    }
+
+    /// The block of every state of the full chain.
+    pub fn block_of(&self) -> &[usize] {
+        self.lumping.block_of()
+    }
+
+    /// The blocks holding any of the full chain's `states`, ascending — a
+    /// whole observation class when `states` is one.
+    pub fn blocks_of(&self, states: &[usize]) -> Vec<usize> {
+        self.lumping.blocks_of(states)
+    }
+
+    /// The block distribution at every horizon of `times` (see
+    /// [`transient::distribution_at_times`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates transient-solver failures.
+    pub fn distribution_at_times(&self, times: &[f64]) -> Result<Vec<Vec<f64>>> {
+        Ok(transient::distribution_at_times(
+            self.ctmc(),
+            &self.initial,
+            times,
+            &self.transient_options,
+        )?)
+    }
+
+    /// The block distribution and block occupancy at every horizon of
+    /// `times` (see [`transient::distribution_and_occupancy_at_times`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates transient-solver failures.
+    pub fn distribution_and_occupancy_at_times(
+        &self,
+        times: &[f64],
+    ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
+        Ok(transient::distribution_and_occupancy_at_times(
+            self.ctmc(),
+            &self.initial,
+            times,
+            &self.transient_options,
+        )?)
     }
 }
 

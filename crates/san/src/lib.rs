@@ -62,7 +62,7 @@ mod semantics;
 pub mod simulate;
 pub mod structural;
 
-pub use analysis::Analyzer;
+pub use analysis::{Analyzer, LumpedChain};
 pub use error::SanError;
 pub use marking::Marking;
 pub use model::{

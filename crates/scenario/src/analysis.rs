@@ -52,6 +52,7 @@ impl ScenarioAnalysis {
             span.record("rho1", rho.0);
             span.record("rho2", rho.1);
             span.record("gd_states", analysis.gd_analyzer().state_space().n_states());
+            span.record("gd_blocks", analysis.gop_chain().lumped().ctmc().n_states());
         }
         Ok(ScenarioAnalysis { spec, analysis })
     }

@@ -101,7 +101,7 @@ impl BlockedKernel {
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "BlockedKernel::apply: x length");
         assert_eq!(y.len(), self.cols, "BlockedKernel::apply: y length");
-        telemetry::work::count_spmv(1);
+        telemetry::work::count_spmv(self.values.len());
         for chunk_start in (0..self.cols).step_by(CHUNK) {
             let chunk_end = (chunk_start + CHUNK).min(self.cols);
             for (j, yj) in y[chunk_start..chunk_end].iter_mut().enumerate() {
@@ -140,7 +140,7 @@ impl BlockedKernel {
             self.rows,
             "BlockedKernel::apply_fused: acc length"
         );
-        telemetry::work::count_spmv(1);
+        telemetry::work::count_spmv(self.values.len());
         let accumulate = weight != 0.0;
         if accumulate {
             telemetry::work::count_axpy(1);
@@ -203,10 +203,10 @@ pub fn spmv_transpose_adaptive(
 ) -> AdaptiveStep {
     assert_eq!(x.len(), a.rows(), "spmv_transpose_adaptive: x length");
     assert_eq!(y.len(), a.cols(), "spmv_transpose_adaptive: y length");
-    telemetry::work::count_spmv(1);
     y.fill(0.0);
     let mut dropped_mass = 0.0;
     let mut active_sources = 0usize;
+    let mut touched = 0usize;
     for (r, &xr) in x.iter().enumerate() {
         if xr == 0.0 {
             continue;
@@ -216,10 +216,13 @@ pub fn spmv_transpose_adaptive(
             continue;
         }
         active_sources += 1;
-        for (c, v) in a.row(r) {
+        let row = a.row(r);
+        touched += row.len();
+        for (c, v) in row {
             y[c] += v * xr;
         }
     }
+    telemetry::work::count_spmv(touched);
     crate::checked::check_slice("blocked.spmv_transpose_adaptive", y);
     AdaptiveStep {
         dropped_mass,

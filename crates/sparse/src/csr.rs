@@ -171,7 +171,7 @@ impl CsrMatrix {
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "mul_vec_into: x length mismatch");
         assert_eq!(y.len(), self.rows, "mul_vec_into: y length mismatch");
-        telemetry::work::count_spmv(1);
+        telemetry::work::count_spmv(self.values.len());
         for (r, yr) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
@@ -205,7 +205,7 @@ impl CsrMatrix {
     pub fn mul_vec_transpose_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "mul_vec_transpose_into: x length");
         assert_eq!(y.len(), self.cols, "mul_vec_transpose_into: y length");
-        telemetry::work::count_spmv(1);
+        telemetry::work::count_spmv(self.values.len());
         y.fill(0.0);
         for (r, &xr) in x.iter().enumerate() {
             if xr == 0.0 {

@@ -14,14 +14,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static SPMV_OPS: AtomicU64 = AtomicU64::new(0);
+static SPMV_NNZ: AtomicU64 = AtomicU64::new(0);
 static AXPY_OPS: AtomicU64 = AtomicU64::new(0);
 static SOLVER_ITERATIONS: AtomicU64 = AtomicU64::new(0);
 static EXPM_SOLVES: AtomicU64 = AtomicU64::new(0);
 
-/// Counts `n` sparse matrix-vector products (whole-matrix granularity).
+/// Counts one sparse matrix-vector product that touched `nnz` stored
+/// entries.
 #[inline]
-pub fn count_spmv(n: u64) {
-    SPMV_OPS.fetch_add(n, Ordering::Relaxed);
+pub fn count_spmv(nnz: usize) {
+    SPMV_OPS.fetch_add(1, Ordering::Relaxed);
+    SPMV_NNZ.fetch_add(nnz as u64, Ordering::Relaxed);
 }
 
 /// Counts `n` vector `axpy`-class updates (scale-and-accumulate passes).
@@ -50,6 +53,9 @@ pub fn count_expm(n: u64) {
 pub struct WorkSnapshot {
     /// Sparse matrix-vector products performed.
     pub spmv_ops: u64,
+    /// Stored matrix entries those products touched: the products weighted
+    /// by the size of the chain they ran on.
+    pub spmv_nnz: u64,
     /// Vector axpy-class updates performed.
     pub axpy_ops: u64,
     /// Iterative-solver iterations performed.
@@ -63,6 +69,7 @@ impl WorkSnapshot {
     pub fn delta_since(&self, earlier: &WorkSnapshot) -> WorkSnapshot {
         WorkSnapshot {
             spmv_ops: self.spmv_ops.saturating_sub(earlier.spmv_ops),
+            spmv_nnz: self.spmv_nnz.saturating_sub(earlier.spmv_nnz),
             axpy_ops: self.axpy_ops.saturating_sub(earlier.axpy_ops),
             solver_iterations: self
                 .solver_iterations
@@ -76,6 +83,7 @@ impl WorkSnapshot {
 pub fn snapshot() -> WorkSnapshot {
     WorkSnapshot {
         spmv_ops: SPMV_OPS.load(Ordering::Relaxed),
+        spmv_nnz: SPMV_NNZ.load(Ordering::Relaxed),
         axpy_ops: AXPY_OPS.load(Ordering::Relaxed),
         solver_iterations: SOLVER_ITERATIONS.load(Ordering::Relaxed),
         expm_solves: EXPM_SOLVES.load(Ordering::Relaxed),
@@ -89,7 +97,7 @@ mod tests {
     #[test]
     fn deltas_are_fieldwise_and_monotone() {
         let before = snapshot();
-        count_spmv(3);
+        count_spmv(7);
         count_axpy(2);
         count_iterations(5);
         count_expm(1);
@@ -97,7 +105,8 @@ mod tests {
         let delta = after.delta_since(&before);
         // Other tests may run concurrently in this process, so the deltas
         // are lower bounds, not exact.
-        assert!(delta.spmv_ops >= 3);
+        assert!(delta.spmv_ops >= 1);
+        assert!(delta.spmv_nnz >= 7);
         assert!(delta.axpy_ops >= 2);
         assert!(delta.solver_iterations >= 5);
         assert!(delta.expm_solves >= 1);

@@ -32,6 +32,12 @@ GSU_THREADS=4 cargo test --offline --workspace -q
 echo "==> cargo test --release -- --ignored (dense chain accuracy)"
 cargo test --offline --release -p performability --test dense_chain_accuracy -- --ignored
 
+# The lumped G-OP measures at the stiff catalog horizons where the full
+# chain's default solve is the less accurate side, against a tight
+# full-chain uniformization reference (~6e7 sparse steps per horizon).
+echo "==> cargo test --release -- --ignored (lumped stiff points)"
+cargo test --offline --release -p gsu-scenario --test gop_single_pass -- --ignored
+
 cargo build --offline --release -p gsu-serve -p gsu-bench -p gsu-lint --bins
 
 # Benchmark link gate: gsu-benchmark/ is a workspace of its own that links
