@@ -13,7 +13,13 @@
 //! ```text
 //! cargo test --release -p performability --test dense_chain_accuracy -- --ignored
 //! ```
+//!
+//! A dense `(π, L)` horizon steps `π` by the `e^{QΔ}` of the same
+//! structured exponential that gives `L`'s integral block; a quick test
+//! here pins that on the lumped `RMGd` this is the `n × n` exponential bit
+//! for bit.
 
+use markov::expm;
 use markov::transient::{self, Method, Options};
 use performability::gsu::{rmgd, GopChain, GopPlaces};
 use performability::GsuParams;
@@ -52,6 +58,28 @@ fn full_chain_measures(
         sum(l, space.states_where(|mk| places.in_a1(mk))),
         phi * (i_h + i_hf) - detected_time,
     ]
+}
+
+/// On the lumped `RMGd` at φ = 5000 and θ, `‖Qφ‖∞ ~ 10⁷`: the `+1` the
+/// identity adds to the block's norm never changes its number of
+/// squarings, so the pair's `e^{Qφ}` is `expm(Qφ)` bit for bit.
+#[test]
+fn pair_exponential_is_the_n_by_n_exponential_on_lumped_rmgd() {
+    let params = GsuParams::paper_baseline();
+    let built = rmgd::build(&params).unwrap();
+    let analyzer = Analyzer::generate(&built.model, &Default::default()).unwrap();
+    let chain = GopChain::new(&analyzer, built.places.gop).unwrap();
+    let q = chain.lumped().ctmc().generator().to_dense();
+    assert_eq!(q.rows(), 13);
+    let bits = |m: &sparsela::DenseMatrix| -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    for phi in [5000.0, params.theta] {
+        let (e, _) = expm::expm_with_integral_scaled(&q, phi).unwrap();
+        let mut q_phi = q.clone();
+        q_phi.scale(phi);
+        assert_eq!(bits(&e), bits(&expm::expm(&q_phi).unwrap()), "φ = {phi}");
+    }
 }
 
 #[test]

@@ -101,6 +101,11 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Flat row-major mutable view of the data.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Returns row `r` as a slice.
     ///
     /// # Panics
