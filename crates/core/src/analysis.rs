@@ -40,9 +40,6 @@ pub struct GsuAnalysis {
     params: GsuParams,
     gamma_policy: GammaPolicy,
     rho: (f64, f64),
-    /// Stationary vector of the overhead-model solve (when ρ was computed)
-    /// — the warm-start seed for analyses at neighboring parameter points.
-    rho_pi: Option<Vec<f64>>,
     gd: Analyzer,
     gd_chain: GopChain,
     np_new: Survival,
@@ -63,23 +60,7 @@ impl GsuAnalysis {
     /// Propagates parameter validation and model generation/solution
     /// failures.
     pub fn new(params: GsuParams) -> Result<Self> {
-        Self::new_continued(params, None)
-    }
-
-    /// Like [`GsuAnalysis::new`] but warm-starting the `RMGp` steady solve
-    /// from a neighboring analysis' stationary vector
-    /// ([`GsuAnalysis::rho_steady_vector`]) — parameter continuation for
-    /// sweeps and sensitivity fans. The hint affects only the iteration
-    /// count, never the result.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`GsuAnalysis::new`].
-    pub fn new_continued(params: GsuParams, hint: Option<&[f64]>) -> Result<Self> {
-        Self::from_paper_models(params, |params| {
-            let s = rmgp::solve_rho_continued(params, hint)?;
-            Ok(((s.rho1, s.rho2), Some(s.pi)))
-        })
+        Self::from_paper_models(params, |params| Ok(rmgp::solve_rho(params)?))
     }
 
     /// Like [`GsuAnalysis::new`] but with `(ρ1, ρ2)` supplied directly
@@ -90,27 +71,25 @@ impl GsuAnalysis {
     /// Returns [`PerfError::InvalidParameter`] when a fraction is outside
     /// `[0, 1]`, and propagates model-building failures.
     pub fn with_fixed_overhead(params: GsuParams, rho1: f64, rho2: f64) -> Result<Self> {
-        Self::from_paper_models(params, |_| Ok(((rho1, rho2), None)))
+        Self::from_paper_models(params, |_| Ok((rho1, rho2)))
     }
 
-    /// The paper's lowering: `rho` yields `(ρ1, ρ2)` and the optional
-    /// stationary vector, then `RMGd` and `RMNd` at µ_new and µ_old feed
-    /// [`GsuAnalysis::from_models`].
+    /// The paper's lowering: `rho` yields `(ρ1, ρ2)`, then `RMGd` and `RMNd`
+    /// at µ_new and µ_old feed [`GsuAnalysis::from_models`].
     fn from_paper_models(
         params: GsuParams,
-        rho: impl FnOnce(&GsuParams) -> Result<((f64, f64), Option<Vec<f64>>)>,
+        rho: impl FnOnce(&GsuParams) -> Result<(f64, f64)>,
     ) -> Result<Self> {
         // Validated before the builds too: the models assume valid rates.
         params.validate()?;
         let mut span = telemetry::span("performability.build");
-        let (rho, rho_pi) = rho(&params)?;
+        let rho = rho(&params)?;
         let gd = rmgd::build(&params)?;
         let new = rmnd::build(&params, params.mu_new)?;
         let old = rmnd::build(&params, params.mu_old)?;
         let analysis = Self::from_models(
             params,
             rho,
-            rho_pi,
             (&gd.model, gd.places.gop),
             (&new.model, new.places.failure),
             (&old.model, old.places.failure),
@@ -130,9 +109,7 @@ impl GsuAnalysis {
     /// that its detected set is closed), lumps the normal-mode chains by
     /// `failure`, and solves the φ-independent full-window survival.
     ///
-    /// * `rho` — the forward-progress fractions `(ρ1, ρ2)`, with the
-    ///   stationary vector they were read from when they were solved
-    ///   (`rho_pi`, the seed for [`GsuAnalysis::new_continued`]);
+    /// * `rho` — the forward-progress fractions `(ρ1, ρ2)`;
     /// * `gd` — the G-OP dependability model and the places that classify
     ///   its states into the `A'` sets;
     /// * `np_new` / `np_old` — the normal-mode models with the first
@@ -148,7 +125,6 @@ impl GsuAnalysis {
     pub fn from_models(
         params: GsuParams,
         rho: (f64, f64),
-        rho_pi: Option<Vec<f64>>,
         gd: (&SanModel, GopPlaces),
         np_new: (&SanModel, PlaceId),
         np_old: (&SanModel, PlaceId),
@@ -185,7 +161,6 @@ impl GsuAnalysis {
             params,
             gamma_policy: GammaPolicy::default(),
             rho,
-            rho_pi,
             gd: gd_analyzer,
             gd_chain,
             np_new,
@@ -209,13 +184,6 @@ impl GsuAnalysis {
     /// The forward-progress fractions `(ρ1, ρ2)` in use.
     pub fn rho(&self) -> (f64, f64) {
         self.rho
-    }
-
-    /// The stationary vector of the `RMGp` solve, when ρ was computed
-    /// rather than fixed — the seed for [`GsuAnalysis::new_continued`] at a
-    /// nearby parameter point.
-    pub fn rho_steady_vector(&self) -> Option<&[f64]> {
-        self.rho_pi.as_deref()
     }
 
     /// The analyzer of the G-OP dependability model, over its full state
@@ -519,7 +487,7 @@ mod tests {
         let np = rmnd::build(&params, 1e-4).unwrap();
         let build = |params: GsuParams, rho| {
             let np = (&np.model, np.places.failure);
-            GsuAnalysis::from_models(params, rho, None, (&gd.model, gd.places.gop), np, np)
+            GsuAnalysis::from_models(params, rho, (&gd.model, gd.places.gop), np, np)
         };
         assert!(build(params, (0.98, 0.95)).is_ok());
         assert!(build(params, (0.98, f64::NAN)).is_err());
@@ -549,8 +517,8 @@ mod tests {
         let np = rmnd::build(&params, 1e-4).unwrap();
         let np = (&np.model, np.places.failure);
         let places = GopPlaces { detected, failure };
-        let err = GsuAnalysis::from_models(params, (0.98, 0.95), None, (&gd, places), np, np)
-            .unwrap_err();
+        let err =
+            GsuAnalysis::from_models(params, (0.98, 0.95), (&gd, places), np, np).unwrap_err();
         assert!(
             matches!(err, PerfError::MeasureInvariant { .. }),
             "unexpected error: {err}"

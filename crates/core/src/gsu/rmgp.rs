@@ -197,52 +197,18 @@ pub fn one_minus_rho2_spec(places: &RmgpPlaces) -> RewardSpec {
     )
 }
 
-/// A solved `RMGp` steady state: the overhead measures plus the stationary
-/// vector they were read from, for warm-starting neighboring solves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RhoSolution {
-    /// Forward-progress fraction of `P1new`.
-    pub rho1: f64,
-    /// Forward-progress fraction of `P2`.
-    pub rho2: f64,
-    /// The stationary distribution over the `RMGp` state space — pass it as
-    /// the `hint` of [`solve_rho_continued`] at a nearby parameter point
-    /// (parameter continuation) to cut the solver's iteration count.
-    pub pi: Vec<f64>,
-}
-
-/// Solves the steady-state overhead measures, returning `(ρ1, ρ2)`.
+/// Solves the steady-state overhead measures, returning `(ρ1, ρ2)`. Both
+/// reward measures are read from a single cached stationary solve.
 ///
 /// # Errors
 ///
 /// Propagates SAN generation and steady-state solver failures.
 pub fn solve_rho(params: &GsuParams) -> san::Result<(f64, f64)> {
-    let s = solve_rho_continued(params, None)?;
-    Ok((s.rho1, s.rho2))
-}
-
-/// [`solve_rho`] with an optional warm-start `hint` — the stationary vector
-/// from a neighboring parameter point ([`RhoSolution::pi`]). Both reward
-/// measures are read from a single cached stationary solve.
-///
-/// # Errors
-///
-/// Propagates SAN generation and steady-state solver failures.
-pub fn solve_rho_continued(params: &GsuParams, hint: Option<&[f64]>) -> san::Result<RhoSolution> {
     let rmgp = build(params)?;
-    let mut analyzer = san::Analyzer::generate(&rmgp.model, &Default::default())?
-        .with_steady_method(markov::steady::SteadyMethod::Auto);
-    if let Some(h) = hint {
-        analyzer = analyzer.with_steady_hint(h.to_vec());
-    }
+    let analyzer = san::Analyzer::generate(&rmgp.model, &Default::default())?;
     let overhead1 = analyzer.steady_reward(&one_minus_rho1_spec(&rmgp.places))?;
     let overhead2 = analyzer.steady_reward(&one_minus_rho2_spec(&rmgp.places))?;
-    let pi = analyzer.steady_distribution()?.as_ref().clone();
-    Ok(RhoSolution {
-        rho1: 1.0 - overhead1,
-        rho2: 1.0 - overhead2,
-        pi,
-    })
+    Ok((1.0 - overhead1, 1.0 - overhead2))
 }
 
 #[cfg(test)]
@@ -261,7 +227,7 @@ mod tests {
         let rmgp = build(&baseline()).unwrap();
         let ss = StateSpace::generate(&rmgp.model, &Default::default()).unwrap();
         assert!(ss.n_states() <= 40, "got {}", ss.n_states());
-        let pi = markov::steady::steady_state(ss.ctmc(), &Default::default()).unwrap();
+        let pi = markov::steady::steady_state(ss.ctmc()).unwrap();
         assert!(sparsela::vector::is_stochastic(&pi, 1e-9));
     }
 

@@ -74,13 +74,7 @@ pub fn local_sensitivity(
     }
     params.validate()?;
     params.validate_phi(phi)?;
-    let base = GsuAnalysis::new(params)?;
-    let base_y = base.evaluate(phi)?.y;
-    // The perturbed parameter points are neighbors of the base point, so
-    // their RMGp steady solves are warm-started from the base stationary
-    // vector (parameter continuation).
-    let base_pi = base.rho_steady_vector().map(<[f64]>::to_vec);
-    drop(base);
+    let base_y = GsuAnalysis::new(params)?.evaluate(phi)?.y;
 
     // Each parameter's two perturbed pipelines (build + solve) are
     // independent given `base_y`, so fan them across the global pool. The
@@ -104,12 +98,8 @@ pub fn local_sensitivity(
             let mut high = params;
             set(&mut high, clamp(base_value * (1.0 + rel_step)));
 
-            let y_low = GsuAnalysis::new_continued(low, base_pi.as_deref())?
-                .evaluate(phi)?
-                .y;
-            let y_high = GsuAnalysis::new_continued(high, base_pi.as_deref())?
-                .evaluate(phi)?
-                .y;
+            let y_low = GsuAnalysis::new(low)?.evaluate(phi)?.y;
+            let y_high = GsuAnalysis::new(high)?.evaluate(phi)?.y;
 
             let dp_rel = (get(&high) - get(&low)) / base_value;
             let elasticity = if dp_rel.abs() > 0.0 {

@@ -12,9 +12,8 @@
 //!   occupancy `L(t) = ∫₀ᵗ π(s) ds`, solved by **uniformization** with
 //!   Fox–Glynn Poisson weights or by dense **matrix exponential**
 //!   (scaling-and-squaring, Padé 13) for stiff horizons;
-//! * [`steady`] — steady-state distributions by direct LU, Gauss–Seidel
-//!   sweeps, or BiCGStab (with a cost-based `Auto` choice), plus
-//!   absorbing-chain analysis;
+//! * [`steady`] — steady-state distributions of unichains by dense direct
+//!   LU on the recurrent class, plus absorbing-chain analysis;
 //! * [`reward`] — UltraSAN-style reward variables: expected instant-of-time
 //!   reward, expected accumulated interval-of-time reward, expected
 //!   steady-state reward, with both rate and impulse rewards;

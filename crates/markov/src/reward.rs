@@ -197,7 +197,7 @@ mod tests {
         // Two-state cycle, rates 2 and 3: π = (0.6, 0.4). Impulse 1 on
         // 0 -> 1 gives throughput π_0·q_01 = 1.2.
         let c = Ctmc::from_transitions(2, [(0, 1, 2.0), (1, 0, 3.0)]).unwrap();
-        let pi = crate::steady::steady_state(&c, &Default::default()).unwrap();
+        let pi = crate::steady::steady_state(&c).unwrap();
         let r = RewardStructure::from_rates(vec![0.0, 0.0]).with_impulse(0, 1, 1.0);
         let rate = r.steady_rate(&c, &pi).unwrap();
         assert!((rate - 1.2).abs() < 1e-12);

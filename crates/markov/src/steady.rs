@@ -1,47 +1,18 @@
 //! Steady-state and absorbing-chain analysis.
 
-use sparsela::iterative::IterOptions;
-use sparsela::{vector, CooMatrix, DenseMatrix};
+use sparsela::{vector, DenseMatrix};
 
 use crate::{graph, Ctmc, MarkovError, Result};
 
-/// Chain size at or below which [`SteadyMethod::Auto`] prefers the dense
-/// direct solver: the `O(n³)` factorization is cheaper than assembling and
-/// iterating a Krylov solve for chains this small.
-pub const AUTO_DIRECT_CUTOFF: usize = 64;
-
-/// Method used for steady-state solution of an irreducible CTMC.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum SteadyMethod {
-    /// Dense LU on `πQ = 0` with one equation replaced by normalization.
-    /// Exact; preferred for small chains.
-    #[default]
-    Direct,
-    /// Gauss–Seidel sweeps on `πQ = 0` with per-sweep normalization.
-    GaussSeidel {
-        /// Iteration budget and tolerance.
-        options: IterOptions,
-    },
-    /// Jacobi-preconditioned BiCGStab on `Qᵀπ = 0` with one equation
-    /// replaced by normalization. Converges in far fewer matrix products
-    /// than the stationary sweeps on stiff chains.
-    BiCgStab {
-        /// Iteration budget and tolerance.
-        options: IterOptions,
-    },
-    /// Cost-based choice: dense LU for chains up to
-    /// [`AUTO_DIRECT_CUTOFF`] states, otherwise Krylov (BiCGStab) with a
-    /// Gauss–Seidel sweep as the fallback if the Krylov solve breaks down.
-    Auto,
-}
-
-/// Computes the long-run (steady-state) distribution of a CTMC.
+/// Computes the long-run (steady-state) distribution of a CTMC by a dense
+/// LU solve of `πQ = 0` with one equation replaced by normalization.
 ///
 /// The chain must be a **unichain**: exactly one recurrent class (terminal
 /// strongly connected component), possibly preceded by transient states.
 /// Transient states receive probability zero; the stationary distribution of
-/// the recurrent class is embedded into the full state space. An irreducible
-/// chain is the special case with no transient states.
+/// the recurrent class is solved on the class alone and embedded into the
+/// full state space. An irreducible chain is the special case with no
+/// transient states.
 ///
 /// # Errors
 ///
@@ -49,42 +20,20 @@ pub enum SteadyMethod {
 ///   strongly connected component (the long-run distribution would depend on
 ///   the initial state).
 /// * [`MarkovError::InvalidModel`] for an empty chain.
-/// * Solver-specific failures ([`MarkovError::LinAlg`]).
-pub fn steady_state(ctmc: &Ctmc, method: &SteadyMethod) -> Result<Vec<f64>> {
-    steady_state_with_hint(ctmc, method, None)
-}
-
-/// [`steady_state`] with an optional warm-start hint.
-///
-/// `hint` is a previous stationary vector over the **full** state space —
-/// typically the solution at a neighboring point of a parameter sweep.
-/// Iterative methods start from it instead of the uniform distribution,
-/// which cuts their iteration count sharply when the hint is close;
-/// [`SteadyMethod::Direct`] ignores it. A hint of the wrong length, or one
-/// carrying no mass on the recurrent class, is silently discarded — the
-/// hint is an accelerator, never a correctness input.
-///
-/// # Errors
-///
-/// Same conditions as [`steady_state`].
-pub fn steady_state_with_hint(
-    ctmc: &Ctmc,
-    method: &SteadyMethod,
-    hint: Option<&[f64]>,
-) -> Result<Vec<f64>> {
+/// * [`MarkovError::LinAlg`] when the factorization fails.
+pub fn steady_state(ctmc: &Ctmc) -> Result<Vec<f64>> {
     let n = ctmc.n_states();
     if n == 0 {
         return Err(MarkovError::InvalidModel {
             context: "steady state of an empty chain".to_string(),
         });
     }
-    let hint = hint.filter(|h| h.len() == n && h.iter().all(|v| v.is_finite() && *v >= 0.0));
     if n == 1 {
         return Ok(vec![1.0]);
     }
     let (component_of, components) = graph::strongly_connected_components(ctmc.generator());
     if components == 1 {
-        return solve_irreducible(ctmc, method, hint);
+        return direct(ctmc);
     }
 
     // Identify terminal components (no outgoing cross-component edges).
@@ -121,19 +70,7 @@ pub fn steady_state_with_hint(
         )
         .collect();
     let sub = Ctmc::from_transitions(class.len(), sub_transitions)?;
-    // Restrict the hint to the recurrent class; it only survives if it
-    // still carries normalizable mass there.
-    let sub_hint: Option<Vec<f64>> = hint.and_then(|h| {
-        let mut restricted: Vec<f64> = class.iter().map(|&s| h[s]).collect();
-        let mass: f64 = restricted.iter().sum();
-        if mass > 0.0 {
-            vector::scale(1.0 / mass, &mut restricted);
-            Some(restricted)
-        } else {
-            None
-        }
-    });
-    let sub_pi = solve_irreducible(&sub, method, sub_hint.as_deref())?;
+    let sub_pi = direct(&sub)?;
     let mut pi = vec![0.0; n];
     for (i, &s) in class.iter().enumerate() {
         pi[s] = sub_pi[i];
@@ -141,63 +78,14 @@ pub fn steady_state_with_hint(
     Ok(pi)
 }
 
-fn solve_irreducible(ctmc: &Ctmc, method: &SteadyMethod, hint: Option<&[f64]>) -> Result<Vec<f64>> {
-    match method {
-        SteadyMethod::Direct => direct(ctmc),
-        SteadyMethod::GaussSeidel { options } => sweep(ctmc, options, hint).map(|(pi, _)| pi),
-        SteadyMethod::BiCgStab { options } => bicgstab_steady(ctmc, options, hint),
-        SteadyMethod::Auto => {
-            if ctmc.n_states() <= AUTO_DIRECT_CUTOFF {
-                return direct(ctmc);
-            }
-            let options = IterOptions::default();
-            match bicgstab_steady(ctmc, &options, hint) {
-                Ok(pi) => Ok(pi),
-                // Krylov breakdown (possible on hard spectra) falls back to
-                // the unconditionally convergent Gauss–Seidel sweep.
-                Err(MarkovError::LinAlg(_)) => {
-                    telemetry::counter("solver.auto_fallback", 1);
-                    sweep(ctmc, &options, hint).map(|(pi, _)| pi)
-                }
-                Err(e) => Err(e),
-            }
-        }
-    }
-}
-
-fn record_steady_solve(method: &str, iterations: usize, final_delta: f64, tolerance: f64) {
-    if !telemetry::enabled() {
-        return;
-    }
-    telemetry::counter("solver.solves", 1);
-    telemetry::counter(&format!("solver.steady_{method}.solves"), 1);
-    if iterations > 0 {
-        telemetry::counter("solver.iterations", iterations as u64);
-        telemetry::observe("solver.final_delta", final_delta);
-        if final_delta > 0.0 {
-            telemetry::observe("solver.tolerance_headroom", tolerance / final_delta);
-        }
-    }
-}
-
-/// Initial iterate for the iterative solvers: the (renormalized) hint when
-/// one is available and carries mass, the uniform distribution otherwise.
-fn start_vector(n: usize, hint: Option<&[f64]>) -> Vec<f64> {
-    if let Some(h) = hint {
-        let mass: f64 = h.iter().sum();
-        if mass > 0.0 {
-            let mut x = h.to_vec();
-            vector::scale(1.0 / mass, &mut x);
-            return x;
-        }
-    }
-    vec![1.0 / n as f64; n]
-}
-
+/// Dense LU on an irreducible chain.
 fn direct(ctmc: &Ctmc) -> Result<Vec<f64>> {
     let mut span = telemetry::span("markov.solve.steady");
     telemetry::SolveDiag::new("direct").record_on(&mut span);
-    record_steady_solve("direct", 0, 0.0, 0.0);
+    if telemetry::enabled() {
+        telemetry::counter("solver.solves", 1);
+        telemetry::counter("solver.steady_direct.solves", 1);
+    }
     let n = ctmc.n_states();
     // Solve Qᵀ x = 0 with the last equation replaced by Σx = 1.
     let mut a = DenseMatrix::zeros(n, n);
@@ -212,98 +100,6 @@ fn direct(ctmc: &Ctmc) -> Result<Vec<f64>> {
     let lu = a.lu().map_err(MarkovError::from)?;
     let mut pi = lu.solve(&b).map_err(MarkovError::from)?;
     cleanup(&mut pi);
-    Ok(pi)
-}
-
-/// Gauss–Seidel sweeps on the balance equations
-/// `π_j · (−q_jj) = Σ_{i≠j} π_i q_ij`.
-/// Returns the stationary vector and the number of sweeps it took (the
-/// iteration count is what the warm-start tests assert on).
-fn sweep(ctmc: &Ctmc, options: &IterOptions, hint: Option<&[f64]>) -> Result<(Vec<f64>, usize)> {
-    let n = ctmc.n_states();
-    let qt = ctmc.generator().transpose();
-    let mut span = telemetry::span("markov.solve.steady");
-    let mut flight = telemetry::SolveDiag::new("gauss_seidel");
-    let mut pi = start_vector(n, hint);
-    let mut delta = f64::INFINITY;
-    for it in 1..=options.max_iterations {
-        delta = 0.0;
-        for j in 0..n {
-            let exit = ctmc.exit_rate(j);
-            if exit == 0.0 {
-                // Irreducibility was checked; exit 0 can only mean n == 1.
-                continue;
-            }
-            let mut inflow = 0.0;
-            for (i, v) in qt.row(j) {
-                if i != j {
-                    inflow += pi[i] * v;
-                }
-            }
-            let new = inflow / exit;
-            delta = delta.max((new - pi[j]).abs());
-            pi[j] = new;
-        }
-        vector::normalize_l1(&mut pi);
-        if telemetry::enabled() {
-            flight.push_residual(delta);
-        }
-        if delta <= options.tolerance && it > 1 {
-            telemetry::work::count_iterations(it as u64);
-            cleanup(&mut pi);
-            flight.iterations = it as u64;
-            flight.record_on(&mut span);
-            record_steady_solve("gauss_seidel", it, delta, options.tolerance);
-            return Ok((pi, it));
-        }
-    }
-    telemetry::work::count_iterations(options.max_iterations as u64);
-    flight.iterations = options.max_iterations as u64;
-    flight.record_on(&mut span);
-    telemetry::counter("solver.not_converged", 1);
-    Err(MarkovError::LinAlg(sparsela::LinAlgError::NotConverged {
-        iterations: options.max_iterations,
-        residual: delta,
-        tolerance: options.tolerance,
-    }))
-}
-
-/// Krylov steady-state solve: `A·π = e_{n−1}` where `A` is `Qᵀ` with its
-/// last row replaced by the normalization equation `Σπ = 1`.
-///
-/// The system is square and nonsingular for an irreducible chain, and its
-/// diagonal (`−` exit rates, plus the `1` in the normalization row) never
-/// vanishes, so the Jacobi preconditioner inside [`sparsela::iterative::bicgstab`]
-/// is always well defined.
-fn bicgstab_steady(ctmc: &Ctmc, options: &IterOptions, hint: Option<&[f64]>) -> Result<Vec<f64>> {
-    let n = ctmc.n_states();
-    let mut coo = CooMatrix::new(n, n);
-    for (r, c, v) in ctmc.generator().iter() {
-        // A = Qᵀ: entry (c, r). The normalization equation overwrites row
-        // n−1, so Qᵀ entries destined for it are dropped here.
-        if c != n - 1 {
-            coo.push(c, r, v);
-        }
-    }
-    for j in 0..n {
-        coo.push(n - 1, j, 1.0);
-    }
-    let a = coo.to_csr();
-    let mut b = vec![0.0; n];
-    b[n - 1] = 1.0;
-    let x0 = start_vector(n, hint);
-    let mut span = telemetry::span("markov.solve.steady");
-    let (mut pi, conv) = sparsela::iterative::bicgstab(&a, &b, &x0, options)?;
-    cleanup(&mut pi);
-    let mut flight = telemetry::SolveDiag::new("bicgstab");
-    flight.iterations = conv.iterations as u64;
-    flight.record_on(&mut span);
-    record_steady_solve(
-        "bicgstab",
-        conv.iterations,
-        conv.final_delta,
-        options.tolerance,
-    );
     Ok(pi)
 }
 
@@ -491,7 +287,7 @@ mod tests {
     #[test]
     fn direct_matches_birth_death_closed_form() {
         let c = birth_death(5, 2.0, 3.0);
-        let pi = steady_state(&c, &SteadyMethod::Direct).unwrap();
+        let pi = steady_state(&c).unwrap();
         let want = mm1k(5, 2.0, 3.0);
         for (a, b) in pi.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12);
@@ -500,111 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn all_methods_agree() {
-        let c = birth_death(6, 1.0, 1.5);
-        let d = steady_state(&c, &SteadyMethod::Direct).unwrap();
-        let g = steady_state(
-            &c,
-            &SteadyMethod::GaussSeidel {
-                options: IterOptions::default(),
-            },
-        )
-        .unwrap();
-        let k = steady_state(
-            &c,
-            &SteadyMethod::BiCgStab {
-                options: IterOptions::default(),
-            },
-        )
-        .unwrap();
-        let a = steady_state(&c, &SteadyMethod::Auto).unwrap();
-        for other in [&g, &k, &a] {
-            assert!(vector::diff_norm_inf(&d, other) < 1e-8);
-        }
-    }
-
-    #[test]
-    fn bicgstab_matches_direct() {
-        let c = birth_death(12, 2.0, 3.0);
-        let d = steady_state(&c, &SteadyMethod::Direct).unwrap();
-        let opts = IterOptions {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let k = steady_state(&c, &SteadyMethod::BiCgStab { options: opts }).unwrap();
-        assert!(vector::diff_norm_inf(&d, &k) < 1e-9);
-        assert!(stationarity_residual(&c, &k) < 1e-9);
-    }
-
-    #[test]
-    fn auto_uses_direct_on_small_and_krylov_on_large() {
-        let small = birth_death(6, 1.0, 2.0);
-        let a = steady_state(&small, &SteadyMethod::Auto).unwrap();
-        let d = steady_state(&small, &SteadyMethod::Direct).unwrap();
-        assert_eq!(a, d);
-
-        let large = birth_death(AUTO_DIRECT_CUTOFF + 20, 1.0, 1.1);
-        let a = steady_state(&large, &SteadyMethod::Auto).unwrap();
-        let d = steady_state(&large, &SteadyMethod::Direct).unwrap();
-        assert!(vector::diff_norm_inf(&a, &d) < 1e-8);
-    }
-
-    #[test]
-    fn warm_start_hint_cuts_sweep_iterations() {
-        let c = birth_death(40, 1.0, 1.2);
-        let exact = steady_state(&c, &SteadyMethod::Direct).unwrap();
-        let opts = IterOptions {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let (cold_pi, cold) = sweep(&c, &opts, None).unwrap();
-        assert!(vector::diff_norm_inf(&cold_pi, &exact) < 1e-8);
-        let (warm_pi, warm) = sweep(&c, &opts, Some(&exact)).unwrap();
-        assert!(vector::diff_norm_inf(&warm_pi, &exact) < 1e-8);
-        assert!(
-            warm < cold,
-            "warm start took {warm} iterations vs cold {cold}"
-        );
-    }
-
-    #[test]
-    fn degenerate_hints_are_discarded() {
-        let c = birth_death(5, 2.0, 3.0);
-        let want = steady_state(&c, &SteadyMethod::Direct).unwrap();
-        let method = SteadyMethod::GaussSeidel {
-            options: IterOptions::default(),
-        };
-        for bad in [
-            vec![0.0; 5],                   // no mass
-            vec![0.25; 4],                  // wrong length
-            vec![f64::NAN; 5],              // non-finite
-            vec![-1.0, 1.0, 0.0, 0.0, 0.0], // negative entries
-        ] {
-            let pi = steady_state_with_hint(&c, &method, Some(&bad)).unwrap();
-            assert!(vector::diff_norm_inf(&pi, &want) < 1e-8);
-        }
-    }
-
-    #[test]
-    fn hint_survives_unichain_reduction() {
-        // State 0 is transient; hint mass on it must be redistributed.
-        let c = Ctmc::from_transitions(3, [(0, 1, 5.0), (1, 2, 1.0), (2, 1, 3.0)]).unwrap();
-        let hint = [0.5, 0.4, 0.1];
-        let method = SteadyMethod::GaussSeidel {
-            options: IterOptions::default(),
-        };
-        let pi = steady_state_with_hint(&c, &method, Some(&hint)).unwrap();
-        assert!(pi[0].abs() < 1e-10);
-        assert!((pi[1] - 0.75).abs() < 1e-8);
-        assert!((pi[2] - 0.25).abs() < 1e-8);
-    }
-
-    #[test]
     fn two_terminal_classes_rejected() {
         // {0,1} is one recurrent class; isolated state 2 is another.
         let c = Ctmc::from_transitions(3, [(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
         assert!(matches!(
-            steady_state(&c, &SteadyMethod::Direct),
+            steady_state(&c),
             Err(MarkovError::Reducible { components: 2 })
         ));
     }
@@ -614,50 +310,24 @@ mod tests {
         // 0 → {1, 2} cycle: state 0 is transient, long-run mass sits on the
         // 1 <-> 2 cycle with rates 1 and 3 ⇒ π = (0, 3/4, 1/4).
         let c = Ctmc::from_transitions(3, [(0, 1, 5.0), (1, 2, 1.0), (2, 1, 3.0)]).unwrap();
-        let options = IterOptions::default();
-        for method in [
-            SteadyMethod::Direct,
-            SteadyMethod::GaussSeidel {
-                options: options.clone(),
-            },
-            SteadyMethod::BiCgStab { options },
-        ] {
-            let pi = steady_state(&c, &method).unwrap();
-            assert!(pi[0].abs() < 1e-10);
-            assert!((pi[1] - 0.75).abs() < 1e-9);
-            assert!((pi[2] - 0.25).abs() < 1e-9);
-        }
+        let pi = steady_state(&c).unwrap();
+        assert!(pi[0].abs() < 1e-10);
+        assert!((pi[1] - 0.75).abs() < 1e-9);
+        assert!((pi[2] - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn unichain_into_absorbing_state() {
         // All mass eventually in the absorbing state 2.
         let c = Ctmc::from_transitions(3, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let pi = steady_state(&c, &SteadyMethod::Direct).unwrap();
+        let pi = steady_state(&c).unwrap();
         assert_eq!(pi, vec![0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn single_state_chain() {
         let c = Ctmc::from_transitions(1, std::iter::empty()).unwrap();
-        assert_eq!(steady_state(&c, &SteadyMethod::Direct).unwrap(), vec![1.0]);
-    }
-
-    #[test]
-    fn periodic_chain_iterative_methods_converge() {
-        // 0 <-> 1 with equal rates: the embedded jump chain is periodic, so
-        // a plain power iteration on it would oscillate forever.
-        let c = Ctmc::from_transitions(2, [(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let options = IterOptions::default();
-        for method in [
-            SteadyMethod::GaussSeidel {
-                options: options.clone(),
-            },
-            SteadyMethod::BiCgStab { options },
-        ] {
-            let pi = steady_state(&c, &method).unwrap();
-            assert!((pi[0] - 0.5).abs() < 1e-9, "{method:?}: {pi:?}");
-        }
+        assert_eq!(steady_state(&c).unwrap(), vec![1.0]);
     }
 
     #[test]
@@ -721,53 +391,5 @@ mod tests {
         assert!(an.absorption_from(&[1.0, 0.0], 0).is_err());
         assert!(an.absorption_from(&[1.0], 1).is_err());
         assert!(an.mean_time_from(&[1.0]).is_err());
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// A random irreducible generator: a rate-carrying Hamiltonian cycle
-        /// guarantees irreducibility, extra random edges roughen the
-        /// structure.
-        fn irreducible_ctmc(n: usize, cycle_rates: &[f64], extras: &[(usize, usize, f64)]) -> Ctmc {
-            let mut t: Vec<(usize, usize, f64)> =
-                (0..n).map(|i| (i, (i + 1) % n, cycle_rates[i])).collect();
-            for &(u, v, r) in extras {
-                if u != v {
-                    t.push((u % n, v % n, r));
-                }
-            }
-            Ctmc::from_transitions(n, t).unwrap()
-        }
-
-        proptest! {
-            /// BiCGStab agrees with the dense direct solver and with
-            /// Gauss–Seidel on random irreducible generators (ISSUE 8
-            /// satellite).
-            #[test]
-            fn bicgstab_agrees_with_direct_and_sweeps(
-                cycle_rates in proptest::collection::vec(0.1..5.0f64, 8),
-                extras in proptest::collection::vec(
-                    (0usize..8, 0usize..8, 0.05..3.0f64), 0..20),
-            ) {
-                let c = irreducible_ctmc(8, &cycle_rates, &extras);
-                let d = steady_state(&c, &SteadyMethod::Direct).unwrap();
-                let opts = IterOptions {
-                    tolerance: 1e-13,
-                    ..Default::default()
-                };
-                let k = steady_state(
-                    &c,
-                    &SteadyMethod::BiCgStab { options: opts.clone() },
-                ).unwrap();
-                prop_assert!(vector::diff_norm_inf(&d, &k) < 1e-8);
-                let g = steady_state(
-                    &c,
-                    &SteadyMethod::GaussSeidel { options: opts },
-                ).unwrap();
-                prop_assert!(vector::diff_norm_inf(&g, &k) < 1e-7);
-            }
-        }
     }
 }

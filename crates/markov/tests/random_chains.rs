@@ -2,9 +2,10 @@
 //! engines must agree with each other and with structural invariants.
 
 use markov::lump::Lumping;
-use markov::steady::{steady_state, SteadyMethod};
+use markov::steady::{stationarity_residual, steady_state};
 use markov::transient::{self, Method, Options};
 use markov::Ctmc;
+use markov::MarkovError;
 use proptest::prelude::*;
 
 /// A random dense-ish CTMC over `n` states with rates in (0, scale].
@@ -23,6 +24,55 @@ fn arb_ctmc(n: usize, scale: f64) -> impl Strategy<Value = Ctmc> {
         }
         Ctmc::from_transitions(n, transitions).expect("valid random chain")
     })
+}
+
+/// A random unichain: a transient prefix of 1–4 states feeding one
+/// irreducible class of 2–6 states, under a random relabeling of the
+/// states. Returns the chain and which of its states are transient.
+///
+/// Prefix state `i` only jumps to later states (a later prefix state or the
+/// class), so every prefix state is transient and the class is the one
+/// closed class; a base cycle keeps the class irreducible. Rates span four
+/// decades so the class is stiff.
+fn arb_unichain() -> impl Strategy<Value = (Ctmc, Vec<bool>)> {
+    const MAX_N: usize = 10;
+    (
+        1usize..5,
+        2usize..7,
+        proptest::collection::vec(0.0..1.0f64, MAX_N * MAX_N),
+        proptest::collection::vec(-2.0..2.0f64, MAX_N * MAX_N),
+        proptest::collection::vec(0.0..1.0f64, MAX_N),
+    )
+        .prop_map(|(prefix, class, edges, log_rates, keys)| {
+            let n = prefix + class;
+            // label[i] is the state number of the i-th state in
+            // prefix-then-class order: ascending order of random keys.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+            let mut label = vec![0; n];
+            for (state, &i) in order.iter().enumerate() {
+                label[i] = state;
+            }
+            let rate = |i: usize, j: usize| 10f64.powf(log_rates[i * MAX_N + j]);
+            let mut transitions = Vec::new();
+            for i in 0..n {
+                // Prefix states move forward; class states stay in the class.
+                let targets = if i < prefix { i + 1..n } else { prefix..n };
+                for j in targets {
+                    let base = (i < prefix && j == i + 1)
+                        || (i >= prefix && j == prefix + (i - prefix + 1) % class);
+                    if i != j && (base || edges[i * MAX_N + j] > 0.6) {
+                        transitions.push((label[i], label[j], rate(i, j)));
+                    }
+                }
+            }
+            let chain = Ctmc::from_transitions(n, transitions).expect("valid random unichain");
+            let mut transient = vec![false; n];
+            for &state in &label[..prefix] {
+                transient[state] = true;
+            }
+            (chain, transient)
+        })
 }
 
 proptest! {
@@ -75,20 +125,55 @@ proptest! {
 
     #[test]
     fn steady_methods_agree(chain in arb_ctmc(6, 1.0)) {
-        let direct = steady_state(&chain, &SteadyMethod::Direct).unwrap();
-        let krylov = steady_state(&chain, &SteadyMethod::BiCgStab {
-            options: Default::default(),
-        }).unwrap();
-        prop_assert!(sparsela::vector::diff_norm_inf(&direct, &krylov) < 1e-7);
-        // Stationarity: π·Q ≈ 0.
-        prop_assert!(markov::steady::stationarity_residual(&chain, &direct) < 1e-10);
+        // Direct LU is the one steady-state method; it must agree with the
+        // balance equations. Stationarity: π·Q ≈ 0.
+        let direct = steady_state(&chain).unwrap();
+        prop_assert!(sparsela::vector::is_stochastic(&direct, 1e-12));
+        prop_assert!(stationarity_residual(&chain, &direct) < 1e-10);
+    }
+
+    #[test]
+    fn unichain_reduction_zeroes_the_transient_prefix(
+        unichain in arb_unichain(),
+    ) {
+        let (chain, transient) = unichain;
+        let pi = steady_state(&chain).unwrap();
+        for (s, &is_transient) in transient.iter().enumerate() {
+            if is_transient {
+                prop_assert!(pi[s] == 0.0, "transient state {s} carries {}", pi[s]);
+            }
+        }
+        prop_assert!(sparsela::vector::is_stochastic(&pi, 1e-12));
+        let max_exit = (0..chain.n_states())
+            .map(|s| chain.exit_rate(s))
+            .fold(0.0, f64::max);
+        prop_assert!(stationarity_residual(&chain, &pi) <= 1e-10 * max_exit);
+    }
+
+    #[test]
+    fn two_closed_classes_are_reducible(
+        unichain in arb_unichain(),
+        feed in 0.1..5.0f64,
+    ) {
+        let (chain, transient) = unichain;
+        // A second closed class (an absorbing state) fed from a transient
+        // state: two terminal components.
+        let n = chain.n_states();
+        let from = transient.iter().position(|&t| t).expect("a transient prefix");
+        let mut transitions: Vec<(usize, usize, f64)> = chain.transitions().collect();
+        transitions.push((from, n, feed));
+        let two = Ctmc::from_transitions(n + 1, transitions).unwrap();
+        prop_assert!(
+            matches!(steady_state(&two), Err(MarkovError::Reducible { components: 2 })),
+            "expected a reducible chain"
+        );
     }
 
     #[test]
     fn long_transient_approaches_steady_state(chain in arb_ctmc(5, 2.0)) {
         let pi0 = chain.point_distribution(0);
         let pi_t = transient::distribution(&chain, &pi0, 1e4, &Options::default()).unwrap();
-        let pi_inf = steady_state(&chain, &SteadyMethod::Direct).unwrap();
+        let pi_inf = steady_state(&chain).unwrap();
         prop_assert!(sparsela::vector::diff_norm_inf(&pi_t, &pi_inf) < 1e-6);
     }
 

@@ -3,7 +3,6 @@
 use std::sync::{Arc, Mutex};
 
 use markov::lump::Lumping;
-use markov::steady::SteadyMethod;
 use markov::{transient, Ctmc};
 
 use crate::{Marking, ReachabilityOptions, Result, RewardSpec, SanModel, StateSpace};
@@ -14,17 +13,12 @@ use crate::{Marking, ReachabilityOptions, Result, RewardSpec, SanModel, StateSpa
 ///
 /// The stationary distribution is solved at most once per analyzer: every
 /// steady-state query shares the cached vector (see
-/// [`Analyzer::steady_distribution`]), and a warm-start hint from a
-/// neighboring parameter point can be supplied via
-/// [`Analyzer::with_steady_hint`] to cut the iteration count of the first
-/// solve.
+/// [`Analyzer::steady_distribution`]).
 ///
 /// See the [crate-level example](crate) for usage.
 pub struct Analyzer {
     space: StateSpace,
     transient_options: transient::Options,
-    steady_method: SteadyMethod,
-    steady_hint: Option<Vec<f64>>,
     steady_cache: Mutex<Option<Arc<Vec<f64>>>>,
 }
 
@@ -47,8 +41,6 @@ impl Analyzer {
         Analyzer {
             space,
             transient_options: transient::Options::default(),
-            steady_method: SteadyMethod::Direct,
-            steady_hint: None,
             steady_cache: Mutex::new(None),
         }
     }
@@ -57,28 +49,6 @@ impl Analyzer {
     pub fn with_transient_options(mut self, options: transient::Options) -> Self {
         self.transient_options = options;
         self
-    }
-
-    /// Replaces the steady-state method.
-    pub fn with_steady_method(mut self, method: SteadyMethod) -> Self {
-        self.steady_method = method;
-        self.invalidate_steady_cache();
-        self
-    }
-
-    /// Seeds the steady-state solver with a warm-start hint — typically the
-    /// stationary vector from a neighboring point of a parameter sweep.
-    /// Iterative methods start from it; direct methods ignore it. The hint
-    /// never affects the answer, only the iteration count.
-    pub fn with_steady_hint(mut self, hint: Vec<f64>) -> Self {
-        self.steady_hint = Some(hint);
-        self.invalidate_steady_cache();
-        self
-    }
-
-    fn invalidate_steady_cache(&mut self) {
-        let mut cache = self.steady_cache.lock().unwrap_or_else(|e| e.into_inner());
-        *cache = None;
     }
 
     /// The underlying state space.
@@ -166,11 +136,7 @@ impl Analyzer {
                 return Ok(Arc::clone(pi));
             }
         }
-        let pi = Arc::new(markov::steady::steady_state_with_hint(
-            self.space.ctmc(),
-            &self.steady_method,
-            self.steady_hint.as_deref(),
-        )?);
+        let pi = Arc::new(markov::steady::steady_state(self.space.ctmc())?);
         let mut cache = self.steady_cache.lock().unwrap_or_else(|e| e.into_inner());
         *cache = Some(Arc::clone(&pi));
         Ok(pi)
@@ -339,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn steady_distribution_is_cached_and_hint_is_harmless() {
+    fn steady_distribution_is_cached() {
         let (m, up) = up_down(0.1, 1.0);
         let an = Analyzer::generate(&m, &Default::default()).unwrap();
         let first = an.steady_distribution().unwrap();
@@ -347,16 +313,14 @@ mod tests {
         // Same allocation: the second query reused the cached solve.
         assert!(std::sync::Arc::ptr_eq(&first, &second));
 
-        // A warm-start hint (even a sloppy one) must not change the answer.
-        let hinted = Analyzer::generate(&m, &Default::default())
-            .unwrap()
-            .with_steady_method(markov::steady::SteadyMethod::GaussSeidel {
-                options: Default::default(),
-            })
-            .with_steady_hint(vec![0.5, 0.5]);
+        // The reward reads the cached vector: availability µ/(λ+µ).
         let spec = RewardSpec::new().rate_when(move |mk| mk.tokens(up) == 1, 1.0);
-        let a = hinted.steady_reward(&spec).unwrap();
+        let a = an.steady_reward(&spec).unwrap();
         assert!((a - 10.0 / 11.0).abs() < 1e-8);
+        assert!(std::sync::Arc::ptr_eq(
+            &first,
+            &an.steady_distribution().unwrap()
+        ));
     }
 
     #[test]

@@ -282,7 +282,7 @@ mod tests {
         m.add_activity(Activity::timed("serve", mu).with_input_arc(q, 1))
             .unwrap();
         let ss = StateSpace::generate(&m, &Default::default()).unwrap();
-        let pi = markov::steady::steady_state(ss.ctmc(), &Default::default()).unwrap();
+        let pi = markov::steady::steady_state(ss.ctmc()).unwrap();
         let rho = lam / mu;
         let z = 1.0 + rho + rho * rho;
         let p_full = rho * rho / z;

@@ -42,7 +42,6 @@ impl ScenarioAnalysis {
         let analysis = GsuAnalysis::from_models(
             spec.params,
             rho,
-            None,
             (&gd.model, gd.places.gop),
             (&np_new.model, np_new.places.failure),
             (&np_old.model, np_old.places.failure),

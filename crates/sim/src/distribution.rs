@@ -2,7 +2,7 @@
 //! original sense.
 //!
 //! The paper works with the *expectation* `E[W_φ]` because that is what the
-//! translated reward variables deliver; Meyer's performability (its ref [4])
+//! translated reward variables deliver; Meyer's performability (its ref \[4\])
 //! is the full probability distribution of accumulated performance. The
 //! simulator sees every sample path's worth, so it can estimate that
 //! distribution directly: this module collects it with quantiles, the

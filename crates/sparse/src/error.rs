@@ -24,15 +24,6 @@ pub enum LinAlgError {
         /// Index of the pivot at which elimination broke down.
         pivot: usize,
     },
-    /// An iterative method failed to reach the requested tolerance.
-    NotConverged {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-        /// Residual norm at the final iteration.
-        residual: f64,
-        /// Tolerance that was requested.
-        tolerance: f64,
-    },
     /// An index was outside the matrix bounds.
     IndexOutOfBounds {
         /// The offending (row, col) pair.
@@ -65,15 +56,6 @@ impl fmt::Display for LinAlgError {
             LinAlgError::Singular { pivot } => {
                 write!(f, "matrix is singular at pivot {pivot}")
             }
-            LinAlgError::NotConverged {
-                iterations,
-                residual,
-                tolerance,
-            } => write!(
-                f,
-                "iteration did not converge after {iterations} steps \
-                 (residual {residual:.3e} > tolerance {tolerance:.3e})"
-            ),
             LinAlgError::IndexOutOfBounds { index, shape } => write!(
                 f,
                 "index ({}, {}) out of bounds for {}x{} matrix",
@@ -103,18 +85,6 @@ mod tests {
         assert!(s.contains("mul_vec"));
         assert!(s.contains("3x3"));
         assert!(s.contains("3x2"));
-    }
-
-    #[test]
-    fn not_converged_shows_residual() {
-        let e = LinAlgError::NotConverged {
-            iterations: 100,
-            residual: 0.5,
-            tolerance: 1e-9,
-        };
-        let s = e.to_string();
-        assert!(s.contains("100"));
-        assert!(s.contains("5.000e-1"));
     }
 
     #[test]

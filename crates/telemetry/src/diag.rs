@@ -1,8 +1,8 @@
 //! Structured per-solve diagnostics — the flight-recorder payload each
 //! numerical solve attaches to its span.
 //!
-//! Solvers in `markov` and `sparsela` fill in a [`SolveDiag`] as they run
-//! and call [`SolveDiag::record_on`] before the solve span closes. The
+//! The solvers in `markov` fill in a [`SolveDiag`] as they run and call
+//! [`SolveDiag::record_on`] before the solve span closes. The
 //! diagnostics then travel with the span through the [`Collector`] and out
 //! to the Chrome trace, the per-request span tree (`/trace?id=`), and the
 //! wide-event line each `/eval` request produces.
@@ -13,23 +13,22 @@ use crate::json::fmt_f64;
 use crate::SpanGuard;
 
 /// How many trailing residuals [`SolveDiag::push_residual`] retains.
-pub const RESIDUAL_TAIL_LEN: usize = 8;
+const RESIDUAL_TAIL_LEN: usize = 8;
 
 /// Diagnostics for one numerical solve.
 ///
-/// Only the fields a given method produces are recorded: a Gauss–Seidel
-/// sweep has a residual trajectory but no Fox-Glynn window; uniformization has a
-/// rate and a window but its "iterations" are Poisson terms; a direct LU
-/// solve has neither.
+/// Only the fields a given method produces are recorded: uniformization has
+/// a rate, a Fox-Glynn window and a residual trajectory, and its
+/// "iterations" are Poisson terms; the matrix exponential's are its
+/// squarings; a direct LU solve records its method alone.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveDiag {
-    /// Method label, e.g. `"gauss_seidel"`, `"bicgstab"`, `"uniformization"`,
-    /// `"expm"`.
-    pub method: String,
+    /// Method label: `"direct"`, `"expm"` or `"uniformization"`.
+    pub method: &'static str,
     /// Iterations (or Poisson terms) the solve consumed.
     pub iterations: u64,
-    /// Trailing residuals/deltas, oldest first (bounded; see
-    /// [`RESIDUAL_TAIL_LEN`]).
+    /// Trailing residuals/deltas, oldest first (at most the eight newest,
+    /// see [`SolveDiag::push_residual`]).
     pub residual_tail: Vec<f64>,
     /// Uniformization rate Λ, when the method uniformizes.
     pub uniformization_rate: Option<f64>,
@@ -50,15 +49,15 @@ pub struct SolveDiag {
 
 impl SolveDiag {
     /// Starts an empty diagnostic for `method`.
-    pub fn new(method: &str) -> Self {
+    pub fn new(method: &'static str) -> Self {
         SolveDiag {
-            method: method.to_string(),
+            method,
             ..SolveDiag::default()
         }
     }
 
-    /// Appends a residual observation, keeping only the most recent
-    /// [`RESIDUAL_TAIL_LEN`] values (the interesting end of the trajectory).
+    /// Appends a residual observation, keeping only the eight most recent
+    /// values (the interesting end of the trajectory).
     pub fn push_residual(&mut self, residual: f64) {
         if self.residual_tail.len() == RESIDUAL_TAIL_LEN {
             self.residual_tail.remove(0);
@@ -69,7 +68,7 @@ impl SolveDiag {
     /// Attaches the diagnostics to `span` as `solve.*` arguments. Fields a
     /// method did not produce are omitted.
     pub fn record_on(&self, span: &mut SpanGuard) {
-        span.record("solve.method", self.method.as_str());
+        span.record("solve.method", self.method);
         span.record("solve.iterations", self.iterations);
         if !self.residual_tail.is_empty() {
             let tail = self
@@ -109,7 +108,7 @@ mod tests {
 
     #[test]
     fn residual_tail_is_bounded_and_keeps_the_newest() {
-        let mut diag = SolveDiag::new("power");
+        let mut diag = SolveDiag::new("uniformization");
         for i in 0..20 {
             diag.push_residual(i as f64);
         }

@@ -407,7 +407,7 @@ impl Drop for SpanGuard {
             }
             with_sink(|s| {
                 s.record_span(SpanRecord {
-                    name: inner.name.clone(),
+                    name: inner.name,
                     start: inner.start,
                     end,
                     tid: inner.tid,
@@ -415,7 +415,7 @@ impl Drop for SpanGuard {
                     trace_id: inner.trace_id,
                     span_id: inner.span_id,
                     parent_id: inner.parent_id,
-                    args: inner.args.clone(),
+                    args: inner.args,
                 })
             });
         }

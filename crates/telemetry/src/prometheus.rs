@@ -1,5 +1,5 @@
 //! Prometheus text-exposition rendering (format version 0.0.4) of a
-//! [`Snapshot`](crate::Snapshot).
+//! [`Snapshot`].
 //!
 //! Mapping:
 //!

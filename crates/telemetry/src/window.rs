@@ -6,8 +6,9 @@
 //! per wall-clock second in a fixed ring of `window_secs + 1` slots (the
 //! current, still-filling second plus `window_secs` complete ones). Each
 //! frame holds the same fixed log₁₀ bucket array the cumulative histograms
-//! use (see [`crate::buckets`]), plus count/sum/min/max and a "good" count
-//! of observations at or below an optional SLO bound.
+//! use (one bucket per power of ten between `1e-15` and `1e15`, plus an
+//! underflow and an overflow bucket), plus count/sum/min/max and a "good"
+//! count of observations at or below an optional SLO bound.
 //!
 //! Recording is O(1): the frame for the current second is found by
 //! `second % ring_len`; a stale frame (left over from `ring_len` seconds

@@ -33,7 +33,8 @@ pub fn count_axpy(n: u64) {
     AXPY_OPS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Counts `n` iterations of an iterative solver (one sweep each).
+/// Counts `n` solver iterations: uniformization steps, or the squarings
+/// of a matrix exponential.
 #[inline]
 pub fn count_iterations(n: u64) {
     SOLVER_ITERATIONS.fetch_add(n, Ordering::Relaxed);

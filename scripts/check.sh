@@ -17,6 +17,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings ($(cargo clippy --version))"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc link gate: a dangling or private intra-doc link (one left behind
+# by a deleted item, say) fails here. The vendored stand-ins are excluded,
+# as they are from the line count below.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
+    --exclude proptest --exclude rand
+
 # The suite runs twice: once serial, once on a 4-wide pool. Results must be
 # identical (the pool's determinism guarantee); the second run also exercises
 # the work-stealing/parking/shutdown paths under every test workload.

@@ -3,7 +3,6 @@
 //! the GSU study relies on.
 
 use guarded_upgrade::prelude::*;
-use markov::steady::SteadyMethod;
 use markov::transient::{Method, Options};
 use san::ReachabilityOptions;
 
@@ -50,28 +49,14 @@ fn mm1k_mean_queue_length_by_all_steady_methods() {
     let z: f64 = (0..=4).map(|i| rho.powi(i)).sum();
     let want: f64 = (0..=4).map(|i| i as f64 * rho.powi(i)).sum::<f64>() / z;
 
-    let methods = [
-        SteadyMethod::Direct,
-        SteadyMethod::GaussSeidel {
-            options: Default::default(),
-        },
-        SteadyMethod::BiCgStab {
-            options: Default::default(),
-        },
-        SteadyMethod::Auto,
-    ];
-    for method in methods {
-        let analyzer = san::Analyzer::from_state_space(
-            StateSpace::generate(&m, &ReachabilityOptions::default()).unwrap(),
-        )
-        .with_steady_method(method.clone());
-        let got = analyzer.steady_reward(&spec).unwrap();
-        assert!(
-            (got - want).abs() < 1e-7,
-            "{method:?}: {got} vs {want} (space {} states)",
-            space.n_states()
-        );
-    }
+    // Direct LU is the one steady-state method.
+    let analyzer = san::Analyzer::from_state_space(space);
+    let got = analyzer.steady_reward(&spec).unwrap();
+    assert!(
+        (got - want).abs() < 1e-7,
+        "{got} vs {want} (space {} states)",
+        analyzer.state_space().n_states()
+    );
 }
 
 #[test]
