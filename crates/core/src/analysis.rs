@@ -3,13 +3,14 @@
 //!
 //! [`GsuAnalysis`] is the one φ-evaluation engine. Its constructor
 //! [`GsuAnalysis::from_models`] takes built models — a G-OP dependability
-//! model classified by [`GopPlaces`] and two normal-mode models — so the
-//! paper's `RMGd`/`RMNd` ([`GsuAnalysis::new`]) and the scenario layer's
-//! generalized models lower into the same evaluation path.
+//! model classified by [`GopPlaces`] and two normal-mode models.
+//! [`GsuAnalysis::from_family`] builds them for any member of the model
+//! family ([`crate::gsu`]); [`GsuAnalysis::new`] is the paper's member, and
+//! the scenario layer lowers each `.gsu` spec through the same constructor.
 
 use san::{Analyzer, LumpedChain, PlaceId, SanModel};
 
-use crate::gsu::{rmgd, rmgp, rmnd, GopChain, GopPlaces};
+use crate::gsu::{rmgd, rmgp, rmnd, Family, GopChain, GopPlaces};
 use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, SweepPoint};
 
 /// The complete guarded-operation performability analysis for one parameter
@@ -52,15 +53,17 @@ pub struct GsuAnalysis {
 }
 
 impl GsuAnalysis {
-    /// Builds the three SAN reward models and solves the φ-independent
-    /// measures, with `(ρ1, ρ2)` computed from `RMGp`.
+    /// Builds the paper's three SAN reward models and solves the
+    /// φ-independent measures, with `(ρ1, ρ2)` computed from `RMGp`.
     ///
     /// # Errors
     ///
     /// Propagates parameter validation and model generation/solution
     /// failures.
     pub fn new(params: GsuParams) -> Result<Self> {
-        Self::from_paper_models(params, |params| Ok(rmgp::solve_rho(params)?))
+        // Validated before the family compiles α and β into laws.
+        params.validate()?;
+        Self::lower(params, &Family::paper(&params)?, None)
     }
 
     /// Like [`GsuAnalysis::new`] but with `(ρ1, ρ2)` supplied directly
@@ -71,22 +74,35 @@ impl GsuAnalysis {
     /// Returns [`PerfError::InvalidParameter`] when a fraction is outside
     /// `[0, 1]`, and propagates model-building failures.
     pub fn with_fixed_overhead(params: GsuParams, rho1: f64, rho2: f64) -> Result<Self> {
-        Self::from_paper_models(params, |_| Ok((rho1, rho2)))
+        params.validate()?;
+        Self::lower(params, &Family::paper(&params)?, Some((rho1, rho2)))
     }
 
-    /// The paper's lowering: `rho` yields `(ρ1, ρ2)`, then `RMGd` and `RMNd`
-    /// at µ_new and µ_old feed [`GsuAnalysis::from_models`].
-    fn from_paper_models(
-        params: GsuParams,
-        rho: impl FnOnce(&GsuParams) -> Result<(f64, f64)>,
-    ) -> Result<Self> {
+    /// Lowers a member of the model family: `(ρ1, ρ2)` solved on its
+    /// overhead model, its G-OP model, and its normal-mode model at µ_new
+    /// and µ_old feed [`GsuAnalysis::from_models`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter validation and model generation/solution
+    /// failures.
+    pub fn from_family(params: GsuParams, family: &Family) -> Result<Self> {
+        Self::lower(params, family, None)
+    }
+
+    /// The one lowering of a family member; `rho` fixes `(ρ1, ρ2)` instead
+    /// of solving them.
+    fn lower(params: GsuParams, family: &Family, rho: Option<(f64, f64)>) -> Result<Self> {
         // Validated before the builds too: the models assume valid rates.
         params.validate()?;
         let mut span = telemetry::span("performability.build");
-        let rho = rho(&params)?;
-        let gd = rmgd::build(&params)?;
-        let new = rmnd::build(&params, params.mu_new)?;
-        let old = rmnd::build(&params, params.mu_old)?;
+        let rho = match rho {
+            Some(rho) => rho,
+            None => rmgp::solve_rho_family(&params, family)?,
+        };
+        let gd = rmgd::build_family(&params, family)?;
+        let new = rmnd::build_family(&params, family, params.mu_new)?;
+        let old = rmnd::build_family(&params, family, params.mu_old)?;
         let analysis = Self::from_models(
             params,
             rho,

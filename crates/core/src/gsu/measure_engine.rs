@@ -5,9 +5,9 @@
 //! paper's specific `RMGd` net — and every one of those sets is fixed by two
 //! places, `detected` and `failure`. This module captures that contract as
 //! the [`GopPlaces`] pair plus [`GopChain`], the φ-independent preparation
-//! of one generated model, so the paper's `RMGd` and the scenario layer's
-//! *generalized* G-OP models (multiple escorts, upgrade waves, aging
-//! states) go through exactly the same translation inside
+//! of one generated model, so every member of the model family — the
+//! paper's `RMGd` and the scenarios' (multiple escorts, upgrade waves,
+//! aging states) — goes through exactly the same translation inside
 //! [`crate::GsuAnalysis`].
 //!
 //! A whole φ sweep costs one transient pass on the G-OP chain: every

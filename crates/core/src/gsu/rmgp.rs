@@ -31,8 +31,16 @@
 //! The reward structures are exactly the paper's Table 2 predicate-rate
 //! pairs (see [`one_minus_rho1_spec`] and [`one_minus_rho2_spec`]).
 
-use san::{Activity, Case, Marking, PlaceId, RewardSpec, SanModel};
+//!
+//! [`build_family`] takes the safeguard durations from the [`Family`] as
+//! phase-type laws; the overhead is modelled on the single representative
+//! escorted pair, so with several escorts each pays the same per-pair
+//! overhead `ρ2`.
 
+use markov::phase_type::PhaseType;
+use san::{Activity, Case, Marking, OutputGateId, PlaceId, RewardSpec, SanModel};
+
+use crate::gsu::Family;
 use crate::GsuParams;
 
 /// The places of the overhead model.
@@ -67,12 +75,24 @@ pub struct Rmgp {
     pub places: RmgpPlaces,
 }
 
-/// Builds `RMGp` for the given parameters.
+/// Builds the paper's `RMGp`.
+///
+/// # Errors
+///
+/// Fails on rates the SAN rejects.
 pub fn build(params: &GsuParams) -> san::Result<Rmgp> {
+    build_family(params, &Family::paper(params)?)
+}
+
+/// Builds the overhead model of a family member, with its safeguard
+/// durations.
+///
+/// # Errors
+///
+/// Fails on rates the SAN rejects.
+pub fn build_family(params: &GsuParams, family: &Family) -> san::Result<Rmgp> {
     let lambda = params.lambda;
     let p_ext = params.p_ext;
-    let alpha = params.alpha;
-    let beta = params.beta;
 
     let mut m = SanModel::new("RMGp");
     let p1n_ready = m.add_place("P1nReady", 1);
@@ -105,19 +125,17 @@ pub fn build(params: &GsuParams) -> san::Result<Rmgp> {
                     .with_output_gate(og_start_p2_ckpt),
             ),
     )?;
-    m.add_activity(
-        Activity::timed("P1nAT", alpha)
-            .with_input_arc(p1n_ext, 1)
-            .with_output_arc(p1n_ready, 1),
-    )?;
+    add_safeguard(&mut m, "P1nAT", &family.at, p1n_ext, p1n_ready, None)?;
     // Checkpoint completion: P2 resumes, now considered potentially
     // contaminated.
     let og_p2_dirty = m.add_output_gate("set_p2_db", move |mk| mk.set_tokens(p2_db, 1));
-    m.add_activity(
-        Activity::timed("P2_CKPT", beta)
-            .with_input_arc(p1n_int, 1)
-            .with_output_arc(p2_ready, 1)
-            .with_output_gate(og_p2_dirty),
+    add_safeguard(
+        &mut m,
+        "P2_CKPT",
+        &family.ckpt,
+        p1n_int,
+        p2_ready,
+        Some(og_p2_dirty),
     )?;
 
     // --- P2's message cycle -------------------------------------------------
@@ -144,18 +162,22 @@ pub fn build(params: &GsuParams) -> san::Result<Rmgp> {
     )?;
     // A passed AT restores confidence in P2.
     let og_p2_clean = m.add_output_gate("clear_p2_db", move |mk| mk.set_tokens(p2_db, 0));
-    m.add_activity(
-        Activity::timed("P2AT", alpha)
-            .with_input_arc(p2_ext, 1)
-            .with_output_arc(p2_ready, 1)
-            .with_output_gate(og_p2_clean),
+    add_safeguard(
+        &mut m,
+        "P2AT",
+        &family.at,
+        p2_ext,
+        p2_ready,
+        Some(og_p2_clean),
     )?;
     let og_p1o_dirty = m.add_output_gate("set_p1o_db", move |mk| mk.set_tokens(p1o_db, 1));
-    m.add_activity(
-        Activity::timed("P1o_CKPT", beta)
-            .with_input_arc(p2_int, 1)
-            .with_output_arc(p1o_ready, 1)
-            .with_output_gate(og_p1o_dirty),
+    add_safeguard(
+        &mut m,
+        "P1o_CKPT",
+        &family.ckpt,
+        p2_int,
+        p1o_ready,
+        Some(og_p1o_dirty),
     )?;
 
     Ok(Rmgp {
@@ -172,6 +194,75 @@ pub fn build(params: &GsuParams) -> san::Result<Rmgp> {
             p1o_db,
         },
     })
+}
+
+/// Adds a safeguard whose duration follows `law`: it takes the token in
+/// `trigger`, then puts one in `resume` and applies `done`, if any.
+///
+/// A one-phase law is one timed activity at its exit rate, as in the paper.
+/// A longer law expands into its phase-type representation: an
+/// instantaneous dispatch picks the initial phase, timed hops walk the
+/// sub-generator, and the exit rates complete the safeguard. The trigger
+/// token stays in place throughout the phases, so the Table 2 overhead
+/// predicates count the whole blocked time.
+fn add_safeguard(
+    m: &mut SanModel,
+    name: &str,
+    law: &PhaseType,
+    trigger: PlaceId,
+    resume: PlaceId,
+    done: Option<OutputGateId>,
+) -> san::Result<()> {
+    let complete = |a: Activity| {
+        let a = a.with_input_arc(trigger, 1).with_output_arc(resume, 1);
+        match done {
+            Some(gate) => a.with_output_gate(gate),
+            None => a,
+        }
+    };
+    if law.n_phases() == 1 {
+        m.add_activity(complete(Activity::timed(name, law.exit_rates()[0])))?;
+        return Ok(());
+    }
+    let stage = m.add_place(format!("{name}_stage"), 0);
+    let at_stage = move |i: usize| move |mk: &Marking| mk.tokens(stage) == i as u32 + 1;
+    let mut dispatch = Activity::instantaneous(format!("{name}_dispatch"))
+        .with_enabling(move |mk| mk.tokens(trigger) == 1 && mk.tokens(stage) == 0);
+    for (i, &a) in law.initial().iter().enumerate() {
+        if a > 0.0 {
+            let og = m.add_output_gate(format!("{name}_enter{i}"), move |mk| {
+                mk.set_tokens(stage, i as u32 + 1)
+            });
+            dispatch = dispatch.with_case(Case::with_probability(a).with_output_gate(og));
+        }
+    }
+    m.add_activity(dispatch)?;
+    for i in 0..law.n_phases() {
+        let exit = law.exit_rates()[i];
+        if exit > 0.0 {
+            let og =
+                m.add_output_gate(format!("{name}_done{i}"), move |mk| mk.set_tokens(stage, 0));
+            m.add_activity(complete(
+                Activity::timed(format!("{name}_exit{i}"), exit)
+                    .with_enabling(at_stage(i))
+                    .with_output_gate(og),
+            ))?;
+        }
+        for j in (0..law.n_phases()).filter(|&j| j != i) {
+            let hop = law.sub_generator()[(i, j)];
+            if hop > 0.0 {
+                let og = m.add_output_gate(format!("{name}_hop{i}_{j}"), move |mk| {
+                    mk.set_tokens(stage, j as u32 + 1)
+                });
+                m.add_activity(
+                    Activity::timed(format!("{name}_hop{i}{j}"), hop)
+                        .with_enabling(at_stage(i))
+                        .with_output_gate(og),
+                )?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The paper's Table 2 reward structure for `1 − ρ1`:
@@ -197,14 +288,25 @@ pub fn one_minus_rho2_spec(places: &RmgpPlaces) -> RewardSpec {
     )
 }
 
-/// Solves the steady-state overhead measures, returning `(ρ1, ρ2)`. Both
-/// reward measures are read from a single cached stationary solve.
+/// Solves the paper's steady-state overhead measures, returning
+/// `(ρ1, ρ2)`.
 ///
 /// # Errors
 ///
 /// Propagates SAN generation and steady-state solver failures.
 pub fn solve_rho(params: &GsuParams) -> san::Result<(f64, f64)> {
-    let rmgp = build(params)?;
+    solve_rho_family(params, &Family::paper(params)?)
+}
+
+/// Solves the steady-state overhead measures `(ρ1, ρ2)` of a family
+/// member. Both reward measures are read from a single cached stationary
+/// solve.
+///
+/// # Errors
+///
+/// Propagates SAN generation and steady-state solver failures.
+pub fn solve_rho_family(params: &GsuParams, family: &Family) -> san::Result<(f64, f64)> {
+    let rmgp = build_family(params, family)?;
     let analyzer = san::Analyzer::generate(&rmgp.model, &Default::default())?;
     let overhead1 = analyzer.steady_reward(&one_minus_rho1_spec(&rmgp.places))?;
     let overhead2 = analyzer.steady_reward(&one_minus_rho2_spec(&rmgp.places))?;
@@ -277,5 +379,37 @@ mod tests {
             assert!((0.0..=1.0).contains(&rho1));
             assert!((0.0..=1.0).contains(&rho2));
         }
+    }
+
+    #[test]
+    fn rho1_is_insensitive_to_at_distribution() {
+        // 1−ρ1 depends on the AT duration only through its mean (renewal-
+        // reward, above), so an Erlang AT of the same mean gives the same ρ1.
+        let p = baseline();
+        let (exp1, _) = solve_rho(&p).unwrap();
+        let family = Family {
+            at: PhaseType::erlang(4, 4.0 * p.alpha).unwrap(),
+            ..Family::paper(&p).unwrap()
+        };
+        let (erl1, erl2) = solve_rho_family(&p, &family).unwrap();
+        assert!((erl1 - exp1).abs() < 1e-7, "{erl1} vs {exp1}");
+        assert!((0.0..=1.0).contains(&erl2));
+    }
+
+    #[test]
+    fn hyper_and_det_safeguards_solve() {
+        let p = baseline();
+        let family = Family {
+            at: PhaseType::hyperexponential(&[(0.3, 2000.0), (0.7, 12_000.0)]).unwrap(),
+            ckpt: PhaseType::deterministic_approx(1.0 / 6000.0, 6).unwrap(),
+            ..Family::paper(&p).unwrap()
+        };
+        let (r1, r2) = solve_rho_family(&p, &family).unwrap();
+        assert!((0.0..=1.0).contains(&r1));
+        assert!((0.0..=1.0).contains(&r2));
+        // Same AT mean as the baseline's exponential: ρ1 is mean-driven.
+        let at_mean: f64 = 0.3 / 2000.0 + 0.7 / 12_000.0;
+        let want = 1.0 - (p.p_ext * at_mean) / (1.0 / p.lambda + p.p_ext * at_mean);
+        assert!((r1 - want).abs() < 1e-7, "{r1} vs {want}");
     }
 }

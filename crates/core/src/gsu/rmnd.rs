@@ -18,17 +18,23 @@
 //!   recovered system, running the old version, failing before the next
 //!   upgrade).
 
-use san::{Activity, Case, PlaceId, SanModel};
+//!
+//! [`build_family`] runs the same net over the family's `n + 1` processes
+//! in its star topology: the first component and `n` escorts. Aging is
+//! not carried into the normal mode, which starts from a clean state at
+//! the mode switch, as in the paper.
 
+use san::{Activity, Case, Marking, PlaceId, SanModel};
+
+use crate::gsu::Family;
 use crate::GsuParams;
 
 /// The places of the normal-mode model, for use in reward predicates.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct RmndPlaces {
-    /// Actual contamination of the first active component.
-    pub p1_ctn: PlaceId,
-    /// Actual contamination of the second component (P2).
-    pub p2_ctn: PlaceId,
+    /// Actual contamination of each process: the first component (`P1`),
+    /// then the escorts (`P2`, …).
+    pub ctn: Vec<PlaceId>,
     /// System failure (absorbing).
     pub failure: PlaceId,
 }
@@ -42,66 +48,80 @@ pub struct Rmnd {
     pub places: RmndPlaces,
 }
 
-/// Builds `RMNd` with fault-manifestation rate `mu_first` for the first
-/// component (µ_new for the upgraded system, µ_old for the recovered one);
-/// P2 always runs an old version at `params.mu_old`.
+/// Builds the paper's `RMNd` with fault-manifestation rate `mu_first` for
+/// the first component (µ_new for the upgraded system, µ_old for the
+/// recovered one); P2 always runs an old version at `params.mu_old`.
+///
+/// # Errors
+///
+/// Fails on rates the SAN rejects.
 pub fn build(params: &GsuParams, mu_first: f64) -> san::Result<Rmnd> {
+    build_family(params, &Family::paper(params)?, mu_first)
+}
+
+/// Builds the normal-mode model of a family member: the first component
+/// manifests faults at `mu_first`, every escort at µ_old.
+///
+/// # Errors
+///
+/// Fails on rates the SAN rejects.
+pub fn build_family(params: &GsuParams, family: &Family, mu_first: f64) -> san::Result<Rmnd> {
+    let n = family.escorts;
     let lambda = params.lambda;
     let p_ext = params.p_ext;
-    let mu_old = params.mu_old;
 
     let mut m = SanModel::new("RMNd");
-    let p1_ctn = m.add_place("P1ctn", 0);
-    let p2_ctn = m.add_place("P2ctn", 0);
+    let ctn: Vec<PlaceId> = (0..=n)
+        .map(|i| m.add_place(format!("P{}ctn", i + 1), 0))
+        .collect();
     let failure = m.add_place("failure", 0);
-
-    let live = move |mk: &san::Marking| mk.tokens(failure) == 0;
+    let live = move |mk: &Marking| mk.tokens(failure) == 0;
 
     // Fault manifestations.
-    m.add_activity(
-        Activity::timed("P1fm", mu_first)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p1_ctn) == 0)
-            .with_output_arc(p1_ctn, 1),
-    )?;
-    m.add_activity(
-        Activity::timed("P2fm", mu_old)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p2_ctn) == 0)
-            .with_output_arc(p2_ctn, 1),
-    )?;
+    for (i, &ci) in ctn.iter().enumerate() {
+        let rate = if i == 0 { mu_first } else { params.mu_old };
+        m.add_activity(
+            Activity::timed(format!("P{}fm", i + 1), rate)
+                .with_enabling(move |mk| live(mk) && mk.tokens(ci) == 0)
+                .with_output_arc(ci, 1),
+        )?;
+    }
 
     // Message sending by a contaminated process: external messages fail the
-    // system, internal messages contaminate the peer. Messages from clean
+    // system, internal messages contaminate the peer (the first component
+    // sends to each escort with equal probability). Messages from clean
     // processes change no state and are therefore not modelled.
     // Failure is absorbing; contamination no longer matters, so the gate
     // canonicalizes it away and all failure paths merge into one state.
-    let og_fail = m.add_output_gate("fail", move |mk| {
-        mk.set_tokens(failure, 1);
-        mk.set_tokens(p1_ctn, 0);
-        mk.set_tokens(p2_ctn, 0);
-    });
-    let og_p1_to_p2 = m.add_output_gate("contaminate_p2", move |mk| mk.set_tokens(p2_ctn, 1));
-    let og_p2_to_p1 = m.add_output_gate("contaminate_p1", move |mk| mk.set_tokens(p1_ctn, 1));
-
-    m.add_activity(
-        Activity::timed("P1msg", lambda)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p1_ctn) == 1)
-            .with_case(Case::with_probability(p_ext).with_output_gate(og_fail))
-            .with_case(Case::with_probability(1.0 - p_ext).with_output_gate(og_p1_to_p2)),
-    )?;
-    m.add_activity(
-        Activity::timed("P2msg", lambda)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p2_ctn) == 1)
-            .with_case(Case::with_probability(p_ext).with_output_gate(og_fail))
-            .with_case(Case::with_probability(1.0 - p_ext).with_output_gate(og_p2_to_p1)),
-    )?;
+    let og_fail = {
+        let ctn = ctn.clone();
+        m.add_output_gate("fail", move |mk| {
+            mk.set_tokens(failure, 1);
+            for &pl in &ctn {
+                mk.set_tokens(pl, 0);
+            }
+        })
+    };
+    for (i, &ci) in ctn.iter().enumerate() {
+        let mut msg = Activity::timed(format!("P{}msg", i + 1), lambda)
+            .with_enabling(move |mk| live(mk) && mk.tokens(ci) == 1)
+            .with_case(Case::with_probability(p_ext).with_output_gate(og_fail));
+        let (peers, share) = if i == 0 { (1..=n, n) } else { (0..=0, 1) };
+        for j in peers {
+            let cj = ctn[j];
+            let og = m.add_output_gate(format!("p{}_to_p{}", i + 1, j + 1), move |mk| {
+                mk.set_tokens(cj, 1)
+            });
+            msg = msg.with_case(
+                Case::with_probability((1.0 - p_ext) / share as f64).with_output_gate(og),
+            );
+        }
+        m.add_activity(msg)?;
+    }
 
     Ok(Rmnd {
         model: m,
-        places: RmndPlaces {
-            p1_ctn,
-            p2_ctn,
-            failure,
-        },
+        places: RmndPlaces { ctn, failure },
     })
 }
 

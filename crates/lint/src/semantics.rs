@@ -10,10 +10,9 @@
 //! offending state, activity, pair, or parameter.
 
 use markov::graph::{can_reach, strongly_connected_components};
-use performability::gsu::rmgp::RmgpPlaces;
-use performability::gsu::{rmgd, rmgp, rmnd, GopPlaces};
+use performability::gsu::{rmgd, rmgp, rmnd, Family};
 use performability::GsuParams;
-use san::{PlaceId, RewardSpec, SanModel, StateSpace};
+use san::{RewardSpec, SanModel, StateSpace};
 use sparsela::CsrMatrix;
 
 use crate::diag::Finding;
@@ -340,36 +339,43 @@ pub fn check_gsu_models(params: &GsuParams) -> Vec<Finding> {
     findings.extend(check_model_family(
         ["RMGd", "RMGp", "RMNd[mu_new]", "RMNd[mu_old]"].map(String::from),
         params,
-        GSU_PLACE_BOUND,
-        || rmgd::build(params).map(|b| (b.model, b.places.gop)),
-        || rmgp::build(params).map(|b| (b.model, b.places)),
-        |mu_first| rmnd::build(params, mu_first).map(|b| (b.model, b.places.failure)),
+        Family::paper(params),
     ));
     span.record("findings", findings.len());
     findings
 }
 
-/// The semantic battery over the four models of one analysis, in order:
-/// the G-OP dependability model (absorbing, with the `A'1 ∪ A'2` occupancy
-/// reward), the overhead model (steady state, with the Table 2 rewards),
-/// and the normal-mode model at µ_new and at µ_old (absorbing, with the
-/// survival reward). `labels` name the four models in findings.
+/// The semantic battery over the four models of one family member, in
+/// order: the G-OP dependability model (absorbing, with the `A'1 ∪ A'2`
+/// occupancy reward), the overhead model (steady state, with the Table 2
+/// rewards), and the normal-mode model at µ_new and at µ_old (absorbing,
+/// with the survival reward). `labels` name the four models in findings.
 fn check_model_family<E: std::fmt::Display>(
     labels: [String; 4],
     params: &GsuParams,
-    bound: u32,
-    gd: impl FnOnce() -> Result<(SanModel, GopPlaces), E>,
-    gp: impl FnOnce() -> Result<(SanModel, RmgpPlaces), E>,
-    np: impl Fn(f64) -> Result<(SanModel, PlaceId), E>,
+    family: Result<Family, E>,
 ) -> Vec<Finding> {
     let [gd_label, gp_label, np_new_label, np_old_label] = labels;
+    let family = match family {
+        Ok(family) => family,
+        Err(e) => {
+            return vec![Finding::new(
+                "model-build",
+                format!("model {gd_label}"),
+                format!("model family failed to compile: {e}"),
+                "the family's safeguard laws must compile to phase-type laws",
+            )];
+        }
+    };
+    let bound = place_bound(&family);
     let mut findings = check_one_san(
         &gd_label,
         || {
-            gd().map(|(model, places)| {
+            rmgd::build_family(params, &family).map(|built| {
+                let places = built.places.gop;
                 let occupancy = RewardSpec::new()
                     .rate_fn(move |mk| places.in_a1(mk) || places.in_a2(mk), |_| 1.0);
-                (model, vec![("occupancy".to_string(), occupancy)])
+                (built.model, vec![("occupancy".to_string(), occupancy)])
             })
         },
         SolverIntent::Absorbing,
@@ -378,12 +384,18 @@ fn check_model_family<E: std::fmt::Display>(
     findings.extend(check_one_san(
         &gp_label,
         || {
-            gp().map(|(model, places)| {
+            rmgp::build_family(params, &family).map(|built| {
                 let specs = vec![
-                    ("1-rho1".to_string(), rmgp::one_minus_rho1_spec(&places)),
-                    ("1-rho2".to_string(), rmgp::one_minus_rho2_spec(&places)),
+                    (
+                        "1-rho1".to_string(),
+                        rmgp::one_minus_rho1_spec(&built.places),
+                    ),
+                    (
+                        "1-rho2".to_string(),
+                        rmgp::one_minus_rho2_spec(&built.places),
+                    ),
                 ];
-                (model, specs)
+                (built.model, specs)
             })
         },
         SolverIntent::SteadyState,
@@ -393,10 +405,11 @@ fn check_model_family<E: std::fmt::Display>(
         findings.extend(check_one_san(
             &label,
             || {
-                np(mu_first).map(|(model, failure)| {
+                rmnd::build_family(params, &family, mu_first).map(|built| {
+                    let failure = built.places.failure;
                     let survival =
                         RewardSpec::new().rate_when(move |mk| mk.tokens(failure) == 0, 1.0);
-                    (model, vec![("survival".to_string(), survival)])
+                    (built.model, vec![("survival".to_string(), survival)])
                 })
             },
             SolverIntent::Absorbing,
@@ -477,44 +490,30 @@ pub fn check_scenarios(dir: &std::path::Path) -> Vec<Finding> {
     findings
 }
 
-/// Compiles one scenario's generalized models and runs the full semantic
-/// battery on each.
+/// Compiles one scenario's models and runs the full semantic battery on
+/// each.
 pub fn check_scenario_models(spec: &gsu_scenario::ScenarioSpec) -> Vec<Finding> {
-    use gsu_scenario::model as scen;
-
     let name = &spec.name;
     let mut findings = check_params(&spec.params, &spec.phi_grid);
     findings.extend(check_model_family(
         ["Gd", "Gp", "Np[mu_new]", "Np[mu_old]"].map(|m| format!("scenario:{name}/{m}")),
         &spec.params,
-        scenario_place_bound(spec),
-        || scen::build_gd(spec).map(|b| (b.model, b.places.gop)),
-        || scen::build_gp(spec).map(|b| (b.model, b.places)),
-        |mu_first| scen::build_np(spec, mu_first).map(|b| (b.model, b.places.failure)),
+        gsu_scenario::model::family(spec),
     ));
     findings
 }
 
-/// The token bound a scenario's compiled models are allowed to reach. The
-/// base nets are safe, but phase-type expansions count stages (or branch
+/// The token bound a family's models are allowed to reach. The paper's
+/// nets are safe, but a phase-type expansion counts its stages (or branch
 /// indices) in a single place, and staged rollouts count completed waves.
-fn scenario_place_bound(spec: &gsu_scenario::ScenarioSpec) -> u32 {
-    fn dist_bound(dist: &gsu_scenario::Dist) -> u32 {
-        match dist {
-            gsu_scenario::Dist::Exp { .. } => 1,
-            gsu_scenario::Dist::Erlang { k, .. } => *k as u32,
-            gsu_scenario::Dist::Hyper { branches } => branches.len() as u32,
-            gsu_scenario::Dist::Det { stages, .. } => *stages as u32,
-        }
-    }
-    let waves = spec
+fn place_bound(family: &Family) -> u32 {
+    let waves = family
         .waves
         .as_ref()
-        .map_or(1, |w| w.count.saturating_sub(1) as u32);
-    GSU_PLACE_BOUND
-        .max(dist_bound(&spec.at))
-        .max(dist_bound(&spec.ckpt))
-        .max(waves)
+        .map_or(0, |w| w.count.saturating_sub(1));
+    [family.at.n_phases(), family.ckpt.n_phases(), waves]
+        .into_iter()
+        .fold(GSU_PLACE_BOUND, |bound, n| bound.max(n as u32))
 }
 
 /// Builds one model + its reward specs, generates the state space, and

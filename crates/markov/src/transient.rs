@@ -587,21 +587,19 @@ impl SsdTracker {
     }
 }
 
-fn record_uniformization(lambda: f64, k_max: usize) {
+fn record_uniformization(lambda: f64) {
     if !telemetry::enabled() {
         return;
     }
     telemetry::counter("markov.uniformization.solves", 1);
     telemetry::gauge("markov.uniformization.rate", lambda);
-    telemetry::observe("markov.uniformization.steps", (k_max + 1) as f64);
-    // Each uniformization step is one vector–matrix product: the transient
-    // engine's analogue of a linear-solver sweep. Counting it here keeps
-    // `solver.iterations` a global work tally across all solve flavours.
-    telemetry::counter("solver.iterations", (k_max + 1) as u64);
 }
 
 /// Closes a uniformization flight record: tallies the executed steps into
-/// the global work counters and attaches the diagnostics to the solve span.
+/// the global work counters (and the sink's `solver.iterations`) and the
+/// step histogram, and attaches the diagnostics to the solve span. Each
+/// step is one vector–matrix product: the transient engine's analogue of a
+/// linear-solver sweep.
 fn finish_uniformized(
     flight: &mut telemetry::SolveDiag,
     span: &mut telemetry::SpanGuard,
@@ -609,6 +607,7 @@ fn finish_uniformized(
     axpys: u64,
 ) {
     telemetry::work::count_iterations(steps);
+    telemetry::observe("markov.uniformization.steps", steps as f64);
     flight.iterations = steps;
     flight.spmv_ops = steps;
     flight.axpy_ops = axpys;
@@ -730,7 +729,7 @@ fn uniformized_pass(
         .map(|h| h.window.left)
         .max()
         .unwrap_or(0);
-    record_uniformization(lambda, k_max);
+    record_uniformization(lambda);
     let mut span = telemetry::span("markov.solve.uniformization");
     let mut flight = telemetry::SolveDiag::new("uniformization");
     flight.uniformization_rate = Some(lambda);

@@ -1,13 +1,12 @@
 //! The scenario analysis pipeline: a [`ScenarioSpec`] lowered into the one
 //! φ-evaluation engine, `performability::GsuAnalysis`.
 //!
-//! [`ScenarioAnalysis::new`] compiles the spec through [`crate::model`] —
-//! the generalized overhead model for `(ρ1, ρ2)`, the generalized G-OP
-//! dependability model, and the normal-mode model at µ_new and µ_old — and
-//! hands the built models to `GsuAnalysis::from_models`. Every φ evaluation
-//! then runs exactly the code path the paper's models do; for a
-//! paper-shaped scenario the numbers match `GsuAnalysis::new` (asserted
-//! below).
+//! [`ScenarioAnalysis::new`] lowers the spec to its member of the model
+//! family ([`crate::model::family`]) and builds it with
+//! `GsuAnalysis::from_family`, the constructor `GsuAnalysis::new` uses for
+//! the paper's member. Every φ evaluation then runs exactly the code path
+//! the paper's models do; for a paper-shaped scenario every number is
+//! `GsuAnalysis::new`'s, bit for bit (asserted below).
 
 use performability::{GsuAnalysis, Result, SweepPoint};
 
@@ -22,7 +21,7 @@ pub struct ScenarioAnalysis {
 }
 
 impl ScenarioAnalysis {
-    /// Lowers the scenario to its generalized models and solves the
+    /// Lowers the scenario to its member of the model family and solves the
     /// φ-independent measures.
     ///
     /// # Errors
@@ -30,26 +29,10 @@ impl ScenarioAnalysis {
     /// Propagates parameter validation, phase-type compilation, and model
     /// generation/solution failures.
     pub fn new(spec: ScenarioSpec) -> Result<Self> {
-        // `from_models` validates too, but the models are built first.
-        spec.params.validate()?;
         let mut span = telemetry::span("scenario.build");
         span.record("escorts", spec.escorts);
-
-        let rho = model::solve_rho(&spec)?;
-        let gd = model::build_gd(&spec)?;
-        let np_new = model::build_np(&spec, spec.params.mu_new)?;
-        let np_old = model::build_np(&spec, spec.params.mu_old)?;
-        let analysis = GsuAnalysis::from_models(
-            spec.params,
-            rho,
-            (&gd.model, gd.places.gop),
-            (&np_new.model, np_new.places.failure),
-            (&np_old.model, np_old.places.failure),
-        )?;
-
+        let analysis = GsuAnalysis::from_family(spec.params, &model::family(&spec)?)?;
         if telemetry::enabled() {
-            span.record("rho1", rho.0);
-            span.record("rho2", rho.1);
             span.record("gd_states", analysis.gd_analyzer().state_space().n_states());
             span.record("gd_blocks", analysis.gop_chain().lumped().ctmc().n_states());
         }
@@ -110,19 +93,29 @@ mod tests {
 
     #[test]
     fn paper_shaped_scenario_matches_gsu_analysis() {
-        let spec = paper_spec();
-        let scenario = ScenarioAnalysis::new(spec.clone()).unwrap();
-        let direct = GsuAnalysis::new(spec.params).unwrap();
-        for phi in [0.0, 2500.0, 7000.0, 10_000.0] {
-            let s = scenario.analysis().evaluate(phi).unwrap();
-            let d = direct.evaluate(phi).unwrap();
-            assert!(
-                (s.y - d.y).abs() < 1e-9,
-                "phi = {phi}: scenario {} vs direct {}",
-                s.y,
-                d.y
-            );
-            assert!((s.gamma - d.gamma).abs() < 1e-9, "phi = {phi}");
+        let base = GsuParams::paper_baseline();
+        for params in [
+            base,
+            base.with_mu_new(1e-3).unwrap(),
+            base.with_coverage(0.9).unwrap(),
+        ] {
+            let spec = ScenarioSpec {
+                params,
+                ..paper_spec()
+            };
+            let grid: Vec<f64> = (0..=20)
+                .map(|i| params.theta * f64::from(i) / 20.0)
+                .collect();
+            let scenario = ScenarioAnalysis::new(spec).unwrap();
+            let direct = GsuAnalysis::new(params).unwrap();
+            let s = scenario.analysis().sweep(grid.iter().copied()).unwrap();
+            let d = direct.sweep(grid.iter().copied()).unwrap();
+            assert_eq!(s.len(), grid.len());
+            // Debug prints every field of a point, each f64 in its shortest
+            // round-trip form: equal strings are equal bits.
+            for (s, d) in s.iter().zip(&d) {
+                assert_eq!(format!("{s:?}"), format!("{d:?}"), "{params:?}");
+            }
         }
     }
 

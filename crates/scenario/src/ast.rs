@@ -7,6 +7,7 @@
 //! rejuvenation of escort processes, and non-exponential safeguard
 //! durations expanded through [`markov::phase_type::PhaseType`].
 
+pub use performability::gsu::{AgingSpec, WaveSpec};
 use performability::GsuParams;
 
 /// Upper bound on escorted processes — keeps the generalized state spaces
@@ -112,40 +113,6 @@ impl Dist {
             }
         }
     }
-}
-
-/// Staged upgrade waves: the fault-manifestation rate of the upgraded
-/// component drops by `factor` after each completed wave (dynamic
-/// reconfiguration / reliability growth during the guarded operation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveSpec {
-    /// Total number of reliability levels (`count − 1` wave completions).
-    pub count: usize,
-    /// Rate at which each wave completes (exponential).
-    pub rate: f64,
-    /// Multiplier applied to µ_new per completed wave, in `(0, 1]`.
-    pub factor: f64,
-}
-
-impl WaveSpec {
-    /// The effective fault-manifestation rate of the upgraded component
-    /// after `completed` waves, floored at µ_old.
-    pub fn mu_at(&self, completed: u32, mu_new: f64, mu_old: f64) -> f64 {
-        (mu_new * self.factor.powi(completed as i32)).max(mu_old)
-    }
-}
-
-/// Escort-process aging (container-aging style): an aged escort manifests
-/// faults `factor` times faster; optional rejuvenation clears the aged
-/// state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgingSpec {
-    /// Rate of becoming aged.
-    pub rate: f64,
-    /// Fault-rate multiplier while aged, ≥ 1.
-    pub factor: f64,
-    /// Optional rejuvenation rate (clears the aged state).
-    pub rejuvenation: Option<f64>,
 }
 
 /// One fully parsed scenario: the paper's parameters plus the catalog's

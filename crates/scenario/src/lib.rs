@@ -4,8 +4,8 @@
 //! exponential safeguard durations, constant AT coverage. This crate
 //! describes *families* of guarded software upgrades in a small line-based
 //! DSL (`.gsu` files — see `SCENARIOS.md` for the grammar), lowers each
-//! scenario onto generalized SAN reward models through the same successive
-//! model translation, and cross-validates the analytic Y(φ) curves against
+//! scenario onto the core's model family (`performability::gsu::Family`)
+//! and through the same successive model translation, and cross-validates the analytic Y(φ) curves against
 //! Monte-Carlo simulation. The committed catalog under `scenarios/` with
 //! golden curves under `results/golden/` is the regression surface.
 //!

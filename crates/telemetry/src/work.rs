@@ -34,10 +34,12 @@ pub fn count_axpy(n: u64) {
 }
 
 /// Counts `n` solver iterations: uniformization steps, or the squarings
-/// of a matrix exponential.
+/// of a matrix exponential. The one tally of solver work: an installed
+/// sink sees the same `n` as the `solver.iterations` counter.
 #[inline]
 pub fn count_iterations(n: u64) {
     SOLVER_ITERATIONS.fetch_add(n, Ordering::Relaxed);
+    crate::counter("solver.iterations", n);
 }
 
 /// Counts `n` dense matrix-exponential solves.

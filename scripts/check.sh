@@ -47,6 +47,16 @@ cargo test --offline --release -p gsu-scenario --test gop_single_pass -- --ignor
 
 cargo build --offline --release -p gsu-serve -p gsu-bench -p gsu-lint --bins
 
+# Examples: the suites above only compile them. Each drives the public API
+# (GsuAnalysis, the SAN builders) end to end and must exit 0.
+echo "==> examples"
+cargo build --offline --release -p guarded-upgrade --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "    $name"
+    "target/release/examples/$name" > /dev/null
+done
+
 # Benchmark link gate: gsu-benchmark/ is a workspace of its own that links
 # these crates through path dependencies, so a public-API change that breaks
 # it fails here instead of when the benchmark next runs. The line count is
