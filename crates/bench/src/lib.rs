@@ -99,6 +99,9 @@ pub struct BenchRecord {
     /// Stored matrix entries those products touched — the SpMV count
     /// weighted by chain size. `0` when absent.
     pub spmv_nnz: u64,
+    /// Multiply-adds of both transient engines (see
+    /// [`telemetry::work::WorkSnapshot::flops`]). `0` when absent.
+    pub flops: u64,
 }
 
 /// Merges `record` into the JSON log at `path`, replacing any existing entry
@@ -149,8 +152,8 @@ pub(crate) fn bench_record_lines(records: &[BenchRecord]) -> Vec<String> {
         .map(|r| {
             format!(
                 "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
-                 \"iterations\": {}, \"spmv_ops\": {}, \"spmv_nnz\": {}}}",
-                r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops, r.spmv_nnz
+                 \"iterations\": {}, \"spmv_ops\": {}, \"spmv_nnz\": {}, \"flops\": {}}}",
+                r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops, r.spmv_nnz, r.flops
             )
         })
         .collect()
@@ -193,6 +196,9 @@ fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
         let spmv_nnz = json_field(body, "spmv_nnz")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
+        let flops = json_field(body, "flops")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
         if let (Some(name), Some(wall_ms), Some(threads), Some(grid)) =
             (name, wall_ms, threads, grid)
         {
@@ -204,6 +210,7 @@ fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
                 iterations,
                 spmv_ops,
                 spmv_nnz,
+                flops,
             });
         }
     }
@@ -478,6 +485,7 @@ mod tests {
             iterations: 128,
             spmv_ops: 640,
             spmv_nnz: 5120,
+            flops: 9000,
         };
         merge_bench_record(&path, rec("fig9", 250.0, 1)).unwrap();
         merge_bench_record(&path, rec("fig9", 80.0, 4)).unwrap();
@@ -497,6 +505,7 @@ mod tests {
                 iterations: 128,
                 spmv_ops: 640,
                 spmv_nnz: 5120,
+                flops: 9000,
             }
         );
         assert_eq!(records[2].threads, 4);
@@ -512,6 +521,7 @@ mod tests {
         assert_eq!(records[0].iterations, 0);
         assert_eq!(records[0].spmv_ops, 0);
         assert_eq!(records[0].spmv_nnz, 0);
+        assert_eq!(records[0].flops, 0);
     }
 
     #[test]

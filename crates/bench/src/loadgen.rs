@@ -440,6 +440,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
                 iterations: 0,
                 spmv_ops: 0,
                 spmv_nnz: 0,
+                flops: 0,
             };
             merge_bench_record(path, record)
                 .map_err(|e| format!("cannot update {}: {e}", path.display()))?;

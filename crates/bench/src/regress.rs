@@ -86,6 +86,10 @@ pub struct Comparison {
     pub baseline_spmv_nnz: u64,
     /// Current stored entries touched by SpMV.
     pub current_spmv_nnz: u64,
+    /// Baseline transient-engine multiply-adds.
+    pub baseline_flops: u64,
+    /// Current transient-engine multiply-adds.
+    pub current_flops: u64,
     /// Whether a work metric exceeds its baseline. Work counters are
     /// deterministic, so unlike wall time this cannot be scheduler noise:
     /// the algorithm itself started doing more work, and any increase
@@ -173,6 +177,7 @@ impl RegressReport {
             for (counter, current, baseline) in [
                 ("spmv_ops", c.current_spmv_ops, c.baseline_spmv_ops),
                 ("spmv_nnz", c.current_spmv_nnz, c.baseline_spmv_nnz),
+                ("flops", c.current_flops, c.baseline_flops),
             ] {
                 if baseline == 0 && current == 0 {
                     continue;
@@ -287,9 +292,12 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], threshold: f64
                     current_spmv_ops: cur.spmv_ops,
                     baseline_spmv_nnz: base.spmv_nnz,
                     current_spmv_nnz: cur.spmv_nnz,
+                    baseline_flops: base.flops,
+                    current_flops: cur.flops,
                     work_regressed: work_breach(base.iterations, cur.iterations)
                         || work_breach(base.spmv_ops, cur.spmv_ops)
-                        || work_breach(base.spmv_nnz, cur.spmv_nnz),
+                        || work_breach(base.spmv_nnz, cur.spmv_nnz)
+                        || work_breach(base.flops, cur.flops),
                 });
             }
             None => added.push(cur.clone()),
@@ -654,6 +662,7 @@ mod tests {
             iterations: 0,
             spmv_ops: 0,
             spmv_nnz: 0,
+            flops: 0,
         }
     }
 
@@ -666,6 +675,7 @@ mod tests {
             iterations,
             spmv_ops,
             spmv_nnz: 0,
+            flops: 0,
         }
     }
 
@@ -816,6 +826,32 @@ mod tests {
         let report = compare(
             &[with_nnz(1_000_000)],
             &[with_nnz(200_000)],
+            DEFAULT_THRESHOLD,
+        );
+        assert!(report.passed());
+    }
+
+    #[test]
+    fn engine_trade_that_costs_more_flops_is_gated() {
+        // Fewer sparse products but a dearer exponential: spmv_ops and
+        // spmv_nnz fall, flops rise, and flops alone fails the gate.
+        let record = |spmv_ops, flops| BenchRecord {
+            spmv_nnz: spmv_ops * 50,
+            flops,
+            ..rec_work("scenario:two-escorts", 50.0, 100, spmv_ops)
+        };
+        let report = compare(
+            &[record(4_000, 1_000_000)],
+            &[record(0, 1_000_001)],
+            DEFAULT_THRESHOLD,
+        );
+        assert!(!report.passed());
+        assert!(report.compared[0].work_regressed);
+        let rendered = report.render();
+        assert!(rendered.contains("flops WORK REGRESSED"), "{rendered}");
+        let report = compare(
+            &[record(4_000, 1_000_000)],
+            &[record(0, 300_000)],
             DEFAULT_THRESHOLD,
         );
         assert!(report.passed());

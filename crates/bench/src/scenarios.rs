@@ -177,6 +177,7 @@ pub fn run(config: &ScenariosConfig) -> Result<ScenariosReport, String> {
                 iterations: work.solver_iterations,
                 spmv_ops: work.spmv_ops,
                 spmv_nnz: work.spmv_nnz,
+                flops: work.flops,
             };
             if let Err(e) = crate::merge_bench_record(&config.out.join("BENCH_sweep.json"), record)
             {

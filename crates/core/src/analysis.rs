@@ -303,13 +303,14 @@ impl GsuAnalysis {
     /// Evaluates a sweep of φ values (e.g. the grid of Figures 9–12).
     ///
     /// The grid must be **ascending** within `[0, θ]`. Every φ is a horizon
-    /// of one transient pass on the G-OP chain (see
+    /// of one transient solve on the G-OP chain (see
     /// `markov::transient::distribution_and_occupancy_at_times`), and every
-    /// window `θ − φ` a horizon of one survival chain per normal-mode model
-    /// (`markov::transient::distribution_at_times`). A one-point sweep is
-    /// [`GsuAnalysis::evaluate`] bit for bit; a point of a longer grid
-    /// agrees with it to rounding, since dense horizons are stepped along
-    /// the grid. The sweep runs serially on the calling thread, so it is
+    /// window `θ − φ` a horizon of one survival solve per normal-mode model
+    /// (`markov::transient::distribution_at_times`), each on one engine. A
+    /// one-point sweep is [`GsuAnalysis::evaluate`] bit for bit; a point of
+    /// a longer grid agrees with it to rounding, since dense horizons are
+    /// stepped along the grid, or to the solvers' tolerance where the grid
+    /// and the point resolve different engines. The sweep runs serially on the calling thread, so it is
     /// bitwise identical at any `GSU_THREADS`; parallel work belongs across
     /// curves.
     ///

@@ -10,16 +10,17 @@
 //! aging states) — goes through exactly the same translation inside
 //! [`crate::GsuAnalysis`].
 //!
-//! A whole φ sweep costs one transient pass on the G-OP chain: every
+//! A whole φ sweep costs one transient solve on the G-OP chain: every
 //! measure of every φ is a weighting of `π(φ)` and `L(φ)`, and those come
-//! from one shared power sequence
-//! (`markov::transient::distribution_and_occupancy_at_times`). That covers
+//! from one call on one engine
+//! (`markov::transient::distribution_and_occupancy_at_times`): one shared
+//! power sequence, or one dense chain along the grid. That covers
 //! the exact detection moment too: `detected` is only ever set, so the
 //! detected set `¬A'2` is closed, `P[T ≤ t] = π(t)[¬A'2]`, and
 //! `E[T·1{T ≤ φ}] = φ·π(φ)[¬A'2] − Σ_{¬A'2} L(φ)`. [`GopChain::new`]
 //! checks that closure on the generated chain.
 //!
-//! The pass runs on the chain lumped by `(detected, failure)`, the only
+//! The solve runs on the chain lumped by `(detected, failure)`, the only
 //! thing any of these measures reads of a state: the coarsest ordinarily
 //! lumpable quotient (`markov::lump`), whose block sums are the full
 //! chain's class sums.

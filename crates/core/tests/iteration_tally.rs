@@ -14,8 +14,9 @@ fn sink_iterations_equal_the_work_counter() {
     let analysis = GsuAnalysis::new(GsuParams::paper_baseline()).unwrap();
     let collector = Collector::install();
     let before = telemetry::work::snapshot();
-    // Tiny φ takes uniformization; the paper optimum takes the exponential.
-    let near = analysis.evaluate(0.5).unwrap();
+    // Tiny φ (2⁻¹¹, about one expected Poisson step) takes uniformization;
+    // the paper optimum takes the exponential.
+    let near = analysis.evaluate(0.000_488_281_25).unwrap();
     let far = analysis.evaluate(7000.0).unwrap();
     let work = telemetry::work::snapshot().delta_since(&before);
     telemetry::clear_sink();

@@ -14,9 +14,11 @@ fn evaluate_records_solver_and_state_space_metrics() {
     let collector = Collector::install();
 
     let analysis = GsuAnalysis::new(GsuParams::paper_baseline()).expect("baseline builds");
-    // Tiny φ: few expected Poisson steps, so the cost-aware Auto selection
-    // picks uniformization and exercises Fox–Glynn.
-    let near = analysis.evaluate(0.5).expect("small φ evaluates");
+    // Tiny φ (2⁻¹¹): about one expected Poisson step, so the cost-aware
+    // Auto selection picks uniformization and exercises Fox–Glynn.
+    let near = analysis
+        .evaluate(0.000_488_281_25)
+        .expect("small φ evaluates");
     // Paper optimum: enough expected steps that the dense matrix
     // exponential is the cheaper engine.
     let far = analysis.evaluate(7000.0).expect("optimum φ evaluates");
@@ -80,15 +82,17 @@ fn evaluate_records_solver_and_state_space_metrics() {
         Some(2)
     );
 
-    // At tiny φ the G-OP chain's π(φ) and L(φ) both resolve to
-    // uniformization, so a whole sweep takes them from one shared pass: one
+    // At tiny φ the G-OP call resolves to uniformization, so a whole sweep
+    // takes every π(φ) and L(φ) from one shared pass: one
     // fused span over every positive φ, with exactly one uniformization
     // solve under it. The exact detection moment reads the same π/L, so no
     // stopped-chain solve runs. The only other transient spans are the two
     // normal-mode survival chains: one dense chain per model over every
     // remaining window θ − φ.
     let collector = Collector::install();
-    let points = analysis.sweep([0.0, 0.25, 0.5]).expect("tiny-φ sweep");
+    let points = analysis
+        .sweep([0.0, 0.000_244_140_625, 0.000_488_281_25])
+        .expect("tiny-φ sweep");
     telemetry::clear_sink();
     assert_eq!(points.len(), 3);
     let spans = collector.spans();
@@ -116,8 +120,8 @@ fn evaluate_records_solver_and_state_space_metrics() {
             .any(|(k, v)| k == "method"
                 && *v == telemetry::ArgValue::Str("matrix_exponential".into())));
     }
-    // Windows 9999.5, 9999.75, 10000: the gaps 9999.5 and 0.25 (twice) take
-    // one exponential each per chain.
+    // Windows θ − 2⁻¹¹, θ − 2⁻¹², θ (exact in binary): the gaps θ − 2⁻¹¹
+    // and 2⁻¹² (twice) take one exponential each per chain.
     assert_eq!(collector.counter_value("markov.expm.solves"), Some(4));
     assert_eq!(
         collector.counter_value("markov.uniformization.solves"),

@@ -67,8 +67,7 @@ impl PoissonWindow {
         // Window size heuristic: k standard deviations where the Gaussian
         // tail bound guarantees the requested epsilon; widen generously,
         // extra terms are cheap to store.
-        let sigma = lambda.sqrt();
-        let half_width = ((2.0 * (1.0 / epsilon).ln()).sqrt() * sigma).ceil() as usize + 10;
+        let half_width = half_width(lambda, epsilon);
 
         let left_guess = mode.saturating_sub(half_width);
         let right_guess = mode + half_width;
@@ -186,6 +185,14 @@ impl PoissonWindow {
         }
         tails
     }
+}
+
+/// The half width of the window [`PoissonWindow::compute`] starts from
+/// around the mode of `Poisson(lambda)`, before trimming: `k` standard
+/// deviations where the Gaussian tail bound guarantees `epsilon`, plus 10.
+/// The transient cost model prices a pass with it.
+pub(crate) fn half_width(lambda: f64, epsilon: f64) -> usize {
+    ((2.0 * (1.0 / epsilon).ln()).sqrt() * lambda.sqrt()).ceil() as usize + 10
 }
 
 /// Exact Poisson pmf by direct computation in log space; reference for tests

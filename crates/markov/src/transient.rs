@@ -9,13 +9,21 @@
 //!   `O(n³ · log(Λt))`, immune to stiffness. Preferred for the
 //!   guarded-operation models where `Λt ~ 10⁷`.
 //!
-//! The `Auto` method compares rough flop counts of the two engines — one
-//! sparse product per expected Poisson step against one dense `n³` product
-//! per squaring — and picks the cheaper one that fits its budget (step
-//! budget for uniformization, state limit for the dense exponential). For
-//! the paper's stiff chains (`Λt ~ 10⁶` on a few dozen states) this
-//! resolves to the matrix exponential, which is orders of magnitude
-//! cheaper than stepping the uniformized DTMC millions of times.
+//! A call resolves **one** engine for all its horizons. The `Auto` method
+//! weighs one uniformization pass, stepped to the largest horizon's right
+//! truncation point, against one dense chain along the horizons, with the
+//! deterministic cost model of DESIGN.md §9 (`transient/cost.rs`): a
+//! pass costs a fixed per-step overhead plus the sparse product and the
+//! vector work of every open horizon; a chain costs one exponential per
+//! distinct gap — about `2n³` per squaring for the `(π, L)` slab, `n³` for
+//! `π` alone — plus its vector–matrix products. It takes the cheaper one
+//! that fits its budget (step budget for uniformization, state limit for
+//! the dense exponential). The constants were calibrated once; nothing is
+//! timed at run time, so the choice is a pure function of the chain, the
+//! horizons and the [`Options`]. On the lumped chains of a few dozen
+//! states a dense chain wins from a few hundred expected Poisson steps
+//! on; short horizons (`Λt` of tens) and chains past the dense limit stay
+//! on uniformization.
 //!
 //! The uniformization path itself is adaptive: steps run through
 //! [`sparsela::blocked`] kernels, skipping negligible-mass source states
@@ -30,19 +38,12 @@
 //! `π(t)`, the right tails for `L(t)`. Below a window's left point every
 //! tail weight is 1, so that part of each `L(t)` is one shared running sum
 //! of the powers, fused into the step and copied when the window opens.
-//! [`distribution_and_occupancy_at_times`] steps the sequence once, up to
-//! the largest right truncation point, for every horizon whose pair resolves
-//! to uniformization; [`distribution_and_occupancy`] is its one-horizon
-//! case and returns the bits of the two separate calls on the pair's engine
-//! at half the sparse products.
-//!
-//! A `(π(t), L(t))` pair resolves to **one** engine per horizon, priced as
-//! the occupancy: under `Auto` its dense side needs the integral block for
-//! `L(t)` anyway, so the pair takes [`occupancy`]'s engine.
-//! Every horizon of a pair solve therefore joins either the one
-//! uniformization pass or the one dense chain; `π(t)` alone
-//! ([`distribution`], [`distribution_at_times`]) is priced on the `n × n`
-//! exponential.
+//! [`distribution_and_occupancy_at_times`] and [`distribution_at_times`]
+//! step the sequence once, up to the largest right truncation point, for
+//! all their horizons when the call resolves to uniformization;
+//! [`distribution_and_occupancy`] is the one-horizon case and returns the
+//! bits of the two separate calls on the pair's engine at half the sparse
+//! products.
 //!
 //! Every dense solve is one chain along its horizons, taken in ascending
 //! order from `(π₀, 0)` at `t = 0`:
@@ -56,20 +57,21 @@
 //! whose `∫₀^Δ e^{Qs} ds` steps `L`; a π-only gap costs the `n × n`
 //! `e^{QΔ}`. A run of equal gaps (exact `f64` equality) reuses it, so a
 //! uniform grid costs one exponential and one vector–matrix product per
-//! horizon and output. [`distribution_and_occupancy_at_times`] chains
-//! every horizon whose pair resolves to the matrix exponential, and
-//! [`distribution_at_times`] every horizon whose `π(t)` does; the
-//! one-horizon [`distribution`] and [`occupancy`] are the one-gap chain.
+//! horizon and output. A call that resolves to the matrix exponential
+//! chains all its horizons; the one-horizon [`distribution`] and
+//! [`occupancy`] are the one-gap chain.
 //!
 //! The contract between a grid and its points: a one-horizon call is the
 //! one-horizon solve bit for bit, at any position of the horizon in a
 //! grid. A horizon of a longer grid differs from its one-horizon solve by
 //! rounding only — the drop tolerance of a shared uniformization pass
 //! follows the largest window, and a chained horizon rounds through its
-//! gaps' exponentials instead of one exponential of `Qt`. Each gap's
-//! exponential needs fewer squarings than the full horizon's, and on the
-//! paper's stiff `RMGd` the chained `π(θ)` and `L(θ)` are the closer ones
-//! to a tight uniformization reference.
+//! gaps' exponentials instead of one exponential of `Qt`. Where the grid's
+//! engine is not the one the horizon alone resolves to, the two differ by
+//! the engines' tolerances instead. Each gap's exponential needs fewer
+//! squarings than the full horizon's, and on the paper's stiff `RMGd` the
+//! chained `π(θ)` and `L(θ)` are the closer ones to a tight
+//! uniformization reference.
 
 use sparsela::blocked::{spmv_transpose_adaptive, BlockedKernel};
 use sparsela::{vector, CsrMatrix, DenseMatrix};
@@ -78,11 +80,15 @@ use crate::expm;
 use crate::fox_glynn::PoissonWindow;
 use crate::{Ctmc, MarkovError, Result};
 
+mod cost;
+
+use cost::{Shape, Want};
+
 /// Engine used for transient solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
-    /// Choose uniformization when `Λt` is small enough, otherwise the dense
-    /// matrix exponential.
+    /// Take the cheaper engine for the call's horizons by the calibrated
+    /// cost model (see the module docs), among those within their budgets.
     #[default]
     Auto,
     /// Force uniformization (errors out when the step budget is exceeded).
@@ -99,8 +105,9 @@ pub struct Options {
     pub method: Method,
     /// Per-tail truncation error for the Poisson window.
     pub epsilon: f64,
-    /// Maximum number of uniformization steps (`≈ Λt` plus window width)
-    /// before `Auto` switches to the matrix exponential.
+    /// Maximum number of uniformization steps (`≈ Λt` plus window width,
+    /// at the largest horizon of a call): past it uniformization does not
+    /// fit, and `Auto` takes the matrix exponential.
     pub max_uniformization_steps: usize,
     /// Maximum state count for the dense matrix exponential.
     pub dense_state_limit: usize,
@@ -122,7 +129,7 @@ impl Default for Options {
 }
 
 /// Computes the state distribution `π(t)` from the initial distribution
-/// `pi0`.
+/// `pi0`: the one-horizon case of [`distribution_at_times`].
 ///
 /// # Errors
 ///
@@ -132,24 +139,8 @@ impl Default for Options {
 /// * [`MarkovError::LimitExceeded`] when the selected engine exceeds its
 ///   budget.
 pub fn distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
-    ctmc.check_distribution(pi0)?;
-    check_time(t)?;
-    if t == 0.0 || ctmc.max_exit_rate() == 0.0 {
-        return Ok(pi0.to_vec());
-    }
-    let method = select_method(ctmc, t, opts, 1)?;
-    let mut span = telemetry::span("markov.transient.distribution");
-    span.record("states", ctmc.n_states());
-    span.record("t", t);
-    span.record("method", method_name(method));
-    match method {
-        Method::Uniformization => uniformized_distribution(ctmc, pi0, t, opts),
-        Method::MatrixExponential => {
-            let mut out = expm_chain(ctmc, pi0, &[t], true, false, opts)?;
-            Ok(out.remove(0).0)
-        }
-        Method::Auto => unreachable!("select_method resolves Auto"),
-    }
+    let mut out = distribution_at_times(ctmc, pi0, &[t], opts)?;
+    Ok(out.remove(0))
 }
 
 /// Computes the accumulated occupancy `L(t) = ∫₀ᵗ π(s) ds`.
@@ -161,31 +152,13 @@ pub fn distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<
 ///
 /// Same failure modes as [`distribution`].
 pub fn occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
-    ctmc.check_distribution(pi0)?;
-    check_time(t)?;
-    if t == 0.0 {
-        return Ok(vec![0.0; ctmc.n_states()]);
-    }
-    if ctmc.max_exit_rate() == 0.0 {
-        return Ok(pi0.iter().map(|p| p * t).collect());
-    }
-    let method = select_method(ctmc, t, opts, 2)?;
-    let mut span = telemetry::span("markov.transient.occupancy");
-    span.record("states", ctmc.n_states());
-    span.record("t", t);
-    span.record("method", method_name(method));
-    match method {
-        Method::Uniformization => uniformized_occupancy(ctmc, pi0, t, opts),
-        Method::MatrixExponential => {
-            let mut out = expm_chain(ctmc, pi0, &[t], false, true, opts)?;
-            Ok(out.remove(0).1)
-        }
-        Method::Auto => unreachable!("select_method resolves Auto"),
-    }
+    let want = Want { pi: false, l: true };
+    let mut out = solve(ctmc, pi0, &[t], want, opts, "markov.transient.occupancy")?;
+    Ok(out.remove(0).1)
 }
 
 /// Computes the distribution `π(t)` and the occupancy `L(t)` together, on
-/// one engine: the one [`occupancy`] resolves to (see [`pair_method`]).
+/// one engine: the one [`pair_method`] resolves to.
 ///
 /// Both are weightings of one power sequence `π₀·P^k` of the uniformized
 /// chain: the Poisson pmf gives `π(t)`, the right tails give `L(t)`. On
@@ -214,147 +187,138 @@ pub fn distribution_and_occupancy(
 
 /// Computes `(π(t), L(t))` for every horizon in `times`, in order.
 ///
-/// Each horizon resolves one engine for its pair ([`pair_method`]). Every
-/// horizon on uniformization is served by **one** pass: the power sequence
-/// `π₀·P^k` is stepped once, up to the largest right truncation point, and
-/// each horizon accumulates its own Fox–Glynn window of it. Steady-state
-/// detection, when it stops the pass, applies the remaining weights of
-/// every unfinished horizon. Every horizon on the matrix exponential is a
-/// link of **one** dense chain (see the module docs). The trivial horizons
-/// (`t = 0`, a chain without transitions) are exactly the two calls
-/// [`distribution`] and [`occupancy`].
+/// The call resolves **one** engine for all its horizons (see the module
+/// docs). On uniformization, one pass steps the power sequence `π₀·P^k`
+/// once, up to the largest right truncation point, and each horizon
+/// accumulates its own Fox–Glynn window of it; steady-state detection, when
+/// it stops the pass, applies the remaining weights of every unfinished
+/// horizon. On the matrix exponential, every horizon is a link of one
+/// dense chain. The trivial horizons (`t = 0`, a chain without
+/// transitions) are `(π₀, π₀·t)` on either engine.
 ///
 /// With one horizon this is the one-horizon solve, bit for bit. With
 /// several, each horizon's answer differs from its one-horizon solve by
 /// rounding only: through the drop tolerance, which follows the largest
-/// window, or through the gap exponentials of the chain.
+/// window, or through the gap exponentials of the chain; and where the
+/// one-horizon solve resolves to the other engine, by the two engines'
+/// tolerances.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`distribution`] and [`occupancy`]; horizons are
-/// checked and their engines resolved in order, so the first failing
-/// horizon reports.
+/// Same failure modes as [`distribution`] and [`occupancy`]; every horizon
+/// is checked before the engine is resolved.
 pub fn distribution_and_occupancy_at_times(
     ctmc: &Ctmc,
     pi0: &[f64],
     times: &[f64],
     opts: &Options,
 ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
-    ctmc.check_distribution(pi0)?;
-    let lambda = uniformization_rate(ctmc);
-    let n = ctmc.n_states();
-    let mut out = Vec::with_capacity(times.len());
-    let mut horizons = Vec::new();
-    let mut dense = Vec::new();
-    for &t in times {
-        check_time(t)?;
-        if t == 0.0 || ctmc.max_exit_rate() == 0.0 {
-            out.push((
-                distribution(ctmc, pi0, t, opts)?,
-                occupancy(ctmc, pi0, t, opts)?,
-            ));
-            continue;
-        }
-        match pair_method(ctmc, t, opts)? {
-            Method::Uniformization => {
-                let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-                horizons.push((out.len(), Horizon::new(window, true, true, n)));
-            }
-            Method::MatrixExponential => dense.push((out.len(), t)),
-            Method::Auto => unreachable!("select_method resolves Auto"),
-        }
-        out.push((Vec::new(), Vec::new()));
-    }
-    if !dense.is_empty() {
-        let mut span = telemetry::span("markov.transient.distribution_and_occupancy");
-        span.record("states", n);
-        span.record("horizons", dense.len());
-        span.record("method", method_name(Method::MatrixExponential));
-        let (slots, dense_times): (Vec<usize>, Vec<f64>) = dense.into_iter().unzip();
-        let solved = expm_chain(ctmc, pi0, &dense_times, true, true, opts)?;
-        for (slot, answer) in slots.into_iter().zip(solved) {
-            out[slot] = answer;
-        }
-    }
-    if horizons.is_empty() {
-        return Ok(out);
-    }
-    let mut span = telemetry::span("markov.transient.distribution_and_occupancy");
-    span.record("states", n);
-    span.record("horizons", horizons.len());
-    span.record("method", method_name(Method::Uniformization));
-    let (slots, mut horizons): (Vec<usize>, Vec<Horizon>) = horizons.into_iter().unzip();
-    uniformized_pass(ctmc, pi0, lambda, &mut horizons, opts)?;
-    for (slot, horizon) in slots.into_iter().zip(horizons) {
-        let (mut pi, mut l) = horizon.into_sums();
-        vector::normalize_l1(&mut pi);
-        vector::scale(1.0 / lambda, &mut l);
-        out[slot] = (pi, l);
-    }
-    Ok(out)
+    let want = Want { pi: true, l: true };
+    solve(
+        ctmc,
+        pi0,
+        times,
+        want,
+        opts,
+        "markov.transient.distribution_and_occupancy",
+    )
 }
 
-/// Computes `π(t)` for every horizon in `times`, in order.
-///
-/// Every horizon whose `π(t)` resolves to the matrix exponential is one
-/// link of the dense chain (see the module docs): the horizons are taken in
-/// ascending order, each stepped from the one before by `e^{QΔ}`, computed
-/// once per run of equal gaps. Every other horizon is exactly
-/// [`distribution`]. With one horizon this is [`distribution`], bit for
-/// bit; with several, a chained answer differs from its one-horizon solve
-/// in the rounding of the exponentials only.
+/// Computes `π(t)` for every horizon in `times`, in order, on one engine
+/// for the whole call: one uniformization pass that feeds every horizon
+/// its own window of the power sequence, or one dense chain, whose
+/// horizons are taken in ascending order, each stepped from the one before
+/// by `e^{QΔ}`, computed once per run of equal gaps. With one horizon this
+/// is [`distribution`], bit for bit; with several, an answer differs from
+/// its one-horizon solve as in [`distribution_and_occupancy_at_times`].
 ///
 /// # Errors
 ///
-/// Same failure modes as [`distribution`]; horizons are checked and their
-/// engines resolved in order, so the first failing horizon reports.
+/// Same failure modes as [`distribution`]; every horizon is checked before
+/// the engine is resolved.
 pub fn distribution_at_times(
     ctmc: &Ctmc,
     pi0: &[f64],
     times: &[f64],
     opts: &Options,
 ) -> Result<Vec<Vec<f64>>> {
-    ctmc.check_distribution(pi0)?;
-    let mut out = Vec::with_capacity(times.len());
-    let mut dense = Vec::new();
-    for &t in times {
-        check_time(t)?;
-        if t > 0.0
-            && ctmc.max_exit_rate() > 0.0
-            && select_method(ctmc, t, opts, 1)? == Method::MatrixExponential
-        {
-            dense.push((out.len(), t));
-            out.push(Vec::new());
-        } else {
-            out.push(distribution(ctmc, pi0, t, opts)?);
-        }
-    }
-    if !dense.is_empty() {
-        let mut span = telemetry::span("markov.transient.distribution");
-        span.record("states", ctmc.n_states());
-        span.record("horizons", dense.len());
-        span.record("method", method_name(Method::MatrixExponential));
-        let (slots, dense_times): (Vec<usize>, Vec<f64>) = dense.into_iter().unzip();
-        let solved = expm_chain(ctmc, pi0, &dense_times, true, false, opts)?;
-        for (slot, (pi, _)) in slots.into_iter().zip(solved) {
-            out[slot] = pi;
-        }
-    }
-    Ok(out)
+    let want = Want { pi: true, l: false };
+    let out = solve(
+        ctmc,
+        pi0,
+        times,
+        want,
+        opts,
+        "markov.transient.distribution",
+    )?;
+    Ok(out.into_iter().map(|(pi, _)| pi).collect())
 }
 
 /// The one engine a `(π(t), L(t))` pair resolves to at horizon `t`: the
-/// engine of [`occupancy`], since the pair's dense side costs the integral
-/// block for `L(t)` whatever `π(t)` costs, and is priced as the `2n × 2n`
-/// block. `Auto` is resolved; a forced method is checked against its
-/// budget.
+/// engine of a one-horizon [`distribution_and_occupancy`]. `Auto` weighs
+/// one uniformization pass feeding both sums against one structured
+/// exponential (see the module docs); a forced method is checked against
+/// its budget.
 ///
 /// # Errors
 ///
 /// [`MarkovError::LimitExceeded`] when the selected engine exceeds its
 /// budget.
 pub fn pair_method(ctmc: &Ctmc, t: f64, opts: &Options) -> Result<Method> {
-    select_method(ctmc, t, opts, 2)
+    select_method(Shape::of(ctmc), &[t], Want { pi: true, l: true }, opts)
+}
+
+/// The one solve behind the four public calls: `want`'s outputs at every
+/// horizon of `times`, in order, on one engine. An output not wanted
+/// comes back empty.
+fn solve(
+    ctmc: &Ctmc,
+    pi0: &[f64],
+    times: &[f64],
+    want: Want,
+    opts: &Options,
+    span_name: &'static str,
+) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
+    ctmc.check_distribution(pi0)?;
+    for &t in times {
+        check_time(t)?;
+    }
+    let moves = ctmc.max_exit_rate() > 0.0;
+    let mut out = Vec::with_capacity(times.len());
+    let mut slots = Vec::new();
+    let mut horizons = Vec::new();
+    for &t in times {
+        if t > 0.0 && moves {
+            slots.push(out.len());
+            horizons.push(t);
+            out.push((Vec::new(), Vec::new()));
+        } else {
+            let pi = if want.pi { pi0.to_vec() } else { Vec::new() };
+            let l = if want.l {
+                pi0.iter().map(|p| p * t).collect()
+            } else {
+                Vec::new()
+            };
+            out.push((pi, l));
+        }
+    }
+    if horizons.is_empty() {
+        return Ok(out);
+    }
+    let method = select_method(Shape::of(ctmc), &horizons, want, opts)?;
+    let mut span = telemetry::span(span_name);
+    span.record("states", ctmc.n_states());
+    span.record("horizons", horizons.len());
+    span.record("method", method_name(method));
+    let solved = match method {
+        Method::Uniformization => uniformized(ctmc, pi0, &horizons, want, opts)?,
+        Method::MatrixExponential => expm_chain(ctmc, pi0, &horizons, want, opts)?,
+        Method::Auto => unreachable!("select_method resolves Auto"),
+    };
+    for (slot, answer) in slots.into_iter().zip(solved) {
+        out[slot] = answer;
+    }
+    Ok(out)
 }
 
 fn method_name(m: Method) -> &'static str {
@@ -374,33 +338,18 @@ fn check_time(t: f64) -> Result<()> {
     Ok(())
 }
 
-/// Rough flop count of a uniformization pass: one sparse product over
-/// `P = I + Q/Λ` per expected Poisson step.
-fn uniformization_cost(ctmc: &Ctmc, expected_steps: f64) -> f64 {
-    let nnz_p = (ctmc.generator().nnz() + ctmc.n_states()).max(1);
-    expected_steps * nnz_p as f64
-}
-
-/// Rough flop count of the scaling-and-squaring matrix exponential on a
-/// dense `n_dense × n_dense` matrix: one `n³` product per squaring plus
-/// the Padé evaluation and LU (~8 products' worth).
-fn expm_cost(n_dense: usize, expected_steps: f64) -> f64 {
-    let squarings = expected_steps.max(2.0).log2().ceil();
-    (n_dense as f64).powi(3) * (squarings + 8.0)
-}
-
-/// Resolves `Auto` into a concrete engine, validating budgets.
-///
-/// `dense_factor` is the blow-up the dense engine is priced at for this
-/// solve kind: 1 for a plain distribution, 2 for occupancy (priced as the
-/// augmented `2n × 2n` block matrix).
-fn select_method(ctmc: &Ctmc, t: f64, opts: &Options, dense_factor: usize) -> Result<Method> {
-    let lambda = uniformization_rate(ctmc);
-    let expected_steps = lambda * t;
+/// Resolves the engine of a call over `times` (each `> 0`) into a concrete
+/// one, validating budgets: uniformization must reach the largest horizon
+/// within its step budget, the exponential needs the chain within the
+/// dense state limit. Under `Auto`, when both fit, the cheaper by the cost
+/// model ([`cost`]) wins; a tie goes to uniformization.
+fn select_method(shape: Shape, times: &[f64], want: Want, opts: &Options) -> Result<Method> {
+    let lambda = shape.rate * UNIFORMIZATION_INFLATION;
+    let expected_steps = lambda * times.iter().copied().fold(0.0, f64::max);
     let uniform_ok = expected_steps.is_finite()
         && expected_steps + 10.0 * expected_steps.sqrt() + 50.0
             <= opts.max_uniformization_steps as f64;
-    let dense_ok = ctmc.n_states() <= opts.dense_state_limit;
+    let dense_ok = shape.states <= opts.dense_state_limit;
     match opts.method {
         Method::Uniformization => {
             if uniform_ok {
@@ -421,19 +370,15 @@ fn select_method(ctmc: &Ctmc, t: f64, opts: &Options, dense_factor: usize) -> Re
                 Err(MarkovError::LimitExceeded {
                     context: format!(
                         "matrix exponential limited to {} states, model has {}",
-                        opts.dense_state_limit,
-                        ctmc.n_states()
+                        opts.dense_state_limit, shape.states
                     ),
                 })
             }
         }
         Method::Auto => {
             if uniform_ok && dense_ok {
-                // Both engines fit their budgets: take the cheaper one.
-                // The comparison depends only on the model and the horizon,
-                // never on thread count, so selection is deterministic.
-                let n_dense = dense_factor * ctmc.n_states();
-                if uniformization_cost(ctmc, expected_steps) <= expm_cost(n_dense, expected_steps) {
+                let pass = cost::uniformization(shape, lambda, times, want, opts.epsilon);
+                if pass <= cost::exponential(shape, times, want) {
                     Ok(Method::Uniformization)
                 } else {
                     Ok(Method::MatrixExponential)
@@ -447,9 +392,7 @@ fn select_method(ctmc: &Ctmc, t: f64, opts: &Options, dense_factor: usize) -> Re
                     context: format!(
                         "no transient engine fits: ~{expected_steps:.3e} uniformization steps \
                          (budget {}) and {} states (dense limit {})",
-                        opts.max_uniformization_steps,
-                        ctmc.n_states(),
-                        opts.dense_state_limit
+                        opts.max_uniformization_steps, shape.states, opts.dense_state_limit
                     ),
                 })
             }
@@ -457,10 +400,13 @@ fn select_method(ctmc: &Ctmc, t: f64, opts: &Options, dense_factor: usize) -> Re
     }
 }
 
+/// The uniformization rate is the largest exit rate inflated by this
+/// factor: the slack guarantees aperiodicity of the uniformized chain and
+/// tolerates rounding in the max exit rate.
+const UNIFORMIZATION_INFLATION: f64 = 1.02;
+
 fn uniformization_rate(ctmc: &Ctmc) -> f64 {
-    // Slight inflation guarantees aperiodicity of the uniformized chain and
-    // tolerates rounding in the max exit rate.
-    ctmc.max_exit_rate() * 1.02
+    ctmc.max_exit_rate() * UNIFORMIZATION_INFLATION
 }
 
 /// Per-step mass-drop tolerance for adaptive uniformization.
@@ -781,27 +727,35 @@ fn uniformized_pass(
     Ok(())
 }
 
-fn uniformized_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
+/// Every horizon of `times` (each `> 0`) from one uniformization pass: its
+/// `π(t)` (the pmf-weighted sum, normalized) and `L(t)` (the tail-weighted
+/// sum over `Λ`), as `want` asks; an output not wanted comes back empty.
+fn uniformized(
+    ctmc: &Ctmc,
+    pi0: &[f64],
+    times: &[f64],
+    want: Want,
+    opts: &Options,
+) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
     let lambda = uniformization_rate(ctmc);
-    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    let mut horizons = [Horizon::new(window, true, false, ctmc.n_states())];
+    let n = ctmc.n_states();
+    let mut horizons = times
+        .iter()
+        .map(|&t| {
+            let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
+            Ok(Horizon::new(window, want.pi, want.l, n))
+        })
+        .collect::<Result<Vec<_>>>()?;
     uniformized_pass(ctmc, pi0, lambda, &mut horizons, opts)?;
-    let [horizon] = horizons;
-    let (mut pi, _) = horizon.into_sums();
-    vector::normalize_l1(&mut pi);
-    Ok(pi)
-}
-
-fn uniformized_occupancy(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &Options) -> Result<Vec<f64>> {
-    // L(t) = (1/Λ) Σ_{k≥0} P[N > k] · π P^k  with N ~ Poisson(Λt).
-    let lambda = uniformization_rate(ctmc);
-    let window = PoissonWindow::compute(lambda * t, opts.epsilon)?;
-    let mut horizons = [Horizon::new(window, false, true, ctmc.n_states())];
-    uniformized_pass(ctmc, pi0, lambda, &mut horizons, opts)?;
-    let [horizon] = horizons;
-    let (_, mut l) = horizon.into_sums();
-    vector::scale(1.0 / lambda, &mut l);
-    Ok(l)
+    Ok(horizons
+        .into_iter()
+        .map(|horizon| {
+            let (mut pi, mut l) = horizon.into_sums();
+            vector::normalize_l1(&mut pi);
+            vector::scale(1.0 / lambda, &mut l);
+            (pi, l)
+        })
+        .collect())
 }
 
 /// The dense chain of the module docs: `(π(t), L(t))` at every horizon of
@@ -816,10 +770,13 @@ fn expm_chain(
     ctmc: &Ctmc,
     pi0: &[f64],
     times: &[f64],
-    want_pi: bool,
-    want_l: bool,
+    want: Want,
     opts: &Options,
 ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
+    let Want {
+        pi: want_pi,
+        l: want_l,
+    } = want;
     let q = ctmc
         .generator()
         .to_dense_checked(opts.dense_state_limit * opts.dense_state_limit)
@@ -1174,8 +1131,11 @@ mod tests {
                 }
                 // ‖Qt‖∞ = 10.2 on the Erlang chain at t = 3 takes one
                 // squaring; the block's 11.2 takes two. Every other dense
-                // point keeps its squarings, so its π is bitwise.
-                let want: &[(&str, f64)] = if method == Method::MatrixExponential {
+                // point keeps its squarings, so its π is bitwise. Whether
+                // that point is dense is the engine its pair resolves to.
+                let erlang_dense =
+                    pair_method(&erlang, 3.0, &opts).unwrap() == Method::MatrixExponential;
+                let want: &[(&str, f64)] = if erlang_dense {
                     &[("erlang", 3.0)]
                 } else {
                     &[]
@@ -1187,23 +1147,28 @@ mod tests {
 
     #[test]
     fn fused_solve_takes_one_engine_on_mixed_selection() {
-        // On two states, Λt ≈ 49 makes uniformization dearer than a 2×2
-        // exponential but cheaper than the 4×4 occupancy block: π alone
-        // resolves to the matrix exponential, the pair to uniformization.
+        // On two states at t = 8 (Λt ≈ 24.5) the 2 × 2 and the 2 × 4
+        // exponentials cost about the same, while the pair's pass pays the
+        // axpys of a second sum: π alone resolves to uniformization, the
+        // pair to the matrix exponential.
         let c = two_state();
-        let t = 16.0;
+        let t = 8.0;
         let opts = Options::default();
+        let pi_only = Want { pi: true, l: false };
         assert_eq!(
-            select_method(&c, t, &opts, 1).unwrap(),
+            select_method(Shape::of(&c), &[t], pi_only, &opts).unwrap(),
+            Method::Uniformization
+        );
+        assert_eq!(
+            pair_method(&c, t, &opts).unwrap(),
             Method::MatrixExponential
         );
-        assert_eq!(pair_method(&c, t, &opts).unwrap(), Method::Uniformization);
         assert!(!assert_fused_matches_separate(&c, &[1.0, 0.0], t, &opts));
-        // The pair's π is the uniformization π, not the dense one.
+        // The pair's π is the dense π, not the lone uniformization one.
         let (pi, _) = distribution_and_occupancy(&c, &[1.0, 0.0], t, &opts).unwrap();
-        let dense_pi = distribution(&c, &[1.0, 0.0], t, &opts).unwrap();
-        assert_ne!(bits(&pi), bits(&dense_pi));
-        assert!(vector::diff_norm_inf(&pi, &dense_pi) < 1e-9);
+        let lone_pi = distribution(&c, &[1.0, 0.0], t, &opts).unwrap();
+        assert_ne!(bits(&pi), bits(&lone_pi));
+        assert!(vector::diff_norm_inf(&pi, &lone_pi) < 1e-9);
         // Both past the uniformization budget: both on the exponential.
         let stiff = Ctmc::from_transitions(2, [(0, 1, 5000.0), (1, 0, 1000.0)]).unwrap();
         assert!(!assert_fused_matches_separate(
@@ -1212,6 +1177,140 @@ mod tests {
             10_000.0,
             &opts
         ));
+    }
+
+    #[test]
+    fn a_call_takes_one_engine_for_all_its_horizons() {
+        // Alone, t = 0.05 (Λt ≈ 0.15) resolves to uniformization and
+        // t = 1000 (Λt ≈ 3060) to the exponential. Together they are one
+        // dense chain: each answer is bitwise the call forced to it.
+        let c = two_state();
+        let pi0 = [1.0, 0.0];
+        let (short, long) = (0.05, 1000.0);
+        let opts = Options::default();
+        assert_eq!(
+            pair_method(&c, short, &opts).unwrap(),
+            Method::Uniformization
+        );
+        assert_eq!(
+            pair_method(&c, long, &opts).unwrap(),
+            Method::MatrixExponential
+        );
+        let times = [short, long];
+        let forced = Options {
+            method: Method::MatrixExponential,
+            ..Default::default()
+        };
+        let pairs = distribution_and_occupancy_at_times(&c, &pi0, &times, &opts).unwrap();
+        let want = distribution_and_occupancy_at_times(&c, &pi0, &times, &forced).unwrap();
+        assert_eq!(pairs, want);
+        let pis = distribution_at_times(&c, &pi0, &times, &opts).unwrap();
+        let want = distribution_at_times(&c, &pi0, &times, &forced).unwrap();
+        assert_eq!(pis, want);
+        // The short horizon's π differs from its own (uniformization)
+        // solve by the engines' tolerances only.
+        let alone = distribution(&c, &pi0, short, &opts).unwrap();
+        assert_ne!(bits(&pis[0]), bits(&alone));
+        assert!(vector::diff_norm_inf(&pis[0], &alone) < 1e-9);
+    }
+
+    #[test]
+    fn distribution_at_times_runs_one_pass_for_all_its_horizons() {
+        // Forced to uniformization, the π-only call feeds every horizon
+        // from one power sequence: each answer is its one-horizon solve
+        // up to the drop tolerance of the largest window.
+        let erlang = Ctmc::from_transitions(6, (0..5).map(|i| (i, i + 1, 1.7))).unwrap();
+        let pi0 = erlang.point_distribution(0);
+        let opts = Options {
+            method: Method::Uniformization,
+            ..Default::default()
+        };
+        let times = [2.5, 0.0, 0.5, 3.0, 1.25];
+        let all = distribution_at_times(&erlang, &pi0, &times, &opts).unwrap();
+        let pairs = distribution_and_occupancy_at_times(&erlang, &pi0, &times, &opts).unwrap();
+        for ((&t, pi), (pair_pi, _)) in times.iter().zip(&all).zip(&pairs) {
+            // One pass, one drop tolerance: the pair's π is the same sum.
+            assert_eq!(bits(pi), bits(pair_pi), "t = {t}");
+            let alone = distribution(&erlang, &pi0, t, &opts).unwrap();
+            assert!(vector::diff_norm_inf(pi, &alone) < 1e-14, "t = {t}");
+        }
+        let one = distribution_at_times(&erlang, &pi0, &[3.0], &opts).unwrap();
+        assert_eq!(
+            bits(&one[0]),
+            bits(&distribution(&erlang, &pi0, 3.0, &opts).unwrap())
+        );
+    }
+
+    /// The engine `Auto` picks for a call's non-trivial horizons.
+    fn auto_engine(shape: Shape, times: &[f64], want: Want) -> Method {
+        let horizons: Vec<f64> = times.iter().copied().filter(|&t| t > 0.0).collect();
+        select_method(shape, &horizons, want, &Options::default()).unwrap()
+    }
+
+    #[test]
+    fn auto_selection_table() {
+        use Method::{MatrixExponential as Dense, Uniformization as Uni};
+        const PAIR: Want = Want { pi: true, l: true };
+        const PI: Want = Want { pi: true, l: false };
+        const CATALOG: &[f64] = &[0.0, 10.0, 20.0, 30.0, 40.0, 50.0];
+        const WINDOWS: &[f64] = &[50.0, 40.0, 30.0, 20.0, 10.0, 0.0];
+        const PAPER: &[f64] = &[0.0, 1000.0, 2500.0, 5000.0, 7500.0, 10000.0];
+        const SHORT_WINDOW: &[f64] = &[0.0, 500.0, 1250.0, 2500.0, 3750.0, 5000.0];
+        const FIG9: &[f64] = &[
+            0.0, 1000.0, 2000.0, 3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0, 9000.0, 10000.0,
+        ];
+        // The tiny-φ probes of the telemetry tests, on the paper's RMGd.
+        const TINY: &[f64] = &[0.0, 0.000_244_140_625, 0.000_488_281_25];
+        // (what, states, generator entries, largest exit rate, horizons,
+        // outputs, engine): the lumped chains the workloads solve, and the
+        // edges of the model.
+        type Row = (
+            &'static str,
+            usize,
+            usize,
+            f64,
+            &'static [f64],
+            Want,
+            Method,
+        );
+        #[rustfmt::skip]
+        let table: &[Row] = &[
+            ("aging-rejuvenation G-OP", 24, 105, 76.22, CATALOG, PAIR, Dense),
+            ("degrading-coverage G-OP", 48, 257, 120.0000001, CATALOG, PAIR, Dense),
+            ("det-checkpoint G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
+            ("erlang-acceptance G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
+            ("hyper-acceptance G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
+            ("paper-baseline G-OP", 13, 41, 2280.0001, PAPER, PAIR, Dense),
+            ("paper-high-fault-rate G-OP", 13, 41, 2280.0004, PAPER, PAIR, Dense),
+            ("paper-low-coverage G-OP", 13, 41, 2280.0001, PAPER, PAIR, Dense),
+            ("paper-short-window G-OP", 13, 41, 2280.0001, SHORT_WINDOW, PAIR, Dense),
+            ("paper-slow-safeguards G-OP", 13, 41, 2280.0001, PAPER, PAIR, Dense),
+            ("small-exact G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
+            ("three-escorts G-OP", 50, 264, 156.02, CATALOG, PAIR, Dense),
+            ("two-escorts G-OP", 28, 124, 116.02, CATALOG, PAIR, Dense),
+            ("upgrade-waves G-OP", 21, 83, 76.12, CATALOG, PAIR, Dense),
+            ("three-escorts normal mode", 9, 25, 120.02, WINDOWS, PI, Dense),
+            ("small-exact normal mode", 5, 11, 40.02, WINDOWS, PI, Dense),
+            ("RMGd, fig9 grid", 13, 41, 2280.0001, FIG9, PAIR, Dense),
+            ("RMGd, tiny φ", 13, 41, 2280.0001, TINY, PAIR, Uni),
+            ("RMGd, φ = 2⁻¹¹", 13, 41, 2280.0001, &[0.000_488_281_25], PAIR, Uni),
+            ("three-escorts G-OP, Λt ≈ 160", 50, 264, 156.02, &[1.0], PAIR, Uni),
+            ("three-escorts G-OP, Λt ≈ 480", 50, 264, 156.02, &[3.0], PI, Uni),
+            ("2,000 states, past the dense limit", 2000, 10_000, 10.0, &[100.0], PAIR, Uni),
+        ];
+        let got: Vec<_> = table
+            .iter()
+            .map(|&(what, states, entries, rate, times, want, _)| {
+                let shape = Shape {
+                    states,
+                    entries,
+                    rate,
+                };
+                (what, auto_engine(shape, times, want))
+            })
+            .collect();
+        let want: Vec<_> = table.iter().map(|row| (row.0, row.6)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

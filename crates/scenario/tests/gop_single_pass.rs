@@ -1,18 +1,20 @@
-//! A G-OP curve costs one uniformization pass on the G-OP chain lumped by
-//! `(detected, failure)`: every φ of the grid is a horizon of one power
-//! sequence (`markov::transient::distribution_and_occupancy_at_times`), and
-//! the exact detection moment is read off the same π(φ)/L(φ) through the
-//! closed detected set. These tests pin the lumped measures against the
-//! full chain's separate solves (against a tight full-chain reference at
-//! the stiff horizons where the full chain's default solve is the less
-//! accurate side), the one-point pair solve bitwise against
-//! the separate calls on the lumped chain, the closed-set identity against
-//! the stopped-chain first-passage reference, the lumped chain sizes, and
-//! the sparse work of a whole curve.
+//! A G-OP curve costs one transient solve on the G-OP chain lumped by
+//! `(detected, failure)`: every φ of the grid is a horizon of one call
+//! (`markov::transient::distribution_and_occupancy_at_times`) on one
+//! engine, and the exact detection moment is read off the same π(φ)/L(φ)
+//! through the closed detected set. These tests pin the lumped measures
+//! against the full chain's separate solves (against a tight full-chain
+//! reference at the stiff horizons where the full chain's default solve is
+//! the less accurate side), the one-point pair solve bitwise against the
+//! separate calls on the lumped chain, on its own engine and on
+//! uniformization, the closed-set identity against the stopped-chain
+//! first-passage reference, the lumped chain sizes, and the work of a
+//! whole curve.
 //!
 //! The work counters are process-global, so every test in this binary
 //! holds [`SERIAL`] while it counts.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -134,6 +136,10 @@ const UNIFORMIZATION_FLOOR: f64 = 1e-14;
 /// `stiff_points_match_a_tight_full_chain_reference`.
 const TIGHT_REFERENCE_ONLY: [(&str, f64); 1] = [("paper-high-fault-rate", 10_000.0)];
 
+/// Expected Poisson steps below which a uniformization pass is cheap
+/// enough to run as a check in a debug build.
+const CHEAP_PASS_STEPS: f64 = 1e5;
+
 /// Tight uniformization: ε = 1e-15 and no steady-state detection.
 fn tight() -> transient::Options {
     transient::Options {
@@ -163,7 +169,8 @@ fn full_fields(an: &Analyzer, places: GopPlaces, pi: &[f64], l: &[f64]) -> [f64;
 #[test]
 fn lumped_gop_measures_match_the_full_chain_unfused_reference() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut uniformized = 0;
+    let mut uniformized = BTreeSet::new();
+    let mut cheap = BTreeSet::new();
     let mut tight_checked = 0;
     for spec in catalog() {
         let places = build_gd(&spec).unwrap().places.gop;
@@ -200,28 +207,51 @@ fn lumped_gop_measures_match_the_full_chain_unfused_reference() {
                 assert_fields_close(m, want, 1e-9, abs, &what);
             }
             // On the lumped chain the pair is the two separate calls forced
-            // to its engine, bit for bit, at half the sparse products — and
-            // the exact moment adds none.
-            let opts = transient::Options {
-                method: transient::pair_method(ctmc, phi, &Default::default()).unwrap(),
-                ..Default::default()
-            };
-            let (pi, l) = lumped.distribution_and_occupancy_at_times(&[phi]).unwrap()[0].clone();
-            let before = spmv_ops();
-            let want_pi = transient::distribution(ctmc, pi0, phi, &opts).unwrap();
-            let want_l = transient::occupancy(ctmc, pi0, phi, &opts).unwrap();
-            let reference_spmv = spmv_ops() - before;
-            assert_eq!(bits(&pi), bits(&want_pi), "{what}: π");
-            assert_eq!(bits(&l), bits(&want_l), "{what}: L");
-            assert_eq!(2 * fused_spmv, reference_spmv, "{what}");
-            if fused_spmv > 0 {
-                uniformized += 1;
+            // to its engine, bit for bit, at half the sparse products: on
+            // the engine Auto resolves, and on uniformization wherever a
+            // pass is cheap, so every chain keeps that path covered. The
+            // exact moment adds no sparse product to the pair's.
+            let steps = ctmc.max_exit_rate() * phi;
+            let auto = transient::pair_method(ctmc, phi, &Default::default()).unwrap();
+            let mut engines = vec![auto];
+            if steps <= CHEAP_PASS_STEPS && auto != transient::Method::Uniformization {
+                engines.push(transient::Method::Uniformization);
+            }
+            for method in engines {
+                let opts = transient::Options {
+                    method,
+                    ..Default::default()
+                };
+                let before = spmv_ops();
+                let (pi, l) =
+                    transient::distribution_and_occupancy_at_times(ctmc, pi0, &[phi], &opts)
+                        .unwrap()
+                        .remove(0);
+                let pair_spmv = spmv_ops() - before;
+                let before = spmv_ops();
+                let want_pi = transient::distribution(ctmc, pi0, phi, &opts).unwrap();
+                let want_l = transient::occupancy(ctmc, pi0, phi, &opts).unwrap();
+                let reference_spmv = spmv_ops() - before;
+                let what = format!("{what}, {method:?}");
+                assert_eq!(bits(&pi), bits(&want_pi), "{what}: π");
+                assert_eq!(bits(&l), bits(&want_l), "{what}: L");
+                assert_eq!(2 * pair_spmv, reference_spmv, "{what}");
+                if method == auto {
+                    assert_eq!(fused_spmv, pair_spmv, "{what}");
+                }
+                if method == transient::Method::Uniformization {
+                    assert!(pair_spmv > 0, "{what}");
+                    uniformized.insert(spec.name.clone());
+                }
+            }
+            if steps <= CHEAP_PASS_STEPS {
+                cheap.insert(spec.name.clone());
             }
         }
         // Where a tight pass is cheap, solve both chains tightly: lumping
         // itself is exact up to the last bits of exchangeable rates.
         let steps = an.state_space().ctmc().max_exit_rate() * grid.last().copied().unwrap_or(0.0);
-        if steps > 1e5 {
+        if steps > CHEAP_PASS_STEPS {
             continue;
         }
         let space = an.state_space();
@@ -242,7 +272,14 @@ fn lumped_gop_measures_match_the_full_chain_unfused_reference() {
             tight_checked += 1;
         }
     }
-    assert!(uniformized > 0, "no catalog horizon ran uniformization");
+    assert!(
+        !cheap.is_empty(),
+        "no catalog horizon is cheap to uniformize"
+    );
+    assert_eq!(
+        uniformized, cheap,
+        "every chain with a cheap horizon ran uniformization"
+    );
     assert!(tight_checked > 0, "no catalog scenario was checked tightly");
 }
 
@@ -362,8 +399,13 @@ fn three_escorts_curve_costs_one_pass_on_the_gop_chain() {
     let before = telemetry::work::snapshot();
     analysis.curve().unwrap();
     let work = telemetry::work::snapshot().delta_since(&before);
-    // One pass on the 50-block lumped G-OP chain (274 states unlumped,
-    // where the same pass cost 8,842 products).
-    assert_eq!(work.spmv_ops, 8_631);
-    assert_eq!(work.spmv_nnz, 1_631_356);
+    // One G-OP solve for the whole grid: on the 50-block lumped chain the
+    // six φ are one dense chain whose equal gaps share one structured
+    // exponential, and each normal-mode model adds one survival
+    // exponential.
+    assert_eq!(work.spmv_ops, 0);
+    assert_eq!(work.spmv_nnz, 0);
+    assert_eq!(work.expm_solves, 3);
+    assert_eq!(work.solver_iterations, 28);
+    assert_eq!(work.flops, 4_524_786);
 }

@@ -18,13 +18,22 @@ static SPMV_NNZ: AtomicU64 = AtomicU64::new(0);
 static AXPY_OPS: AtomicU64 = AtomicU64::new(0);
 static SOLVER_ITERATIONS: AtomicU64 = AtomicU64::new(0);
 static EXPM_SOLVES: AtomicU64 = AtomicU64::new(0);
+static FLOPS: AtomicU64 = AtomicU64::new(0);
 
 /// Counts one sparse matrix-vector product that touched `nnz` stored
-/// entries.
+/// entries: `nnz` flops.
 #[inline]
 pub fn count_spmv(nnz: usize) {
     SPMV_OPS.fetch_add(1, Ordering::Relaxed);
     SPMV_NNZ.fetch_add(nnz as u64, Ordering::Relaxed);
+    FLOPS.fetch_add(nnz as u64, Ordering::Relaxed);
+}
+
+/// Counts `n` multiply-adds of dense work (the products of a matrix
+/// exponential) into the flops tally.
+#[inline]
+pub fn count_dense_flops(n: u64) {
+    FLOPS.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Counts `n` vector `axpy`-class updates (scale-and-accumulate passes).
@@ -65,6 +74,12 @@ pub struct WorkSnapshot {
     pub solver_iterations: u64,
     /// Dense matrix-exponential solves performed.
     pub expm_solves: u64,
+    /// Multiply-adds of the transient engines: the stored entries every
+    /// sparse product touched, plus `n²·m` per dense `n × n` by `n × m`
+    /// product of every matrix exponential. One number for the work of
+    /// both engines, so trading one engine for the other shows as one
+    /// count that must fall.
+    pub flops: u64,
 }
 
 impl WorkSnapshot {
@@ -78,6 +93,7 @@ impl WorkSnapshot {
                 .solver_iterations
                 .saturating_sub(earlier.solver_iterations),
             expm_solves: self.expm_solves.saturating_sub(earlier.expm_solves),
+            flops: self.flops.saturating_sub(earlier.flops),
         }
     }
 }
@@ -90,6 +106,7 @@ pub fn snapshot() -> WorkSnapshot {
         axpy_ops: AXPY_OPS.load(Ordering::Relaxed),
         solver_iterations: SOLVER_ITERATIONS.load(Ordering::Relaxed),
         expm_solves: EXPM_SOLVES.load(Ordering::Relaxed),
+        flops: FLOPS.load(Ordering::Relaxed),
     }
 }
 
@@ -104,6 +121,7 @@ mod tests {
         count_axpy(2);
         count_iterations(5);
         count_expm(1);
+        count_dense_flops(11);
         let after = snapshot();
         let delta = after.delta_since(&before);
         // Other tests may run concurrently in this process, so the deltas
@@ -113,6 +131,7 @@ mod tests {
         assert!(delta.axpy_ops >= 2);
         assert!(delta.solver_iterations >= 5);
         assert!(delta.expm_solves >= 1);
+        assert!(delta.flops >= 7 + 11);
         assert_eq!(before.delta_since(&after), WorkSnapshot::default());
     }
 }
