@@ -1,10 +1,10 @@
-//! Adaptive uniformization vs exact uniformization on the paper's models.
+//! Steady-state detection vs the tight uniformization pass on the paper's
+//! models.
 //!
-//! The adaptive path (budgeted mass dropping + steady-state detection) must
-//! agree with a brute-force uniformization run — drop tolerance forced to
-//! zero, no early cut-off — to well under the solver's own ε across the
-//! parameter families the figures sweep: fig9/fig12 vary `mu_new` and θ,
-//! fig10 slows the overhead rates, fig11 sweeps coverage.
+//! A pass at the default ε with steady-state detection on must agree with a
+//! tight pass — ε = 1e-15, no early cut-off — to well under the solver's
+//! own ε across the parameter families the figures sweep: fig9/fig12 vary
+//! `mu_new` and θ, fig10 slows the overhead rates, fig11 sweeps coverage.
 
 use markov::transient::{self, Method, Options};
 use performability::gsu::rmgd;
@@ -38,18 +38,18 @@ fn family_params() -> impl Strategy<Value = GsuParams> {
         })
 }
 
-fn exact_opts() -> Options {
+fn tight_opts() -> Options {
     Options {
         method: Method::Uniformization,
-        // A vanishing ε forces the adaptive drop tolerance to (near) zero and
-        // widens the Fox–Glynn window: every state is propagated every step.
+        // A vanishing ε widens the Fox–Glynn window, and without detection
+        // the pass steps to its right truncation point.
         epsilon: 1e-15,
         steady_state_detection: false,
         ..Options::default()
     }
 }
 
-fn adaptive_opts() -> Options {
+fn detecting_opts() -> Options {
     Options {
         method: Method::Uniformization,
         steady_state_detection: true,
@@ -61,7 +61,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn adaptive_matches_exact_uniformization(
+    fn detection_matches_tight_uniformization(
         params in family_params(),
         t_frac in 0.05..1.0f64,
     ) {
@@ -73,23 +73,23 @@ proptest! {
         // Keep Λt inside the forced-uniformization step budget.
         let t = t_frac * 200.0;
 
-        let adaptive = transient::distribution(ctmc, pi0, t, &adaptive_opts()).unwrap();
-        let exact = transient::distribution(ctmc, pi0, t, &exact_opts()).unwrap();
-        for (i, (a, e)) in adaptive.iter().zip(&exact).enumerate() {
+        let detected = transient::distribution(ctmc, pi0, t, &detecting_opts()).unwrap();
+        let tight = transient::distribution(ctmc, pi0, t, &tight_opts()).unwrap();
+        for (i, (a, e)) in detected.iter().zip(&tight).enumerate() {
             prop_assert!(
                 (a - e).abs() <= AGREE_TOL,
-                "distribution state {i}: adaptive {a} vs exact {e} at t = {t}"
+                "distribution state {i}: detected {a} vs tight {e} at t = {t}"
             );
         }
 
-        let adaptive_occ = transient::occupancy(ctmc, pi0, t, &adaptive_opts()).unwrap();
-        let exact_occ = transient::occupancy(ctmc, pi0, t, &exact_opts()).unwrap();
-        for (i, (a, e)) in adaptive_occ.iter().zip(&exact_occ).enumerate() {
+        let detected_occ = transient::occupancy(ctmc, pi0, t, &detecting_opts()).unwrap();
+        let tight_occ = transient::occupancy(ctmc, pi0, t, &tight_opts()).unwrap();
+        for (i, (a, e)) in detected_occ.iter().zip(&tight_occ).enumerate() {
             // Occupancies are time-integrals (magnitude up to t), so compare
             // relative to the horizon.
             prop_assert!(
                 (a - e).abs() <= AGREE_TOL * t.max(1.0),
-                "occupancy state {i}: adaptive {a} vs exact {e} at t = {t}"
+                "occupancy state {i}: detected {a} vs tight {e} at t = {t}"
             );
         }
     }

@@ -25,11 +25,9 @@
 //! on; short horizons (`Λt` of tens) and chains past the dense limit stay
 //! on uniformization.
 //!
-//! The uniformization path itself is adaptive: steps run through
-//! [`sparsela::blocked`] kernels, skipping negligible-mass source states
-//! under a rigorously-budgeted drop tolerance while the support is small
-//! and switching to a blocked gather kernel (with the Fox–Glynn
-//! accumulation fused into the same pass) once mass has spread.
+//! A uniformization step is one [`BlockedKernel::apply`] of the
+//! uniformized matrix `P`, built once per pass; `epsilon` bounds the
+//! Fox–Glynn truncation and nothing else.
 //!
 //! Every uniformization solve is one stepping loop over the power sequence
 //! `π₀·P^k`. The sequence does not depend on the horizon — only the Poisson
@@ -37,7 +35,7 @@
 //! own Fox–Glynn window and its own accumulators: the Poisson pmf for
 //! `π(t)`, the right tails for `L(t)`. Below a window's left point every
 //! tail weight is 1, so that part of each `L(t)` is one shared running sum
-//! of the powers, fused into the step and copied when the window opens.
+//! of the powers, copied when the window opens.
 //! [`distribution_and_occupancy_at_times`] and [`distribution_at_times`]
 //! step the sequence once, up to the largest right truncation point, for
 //! all their horizons when the call resolves to uniformization;
@@ -61,20 +59,19 @@
 //! chains all its horizons; the one-horizon [`distribution`] and
 //! [`occupancy`] are the one-gap chain.
 //!
-//! The contract between a grid and its points: a one-horizon call is the
-//! one-horizon solve bit for bit, at any position of the horizon in a
-//! grid. A horizon of a longer grid differs from its one-horizon solve by
-//! rounding only — the drop tolerance of a shared uniformization pass
-//! follows the largest window, and a chained horizon rounds through its
-//! gaps' exponentials instead of one exponential of `Qt`. Where the grid's
+//! The contract between a grid and its points: on uniformization every
+//! horizon of a grid is its one-horizon solve bit for bit, since the
+//! iterates and the steady-state stop do not depend on the windows. On
+//! the matrix exponential a horizon of a longer grid differs from its
+//! one-horizon solve by rounding only: it rounds through its gaps'
+//! exponentials instead of one exponential of `Qt`. Where the grid's
 //! engine is not the one the horizon alone resolves to, the two differ by
 //! the engines' tolerances instead. Each gap's exponential needs fewer
 //! squarings than the full horizon's, and on the paper's stiff `RMGd` the
 //! chained `π(θ)` and `L(θ)` are the closer ones to a tight
 //! uniformization reference.
 
-use sparsela::blocked::{spmv_transpose_adaptive, BlockedKernel};
-use sparsela::{vector, CsrMatrix, DenseMatrix};
+use sparsela::{vector, BlockedKernel, DenseMatrix};
 
 use crate::expm;
 use crate::fox_glynn::PoissonWindow;
@@ -197,11 +194,11 @@ pub fn distribution_and_occupancy(
 /// transitions) are `(π₀, π₀·t)` on either engine.
 ///
 /// With one horizon this is the one-horizon solve, bit for bit. With
-/// several, each horizon's answer differs from its one-horizon solve by
-/// rounding only: through the drop tolerance, which follows the largest
-/// window, or through the gap exponentials of the chain; and where the
-/// one-horizon solve resolves to the other engine, by the two engines'
-/// tolerances.
+/// several, each horizon's answer is its one-horizon solve bit for bit on
+/// uniformization, and differs from it by rounding only on the matrix
+/// exponential, through the gap exponentials of the chain; where the
+/// one-horizon solve resolves to the other engine, the two differ by the
+/// engines' tolerances.
 ///
 /// # Errors
 ///
@@ -229,7 +226,7 @@ pub fn distribution_and_occupancy_at_times(
 /// its own window of the power sequence, or one dense chain, whose
 /// horizons are taken in ascending order, each stepped from the one before
 /// by `e^{QΔ}`, computed once per run of equal gaps. With one horizon this
-/// is [`distribution`], bit for bit; with several, an answer differs from
+/// is [`distribution`], bit for bit; with several, an answer relates to
 /// its one-horizon solve as in [`distribution_and_occupancy_at_times`].
 ///
 /// # Errors
@@ -409,88 +406,6 @@ fn uniformization_rate(ctmc: &Ctmc) -> f64 {
     ctmc.max_exit_rate() * UNIFORMIZATION_INFLATION
 }
 
-/// Per-step mass-drop tolerance for adaptive uniformization.
-///
-/// Dropping at most `drop_tol` of mass per source state per step loses at
-/// most `n · drop_tol` of L1 mass per step, and a stochastic matrix does
-/// not amplify L1 error, so a pass of `steps` steps loses at most
-/// `ε` in total — the same budget as the Fox–Glynn truncation, and far
-/// inside the `1e-9` the performability measures need. The final
-/// renormalization then redistributes the lost mass proportionally.
-fn adaptive_drop_tol(epsilon: f64, steps: u64, n: usize) -> f64 {
-    epsilon / ((steps + 1) as f64 * n.max(1) as f64)
-}
-
-/// Advances `π ← π·P` across the many powers of one uniformization pass.
-///
-/// While the probability mass is concentrated on few states (point-mass
-/// initial distributions early in a pass, absorbing-tail chains), steps run
-/// in adaptive scatter form: source states carrying less than the budgeted
-/// drop tolerance are skipped and their mass tracked. Once the support
-/// covers most of the state space the stepper switches — permanently, and
-/// purely as a function of the data, never the thread count — to the
-/// blocked gather kernel, whose fused variant folds the Fox–Glynn-weighted
-/// accumulation into the same pass. The kernel layout is built lazily on
-/// the first gather step and reused for every subsequent power.
-struct PowerStepper<'a> {
-    p: &'a CsrMatrix,
-    kernel: Option<BlockedKernel>,
-    drop_tol: f64,
-    adaptive: bool,
-    peak_active: u64,
-    dropped_mass: f64,
-}
-
-impl<'a> PowerStepper<'a> {
-    /// Share of states that must be active before the stepper abandons the
-    /// adaptive scatter for the blocked gather kernel (7/8).
-    const GATHER_CUTOFF_NUM: usize = 7;
-    const GATHER_CUTOFF_DEN: usize = 8;
-
-    fn new(p: &'a CsrMatrix, pi0: &[f64], drop_tol: f64) -> Self {
-        let n = p.rows();
-        let active = pi0
-            .iter()
-            .filter(|&&v| v != 0.0 && v.abs() >= drop_tol)
-            .count();
-        PowerStepper {
-            p,
-            kernel: None,
-            drop_tol,
-            adaptive: active * Self::GATHER_CUTOFF_DEN < n * Self::GATHER_CUTOFF_NUM,
-            peak_active: active as u64,
-            dropped_mass: 0.0,
-        }
-    }
-
-    fn note_active(&mut self, active: usize) {
-        self.peak_active = self.peak_active.max(active as u64);
-        if active * Self::GATHER_CUTOFF_DEN >= self.p.rows() * Self::GATHER_CUTOFF_NUM {
-            self.adaptive = false;
-        }
-    }
-
-    /// One step `next = cur·P` with the accumulation `acc += weight·cur`
-    /// fused in (skipped when `weight` is zero).
-    fn step_fused(&mut self, cur: &[f64], next: &mut [f64], weight: f64, acc: &mut [f64]) {
-        if self.adaptive {
-            if weight != 0.0 {
-                vector::axpy(weight, cur, acc);
-            }
-            let st = spmv_transpose_adaptive(self.p, cur, next, self.drop_tol);
-            self.dropped_mass += st.dropped_mass;
-            self.note_active(st.active_sources);
-        } else {
-            self.peak_active = self.peak_active.max(self.p.rows() as u64);
-            let p = self.p;
-            let kernel = self
-                .kernel
-                .get_or_insert_with(|| BlockedKernel::from_csr(p));
-            kernel.apply_fused(cur, next, weight, acc);
-        }
-    }
-}
-
 /// Steady-state detection for the uniformized power sequence.
 ///
 /// The plain criterion stops once successive iterates differ by less than
@@ -652,14 +567,12 @@ fn add(sum: Option<&mut Vec<f64>>, weight: f64, x: &[f64]) -> u64 {
 /// and adds every power into every horizon under its own window.
 ///
 /// Below a window's left point the occupancy weight is 1, so that part of
-/// every `L` is one shared running sum `Σ_{j<k} π₀·P^j`, fused into the
-/// step; each horizon copies it when its window opens and from then on
-/// pays separate axpys only inside its window. Every accumulation is the
-/// same elementwise `acc += w·x` whether it runs fused into the step or as
-/// a separate axpy, so a one-horizon pass is bitwise the pass with that
-/// horizon's outputs in any combination. The drop tolerance follows the
-/// largest window; the scatter/gather switch and the steady-state stop
-/// depend only on the iterates.
+/// every `L` is one shared running sum `Σ_{j<k} π₀·P^j`; each horizon
+/// copies it when its window opens and from then on pays separate axpys
+/// only inside its window. Each step is the same `BlockedKernel::apply` of
+/// `P`, whatever the windows, so the iterates and the steady-state stop
+/// depend only on `π₀` and `P`: a horizon's sums come out bit for bit the
+/// same in every pass that includes it.
 fn uniformized_pass(
     ctmc: &Ctmc,
     pi0: &[f64],
@@ -683,8 +596,7 @@ fn uniformized_pass(
     flight.fox_glynn_window = Some((k_min as u64, k_max as u64));
 
     let n = ctmc.n_states();
-    let drop_tol = adaptive_drop_tol(opts.epsilon, k_max as u64, n);
-    let mut stepper = PowerStepper::new(p.matrix(), pi0, drop_tol);
+    let kernel = BlockedKernel::from_csr(p.matrix());
     let mut cur = pi0.to_vec();
     let mut next = vec![0.0; n];
     let mut below = vec![0.0; n];
@@ -699,13 +611,13 @@ fn uniformized_pass(
         if k == k_max {
             break;
         }
-        // The shared running sum takes power k fused into the step that
-        // produces power k+1, while some window has not opened yet.
-        let weight = if k < shared_until { 1.0 } else { 0.0 };
-        if weight != 0.0 {
+        // The shared running sum takes power k while some window has not
+        // opened yet.
+        if k < shared_until {
+            vector::axpy(1.0, &cur, &mut below);
             axpys += 1;
         }
-        stepper.step_fused(&cur, &mut next, weight, &mut below);
+        kernel.apply(&cur, &mut next);
         steps += 1;
         if opts.steady_state_detection {
             let diff = vector::diff_norm_inf(&cur, &next);
@@ -722,7 +634,6 @@ fn uniformized_pass(
         std::mem::swap(&mut cur, &mut next);
     }
     flight.ssd_trigger_step = ssd.trigger_step;
-    flight.active_states = Some(stepper.peak_active);
     finish_uniformized(&mut flight, &mut span, steps, axpys);
     Ok(())
 }
@@ -1218,7 +1129,7 @@ mod tests {
     fn distribution_at_times_runs_one_pass_for_all_its_horizons() {
         // Forced to uniformization, the π-only call feeds every horizon
         // from one power sequence: each answer is its one-horizon solve
-        // up to the drop tolerance of the largest window.
+        // bit for bit.
         let erlang = Ctmc::from_transitions(6, (0..5).map(|i| (i, i + 1, 1.7))).unwrap();
         let pi0 = erlang.point_distribution(0);
         let opts = Options {
@@ -1229,10 +1140,10 @@ mod tests {
         let all = distribution_at_times(&erlang, &pi0, &times, &opts).unwrap();
         let pairs = distribution_and_occupancy_at_times(&erlang, &pi0, &times, &opts).unwrap();
         for ((&t, pi), (pair_pi, _)) in times.iter().zip(&all).zip(&pairs) {
-            // One pass, one drop tolerance: the pair's π is the same sum.
+            // One pass, one power sequence: the pair's π is the same sum.
             assert_eq!(bits(pi), bits(pair_pi), "t = {t}");
             let alone = distribution(&erlang, &pi0, t, &opts).unwrap();
-            assert!(vector::diff_norm_inf(pi, &alone) < 1e-14, "t = {t}");
+            assert_eq!(bits(pi), bits(&alone), "t = {t}");
         }
         let one = distribution_at_times(&erlang, &pi0, &[3.0], &opts).unwrap();
         assert_eq!(

@@ -14,9 +14,9 @@ use crate::{expm, fox_glynn, Ctmc};
 const PASS_NS: f64 = 8_000.0;
 /// Cost of one power step that does not grow with the chain: the loop, the
 /// steady-state check and the horizon bookkeeping.
-const STEP_NS: f64 = 50.0;
+const STEP_NS: f64 = 70.0;
 /// Cost of a power step per stored entry of `P` (taken as `nnz(Q) + n`).
-const STEP_ENTRY_NS: f64 = 2.0;
+const STEP_ENTRY_NS: f64 = 1.75;
 /// Cost of one accumulation `acc += w·x` of an open horizon, per call and
 /// per vector entry.
 const AXPY_NS: f64 = 30.0;

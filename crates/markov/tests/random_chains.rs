@@ -255,6 +255,41 @@ proptest! {
     }
 
     #[test]
+    fn multi_horizon_uniformization_pass_is_bitwise_one_horizon_solves(
+        unichain in arb_unichain(),
+        times in proptest::collection::vec(0.0..30.0f64, 1..6),
+        start in 0usize..10,
+        ssd in 0usize..2,
+    ) {
+        // Unsorted, with t = 0 and a repeated horizon, on stiff chains whose
+        // early powers carry states of tiny mass. Every step is the same
+        // kernel whatever the windows, so each horizon of the pass is its
+        // one-horizon solve bit for bit, with detection on or off.
+        let chain = unichain.0;
+        let mut times = times;
+        times.push(0.0);
+        times.push(times[0]);
+        let pi0 = chain.point_distribution(start % chain.n_states());
+        let opts = Options {
+            method: Method::Uniformization,
+            steady_state_detection: ssd == 1,
+            ..Default::default()
+        };
+        let all = transient::distribution_and_occupancy_at_times(&chain, &pi0, &times, &opts)
+            .unwrap();
+        let pis = transient::distribution_at_times(&chain, &pi0, &times, &opts).unwrap();
+        prop_assert_eq!(all.len(), times.len());
+        for ((&t, (pi, l)), pi_only) in times.iter().zip(&all).zip(&pis) {
+            let (want_pi, want_l) =
+                transient::distribution_and_occupancy(&chain, &pi0, t, &opts).unwrap();
+            let want_pi_only = transient::distribution(&chain, &pi0, t, &opts).unwrap();
+            prop_assert!(bits(pi) == bits(&want_pi), "π at t = {t}");
+            prop_assert!(bits(l) == bits(&want_l), "L at t = {t}");
+            prop_assert!(bits(pi_only) == bits(&want_pi_only), "π-only at t = {t}");
+        }
+    }
+
+    #[test]
     fn dense_chain_matches_one_horizon_solves(
         chain in arb_ctmc(5, 2.0),
         steps in proptest::collection::vec(0usize..3, 3..8),

@@ -227,21 +227,6 @@ impl CsrMatrix {
         coo.to_csr()
     }
 
-    /// Returns `alpha · A` as a new matrix.
-    pub fn scaled(&self, alpha: f64) -> CsrMatrix {
-        let mut out = self.clone();
-        for v in &mut out.values {
-            *v *= alpha;
-        }
-        out
-    }
-
-    /// The main diagonal (length `min(rows, cols)`).
-    pub fn diagonal(&self) -> Vec<f64> {
-        let n = self.rows.min(self.cols);
-        (0..n).map(|i| self.get(i, i)).collect()
-    }
-
     /// Per-row sums `Σ_c A[r, c]`.
     ///
     /// For a CTMC generator these should all be (numerically) zero; for a
@@ -428,16 +413,9 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_and_row_sums() {
+    fn row_sums_add_each_row() {
         let a = sample();
-        assert_eq!(a.diagonal(), vec![1.0, 3.0]);
         assert_eq!(a.row_sums(), vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn scaled_multiplies_values() {
-        let a = sample().scaled(2.0);
-        assert_eq!(a.get(0, 2), 4.0);
     }
 
     #[test]

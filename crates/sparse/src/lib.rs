@@ -13,9 +13,7 @@
 //!   ([`LuDecomposition`]), used for direct steady-state solutions and by the
 //!   matrix-exponential transient solver in the `markov` crate.
 //! * [`BlockedKernel`] — a transposed, gather-oriented layout of a CSR
-//!   matrix built once and applied across all powers of a uniformization
-//!   pass, with a fused step-plus-weighted-accumulate and an adaptive
-//!   (mass-dropping) scatter variant.
+//!   matrix built once and applied at every step of a uniformization pass.
 //! * [`vector`] — the handful of BLAS-1 style kernels (`axpy`, `dot`, norms)
 //!   the solvers need.
 //!
@@ -39,7 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocked;
+mod blocked;
 pub mod checked;
 mod coo;
 mod csr;

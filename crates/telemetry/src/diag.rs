@@ -42,9 +42,6 @@ pub struct SolveDiag {
     /// Step at which steady-state detection cut the solve short, when it
     /// triggered.
     pub ssd_trigger_step: Option<u64>,
-    /// Peak active-state count an adaptive (mass-dropping) solve touched,
-    /// when the method tracks its support.
-    pub active_states: Option<u64>,
 }
 
 impl SolveDiag {
@@ -95,9 +92,6 @@ impl SolveDiag {
         if let Some(step) = self.ssd_trigger_step {
             span.record("solve.ssd_trigger_step", step);
         }
-        if let Some(active) = self.active_states {
-            span.record("solve.active_states", active);
-        }
     }
 }
 
@@ -131,7 +125,6 @@ mod tests {
             diag.fox_glynn_window = Some((3, 91));
             diag.spmv_ops = 88;
             diag.ssd_trigger_step = Some(37);
-            diag.active_states = Some(12);
             diag.push_residual(1e-13);
             diag.record_on(&mut span);
         }
@@ -160,7 +153,6 @@ mod tests {
         );
         assert_eq!(arg("solve.uniformization_rate"), Some(ArgValue::F64(1e7)));
         assert_eq!(arg("solve.ssd_trigger_step"), Some(ArgValue::U64(37)));
-        assert_eq!(arg("solve.active_states"), Some(ArgValue::U64(12)));
         let direct = &of("solve.direct").args;
         assert!(direct
             .iter()
