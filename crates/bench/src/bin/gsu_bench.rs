@@ -138,14 +138,16 @@ fn profile(mut args: impl Iterator<Item = String>) -> ExitCode {
     let Some(trace) = trace else {
         return usage("profile needs --trace PATH");
     };
-    let doc = match std::fs::read_to_string(&trace) {
-        Ok(doc) => doc,
+    let events = match std::fs::read_to_string(&trace)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| gsu_bench::profile::parse_chrome_trace(&doc))
+    {
+        Ok(events) => events,
         Err(e) => {
             eprintln!("gsu-bench profile: cannot read {}: {e}", trace.display());
             return ExitCode::from(2);
         }
     };
-    let events = gsu_bench::profile::parse_chrome_trace(&doc);
     if events.is_empty() {
         eprintln!(
             "gsu-bench profile: no span events with trace/span ids in {}",

@@ -11,9 +11,11 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::io;
 use std::path::Path;
 
 use performability::{GsuAnalysis, PerfError, SweepPoint};
+use telemetry::json::{self, Value};
 
 pub mod experiments;
 pub mod loadgen;
@@ -105,13 +107,18 @@ pub struct BenchRecord {
 }
 
 /// Merges `record` into the JSON log at `path`, replacing any existing entry
-/// with the same `(name, threads)` key.
+/// with the same `(name, threads)` key; a missing log is created.
 ///
 /// # Errors
 ///
-/// Returns I/O errors from reading or writing the log.
+/// Returns I/O errors from reading or writing the log, and a log that does
+/// not read (see [`read_bench_records`]).
 pub fn merge_bench_record(path: &Path, record: BenchRecord) -> std::io::Result<()> {
-    let mut records = read_bench_records(path).unwrap_or_default();
+    let mut records = match read_bench_records(path) {
+        Ok(records) => records,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
     match records
         .iter_mut()
         .find(|r| r.name == record.name && r.threads == record.threads)
@@ -122,15 +129,59 @@ pub fn merge_bench_record(path: &Path, record: BenchRecord) -> std::io::Result<(
     write_bench_records(path, &records)
 }
 
-/// Reads a `BENCH_sweep.json`-format log. A missing file is an error;
-/// malformed *entries* within a readable file are dropped (see
-/// [`parse_bench_records`][self]).
+/// Reads the sweep records of a `BENCH_sweep.json`-format log, skipping
+/// the `benchmark:` counter records a baseline also holds (see
+/// [`regress::read_counter_records`]). Work counters absent from a record
+/// read as 0, so logs from before the counters existed keep reading (the
+/// regress gate then fails any positive count).
 ///
 /// # Errors
 ///
-/// Returns the underlying read error (`NotFound` for an absent log).
-pub fn read_bench_records(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
-    Ok(parse_bench_records(&std::fs::read_to_string(path)?))
+/// The underlying read error (`NotFound` for an absent log), or
+/// `InvalidData` for a log that is not a JSON array of objects or a sweep
+/// record without `name`, `wall_ms`, `threads` and `grid`.
+pub fn read_bench_records(path: &Path) -> io::Result<Vec<BenchRecord>> {
+    read_log(path)?
+        .iter()
+        .filter(|record| !regress::is_counter_record(record))
+        .map(BenchRecord::from_json)
+        .collect::<Result<_, _>>()
+        .map_err(|e| invalid_log(path, e))
+}
+
+/// The records of a JSON log: the items of its top-level array.
+pub(crate) fn read_log(path: &Path) -> io::Result<Vec<Value>> {
+    match json::parse(&std::fs::read_to_string(path)?) {
+        Ok(Value::Arr(records)) => Ok(records),
+        Ok(_) => Err(invalid_log(path, "not a JSON array".to_string())),
+        Err(e) => Err(invalid_log(path, e)),
+    }
+}
+
+pub(crate) fn invalid_log(path: &Path, message: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {message}", path.display()),
+    )
+}
+
+impl BenchRecord {
+    fn from_json(record: &Value) -> Result<BenchRecord, String> {
+        let work = |key: &str| match record.get(key) {
+            Some(_) => record.uint(key),
+            None => Ok(0),
+        };
+        Ok(BenchRecord {
+            name: record.string("name")?.to_string(),
+            wall_ms: record.num("wall_ms")?,
+            threads: record.uint("threads")? as usize,
+            grid: record.uint("grid")? as usize,
+            iterations: work("iterations")?,
+            spmv_ops: work("spmv_ops")?,
+            spmv_nnz: work("spmv_nnz")?,
+            flops: work("flops")?,
+        })
+    }
 }
 
 /// Writes `records` in the `BENCH_sweep.json` format, sorted by
@@ -153,7 +204,14 @@ pub(crate) fn bench_record_lines(records: &[BenchRecord]) -> Vec<String> {
             format!(
                 "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
                  \"iterations\": {}, \"spmv_ops\": {}, \"spmv_nnz\": {}, \"flops\": {}}}",
-                r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops, r.spmv_nnz, r.flops
+                json::escape(&r.name),
+                r.wall_ms,
+                r.threads,
+                r.grid,
+                r.iterations,
+                r.spmv_ops,
+                r.spmv_nnz,
+                r.flops
             )
         })
         .collect()
@@ -172,63 +230,6 @@ pub(crate) fn write_json_lines(path: &Path, objects: &[String]) -> std::io::Resu
     }
     body.push_str("]\n");
     std::fs::write(path, body)
-}
-
-/// Parses the records this module writes (a minimal scanner, not a general
-/// JSON parser — malformed entries are dropped rather than erroring so a
-/// corrupt log heals on the next run).
-fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
-    let mut out = Vec::new();
-    for chunk in text.split('{').skip(1) {
-        let body = chunk.split('}').next().unwrap_or("");
-        let name = json_field(body, "name").map(|v| v.trim_matches('"').to_string());
-        let wall_ms = json_field(body, "wall_ms").and_then(|v| v.parse().ok());
-        let threads = json_field(body, "threads").and_then(|v| v.parse().ok());
-        let grid = json_field(body, "grid").and_then(|v| v.parse().ok());
-        // Work metrics default to 0 so logs from before the counters existed
-        // keep parsing (the regress gate then fails any positive count).
-        let iterations = json_field(body, "iterations")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let spmv_ops = json_field(body, "spmv_ops")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let spmv_nnz = json_field(body, "spmv_nnz")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let flops = json_field(body, "flops")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if let (Some(name), Some(wall_ms), Some(threads), Some(grid)) =
-            (name, wall_ms, threads, grid)
-        {
-            out.push(BenchRecord {
-                name,
-                wall_ms,
-                threads,
-                grid,
-                iterations,
-                spmv_ops,
-                spmv_nnz,
-                flops,
-            });
-        }
-    }
-    out
-}
-
-/// The raw value of `key` in one flat JSON object body (string values
-/// unquoted), or `None` when absent.
-pub(crate) fn json_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\"");
-    let rest = &body[body.find(&marker)? + marker.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = if let Some(quoted) = rest.strip_prefix('"') {
-        return quoted.split('"').next().map(|v| v.trim());
-    } else {
-        rest.find([',', '\n']).unwrap_or(rest.len())
-    };
-    Some(rest[..end].trim())
 }
 
 /// Run-scoped telemetry session for `gsu-bench run`.
@@ -492,9 +493,12 @@ mod tests {
         merge_bench_record(&path, rec("fig10", 410.5, 1)).unwrap();
         // Same (name, threads) key updates in place.
         merge_bench_record(&path, rec("fig9", 245.125, 1)).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let records = parse_bench_records(&text);
-        assert_eq!(records.len(), 3);
+        // A name is written escaped and reads back as it was.
+        let odd = "serve:a\"b\\{,}\n:p50";
+        merge_bench_record(&path, rec(odd, 1.5, 2)).unwrap();
+        let records = read_bench_records(&path).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(records[3], rec(odd, 1.5, 2));
         assert_eq!(
             records[1],
             BenchRecord {
@@ -514,9 +518,14 @@ mod tests {
 
     #[test]
     fn logs_without_work_metrics_parse_with_zeroes() {
+        let dir = std::env::temp_dir().join("gsu-bench-old-log-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_sweep.json");
         let old = "[\n  {\"name\": \"fig9\", \"wall_ms\": 100.000, \
                    \"threads\": 1, \"grid\": 10}\n]\n";
-        let records = parse_bench_records(old);
+        std::fs::write(&path, old).unwrap();
+        let records = read_bench_records(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].iterations, 0);
         assert_eq!(records[0].spmv_ops, 0);

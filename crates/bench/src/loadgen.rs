@@ -21,8 +21,9 @@
 //!   until the deadline. This measures service capacity, not SLO
 //!   attainment, and is reported but never gated.
 //!
-//! With `--check` the run becomes a CI gate: the written report must parse
-//! back, the per-endpoint attainment must meet `SLO.json`, and the
+//! The written report must read back equal to the run's own report. With
+//! `--check` the run becomes a CI gate: the per-endpoint attainment must
+//! meet `SLO.json`, and the
 //! server's own `/stats` windowed quantiles must agree with the
 //! client-measured ones to within log-bucket resolution (a unit error —
 //! ms vs µs — is ~3 decades and fails loudly; honest histogram error is
@@ -38,6 +39,7 @@ use gsu_scenario::ast::ScenarioSpec;
 use gsu_serve::http::{http_get, HttpClient};
 use gsu_serve::slo::{self, SloDoc};
 use mdcd_sim::SimRng;
+use telemetry::json::{self, Value};
 
 use crate::{merge_bench_record, BenchRecord};
 
@@ -301,7 +303,8 @@ pub fn build_targets(n: usize, seed: u64, catalog: &[ScenarioSpec]) -> Vec<Targe
 ///
 /// Unresolvable address, malformed SLO document, unreachable server
 /// (warmup fails), a run with zero successful requests, report write
-/// failures, or a written report that does not parse back.
+/// failures, or a written report that does not read back equal to the
+/// run's report.
 pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     if config.connections == 0 {
         return Err("connections must be at least 1".to_string());
@@ -407,20 +410,23 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         report.checks = run_checks(addr, doc, &samples, &report);
     }
 
-    let json = report.to_json();
+    // The report must round-trip: one that does not read back as the run
+    // measured it is a malformed report, and that is a failure.
+    let mut written = report.to_json();
+    let mut source = "report".to_string();
     if let Some(path) = &config.report_path {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
         }
-        std::fs::write(path, &json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        // The committed artifact must round-trip: a report nobody can parse
-        // back is a malformed report, and with --check that is a failure.
-        let written = std::fs::read_to_string(path)
+        std::fs::write(path, &written)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        written = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot re-read {}: {e}", path.display()))?;
-        parse_report(&written).map_err(|e| format!("malformed report {}: {e}", path.display()))?;
-    } else {
-        parse_report(&json).map_err(|e| format!("malformed report: {e}"))?;
+        source = format!("report {}", path.display());
+    }
+    if parse_report(&written).map_err(|e| format!("malformed {source}: {e}"))? != report {
+        return Err(format!("{source} does not read back as the run's report"));
     }
 
     if let Some(path) = &config.bench_path {
@@ -652,6 +658,8 @@ fn run_checks(
 
     match http_get(addr, "/stats") {
         Ok((200, body)) => {
+            // A body that is not JSON has no routes; each check then fails.
+            let stats = json::parse(&body).unwrap_or(Value::Null);
             for def in &doc.slos {
                 let Some(measured) = report.endpoints.iter().find(|e| e.endpoint == def.endpoint)
                 else {
@@ -668,7 +676,7 @@ fn run_checks(
                     });
                     continue;
                 }
-                let (passed, detail) = match stats_route(&body, &def.endpoint) {
+                let (passed, detail) = match stats_route(&stats, &def.endpoint) {
                     Some((p50, p99)) => {
                         let d50 = (p50 / measured.p50_us).log10().abs();
                         let d99 = (p99 / measured.p99_us).log10().abs();
@@ -703,14 +711,14 @@ fn run_checks(
     checks
 }
 
-/// Pulls `(p50_us, p99_us)` for `route` out of a `gsu-stats-v1` body.
-fn stats_route(body: &str, route: &str) -> Option<(f64, f64)> {
-    let routes = body.split_once("\"routes\":[")?.1;
-    let routes = &routes[..routes.find(']').unwrap_or(routes.len())];
-    let marker = format!("\"route\":\"{route}\"");
-    let obj = routes.split('{').find(|chunk| chunk.contains(&marker))?;
-    let obj = &obj[..obj.find('}').unwrap_or(obj.len())];
-    Some((number_field(obj, "p50_us")?, number_field(obj, "p99_us")?))
+/// Pulls `(p50_us, p99_us)` for `route` out of a `gsu-stats-v1` document.
+fn stats_route(stats: &Value, route: &str) -> Option<(f64, f64)> {
+    let entry = stats
+        .array("routes")
+        .ok()?
+        .iter()
+        .find(|r| r.string("route") == Ok(route))?;
+    Some((entry.num("p50_us").ok()?, entry.num("p99_us").ok()?))
 }
 
 impl LoadgenReport {
@@ -727,8 +735,8 @@ impl LoadgenReport {
              \"rate_rps\":{},\"duration_s\":{},\"connections\":{},\"seed\":{},\
              \"keep_alive\":{},\"requests\":{},\"errors\":{},\"connects\":{},\
              \"elapsed_s\":{},\"throughput_rps\":{},\n \"overall\":",
-            self.mode,
-            self.label,
+            json::escape(&self.mode),
+            json::escape(&self.label),
             self.rate_rps,
             self.duration_s,
             self.connections,
@@ -757,7 +765,9 @@ impl LoadgenReport {
             let _ = write!(
                 out,
                 "\n  {{\"name\":\"{}\",\"passed\":{},\"detail\":\"{}\"}}",
-                c.name, c.passed, c.detail
+                json::escape(&c.name),
+                c.passed,
+                json::escape(&c.detail)
             );
         }
         out.push_str("]}\n");
@@ -802,118 +812,75 @@ fn push_stats(out: &mut String, e: &EndpointStats) {
         out,
         "{{\"endpoint\":\"{}\",\"count\":{},\"errors\":{},\"mean_us\":{},\
          \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{}}}",
-        e.endpoint, e.count, e.errors, e.mean_us, e.p50_us, e.p90_us, e.p99_us, e.p999_us, e.max_us
+        json::escape(&e.endpoint),
+        e.count,
+        e.errors,
+        e.mean_us,
+        e.p50_us,
+        e.p90_us,
+        e.p99_us,
+        e.p999_us,
+        e.max_us
     );
 }
 
-/// Parses a `gsu-loadgen-v1` report back into a [`LoadgenReport`]
-/// (checks are parsed for their verdicts; details round-trip as written).
+/// Parses a `gsu-loadgen-v1` report back into a [`LoadgenReport`].
 ///
 /// # Errors
 ///
 /// A description of the first missing or malformed field.
 pub fn parse_report(text: &str) -> Result<LoadgenReport, String> {
-    if !text.contains(&format!("\"schema\":\"{REPORT_SCHEMA}\"")) {
+    let doc = json::parse(text)?;
+    if doc.string("schema") != Ok(REPORT_SCHEMA) {
         return Err(format!("missing schema tag {REPORT_SCHEMA:?}"));
     }
-    let num =
-        |key: &str| number_field(text, key).ok_or_else(|| format!("missing numeric field {key:?}"));
-    let overall_body = text
-        .split_once("\"overall\":{")
-        .map(|(_, rest)| &rest[..rest.find('}').unwrap_or(rest.len())])
-        .ok_or("missing \"overall\" object")?;
-    let endpoints_body = text
-        .split_once("\"endpoints\":[")
-        .map(|(_, rest)| &rest[..rest.find(']').unwrap_or(rest.len())])
-        .ok_or("missing \"endpoints\" array")?;
-    let endpoints = endpoints_body
-        .split('{')
-        .skip(1)
-        .map(|chunk| parse_stats(&chunk[..chunk.find('}').unwrap_or(chunk.len())]))
-        .collect::<Result<Vec<_>, _>>()?;
-    let checks_body = text
-        .split_once("\"checks\":[")
-        .map(|(_, rest)| &rest[..rest.find(']').unwrap_or(rest.len())])
-        .ok_or("missing \"checks\" array")?;
-    let checks = checks_body
-        .split('{')
-        .skip(1)
-        .map(|chunk| {
-            let obj = &chunk[..chunk.find('}').unwrap_or(chunk.len())];
-            let name = string_field(obj, "name").ok_or("check missing \"name\"")?;
-            let passed = match string_free_field(obj, "passed") {
-                Some("true") => true,
-                Some("false") => false,
-                _ => return Err("check missing boolean \"passed\"".to_string()),
-            };
-            let detail = string_field(obj, "detail").unwrap_or_default();
+    let checks = doc
+        .array("checks")?
+        .iter()
+        .map(|check| {
             Ok(Check {
-                name,
-                passed,
-                detail,
+                name: check.string("name")?.to_string(),
+                passed: check.boolean("passed")?,
+                detail: check.string("detail")?.to_string(),
             })
         })
-        .collect::<Result<Vec<_>, String>>()?;
+        .collect::<Result<_, String>>()?;
     Ok(LoadgenReport {
-        mode: string_field(text, "mode").ok_or("missing string field \"mode\"")?,
-        label: string_field(text, "label").ok_or("missing string field \"label\"")?,
-        rate_rps: num("rate_rps")?,
-        duration_s: num("duration_s")?,
-        connections: num("connections")? as usize,
-        seed: num("seed")? as u64,
-        keep_alive: match string_free_field(text, "keep_alive") {
-            Some("true") => true,
-            Some("false") => false,
-            _ => return Err("missing boolean field \"keep_alive\"".to_string()),
-        },
-        requests: num("requests")? as u64,
-        errors: num("errors")? as u64,
-        connects: num("connects")? as u64,
-        elapsed_s: num("elapsed_s")?,
-        throughput_rps: num("throughput_rps")?,
-        overall: parse_stats(overall_body)?,
-        endpoints,
+        mode: doc.string("mode")?.to_string(),
+        label: doc.string("label")?.to_string(),
+        rate_rps: doc.num("rate_rps")?,
+        duration_s: doc.num("duration_s")?,
+        connections: doc.uint("connections")? as usize,
+        seed: doc.uint("seed")?,
+        keep_alive: doc.boolean("keep_alive")?,
+        requests: doc.uint("requests")?,
+        errors: doc.uint("errors")?,
+        connects: doc.uint("connects")?,
+        elapsed_s: doc.num("elapsed_s")?,
+        throughput_rps: doc.num("throughput_rps")?,
+        overall: parse_stats(doc.get("overall").ok_or("missing \"overall\" object")?)?,
+        endpoints: doc
+            .array("endpoints")?
+            .iter()
+            .map(parse_stats)
+            .collect::<Result<_, _>>()?,
         checks,
     })
 }
 
-/// Parses one serialized [`EndpointStats`] object body.
-fn parse_stats(obj: &str) -> Result<EndpointStats, String> {
-    let num = |key: &str| {
-        number_field(obj, key).ok_or_else(|| format!("stats entry missing numeric field {key:?}"))
-    };
+/// Parses one serialized [`EndpointStats`] object.
+fn parse_stats(stats: &Value) -> Result<EndpointStats, String> {
     Ok(EndpointStats {
-        endpoint: string_field(obj, "endpoint").ok_or("stats entry missing \"endpoint\"")?,
-        count: num("count")? as u64,
-        errors: num("errors")? as u64,
-        mean_us: num("mean_us")?,
-        p50_us: num("p50_us")?,
-        p90_us: num("p90_us")?,
-        p99_us: num("p99_us")?,
-        p999_us: num("p999_us")?,
-        max_us: num("max_us")?,
+        endpoint: stats.string("endpoint")?.to_string(),
+        count: stats.uint("count")?,
+        errors: stats.uint("errors")?,
+        mean_us: stats.num("mean_us")?,
+        p50_us: stats.num("p50_us")?,
+        p90_us: stats.num("p90_us")?,
+        p99_us: stats.num("p99_us")?,
+        p999_us: stats.num("p999_us")?,
+        max_us: stats.num("max_us")?,
     })
-}
-
-/// Value of `"key":<number>` in `obj`, if present and parsable.
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    string_free_field(obj, key)?.parse().ok()
-}
-
-/// Raw unquoted token after `"key":` (number, `true`, `false`).
-fn string_free_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Value of `"key":"<string>"` in `obj` (no escape handling: endpoint
-/// paths, labels, and check names are plain).
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    rest.split('"').next().map(str::to_string)
 }
 
 #[cfg(test)]
@@ -1022,6 +989,22 @@ mod tests {
         let parsed = parse_report(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
         assert!(parsed.passed());
+
+        // Free text is escaped on the way out and reads back exactly; so
+        // do quantiles that need every digit and seeds beyond 2^53.
+        let odd = "a\"b\\c {x}, {\"name\":1}\nend";
+        let mut report = sample_report();
+        report.label = odd.to_string();
+        report.seed = u64::MAX;
+        report.overall.p99_us = 0.1 + 0.2;
+        report.checks.push(Check {
+            name: format!("slo:{odd}"),
+            passed: false,
+            detail: odd.to_string(),
+        });
+        let parsed = parse_report(&report.to_json()).unwrap();
+        assert_eq!(parsed, report);
+        assert!(!parsed.passed());
     }
 
     #[test]
@@ -1040,6 +1023,14 @@ mod tests {
             parse_report(&good.replace("\"overall\":", "\"overall_gone\":")).is_err(),
             "missing overall"
         );
+        assert!(
+            parse_report(&good.replace("\"passed\":true", "\"passed\":\"true\"")).is_err(),
+            "non-boolean verdict"
+        );
+        assert!(
+            parse_report(&format!("{good}}}")).is_err(),
+            "trailing content"
+        );
     }
 
     #[test]
@@ -1050,9 +1041,11 @@ mod tests {
             {"route":"/eval","count":10,"mean_us":1500,"p50_us":1200,"p90_us":2000,"p99_us":3000,"p999_us":3500,"max_us":4000},
             {"route":"/metrics","count":4,"mean_us":300,"p50_us":250,"p90_us":400,"p99_us":500,"p999_us":550,"max_us":600}],
           "slos":[{"endpoint":"/eval","threshold_ms":250,"target":0.9,"count":10,"attainment":1,"burn_rate":0,"met":true}]}"#;
-        assert_eq!(stats_route(body, "/eval"), Some((1200.0, 3000.0)));
-        assert_eq!(stats_route(body, "/metrics"), Some((250.0, 500.0)));
-        assert_eq!(stats_route(body, "/nope"), None);
+        let stats = json::parse(body).unwrap();
+        assert_eq!(stats_route(&stats, "/eval"), Some((1200.0, 3000.0)));
+        assert_eq!(stats_route(&stats, "/metrics"), Some((250.0, 500.0)));
+        assert_eq!(stats_route(&stats, "/nope"), None);
+        assert_eq!(stats_route(&Value::Null, "/eval"), None);
     }
 
     #[test]

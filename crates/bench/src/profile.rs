@@ -17,6 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use telemetry::json;
+
 /// One complete (`ph == "X"`) span event parsed from a trace document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
@@ -33,43 +35,29 @@ pub struct SpanEvent {
 }
 
 /// Parses the events of a Chrome `trace_event` document produced by this
-/// workspace's collector. A minimal scanner, not a general JSON parser:
-/// events missing the `span_id`/`parent_id` args (foreign documents) are
-/// skipped rather than erroring.
-pub fn parse_chrome_trace(doc: &str) -> Vec<SpanEvent> {
-    let mut out = Vec::new();
-    for chunk in doc.split("{\"name\":\"").skip(1) {
-        let Some(name) = chunk.split('"').next() else {
-            continue;
-        };
-        let dur_us = field_u64(chunk, "\"dur\":");
-        let span_id = field_u64(chunk, "\"span_id\":");
-        let parent_id = field_u64(chunk, "\"parent_id\":");
-        let trace_id = chunk
-            .split("\"trace_id\":\"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next());
-        if let (Some(dur_us), Some(span_id), Some(parent_id), Some(trace_id)) =
-            (dur_us, span_id, parent_id, trace_id)
-        {
-            out.push(SpanEvent {
-                name: name.to_string(),
-                dur_us,
-                span_id,
-                parent_id,
-                trace_id: trace_id.to_string(),
-            });
-        }
-    }
-    out
-}
-
-fn field_u64(chunk: &str, marker: &str) -> Option<u64> {
-    let rest = &chunk[chunk.find(marker)? + marker.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// workspace's collector. Events without a `span_id`/`parent_id`/`trace_id`
+/// in their args (those of foreign documents) are skipped rather than
+/// erroring.
+///
+/// # Errors
+///
+/// A document that is not JSON or has no `traceEvents` array.
+pub fn parse_chrome_trace(doc: &str) -> Result<Vec<SpanEvent>, String> {
+    let doc = json::parse(doc)?;
+    Ok(doc
+        .array("traceEvents")?
+        .iter()
+        .filter_map(|event| {
+            let args = event.get("args")?;
+            Some(SpanEvent {
+                name: event.string("name").ok()?.to_string(),
+                dur_us: event.uint("dur").ok()?,
+                span_id: args.uint("span_id").ok()?,
+                parent_id: args.uint("parent_id").ok()?,
+                trace_id: args.string("trace_id").ok()?.to_string(),
+            })
+        })
+        .collect())
 }
 
 /// A span-tree profile: per-path self times plus per-name aggregates.
@@ -171,7 +159,7 @@ mod tests {
             r#"{"name":"serve.request","cat":"gsu","ph":"X","ts":0,"dur":100,"pid":1,"tid":1,"args":{"trace_id":"00000000000000aa","span_id":1,"parent_id":0}}"#,
             r#"{"name":"serve.eval","cat":"gsu","ph":"X","ts":5,"dur":80,"pid":1,"tid":1,"args":{"trace_id":"00000000000000aa","span_id":2,"parent_id":1}}"#,
             r#"{"name":"markov.solve.expm","cat":"gsu","ph":"X","ts":10,"dur":30,"pid":1,"tid":2,"args":{"trace_id":"00000000000000aa","span_id":3,"parent_id":2,"solve.method":"expm"}}"#,
-            r#"{"name":"markov.solve.expm","cat":"gsu","ph":"X","ts":50,"dur":20,"pid":1,"tid":3,"args":{"trace_id":"00000000000000aa","span_id":4,"parent_id":2}}"#,
+            r#"{"name":"markov.solve.expm","cat":"gsu","ph":"X","ts":50,"dur":20,"pid":1,"tid":3,"args":{"trace_id":"00000000000000aa","span_id":4,"parent_id":2,"note":"a \"quoted\" {\"name\":\"fake\",\"dur\":9}"}}"#,
             r#"{"name":"other.trace","cat":"gsu","ph":"X","ts":0,"dur":7,"pid":1,"tid":1,"args":{"trace_id":"00000000000000bb","span_id":9,"parent_id":0}}"#,
             r#"{"name":"orphan","cat":"gsu","ph":"X","ts":0,"dur":5,"pid":1,"tid":1,"args":{"trace_id":"00000000000000aa","span_id":12,"parent_id":999}}"#,
         ];
@@ -183,7 +171,7 @@ mod tests {
 
     #[test]
     fn parses_own_collector_format() {
-        let events = parse_chrome_trace(&doc());
+        let events = parse_chrome_trace(&doc()).unwrap();
         assert_eq!(events.len(), 6);
         assert_eq!(events[0].name, "serve.request");
         assert_eq!(events[0].span_id, 1);
@@ -193,7 +181,7 @@ mod tests {
 
     #[test]
     fn self_time_subtracts_direct_children() {
-        let profile = build_profile(&parse_chrome_trace(&doc()));
+        let profile = build_profile(&parse_chrome_trace(&doc()).unwrap());
         let folded = profile.folded();
         // request: 100 - 80 = 20; eval: 80 - (30 + 20) = 30; leaves keep all.
         assert!(folded.contains("serve.request 20\n"), "{folded}");
@@ -220,7 +208,7 @@ mod tests {
             {"name":"parent","ph":"X","ts":0,"dur":10,"args":{"trace_id":"0000000000000001","span_id":1,"parent_id":0}},
             {"name":"fanout","ph":"X","ts":0,"dur":9,"args":{"trace_id":"0000000000000001","span_id":2,"parent_id":1}},
             {"name":"fanout","ph":"X","ts":0,"dur":9,"args":{"trace_id":"0000000000000001","span_id":3,"parent_id":1}}]}"#;
-        let profile = build_profile(&parse_chrome_trace(doc));
+        let profile = build_profile(&parse_chrome_trace(doc).unwrap());
         assert!(
             profile.folded().contains("parent 0\n"),
             "{}",
@@ -232,6 +220,7 @@ mod tests {
     fn foreign_documents_yield_no_events() {
         // Events without span ids (a trace from some other tool) are skipped.
         let doc = r#"{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":3,"args":{}}]}"#;
-        assert!(parse_chrome_trace(doc).is_empty());
+        assert!(parse_chrome_trace(doc).unwrap().is_empty());
+        assert!(parse_chrome_trace("not a trace").is_err());
     }
 }

@@ -19,7 +19,11 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::{bench_record_lines, json_field, read_bench_records, write_json_lines, BenchRecord};
+use telemetry::json::{self, Value};
+
+use crate::{
+    bench_record_lines, invalid_log, read_bench_records, read_log, write_json_lines, BenchRecord,
+};
 
 /// Default wall-time regression threshold: 10% slower than baseline fails.
 /// Work counters get no tolerance.
@@ -390,37 +394,44 @@ pub struct CounterRecord {
     pub counters: Vec<(String, f64)>,
 }
 
+/// Whether a log record is a benchmark workload's [`CounterRecord`]: its
+/// name carries the `benchmark:` prefix.
+pub(crate) fn is_counter_record(record: &Value) -> bool {
+    record
+        .string("name")
+        .is_ok_and(|name| name.starts_with(COUNTER_PREFIX))
+}
+
 /// Reads the counter records of a baseline log; a missing file has none.
+/// A counter absent from a record is not read (and so not gated).
 ///
 /// # Errors
 ///
-/// Read failures other than `NotFound`.
+/// Read failures other than `NotFound`, and `InvalidData` for a log that
+/// does not read (see [`read_bench_records`]) or a counter that is not a
+/// number.
 pub fn read_counter_records(path: &Path) -> std::io::Result<Vec<CounterRecord>> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(parse_counter_records(&text)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(e),
-    }
-}
-
-fn parse_counter_records(text: &str) -> Vec<CounterRecord> {
-    text.split('{')
-        .skip(1)
-        .filter_map(|chunk| {
-            let body = chunk.split('}').next().unwrap_or("");
-            let name = json_field(body, "name")?;
-            name.starts_with(COUNTER_PREFIX).then(|| CounterRecord {
-                name: name.to_string(),
-                counters: BENCHMARK_COUNTERS
-                    .iter()
-                    .filter_map(|&c| {
-                        let value = json_field(body, c)?.parse().ok()?;
-                        Some((c.to_string(), value))
-                    })
-                    .collect(),
+    let records = match read_log(path) {
+        Ok(records) => records,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    records
+        .iter()
+        .filter(|record| is_counter_record(record))
+        .map(|record| {
+            let counters = BENCHMARK_COUNTERS
+                .iter()
+                .filter(|&&counter| record.get(counter).is_some())
+                .map(|&counter| Ok((counter.to_string(), record.num(counter)?)))
+                .collect::<Result<_, String>>()?;
+            Ok(CounterRecord {
+                name: record.string("name")?.to_string(),
+                counters,
             })
         })
-        .collect()
+        .collect::<Result<_, String>>()
+        .map_err(|e| invalid_log(path, e))
 }
 
 /// Writes a baseline log: the sweep records (as
@@ -435,7 +446,7 @@ fn write_baseline(
     counters.sort_by(|a, b| a.name.cmp(&b.name));
     let mut objects = bench_record_lines(records);
     objects.extend(counters.iter().map(|c| {
-        let mut object = format!("{{\"name\": \"{}\"", c.name);
+        let mut object = format!("{{\"name\": \"{}\"", json::escape(&c.name));
         for (counter, value) in &c.counters {
             let _ = write!(object, ", \"{counter}\": {value}");
         }
@@ -454,24 +465,24 @@ fn write_baseline(
 /// Text that is not a `gsu-benchmark-v1` run set, or a counter without a
 /// numeric value.
 pub fn parse_run_set(text: &str) -> Result<Vec<CounterRecord>, String> {
-    if !text.contains("\"gsu-benchmark-v1\"") {
+    let doc = json::parse(text)?;
+    if doc.string("schema") != Ok("gsu-benchmark-v1") {
         return Err("not a gsu-benchmark-v1 run set".to_string());
     }
     let mut out: Vec<CounterRecord> = Vec::new();
-    for run in text.split("{\"workload\":").skip(1) {
-        if json_field(run, "trace") != Some("true") {
+    for run in doc.array("runs")? {
+        if !run.boolean("trace")? {
             continue;
         }
-        let workload = run.trim_start().split('"').nth(1).unwrap_or_default();
+        let workload = run.string("workload")?;
         let name = format!("{COUNTER_PREFIX}{workload}");
+        let metrics = run.array("metrics")?;
         let mut counters = Vec::new();
         for counter in BENCHMARK_COUNTERS {
-            let marker = format!("{{\"name\": \"{counter}\", \"value\":");
-            let value = run
-                .split(&marker)
-                .nth(1)
-                .and_then(|rest| rest.split(',').next())
-                .and_then(|v| v.trim().parse::<f64>().ok())
+            let value = metrics
+                .iter()
+                .find(|m| m.string("name") == Ok(counter))
+                .and_then(|m| m.num("value").ok())
                 .ok_or_else(|| format!("{workload}: no numeric {counter}"))?;
             counters.push((counter.to_string(), value));
         }
@@ -946,6 +957,49 @@ mod tests {
             105.0
         );
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mangled_baseline_fails_the_gate() {
+        // One baseline entry that does not read must fail the run, not drop
+        // the entry: dropped, its regressed current record would be filed
+        // as new and the comparison would pass.
+        let dir = std::env::temp_dir().join("gsu-regress-mangled-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = RegressConfig {
+            baseline: dir.join("BENCH_baseline.json"),
+            current: dir.join("BENCH_sweep.json"),
+            update: false,
+            ..RegressConfig::default()
+        };
+        let baseline = [rec("fig9", 100.0, 1), rec("fig10", 100.0, 1)];
+        write_bench_records(
+            &config.current,
+            &[rec("fig9", 100.0, 1), rec("fig10", 500.0, 1)],
+        )
+        .unwrap();
+        write_bench_records(&config.baseline, &baseline).unwrap();
+        assert!(
+            !run(&config).unwrap().passed(),
+            "the intact baseline gates fig10"
+        );
+
+        let intact = std::fs::read_to_string(&config.baseline).unwrap();
+        let fig10 = "{\"name\": \"fig10\", \"wall_ms\": 100.000";
+        assert!(intact.contains(fig10), "{intact}");
+        for mangled in [
+            intact.replace(fig10, "{\"name\": \"fig10\", \"wall_ms\" 100.000"),
+            intact.replace(fig10, "{\"name\": \"fig10\", \"wall_ms\": \"100.000\""),
+            intact.replace(fig10, "{\"name\": \"fig10\", \"wall\": 100.000"),
+            intact.replace("\"threads\": 1, \"grid\": 10, \"iterations\": 0, \"spmv_ops\": 0, \"spmv_nnz\": 0, \"flops\": 0}\n]", "\"threads\": 1}\n]"),
+            "not json".to_string(),
+        ] {
+            std::fs::write(&config.baseline, &mangled).unwrap();
+            let err = run(&config).expect_err(&mangled);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,6 +9,8 @@
 
 use std::path::Path;
 
+use telemetry::json;
+
 use crate::ast::ScenarioSpec;
 use crate::ScenarioError;
 
@@ -25,7 +27,10 @@ impl GoldenCurve {
     /// Serializes the curve to its canonical JSON form.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"gsu-golden-v1\",\n");
-        out.push_str(&format!("  \"scenario\": \"{}\",\n", self.scenario));
+        out.push_str(&format!(
+            "  \"scenario\": \"{}\",\n",
+            json::escape(&self.scenario)
+        ));
         out.push_str("  \"points\": [\n");
         for (i, (phi, y)) in self.points.iter().enumerate() {
             let sep = if i + 1 == self.points.len() { "" } else { "," };
@@ -40,154 +45,37 @@ impl GoldenCurve {
     /// # Errors
     ///
     /// Returns a description of the first malformation. The parser is
-    /// strict about the schema but tolerant of whitespace.
+    /// strict about the schema (tag, keys, and value types) but tolerant of
+    /// whitespace.
     pub fn from_json(text: &str) -> Result<GoldenCurve, String> {
-        let mut p = JsonCursor::new(text);
-        p.eat('{')?;
-        let mut schema = None;
-        let mut scenario = None;
-        let mut points = None;
-        loop {
-            let key = p.string()?;
-            p.eat(':')?;
-            match key.as_str() {
-                "schema" => schema = Some(p.string()?),
-                "scenario" => scenario = Some(p.string()?),
-                "points" => {
-                    let mut pts = Vec::new();
-                    p.eat('[')?;
-                    if !p.peek_is(']') {
-                        loop {
-                            p.eat('{')?;
-                            let mut phi = None;
-                            let mut y = None;
-                            loop {
-                                let k = p.string()?;
-                                p.eat(':')?;
-                                let v = p.number()?;
-                                match k.as_str() {
-                                    "phi" => phi = Some(v),
-                                    "y" => y = Some(v),
-                                    other => return Err(format!("unknown point key `{other}`")),
-                                }
-                                if !p.comma_or(&'}')? {
-                                    break;
-                                }
-                            }
-                            match (phi, y) {
-                                (Some(phi), Some(y)) => pts.push((phi, y)),
-                                _ => return Err("point missing phi or y".to_string()),
-                            }
-                            if !p.comma_or(&']')? {
-                                break;
-                            }
-                        }
-                    } else {
-                        p.eat(']')?;
-                    }
-                    points = Some(pts);
-                }
-                other => return Err(format!("unknown key `{other}`")),
-            }
-            if !p.comma_or(&'}')? {
-                break;
-            }
+        let doc = json::parse(text)?;
+        only_keys(&doc, &["schema", "scenario", "points"])?;
+        match doc.string("schema") {
+            Ok("gsu-golden-v1") => {}
+            Ok(other) => return Err(format!("unsupported schema `{other}`")),
+            Err(e) => return Err(e),
         }
-        p.end()?;
-        match schema.as_deref() {
-            Some("gsu-golden-v1") => {}
-            Some(other) => return Err(format!("unsupported schema `{other}`")),
-            None => return Err("missing schema".to_string()),
-        }
+        let points = doc
+            .array("points")?
+            .iter()
+            .map(|point| {
+                only_keys(point, &["phi", "y"])?;
+                Ok((point.num("phi")?, point.num("y")?))
+            })
+            .collect::<Result<_, String>>()?;
         Ok(GoldenCurve {
-            scenario: scenario.ok_or("missing scenario")?,
-            points: points.ok_or("missing points")?,
+            scenario: doc.string("scenario")?.to_string(),
+            points,
         })
     }
 }
 
-/// A minimal strict cursor over the golden JSON subset.
-struct JsonCursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonCursor { rest: text }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn eat(&mut self, ch: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.rest.strip_prefix(ch) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected `{ch}` at `{}`",
-                &self.rest[..self.rest.len().min(20)]
-            )),
-        }
-    }
-
-    fn peek_is(&mut self, ch: char) -> bool {
-        self.skip_ws();
-        self.rest.starts_with(ch)
-    }
-
-    /// Consumes either a comma (continuing a sequence) or the closing
-    /// delimiter; returns `true` when the sequence continues.
-    fn comma_or(&mut self, close: &char) -> Result<bool, String> {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix(',') {
-            self.rest = rest;
-            Ok(true)
-        } else if let Some(rest) = self.rest.strip_prefix(*close) {
-            self.rest = rest;
-            Ok(false)
-        } else {
-            Err(format!(
-                "expected `,` or `{close}` at `{}`",
-                &self.rest[..self.rest.len().min(20)]
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat('"')?;
-        match self.rest.find('"') {
-            Some(end) => {
-                let s = self.rest[..end].to_string();
-                self.rest = &self.rest[end + 1..];
-                Ok(s)
-            }
-            None => Err("unterminated string".to_string()),
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (tok, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        tok.parse::<f64>()
-            .map_err(|_| format!("bad number `{tok}`"))
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing content `{}`", self.rest))
-        }
+/// Rejects a value that is not an object or has a key outside `allowed`.
+fn only_keys(value: &json::Value, allowed: &[&str]) -> Result<(), String> {
+    let members = value.as_object().ok_or("expected an object")?;
+    match members.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+        Some((key, _)) => Err(format!("unknown key `{key}`")),
+        None => Ok(()),
     }
 }
 
@@ -273,12 +161,31 @@ mod tests {
 
     #[test]
     fn golden_json_round_trips() {
-        let curve = GoldenCurve {
-            scenario: "x".to_string(),
-            points: vec![(0.0, 1.0), (2500.5, 1.203_450_678_9), (1e4, 0.75)],
-        };
-        let back = GoldenCurve::from_json(&curve.to_json()).unwrap();
-        assert_eq!(curve, back);
+        for scenario in ["x", "odd \"name\" \\ with\nbreak"] {
+            let curve = GoldenCurve {
+                scenario: scenario.to_string(),
+                points: vec![(0.0, 1.0), (2500.5, 1.203_450_678_9), (1e4, 0.1 + 0.2)],
+            };
+            let back = GoldenCurve::from_json(&curve.to_json()).unwrap();
+            assert_eq!(curve, back);
+        }
+    }
+
+    #[test]
+    fn committed_goldens_read_back_bit_for_bit() {
+        // Each committed golden is the writer's output, so reading it and
+        // writing it again must reproduce the file byte for byte: every
+        // value read back to the bits it was written from.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let curve = read_golden(&path).unwrap();
+            assert_eq!(curve.to_json(), text, "{}", path.display());
+            seen += 1;
+        }
+        assert_eq!(seen, 14);
     }
 
     #[test]
@@ -289,6 +196,15 @@ mod tests {
         assert!(GoldenCurve::from_json(wrong_schema).is_err());
         let trailing = r#"{"schema": "gsu-golden-v1", "scenario": "x", "points": []} extra"#;
         assert!(GoldenCurve::from_json(trailing).is_err());
+        let missing = r#"{"scenario": "x", "points": []}"#;
+        assert!(GoldenCurve::from_json(missing).is_err());
+        let unknown = r#"{"schema": "gsu-golden-v1", "scenario": "x", "points": [], "z": 1}"#;
+        assert!(GoldenCurve::from_json(unknown).is_err());
+        let point_key = r#"{"schema": "gsu-golden-v1", "scenario": "x", "points": [{"phi": 1, "y": 2, "w": 3}]}"#;
+        assert!(GoldenCurve::from_json(point_key).is_err());
+        let not_number =
+            r#"{"schema": "gsu-golden-v1", "scenario": "x", "points": [{"phi": 1, "y": null}]}"#;
+        assert!(GoldenCurve::from_json(not_number).is_err());
     }
 
     #[test]

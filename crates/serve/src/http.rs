@@ -431,33 +431,6 @@ impl HttpClient {
     }
 }
 
-/// Formats an `f64` as a JSON number (`null` for non-finite values) —
-/// mirrors the telemetry crate's internal helper.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,12 +473,5 @@ mod tests {
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
         assert_eq!(percent_decode("plain"), "plain");
-    }
-
-    #[test]
-    fn json_helpers() {
-        assert_eq!(fmt_f64(1.5), "1.5");
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
     }
 }

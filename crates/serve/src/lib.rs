@@ -48,9 +48,10 @@ use std::time::Instant;
 
 use gsu_scenario::{ScenarioAnalysis, ScenarioSpec};
 use performability::{GsuAnalysis, GsuParams, SweepPoint};
+use telemetry::json::{self, fmt_f64};
 use telemetry::{ArgValue, Collector, FinishedSpan, Level, TraceContext, WindowHistogram};
 
-use http::{fmt_f64, json_escape, Request, Response};
+use http::{Request, Response};
 
 /// Default number of connection-handling pool workers.
 pub const DEFAULT_WORKERS: usize = 4;
@@ -492,7 +493,7 @@ fn route(state: &ServerState, request: &Request, queue_us: u64) -> Response {
                     400,
                     format!(
                         "{{\"error\":\"unparsable trace id: {}\",\"param\":\"id\"}}",
-                        json_escape(raw)
+                        json::escape(raw)
                     ),
                 ),
             },
@@ -511,7 +512,7 @@ fn route(state: &ServerState, request: &Request, queue_us: u64) -> Response {
                             400,
                             format!(
                                 "{{\"error\":\"unparsable n: {}\",\"param\":\"n\"}}",
-                                json_escape(raw)
+                                json::escape(raw)
                             ),
                         )
                     }
@@ -573,7 +574,7 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
             400,
             format!(
                 "{{\"error\":\"{}\",\"param\":\"{param}\"}}",
-                json_escape(msg)
+                json::escape(msg)
             ),
         )
     };
@@ -659,7 +660,7 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
                 telemetry::format_trace_id(trace_id)
             );
             if let Some(name) = scenario_name.as_deref() {
-                let _ = write!(body, ",\"scenario\":\"{}\"", json_escape(name));
+                let _ = write!(body, ",\"scenario\":\"{}\"", json::escape(name));
             }
             body.push(',');
             body.push_str(&sweep_point_json(&point)[1..]);
@@ -774,13 +775,13 @@ fn record_wide_event(
         wall.as_micros()
     );
     if let Some(scenario) = scenario {
-        let _ = write!(line, ",\"scenario\":\"{}\"", json_escape(scenario));
+        let _ = write!(line, ",\"scenario\":\"{}\"", json::escape(scenario));
     }
     if let Some(y) = y {
         let _ = write!(line, ",\"y\":{}", fmt_f64(y));
     }
     if let Some(error) = error {
-        let _ = write!(line, ",\"error\":\"{}\"", json_escape(error));
+        let _ = write!(line, ",\"error\":\"{}\"", json::escape(error));
     }
     let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for s in &spans {
@@ -796,7 +797,7 @@ fn record_wide_event(
         let _ = write!(
             line,
             "\"{}\":{{\"count\":{count},\"total_us\":{total_us}}}",
-            json_escape(name)
+            json::escape(name)
         );
     }
     line.push_str("},\"solves\":[");
@@ -828,17 +829,17 @@ fn solve_json(span: &FinishedSpan) -> Option<String> {
     if !span.args.iter().any(|(k, _)| k == "solve.method") {
         return None;
     }
-    let mut out = format!("{{\"span\":\"{}\"", json_escape(&span.name));
+    let mut out = format!("{{\"span\":\"{}\"", json::escape(&span.name));
     for (key, value) in &span.args {
         let Some(field) = key.strip_prefix("solve.") else {
             continue;
         };
-        let _ = write!(out, ",\"{}\":", json_escape(field));
+        let _ = write!(out, ",\"{}\":", json::escape(field));
         match value {
             ArgValue::F64(v) => out.push_str(&fmt_f64(*v)),
             ArgValue::U64(v) => out.push_str(&v.to_string()),
             ArgValue::Str(v) => {
-                let _ = write!(out, "\"{}\"", json_escape(v));
+                let _ = write!(out, "\"{}\"", json::escape(v));
             }
         }
     }
@@ -1047,7 +1048,7 @@ fn stats_json(state: &ServerState) -> String {
                 out,
                 "{{\"endpoint\":\"{}\",\"threshold_ms\":{},\"target\":{},\"count\":{},\
                  \"attainment\":{},\"burn_rate\":{},\"met\":{met}}}",
-                json_escape(&def.endpoint),
+                json::escape(&def.endpoint),
                 fmt_f64(def.threshold_ms),
                 fmt_f64(def.target),
                 snap.count,
@@ -1167,6 +1168,9 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"git\":"), "{json}");
+        let doc = json::parse(&json).expect("/version is JSON");
+        assert_eq!(doc.string("version"), Ok(VERSION));
+        assert!(doc.string("git").is_ok() && doc.string("profile").is_ok());
     }
 
     #[test]
@@ -1227,6 +1231,16 @@ mod tests {
         assert!(json.ends_with("\"gamma\":1}"), "{json}");
         for key in ["e_w0", "e_w_phi", "y_s1", "y_s2"] {
             assert!(json.contains(&format!("\"{key}\":")), "{json}");
+        }
+        // Every field reads back to the bits it was computed as.
+        let point = analysis.evaluate(5000.0).unwrap();
+        let doc = json::parse(&sweep_point_json(&point)).expect("/eval body is JSON");
+        for (key, value) in [
+            ("phi", point.phi),
+            ("y", point.y),
+            ("e_w_phi", point.e_w_phi),
+        ] {
+            assert_eq!(doc.num(key).map(f64::to_bits), Ok(value.to_bits()), "{key}");
         }
     }
 }

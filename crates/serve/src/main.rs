@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use gsu_serve::http::http_get;
 use gsu_serve::{validate_exposition, Server, DEFAULT_WORKERS, SCENARIOS_DIR};
-use telemetry::Collector;
+use telemetry::{json, Collector};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:9184";
 
@@ -133,27 +133,22 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
     });
     check("/readyz", 200, &|_| Ok(()));
     check("/eval?phi=7000", 200, &|body| {
-        (body.contains("\"y\":") && body.contains("\"trace_id\":\""))
-            .then_some(())
-            .ok_or_else(|| body.to_string())
+        let doc = json::parse(body)?;
+        doc.num("y")?;
+        doc.string("trace_id").map(drop)
     });
     check("/eval?phi=bogus", 400, &|body| {
-        body.contains("\"param\":\"phi\"")
-            .then_some(())
-            .ok_or_else(|| body.to_string())
+        member_is(body, "param", "phi")
     });
     // Scenario routes, when a catalog is present next to the daemon (the CI
     // smoke runs from the workspace root, where `scenarios/` is committed).
     if Path::new(SCENARIOS_DIR).is_dir() {
         check("/eval?scenario=paper-baseline&phi=5000", 200, &|body| {
-            (body.contains("\"scenario\":\"paper-baseline\"") && body.contains("\"y\":"))
-                .then_some(())
-                .ok_or_else(|| body.to_string())
+            json::parse(body)?.num("y")?;
+            member_is(body, "scenario", "paper-baseline")
         });
         check("/eval?scenario=no-such&phi=5000", 400, &|body| {
-            body.contains("\"param\":\"scenario\"")
-                .then_some(())
-                .ok_or_else(|| body.to_string())
+            member_is(body, "param", "scenario")
         });
     }
     check("/metrics", 200, &|body| {
@@ -171,15 +166,12 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
             .ok_or_else(|| "gsu_serve_window_request_us_p99 missing".to_string())
     });
     check("/trace", 200, &|body| {
-        body.starts_with("{\"traceEvents\":")
-            .then_some(())
-            .ok_or_else(|| "not a trace_event document".to_string())
+        json::parse(body)?.array("traceEvents").map(drop)
     });
     check("/trace?id=zzz", 400, &|_| Ok(()));
     check("/stats", 200, &|body| {
-        (body.contains("\"schema\":\"gsu-stats-v1\"") && body.contains("\"routes\":["))
-            .then_some(())
-            .ok_or_else(|| body.to_string())
+        json::parse(body)?.array("routes")?;
+        member_is(body, "schema", "gsu-stats-v1")
     });
     check("/requests?n=1", 200, &|body| {
         (body.lines().count() <= 1)
@@ -187,14 +179,10 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
             .ok_or_else(|| "more than one line with n=1".to_string())
     });
     check("/requests?n=bogus", 400, &|body| {
-        body.contains("\"param\":\"n\"")
-            .then_some(())
-            .ok_or_else(|| body.to_string())
+        member_is(body, "param", "n")
     });
     check("/version", 200, &|body| {
-        body.contains("\"name\":\"gsu-serve\"")
-            .then_some(())
-            .ok_or_else(|| body.to_string())
+        member_is(body, "name", "gsu-serve")
     });
     check("/nope", 404, &|_| Ok(()));
 
@@ -203,24 +191,30 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
     // to a wide-event line on /requests.
     match http_get(addr, "/eval?phi=5000") {
         Ok((200, body)) => {
-            let trace_id = body
-                .split("\"trace_id\":\"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .unwrap_or("")
-                .to_string();
+            let trace_id = json::parse(&body)
+                .ok()
+                .and_then(|doc| doc.string("trace_id").ok().map(str::to_string))
+                .unwrap_or_default();
             if trace_id.is_empty() {
                 eprintln!("smoke: /eval?phi=5000 response has no trace id: {body}");
                 failures.set(failures.get() + 1);
             } else {
                 check(&format!("/trace?id={trace_id}"), 200, &|body| {
-                    (body.contains("serve.eval") && body.contains(&trace_id))
+                    let doc = json::parse(body)?;
+                    doc.array("traceEvents")?
+                        .iter()
+                        .any(|e| {
+                            let args = e.get("args");
+                            e.string("name") == Ok("serve.eval")
+                                && args.is_some_and(|a| a.string("trace_id") == Ok(&trace_id))
+                        })
                         .then_some(())
                         .ok_or_else(|| format!("trace {trace_id} not resolved: {body}"))
                 });
                 check("/requests", 200, &|body| {
                     body.lines()
-                        .any(|l| l.contains(&trace_id) && l.contains("\"solves\":["))
+                        .filter_map(|line| json::parse(line).ok())
+                        .any(|e| e.string("trace_id") == Ok(&trace_id) && e.array("solves").is_ok())
                         .then_some(())
                         .ok_or_else(|| format!("no wide event for {trace_id}"))
                 });
@@ -244,5 +238,13 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
     } else {
         eprintln!("smoke: {} endpoint(s) failed", failures.get());
         ExitCode::FAILURE
+    }
+}
+
+/// `Ok` when `body` is a JSON object whose string member `key` is `want`.
+fn member_is(body: &str, key: &str, want: &str) -> Result<(), String> {
+    match json::parse(body)?.string(key)? {
+        got if got == want => Ok(()),
+        got => Err(format!("{key} is {got:?}, want {want:?}: {body}")),
     }
 }

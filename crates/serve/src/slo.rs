@@ -12,12 +12,14 @@
 //! `/stats` can render attainment and burn rate), and `gsu-bench loadgen
 //! --check` loads it to gate a measured run in CI.
 //!
-//! The parser is the same hand-rolled scanning used for the other committed
-//! JSON artifacts (no serde under the workspace dependency policy); it is
-//! strict about the schema tag and the numeric fields so a malformed file
-//! fails the gate instead of silently passing.
+//! The document is read with the workspace's one JSON reader
+//! ([`telemetry::json`]), strictly: a malformed document, a wrong schema
+//! tag or a missing or non-numeric field fails the gate instead of
+//! silently passing.
 
 use std::path::Path;
+
+use telemetry::json;
 
 /// Default location of the committed SLO definitions, relative to the
 /// workspace root the daemon runs from.
@@ -64,34 +66,24 @@ impl SloDoc {
 /// A description of the first structural problem found (wrong schema tag,
 /// missing or non-numeric field, no endpoints).
 pub fn parse_slo(text: &str) -> Result<SloDoc, String> {
-    if !text.contains(&format!("\"schema\":\"{SLO_SCHEMA}\"")) {
+    let doc = json::parse(text)?;
+    if doc.string("schema") != Ok(SLO_SCHEMA) {
         return Err(format!("missing schema tag {SLO_SCHEMA:?}"));
     }
-    let window_s = number_field(text, "window_s").ok_or("missing numeric field \"window_s\"")?;
-    let rate_rps = number_field(text, "rate_rps").ok_or("missing numeric field \"rate_rps\"")?;
-    if !(window_s >= 1.0 && window_s.fract() == 0.0) {
-        return Err(format!(
-            "window_s must be a positive integer, got {window_s}"
-        ));
+    let window_s = doc.uint("window_s")?;
+    let rate_rps = doc.num("rate_rps")?;
+    if window_s == 0 {
+        return Err("window_s must be a positive integer, got 0".to_string());
     }
     if !(rate_rps > 0.0 && rate_rps.is_finite()) {
         return Err(format!("rate_rps must be positive, got {rate_rps}"));
     }
 
-    // Each per-endpoint object is delimited by braces inside the "slos"
-    // array; the document has no nested objects below that level.
-    let slos_body = text
-        .split_once("\"slos\":[")
-        .map(|(_, rest)| rest)
-        .ok_or("missing \"slos\" array")?;
     let mut slos = Vec::new();
-    for obj in objects(slos_body) {
-        let endpoint =
-            string_field(obj, "endpoint").ok_or("slo entry missing string field \"endpoint\"")?;
-        let threshold_ms = number_field(obj, "threshold_ms")
-            .ok_or("slo entry missing numeric field \"threshold_ms\"")?;
-        let target =
-            number_field(obj, "target").ok_or("slo entry missing numeric field \"target\"")?;
+    for entry in doc.array("slos")? {
+        let endpoint = entry.string("endpoint")?.to_string();
+        let threshold_ms = entry.num("threshold_ms")?;
+        let target = entry.num("target")?;
         if !(threshold_ms > 0.0 && threshold_ms.is_finite()) {
             return Err(format!("threshold_ms must be positive, got {threshold_ms}"));
         }
@@ -108,7 +100,7 @@ pub fn parse_slo(text: &str) -> Result<SloDoc, String> {
         return Err("no slo entries".to_string());
     }
     Ok(SloDoc {
-        window_s: window_s as u64,
+        window_s,
         rate_rps,
         slos,
     })
@@ -123,32 +115,6 @@ pub fn load_slo(path: &Path) -> Result<SloDoc, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse_slo(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Splits the top-level `{…}` objects out of an array body.
-fn objects(body: &str) -> impl Iterator<Item = &str> {
-    let end = body.find(']').unwrap_or(body.len());
-    let body = &body[..end];
-    body.split('{').skip(1).filter_map(|chunk| {
-        let close = chunk.find('}')?;
-        Some(&chunk[..close])
-    })
-}
-
-/// Value of `"key":<number>` in `obj`, if present and parsable.
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Value of `"key":"<string>"` in `obj`, if present (no escape handling:
-/// endpoint paths are plain).
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    rest.split('"').next().map(str::to_string)
 }
 
 #[cfg(test)]
@@ -194,5 +160,17 @@ mod tests {
         );
         let no_entries = r#"{"schema":"gsu-slo-v1","window_s":60,"rate_rps":40,"slos":[]}"#;
         assert!(parse_slo(no_entries).is_err(), "empty slos array");
+        assert!(
+            parse_slo(&GOOD.replace("\"threshold_ms\":250", "\"threshold_ms\":\"250\"")).is_err(),
+            "non-numeric threshold"
+        );
+        assert!(
+            parse_slo(&GOOD.replace("]}", "]")).is_err(),
+            "unclosed document"
+        );
+        assert!(
+            parse_slo(&format!("{GOOD},{{}}")).is_err(),
+            "trailing content"
+        );
     }
 }

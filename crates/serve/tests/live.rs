@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use gsu_serve::http::http_get;
 use gsu_serve::{validate_exposition, Server, SCENARIOS_DIR};
 use performability::{GsuAnalysis, GsuParams};
+use telemetry::json::{self, Value};
 use telemetry::Collector;
 
 #[test]
@@ -94,7 +95,8 @@ fn serves_live_metrics_during_a_sweep() {
     // request's trace id.
     let (status, body) = http_get(addr, "/eval?phi=7000").expect("/eval");
     assert_eq!(status, 200, "eval body: {body}");
-    let served_y = json_number(&body, "y").expect("y field");
+    let eval = json::parse(&body).expect("/eval body is JSON");
+    let served_y = eval.num("y").expect("y field");
     let direct = GsuAnalysis::new(GsuParams::paper_baseline())
         .unwrap()
         .evaluate(7000.0)
@@ -104,7 +106,7 @@ fn serves_live_metrics_during_a_sweep() {
         "served y = {served_y}, direct y = {}",
         direct.y
     );
-    let trace_id = json_string(&body, "trace_id").expect("trace_id field");
+    let trace_id = eval.string("trace_id").expect("trace_id field");
     assert_eq!(trace_id.len(), 16, "trace id is 16 hex digits: {trace_id}");
 
     // /trace?id= resolves that id to exactly this request's span tree: a
@@ -112,39 +114,44 @@ fn serves_live_metrics_during_a_sweep() {
     // trace id and link back to spans within the tree.
     let (status, doc) = http_get(addr, &format!("/trace?id={trace_id}")).expect("/trace?id=");
     assert_eq!(status, 200);
-    let events = chrome_events(&doc);
+    let trace = json::parse(&doc).expect("/trace document is JSON");
+    let events = trace.array("traceEvents").expect("traceEvents");
     assert!(
         !events.is_empty(),
         "trace {trace_id} resolved nothing: {doc}"
     );
+    let args = |e: &Value| e.get("args").expect("event args").clone();
     assert!(
         events
             .iter()
-            .all(|e| e.contains(&format!("\"trace_id\":\"{trace_id}\""))),
+            .all(|e| args(e).string("trace_id") == Ok(trace_id)),
         "foreign trace id in {doc}"
     );
     let root = events
         .iter()
-        .find(|e| e.contains("\"serve.eval\""))
+        .find(|e| e.string("name") == Ok("serve.eval"))
         .expect("serve.eval span in the tree");
-    assert!(
-        root.contains("\"parent_id\":0"),
-        "eval span is the trace root: {root}"
+    assert_eq!(
+        args(root).uint("parent_id"),
+        Ok(0),
+        "eval span is the trace root: {root:?}"
     );
     let span_ids: Vec<u64> = events
         .iter()
-        .map(|e| json_number(e, "span_id").expect("span_id") as u64)
+        .map(|e| args(e).uint("span_id").expect("span_id"))
         .collect();
-    for event in &events {
-        let parent = json_number(event, "parent_id").expect("parent_id") as u64;
+    for event in events {
+        let parent = args(event).uint("parent_id").expect("parent_id");
         assert!(
             parent == 0 || span_ids.contains(&parent),
-            "span with dangling parent {parent}: {event}"
+            "span with dangling parent {parent}: {event:?}"
         );
     }
     // The solver flight recorder annotated at least one solve span.
     assert!(
-        events.iter().any(|e| e.contains("\"solve.method\"")),
+        events
+            .iter()
+            .any(|e| args(e).string("solve.method").is_ok()),
         "no solve diagnostics in {doc}"
     );
 
@@ -154,23 +161,27 @@ fn serves_live_metrics_during_a_sweep() {
     assert_eq!(status, 200);
     let line = log
         .lines()
-        .find(|l| l.contains(&trace_id))
+        .find(|l| l.contains(trace_id))
         .expect("wide-event line for the eval");
+    let event = json::parse(line).expect("wide-event line is JSON");
+    assert_eq!(event.string("schema"), Ok("gsu-wide-event-v1"), "{line}");
+    assert_eq!(event.string("trace_id"), Ok(trace_id), "{line}");
+    assert_eq!(event.num("phi"), Ok(7000.0), "{line}");
+    assert_eq!(event.num("y"), Ok(served_y), "{line}");
+    assert_eq!(event.uint("status"), Ok(200), "{line}");
+    assert!(event.string("params").is_ok(), "{line}");
     assert!(
-        line.starts_with("{\"schema\":\"gsu-wide-event-v1\""),
+        event.get("phases").and_then(Value::as_object).is_some(),
         "{line}"
     );
-    assert!(line.contains("\"phi\":7000"), "{line}");
-    assert!(line.contains("\"status\":200"), "{line}");
-    assert!(line.contains("\"params\":\""), "{line}");
-    assert!(line.contains("\"phases\":{"), "{line}");
+    let solves = event.array("solves").expect("solves");
     assert!(
-        line.contains("\"solves\":[{") && line.contains("\"iterations\":"),
+        solves.iter().any(|s| s.uint("iterations").is_ok()),
         "wide event without solver iterations: {line}"
     );
     // The queueing-time vs service-time split is spelled out per event.
-    assert!(line.contains("\"queue_us\":"), "{line}");
-    assert!(line.contains("\"service_us\":"), "{line}");
+    assert!(event.uint("queue_us").is_ok(), "{line}");
+    assert!(event.uint("service_us").is_ok(), "{line}");
 
     // /requests?n= limits to the newest lines; bad values 400 structurally.
     let (status, limited) = http_get(addr, "/requests?n=1").expect("/requests?n=1");
@@ -183,7 +194,8 @@ fn serves_live_metrics_during_a_sweep() {
     // /version and the build-info gauge agree on the crate version.
     let (status, version) = http_get(addr, "/version").expect("/version");
     assert_eq!(status, 200);
-    assert!(version.contains("\"name\":\"gsu-serve\""), "{version}");
+    let version = json::parse(&version).expect("/version is JSON");
+    assert_eq!(version.string("name"), Ok("gsu-serve"), "{version:?}");
     let (_, metrics) = http_get(addr, "/metrics").expect("/metrics");
     assert!(metrics.contains("gsu_build_info{version=\""), "{metrics}");
     assert!(
@@ -224,14 +236,23 @@ fn serves_live_metrics_during_a_sweep() {
     assert!(stats.contains("\"connections\":{\"accepted\":"), "{stats}");
     assert!(stats.contains("\"route\":\"/metrics\""), "{stats}");
     assert!(stats.contains("\"p999_us\":"), "{stats}");
+    let stats = json::parse(&stats).expect("/stats is JSON");
+    let metrics_route = stats
+        .array("routes")
+        .expect("routes")
+        .iter()
+        .find(|r| r.string("route") == Ok("/metrics"))
+        .expect("/metrics route");
+    assert!(metrics_route.num("p999_us").is_ok(), "{metrics_route:?}");
 
     // Error handling: missing, unparsable, and out-of-domain φ all produce
     // structured bodies naming the offending parameter.
     for target in ["/eval", "/eval?phi=bogus", "/eval?phi=-5"] {
         let (status, body) = http_get(addr, target).expect(target);
         assert_eq!(status, 400, "{target}: {body}");
-        assert!(body.contains("\"error\":\""), "{target}: {body}");
-        assert!(body.contains("\"param\":\"phi\""), "{target}: {body}");
+        let error = json::parse(&body).expect("error body is JSON");
+        assert!(error.string("error").is_ok(), "{target}: {body}");
+        assert_eq!(error.string("param"), Ok("phi"), "{target}: {body}");
     }
     let (status, _) = http_get(addr, "/trace?id=nothex!").expect("/trace bad id");
     assert_eq!(status, 400);
@@ -275,31 +296,4 @@ fn prometheus_value(body: &str, metric: &str) -> Option<f64> {
         let rest = rest.strip_prefix(' ')?;
         rest.parse().ok()
     })
-}
-
-/// Value of a top-level `"key":number` pair in a flat JSON object.
-fn json_number(body: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Value of a top-level `"key":"string"` pair in a flat JSON object.
-fn json_string(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Splits a Chrome `trace_event` document into its individual event objects.
-/// Good enough for assertions: every event the collector renders starts with
-/// `{"name":"` and that byte sequence cannot occur inside one.
-fn chrome_events(doc: &str) -> Vec<String> {
-    doc.split("{\"name\":\"")
-        .skip(1)
-        .map(|chunk| format!("{{\"name\":\"{chunk}"))
-        .collect()
 }

@@ -126,11 +126,7 @@ fn param_override_eval_is_memoized_and_validated() {
     telemetry::clear_sink();
 }
 
-/// Value of a top-level `"key":number` pair in a flat JSON object.
+/// Numeric member `key` of a JSON object body.
 fn json_number(body: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    telemetry::json::parse(body).ok()?.num(key).ok()
 }

@@ -100,11 +100,7 @@ fn scenario_eval_round_trip_and_structured_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Value of a top-level `"key":number` pair in a flat JSON object.
+/// Numeric member `key` of a JSON object body.
 fn json_number(body: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    telemetry::json::parse(body).ok()?.num(key).ok()
 }

@@ -1,6 +1,5 @@
 //! The single-run discrete-event engine.
 
-use crate::trace::TraceEvent;
 use crate::{SimConfig, SimRng};
 
 /// Sample-path classification of §3.2 of the paper.
@@ -110,24 +109,12 @@ enum Mode {
 /// and block-completion timers plus the φ boundary), so a priority queue is
 /// unnecessary.
 pub fn simulate_run(config: &SimConfig, rng: &mut SimRng) -> RunOutcome {
-    Engine::new(config, rng, None).run()
-}
-
-/// Like [`simulate_run`], additionally appending protocol events to `log`
-/// (fault manifestations, AT/checkpoint starts, detection, failure, guard
-/// conclusion) — the simulated counterpart of the MDCD onboard error log.
-pub fn simulate_run_with_log(
-    config: &SimConfig,
-    rng: &mut SimRng,
-    log: &mut Vec<TraceEvent>,
-) -> RunOutcome {
-    Engine::new(config, rng, Some(log)).run()
+    Engine::new(config, rng).run()
 }
 
 struct Engine<'a> {
     cfg: &'a SimConfig,
     rng: &'a mut SimRng,
-    trace: Option<&'a mut Vec<TraceEvent>>,
     t: f64,
     mode: Mode,
     procs: [ProcState; 3],
@@ -145,15 +132,10 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(
-        cfg: &'a SimConfig,
-        rng: &'a mut SimRng,
-        trace: Option<&'a mut Vec<TraceEvent>>,
-    ) -> Self {
+    fn new(cfg: &'a SimConfig, rng: &'a mut SimRng) -> Self {
         Engine {
             cfg,
             rng,
-            trace,
             t: 0.0,
             mode: Mode::Gop,
             procs: [ProcState::new(), ProcState::new(), ProcState::new()],
@@ -185,12 +167,6 @@ impl<'a> Engine<'a> {
 
     fn p(&mut self, which: P) -> &mut ProcState {
         &mut self.procs[which as usize]
-    }
-
-    fn log(&mut self, event: TraceEvent) {
-        if let Some(log) = self.trace.as_deref_mut() {
-            log.push(event);
-        }
     }
 
     fn run(mut self) -> RunOutcome {
@@ -264,16 +240,10 @@ impl<'a> Engine<'a> {
                     // quantify that claim).
                     self.mode = Mode::NormalUpgraded;
                     self.guarded_end = phi;
-                    self.log(TraceEvent::GuardConcluded { time: phi });
                 }
                 Ev::Fault(which) => {
                     self.p(which).contaminated = true;
                     self.p(which).fault_time = f64::INFINITY;
-                    let time = self.t;
-                    self.log(TraceEvent::FaultManifested {
-                        time,
-                        process: which as usize,
-                    });
                 }
                 Ev::Message(which) => self.handle_message(which),
                 Ev::BlockDone(which) => self.handle_block_done(which),
@@ -408,16 +378,8 @@ impl<'a> Engine<'a> {
         let t = self.t;
         if kind == Block::AcceptanceTest {
             self.at_count += 1;
-            self.log(TraceEvent::AcceptanceTestStarted {
-                time: t,
-                process: which as usize,
-            });
         } else {
             self.checkpoint_count += 1;
-            self.log(TraceEvent::CheckpointStarted {
-                time: t,
-                process: which as usize,
-            });
         }
         let ps = self.p(which);
         debug_assert!(ps.block.is_none(), "process already blocked");
@@ -474,8 +436,14 @@ impl<'a> Engine<'a> {
     /// validity-consistent global state and downgrades to (P1old, P2).
     fn detect(&mut self, t: f64) {
         debug_assert!(self.detection_time.is_none(), "detection happens once");
+        // Only a manifested fault contaminates a process (directly, or by
+        // propagation from one it contaminated), so a detection without a
+        // contaminated process would be a detection without a prior fault.
+        debug_assert!(
+            self.procs.iter().any(|p| p.contaminated),
+            "detection without a contaminated process"
+        );
         self.detection_time = Some(t);
-        self.log(TraceEvent::ErrorDetected { time: t });
         self.guarded_end = self.guarded_end.min(t);
         self.mode = Mode::NormalRecovered;
         let params = self.cfg.params;
@@ -506,7 +474,6 @@ impl<'a> Engine<'a> {
         if self.failure_time.is_none() {
             self.failure_time = Some(t);
             self.guarded_end = self.guarded_end.min(t);
-            self.log(TraceEvent::SystemFailed { time: t });
         }
     }
 
@@ -661,7 +628,22 @@ mod tests {
                 assert!(out.failure_time.is_some());
                 assert_eq!(out.worth, 0.0);
             }
+            if out.class == PathClass::S1 {
+                assert!(out.detection_time.is_none() && out.failure_time.is_none());
+            }
         }
+    }
+
+    #[test]
+    fn detection_is_preceded_by_a_fault() {
+        // `Engine::detect` asserts (in debug builds, as here) that some
+        // process is contaminated, which only a manifested fault causes.
+        let mut p = small_params();
+        p.mu_new = 0.05;
+        let detections = (0..60)
+            .filter(|&seed| run_one(p, 45.0, seed).detection_time.is_some())
+            .count();
+        assert!(detections > 0, "no run reached a detection");
     }
 
     #[test]

@@ -50,13 +50,11 @@ mod estimate;
 pub mod fast;
 mod rng;
 pub mod shadow;
-pub mod trace;
 
 pub use config::{GammaMode, SimConfig};
 pub use distribution::WorthDistribution;
-pub use engine::{simulate_run, simulate_run_with_log, PathClass, RunOutcome};
+pub use engine::{simulate_run, PathClass, RunOutcome};
 pub use estimate::{estimate_y, estimate_y_matched, EngineKind, MonteCarlo, SimSummary, YEstimate};
 pub use fast::{calibrate, simulate_run_hybrid, Calibration};
 pub use rng::SimRng;
 pub use shadow::{run_until_admitted, simulate_validation, CampaignOutcome, ValidationLog};
-pub use trace::{simulate_run_traced, MissionTrace, TraceEvent};

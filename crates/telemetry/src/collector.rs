@@ -666,6 +666,7 @@ impl Sink for Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, Value};
 
     #[test]
     fn empty_collector_exports_valid_skeletons() {
@@ -692,6 +693,11 @@ mod tests {
         let report = c.run_report_json();
         assert!(report.contains("weird\\\"name\\\\"));
         assert!(report.contains("line\\nbreak"));
+        let doc = parse(&report).expect("run report is JSON");
+        assert_eq!(doc.string("schema"), Ok("gsu-telemetry-v3"));
+        assert_eq!(doc.get("counters").unwrap().uint("weird\"name\\"), Ok(1));
+        let warnings = doc.array("warnings").unwrap();
+        assert_eq!(warnings, [Value::Str("line\nbreak".to_string())]);
     }
 
     #[test]
@@ -748,7 +754,15 @@ mod tests {
             args: Vec::new(),
         };
         c.record_span(mk("a.root", 7, 10, 0));
-        c.record_span(mk("a.child", 7, 11, 10));
+        let mut child = mk("a.child", 7, 11, 10);
+        child.args = vec![
+            (
+                "note".to_string(),
+                ArgValue::Str("say \"hi\" {\"name\":\"x\"}".to_string()),
+            ),
+            ("residual".to_string(), ArgValue::F64(1e-13)),
+        ];
+        c.record_span(child);
         c.record_span(mk("b.root", 8, 12, 0));
         let spans = c.trace_spans(7);
         assert_eq!(spans.len(), 2);
@@ -770,6 +784,13 @@ mod tests {
         assert!(doc.contains("\"span_id\":11,\"parent_id\":10"));
         // The unfiltered export still carries everything.
         assert!(c.chrome_trace_json().contains("\"b.root\""));
+        let events = parse(&doc).expect("Chrome trace is JSON");
+        let events = events.array("traceEvents").unwrap();
+        assert_eq!(events.len(), 2);
+        let args = events[1].get("args").unwrap();
+        assert_eq!(args.string("note"), Ok("say \"hi\" {\"name\":\"x\"}"));
+        assert_eq!(args.num("residual"), Ok(1e-13));
+        assert_eq!(args.uint("parent_id"), Ok(10));
 
         let snap = c.snapshot();
         assert_eq!(snap.span_records, 3);

@@ -16,10 +16,12 @@
 //!   thread.
 //!
 //! Dependency policy: this crate is **pure `std`** (`Instant`, atomics, a
-//! `Mutex`-guarded sink, hand-rolled JSON). The crates.io registry is
-//! unreachable in some build environments this workspace targets, and the
-//! telemetry layer sits below every other crate, so it must not pull in
-//! anything.
+//! `Mutex`-guarded sink). The crates.io registry is unreachable in some
+//! build environments this workspace targets, and the telemetry layer sits
+//! below every other crate, so it must not pull in anything. For the same
+//! reason it hosts [`json`], the workspace's one JSON reader and writer:
+//! every crate that writes or reads a JSON document does it through that
+//! module.
 //!
 //! # Example
 //!
@@ -41,7 +43,7 @@
 mod buckets;
 mod collector;
 mod diag;
-mod json;
+pub mod json;
 mod log;
 pub mod prometheus;
 pub mod window;

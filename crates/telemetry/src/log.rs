@@ -232,6 +232,11 @@ mod tests {
         assert!(lines[0].ends_with('}'));
         assert!(lines[1].contains("\"target\":\"q\\\"t\""));
         assert!(lines[1].contains("line\\nbreak"));
+        for line in &lines {
+            crate::json::parse(line).expect("every log line is one JSON object");
+        }
+        let warn = crate::json::parse(lines[1]).unwrap();
+        assert_eq!(warn.string("target"), Ok("q\"t"));
     }
 
     #[test]

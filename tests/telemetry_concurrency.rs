@@ -228,11 +228,6 @@ fn assert_valid_exports(snapshot: &Snapshot) {
     if !text.is_empty() {
         gsu_serve::validate_exposition(&text).expect("valid Prometheus exposition");
     }
-    let report = snapshot.run_report_json();
-    assert!(report.starts_with("{\"schema\":\"gsu-telemetry-v3\""));
-    assert_eq!(
-        report.matches('{').count(),
-        report.matches('}').count(),
-        "unbalanced braces in run report"
-    );
+    let report = telemetry::json::parse(&snapshot.run_report_json()).expect("run report is JSON");
+    assert_eq!(report.string("schema"), Ok("gsu-telemetry-v3"));
 }
