@@ -256,11 +256,6 @@ impl TelemetrySession {
             out_dir: out_dir.to_path_buf(),
         }
     }
-
-    /// Whether telemetry collection is active for this run.
-    pub fn is_active(&self) -> bool {
-        self.collector.is_some()
-    }
 }
 
 impl Drop for TelemetrySession {

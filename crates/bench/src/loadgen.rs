@@ -56,8 +56,18 @@ pub const STATS_AGREEMENT_DECADES: f64 = 1.5;
 /// Smallest client-side sample count for which the `/stats` agreement
 /// check is attempted. Below this, the server's window (which also saw
 /// the unmeasured warmup requests) and the client's handful of samples
-/// can have wildly different quantiles without either being wrong.
+/// can have wildly different quantiles without either being wrong. A
+/// quantile `q` further needs `1/(1−q)` samples.
 pub const STATS_AGREEMENT_MIN_SAMPLES: u64 = 10;
+
+/// The client samples a quantile `q` needs before the `/stats` agreement
+/// check judges it: `1/(1−q)`, and never fewer than
+/// [`STATS_AGREEMENT_MIN_SAMPLES`]. On fewer, the sample quantile is the
+/// slowest request or close to it, so one outlier would decide the check
+/// (p99 needs 100 samples; p50 keeps the floor of 10).
+fn quantile_sample_floor(q: f64) -> u64 {
+    ((1.0 / (1.0 - q)).round() as u64).max(STATS_AGREEMENT_MIN_SAMPLES)
+}
 
 /// Driving discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -665,31 +675,8 @@ fn run_checks(
                 else {
                     continue; // no-traffic case already failed the slo check
                 };
-                if measured.count - measured.errors < STATS_AGREEMENT_MIN_SAMPLES {
-                    checks.push(Check {
-                        name: format!("stats-agreement:{}", def.endpoint),
-                        passed: true,
-                        detail: format!(
-                            "skipped: only {} samples, floor is {STATS_AGREEMENT_MIN_SAMPLES}",
-                            measured.count - measured.errors
-                        ),
-                    });
-                    continue;
-                }
-                let (passed, detail) = match stats_route(&stats, &def.endpoint) {
-                    Some((p50, p99)) => {
-                        let d50 = (p50 / measured.p50_us).log10().abs();
-                        let d99 = (p99 / measured.p99_us).log10().abs();
-                        (
-                            d50 <= STATS_AGREEMENT_DECADES && d99 <= STATS_AGREEMENT_DECADES,
-                            format!(
-                                "p50 {:.0}us vs /stats {p50:.0}us, p99 {:.0}us vs {p99:.0}us",
-                                measured.p50_us, measured.p99_us
-                            ),
-                        )
-                    }
-                    None => (false, "route missing from /stats".to_string()),
-                };
+                let (passed, detail) =
+                    stats_agreement(measured, stats_route(&stats, &def.endpoint));
                 checks.push(Check {
                     name: format!("stats-agreement:{}", def.endpoint),
                     passed,
@@ -709,6 +696,40 @@ fn run_checks(
         }),
     }
     checks
+}
+
+/// Judges the client's p50 and p99 of one endpoint against the server's
+/// `/stats` estimates `(p50, p99)`, each within
+/// [`STATS_AGREEMENT_DECADES`], on the quantiles that have their
+/// `quantile_sample_floor` of successful samples. Passes, as skipped,
+/// under [`STATS_AGREEMENT_MIN_SAMPLES`]; fails when the server has no
+/// estimate for the route.
+fn stats_agreement(measured: &EndpointStats, server: Option<(f64, f64)>) -> (bool, String) {
+    let samples = measured.count - measured.errors;
+    if samples < STATS_AGREEMENT_MIN_SAMPLES {
+        return (
+            true,
+            format!("skipped: only {samples} samples, floor is {STATS_AGREEMENT_MIN_SAMPLES}"),
+        );
+    }
+    let Some((server_p50, server_p99)) = server else {
+        return (false, "route missing from /stats".to_string());
+    };
+    let mut passed = true;
+    let mut detail = Vec::new();
+    for (label, q, client, server) in [
+        ("p50", 0.50, measured.p50_us, server_p50),
+        ("p99", 0.99, measured.p99_us, server_p99),
+    ] {
+        let floor = quantile_sample_floor(q);
+        if samples < floor {
+            detail.push(format!("{label} not judged ({samples} < {floor} samples)"));
+        } else {
+            passed &= (server / client).log10().abs() <= STATS_AGREEMENT_DECADES;
+            detail.push(format!("{label} {client:.0}us vs /stats {server:.0}us"));
+        }
+    }
+    (passed, detail.join(", "))
 }
 
 /// Pulls `(p50_us, p99_us)` for `route` out of a `gsu-stats-v1` document.
@@ -1046,6 +1067,72 @@ mod tests {
         assert_eq!(stats_route(&stats, "/metrics"), Some((250.0, 500.0)));
         assert_eq!(stats_route(&stats, "/nope"), None);
         assert_eq!(stats_route(&Value::Null, "/eval"), None);
+    }
+
+    /// Client stats over `latencies_us` (all successful) on `/eval`.
+    fn eval_stats(latencies_us: &[f64]) -> EndpointStats {
+        let samples: Vec<Sample> = latencies_us
+            .iter()
+            .map(|&latency_us| Sample {
+                endpoint: "/eval".to_string(),
+                latency_us,
+                ok: true,
+            })
+            .collect();
+        stats_for("/eval", &samples).unwrap()
+    }
+
+    #[test]
+    fn quantile_floors_follow_one_over_the_tail() {
+        assert_eq!(quantile_sample_floor(0.50), STATS_AGREEMENT_MIN_SAMPLES);
+        assert_eq!(quantile_sample_floor(0.99), 100);
+        assert_eq!(quantile_sample_floor(0.999), 1000);
+    }
+
+    #[test]
+    fn one_slow_request_in_fifty_does_not_decide_the_p99() {
+        // 49 requests near the server's median and one 13 ms outlier: the
+        // client's p99 is the outlier, 1.24 decades over the server's
+        // 0.75 ms, but 50 samples do not judge a p99.
+        let mut latencies = vec![600.0; 49];
+        latencies.push(13_289.0);
+        let measured = eval_stats(&latencies);
+        assert_eq!(measured.p99_us, 13_289.0);
+        let (passed, detail) = stats_agreement(&measured, Some((600.0, 750.0)));
+        assert!(passed, "{detail}");
+        assert!(
+            detail.contains("p99 not judged (50 < 100 samples)"),
+            "{detail}"
+        );
+        // With its 100 samples the p99 is judged, and a 3-decade p99 slip
+        // fails.
+        let measured = eval_stats(&vec![600.0; 100]);
+        let (passed, detail) = stats_agreement(&measured, Some((600.0, 600_000.0)));
+        assert!(!passed, "{detail}");
+    }
+
+    #[test]
+    fn a_unit_slip_at_the_median_still_fails() {
+        // The server reporting ms as µs (or the reverse) is 3 decades off,
+        // and 50 samples judge the p50.
+        let measured = eval_stats(&vec![600.0; 50]);
+        assert!(stats_agreement(&measured, Some((600.0, 750.0))).0);
+        let (passed, detail) = stats_agreement(&measured, Some((0.6, 0.75)));
+        assert!(!passed, "{detail}");
+        let (passed, detail) = stats_agreement(&measured, Some((600_000.0, 750.0)));
+        assert!(!passed, "{detail}");
+    }
+
+    #[test]
+    fn agreement_skips_thin_traffic_and_fails_a_missing_route() {
+        let thin = eval_stats(&[600.0; 9]);
+        let (passed, detail) = stats_agreement(&thin, None);
+        assert!(passed && detail.starts_with("skipped"), "{detail}");
+        let measured = eval_stats(&[600.0; 10]);
+        assert_eq!(
+            stats_agreement(&measured, None),
+            (false, "route missing from /stats".to_string())
+        );
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod recommend;
 pub mod report;
 pub mod sensitivity;
 pub mod translation;
-pub mod validation;
 
 pub use analysis::GsuAnalysis;
 pub use error::PerfError;

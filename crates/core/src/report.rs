@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::recommend::{recommend, Constraints, Decision};
-use crate::{GsuAnalysis, Result, SweepPoint};
+use crate::{GsuAnalysis, Result};
 
 /// Options controlling report generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,14 +125,6 @@ pub fn markdown(analysis: &GsuAnalysis, opts: &ReportOptions) -> Result<String> 
     Ok(md)
 }
 
-/// Renders a compact single-line summary suitable for logs.
-pub fn one_line(best: &SweepPoint) -> String {
-    format!(
-        "phi*={:.0}h Y={:.4} (E[W0]={:.0}, E[Wphi]={:.0}, gamma={:.3})",
-        best.phi, best.y, best.e_w0, best.e_w_phi, best.gamma
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,14 +179,5 @@ mod tests {
         for line in md.lines().filter(|l| l.starts_with("# warning:")) {
             assert!(!line.contains("| "));
         }
-    }
-
-    #[test]
-    fn one_line_is_compact() {
-        let analysis = GsuAnalysis::new(GsuParams::paper_baseline()).unwrap();
-        let pt = analysis.evaluate(7000.0).unwrap();
-        let line = one_line(&pt);
-        assert!(line.contains("phi*=7000h"));
-        assert!(!line.contains('\n'));
     }
 }

@@ -258,12 +258,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "a reward rate is NaN or infinite in a reachable marking",
     },
     RuleInfo {
-        id: "reward-impulse-invalid",
-        severity: Severity::Deny,
-        layer: Layer::Model,
-        summary: "an impulse reward targets a non-timed or dead activity",
-    },
-    RuleInfo {
         id: "params-domain",
         severity: Severity::Deny,
         layer: Layer::Model,

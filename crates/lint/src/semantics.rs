@@ -235,13 +235,12 @@ pub fn check_san(
 }
 
 /// Checks one reward specification against the reachable state space:
-/// every predicate-rate pair must hold somewhere, reward rates must stay
-/// finite, and impulses must target live timed activities.
+/// every predicate-rate pair must hold somewhere and reward rates must stay
+/// finite.
 pub fn check_reward(
     name: &str,
     spec_name: &str,
     spec: &RewardSpec,
-    model: &SanModel,
     space: &StateSpace,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -271,25 +270,6 @@ pub fn check_reward(
                     space.marking(i)
                 ),
                 "reward rates must be finite in every reachable marking",
-            ));
-        }
-    }
-    let dead = san::structural::dead_timed_activities(model, space);
-    for id in spec.impulse_activities() {
-        let activity = model.activity_name(id);
-        if !matches!(model.activity_kind_of(id), san::ActivityKind::Timed) {
-            findings.push(Finding::new(
-                "reward-impulse-invalid",
-                format!("model {name} / reward '{spec_name}' / activity '{activity}'"),
-                format!("impulse reward on instantaneous activity '{activity}'"),
-                "impulse rewards accrue on timed completions only",
-            ));
-        } else if dead.contains(&id) {
-            findings.push(Finding::new(
-                "reward-impulse-invalid",
-                format!("model {name} / reward '{spec_name}' / activity '{activity}'"),
-                format!("impulse reward on dead activity '{activity}' can never be earned"),
-                "the activity never fires; fix its enabling or drop the impulse",
             ));
         }
     }
@@ -549,7 +529,7 @@ fn check_one_san<E: std::fmt::Display>(
     let mut findings = check_generator(name, space.ctmc().generator(), intent);
     findings.extend(check_san(name, &model, &space, place_bound));
     for (spec_name, spec) in &specs {
-        findings.extend(check_reward(name, spec_name, spec, &model, &space));
+        findings.extend(check_reward(name, spec_name, spec, &space));
     }
     findings
 }
@@ -699,30 +679,10 @@ mod tests {
         let spec = RewardSpec::new()
             .rate_when(move |mk| mk.tokens(p) == 5, 1.0)
             .rate_when(move |mk| mk.tokens(p) == 1, 2.0);
-        let findings = check_reward("r", "busted", &spec, &m, &space);
+        let findings = check_reward("r", "busted", &spec, &space);
         assert_eq!(
             rule_at(&findings, "reward-zero-support"),
             ["model r / reward 'busted' / pair 0"]
-        );
-    }
-
-    #[test]
-    fn impulse_on_dead_activity_is_denied() {
-        let mut m = SanModel::new("i");
-        let p = m.add_place("p", 1);
-        m.add_activity(Activity::timed("live", 1.0).with_input_arc(p, 1))
-            .unwrap();
-        let dead = m
-            .add_activity(Activity::timed("never", 1.0).with_enabling(|_| false))
-            .unwrap();
-        let space = StateSpace::generate(&m, &Default::default()).unwrap();
-        let spec = RewardSpec::new()
-            .rate_when(|_| true, 1.0)
-            .impulse_on(dead, 1.0);
-        let findings = check_reward("i", "imp", &spec, &m, &space);
-        assert_eq!(
-            rule_at(&findings, "reward-impulse-invalid"),
-            ["model i / reward 'imp' / activity 'never'"]
         );
     }
 

@@ -115,16 +115,6 @@ impl Ctmc {
         self.exit_rates.iter().fold(0.0, |m, &v| m.max(v))
     }
 
-    /// States with no outgoing transitions (absorbing).
-    pub fn absorbing_states(&self) -> Vec<usize> {
-        self.exit_rates
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| e == 0.0)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
     /// Builds the uniformized DTMC `P = I + Q/Λ` for a uniformization rate
     /// `Λ`.
     ///
@@ -241,14 +231,8 @@ mod tests {
     #[test]
     fn zero_rate_transitions_dropped() {
         let c = Ctmc::from_transitions(2, [(0, 1, 0.0)]).unwrap();
-        assert_eq!(c.absorbing_states(), vec![0, 1]);
+        assert_eq!((c.exit_rate(0), c.exit_rate(1)), (0.0, 0.0));
         assert_eq!(c.transitions().count(), 0);
-    }
-
-    #[test]
-    fn absorbing_states_found() {
-        let c = Ctmc::from_transitions(3, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        assert_eq!(c.absorbing_states(), vec![2]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Graph algorithms on the transition structure of a chain.
 //!
-//! Used to validate solver preconditions: steady-state analysis needs an
-//! irreducible chain (single strongly connected component), absorbing
-//! analysis needs every transient state to reach an absorbing one.
+//! Used to validate solver preconditions: steady-state analysis needs a
+//! unichain (a single terminal strongly connected component), and the SAN
+//! linter checks that every transient state can reach an absorbing one.
 
 use sparsela::CsrMatrix;
 
@@ -98,18 +98,8 @@ pub fn strongly_connected_components(m: &CsrMatrix) -> (Vec<usize>, usize) {
     (component, count)
 }
 
-/// Returns `true` when the off-diagonal transition graph of `m` is strongly
-/// connected (i.e. the chain is irreducible).
-pub fn is_irreducible(m: &CsrMatrix) -> bool {
-    if m.rows() == 0 {
-        return false;
-    }
-    strongly_connected_components(m).1 == 1
-}
-
 /// Vertices from which some vertex in `targets` is reachable (inclusive).
 ///
-/// Used to check that every transient state can reach absorption.
 pub fn can_reach(m: &CsrMatrix, targets: &[usize]) -> Vec<bool> {
     let t = m.transpose();
     let n = m.rows();
@@ -150,7 +140,6 @@ mod tests {
         let g = graph(3, &[(0, 1), (1, 2), (2, 0)]);
         let (_, count) = strongly_connected_components(&g);
         assert_eq!(count, 1);
-        assert!(is_irreducible(&g));
     }
 
     #[test]
@@ -162,7 +151,6 @@ mod tests {
         assert!(comp[0] > comp[1]);
         assert!(comp[1] > comp[2]);
         assert!(comp[2] > comp[3]);
-        assert!(!is_irreducible(&g));
     }
 
     #[test]
@@ -189,7 +177,6 @@ mod tests {
         let (comp, count) = strongly_connected_components(&g);
         assert_eq!(count, 0);
         assert!(comp.is_empty());
-        assert!(!is_irreducible(&g));
     }
 
     #[test]

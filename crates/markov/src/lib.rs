@@ -13,10 +13,10 @@
 //!   Fox–Glynn Poisson weights or by dense **matrix exponential**
 //!   (scaling-and-squaring, Padé 13) for stiff horizons;
 //! * [`steady`] — steady-state distributions of unichains by dense direct
-//!   LU on the recurrent class, plus absorbing-chain analysis;
-//! * [`reward`] — UltraSAN-style reward variables: expected instant-of-time
-//!   reward, expected accumulated interval-of-time reward, expected
-//!   steady-state reward, with both rate and impulse rewards;
+//!   LU on the recurrent class;
+//! * [`reward`] — UltraSAN-style rate-reward variables: expected
+//!   instant-of-time reward, expected accumulated interval-of-time reward,
+//!   expected steady-state reward;
 //! * [`lump`] — the coarsest ordinarily lumpable partition that refines
 //!   an observation of the states, and its quotient chain;
 //! * [`fox_glynn`] — the Poisson probability window computation.

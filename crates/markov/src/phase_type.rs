@@ -1,103 +1,44 @@
 //! Continuous phase-type (PH) distributions.
 //!
 //! A phase-type distribution is the law of the time to absorption of a CTMC
-//! with one absorbing state — exactly the objects the guarded-operation
-//! study manipulates implicitly: the detection-time density `h(τ)` and the
-//! post-recovery failure density `f(x)` are both (defective) phase-type
-//! laws of the `RMGd`/`RMNd` chains. This module makes them first-class:
-//! construct from a chain and a target set, then evaluate CDF/density,
-//! moments, and quantiles.
+//! with one absorbing state. The generalized G-OP builders take the
+//! acceptance-test and checkpoint durations as PH laws and expand each
+//! phase into the model (`performability::gsu::rmgp`), so this module
+//! holds the textbook constructors and the representation `(α, S, s⁰)` they
+//! build.
 
 use sparsela::DenseMatrix;
 
-use crate::{expm, transient, Ctmc, MarkovError, Result};
+use crate::{MarkovError, Result};
 
-/// A (possibly defective) continuous phase-type distribution `PH(π, S)`.
+/// A continuous phase-type distribution `PH(α, S)`.
 ///
-/// `S` is the sub-generator over transient phases and `π` the initial phase
-/// distribution; absorption may be incomplete (defective) when some phases
-/// cannot reach the target — the missing mass is reported by
-/// [`PhaseType::total_mass`].
+/// `S` is the sub-generator over transient phases, `α` the initial phase
+/// distribution and `s⁰ = −S·1` the exit-rate vector into absorption.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseType {
     /// Sub-generator over the transient phases (dense; PH models are small).
     s: DenseMatrix,
-    /// Exit-rate vector into absorption, `s⁰ = −S·1` restricted to target
-    /// flows.
+    /// Exit-rate vector into absorption, `s⁰ = −S·1`.
     exit: Vec<f64>,
     /// Initial distribution over phases (may sum to < 1 when some initial
     /// mass starts absorbed).
     alpha: Vec<f64>,
-    /// Initial mass already absorbed.
-    point_mass_at_zero: f64,
 }
 
 impl PhaseType {
-    /// Builds the phase-type law of the first-passage time of `ctmc` into
-    /// `targets`, starting from `pi0`.
-    ///
-    /// Unlike classical PH construction, flows between non-target states
-    /// are kept and flows into the target become the exit vector; flows out
-    /// of target states are ignored (the clock stops at absorption).
-    ///
-    /// # Errors
-    ///
-    /// * [`MarkovError::InvalidDistribution`] when `pi0` is invalid.
-    /// * [`MarkovError::AbsorptionStructure`] when `targets` is empty or out
-    ///   of range.
-    pub fn first_passage(ctmc: &Ctmc, pi0: &[f64], targets: &[usize]) -> Result<Self> {
-        ctmc.check_distribution(pi0)?;
-        let n = ctmc.n_states();
-        if targets.is_empty() {
-            return Err(MarkovError::AbsorptionStructure {
-                context: "empty target set".to_string(),
-            });
-        }
-        let mut is_target = vec![false; n];
-        for &t in targets {
-            if t >= n {
-                return Err(MarkovError::AbsorptionStructure {
-                    context: format!("target state {t} outside state space 0..{n}"),
-                });
-            }
-            is_target[t] = true;
-        }
-        let phases: Vec<usize> = (0..n).filter(|&s| !is_target[s]).collect();
-        let index: std::collections::HashMap<usize, usize> =
-            phases.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let m = phases.len();
-        let mut s_mat = DenseMatrix::zeros(m, m);
-        let mut exit = vec![0.0; m];
-        for (r, c, v) in ctmc.generator().iter() {
-            if let Some(&i) = index.get(&r) {
-                if let Some(&j) = index.get(&c) {
-                    s_mat[(i, j)] = v;
-                } else if r != c {
-                    exit[i] += v;
-                }
-            }
-        }
-        let alpha: Vec<f64> = phases.iter().map(|&s| pi0[s]).collect();
-        let point_mass_at_zero = 1.0 - alpha.iter().sum::<f64>();
-        Ok(PhaseType {
-            s: s_mat,
-            exit,
-            alpha,
-            point_mass_at_zero: point_mass_at_zero.max(0.0),
-        })
-    }
-
-    /// Builds a PH law directly from its representation `(π, S)`.
+    /// Builds a PH law directly from its representation `(α, S)`.
     ///
     /// The exit vector is derived as `s⁰ = −S·1`; any initial mass missing
-    /// from `π` becomes a point mass at zero.
+    /// from `α` is a point mass at zero.
     ///
     /// # Errors
     ///
-    /// * [`MarkovError::InvalidModel`] when `S` is not square, has a
-    ///   positive diagonal / negative off-diagonal entry, a positive row
-    ///   sum, or when `π` has the wrong length, a negative entry, or mass
-    ///   above one.
+    /// * [`MarkovError::InvalidModel`] when `S` is not square or does not
+    ///   match `α`'s length, or has a positive diagonal / negative
+    ///   off-diagonal entry or a positive row sum.
+    /// * [`MarkovError::InvalidDistribution`] when `α` has a negative entry
+    ///   or mass above one.
     pub fn from_representation(alpha: Vec<f64>, s: DenseMatrix) -> Result<Self> {
         let m = alpha.len();
         if s.rows() != m || s.cols() != m {
@@ -134,12 +75,7 @@ impl PhaseType {
                 context: format!("initial phase vector {alpha:?} is not sub-stochastic"),
             });
         }
-        Ok(PhaseType {
-            s,
-            exit,
-            alpha,
-            point_mass_at_zero: (1.0 - mass).max(0.0),
-        })
+        Ok(PhaseType { s, exit, alpha })
     }
 
     /// The exponential law of rate `nu` as a one-phase PH distribution.
@@ -247,7 +183,7 @@ impl PhaseType {
         self.alpha.len()
     }
 
-    /// The initial phase distribution `π` (may sum to < 1 for laws with a
+    /// The initial phase distribution `α` (may sum to < 1 for laws with a
     /// point mass at zero).
     pub fn initial(&self) -> &[f64] {
         &self.alpha
@@ -262,409 +198,93 @@ impl PhaseType {
     pub fn exit_rates(&self) -> &[f64] {
         &self.exit
     }
-
-    /// `P[T ≤ t]` (includes any point mass at zero).
-    ///
-    /// # Errors
-    ///
-    /// Propagates matrix-exponential failures; `t` must be non-negative and
-    /// finite.
-    pub fn cdf(&self, t: f64) -> Result<f64> {
-        if !t.is_finite() || t < 0.0 {
-            return Err(MarkovError::InvalidModel {
-                context: format!("cdf time must be finite and >= 0, got {t}"),
-            });
-        }
-        if self.n_phases() == 0 {
-            return Ok(self.point_mass_at_zero);
-        }
-        let mut st = self.s.clone();
-        st.scale(t);
-        let e = expm::expm(&st)?;
-        // P[T > t] = α·exp(S·t)·1 (survivors still in a phase).
-        let surviving: f64 = e.vec_mul(&self.alpha).iter().sum();
-        Ok((1.0 - surviving).clamp(0.0, 1.0))
-    }
-
-    /// The defect-corrected density `f(t) = α·exp(S·t)·s⁰` (zero at any
-    /// point where mass cannot exit).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`PhaseType::cdf`].
-    pub fn density(&self, t: f64) -> Result<f64> {
-        if !t.is_finite() || t < 0.0 {
-            return Err(MarkovError::InvalidModel {
-                context: format!("density time must be finite and >= 0, got {t}"),
-            });
-        }
-        if self.n_phases() == 0 {
-            return Ok(0.0);
-        }
-        let mut st = self.s.clone();
-        st.scale(t);
-        let e = expm::expm(&st)?;
-        let at = e.vec_mul(&self.alpha);
-        Ok(sparsela::vector::dot(&at, &self.exit).max(0.0))
-    }
-
-    /// Total absorbed mass `P[T < ∞]`; `1.0` for a non-defective law.
-    ///
-    /// # Errors
-    ///
-    /// Propagates linear-solver failures (cannot happen when every phase
-    /// eventually exits).
-    pub fn total_mass(&self) -> Result<f64> {
-        if self.n_phases() == 0 {
-            return Ok(self.point_mass_at_zero);
-        }
-        // P[absorb | phase] solves (−S)·p = s⁰ — but only over phases that
-        // can reach the exit at all; for a defective law (−S) is singular
-        // on the unreachable part, where p = 0 by definition.
-        let m = self.n_phases();
-        let mut reaches = vec![false; m];
-        for (i, &e) in self.exit.iter().enumerate() {
-            reaches[i] = e > 0.0;
-        }
-        // Fixed-point backward reachability over the dense S graph.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..m {
-                if reaches[i] {
-                    continue;
-                }
-                for j in 0..m {
-                    if i != j && self.s[(i, j)] > 0.0 && reaches[j] {
-                        reaches[i] = true;
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        let live: Vec<usize> = (0..m).filter(|&i| reaches[i]).collect();
-        if live.is_empty() {
-            return Ok(self.point_mass_at_zero);
-        }
-        let mut neg_s = DenseMatrix::zeros(live.len(), live.len());
-        for (k, &i) in live.iter().enumerate() {
-            for (l, &j) in live.iter().enumerate() {
-                neg_s[(k, l)] = -self.s[(i, j)];
-            }
-        }
-        let rhs: Vec<f64> = live.iter().map(|&i| self.exit[i]).collect();
-        let lu = neg_s.lu().map_err(MarkovError::from)?;
-        let p = lu.solve(&rhs).map_err(MarkovError::from)?;
-        let absorbed: f64 = live
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| self.alpha[i] * p[k])
-            .sum();
-        Ok(self.point_mass_at_zero + absorbed)
-    }
-
-    /// The `k`-th raw moment `E[Tᵏ]` for a **non-defective** law:
-    /// `k!·α·(−S)⁻ᵏ·1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::AbsorptionStructure`] when the law is
-    /// defective (the moment would be infinite), and propagates solver
-    /// failures.
-    pub fn moment(&self, k: u32) -> Result<f64> {
-        if k == 0 {
-            return Ok(1.0);
-        }
-        let mass = self.total_mass()?;
-        if mass < 1.0 - 1e-9 {
-            return Err(MarkovError::AbsorptionStructure {
-                context: format!("defective phase-type law (mass {mass}); moments are infinite"),
-            });
-        }
-        if self.n_phases() == 0 {
-            return Ok(0.0);
-        }
-        let mut neg_s = self.s.clone();
-        neg_s.scale(-1.0);
-        let lu = neg_s.lu().map_err(MarkovError::from)?;
-        // v₀ = 1; v_i = (−S)⁻¹ v_{i−1}; E[Tᵏ] = k!·α·v_k.
-        let mut v = vec![1.0; self.n_phases()];
-        let mut factorial = 1.0;
-        for i in 1..=k {
-            v = lu.solve(&v).map_err(MarkovError::from)?;
-            factorial *= i as f64;
-        }
-        Ok(factorial * sparsela::vector::dot(&self.alpha, &v))
-    }
-
-    /// Quantile by bisection on the CDF.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidModel`] when `p` is outside `(0, 1)`
-    /// or exceeds the law's total mass, and propagates CDF failures.
-    pub fn quantile(&self, p: f64, tolerance: f64) -> Result<f64> {
-        if !(0.0..1.0).contains(&p) || p <= 0.0 {
-            return Err(MarkovError::InvalidModel {
-                context: format!("quantile level must be in (0, 1), got {p}"),
-            });
-        }
-        if p <= self.point_mass_at_zero {
-            return Ok(0.0);
-        }
-        if p >= self.total_mass()? {
-            return Err(MarkovError::InvalidModel {
-                context: format!("quantile level {p} exceeds the law's total mass"),
-            });
-        }
-        // Bracket: expand until CDF exceeds p.
-        let mut hi = 1.0;
-        while self.cdf(hi)? < p {
-            hi *= 2.0;
-            if hi > 1e15 {
-                return Err(MarkovError::InvalidModel {
-                    context: "quantile bracket expansion failed".to_string(),
-                });
-            }
-        }
-        let mut lo = 0.0;
-        while hi - lo > tolerance.max(1e-12) * hi.max(1.0) {
-            let mid = 0.5 * (lo + hi);
-            if self.cdf(mid)? < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(0.5 * (lo + hi))
-    }
-
-    /// Samples the distribution CDF on a uniform grid (utility for plotting
-    /// and for quadrature in tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates CDF failures.
-    pub fn cdf_grid(&self, t_max: f64, points: usize) -> Result<Vec<(f64, f64)>> {
-        let points = points.max(2);
-        (0..points)
-            .map(|i| {
-                let t = t_max * i as f64 / (points - 1) as f64;
-                Ok((t, self.cdf(t)?))
-            })
-            .collect()
-    }
-}
-
-/// Convenience: the phase-type law of hitting `targets` compared against
-/// the transient solver (used by tests; exposed for cross-validation).
-pub fn cdf_via_transient(ctmc: &Ctmc, pi0: &[f64], targets: &[usize], t: f64) -> Result<f64> {
-    crate::first_passage::hitting_probability_by(
-        ctmc,
-        pi0,
-        targets,
-        t,
-        &transient::Options::default(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exponential(nu: f64) -> (Ctmc, Vec<f64>) {
-        let c = Ctmc::from_transitions(2, [(0, 1, nu)]).unwrap();
-        let pi0 = c.point_distribution(0);
-        (c, pi0)
+    /// Asserts `law` is exactly the representation `(alpha, s, exit)`.
+    fn assert_representation(law: &PhaseType, alpha: &[f64], s: &[&[f64]], exit: &[f64]) {
+        assert_eq!(law.n_phases(), alpha.len());
+        assert_eq!(law.initial(), alpha);
+        assert_eq!(law.sub_generator(), &DenseMatrix::from_rows(s));
+        assert_eq!(law.exit_rates(), exit);
     }
 
     #[test]
-    fn exponential_law() {
+    fn exponential_is_one_phase() {
         let nu = 1.7;
-        let (c, pi0) = exponential(nu);
-        let ph = PhaseType::first_passage(&c, &pi0, &[1]).unwrap();
-        assert_eq!(ph.n_phases(), 1);
-        for t in [0.0, 0.3, 1.0, 4.0] {
-            let want = 1.0 - (-nu * t).exp();
-            assert!((ph.cdf(t).unwrap() - want).abs() < 1e-12);
-            assert!((ph.density(t).unwrap() - nu * (-nu * t).exp()).abs() < 1e-10);
-        }
-        assert!((ph.total_mass().unwrap() - 1.0).abs() < 1e-12);
-        assert!((ph.moment(1).unwrap() - 1.0 / nu).abs() < 1e-12);
-        assert!((ph.moment(2).unwrap() - 2.0 / (nu * nu)).abs() < 1e-12);
+        let ph = PhaseType::exponential(nu).unwrap();
+        assert_representation(&ph, &[1.0], &[&[-nu]], &[nu]);
+        assert!(PhaseType::exponential(0.0).is_err());
+        assert!(PhaseType::exponential(f64::NAN).is_err());
     }
 
     #[test]
-    fn erlang_law() {
+    fn erlang_is_a_series_of_equal_stages() {
         let nu = 2.0;
-        let c = Ctmc::from_transitions(3, [(0, 1, nu), (1, 2, nu)]).unwrap();
-        let pi0 = c.point_distribution(0);
-        let ph = PhaseType::first_passage(&c, &pi0, &[2]).unwrap();
-        let t = 1.1;
-        let x = nu * t;
-        let want_cdf = 1.0 - (1.0 + x) * (-x).exp();
-        assert!((ph.cdf(t).unwrap() - want_cdf).abs() < 1e-11);
-        let want_pdf = nu * x * (-x).exp();
-        assert!((ph.density(t).unwrap() - want_pdf).abs() < 1e-10);
-        assert!((ph.moment(1).unwrap() - 2.0 / nu).abs() < 1e-12);
-        // Median of Erlang(2): solve numerically and cross-check.
-        let med = ph.quantile(0.5, 1e-10).unwrap();
-        assert!((ph.cdf(med).unwrap() - 0.5).abs() < 1e-8);
+        let ph = PhaseType::erlang(3, nu).unwrap();
+        assert_representation(
+            &ph,
+            &[1.0, 0.0, 0.0],
+            &[&[-nu, nu, 0.0], &[0.0, -nu, nu], &[0.0, 0.0, -nu]],
+            &[0.0, 0.0, nu],
+        );
+        assert_eq!(
+            PhaseType::erlang(1, nu).unwrap(),
+            PhaseType::exponential(nu).unwrap()
+        );
+        assert!(PhaseType::erlang(0, nu).is_err());
+        assert!(PhaseType::erlang(2, -1.0).is_err());
     }
 
     #[test]
-    fn defective_law_reports_mass_and_refuses_moments() {
-        // Competing risks: absorb in target 1 w.p. 0.25, elsewhere 0.75.
-        let c = Ctmc::from_transitions(3, [(0, 1, 1.0), (0, 2, 3.0)]).unwrap();
-        let pi0 = c.point_distribution(0);
-        let ph = PhaseType::first_passage(&c, &pi0, &[1]).unwrap();
-        assert!((ph.total_mass().unwrap() - 0.25).abs() < 1e-12);
-        assert!(ph.cdf(1e6).unwrap() <= 0.25 + 1e-9);
-        assert!(matches!(
-            ph.moment(1),
-            Err(MarkovError::AbsorptionStructure { .. })
-        ));
-        assert!(ph.quantile(0.5, 1e-9).is_err());
-        assert!(ph.quantile(0.2, 1e-9).is_ok());
-    }
+    fn hyperexponential_is_a_choice_of_parallel_stages() {
+        let ph = PhaseType::hyperexponential(&[(0.3, 1.0), (0.7, 4.0)]).unwrap();
+        assert_representation(&ph, &[0.3, 0.7], &[&[-1.0, 0.0], &[0.0, -4.0]], &[1.0, 4.0]);
 
-    #[test]
-    fn initial_mass_on_target_is_point_mass_at_zero() {
-        let c = Ctmc::from_transitions(2, [(0, 1, 1.0)]).unwrap();
-        let ph = PhaseType::first_passage(&c, &[0.4, 0.6], &[1]).unwrap();
-        assert!((ph.cdf(0.0).unwrap() - 0.6).abs() < 1e-12);
-        assert_eq!(ph.quantile(0.5, 1e-9).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn agrees_with_transient_solver() {
-        // Richer chain: cycle with a side exit.
-        let c = Ctmc::from_transitions(
-            4,
-            [
-                (0, 1, 2.0),
-                (1, 0, 1.0),
-                (1, 2, 0.7),
-                (2, 3, 1.3),
-                (0, 3, 0.1),
-            ],
-        )
-        .unwrap();
-        let pi0 = c.point_distribution(0);
-        let ph = PhaseType::first_passage(&c, &pi0, &[3]).unwrap();
-        for t in [0.5, 2.0, 8.0] {
-            let a = ph.cdf(t).unwrap();
-            let b = cdf_via_transient(&c, &pi0, &[3], t).unwrap();
-            assert!((a - b).abs() < 1e-9, "t={t}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn cdf_grid_is_monotone() {
-        let (c, pi0) = exponential(1.0);
-        let ph = PhaseType::first_passage(&c, &pi0, &[1]).unwrap();
-        let grid = ph.cdf_grid(5.0, 20).unwrap();
-        assert_eq!(grid.len(), 20);
-        for w in grid.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1e-12);
-        }
-    }
-
-    #[test]
-    fn invalid_inputs_rejected() {
-        let (c, pi0) = exponential(1.0);
-        assert!(PhaseType::first_passage(&c, &pi0, &[]).is_err());
-        assert!(PhaseType::first_passage(&c, &pi0, &[9]).is_err());
-        let ph = PhaseType::first_passage(&c, &pi0, &[1]).unwrap();
-        assert!(ph.cdf(-1.0).is_err());
-        assert!(ph.density(f64::NAN).is_err());
-        assert!(ph.quantile(0.0, 1e-9).is_err());
-        assert!(ph.quantile(1.0, 1e-9).is_err());
-    }
-
-    #[test]
-    fn erlang_one_degenerates_to_exponential() {
-        let nu = 2.3;
-        let ph = PhaseType::erlang(1, nu).unwrap();
-        assert_eq!(ph.n_phases(), 1);
-        for t in [0.0, 0.4, 1.0, 3.7] {
-            let want = 1.0 - (-nu * t).exp();
-            assert!((ph.cdf(t).unwrap() - want).abs() < 1e-12, "t = {t}");
-            let want_pdf = nu * (-nu * t).exp();
-            assert!((ph.density(t).unwrap() - want_pdf).abs() < 1e-10, "t = {t}");
-        }
-        let direct = PhaseType::exponential(nu).unwrap();
-        assert!((direct.moment(1).unwrap() - ph.moment(1).unwrap()).abs() < 1e-15);
-        assert!((ph.moment(1).unwrap() - 1.0 / nu).abs() < 1e-12);
-        assert!((ph.moment(2).unwrap() - 2.0 / (nu * nu)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn erlang_constructor_matches_first_passage_chain() {
-        let nu = 2.0;
-        let direct = PhaseType::erlang(2, nu).unwrap();
-        let c = Ctmc::from_transitions(3, [(0, 1, nu), (1, 2, nu)]).unwrap();
-        let pi0 = c.point_distribution(0);
-        let via_chain = PhaseType::first_passage(&c, &pi0, &[2]).unwrap();
-        for t in [0.1, 0.9, 2.5] {
-            let a = direct.cdf(t).unwrap();
-            let b = via_chain.cdf(t).unwrap();
-            assert!((a - b).abs() < 1e-12, "t = {t}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn hyperexponential_weights_must_sum_to_one() {
         assert!(PhaseType::hyperexponential(&[]).is_err());
         assert!(PhaseType::hyperexponential(&[(0.4, 1.0), (0.4, 2.0)]).is_err());
         assert!(PhaseType::hyperexponential(&[(0.7, 1.0), (0.7, 2.0)]).is_err());
         assert!(PhaseType::hyperexponential(&[(0.5, -1.0), (0.5, 2.0)]).is_err());
         assert!(PhaseType::hyperexponential(&[(-0.2, 1.0), (1.2, 2.0)]).is_err());
-
-        let ph = PhaseType::hyperexponential(&[(0.3, 1.0), (0.7, 4.0)]).unwrap();
-        assert!((ph.initial().iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((ph.total_mass().unwrap() - 1.0).abs() < 1e-9);
-        for t in [0.2f64, 1.0, 3.0] {
-            let want = 0.3 * (1.0 - (-t).exp()) + 0.7 * (1.0 - (-4.0 * t).exp());
-            assert!((ph.cdf(t).unwrap() - want).abs() < 1e-11, "t = {t}");
-        }
-        let want_mean = 0.3 / 1.0 + 0.7 / 4.0;
-        assert!((ph.moment(1).unwrap() - want_mean).abs() < 1e-12);
     }
 
     #[test]
-    fn deterministic_approx_error_bound() {
+    fn hyperexponential_weights_are_normalized() {
+        // Weights within the 1e-6 tolerance are scaled to an exactly proper
+        // initial vector.
+        let ph = PhaseType::hyperexponential(&[(0.5, 1.0), (0.5000004, 2.0)]).unwrap();
+        let total = 0.5 + 0.5000004;
+        assert_eq!(ph.initial(), &[0.5 / total, 0.5000004 / total]);
+    }
+
+    #[test]
+    fn deterministic_approx_is_erlang_with_the_mean_kept() {
         let mean = 2.0;
-        // The Erlang-k approximation keeps the mean exact and has standard
-        // deviation mean/sqrt(k); the CDF mass inside mean ± 3σ must grow
-        // towards 1 as k grows.
-        let mut last_spread = f64::INFINITY;
-        for k in [4, 16, 64] {
+        for k in [1, 4, 16] {
             let ph = PhaseType::deterministic_approx(mean, k).unwrap();
-            assert!((ph.moment(1).unwrap() - mean).abs() < 1e-10, "k = {k}");
-            let var = ph.moment(2).unwrap() - mean * mean;
-            let want_var = mean * mean / k as f64;
-            assert!(
-                (var - want_var).abs() < 1e-8,
-                "k = {k}: {var} vs {want_var}"
-            );
-            // Interquantile spread shrinks like 1/sqrt(k).
-            let spread = ph.quantile(0.9, 1e-10).unwrap() - ph.quantile(0.1, 1e-10).unwrap();
-            assert!(spread < last_spread, "k = {k}");
-            last_spread = spread;
-            let sigma = (want_var).sqrt();
-            let inside = ph.cdf(mean + 3.0 * sigma).unwrap()
-                - ph.cdf((mean - 3.0 * sigma).max(0.0)).unwrap();
-            // Chebyshev guarantees >= 1 - 1/9; the Erlang does far better.
-            assert!(
-                inside > 1.0 - 1.0 / 9.0,
-                "k = {k}: mass inside 3σ = {inside}"
+            assert_eq!(
+                ph,
+                PhaseType::erlang(k, k as f64 / mean).unwrap(),
+                "k = {k}"
             );
         }
-        assert!(last_spread < mean);
         assert!(PhaseType::deterministic_approx(0.0, 8).is_err());
         assert!(PhaseType::deterministic_approx(2.0, 0).is_err());
+    }
+
+    #[test]
+    fn from_representation_derives_exit_rates() {
+        // A two-phase Coxian: phase 0 exits at 0.5 or moves on at 1.5.
+        let s = DenseMatrix::from_rows(&[&[-2.0, 1.5], &[0.0, -3.0]]);
+        let ph = PhaseType::from_representation(vec![1.0, 0.0], s).unwrap();
+        assert_representation(&ph, &[1.0, 0.0], &[&[-2.0, 1.5], &[0.0, -3.0]], &[0.5, 3.0]);
+        // A sub-stochastic initial vector is kept as given.
+        let s = DenseMatrix::from_vec(1, 1, vec![-1.0]).unwrap();
+        let ph = PhaseType::from_representation(vec![0.75], s).unwrap();
+        assert_representation(&ph, &[0.75], &[&[-1.0]], &[1.0]);
     }
 
     #[test]
@@ -681,11 +301,5 @@ mod tests {
         // Super-stochastic initial vector.
         let s = DenseMatrix::from_vec(1, 1, vec![-1.0]).unwrap();
         assert!(PhaseType::from_representation(vec![1.5], s).is_err());
-        // Sub-stochastic initial vector => point mass at zero.
-        let s = DenseMatrix::from_vec(1, 1, vec![-1.0]).unwrap();
-        let ph = PhaseType::from_representation(vec![0.75], s).unwrap();
-        assert!((ph.cdf(0.0).unwrap() - 0.25).abs() < 1e-12);
-        assert_eq!(ph.exit_rates(), &[1.0]);
-        assert_eq!(ph.sub_generator()[(0, 0)], -1.0);
     }
 }

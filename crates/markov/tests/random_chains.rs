@@ -7,6 +7,7 @@ use markov::transient::{self, Method, Options};
 use markov::Ctmc;
 use markov::MarkovError;
 use proptest::prelude::*;
+use sparsela::DenseMatrix;
 
 /// A random dense-ish CTMC over `n` states with rates in (0, scale].
 fn arb_ctmc(n: usize, scale: f64) -> impl Strategy<Value = Ctmc> {
@@ -182,11 +183,19 @@ proptest! {
         chain in arb_ctmc(4, 1.5),
         target in 1usize..4,
     ) {
-        // E[T∧H] for growing H converges to E[T] (non-defective here since
-        // the chain is irreducible).
+        // E[T·1{T≤H}] for growing H converges to E[T] (non-defective here
+        // since the chain is irreducible). E[T] from state 0 solves
+        // (−Q_TT)·m = 1 over the non-target states T.
         let pi0 = chain.point_distribution(0);
-        let moments = markov::first_passage::hitting_moments(&chain, &[target]).unwrap();
-        let mean = moments.mean_from(&pi0, chain.n_states()).unwrap();
+        let others: Vec<usize> = (0..chain.n_states()).filter(|&s| s != target).collect();
+        let mut neg_qtt = DenseMatrix::zeros(others.len(), others.len());
+        for (i, &r) in others.iter().enumerate() {
+            for (j, &c) in others.iter().enumerate() {
+                neg_qtt[(i, j)] = -chain.generator().get(r, c);
+            }
+        }
+        let m = neg_qtt.lu().unwrap().solve(&vec![1.0; others.len()]).unwrap();
+        let mean = m[others.iter().position(|&s| s == 0).unwrap()];
         let horizon = mean * 50.0 + 10.0;
         let truncated = markov::first_passage::truncated_mean_hitting_time(
             &chain, &pi0, &[target], horizon, &Options::default(),

@@ -123,8 +123,8 @@ impl Analyzer {
     }
 
     /// The stationary distribution, solved on first use and cached: reward
-    /// queries that need π more than once (e.g. a rate and an impulse
-    /// variable on the same model) pay for a single solve.
+    /// queries that need π more than once (several reward variables on the
+    /// same model) pay for a single solve.
     ///
     /// # Errors
     ///

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-pub mod compose;
 pub mod dot;
 mod error;
 mod marking;

@@ -23,6 +23,12 @@ impl PlaceId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActivityId(usize);
 
+impl ActivityId {
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// Identifier of an input gate within a [`SanModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InputGateId(usize);
@@ -256,15 +262,6 @@ impl Activity {
         self
     }
 
-    pub(crate) fn name_for_compose(&self) -> &str {
-        &self.name
-    }
-
-    pub(crate) fn with_name(mut self, name: String) -> Self {
-        self.name = name;
-        self
-    }
-
     pub(crate) fn finalize(mut self) -> Result<Self> {
         if self.has_explicit_cases {
             if !self.default_case.output_arcs.is_empty()
@@ -489,17 +486,6 @@ impl SanModel {
         Marking::from_tokens(self.places.iter().map(|p| p.initial).collect())
     }
 
-    /// `true` when `activity` is enabled in `marking`: all input arcs are
-    /// covered, all inline enabling predicates hold, and all input-gate
-    /// predicates hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `activity` does not belong to this model.
-    pub fn is_activity_enabled(&self, activity: ActivityId, marking: &Marking) -> bool {
-        crate::semantics::is_enabled(self, self.activity(activity), marking)
-    }
-
     /// The timed activities enabled in `marking` with their validated rates
     /// (maximal progress: suppressed while an instantaneous activity is
     /// enabled).
@@ -526,15 +512,6 @@ impl SanModel {
         marking: &Marking,
     ) -> Result<Vec<(usize, f64)>> {
         crate::semantics::case_distribution(self, activity, marking)
-    }
-
-    /// Number of cases of an activity (implicit default case counts as one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `activity` does not belong to this model.
-    pub fn n_cases_of(&self, activity: ActivityId) -> usize {
-        self.activities[activity.0].cases.len()
     }
 
     pub(crate) fn activity(&self, id: ActivityId) -> &Activity {

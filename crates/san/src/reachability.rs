@@ -16,23 +16,6 @@ use crate::model::{ActivityId, SanModel};
 use crate::semantics;
 use crate::{Marking, Result, SanError};
 
-/// One aggregated activity flow in the tangible chain: completing `activity`
-/// in state `from` leads to tangible state `to` at the given rate (after
-/// case probabilities and vanishing resolution). Self-flows (`from == to`)
-/// are retained here even though they carry no CTMC transition — impulse
-/// rewards still accrue on them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActivityFlow {
-    /// Source tangible state.
-    pub from: usize,
-    /// Destination tangible state (may equal `from`).
-    pub to: usize,
-    /// The timed activity whose completion produces this flow.
-    pub activity: ActivityId,
-    /// Effective rate of the flow.
-    pub rate: f64,
-}
-
 /// Options for [`StateSpace::generate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReachabilityOptions {
@@ -63,9 +46,8 @@ pub struct StateSpace {
     /// generation (a timed firing that leads back to the same tangible
     /// marking is a null event for the CTMC).
     dropped_self_loop_rate: f64,
-    /// Per-activity flows, including self-flows, for impulse rewards and
-    /// throughput measures.
-    flows: Vec<ActivityFlow>,
+    /// Whether each activity (by id) completes in some tangible state.
+    completes: Vec<bool>,
 }
 
 impl StateSpace {
@@ -85,7 +67,7 @@ impl StateSpace {
         let mut index: HashMap<Marking, usize> = HashMap::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
-        let mut flows: Vec<ActivityFlow> = Vec::new();
+        let mut completes = vec![false; model.n_activities()];
         let mut dropped_self_loop_rate = 0.0;
 
         let intern = |mk: Marking,
@@ -126,12 +108,7 @@ impl StateSpace {
                     {
                         let ti = intern(tangible, &mut states, &mut index, &mut queue);
                         let r = rate * case_p * q;
-                        flows.push(ActivityFlow {
-                            from: si,
-                            to: ti,
-                            activity: act,
-                            rate: r,
-                        });
+                        completes[act.index()] = true;
                         if ti == si {
                             dropped_self_loop_rate += r;
                         } else {
@@ -178,7 +155,7 @@ impl StateSpace {
             ctmc,
             initial_distribution,
             dropped_self_loop_rate,
-            flows,
+            completes,
         })
     }
 
@@ -248,28 +225,10 @@ impl StateSpace {
         self.dropped_self_loop_rate
     }
 
-    /// All per-activity flows of the tangible chain (self-flows included).
-    pub fn flows(&self) -> &[ActivityFlow] {
-        &self.flows
-    }
-
-    /// The expected completion rate (throughput) of `activity` under a
-    /// state distribution `pi`: `Σ_flows π_from · rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != self.n_states()`.
-    pub fn activity_throughput(&self, pi: &[f64], activity: ActivityId) -> f64 {
-        assert_eq!(
-            pi.len(),
-            self.n_states(),
-            "activity_throughput: length mismatch"
-        );
-        self.flows
-            .iter()
-            .filter(|f| f.activity == activity)
-            .map(|f| pi[f.from] * f.rate)
-            .sum()
+    /// `true` when `activity` completes in some reachable tangible state
+    /// (self-loop completions included).
+    pub(crate) fn fires(&self, activity: ActivityId) -> bool {
+        self.completes[activity.index()]
     }
 }
 

@@ -44,19 +44,17 @@ pub fn is_safe(space: &StateSpace) -> bool {
     place_bounds(space).iter().all(|b| b.max <= 1)
 }
 
-/// Timed activities that never fire in the tangible chain (no flow has
-/// them as source). A dead activity usually indicates an enabling predicate
-/// that can never hold or an unreachable input marking.
+/// Timed activities that never fire in the tangible chain. A dead activity
+/// usually indicates an enabling predicate that can never hold or an
+/// unreachable input marking.
 ///
 /// Instantaneous activities are not reported: their firings are folded into
-/// vanishing resolution and leave no flows.
+/// vanishing resolution.
 pub fn dead_timed_activities(model: &SanModel, space: &StateSpace) -> Vec<ActivityId> {
-    use std::collections::HashSet;
-    let live: HashSet<ActivityId> = space.flows().iter().map(|f| f.activity).collect();
     model
         .activity_ids()
-        .filter(|id| {
-            matches!(model.activity_kind_of(*id), crate::ActivityKind::Timed) && !live.contains(id)
+        .filter(|&id| {
+            matches!(model.activity_kind_of(id), crate::ActivityKind::Timed) && !space.fires(id)
         })
         .collect()
 }

@@ -49,7 +49,6 @@ mod engine;
 mod estimate;
 pub mod fast;
 mod rng;
-pub mod shadow;
 
 pub use config::{GammaMode, SimConfig};
 pub use distribution::WorthDistribution;
@@ -57,4 +56,3 @@ pub use engine::{simulate_run, PathClass, RunOutcome};
 pub use estimate::{estimate_y, estimate_y_matched, EngineKind, MonteCarlo, SimSummary, YEstimate};
 pub use fast::{calibrate, simulate_run_hybrid, Calibration};
 pub use rng::SimRng;
-pub use shadow::{run_until_admitted, simulate_validation, CampaignOutcome, ValidationLog};

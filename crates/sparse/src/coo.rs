@@ -1,6 +1,6 @@
 //! Coordinate-format sparse matrix assembly.
 
-use crate::{CsrMatrix, LinAlgError, Result};
+use crate::CsrMatrix;
 
 /// A sparse matrix in coordinate (triplet) format, used for assembly.
 ///
@@ -58,11 +58,6 @@ impl CooMatrix {
         self.cols
     }
 
-    /// Number of raw (possibly duplicated) entries pushed so far.
-    pub fn raw_len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Adds `value` at `(row, col)`. Zero values are skipped.
     ///
     /// # Panics
@@ -79,31 +74,6 @@ impl CooMatrix {
         if value != 0.0 {
             self.entries.push((row, col, value));
         }
-    }
-
-    /// Fallible variant of [`push`](Self::push) for externally supplied data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinAlgError::IndexOutOfBounds`] when the position is outside
-    /// the matrix, and [`LinAlgError::InvalidValue`] when `value` is not
-    /// finite.
-    pub fn try_push(&mut self, row: usize, col: usize, value: f64) -> Result<()> {
-        if row >= self.rows || col >= self.cols {
-            return Err(LinAlgError::IndexOutOfBounds {
-                index: (row, col),
-                shape: (self.rows, self.cols),
-            });
-        }
-        if !value.is_finite() {
-            return Err(LinAlgError::InvalidValue {
-                context: format!("non-finite value {value} at ({row}, {col})"),
-            });
-        }
-        if value != 0.0 {
-            self.entries.push((row, col, value));
-        }
-        Ok(())
     }
 
     /// Converts to compressed sparse row format, summing duplicates and
@@ -205,21 +175,7 @@ mod tests {
     fn zero_push_is_skipped() {
         let mut coo = CooMatrix::new(1, 1);
         coo.push(0, 0, 0.0);
-        assert_eq!(coo.raw_len(), 0);
-    }
-
-    #[test]
-    fn try_push_rejects_out_of_bounds() {
-        let mut coo = CooMatrix::new(2, 2);
-        let err = coo.try_push(2, 0, 1.0).unwrap_err();
-        assert!(matches!(err, LinAlgError::IndexOutOfBounds { .. }));
-    }
-
-    #[test]
-    fn try_push_rejects_nan() {
-        let mut coo = CooMatrix::new(2, 2);
-        let err = coo.try_push(0, 0, f64::NAN).unwrap_err();
-        assert!(matches!(err, LinAlgError::InvalidValue { .. }));
+        assert_eq!(coo.to_csr().nnz(), 0);
     }
 
     #[test]
@@ -239,7 +195,7 @@ mod tests {
     fn extend_appends() {
         let mut coo = CooMatrix::new(2, 2);
         coo.extend(vec![(0, 0, 1.0), (1, 1, 2.0)]);
-        assert_eq!(coo.raw_len(), 2);
+        assert_eq!(coo.to_csr().nnz(), 2);
     }
 
     #[test]

@@ -24,13 +24,6 @@ pub enum LinAlgError {
         /// Index of the pivot at which elimination broke down.
         pivot: usize,
     },
-    /// An index was outside the matrix bounds.
-    IndexOutOfBounds {
-        /// The offending (row, col) pair.
-        index: (usize, usize),
-        /// The matrix shape.
-        shape: (usize, usize),
-    },
     /// An input value was invalid (NaN, non-positive where positivity is required, …).
     InvalidValue {
         /// Description of the invalid input.
@@ -56,11 +49,6 @@ impl fmt::Display for LinAlgError {
             LinAlgError::Singular { pivot } => {
                 write!(f, "matrix is singular at pivot {pivot}")
             }
-            LinAlgError::IndexOutOfBounds { index, shape } => write!(
-                f,
-                "index ({}, {}) out of bounds for {}x{} matrix",
-                index.0, index.1, shape.0, shape.1
-            ),
             LinAlgError::InvalidValue { context } => {
                 write!(f, "invalid value: {context}")
             }

@@ -43,11 +43,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// The 1-norm `Σ|xᵢ|`.
-pub fn norm_l1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// The Euclidean norm `√(Σxᵢ²)`.
 pub fn norm_l2(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -125,7 +120,6 @@ mod tests {
     #[test]
     fn norms_of_unit_vectors() {
         let e = [0.0, 1.0, 0.0];
-        assert_eq!(norm_l1(&e), 1.0);
         assert_eq!(norm_l2(&e), 1.0);
         assert_eq!(norm_inf(&e), 1.0);
     }

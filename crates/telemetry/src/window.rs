@@ -26,7 +26,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::buckets::{bucket_bound, bucket_index, estimate_quantile, BUCKETS};
+use crate::buckets::{bucket_index, estimate_quantile, BUCKETS};
 
 /// Default window width, in seconds, used by serving-side telemetry.
 pub const DEFAULT_WINDOW_SECS: u64 = 60;
@@ -252,16 +252,6 @@ impl WindowSnapshot {
             _ => None,
         }
     }
-
-    /// Non-empty `(upper_bound, count)` bucket pairs, for export.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_bound(i), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +301,6 @@ mod tests {
         assert!(snap.quantile(0.999).is_nan());
         assert!(snap.mean().is_nan());
         assert!(snap.attainment().is_none());
-        assert!(snap.nonzero_buckets().is_empty());
     }
 
     #[test]
