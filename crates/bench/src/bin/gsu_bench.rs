@@ -3,32 +3,30 @@
 //!
 //! ```text
 //! gsu-bench run <experiment>|all [--steps N] [--out DIR]
-//! gsu-bench regress [--baseline PATH] [--current PATH | --benchmark PATH]
-//!                   [--threshold FRACTION] [--no-update] [--allow-missing]
+//! gsu-bench regress [--baseline PATH] [--current PATH]
+//!                   [--threshold FRACTION] [--no-update]
 //! gsu-bench profile --trace PATH [--folded | --table]
 //! gsu-bench scenarios [--dir PATH] [--golden PATH] [--out PATH]
 //!                     [--write-golden | --check]
 //! gsu-bench loadgen [--addr HOST:PORT] [--mode open|closed] [--rate RPS]
 //!                   [--duration SECONDS] [--connections N] [--seed N]
 //!                   [--no-keepalive] [--label NAME] [--slo PATH]
-//!                   [--scenarios PATH] [--report PATH] [--bench PATH]
-//!                   [--check]
+//!                   [--scenarios PATH] [--report PATH] [--check]
 //! ```
 //!
 //! `run` regenerates the paper's tables, figures and studies from the
 //! [`gsu_bench::experiments`] table, in-process; every file it writes lands
 //! under `--out` (default `results`), and `--steps` sets the φ grid of
 //! fig9–fig12 (default 10). It records no timings: the benchmark's
-//! `figures` workload runs the same work and `regress --benchmark` gates it.
+//! `figures` workload runs the same work and `regress` gates its counters.
 //!
-//! `regress` compares a current `BENCH_sweep.json` (the records `scenarios`
-//! or `loadgen --bench` wrote) against the committed baseline — wall time
-//! *and* deterministic work metrics — and exits 0 on pass, 1 on regression
-//! or on a baseline entry missing from the current log (`--allow-missing`
-//! downgrades the latter to a note), and 2 on usage or I/O errors. With
-//! `--benchmark PATH` it gates the per-layer work counters of a
-//! `gsu-benchmark` run set instead, at zero tolerance per workload.
-//! See [`gsu_bench::regress`] for the gate semantics.
+//! `regress` compares the records of `--current` against the committed
+//! baseline — wall time *and* deterministic work counters. The input's kind
+//! is read from the document: the record log `scenarios` writes, a
+//! `gsu-benchmark` run set, or a `loadgen` report. It exits 0 on pass, 1 on
+//! a regression or on a baseline record missing from the input, and 2 on
+//! usage or I/O errors or an input of no known kind. See
+//! [`gsu_bench::regress`] for the gate semantics.
 //!
 //! `profile` rebuilds the span tree of a Chrome trace written by a
 //! `GSU_TELEMETRY=1` run (or fetched from `gsu-serve /trace?id=`) and prints
@@ -41,27 +39,27 @@
 //! [`gsu_bench::scenarios`].
 //!
 //! `loadgen` drives a live `gsu-serve` with a seeded workload mix over
-//! persistent connections, writes a `gsu-loadgen-v1` latency report plus
-//! `serve:*` bench records, and with `--check` gates the run against the
-//! committed `results/SLO.json`; see [`gsu_bench::loadgen`].
+//! persistent connections, writes a `gsu-loadgen-v1` latency report (the
+//! serve ratchet's `regress` input), and with `--check` gates the run
+//! against the committed `results/SLO.json`; see [`gsu_bench::loadgen`].
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
 use gsu_bench::experiments::{self, RunContext, EXPERIMENTS};
-use gsu_bench::regress::{RegressConfig, DEFAULT_THRESHOLD};
+use gsu_bench::regress::RegressConfig;
 
 const USAGE: &str = "usage: gsu-bench run <experiment>|all [--steps N] [--out DIR]\n  \
-                     | gsu-bench regress [--baseline PATH] [--current PATH | --benchmark PATH] \
-                     [--threshold FRACTION] [--no-update] [--allow-missing]\n  \
+                     | gsu-bench regress [--baseline PATH] [--current PATH] \
+                     [--threshold FRACTION] [--no-update]\n  \
                      | gsu-bench profile --trace PATH [--folded | --table]\n  \
                      | gsu-bench scenarios [--dir PATH] [--golden PATH] [--out PATH] \
                      [--write-golden | --check]\n  \
                      | gsu-bench loadgen [--addr HOST:PORT] [--mode open|closed] \
                      [--rate RPS] [--duration SECONDS] [--connections N] [--seed N] \
                      [--no-keepalive] [--label NAME] [--slo PATH] [--scenarios PATH] \
-                     [--report PATH] [--bench PATH] [--check]";
+                     [--report PATH] [--check]";
 
 fn main() -> ExitCode {
     telemetry::init_log_from_env("GSU_LOG");
@@ -180,37 +178,18 @@ fn regress(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Some(path) => config.current = path.into(),
                 None => return usage("--current needs a path"),
             },
-            "--benchmark" => match args.next() {
-                Some(path) => config.benchmark = Some(path.into()),
-                None => return usage("--benchmark needs a path"),
-            },
             "--threshold" => match args.next().and_then(|raw| raw.parse::<f64>().ok()) {
                 Some(t) if t.is_finite() && t >= 0.0 => config.threshold = t,
                 _ => return usage("--threshold needs a non-negative fraction (e.g. 0.10)"),
             },
             "--no-update" => config.update = false,
-            "--allow-missing" => config.allow_missing = true,
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    if config.threshold == DEFAULT_THRESHOLD && std::env::var("GSU_REGRESS_THRESHOLD").is_ok() {
-        match std::env::var("GSU_REGRESS_THRESHOLD")
-            .ok()
-            .and_then(|raw| raw.parse::<f64>().ok())
-        {
-            Some(t) if t.is_finite() && t >= 0.0 => config.threshold = t,
-            _ => return usage("GSU_REGRESS_THRESHOLD must be a non-negative fraction"),
-        }
-    }
-    let outcome = if config.benchmark.is_some() {
-        gsu_bench::regress::run_counters(&config).map(|r| (r.render(), r.passed()))
-    } else {
-        gsu_bench::regress::run(&config).map(|r| (r.render(), r.passed()))
-    };
-    match outcome {
-        Ok((rendered, passed)) => {
-            print!("{rendered}");
-            if passed {
+    match gsu_bench::regress::run(&config) {
+        Ok(report) => {
+            print!("{}", report.render());
+            if report.passed() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -305,10 +284,6 @@ fn loadgen(mut args: impl Iterator<Item = String>) -> ExitCode {
             "--report" => match args.next() {
                 Some(path) => config.report_path = Some(path.into()),
                 None => return usage("--report needs a path"),
-            },
-            "--bench" => match args.next() {
-                Some(path) => config.bench_path = Some(path.into()),
-                None => return usage("--bench needs a path"),
             },
             "--check" => config.check = true,
             other => return usage(&format!("unknown argument {other:?}")),

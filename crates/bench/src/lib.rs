@@ -3,9 +3,10 @@
 //! [`experiments`] is the table of paper experiments behind
 //! `gsu-bench run` (see `DESIGN.md` §6 for the index); this library also
 //! provides their common plumbing: φ grids, labelled curve sweeps, ASCII
-//! plotting for the terminal and CSV emission, plus the [`BenchRecord`] log
-//! format (`BENCH_sweep.json`) that `gsu-bench scenarios` and
-//! `gsu-bench loadgen` write and [`regress`] gates.
+//! plotting for the terminal and CSV emission, plus the [`BenchRecord`]s
+//! that [`regress`] gates: the record log (`BENCH_sweep.json`, the
+//! baselines) and its reader, which also reads a `gsu-benchmark` run set
+//! and a `gsu-bench loadgen` report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,156 +81,153 @@ impl Curve {
     }
 }
 
-/// One record of the `BENCH_sweep.json` performance log, keyed on
-/// `(name, threads)`.
+/// One record of the regress gate, keyed on `(name, threads)`: a
+/// `scenario:*` record of `gsu-bench scenarios`, a `benchmark:*` record of
+/// a `gsu-benchmark` run set, or a `serve:*` record of a loadgen report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Record name (e.g. `scenario:paper-baseline`, `serve:open:p99`).
     pub name: String,
-    /// End-to-end wall time of the run in milliseconds.
-    pub wall_ms: f64,
-    /// Pool width the run used (`GSU_THREADS`).
-    pub threads: usize,
-    /// φ grid points the run swept (request count for `serve:*` records).
-    pub grid: usize,
-    /// Solver iterations the run performed (deterministic work metric:
-    /// sweep/uniformization steps plus expm squarings; see
-    /// [`telemetry::work`]). `0` when absent from the log.
-    pub iterations: u64,
-    /// Sparse matrix-vector products the run performed. `0` when absent.
-    pub spmv_ops: u64,
-    /// Stored matrix entries those products touched — the SpMV count
-    /// weighted by chain size. `0` when absent.
-    pub spmv_nnz: u64,
-    /// Multiply-adds of both transient engines (see
-    /// [`telemetry::work::WorkSnapshot::flops`]). `0` when absent.
-    pub flops: u64,
+    /// Pool width (`GSU_THREADS`) or loadgen connections of the run, where
+    /// it has one.
+    pub threads: Option<usize>,
+    /// φ grid points the run swept (request count for `serve:*` records),
+    /// where it has one; never gated.
+    pub grid: Option<usize>,
+    /// Wall time in milliseconds, where the run was timed.
+    pub wall_ms: Option<f64>,
+    /// Deterministic work counters, `(name, value)` in document order
+    /// (`iterations`, `spmv_ops`, `spmv_nnz` and `flops` of
+    /// [`telemetry::work`] on `scenario:*` records).
+    pub counters: Vec<(String, f64)>,
 }
 
-/// Merges `record` into the JSON log at `path`, replacing any existing entry
-/// with the same `(name, threads)` key; a missing log is created.
+impl BenchRecord {
+    /// Reads one log object: `name`, the optional `threads`, `grid` and
+    /// `wall_ms`, and every other member as a numeric work counter.
+    fn from_json(record: &Value) -> Result<BenchRecord, String> {
+        let members = record.as_object().ok_or("a record is not an object")?;
+        let count = |key: &str| {
+            record
+                .get(key)
+                .map(|_| record.uint(key).map(|n| n as usize))
+                .transpose()
+        };
+        let counters = members
+            .iter()
+            .filter(|(key, _)| !matches!(key.as_str(), "name" | "threads" | "grid" | "wall_ms"))
+            .map(|(key, _)| Ok((key.clone(), record.num(key)?)))
+            .collect::<Result<_, String>>()?;
+        Ok(BenchRecord {
+            name: record.string("name")?.to_string(),
+            threads: count("threads")?,
+            grid: count("grid")?,
+            wall_ms: record
+                .get("wall_ms")
+                .map(|_| record.num("wall_ms"))
+                .transpose()?,
+            counters,
+        })
+    }
+
+    /// The log object [`BenchRecord::from_json`] reads back.
+    fn to_json(&self) -> String {
+        let mut out = format!("{{\"name\": \"{}\"", json::escape(&self.name));
+        if let Some(wall_ms) = self.wall_ms {
+            let _ = write!(out, ", \"wall_ms\": {wall_ms:.3}");
+        }
+        for (key, value) in [("threads", self.threads), ("grid", self.grid)] {
+            if let Some(value) = value {
+                let _ = write!(out, ", \"{key}\": {value}");
+            }
+        }
+        for (counter, value) in &self.counters {
+            let _ = write!(out, ", \"{}\": {value}", json::escape(counter));
+        }
+        out.push('}');
+        out
+    }
+}
+
+/// Merges `records` into the record log at `path`, each replacing any
+/// existing entry with the same `(name, threads)` key; a missing log is
+/// created.
 ///
 /// # Errors
 ///
 /// Returns I/O errors from reading or writing the log, and a log that does
 /// not read (see [`read_bench_records`]).
-pub fn merge_bench_record(path: &Path, record: BenchRecord) -> std::io::Result<()> {
-    let mut records = match read_bench_records(path) {
-        Ok(records) => records,
+pub fn merge_bench_records(path: &Path, records: Vec<BenchRecord>) -> std::io::Result<()> {
+    let mut merged = match read_bench_records(path) {
+        Ok(merged) => merged,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    match records
-        .iter_mut()
-        .find(|r| r.name == record.name && r.threads == record.threads)
-    {
-        Some(existing) => *existing = record,
-        None => records.push(record),
+    for record in records {
+        match merged
+            .iter_mut()
+            .find(|r| r.name == record.name && r.threads == record.threads)
+        {
+            Some(existing) => *existing = record,
+            None => merged.push(record),
+        }
     }
-    write_bench_records(path, &records)
+    write_bench_records(path, &merged)
 }
 
-/// Reads the sweep records of a `BENCH_sweep.json`-format log, skipping
-/// the `benchmark:` counter records a baseline also holds (see
-/// [`regress::read_counter_records`]). Work counters absent from a record
-/// read as 0, so logs from before the counters existed keep reading (the
-/// regress gate then fails any positive count).
+/// Reads the gate records of a document, whose kind is read from the
+/// document itself: a JSON array is a record log (`BENCH_sweep.json`, a
+/// baseline); a `gsu-benchmark-v1` object is a run set, read by
+/// [`regress::parse_run_set`]; a `gsu-loadgen-v1` object is a loadgen
+/// report, read by [`loadgen::parse_report`] into its
+/// [`bench_records`](loadgen::LoadgenReport::bench_records).
 ///
 /// # Errors
 ///
-/// The underlying read error (`NotFound` for an absent log), or
-/// `InvalidData` for a log that is not a JSON array of objects or a sweep
-/// record without `name`, `wall_ms`, `threads` and `grid`.
+/// The underlying read error (`NotFound` for an absent file), or
+/// `InvalidData` for a document of none of these kinds or one that does
+/// not read as its kind (a log record without a `name`, a counter that is
+/// not a number, ...).
 pub fn read_bench_records(path: &Path) -> io::Result<Vec<BenchRecord>> {
-    read_log(path)?
-        .iter()
-        .filter(|record| !regress::is_counter_record(record))
-        .map(BenchRecord::from_json)
-        .collect::<Result<_, _>>()
-        .map_err(|e| invalid_log(path, e))
+    let text = std::fs::read_to_string(path)?;
+    let records = match json::parse(&text) {
+        Ok(Value::Arr(records)) => records.iter().map(BenchRecord::from_json).collect(),
+        Ok(doc) => match doc.string("schema") {
+            Ok(regress::RUN_SET_SCHEMA) => regress::parse_run_set(&text),
+            Ok(loadgen::REPORT_SCHEMA) => loadgen::parse_report(&text).map(|r| r.bench_records()),
+            _ => Err(format!(
+                "neither a record log, a {} run set nor a {} report",
+                regress::RUN_SET_SCHEMA,
+                loadgen::REPORT_SCHEMA
+            )),
+        },
+        Err(e) => Err(e),
+    };
+    records.map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {e}", path.display()),
+        )
+    })
 }
 
-/// The records of a JSON log: the items of its top-level array.
-pub(crate) fn read_log(path: &Path) -> io::Result<Vec<Value>> {
-    match json::parse(&std::fs::read_to_string(path)?) {
-        Ok(Value::Arr(records)) => Ok(records),
-        Ok(_) => Err(invalid_log(path, "not a JSON array".to_string())),
-        Err(e) => Err(invalid_log(path, e)),
-    }
-}
-
-pub(crate) fn invalid_log(path: &Path, message: String) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{}: {message}", path.display()),
-    )
-}
-
-impl BenchRecord {
-    fn from_json(record: &Value) -> Result<BenchRecord, String> {
-        let work = |key: &str| match record.get(key) {
-            Some(_) => record.uint(key),
-            None => Ok(0),
-        };
-        Ok(BenchRecord {
-            name: record.string("name")?.to_string(),
-            wall_ms: record.num("wall_ms")?,
-            threads: record.uint("threads")? as usize,
-            grid: record.uint("grid")? as usize,
-            iterations: work("iterations")?,
-            spmv_ops: work("spmv_ops")?,
-            spmv_nnz: work("spmv_nnz")?,
-            flops: work("flops")?,
-        })
-    }
-}
-
-/// Writes `records` in the `BENCH_sweep.json` format, sorted by
+/// Writes `records` as a record log, one object per line sorted by
 /// `(name, threads)`, creating parent directories as needed.
 ///
 /// # Errors
 ///
 /// Returns I/O errors from directory creation or the write.
 pub fn write_bench_records(path: &Path, records: &[BenchRecord]) -> std::io::Result<()> {
-    write_json_lines(path, &bench_record_lines(records))
-}
-
-/// One JSON object per record, sorted by `(name, threads)`.
-pub(crate) fn bench_record_lines(records: &[BenchRecord]) -> Vec<String> {
-    let mut records: Vec<&BenchRecord> = records.iter().collect();
-    records.sort_by(|a, b| a.name.cmp(&b.name).then(a.threads.cmp(&b.threads)));
-    records
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
-                 \"iterations\": {}, \"spmv_ops\": {}, \"spmv_nnz\": {}, \"flops\": {}}}",
-                json::escape(&r.name),
-                r.wall_ms,
-                r.threads,
-                r.grid,
-                r.iterations,
-                r.spmv_ops,
-                r.spmv_nnz,
-                r.flops
-            )
-        })
-        .collect()
-}
-
-/// Writes `objects` as a JSON array, one per line, creating parent
-/// directories as needed.
-pub(crate) fn write_json_lines(path: &Path, objects: &[String]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut body = String::from("[\n");
-    for (i, object) in objects.iter().enumerate() {
-        let comma = if i + 1 < objects.len() { "," } else { "" };
-        let _ = writeln!(body, "  {object}{comma}");
-    }
-    body.push_str("]\n");
-    std::fs::write(path, body)
+    let mut records: Vec<&BenchRecord> = records.iter().collect();
+    records.sort_by(|a, b| a.name.cmp(&b.name).then(a.threads.cmp(&b.threads)));
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| format!("  {}", r.to_json()))
+        .collect();
+    std::fs::write(path, format!("[\n{}\n]\n", lines.join(",\n")))
 }
 
 /// Run-scoped telemetry session for `gsu-bench run`.
@@ -475,57 +473,27 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let rec = |name: &str, wall_ms: f64, threads: usize| BenchRecord {
             name: name.to_string(),
-            wall_ms,
-            threads,
-            grid: 10,
-            iterations: 128,
-            spmv_ops: 640,
-            spmv_nnz: 5120,
-            flops: 9000,
+            threads: Some(threads),
+            grid: Some(10),
+            wall_ms: Some(wall_ms),
+            counters: vec![
+                ("iterations".to_string(), 128.0),
+                ("flops".to_string(), 9000.0),
+            ],
         };
-        merge_bench_record(&path, rec("fig9", 250.0, 1)).unwrap();
-        merge_bench_record(&path, rec("fig9", 80.0, 4)).unwrap();
-        merge_bench_record(&path, rec("fig10", 410.5, 1)).unwrap();
+        merge_bench_records(&path, vec![rec("fig9", 250.0, 1), rec("fig9", 80.0, 4)]).unwrap();
+        merge_bench_records(&path, vec![rec("fig10", 410.5, 1)]).unwrap();
         // Same (name, threads) key updates in place.
-        merge_bench_record(&path, rec("fig9", 245.125, 1)).unwrap();
+        merge_bench_records(&path, vec![rec("fig9", 245.125, 1)]).unwrap();
         // A name is written escaped and reads back as it was.
         let odd = "serve:a\"b\\{,}\n:p50";
-        merge_bench_record(&path, rec(odd, 1.5, 2)).unwrap();
+        merge_bench_records(&path, vec![rec(odd, 1.5, 2)]).unwrap();
         let records = read_bench_records(&path).unwrap();
         assert_eq!(records.len(), 4);
         assert_eq!(records[3], rec(odd, 1.5, 2));
-        assert_eq!(
-            records[1],
-            BenchRecord {
-                name: "fig9".into(),
-                wall_ms: 245.125,
-                threads: 1,
-                grid: 10,
-                iterations: 128,
-                spmv_ops: 640,
-                spmv_nnz: 5120,
-                flops: 9000,
-            }
-        );
-        assert_eq!(records[2].threads, 4);
+        assert_eq!(records[1], rec("fig9", 245.125, 1));
+        assert_eq!(records[2].threads, Some(4));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn logs_without_work_metrics_parse_with_zeroes() {
-        let dir = std::env::temp_dir().join("gsu-bench-old-log-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sweep.json");
-        let old = "[\n  {\"name\": \"fig9\", \"wall_ms\": 100.000, \
-                   \"threads\": 1, \"grid\": 10}\n]\n";
-        std::fs::write(&path, old).unwrap();
-        let records = read_bench_records(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].iterations, 0);
-        assert_eq!(records[0].spmv_ops, 0);
-        assert_eq!(records[0].spmv_nnz, 0);
-        assert_eq!(records[0].flops, 0);
     }
 
     #[test]

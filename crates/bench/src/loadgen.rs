@@ -5,8 +5,9 @@
 //! rate. This module drives that promise end to end — it opens persistent
 //! HTTP connections ([`gsu_serve::http::HttpClient`]), replays a seeded
 //! workload mix drawn from the committed scenario catalog, and reports
-//! exact latency quantiles into a `gsu-loadgen-v1` JSON report plus
-//! `serve:*` records for the `gsu-bench regress` ratchet.
+//! exact latency quantiles into a `gsu-loadgen-v1` JSON report, which
+//! `gsu-bench regress` reads as `serve:*` records
+//! ([`LoadgenReport::bench_records`]) for the latency ratchet.
 //!
 //! Two driving disciplines:
 //!
@@ -41,7 +42,7 @@ use gsu_serve::slo::{self, SloDoc};
 use mdcd_sim::SimRng;
 use telemetry::json::{self, Value};
 
-use crate::{merge_bench_record, BenchRecord};
+use crate::BenchRecord;
 
 /// Schema tag of the JSON report this module writes.
 pub const REPORT_SCHEMA: &str = "gsu-loadgen-v1";
@@ -130,8 +131,8 @@ pub struct LoadgenConfig {
     /// Reuse connections (HTTP keep-alive). `false` reconnects per
     /// request, which quantifies the keep-alive win.
     pub keep_alive: bool,
-    /// Label for the `serve:{label}:{quantile}` bench records and the
-    /// report; defaults to the mode name.
+    /// Label of the report and of its `serve:{label}:{quantile}` gate
+    /// records; defaults to the mode name.
     pub label: String,
     /// SLO document to default the rate from and, with `check`, gate on.
     pub slo_path: PathBuf,
@@ -140,8 +141,6 @@ pub struct LoadgenConfig {
     pub scenarios_dir: PathBuf,
     /// Where to write the `gsu-loadgen-v1` report, if anywhere.
     pub report_path: Option<PathBuf>,
-    /// Bench log to merge `serve:*` records into, if any.
-    pub bench_path: Option<PathBuf>,
     /// Run the SLO + report + `/stats`-agreement checks.
     pub check: bool,
 }
@@ -160,7 +159,6 @@ impl Default for LoadgenConfig {
             slo_path: PathBuf::from(slo::SLO_PATH),
             scenarios_dir: PathBuf::from(gsu_serve::SCENARIOS_DIR),
             report_path: None,
-            bench_path: None,
             check: false,
         }
     }
@@ -437,30 +435,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     }
     if parse_report(&written).map_err(|e| format!("malformed {source}: {e}"))? != report {
         return Err(format!("{source} does not read back as the run's report"));
-    }
-
-    if let Some(path) = &config.bench_path {
-        for (suffix, value_us) in [
-            ("p50", report.overall.p50_us),
-            ("p99", report.overall.p99_us),
-            ("p999", report.overall.p999_us),
-        ] {
-            let record = BenchRecord {
-                name: format!("serve:{}:{suffix}", report.label),
-                wall_ms: value_us / 1000.0,
-                threads: config.connections,
-                grid: report.requests as usize,
-                // Zero work metrics mean "don't ratchet on work" to the
-                // regress gate — serving latency has no deterministic
-                // iteration count.
-                iterations: 0,
-                spmv_ops: 0,
-                spmv_nnz: 0,
-                flops: 0,
-            };
-            merge_bench_record(path, record)
-                .map_err(|e| format!("cannot update {}: {e}", path.display()))?;
-        }
     }
 
     Ok(report)
@@ -747,6 +721,27 @@ impl LoadgenReport {
     /// `--check`).
     pub fn passed(&self) -> bool {
         self.checks.iter().all(|c| c.passed)
+    }
+
+    /// The run's records for the regress gate: `serve:{label}:{q}` for the
+    /// overall p50, p99 and p999, each as `wall_ms`, with `threads` the
+    /// connections and `grid` the requests. Serving latency has no
+    /// deterministic work, so the records carry no counters.
+    pub fn bench_records(&self) -> Vec<BenchRecord> {
+        [
+            ("p50", self.overall.p50_us),
+            ("p99", self.overall.p99_us),
+            ("p999", self.overall.p999_us),
+        ]
+        .into_iter()
+        .map(|(quantile, value_us)| BenchRecord {
+            name: format!("serve:{}:{quantile}", self.label),
+            threads: Some(self.connections),
+            grid: Some(self.requests as usize),
+            wall_ms: Some(value_us / 1000.0),
+            counters: Vec::new(),
+        })
+        .collect()
     }
 
     /// The `gsu-loadgen-v1` JSON document.

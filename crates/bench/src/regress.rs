@@ -1,30 +1,32 @@
 //! The bench regression gate: `gsu-bench regress`.
 //!
-//! Compares a current [`BenchRecord`] log (the `scenario:*` records of
-//! `gsu-bench scenarios`, or the `serve:*` records of `gsu-bench loadgen`)
-//! against a committed baseline, keyed on `(name, threads)`. A run
-//! **regresses** when its wall time exceeds the baseline by more than the
-//! threshold fraction (default 10%) and by more than a fixed 2.5 ms slack, or
-//! when a deterministic work counter
-//! (solver iterations, SpMV operations) exceeds its baseline at all — a
-//! zero baseline included. On a clean pass the current numbers are merged
-//! into the baseline — speedups ratchet the bar down, new records get
-//! seeded — unless the caller asks for a read-only check (`--no-update`,
-//! used by CI so the tree stays pristine).
+//! One gate serves every ratchet. It reads the [`BenchRecord`]s of a
+//! current input and of a committed baseline, keyed on `(name, threads)`
+//! (see [`read_bench_records`] for the three input kinds), and judges each
+//! baseline record against the current record of its key:
 //!
-//! With `--benchmark PATH` the gate instead reads a `gsu-benchmark` run set
-//! (`benchmark.json`) and ratchets the per-layer work counters of its
-//! traced runs ([`BENCHMARK_COUNTERS`]) per workload, at zero tolerance,
-//! against the baseline's `benchmark:<workload>` [`CounterRecord`]s.
+//! * its `wall_ms`, the one noisy metric, fails when the current time is
+//!   over the bar by more than the threshold fraction (default 10%,
+//!   `--threshold`) *and* by more than a fixed 2.5 ms slack;
+//! * each work counter is deterministic and fails on any increase, a zero
+//!   baseline included. A counter or wall time the current record lacks
+//!   fails; a counter the baseline record lacks is gated against 0.
+//!
+//! A baseline record the current input lacks fails when the input holds
+//! records of its family (the name up to its last `:`: `scenario`,
+//! `benchmark`, `serve:open`); records of other families are carried
+//! through untouched, so one baseline file holds several gates' records.
+//! On a pass the current records are merged into the baseline (speedups
+//! ratchet the bars down, new records get seeded) unless the caller asks
+//! for a read-only check (`--no-update`, used by CI so the tree stays
+//! pristine).
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use telemetry::json::{self, Value};
+use telemetry::json;
 
-use crate::{
-    bench_record_lines, invalid_log, read_bench_records, read_log, write_json_lines, BenchRecord,
-};
+use crate::{merge_bench_records, read_bench_records, BenchRecord};
 
 /// Default wall-time regression threshold: 10% slower than baseline fails.
 /// Work counters get no tolerance.
@@ -36,30 +38,26 @@ pub const DEFAULT_THRESHOLD: f64 = 0.10;
 /// where host noise alone moves a record by 50–80% between runs (at most
 /// 1.99 ms, on `three-escorts`, over ten runs on a 2-vCPU shared VM), so a
 /// fraction alone either fails on noise or, with the bars raised to dodge
-/// it, cannot fail at all. A 10× slowdown of a 0.4 ms record still fails.
+/// it, cannot fail at all. A 10× slowdown of a 0.28 ms record still fails.
 /// The slack is no larger than any `serve:*` bar's own allowance (the
 /// smallest, 2.5 ms at `--threshold 1.0`), so it loosens none of them.
 const WALL_SLACK_MS: f64 = 2.5;
+
+/// The metric name of a record's wall time.
+const WALL: &str = "wall_ms";
 
 /// Configuration for one gate run.
 #[derive(Debug, Clone)]
 pub struct RegressConfig {
     /// Baseline log path (committed; `results/BENCH_baseline.json`).
     pub baseline: PathBuf,
-    /// Current log path (`results/BENCH_sweep.json`).
+    /// Current input: a record log, a run set or a loadgen report.
     pub current: PathBuf,
     /// Allowed fractional wall-time slowdown before a run counts as a
     /// regression.
     pub threshold: f64,
     /// Whether a passing run merges current numbers into the baseline.
     pub update: bool,
-    /// Whether baseline entries missing from the current log are tolerated.
-    /// Off by default: a silently vanished experiment is exactly the kind
-    /// of coverage loss the gate exists to catch.
-    pub allow_missing: bool,
-    /// A `gsu-benchmark` run set whose traced work counters are gated
-    /// instead of the sweep log (see [`run_counters`]).
-    pub benchmark: Option<PathBuf>,
 }
 
 impl Default for RegressConfig {
@@ -69,208 +67,131 @@ impl Default for RegressConfig {
             current: PathBuf::from("results/BENCH_sweep.json"),
             threshold: DEFAULT_THRESHOLD,
             update: true,
-            allow_missing: false,
-            benchmark: None,
         }
     }
 }
 
-/// One `(name, threads)` pair present in both logs.
+/// One metric of a record present in both the baseline and the current
+/// input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
-    /// Experiment name.
+    /// Record name.
     pub name: String,
-    /// Pool width of the run.
-    pub threads: usize,
-    /// Baseline wall time (ms).
-    pub baseline_ms: f64,
-    /// Current wall time (ms).
-    pub current_ms: f64,
-    /// `current / baseline` — `> 1 + threshold` (with more than the
-    /// 2.5 ms slack added) means regression.
-    pub ratio: f64,
-    /// Whether wall time breaches both the threshold and the slack.
+    /// The record's `threads`, where it has one.
+    pub threads: Option<usize>,
+    /// `wall_ms` or the work counter's name.
+    pub metric: String,
+    /// Baseline value (0 for a counter the baseline record lacks).
+    pub baseline: f64,
+    /// Current value; `None` when the current record lacks the metric.
+    pub current: Option<f64>,
+    /// Whether the metric fails the gate.
     pub regressed: bool,
-    /// Baseline solver iterations.
-    pub baseline_iterations: u64,
-    /// Current solver iterations.
-    pub current_iterations: u64,
-    /// Baseline SpMV count.
-    pub baseline_spmv_ops: u64,
-    /// Current SpMV count.
-    pub current_spmv_ops: u64,
-    /// Baseline stored entries touched by SpMV.
-    pub baseline_spmv_nnz: u64,
-    /// Current stored entries touched by SpMV.
-    pub current_spmv_nnz: u64,
-    /// Baseline transient-engine multiply-adds.
-    pub baseline_flops: u64,
-    /// Current transient-engine multiply-adds.
-    pub current_flops: u64,
-    /// Whether a work metric exceeds its baseline. Work counters are
-    /// deterministic, so unlike wall time this cannot be scheduler noise:
-    /// the algorithm itself started doing more work, and any increase
-    /// fails.
-    pub work_regressed: bool,
-}
-
-impl Comparison {
-    /// `true` when either the wall time or a work metric regressed.
-    pub fn failed(&self) -> bool {
-        self.regressed || self.work_regressed
-    }
-}
-
-/// Work-metric breach test at zero tolerance. A zero baseline is gated
-/// like any other: a scenario that solved by expm alone (0 SpMV) and now
-/// steps uniformization fails.
-fn work_breach(baseline: u64, current: u64) -> bool {
-    current > baseline
 }
 
 /// The outcome of a gate run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegressReport {
-    /// Threshold the comparisons were judged against.
+    /// Threshold the wall times were judged against.
     pub threshold: f64,
-    /// Pairs present in both logs, in `(name, threads)` order.
+    /// Metrics of the records present in both, in baseline order.
     pub compared: Vec<Comparison>,
     /// Current records with no baseline entry (seeded, never failing).
     pub added: Vec<BenchRecord>,
-    /// Baseline records the current log no longer has (kept in the
-    /// baseline, but failing the gate unless `allow_missing` is set).
+    /// Baseline records of the input's families that the input lacks
+    /// (kept in the baseline, failing the gate).
     pub stale: Vec<BenchRecord>,
     /// Whether the baseline file was created from scratch this run.
     pub seeded: bool,
-    /// Whether stale baseline entries were tolerated this run.
-    pub allow_missing: bool,
+}
+
+/// `name`, then ` threads=N` where the record has a pool width.
+fn key(name: &str, threads: Option<usize>) -> String {
+    match threads {
+        Some(threads) => format!("{name} threads={threads}"),
+        None => name.to_string(),
+    }
+}
+
+/// A record's family: its name up to the last `:`.
+fn family(name: &str) -> &str {
+    name.rsplit_once(':').map_or("", |(family, _)| family)
 }
 
 impl RegressReport {
-    /// `true` when no compared pair regressed and no baseline entry went
-    /// missing (unless missing entries were explicitly allowed).
+    /// `true` when no compared metric regressed and no baseline record
+    /// went missing.
     pub fn passed(&self) -> bool {
-        self.compared.iter().all(|c| !c.failed()) && (self.allow_missing || self.stale.is_empty())
+        self.compared.iter().all(|c| !c.regressed) && self.stale.is_empty()
     }
 
-    /// Human-readable gate summary (one line per pair).
+    /// Human-readable gate summary (one line per metric).
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.seeded {
             let _ = writeln!(out, "regress: no baseline found; seeding from current run");
         }
         for c in &self.compared {
-            let verdict = if c.regressed { "REGRESSED" } else { "ok" };
-            let _ = writeln!(
-                out,
-                "regress: {:<22} threads={} {:>9.3}ms vs {:>9.3}ms baseline ({:+.1}%) {}",
-                c.name,
-                c.threads,
-                c.current_ms,
-                c.baseline_ms,
-                (c.ratio - 1.0) * 100.0,
-                verdict
-            );
-            if c.baseline_iterations > 0 || c.current_iterations > 0 {
-                let verdict = if work_breach(c.baseline_iterations, c.current_iterations) {
-                    "WORK REGRESSED"
+            let wall = c.metric == WALL;
+            let show = |v: f64| {
+                if wall {
+                    format!("{v:.3}ms")
                 } else {
-                    "ok"
-                };
-                let delta = if c.baseline_iterations > 0 {
-                    format!(
-                        " ({:+.1}%)",
-                        (c.current_iterations as f64 / c.baseline_iterations as f64 - 1.0) * 100.0
-                    )
-                } else {
-                    String::new()
-                };
-                let _ = writeln!(
-                    out,
-                    "regress: {:<22} threads={} {:>9} vs {:>9} baseline iterations{} {}",
-                    c.name, c.threads, c.current_iterations, c.baseline_iterations, delta, verdict
-                );
-            }
-            for (counter, current, baseline) in [
-                ("spmv_ops", c.current_spmv_ops, c.baseline_spmv_ops),
-                ("spmv_nnz", c.current_spmv_nnz, c.baseline_spmv_nnz),
-                ("flops", c.current_flops, c.baseline_flops),
-            ] {
-                if baseline == 0 && current == 0 {
-                    continue;
+                    v.to_string()
                 }
-                let verdict = if work_breach(baseline, current) {
-                    "WORK REGRESSED"
-                } else {
-                    "ok"
-                };
-                let _ = writeln!(
-                    out,
-                    "regress: {:<22} threads={} {:>9} vs {:>9} baseline {counter} {verdict}",
-                    c.name, c.threads, current, baseline
-                );
-            }
-        }
-        for r in &self.added {
-            let _ = writeln!(
-                out,
-                "regress: {:<22} threads={} {:>9.3}ms (new; no baseline)",
-                r.name, r.threads, r.wall_ms
-            );
-        }
-        for r in &self.stale {
-            let _ = writeln!(
-                out,
-                "regress: {:<22} threads={} baseline entry MISSING from current run{}",
-                r.name,
-                r.threads,
-                if self.allow_missing {
-                    " (allowed by --allow-missing)"
-                } else {
-                    ""
+            };
+            let current = c.current.map_or("MISSING".to_string(), show);
+            let delta = match c.current {
+                Some(v) if c.baseline > 0.0 => {
+                    format!(" ({:+.1}%)", (v / c.baseline - 1.0) * 100.0)
                 }
-            );
-        }
-        // On a pass, surface how far the ratchet moved: CI logs otherwise
-        // only ever show regressions, so steady speedups stay invisible.
-        if self.passed() && !self.compared.is_empty() {
-            let faster = self.compared.iter().filter(|c| c.ratio < 1.0).count();
-            let log_speedup: f64 = self
-                .compared
-                .iter()
-                .filter(|c| c.ratio > 0.0 && c.ratio.is_finite())
-                .map(|c| -c.ratio.ln())
-                .sum::<f64>()
-                / self.compared.len() as f64;
-            let (base_iters, cur_iters) = self
-                .compared
-                .iter()
-                .filter(|c| c.baseline_iterations > 0)
-                .fold((0u64, 0u64), |(b, c2), c| {
-                    (b + c.baseline_iterations, c2 + c.current_iterations)
-                });
-            let iter_note = if base_iters > 0 {
-                format!(
-                    "; iterations {} -> {} ({:+.1}%)",
-                    base_iters,
-                    cur_iters,
-                    (cur_iters as f64 / base_iters as f64 - 1.0) * 100.0
-                )
-            } else {
-                String::new()
+                _ => String::new(),
+            };
+            let verdict = match (c.regressed, wall) {
+                (false, _) => "ok",
+                (true, true) => "REGRESSED",
+                (true, false) => "WORK REGRESSED",
             };
             let _ = writeln!(
                 out,
-                "regress: ratchet summary: {}/{} records faster; geometric-mean speedup x{:.2}{}",
-                faster,
-                self.compared.len(),
-                log_speedup.exp(),
-                iter_note
+                "regress: {:<40} {current:>12} vs {:>12} baseline{delta} {} {verdict}",
+                key(&c.name, c.threads),
+                show(c.baseline),
+                c.metric
+            );
+        }
+        for (records, note) in [
+            (&self.added, "(new; no baseline)"),
+            (&self.stale, "baseline record MISSING from current input"),
+        ] {
+            for r in records {
+                let _ = writeln!(out, "regress: {:<40} {note}", key(&r.name, r.threads));
+            }
+        }
+        // On a pass, surface how far the ratchet moved: CI logs otherwise
+        // only ever show regressions, so steady speedups stay invisible.
+        let walls: Vec<f64> = self
+            .compared
+            .iter()
+            .filter(|c| c.metric == WALL && c.baseline > 0.0)
+            .filter_map(|c| Some(c.current? / c.baseline))
+            .filter(|ratio| *ratio > 0.0)
+            .collect();
+        if self.passed() && !walls.is_empty() {
+            let faster = walls.iter().filter(|&&ratio| ratio < 1.0).count();
+            let log_speedup =
+                -walls.iter().map(|ratio| ratio.ln()).sum::<f64>() / walls.len() as f64;
+            let _ = writeln!(
+                out,
+                "regress: ratchet summary: {faster}/{} wall bars faster; \
+                 geometric-mean speedup x{:.2}",
+                walls.len(),
+                log_speedup.exp()
             );
         }
         let _ = writeln!(
             out,
-            "regress: {} compared, {} new, {} stale; wall threshold {:.0}% and \
+            "regress: {} metrics compared, {} new, {} stale; wall threshold {:.0}% and \
              {WALL_SLACK_MS} ms, work exact -> {}",
             self.compared.len(),
             self.added.len(),
@@ -282,53 +203,57 @@ impl RegressReport {
     }
 }
 
+/// The value of `counter` on `record`, if it has one.
+fn counter(record: &BenchRecord, counter: &str) -> Option<f64> {
+    record
+        .counters
+        .iter()
+        .find(|(name, _)| name == counter)
+        .map(|&(_, value)| value)
+}
+
 /// Pure comparison of two record sets (no I/O).
 pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], threshold: f64) -> RegressReport {
+    let same = |a: &BenchRecord, b: &BenchRecord| a.name == b.name && a.threads == b.threads;
     let mut compared = Vec::new();
-    let mut added = Vec::new();
-    for cur in current {
-        match baseline
-            .iter()
-            .find(|b| b.name == cur.name && b.threads == cur.threads)
-        {
-            Some(base) => {
-                let ratio = if base.wall_ms > 0.0 {
-                    cur.wall_ms / base.wall_ms
-                } else {
-                    f64::INFINITY
-                };
-                compared.push(Comparison {
-                    name: cur.name.clone(),
-                    threads: cur.threads,
-                    baseline_ms: base.wall_ms,
-                    current_ms: cur.wall_ms,
-                    ratio,
-                    regressed: cur.wall_ms > base.wall_ms * (1.0 + threshold)
-                        && cur.wall_ms - base.wall_ms > WALL_SLACK_MS,
-                    baseline_iterations: base.iterations,
-                    current_iterations: cur.iterations,
-                    baseline_spmv_ops: base.spmv_ops,
-                    current_spmv_ops: cur.spmv_ops,
-                    baseline_spmv_nnz: base.spmv_nnz,
-                    current_spmv_nnz: cur.spmv_nnz,
-                    baseline_flops: base.flops,
-                    current_flops: cur.flops,
-                    work_regressed: work_breach(base.iterations, cur.iterations)
-                        || work_breach(base.spmv_ops, cur.spmv_ops)
-                        || work_breach(base.spmv_nnz, cur.spmv_nnz)
-                        || work_breach(base.flops, cur.flops),
-                });
+    let mut stale = Vec::new();
+    for base in baseline {
+        let Some(cur) = current.iter().find(|c| same(c, base)) else {
+            if current
+                .iter()
+                .any(|c| family(&c.name) == family(&base.name))
+            {
+                stale.push(base.clone());
             }
-            None => added.push(cur.clone()),
+            continue;
+        };
+        let row = |metric: &str, baseline: f64, current: Option<f64>, regressed: bool| Comparison {
+            name: base.name.clone(),
+            threads: base.threads,
+            metric: metric.to_string(),
+            baseline,
+            current,
+            regressed,
+        };
+        if let Some(bar) = base.wall_ms {
+            let regressed = cur
+                .wall_ms
+                .is_none_or(|ms| ms > bar * (1.0 + threshold) && ms - bar > WALL_SLACK_MS);
+            compared.push(row(WALL, bar, cur.wall_ms, regressed));
+        }
+        for (name, value) in &base.counters {
+            let now = counter(cur, name);
+            compared.push(row(name, *value, now, now.is_none_or(|now| now > *value)));
+        }
+        for (name, value) in &cur.counters {
+            if counter(base, name).is_none() {
+                compared.push(row(name, 0.0, Some(*value), *value > 0.0));
+            }
         }
     }
-    let stale = baseline
+    let added = current
         .iter()
-        .filter(|b| {
-            !current
-                .iter()
-                .any(|c| c.name == b.name && c.threads == b.threads)
-        })
+        .filter(|c| !baseline.iter().any(|b| same(b, c)))
         .cloned()
         .collect();
     RegressReport {
@@ -337,18 +262,20 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], threshold: f64
         added,
         stale,
         seeded: false,
-        allow_missing: false,
     }
 }
 
-/// Runs the gate: read both logs, compare, and (on a pass, when
-/// `config.update`) merge the current numbers into the baseline. A missing
-/// baseline is seeded from the current log and passes trivially; a missing
-/// *current* log is an error — the gate is meaningless without measurements.
+/// Runs the gate: read both inputs, compare, and (on a pass, when
+/// `config.update`) merge the current records into the baseline. A missing
+/// baseline is seeded from the current input and passes trivially; a
+/// missing or empty *current* input is an error — the gate is meaningless
+/// without measurements.
 ///
 /// # Errors
 ///
-/// I/O failures reading the current log or reading/writing the baseline.
+/// I/O failures reading the current input or reading/writing the baseline,
+/// and `InvalidData` for either one that does not read (see
+/// [`read_bench_records`]) or a current input with no records.
 pub fn run(config: &RegressConfig) -> std::io::Result<RegressReport> {
     let current = read_bench_records(&config.current)?;
     if current.is_empty() {
@@ -364,29 +291,20 @@ pub fn run(config: &RegressConfig) -> std::io::Result<RegressReport> {
     };
     let mut report = compare(&baseline, &current, config.threshold);
     report.seeded = seeded;
-    report.allow_missing = config.allow_missing;
     if report.passed() && config.update {
-        // Merge rather than overwrite: stale baseline entries survive until
-        // their experiment runs again.
-        let mut merged = baseline;
-        for cur in &current {
-            match merged
-                .iter_mut()
-                .find(|b| b.name == cur.name && b.threads == cur.threads)
-            {
-                Some(slot) => *slot = cur.clone(),
-                None => merged.push(cur.clone()),
-            }
-        }
-        let counters = read_counter_records(&config.baseline)?;
-        write_baseline(&config.baseline, &merged, &counters)?;
+        // Merge rather than overwrite: other families' records and stale
+        // entries survive until their gate runs again.
+        merge_bench_records(&config.baseline, current)?;
     }
     Ok(report)
 }
 
-/// The per-layer work counters of the repository benchmark that
-/// [`run_counters`] ratchets: deterministic per pass, so any increase is
-/// the algorithm doing more work.
+/// Schema tag of a `gsu-benchmark` run set.
+pub const RUN_SET_SCHEMA: &str = "gsu-benchmark-v1";
+
+/// The per-layer work counters of the repository benchmark that the gate
+/// ratchets: deterministic per pass, so any increase is the algorithm doing
+/// more work.
 pub const BENCHMARK_COUNTERS: [&str; 5] = [
     "markov.spmv_ops",
     "markov.iterations",
@@ -395,102 +313,27 @@ pub const BENCHMARK_COUNTERS: [&str; 5] = [
     "san.nnz",
 ];
 
-/// Prefix of the baseline records that hold a benchmark workload's
-/// counters.
-const COUNTER_PREFIX: &str = "benchmark:";
-
-/// The work counters of one benchmark workload, per pass: the baseline
-/// record `{"name": "benchmark:<workload>", "<counter>": value, ...}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterRecord {
-    /// `benchmark:<workload>`.
-    pub name: String,
-    /// `(counter, value)` in [`BENCHMARK_COUNTERS`] order.
-    pub counters: Vec<(String, f64)>,
-}
-
-/// Whether a log record is a benchmark workload's [`CounterRecord`]: its
-/// name carries the `benchmark:` prefix.
-pub(crate) fn is_counter_record(record: &Value) -> bool {
-    record
-        .string("name")
-        .is_ok_and(|name| name.starts_with(COUNTER_PREFIX))
-}
-
-/// Reads the counter records of a baseline log; a missing file has none.
-/// A counter absent from a record is not read (and so not gated).
-///
-/// # Errors
-///
-/// Read failures other than `NotFound`, and `InvalidData` for a log that
-/// does not read (see [`read_bench_records`]) or a counter that is not a
-/// number.
-pub fn read_counter_records(path: &Path) -> std::io::Result<Vec<CounterRecord>> {
-    let records = match read_log(path) {
-        Ok(records) => records,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    records
-        .iter()
-        .filter(|record| is_counter_record(record))
-        .map(|record| {
-            let counters = BENCHMARK_COUNTERS
-                .iter()
-                .filter(|&&counter| record.get(counter).is_some())
-                .map(|&counter| Ok((counter.to_string(), record.num(counter)?)))
-                .collect::<Result<_, String>>()?;
-            Ok(CounterRecord {
-                name: record.string("name")?.to_string(),
-                counters,
-            })
-        })
-        .collect::<Result<_, String>>()
-        .map_err(|e| invalid_log(path, e))
-}
-
-/// Writes a baseline log: the sweep records (as
-/// [`write_bench_records`](crate::write_bench_records)),
-/// then the counter records sorted by name.
-fn write_baseline(
-    path: &Path,
-    records: &[BenchRecord],
-    counters: &[CounterRecord],
-) -> std::io::Result<()> {
-    let mut counters: Vec<&CounterRecord> = counters.iter().collect();
-    counters.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut objects = bench_record_lines(records);
-    objects.extend(counters.iter().map(|c| {
-        let mut object = format!("{{\"name\": \"{}\"", json::escape(&c.name));
-        for (counter, value) in &c.counters {
-            let _ = write!(object, ", \"{counter}\": {value}");
-        }
-        object.push('}');
-        object
-    }));
-    write_json_lines(path, &objects)
-}
-
-/// The traced runs of a `gsu-benchmark` run set as counter records, one
-/// per workload. Each counter is the largest value over the workload's
-/// traced runs, so a run that did more work than another cannot hide.
+/// The traced runs of a `gsu-benchmark` run set as `benchmark:<workload>`
+/// records, one per workload, holding the [`BENCHMARK_COUNTERS`] per pass.
+/// Each counter is the largest value over the workload's traced runs, so a
+/// run that did more work than another cannot hide.
 ///
 /// # Errors
 ///
 /// Text that is not a `gsu-benchmark-v1` run set, or a counter without a
 /// numeric value.
-pub fn parse_run_set(text: &str) -> Result<Vec<CounterRecord>, String> {
+pub fn parse_run_set(text: &str) -> Result<Vec<BenchRecord>, String> {
     let doc = json::parse(text)?;
-    if doc.string("schema") != Ok("gsu-benchmark-v1") {
-        return Err("not a gsu-benchmark-v1 run set".to_string());
+    if doc.string("schema") != Ok(RUN_SET_SCHEMA) {
+        return Err(format!("not a {RUN_SET_SCHEMA} run set"));
     }
-    let mut out: Vec<CounterRecord> = Vec::new();
+    let mut out: Vec<BenchRecord> = Vec::new();
     for run in doc.array("runs")? {
         if !run.boolean("trace")? {
             continue;
         }
         let workload = run.string("workload")?;
-        let name = format!("{COUNTER_PREFIX}{workload}");
+        let name = format!("benchmark:{workload}");
         let metrics = run.array("metrics")?;
         let mut counters = Vec::new();
         for counter in BENCHMARK_COUNTERS {
@@ -507,202 +350,68 @@ pub fn parse_run_set(text: &str) -> Result<Vec<CounterRecord>, String> {
                     *kept = kept.max(value);
                 }
             }
-            None => out.push(CounterRecord { name, counters }),
+            None => out.push(BenchRecord {
+                name,
+                threads: None,
+                grid: None,
+                wall_ms: None,
+                counters,
+            }),
         }
     }
     Ok(out)
-}
-
-/// One counter of one workload present in both the baseline and the run
-/// set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterComparison {
-    /// `benchmark:<workload>`.
-    pub name: String,
-    /// The counter.
-    pub counter: String,
-    /// Baseline value per pass.
-    pub baseline: f64,
-    /// Current value per pass.
-    pub current: f64,
-}
-
-impl CounterComparison {
-    /// Zero tolerance: any increase fails.
-    pub fn regressed(&self) -> bool {
-        self.current > self.baseline
-    }
-}
-
-/// The outcome of a counter gate run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterReport {
-    /// Counters present in both, in baseline order.
-    pub compared: Vec<CounterComparison>,
-    /// Workloads of the run set with no baseline record (seeded).
-    pub added: Vec<CounterRecord>,
-    /// Baseline workloads the run set has no traced run of.
-    pub stale: Vec<CounterRecord>,
-    /// Whether stale baseline records were tolerated.
-    pub allow_missing: bool,
-}
-
-impl CounterReport {
-    /// `true` when no counter rose and no baseline workload went missing
-    /// (unless that was allowed).
-    pub fn passed(&self) -> bool {
-        self.compared.iter().all(|c| !c.regressed())
-            && (self.allow_missing || self.stale.is_empty())
-    }
-
-    /// Human-readable gate summary (one line per counter).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for c in &self.compared {
-            let _ = writeln!(
-                out,
-                "regress: {:<22} {:<20} {:>10} vs {:>10} baseline {}",
-                c.name,
-                c.counter,
-                c.current,
-                c.baseline,
-                if c.regressed() {
-                    "WORK REGRESSED"
-                } else {
-                    "ok"
-                }
-            );
-        }
-        for r in &self.added {
-            let _ = writeln!(out, "regress: {:<22} (new; no baseline)", r.name);
-        }
-        for r in &self.stale {
-            let _ = writeln!(
-                out,
-                "regress: {:<22} baseline entry MISSING from the run set{}",
-                r.name,
-                if self.allow_missing {
-                    " (allowed by --allow-missing)"
-                } else {
-                    ""
-                }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "regress: {} counters compared, {} new, {} stale; work exact -> {}",
-            self.compared.len(),
-            self.added.len(),
-            self.stale.len(),
-            if self.passed() { "PASS" } else { "FAIL" }
-        );
-        out
-    }
-}
-
-/// Pure comparison of baseline and current counter records (no I/O). A
-/// counter missing from the baseline record is not gated.
-pub fn compare_counters(baseline: &[CounterRecord], current: &[CounterRecord]) -> CounterReport {
-    let mut compared = Vec::new();
-    let mut stale = Vec::new();
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            stale.push(base.clone());
-            continue;
-        };
-        for (counter, baseline) in &base.counters {
-            if let Some((_, current)) = cur.counters.iter().find(|(c, _)| c == counter) {
-                compared.push(CounterComparison {
-                    name: base.name.clone(),
-                    counter: counter.clone(),
-                    baseline: *baseline,
-                    current: *current,
-                });
-            }
-        }
-    }
-    let added = current
-        .iter()
-        .filter(|c| !baseline.iter().any(|b| b.name == c.name))
-        .cloned()
-        .collect();
-    CounterReport {
-        compared,
-        added,
-        stale,
-        allow_missing: false,
-    }
-}
-
-/// Runs the counter gate on the run set `config.benchmark`: compare its
-/// traced counters with the baseline's counter records and (on a pass,
-/// when `config.update`) merge them in, keeping the sweep records.
-///
-/// # Errors
-///
-/// No run set configured, I/O failures, a malformed run set, or one with
-/// no traced run.
-pub fn run_counters(config: &RegressConfig) -> std::io::Result<CounterReport> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let path = config
-        .benchmark
-        .as_deref()
-        .ok_or_else(|| invalid("no benchmark run set given".to_string()))?;
-    let current = parse_run_set(&std::fs::read_to_string(path)?)
-        .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-    if current.is_empty() {
-        return Err(invalid(format!("no traced runs in {}", path.display())));
-    }
-    let baseline = read_counter_records(&config.baseline)?;
-    let mut report = compare_counters(&baseline, &current);
-    report.allow_missing = config.allow_missing;
-    if report.passed() && config.update {
-        let mut merged = baseline;
-        for cur in current {
-            match merged.iter_mut().find(|b| b.name == cur.name) {
-                Some(slot) => *slot = cur,
-                None => merged.push(cur),
-            }
-        }
-        let records = match read_bench_records(&config.baseline) {
-            Ok(records) => records,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        write_baseline(&config.baseline, &records, &merged)?;
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::write_bench_records;
+    use std::path::Path;
 
     fn rec(name: &str, wall_ms: f64, threads: usize) -> BenchRecord {
         BenchRecord {
             name: name.to_string(),
-            wall_ms,
-            threads,
-            grid: 10,
-            iterations: 0,
-            spmv_ops: 0,
-            spmv_nnz: 0,
-            flops: 0,
+            threads: Some(threads),
+            grid: Some(10),
+            wall_ms: Some(wall_ms),
+            counters: Vec::new(),
         }
     }
 
-    fn rec_work(name: &str, wall_ms: f64, iterations: u64, spmv_ops: u64) -> BenchRecord {
+    /// A `scenario:*`-shaped record: one thread, a wall time and the four
+    /// work counters `[iterations, spmv_ops, spmv_nnz, flops]`.
+    fn rec_work(name: &str, wall_ms: f64, work: [u64; 4]) -> BenchRecord {
+        let counters = ["iterations", "spmv_ops", "spmv_nnz", "flops"]
+            .into_iter()
+            .zip(work)
+            .map(|(counter, value)| (counter.to_string(), value as f64))
+            .collect();
         BenchRecord {
-            name: name.to_string(),
-            wall_ms,
-            threads: 1,
-            grid: 10,
-            iterations,
-            spmv_ops,
-            spmv_nnz: 0,
-            flops: 0,
+            counters,
+            ..rec(name, wall_ms, 1)
         }
+    }
+
+    /// The compared metric `metric` of the first record.
+    fn metric<'a>(report: &'a RegressReport, metric: &str) -> &'a Comparison {
+        report
+            .compared
+            .iter()
+            .find(|c| c.metric == metric)
+            .unwrap_or_else(|| panic!("no {metric} compared"))
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gsu-regress-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn committed(file: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results")
+            .join(file)
     }
 
     #[test]
@@ -710,7 +419,7 @@ mod tests {
         let report = compare(&[rec("fig9", 100.0, 1)], &[rec("fig9", 109.9, 1)], 0.10);
         assert!(report.passed());
         assert_eq!(report.compared.len(), 1);
-        assert!(!report.compared[0].regressed);
+        assert!(!metric(&report, WALL).regressed);
     }
 
     #[test]
@@ -721,19 +430,21 @@ mod tests {
             DEFAULT_THRESHOLD,
         );
         assert!(!report.passed());
-        assert!(report.render().contains("REGRESSED"));
+        assert!(report.render().contains("wall_ms REGRESSED"));
         assert!(report.render().contains("FAIL"));
     }
 
     #[test]
     fn ten_fold_slowdown_of_a_small_record_fails() {
-        let report = compare(
-            &[rec("scenario:paper-baseline", 0.4, 1)],
-            &[rec("scenario:paper-baseline", 4.0, 1)],
-            DEFAULT_THRESHOLD,
-        );
-        assert!(report.compared[0].regressed);
-        assert!(!report.passed());
+        for bar in [0.28, 0.4] {
+            let report = compare(
+                &[rec("scenario:paper-baseline", bar, 1)],
+                &[rec("scenario:paper-baseline", 10.0 * bar, 1)],
+                DEFAULT_THRESHOLD,
+            );
+            assert!(metric(&report, WALL).regressed, "{bar} ms");
+            assert!(!report.passed());
+        }
     }
 
     #[test]
@@ -746,7 +457,7 @@ mod tests {
                 &[rec("scenario:three-escorts", cur, 1)],
                 DEFAULT_THRESHOLD,
             );
-            assert!(!report.compared[0].regressed, "{base} -> {cur}");
+            assert!(!metric(&report, WALL).regressed, "{base} -> {cur}");
             assert!(report.passed());
         }
     }
@@ -754,19 +465,14 @@ mod tests {
     #[test]
     fn slack_loosens_no_serve_bar() {
         // At `--threshold 1.0` a bar of at least 2.5 ms already allows more
-        // than the slack, so the breach point stays at twice the bar.
-        for bar in [2.5, 6.0, 10.0] {
-            let at = |cur: f64| {
-                compare(
-                    &[rec("serve:open:p50", bar, 2)],
-                    &[rec("serve:open:p50", cur, 2)],
-                    1.0,
-                )
-                .compared[0]
-                    .regressed
-            };
+        // than the slack, so the breach point stays at twice the bar (the
+        // committed serve bars are 2.5, 6 and 10 ms).
+        for (quantile, bar) in [("p50", 2.5), ("p99", 6.0), ("p999", 10.0)] {
+            let name = format!("serve:open:{quantile}");
+            let at =
+                |cur: f64| !compare(&[rec(&name, bar, 2)], &[rec(&name, cur, 2)], 1.0).passed();
             assert!(!at(2.0 * bar));
-            assert!(at(2.0 * bar + 1e-9), "bar {bar}");
+            assert!(at(2.0 * bar + 1e-9), "{name}");
         }
     }
 
@@ -784,39 +490,26 @@ mod tests {
 
     #[test]
     fn work_inflation_fails_even_with_unchanged_wall() {
-        // The ISSUE-9 acceptance scenario: fig9 suddenly does 25% more
-        // solver iterations but the wall clock (noisy, or masked by a faster
-        // machine) is identical. The deterministic work metric must fail the
-        // gate on its own.
+        // fig9 suddenly does 25% more solver iterations but the wall clock
+        // (noisy, or masked by a faster machine) is identical. The
+        // deterministic work metric must fail the gate on its own.
         let report = compare(
-            &[rec_work("fig9", 100.0, 1000, 5000)],
-            &[rec_work("fig9", 100.0, 1250, 5000)],
+            &[rec_work("fig9", 100.0, [1000, 5000, 0, 0])],
+            &[rec_work("fig9", 100.0, [1250, 5000, 0, 0])],
             DEFAULT_THRESHOLD,
         );
         assert!(!report.passed());
-        assert!(report.compared[0].work_regressed);
-        assert!(!report.compared[0].regressed, "wall did not regress");
+        assert!(metric(&report, "iterations").regressed);
+        assert!(!metric(&report, WALL).regressed, "wall did not regress");
         let rendered = report.render();
-        assert!(rendered.contains("WORK REGRESSED"), "{rendered}");
+        assert!(rendered.contains("iterations WORK REGRESSED"), "{rendered}");
         assert!(rendered.contains("FAIL"), "{rendered}");
-
-        // Work counters get no tolerance: one extra SpMV or iteration fails,
-        // well inside the wall-time threshold.
-        for (iterations, spmv_ops) in [(1000, 5001), (1001, 5000)] {
-            let report = compare(
-                &[rec_work("fig9", 100.0, 1000, 5000)],
-                &[rec_work("fig9", 100.0, iterations, spmv_ops)],
-                DEFAULT_THRESHOLD,
-            );
-            assert!(!report.passed(), "{iterations} / {spmv_ops}");
-            assert!(report.compared[0].work_regressed);
-        }
 
         // Equal work, or work ratcheting down, passes.
         for (iterations, spmv_ops) in [(1000, 5000), (1000, 4000), (900, 5000)] {
             let report = compare(
-                &[rec_work("fig9", 100.0, 1000, 5000)],
-                &[rec_work("fig9", 100.0, iterations, spmv_ops)],
+                &[rec_work("fig9", 100.0, [1000, 5000, 0, 0])],
+                &[rec_work("fig9", 100.0, [iterations, spmv_ops, 0, 0])],
                 DEFAULT_THRESHOLD,
             );
             assert!(report.passed(), "{iterations} / {spmv_ops}");
@@ -826,29 +519,26 @@ mod tests {
     #[test]
     fn passing_run_renders_ratchet_summary() {
         // A 2x speedup with fewer iterations must be visible in the render:
-        // per-record iteration delta plus the aggregate ratchet line.
+        // per-metric deltas plus the aggregate ratchet line.
         let report = compare(
-            &[rec_work("fig9", 100.0, 1000, 5000)],
-            &[rec_work("fig9", 50.0, 800, 4000)],
+            &[rec_work("fig9", 100.0, [1000, 5000, 0, 0])],
+            &[rec_work("fig9", 50.0, [800, 4000, 0, 0])],
             DEFAULT_THRESHOLD,
         );
         assert!(report.passed());
         let rendered = report.render();
-        assert!(rendered.contains("(-50.0%)"), "{rendered}");
-        assert!(rendered.contains("iterations (-20.0%)"), "{rendered}");
+        assert!(rendered.contains("(-50.0%) wall_ms ok"), "{rendered}");
+        assert!(rendered.contains("(-20.0%) iterations ok"), "{rendered}");
         assert!(
-            rendered.contains("ratchet summary: 1/1 records faster; geometric-mean speedup x2.00"),
-            "{rendered}"
-        );
-        assert!(
-            rendered.contains("iterations 1000 -> 800 (-20.0%)"),
+            rendered
+                .contains("ratchet summary: 1/1 wall bars faster; geometric-mean speedup x2.00"),
             "{rendered}"
         );
 
         // A failing run skips the summary — the regression lines are the story.
         let report = compare(
-            &[rec_work("fig9", 100.0, 1000, 5000)],
-            &[rec_work("fig9", 150.0, 1000, 5000)],
+            &[rec_work("fig9", 100.0, [1000, 5000, 0, 0])],
+            &[rec_work("fig9", 150.0, [1000, 5000, 0, 0])],
             DEFAULT_THRESHOLD,
         );
         assert!(!report.passed());
@@ -857,16 +547,23 @@ mod tests {
 
     #[test]
     fn zero_work_baseline_is_gated() {
-        // A scenario solved by expm alone has a 0 SpMV baseline; moving it to
+        // `scenario:paper-baseline` as committed: solved by expm alone, so
+        // its SpMV counters are 0. One more unit of any of its four
+        // counters fails, the zero ones included: moving it onto
         // uniformization must fail the gate, not seed a new baseline.
-        let report = compare(
-            &[rec_work("scenario:paper-baseline", 5.0, 467, 0)],
-            &[rec_work("scenario:paper-baseline", 5.0, 467, 120)],
-            DEFAULT_THRESHOLD,
-        );
-        assert!(!report.passed());
-        assert!(report.compared[0].work_regressed);
-        assert!(report.render().contains("WORK REGRESSED"));
+        let work = [206, 0, 0, 402_029];
+        let base = rec_work("scenario:paper-baseline", 0.332, work);
+        for i in 0..work.len() {
+            let mut more = work;
+            more[i] += 1;
+            let report = compare(
+                std::slice::from_ref(&base),
+                &[rec_work("scenario:paper-baseline", 0.332, more)],
+                DEFAULT_THRESHOLD,
+            );
+            assert!(!report.passed(), "{}", report.render());
+            assert!(report.render().contains("WORK REGRESSED"));
+        }
 
         // Records with no work at all (the serve:* latency records) pass.
         let report = compare(
@@ -881,17 +578,15 @@ mod tests {
     fn larger_chain_at_equal_spmv_count_is_gated() {
         // The same products over a chain with more stored entries: invisible
         // to spmv_ops, caught by spmv_nnz at zero tolerance.
-        let with_nnz = |spmv_nnz| BenchRecord {
-            spmv_nnz,
-            ..rec_work("scenario:three-escorts", 50.0, 8_000, 4_000)
-        };
+        let with_nnz =
+            |spmv_nnz| rec_work("scenario:three-escorts", 50.0, [8_000, 4_000, spmv_nnz, 0]);
         let report = compare(
             &[with_nnz(1_000_000)],
             &[with_nnz(1_000_001)],
             DEFAULT_THRESHOLD,
         );
         assert!(!report.passed());
-        assert!(report.compared[0].work_regressed);
+        assert!(metric(&report, "spmv_nnz").regressed);
         let rendered = report.render();
         assert!(rendered.contains("spmv_nnz WORK REGRESSED"), "{rendered}");
         let report = compare(
@@ -906,10 +601,12 @@ mod tests {
     fn engine_trade_that_costs_more_flops_is_gated() {
         // Fewer sparse products but a dearer exponential: spmv_ops and
         // spmv_nnz fall, flops rise, and flops alone fails the gate.
-        let record = |spmv_ops, flops| BenchRecord {
-            spmv_nnz: spmv_ops * 50,
-            flops,
-            ..rec_work("scenario:two-escorts", 50.0, 100, spmv_ops)
+        let record = |spmv_ops, flops| {
+            rec_work(
+                "scenario:two-escorts",
+                50.0,
+                [100, spmv_ops, spmv_ops * 50, flops],
+            )
         };
         let report = compare(
             &[record(4_000, 1_000_000)],
@@ -917,7 +614,7 @@ mod tests {
             DEFAULT_THRESHOLD,
         );
         assert!(!report.passed());
-        assert!(report.compared[0].work_regressed);
+        assert!(metric(&report, "flops").regressed);
         let rendered = report.render();
         assert!(rendered.contains("flops WORK REGRESSED"), "{rendered}");
         let report = compare(
@@ -929,30 +626,76 @@ mod tests {
     }
 
     #[test]
-    fn stale_baseline_entries_fail_unless_allowed() {
-        // A baseline pair absent from the sweep means an experiment silently
-        // stopped running — that must fail loudly, not slide through.
-        let mut report = compare(
-            &[rec("fig9", 100.0, 1), rec("gone", 50.0, 1)],
-            &[rec("fig9", 90.0, 1)],
+    fn a_metric_the_current_record_lacks_fails() {
+        // A writer that stops emitting a counter (or the wall time) must
+        // not pass forever: the baseline's metric is missing, and that fails.
+        let base = rec_work("scenario:paper-baseline", 0.332, [206, 0, 0, 402_029]);
+        let mut dropped = base.clone();
+        dropped.counters.retain(|(counter, _)| counter != "flops");
+        let report = compare(std::slice::from_ref(&base), &[dropped], DEFAULT_THRESHOLD);
+        assert!(!report.passed());
+        assert_eq!(metric(&report, "flops").current, None);
+        let rendered = report.render();
+        assert!(rendered.contains("MISSING"), "{rendered}");
+        assert!(rendered.contains("flops WORK REGRESSED"), "{rendered}");
+
+        let untimed = BenchRecord {
+            wall_ms: None,
+            ..base.clone()
+        };
+        let report = compare(std::slice::from_ref(&base), &[untimed], DEFAULT_THRESHOLD);
+        assert!(!report.passed());
+        assert!(metric(&report, WALL).regressed);
+
+        // A counter the baseline lacks is gated against 0.
+        let mut grown = base.clone();
+        grown.counters.push(("expm_solves".to_string(), 1.0));
+        assert!(!compare(
+            std::slice::from_ref(&base),
+            &[grown.clone()],
+            DEFAULT_THRESHOLD
+        )
+        .passed());
+        grown.counters.last_mut().unwrap().1 = 0.0;
+        assert!(compare(std::slice::from_ref(&base), &[grown], DEFAULT_THRESHOLD).passed());
+    }
+
+    #[test]
+    fn stale_baseline_entries_fail() {
+        // A baseline record absent from the input means an experiment
+        // silently stopped running — that must fail loudly, not slide
+        // through.
+        let report = compare(
+            &[
+                rec("scenario:paper-baseline", 100.0, 1),
+                rec("scenario:gone", 50.0, 1),
+            ],
+            &[rec("scenario:paper-baseline", 90.0, 1)],
             0.10,
         );
         assert!(!report.passed());
         assert_eq!(report.stale.len(), 1);
-        assert_eq!(report.stale[0].name, "gone");
+        assert_eq!(report.stale[0].name, "scenario:gone");
         let rendered = report.render();
         assert!(rendered.contains("MISSING"), "{rendered}");
         assert!(rendered.contains("FAIL"), "{rendered}");
 
-        // The explicit escape hatch downgrades it to a reported note.
-        report.allow_missing = true;
-        assert!(report.passed());
-        let rendered = report.render();
-        assert!(
-            rendered.contains("allowed by --allow-missing"),
-            "{rendered}"
+        // Another family's records belong to another gate: an input of
+        // `scenario:*` records carries the `benchmark:*` ones through.
+        let benchmark = BenchRecord {
+            name: "benchmark:catalog".to_string(),
+            threads: None,
+            grid: None,
+            wall_ms: None,
+            counters: vec![("san.states".to_string(), 1530.0)],
+        };
+        let report = compare(
+            &[rec("scenario:paper-baseline", 100.0, 1), benchmark],
+            &[rec("scenario:paper-baseline", 90.0, 1)],
+            0.10,
         );
-        assert!(rendered.contains("PASS"), "{rendered}");
+        assert!(report.passed(), "{}", report.render());
+        assert!(report.stale.is_empty());
     }
 
     #[test]
@@ -969,15 +712,14 @@ mod tests {
 
     #[test]
     fn gate_seeds_updates_and_fails_via_files() {
-        let dir = std::env::temp_dir().join("gsu-regress-gate-test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("gate");
         let config = RegressConfig {
             baseline: dir.join("BENCH_baseline.json"),
             current: dir.join("BENCH_sweep.json"),
             threshold: 0.10,
             ..RegressConfig::default()
         };
+        let bar = |config: &RegressConfig| read_bench_records(&config.baseline).unwrap()[0].wall_ms;
 
         // Missing current log is an error.
         assert!(run(&config).is_err());
@@ -991,19 +733,13 @@ mod tests {
         // A 5% slowdown passes and ratchets the baseline to the new number.
         write_bench_records(&config.current, &[rec("fig9", 105.0, 1)]).unwrap();
         assert!(run(&config).unwrap().passed());
-        assert_eq!(
-            read_bench_records(&config.baseline).unwrap()[0].wall_ms,
-            105.0
-        );
+        assert_eq!(bar(&config), Some(105.0));
 
         // A 20% regression fails and must NOT touch the baseline.
         write_bench_records(&config.current, &[rec("fig9", 126.0, 1)]).unwrap();
         let report = run(&config).unwrap();
         assert!(!report.passed());
-        assert_eq!(
-            read_bench_records(&config.baseline).unwrap()[0].wall_ms,
-            105.0
-        );
+        assert_eq!(bar(&config), Some(105.0));
 
         // --no-update: a pass leaves the baseline untouched too.
         let frozen = RegressConfig {
@@ -1012,10 +748,15 @@ mod tests {
         };
         write_bench_records(&frozen.current, &[rec("fig9", 90.0, 1)]).unwrap();
         assert!(run(&frozen).unwrap().passed());
-        assert_eq!(
-            read_bench_records(&frozen.baseline).unwrap()[0].wall_ms,
-            105.0
-        );
+        assert_eq!(bar(&frozen), Some(105.0));
+
+        // A run set updates its own records and keeps the others.
+        std::fs::write(&config.current, run_set(&[("catalog", true, 800)])).unwrap();
+        assert!(run(&config).unwrap().passed());
+        let records = read_bench_records(&config.baseline).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].name, "benchmark:catalog");
+        assert_eq!(records[1], rec("fig9", 105.0, 1));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1025,9 +766,7 @@ mod tests {
         // One baseline entry that does not read must fail the run, not drop
         // the entry: dropped, its regressed current record would be filed
         // as new and the comparison would pass.
-        let dir = std::env::temp_dir().join("gsu-regress-mangled-test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("mangled");
         let config = RegressConfig {
             baseline: dir.join("BENCH_baseline.json"),
             current: dir.join("BENCH_sweep.json"),
@@ -1052,14 +791,27 @@ mod tests {
         for mangled in [
             intact.replace(fig10, "{\"name\": \"fig10\", \"wall_ms\" 100.000"),
             intact.replace(fig10, "{\"name\": \"fig10\", \"wall_ms\": \"100.000\""),
-            intact.replace(fig10, "{\"name\": \"fig10\", \"wall\": 100.000"),
-            intact.replace("\"threads\": 1, \"grid\": 10, \"iterations\": 0, \"spmv_ops\": 0, \"spmv_nnz\": 0, \"flops\": 0}\n]", "\"threads\": 1}\n]"),
+            intact.replace(fig10, "{\"name\": 10, \"wall_ms\": 100.000"),
+            intact.replace(
+                "\"threads\": 1, \"grid\": 10}\n]",
+                "\"threads\": -1, \"grid\": 10}\n]",
+            ),
+            intact.replace(fig10, "7, {\"name\": \"fig10\", \"wall_ms\": 100.000"),
             "not json".to_string(),
         ] {
+            assert_ne!(mangled, intact);
             std::fs::write(&config.baseline, &mangled).unwrap();
             let err = run(&config).expect_err(&mangled);
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         }
+
+        // A renamed wall time reads as a counter the current record lacks:
+        // the entry stays, and the gate fails on it.
+        let renamed = intact.replace(fig10, "{\"name\": \"fig10\", \"wall\": 100.000");
+        std::fs::write(&config.baseline, &renamed).unwrap();
+        let report = run(&config).unwrap();
+        assert!(!report.passed());
+        assert_eq!(metric(&report, "wall").current, None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1110,70 +862,148 @@ mod tests {
     fn counters_are_ratcheted_at_zero_tolerance() {
         let base =
             parse_run_set(&run_set(&[("catalog", true, 800), ("figures", true, 0)])).unwrap();
-        let same = compare_counters(&base, &base);
+        let same = compare(&base, &base, DEFAULT_THRESHOLD);
         assert!(same.passed());
         assert_eq!(same.compared.len(), 2 * BENCHMARK_COUNTERS.len());
 
-        // One extra SpMV fails, and so does any SpMV where the baseline has
-        // none: a zero counter is gated, not seeded.
-        for (workload, spmv) in [("catalog", 801), ("figures", 1)] {
-            let mut runs = vec![("catalog", true, 800), ("figures", true, 0)];
-            runs.retain(|r| r.0 != workload);
-            runs.push((workload, true, spmv));
-            let current = parse_run_set(&run_set(&runs)).unwrap();
-            let report = compare_counters(&base, &current);
-            assert!(!report.passed(), "{workload}");
-            assert!(report.render().contains("WORK REGRESSED"));
+        // One more unit of any counter of either workload fails, and so
+        // does any SpMV where the baseline has none: a zero counter is
+        // gated, not seeded.
+        for record in 0..base.len() {
+            for counter in 0..BENCHMARK_COUNTERS.len() {
+                let mut current = base.clone();
+                current[record].counters[counter].1 += 1.0;
+                let report = compare(&base, &current, DEFAULT_THRESHOLD);
+                assert!(!report.passed(), "{record} {counter}");
+                assert!(report.render().contains("WORK REGRESSED"));
+            }
         }
 
-        // A workload that stopped running fails unless allowed; a new one
-        // is seeded.
+        // A workload that stopped running fails; a new one is seeded.
         let current =
             parse_run_set(&run_set(&[("catalog", true, 700), ("serve", true, 5)])).unwrap();
-        let mut report = compare_counters(&base, &current);
+        let report = compare(&base, &current, DEFAULT_THRESHOLD);
         assert_eq!(report.stale.len(), 1);
         assert_eq!(report.added.len(), 1);
         assert!(!report.passed());
-        report.allow_missing = true;
-        assert!(report.passed());
     }
 
     #[test]
-    fn counter_and_sweep_gates_keep_each_others_records() {
-        let dir = std::env::temp_dir().join("gsu-regress-counter-test");
+    fn committed_baselines_compare_clean_against_themselves() {
+        for (file, families) in [
+            (
+                "BENCH_baseline.json",
+                [("scenario:", 14), ("benchmark:", 2)].as_slice(),
+            ),
+            ("BENCH_serve_baseline.json", [("serve:open:", 3)].as_slice()),
+        ] {
+            let records = read_bench_records(&committed(file)).unwrap();
+            for (prefix, count) in families {
+                let n = records
+                    .iter()
+                    .filter(|r| r.name.starts_with(prefix))
+                    .count();
+                assert_eq!(n, *count, "{file}: {prefix}");
+            }
+            let report = compare(&records, &records, DEFAULT_THRESHOLD);
+            assert!(report.passed(), "{file}: {}", report.render());
+            assert!(report.stale.is_empty() && report.added.is_empty());
+            for record in &records {
+                assert!(
+                    report
+                        .compared
+                        .iter()
+                        .any(|c| c.name == record.name && c.threads == record.threads),
+                    "{file}: {} not compared",
+                    record.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn records_survive_a_write_and_read() {
+        let dir = temp_dir("roundtrip");
+        for file in ["BENCH_baseline.json", "BENCH_serve_baseline.json"] {
+            let mut records = read_bench_records(&committed(file)).unwrap();
+            let copy = dir.join(file);
+            write_bench_records(&copy, &records).unwrap();
+            let mut back = read_bench_records(&copy).unwrap();
+            let order = |a: &BenchRecord, b: &BenchRecord| a.name.cmp(&b.name);
+            records.sort_by(order);
+            back.sort_by(order);
+            assert_eq!(back, records, "{file}");
+        }
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn each_input_kind_is_recognized() {
+        let dir = temp_dir("kinds");
+        let log = dir.join("BENCH_sweep.json");
+        write_bench_records(&log, &[rec_work("scenario:x", 1.0, [3, 0, 0, 9])]).unwrap();
+        let records = read_bench_records(&log).unwrap();
+        assert_eq!(records, [rec_work("scenario:x", 1.0, [3, 0, 0, 9])]);
+
         let benchmark = dir.join("benchmark.json");
+        std::fs::write(&benchmark, run_set(&[("figures", true, 0)])).unwrap();
+        let records = read_bench_records(&benchmark).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].name, "benchmark:figures");
+        assert_eq!(records[0].threads, None);
+
+        let report = dir.join("loadgen-open.json");
+        std::fs::write(
+            &report,
+            r#"{"schema":"gsu-loadgen-v1","mode":"open","label":"open","rate_rps":12,
+ "duration_s":5,"connections":2,"seed":42,"keep_alive":true,"requests":59,"errors":0,
+ "connects":2,"elapsed_s":5.01,"throughput_rps":11.8,
+ "overall":{"endpoint":"_all","count":59,"errors":0,"mean_us":900,"p50_us":800,
+  "p90_us":1500,"p99_us":2000,"p999_us":3000,"max_us":3000},
+ "endpoints":[],"checks":[]}"#,
+        )
+        .unwrap();
+        let records = read_bench_records(&report).unwrap();
+        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["serve:open:p50", "serve:open:p99", "serve:open:p999"]
+        );
+        assert_eq!(records[1].wall_ms, Some(2.0));
+        assert_eq!((records[1].threads, records[1].grid), (Some(2), Some(59)));
+        let gate = RegressConfig {
+            baseline: committed("BENCH_serve_baseline.json"),
+            current: report,
+            threshold: 1.0,
+            update: false,
+        };
+        assert!(run(&gate).unwrap().passed());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_document_of_no_known_kind_is_invalid_data() {
+        let dir = temp_dir("unknown");
         let config = RegressConfig {
-            baseline: dir.join("BENCH_baseline.json"),
-            current: dir.join("BENCH_sweep.json"),
-            benchmark: Some(benchmark.clone()),
+            baseline: committed("BENCH_baseline.json"),
+            current: dir.join("current.json"),
+            update: false,
             ..RegressConfig::default()
         };
-        write_bench_records(&config.baseline, &[rec_work("fig9", 100.0, 1000, 0)]).unwrap();
-
-        // The counter gate seeds its records beside the sweep record.
-        std::fs::write(&benchmark, run_set(&[("catalog", true, 800)])).unwrap();
-        assert!(run_counters(&config).unwrap().passed());
-        assert_eq!(read_bench_records(&config.baseline).unwrap().len(), 1);
-        let counters = read_counter_records(&config.baseline).unwrap();
-        assert_eq!(counters.len(), 1);
-        assert_eq!(counters[0].counters[0].1, 800.0);
-
-        // More work fails and leaves the baseline alone.
-        std::fs::write(&benchmark, run_set(&[("catalog", true, 900)])).unwrap();
-        assert!(!run_counters(&config).unwrap().passed());
-        assert_eq!(read_counter_records(&config.baseline).unwrap(), counters);
-
-        // A sweep-gate update keeps the counter records.
-        write_bench_records(&config.current, &[rec_work("fig9", 90.0, 900, 0)]).unwrap();
-        assert!(run(&config).unwrap().passed());
-        assert_eq!(
-            read_bench_records(&config.baseline).unwrap()[0].iterations,
-            900
-        );
-        assert_eq!(read_counter_records(&config.baseline).unwrap(), counters);
-
+        for text in [
+            "{}",
+            "{\"schema\": \"gsu-telemetry-v3\"}",
+            "\"gsu-benchmark-v1\"",
+            "42",
+        ] {
+            std::fs::write(&config.current, text).unwrap();
+            let err = run(&config).expect_err(text);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text}: {err}");
+        }
+        // An empty log reads, but holds nothing to gate.
+        std::fs::write(&config.current, "[]").unwrap();
+        let err = run(&config).expect_err("empty log");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,9 +14,9 @@ use std::path::PathBuf;
 
 use gsu_scenario::{load_dir, read_golden, write_golden, GoldenCurve, ScenarioAnalysis};
 
-/// Relative tolerance for golden-curve comparison. The analytic pipeline is
-/// deterministic; the slack only absorbs cross-platform libm drift.
-pub const GOLDEN_REL_TOL: f64 = 1e-9;
+/// [`GoldenCurve::REL_TOL`], the goldens' relative tolerance, under the
+/// name the repository benchmark checks its answers with.
+pub const GOLDEN_REL_TOL: f64 = GoldenCurve::REL_TOL;
 
 /// Fewest warm passes a scenario's recorded wall time is the minimum of.
 const MIN_WARM_PASSES: usize = 5;
@@ -165,82 +165,64 @@ pub fn run(config: &ScenariosConfig) -> Result<ScenariosReport, String> {
         }
     }
     let mut outcomes = Vec::with_capacity(runs.len());
+    let mut records = Vec::new();
     for ((spec, curve, work), (wall_ms, _, _)) in runs.into_iter().zip(timings) {
         let name = spec.name;
         let points = spec.phi_grid.len();
         if curve.is_ok() {
-            let record = crate::BenchRecord {
+            let counters = [
+                ("iterations", work.solver_iterations),
+                ("spmv_ops", work.spmv_ops),
+                ("spmv_nnz", work.spmv_nnz),
+                ("flops", work.flops),
+            ];
+            records.push(crate::BenchRecord {
                 name: format!("scenario:{name}"),
-                wall_ms,
-                threads: pool::configured_threads(),
-                grid: points,
-                iterations: work.solver_iterations,
-                spmv_ops: work.spmv_ops,
-                spmv_nnz: work.spmv_nnz,
-                flops: work.flops,
-            };
-            if let Err(e) = crate::merge_bench_record(&config.out.join("BENCH_sweep.json"), record)
-            {
-                eprintln!("bench: failed to update sweep log: {e}");
-            }
+                threads: Some(pool::configured_threads()),
+                grid: Some(points),
+                wall_ms: Some(wall_ms),
+                counters: counters
+                    .into_iter()
+                    .map(|(counter, value)| (counter.to_string(), value as f64))
+                    .collect(),
+            });
         }
-        let outcome = match curve {
-            Err(e) => ScenarioOutcome {
-                name: name.clone(),
-                points,
-                wall_ms,
-                max_rel_err: f64::NAN,
-                failure: Some(format!("analytic pipeline failed: {e}")),
-            },
-            Ok(sweep) => {
+        let checked = curve
+            .map_err(|e| format!("analytic pipeline failed: {e}"))
+            .and_then(|sweep| {
                 let fresh = GoldenCurve {
                     scenario: name.clone(),
                     points: sweep.iter().map(|p| (p.phi, p.y)).collect(),
                 };
                 let golden_path = config.golden.join(format!("{name}.json"));
                 if config.write_golden {
-                    match write_golden(&golden_path, &fresh) {
-                        Ok(()) => ScenarioOutcome {
-                            name,
-                            points,
-                            wall_ms,
-                            max_rel_err: 0.0,
-                            failure: None,
-                        },
-                        Err(e) => ScenarioOutcome {
-                            name,
-                            points,
-                            wall_ms,
-                            max_rel_err: f64::NAN,
-                            failure: Some(e.to_string()),
-                        },
-                    }
+                    write_golden(&golden_path, &fresh)
+                        .map(|()| 0.0)
+                        .map_err(|e| e.to_string())
                 } else {
-                    match read_golden(&golden_path) {
-                        Ok(golden) => {
-                            let (max_rel_err, failure) = compare(&golden, &fresh);
-                            ScenarioOutcome {
-                                name,
-                                points,
-                                wall_ms,
-                                max_rel_err,
-                                failure,
-                            }
-                        }
-                        Err(e) => ScenarioOutcome {
-                            name,
-                            points,
-                            wall_ms,
-                            max_rel_err: f64::NAN,
-                            failure: Some(format!(
+                    read_golden(&golden_path)
+                        .map_err(|e| {
+                            format!(
                                 "missing golden (run `gsu-bench scenarios --write-golden`): {e}"
-                            )),
-                        },
-                    }
+                            )
+                        })
+                        .and_then(|golden| golden.check(&fresh.points))
                 }
-            }
+            });
+        let (max_rel_err, failure) = match checked {
+            Ok(max_rel_err) => (max_rel_err, None),
+            Err(why) => (f64::NAN, Some(why)),
         };
-        outcomes.push(outcome);
+        outcomes.push(ScenarioOutcome {
+            name,
+            points,
+            wall_ms,
+            max_rel_err,
+            failure,
+        });
+    }
+    if let Err(e) = crate::merge_bench_records(&config.out.join("BENCH_sweep.json"), records) {
+        eprintln!("bench: failed to update sweep log: {e}");
     }
     Ok(ScenariosReport {
         outcomes,
@@ -248,73 +230,9 @@ pub fn run(config: &ScenariosConfig) -> Result<ScenariosReport, String> {
     })
 }
 
-/// Compares a fresh curve against its golden, returning the worst relative
-/// error and a failure description when out of tolerance.
-fn compare(golden: &GoldenCurve, fresh: &GoldenCurve) -> (f64, Option<String>) {
-    if golden.points.len() != fresh.points.len() {
-        return (
-            f64::NAN,
-            Some(format!(
-                "golden has {} point(s), analytic sweep produced {}",
-                golden.points.len(),
-                fresh.points.len()
-            )),
-        );
-    }
-    let mut max_rel_err = 0.0f64;
-    for (&(gphi, gy), &(fphi, fy)) in golden.points.iter().zip(&fresh.points) {
-        if gphi != fphi {
-            return (
-                f64::NAN,
-                Some(format!(
-                    "grid mismatch: golden phi {gphi}, scenario phi {fphi}"
-                )),
-            );
-        }
-        let rel = (fy - gy).abs() / gy.abs().max(1.0);
-        max_rel_err = max_rel_err.max(rel);
-        if rel > GOLDEN_REL_TOL {
-            return (
-                rel,
-                Some(format!(
-                    "Y({gphi}) = {fy} drifted from golden {gy} (rel err {rel:.2e} > {GOLDEN_REL_TOL:.0e})"
-                )),
-            );
-        }
-    }
-    (max_rel_err, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn golden(points: Vec<(f64, f64)>) -> GoldenCurve {
-        GoldenCurve {
-            scenario: "g".to_string(),
-            points,
-        }
-    }
-
-    #[test]
-    fn compare_accepts_exact_match() {
-        let g = golden(vec![(0.0, 1.0), (10.0, 1.5)]);
-        let (err, failure) = compare(&g, &g.clone());
-        assert_eq!(err, 0.0);
-        assert!(failure.is_none());
-    }
-
-    #[test]
-    fn compare_rejects_drift_and_shape_mismatch() {
-        let g = golden(vec![(0.0, 1.0), (10.0, 1.5)]);
-        let drifted = golden(vec![(0.0, 1.0), (10.0, 1.5 + 1e-6)]);
-        let (_, failure) = compare(&g, &drifted);
-        assert!(failure.is_some());
-        let short = golden(vec![(0.0, 1.0)]);
-        assert!(compare(&g, &short).1.is_some());
-        let moved = golden(vec![(0.0, 1.0), (11.0, 1.5)]);
-        assert!(compare(&g, &moved).1.is_some());
-    }
 
     #[test]
     fn missing_catalog_dir_is_an_error() {

@@ -1,7 +1,7 @@
 //! End-to-end loadgen test: boot a real `gsu-serve` on an ephemeral port,
 //! drive it with a short seeded open-loop run gated by a generous SLO
-//! document, and confirm the report, the bench records, and the checks all
-//! come out as the CI stage expects.
+//! document, and confirm the report, the gate records it yields, and the
+//! checks all come out as the CI stage expects.
 
 use std::path::{Path, PathBuf};
 
@@ -47,7 +47,6 @@ fn open_loop_check_run_against_a_live_server() {
     )
     .expect("write slo");
     let report_path = dir.join("loadgen.json");
-    let bench_path = dir.join("BENCH_serve.json");
 
     let config = LoadgenConfig {
         addr: addr.to_string(),
@@ -58,7 +57,6 @@ fn open_loop_check_run_against_a_live_server() {
         slo_path: slo_path.clone(),
         scenarios_dir: PathBuf::from(SCENARIOS),
         report_path: Some(report_path.clone()),
-        bench_path: Some(bench_path.clone()),
         check: true,
         ..LoadgenConfig::default()
     };
@@ -89,17 +87,24 @@ fn open_loop_check_run_against_a_live_server() {
     let parsed = loadgen::parse_report(&written).expect("parse written report");
     assert_eq!(parsed, report);
 
-    // Bench records for the ratchet: one per gated quantile.
-    let records = gsu_bench::read_bench_records(&bench_path).expect("bench log");
-    for suffix in ["p50", "p99", "p999"] {
+    // The written report is the ratchet's input: one record per gated
+    // quantile, in milliseconds, with no work counters.
+    let records = gsu_bench::read_bench_records(&report_path).expect("report as records");
+    assert_eq!(records.len(), 3);
+    for (suffix, value_us) in [
+        ("p50", report.overall.p50_us),
+        ("p99", report.overall.p99_us),
+        ("p999", report.overall.p999_us),
+    ] {
         let name = format!("serve:open:{suffix}");
         let record = records
             .iter()
             .find(|r| r.name == name)
             .unwrap_or_else(|| panic!("missing record {name}"));
-        assert!(record.wall_ms > 0.0);
-        assert_eq!(record.threads, 2);
-        assert_eq!(record.iterations, 0, "latency records skip work ratchet");
+        assert_eq!(record.wall_ms, Some(value_us / 1000.0));
+        assert_eq!(record.threads, Some(2));
+        assert_eq!(record.grid, Some(report.requests as usize));
+        assert!(record.counters.is_empty());
     }
 
     handle.shutdown();

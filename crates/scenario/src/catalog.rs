@@ -24,6 +24,46 @@ pub struct GoldenCurve {
 }
 
 impl GoldenCurve {
+    /// Relative tolerance of a curve against its golden. The analytic
+    /// pipeline is deterministic; the slack only absorbs cross-platform libm
+    /// drift.
+    pub const REL_TOL: f64 = 1e-9;
+
+    /// Checks freshly computed `(φ, Y)` points against this golden: the same
+    /// grid, and every `Y` within [`GoldenCurve::REL_TOL`] of the golden's,
+    /// relative to `max(|Y_golden|, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// A description of a length or grid mismatch, or of the first point
+    /// out of tolerance.
+    pub fn check(&self, fresh: &[(f64, f64)]) -> Result<f64, String> {
+        if self.points.len() != fresh.len() {
+            return Err(format!(
+                "golden has {} point(s), analytic sweep produced {}",
+                self.points.len(),
+                fresh.len()
+            ));
+        }
+        let mut max_rel_err = 0.0f64;
+        for (&(gphi, gy), &(fphi, fy)) in self.points.iter().zip(fresh) {
+            if gphi != fphi {
+                return Err(format!(
+                    "grid mismatch: golden phi {gphi}, scenario phi {fphi}"
+                ));
+            }
+            let rel = (fy - gy).abs() / gy.abs().max(1.0);
+            if rel > Self::REL_TOL {
+                return Err(format!(
+                    "Y({gphi}) = {fy} drifted from golden {gy} (rel err {rel:.2e} > {:.0e})",
+                    Self::REL_TOL
+                ));
+            }
+            max_rel_err = max_rel_err.max(rel);
+        }
+        Ok(max_rel_err)
+    }
+
     /// Serializes the curve to its canonical JSON form.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"gsu-golden-v1\",\n");
@@ -205,6 +245,27 @@ mod tests {
         let not_number =
             r#"{"schema": "gsu-golden-v1", "scenario": "x", "points": [{"phi": 1, "y": null}]}"#;
         assert!(GoldenCurve::from_json(not_number).is_err());
+    }
+
+    fn golden(points: Vec<(f64, f64)>) -> GoldenCurve {
+        GoldenCurve {
+            scenario: "g".to_string(),
+            points,
+        }
+    }
+
+    #[test]
+    fn check_accepts_exact_match() {
+        let g = golden(vec![(0.0, 1.0), (10.0, 1.5)]);
+        assert_eq!(g.check(&g.points), Ok(0.0));
+    }
+
+    #[test]
+    fn check_rejects_drift_and_shape_mismatch() {
+        let g = golden(vec![(0.0, 1.0), (10.0, 1.5)]);
+        assert!(g.check(&[(0.0, 1.0), (10.0, 1.5 + 1e-6)]).is_err());
+        assert!(g.check(&[(0.0, 1.0)]).is_err());
+        assert!(g.check(&[(0.0, 1.0), (11.0, 1.5)]).is_err());
     }
 
     #[test]

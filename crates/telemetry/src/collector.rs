@@ -420,7 +420,7 @@ impl Collector {
             .unwrap_or(0)
     }
 
-    /// Renders the structured run report (`gsu-telemetry-v2` schema); see
+    /// Renders the structured run report (`gsu-telemetry-v3` schema); see
     /// [`Snapshot::run_report_json`].
     pub fn run_report_json(&self) -> String {
         self.snapshot().run_report_json()

@@ -10,11 +10,9 @@
 //! process-global environment variable: separate `#[test]` functions run
 //! concurrently inside one test binary and would race on it.
 
+use guarded_upgrade::gsu_scenario::GoldenCurve;
 use guarded_upgrade::performability::sensitivity::local_sensitivity;
 use guarded_upgrade::prelude::*;
-
-/// The goldens' relative tolerance on `Y`.
-const GOLDEN_REL_TOL: f64 = 1e-9;
 
 /// `|got − want| / |want|`, or the absolute difference when `want` is 0.
 fn rel_err(got: f64, want: f64) -> f64 {
@@ -80,7 +78,7 @@ fn thread_count_never_changes_results() {
         assert_eq!(grid.phi.to_bits(), point.phi.to_bits());
         let y_err = rel_err(grid.y, point.y);
         assert!(
-            y_err <= GOLDEN_REL_TOL,
+            y_err <= GoldenCurve::REL_TOL,
             "Y at phi {}: grid {} vs evaluate {} (rel err {y_err:.2e})",
             point.phi,
             grid.y,

@@ -11,10 +11,6 @@ use guarded_upgrade::gsu_scenario::{
     crossval, load_dir, read_golden, Backend, ScenarioAnalysis, ScenarioSpec,
 };
 
-/// Relative tolerance against committed goldens. The pipeline is
-/// deterministic; this only absorbs cross-platform libm drift.
-const GOLDEN_REL_TOL: f64 = 1e-9;
-
 fn catalog_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios"))
 }
@@ -66,19 +62,9 @@ fn catalog_matches_golden_curves() {
         let curve = analysis
             .curve()
             .unwrap_or_else(|e| panic!("{name}: sweep failed: {e}"));
-        assert_eq!(
-            curve.len(),
-            golden.points.len(),
-            "{name}: grid length drifted from golden"
-        );
-        for (point, &(gphi, gy)) in curve.iter().zip(&golden.points) {
-            assert_eq!(point.phi, gphi, "{name}: grid drifted from golden");
-            let rel = (point.y - gy).abs() / gy.abs().max(1.0);
-            assert!(
-                rel <= GOLDEN_REL_TOL,
-                "{name}: Y({gphi}) = {} drifted from golden {gy} (rel err {rel:.2e})",
-                point.y
-            );
+        let points: Vec<(f64, f64)> = curve.iter().map(|p| (p.phi, p.y)).collect();
+        if let Err(why) = golden.check(&points) {
+            panic!("{name}: {why}");
         }
     }
 }
