@@ -15,7 +15,7 @@ use sparsela::CsrMatrix;
 /// `component_of[u] > component_of[v]`).
 ///
 /// Implementation: iterative Tarjan (explicit stack), so deep chains cannot
-/// overflow the call stack.
+/// overflow the call stack, in `O(n + nnz)`.
 pub fn strongly_connected_components(m: &CsrMatrix) -> (Vec<usize>, usize) {
     let n = m.rows();
     const UNVISITED: usize = usize::MAX;
@@ -28,7 +28,21 @@ pub fn strongly_connected_components(m: &CsrMatrix) -> (Vec<usize>, usize) {
     let mut next_index = 0usize;
     let mut count = 0usize;
 
-    // Explicit DFS frames: (vertex, iterator position into its row).
+    // The off-diagonal successors of every vertex, flattened once:
+    // `successors[offsets[v]..offsets[v + 1]]`.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut successors = Vec::with_capacity(m.nnz());
+    offsets.push(0);
+    for v in 0..n {
+        successors.extend(
+            m.row(v)
+                .filter(|&(c, w)| c != v && w != 0.0)
+                .map(|(c, _)| c),
+        );
+        offsets.push(successors.len());
+    }
+
+    // Explicit DFS frames: (vertex, position in its successor list).
     let mut frames: Vec<(usize, usize)> = Vec::new();
 
     for start in 0..n {
@@ -46,11 +60,7 @@ pub fn strongly_connected_components(m: &CsrMatrix) -> (Vec<usize>, usize) {
             // Find next unprocessed off-diagonal successor of v.
             let succ = {
                 let mut found = None;
-                let neighbors: Vec<usize> = m
-                    .row(v)
-                    .filter(|&(c, w)| c != v && w != 0.0)
-                    .map(|(c, _)| c)
-                    .collect();
+                let neighbors = &successors[offsets[v]..offsets[v + 1]];
                 while *pos < neighbors.len() {
                     let w = neighbors[*pos];
                     *pos += 1;

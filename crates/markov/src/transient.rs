@@ -15,8 +15,10 @@
 //! deterministic cost model of DESIGN.md §9 (`transient/cost.rs`): a
 //! pass costs a fixed per-step overhead plus the sparse product and the
 //! vector work of every open horizon; a chain costs one exponential per
-//! distinct gap — about `2n³` per squaring for the `(π, L)` slab, `n³` for
-//! `π` alone — plus its vector–matrix products. It takes the cheaper one
+//! distinct gap — `2P` multiply-adds per squaring for the `(π, L)` slab,
+//! `P` for `π` alone, where `P` is one `n × n` product in the chain's
+//! block-triangular layout (`n³` for an irreducible chain, see
+//! [`expm`]) — plus its vector–matrix products. It takes the cheaper one
 //! that fits its budget (step budget for uniformization, state limit for
 //! the dense exponential). The constants were calibrated once; nothing is
 //! timed at run time, so the choice is a pure function of the chain, the
@@ -53,7 +55,11 @@
 //! A pair gap `Δ` costs **one** structured exponential
 //! ([`expm::expm_with_integral_scaled`]), whose `e^{QΔ}` steps `π` and
 //! whose `∫₀^Δ e^{Qs} ds` steps `L`; a π-only gap costs the `n × n`
-//! `e^{QΔ}`. A run of equal gaps (exact `f64` equality) reuses it, so a
+//! `e^{QΔ}`. The chain runs in the topological order of the chain's
+//! strongly connected components, found once per call in `O(n + nnz)`:
+//! `Q` and `π₀` are permuted in and every answer back, so every
+//! exponential is block upper triangular and skips its zero blocks. A
+//! run of equal gaps (exact `f64` equality) reuses it, so a
 //! uniform grid costs one exponential and one vector–matrix product per
 //! horizon and output. A call that resolves to the matrix exponential
 //! chains all its horizons; the one-horizon [`distribution`] and
@@ -73,8 +79,8 @@
 
 use sparsela::{vector, BlockedKernel, DenseMatrix};
 
-use crate::expm;
 use crate::fox_glynn::PoissonWindow;
+use crate::{expm, graph};
 use crate::{Ctmc, MarkovError, Result};
 
 mod cost;
@@ -262,7 +268,13 @@ pub fn distribution_at_times(
 /// [`MarkovError::LimitExceeded`] when the selected engine exceeds its
 /// budget.
 pub fn pair_method(ctmc: &Ctmc, t: f64, opts: &Options) -> Result<Method> {
-    select_method(Shape::of(ctmc), &[t], Want { pi: true, l: true }, opts)
+    let (_, blocks) = topological_order(ctmc);
+    select_method(
+        Shape::of(ctmc, &blocks),
+        &[t],
+        Want { pi: true, l: true },
+        opts,
+    )
 }
 
 /// The one solve behind the four public calls: `want`'s outputs at every
@@ -302,14 +314,15 @@ fn solve(
     if horizons.is_empty() {
         return Ok(out);
     }
-    let method = select_method(Shape::of(ctmc), &horizons, want, opts)?;
+    let (order, blocks) = topological_order(ctmc);
+    let method = select_method(Shape::of(ctmc, &blocks), &horizons, want, opts)?;
     let mut span = telemetry::span(span_name);
     span.record("states", ctmc.n_states());
     span.record("horizons", horizons.len());
     span.record("method", method_name(method));
     let solved = match method {
         Method::Uniformization => uniformized(ctmc, pi0, &horizons, want, opts)?,
-        Method::MatrixExponential => expm_chain(ctmc, pi0, &horizons, want, opts)?,
+        Method::MatrixExponential => expm_chain(ctmc, &order, pi0, &horizons, want)?,
         Method::Auto => unreachable!("select_method resolves Auto"),
     };
     for (slot, answer) in slots.into_iter().zip(solved) {
@@ -669,6 +682,26 @@ fn uniformized(
         .collect())
 }
 
+/// The chain's states in topological order of its strongly connected
+/// components, and the components' sizes in that order: `order[p]` is the
+/// state at position `p`, every transition between components goes from
+/// an earlier one to a later one, and a component keeps its states in
+/// ascending number. In this order the generator is block upper
+/// triangular with the components as its diagonal blocks, the finest
+/// contiguous layout [`expm`] finds. One Tarjan pass (`O(n + nnz)`) and a
+/// stable sort.
+fn topological_order(ctmc: &Ctmc) -> (Vec<usize>, Vec<usize>) {
+    let (component, count) = graph::strongly_connected_components(ctmc.generator());
+    // Tarjan numbers the components in reverse topological order.
+    let mut order: Vec<usize> = (0..component.len()).collect();
+    order.sort_by_key(|&state| std::cmp::Reverse(component[state]));
+    let mut blocks = vec![0; count];
+    for &c in &component {
+        blocks[count - 1 - c] += 1;
+    }
+    (order, blocks)
+}
+
 /// The dense chain of the module docs: `(π(t), L(t))` at every horizon of
 /// `times` (each `> 0`, in any order; answered in order), with the gap's
 /// exponential computed once per run of equal gaps: `e^{QΔ}` alone for a
@@ -677,31 +710,41 @@ fn uniformized(
 /// repeated horizon (`Δ = 0`) repeats the answer. With one horizon the gap
 /// is `t` itself, so the answer is the one-shot `π₀·e^{Qt}` and
 /// `π₀·∫₀ᵗ e^{Qs} ds`, bit for bit.
+///
+/// The chain runs in `order` ([`topological_order`]): `Q` and `π₀` are
+/// permuted in once, so every exponential is block upper triangular, and
+/// every answer is permuted back.
 fn expm_chain(
     ctmc: &Ctmc,
+    order: &[usize],
     pi0: &[f64],
     times: &[f64],
     want: Want,
-    opts: &Options,
 ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
     let Want {
         pi: want_pi,
         l: want_l,
     } = want;
-    let q = ctmc
-        .generator()
-        .to_dense_checked(opts.dense_state_limit * opts.dense_state_limit)
-        .map_err(MarkovError::from)?;
+    let n = ctmc.n_states();
+    let mut position = vec![0; n];
+    for (p, &state) in order.iter().enumerate() {
+        position[state] = p;
+    }
+    let mut q = DenseMatrix::zeros(n, n);
+    for (r, c, rate) in ctmc.generator().iter() {
+        q[(position[r], position[c])] = rate;
+    }
+    let unpermute = |v: &[f64]| -> Vec<f64> { position.iter().map(|&p| v[p]).collect() };
     let mut propagators: Option<GapPropagators> = None;
-    let mut order: Vec<usize> = (0..times.len()).collect();
-    order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
-    let mut pi = pi0.to_vec();
+    let mut sorted: Vec<usize> = (0..times.len()).collect();
+    sorted.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
+    let mut pi: Vec<f64> = order.iter().map(|&state| pi0[state]).collect();
     // `None` is L(0) = 0: the first gap's integral term is then L itself,
     // bit for bit, instead of a sum with a zero vector.
     let mut l: Option<Vec<f64>> = None;
     let mut now = 0.0;
     let mut out = vec![(Vec::new(), Vec::new()); times.len()];
-    for (i, &slot) in order.iter().enumerate() {
+    for (i, &slot) in sorted.iter().enumerate() {
         let t = times[slot];
         let delta = t - now;
         if delta > 0.0 {
@@ -710,7 +753,7 @@ fn expm_chain(
                 _ => GapPropagators::new(&q, delta, want_l)?,
             };
             let gap = propagators.insert(gap);
-            let next_pi = if want_pi || i + 1 < order.len() {
+            let next_pi = if want_pi || i + 1 < sorted.len() {
                 let mut next = gap.e.vec_mul(&pi);
                 clamp_probabilities(&mut next);
                 Some(next)
@@ -737,10 +780,10 @@ fn expm_chain(
             now = t;
         }
         if want_pi {
-            out[slot].0 = pi.clone();
+            out[slot].0 = unpermute(&pi);
         }
         if let Some(l) = &l {
-            out[slot].1 = l.clone();
+            out[slot].1 = unpermute(l);
         }
     }
     Ok(out)
@@ -1067,7 +1110,13 @@ mod tests {
         let opts = Options::default();
         let pi_only = Want { pi: true, l: false };
         assert_eq!(
-            select_method(Shape::of(&c), &[t], pi_only, &opts).unwrap(),
+            select_method(
+                Shape::of(&c, &topological_order(&c).1),
+                &[t],
+                pi_only,
+                &opts
+            )
+            .unwrap(),
             Method::Uniformization
         );
         assert_eq!(
@@ -1172,13 +1221,15 @@ mod tests {
         ];
         // The tiny-φ probes of the telemetry tests, on the paper's RMGd.
         const TINY: &[f64] = &[0.0, 0.000_244_140_625, 0.000_488_281_25];
-        // (what, states, generator entries, largest exit rate, horizons,
-        // outputs, engine): the lumped chains the workloads solve, and the
-        // edges of the model.
+        // (what, states, generator entries, largest exit rate, multiply-adds
+        // of an n × n product in topological order, horizons, outputs,
+        // engine): the lumped chains the workloads solve, and the edges of
+        // the model.
         type Row = (
             &'static str,
             usize,
             usize,
+            f64,
             f64,
             &'static [f64],
             Want,
@@ -1186,41 +1237,42 @@ mod tests {
         );
         #[rustfmt::skip]
         let table: &[Row] = &[
-            ("aging-rejuvenation G-OP", 24, 105, 76.22, CATALOG, PAIR, Dense),
-            ("degrading-coverage G-OP", 48, 257, 120.0000001, CATALOG, PAIR, Dense),
-            ("det-checkpoint G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
-            ("erlang-acceptance G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
-            ("hyper-acceptance G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
-            ("paper-baseline G-OP", 13, 41, 2280.0001, PAPER, PAIR, Dense),
-            ("paper-high-fault-rate G-OP", 13, 41, 2280.0004, PAPER, PAIR, Dense),
-            ("paper-low-coverage G-OP", 13, 41, 2280.0001, PAPER, PAIR, Dense),
-            ("paper-short-window G-OP", 13, 41, 2280.0001, SHORT_WINDOW, PAIR, Dense),
-            ("paper-slow-safeguards G-OP", 13, 41, 2280.0001, PAPER, PAIR, Dense),
-            ("small-exact G-OP", 13, 41, 76.02, CATALOG, PAIR, Dense),
-            ("three-escorts G-OP", 50, 264, 156.02, CATALOG, PAIR, Dense),
-            ("two-escorts G-OP", 28, 124, 116.02, CATALOG, PAIR, Dense),
-            ("upgrade-waves G-OP", 21, 83, 76.12, CATALOG, PAIR, Dense),
-            ("three-escorts normal mode", 9, 25, 120.02, WINDOWS, PI, Dense),
-            ("small-exact normal mode", 5, 11, 40.02, WINDOWS, PI, Dense),
-            ("RMGd, fig9 grid", 13, 41, 2280.0001, FIG9, PAIR, Dense),
-            ("RMGd, tiny φ", 13, 41, 2280.0001, TINY, PAIR, Uni),
-            ("RMGd, φ = 2⁻¹¹", 13, 41, 2280.0001, &[0.000_488_281_25], PAIR, Uni),
-            ("three-escorts G-OP, Λt ≈ 160", 50, 264, 156.02, &[1.0], PAIR, Uni),
-            ("three-escorts G-OP, Λt ≈ 480", 50, 264, 156.02, &[3.0], PI, Uni),
-            ("2,000 states, past the dense limit", 2000, 10_000, 10.0, &[100.0], PAIR, Uni),
+            ("aging-rejuvenation G-OP", 24, 105, 76.22, 3084.0, CATALOG, PAIR, Dense),
+            ("degrading-coverage G-OP", 48, 257, 120.0000001, 20824.0, CATALOG, PAIR, Dense),
+            ("det-checkpoint G-OP", 13, 41, 76.02, 485.0, CATALOG, PAIR, Dense),
+            ("erlang-acceptance G-OP", 13, 41, 76.02, 485.0, CATALOG, PAIR, Dense),
+            ("hyper-acceptance G-OP", 13, 41, 76.02, 485.0, CATALOG, PAIR, Dense),
+            ("paper-baseline G-OP", 13, 41, 2280.0001, 485.0, PAPER, PAIR, Dense),
+            ("paper-high-fault-rate G-OP", 13, 41, 2280.0004, 485.0, PAPER, PAIR, Dense),
+            ("paper-low-coverage G-OP", 13, 41, 2280.0001, 485.0, PAPER, PAIR, Dense),
+            ("paper-short-window G-OP", 13, 41, 2280.0001, 485.0, SHORT_WINDOW, PAIR, Dense),
+            ("paper-slow-safeguards G-OP", 13, 41, 2280.0001, 485.0, PAPER, PAIR, Dense),
+            ("small-exact G-OP", 13, 41, 76.02, 485.0, CATALOG, PAIR, Dense),
+            ("three-escorts G-OP", 50, 264, 156.02, 24380.0, CATALOG, PAIR, Dense),
+            ("two-escorts G-OP", 28, 124, 116.02, 4432.0, CATALOG, PAIR, Dense),
+            ("upgrade-waves G-OP", 21, 83, 76.12, 1909.0, CATALOG, PAIR, Dense),
+            ("three-escorts normal mode", 9, 25, 120.02, 165.0, WINDOWS, PI, Dense),
+            ("small-exact normal mode", 5, 11, 40.02, 35.0, WINDOWS, PI, Dense),
+            ("RMGd, fig9 grid", 13, 41, 2280.0001, 485.0, FIG9, PAIR, Dense),
+            ("RMGd, tiny φ", 13, 41, 2280.0001, 485.0, TINY, PAIR, Uni),
+            ("RMGd, φ = 2⁻¹¹", 13, 41, 2280.0001, 485.0, &[0.000_488_281_25], PAIR, Uni),
+            ("three-escorts G-OP, Λt ≈ 160", 50, 264, 156.02, 24380.0, &[1.0], PAIR, Uni),
+            ("three-escorts G-OP, Λt ≈ 480", 50, 264, 156.02, 24380.0, &[3.0], PI, Dense),
+            ("2,000 states, past the dense limit", 2000, 10_000, 10.0, 8_000_000_000.0, &[100.0], PAIR, Uni),
         ];
         let got: Vec<_> = table
             .iter()
-            .map(|&(what, states, entries, rate, times, want, _)| {
+            .map(|&(what, states, entries, rate, madds, times, want, _)| {
                 let shape = Shape {
                     states,
                     entries,
                     rate,
+                    madds,
                 };
                 (what, auto_engine(shape, times, want))
             })
             .collect();
-        let want: Vec<_> = table.iter().map(|row| (row.0, row.6)).collect();
+        let want: Vec<_> = table.iter().map(|row| (row.0, row.7)).collect();
         assert_eq!(got, want);
     }
 

@@ -23,10 +23,15 @@ const AXPY_NS: f64 = 30.0;
 const AXPY_ENTRY_NS: f64 = 0.25;
 /// Fixed cost of one matrix exponential.
 const EXPM_NS: f64 = 5_000.0;
-/// Cost of one dense product, per call (the result and the slab copy) and
-/// per multiply-add.
+/// Cost of one product of the exponential, per call and per structured
+/// multiply-add (see [`expm::product_madds`]). A multiply-add of the
+/// block-triangular kernel also pays for its row span's loop, so it is
+/// priced above the bare dense one.
 const PRODUCT_NS: f64 = 1_000.0;
-const MADD_NS: f64 = 0.25;
+const MADD_NS: f64 = 0.65;
+/// Cost of one multiply-add of a vector–matrix product, which runs over
+/// full rows at the bare dense price.
+const VEC_MADD_NS: f64 = 0.25;
 
 /// What the prices read of a chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,14 +42,20 @@ pub(super) struct Shape {
     pub entries: usize,
     /// The largest exit rate.
     pub rate: f64,
+    /// The multiply-adds of one `n × n` product in the chain's topological
+    /// order (see [`expm::product_madds`]).
+    pub madds: f64,
 }
 
 impl Shape {
-    pub(super) fn of(ctmc: &Ctmc) -> Self {
+    /// The shape of `ctmc`, whose strongly connected components have the
+    /// sizes `blocks` in topological order.
+    pub(super) fn of(ctmc: &Ctmc, blocks: &[usize]) -> Self {
         Shape {
             states: ctmc.n_states(),
             entries: ctmc.generator().nnz(),
             rate: ctmc.max_exit_rate(),
+            madds: expm::product_madds(blocks) as f64,
         }
     }
 }
@@ -87,12 +98,13 @@ pub(super) fn uniformization(
 }
 
 /// One dense chain along `times`: an exponential per run of equal gaps,
-/// as the chain computes them (the structured `n × 2n` slab when `L` is
-/// wanted, else `n × n`), plus the vector–matrix products of every horizon.
+/// as the chain computes them (the `n × 2n` slab when `L` is wanted, else
+/// `n × n`, both block upper triangular in the chain's topological order),
+/// plus the vector–matrix products of every horizon.
 pub(super) fn exponential(shape: Shape, times: &[f64], want: Want) -> f64 {
     let n = shape.states as f64;
-    let width = if want.l { 2.0 * n } else { n };
-    let product = PRODUCT_NS + MADD_NS * n * n * width;
+    let halves = if want.l { 2.0 } else { 1.0 };
+    let product = PRODUCT_NS + MADD_NS * shape.madds * halves;
     let mut sorted = times.to_vec();
     sorted.sort_by(f64::total_cmp);
     let mut price = 0.0;
@@ -111,5 +123,5 @@ pub(super) fn exponential(shape: Shape, times: &[f64], want: Want) -> f64 {
         now = t;
     }
     let products_per_horizon = if want.l { 2.0 } else { 1.0 };
-    price + times.len() as f64 * products_per_horizon * MADD_NS * n * n
+    price + times.len() as f64 * products_per_horizon * VEC_MADD_NS * n * n
 }

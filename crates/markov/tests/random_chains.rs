@@ -1,6 +1,7 @@
 //! Property tests on randomly generated chains: the different solution
 //! engines must agree with each other and with structural invariants.
 
+use markov::expm;
 use markov::lump::Lumping;
 use markov::steady::{stationarity_residual, steady_state};
 use markov::transient::{self, Method, Options};
@@ -542,6 +543,146 @@ proptest! {
                     after[label_of[a]] == after[label_of[b]]
                 );
             }
+        }
+    }
+}
+
+/// A random block-triangular chain in topological order: 2–5 strongly
+/// connected components of 1–4 states, numbered component by component.
+/// Each component is a cycle plus random extra rates; each feeds the next
+/// from its last state to the next one's first, and at random any later
+/// state. Rates span two decades.
+fn arb_block_triangular() -> impl Strategy<Value = Ctmc> {
+    const MAX_N: usize = 20;
+    (
+        proptest::collection::vec(1usize..5, 2..6),
+        proptest::collection::vec(0.0..1.0f64, MAX_N * MAX_N),
+        proptest::collection::vec(-1.0..1.0f64, MAX_N * MAX_N),
+    )
+        .prop_map(|(sizes, edges, log_rates)| {
+            let n: usize = sizes.iter().sum();
+            let mut first = Vec::new();
+            let mut block_of = Vec::new();
+            for (b, &size) in sizes.iter().enumerate() {
+                first.push(block_of.len());
+                block_of.extend(std::iter::repeat_n(b, size));
+            }
+            let last = |b: usize| first[b] + sizes[b] - 1;
+            let mut transitions = Vec::new();
+            for i in 0..n {
+                let b = block_of[i];
+                for j in (0..n).filter(|&j| j != i && block_of[j] >= b) {
+                    let base = if block_of[j] == b {
+                        j == if i == last(b) { first[b] } else { i + 1 }
+                    } else {
+                        i == last(b) && block_of[j] == b + 1 && j == first[b + 1]
+                    };
+                    let extra = if block_of[j] == b { 0.6 } else { 0.8 };
+                    if base || edges[i * MAX_N + j] > extra {
+                        transitions.push((i, j, 10f64.powf(log_rates[i * MAX_N + j])));
+                    }
+                }
+            }
+            Ctmc::from_transitions(n, transitions).expect("valid block-triangular chain")
+        })
+}
+
+/// Every entry of the block-triangular result `a` against the dense `b`:
+/// `|a − b| ≤ 1e-13 · max(|a|, |b|)`, above a rounding floor of `1e-14` of
+/// the largest entry. Neither kernel is accurate entry by entry below that
+/// floor: a structural zero, below the diagonal blocks, is an exact zero
+/// in `a` and rounding noise in `b`, and a small entry formed by
+/// cancellation carries the rounding of the large ones.
+fn assert_entries_close(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
+    let floor = 1e-14 * a.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    for (k, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        assert!(
+            (x - y).abs() <= 1e-13 * x.abs().max(y.abs()) + floor,
+            "{what}, entry {k}: {x:e} vs {y:e}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn block_triangular_exponential_matches_the_hidden_order(
+        chain in arb_block_triangular(),
+        log_norm in -0.7..2.0f64,
+    ) {
+        // ‖Qt‖∞ from 0.2 to 100: no squarings to five.
+        let n = chain.n_states();
+        let mut qt = chain.generator().to_dense();
+        qt.scale(10f64.powf(log_norm) / qt.norm_inf());
+        // In reverse order every component sits below the ones it feeds,
+        // and each feeds the next, so no split of the reversed matrix has
+        // only zeros below it: it is one block, the dense arithmetic.
+        let reverse = |m: &DenseMatrix| {
+            let mut out = DenseMatrix::zeros(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    out[(n - 1 - r, n - 1 - c)] = m[(r, c)];
+                }
+            }
+            out
+        };
+        let hidden = reverse(&qt);
+        let e = expm::expm(&qt).unwrap();
+        assert_entries_close(&e, &reverse(&expm::expm(&hidden).unwrap()), "expm");
+        let (e, f) = expm::expm_with_integral(&qt).unwrap();
+        let (he, hf) = expm::expm_with_integral(&hidden).unwrap();
+        assert_entries_close(&e, &reverse(&he), "E");
+        assert_entries_close(&f, &reverse(&hf), "F");
+    }
+
+    #[test]
+    fn dense_chain_does_not_depend_on_the_state_numbering(
+        chain in arb_block_triangular(),
+        keys in proptest::collection::vec(0.0..1.0f64, 20),
+        start in 0usize..20,
+    ) {
+        // label[i] is state i's number in the relabelled chain: its rank
+        // among the random keys.
+        let n = chain.n_states();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+        let mut label = vec![0; n];
+        for (rank, &i) in order.iter().enumerate() {
+            label[i] = rank;
+        }
+        let relabelled = Ctmc::from_transitions(
+            n,
+            chain
+                .generator()
+                .iter()
+                .filter(|&(r, c, _)| r != c)
+                .map(|(r, c, rate)| (label[r], label[c], rate)),
+        )
+        .unwrap();
+        let opts = Options {
+            method: Method::MatrixExponential,
+            ..Default::default()
+        };
+        let u = 1.0 / chain.max_exit_rate();
+        let times = [0.25 * u, u, 2.0 * u, 3.0 * u, 10.0 * u, 40.0 * u];
+        let pi0 = chain.point_distribution(start % n);
+        let relabelled_pi0 = relabelled.point_distribution(label[start % n]);
+        let solved = transient::distribution_and_occupancy_at_times(&chain, &pi0, &times, &opts)
+            .unwrap();
+        let relabelled_solved = transient::distribution_and_occupancy_at_times(
+            &relabelled,
+            &relabelled_pi0,
+            &times,
+            &opts,
+        )
+        .unwrap();
+        for (&t, ((pi, l), (rpi, rl))) in times.iter().zip(solved.iter().zip(&relabelled_solved)) {
+            let back = |v: &[f64]| -> Vec<f64> { label.iter().map(|&k| v[k]).collect() };
+            prop_assert!(relative_diff(&back(rpi), pi) <= 1e-13,
+                "π at t = {t}: {}", relative_diff(&back(rpi), pi));
+            prop_assert!(relative_diff(&back(rl), l) <= 1e-13,
+                "L at t = {t}: {}", relative_diff(&back(rl), l));
         }
     }
 }

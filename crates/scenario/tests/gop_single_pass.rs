@@ -402,10 +402,12 @@ fn three_escorts_curve_costs_one_pass_on_the_gop_chain() {
     // One G-OP solve for the whole grid: on the 50-block lumped chain the
     // six φ are one dense chain whose equal gaps share one structured
     // exponential, and each normal-mode model adds one survival
-    // exponential.
+    // exponential. The flops are the structured multiply-adds of the
+    // chains' block-triangular layouts: the G-OP chain's 34 components and
+    // the normal-mode chains' singletons.
     assert_eq!(work.spmv_ops, 0);
     assert_eq!(work.spmv_nnz, 0);
     assert_eq!(work.expm_solves, 3);
     assert_eq!(work.solver_iterations, 28);
-    assert_eq!(work.flops, 4_524_786);
+    assert_eq!(work.flops, 883_290);
 }

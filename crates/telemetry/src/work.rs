@@ -75,8 +75,9 @@ pub struct WorkSnapshot {
     /// Dense matrix-exponential solves performed.
     pub expm_solves: u64,
     /// Multiply-adds of the transient engines: the stored entries every
-    /// sparse product touched, plus `n²·m` per dense `n × n` by `n × m`
-    /// product of every matrix exponential. One number for the work of
+    /// sparse product touched, plus the structured multiply-adds of every
+    /// product of every matrix exponential (`n²·m` for an `n × n` by
+    /// `n × m` product of one diagonal block). One number for the work of
     /// both engines, so trading one engine for the other shows as one
     /// count that must fall.
     pub flops: u64,
