@@ -5,7 +5,7 @@
 //! pool task per curve, as the figure experiments fan them out — plus two
 //! catalog scenarios, first serially (`GSU_THREADS=1`, the reference
 //! schedule), then across a matrix of thread counts and adversarially
-//! permuted worker wake orders (the [`pool::PERMUTE_ENV`] debug hook), and
+//! permuted claim orders (the [`pool::PERMUTE_ENV`] debug hook), and
 //! diffs the outputs **bitwise**. The workspace's contract is that every
 //! published number is a pure function of its inputs — same bits at any
 //! thread count under any schedule — so a single flipped bit is a finding

@@ -1,63 +1,60 @@
-//! A std-only, work-stealing, *scoped* thread pool.
+//! A std-only, order-preserving parallel map.
 //!
 //! The workspace's offline build policy (see DESIGN.md, "Dependency policy")
-//! rules out `rayon` and `crossbeam`, so this crate implements the minimum
-//! machinery the analysis pipeline needs, in safe Rust:
+//! rules out `rayon` and `crossbeam`, so this crate implements the one
+//! parallel shape the pipeline needs, in safe Rust: [`Pool::map_indexed`].
 //!
-//! * **Scoped tasks** — closures borrow from the caller's stack
-//!   (`GsuAnalysis`, calibration tables, result slots) because every scope
-//!   runs inside [`std::thread::scope`]. No `'static` bounds, no `Arc`
-//!   plumbing through the numeric code.
-//! * **Work stealing** — each worker owns a deque; it pops its own tasks
-//!   LIFO-cheap from the front and steals from the *back* of a victim's
-//!   deque when empty. Sweep tasks have wildly uneven costs (a φ point's
-//!   Fox–Glynn window, or whether a gap solves by uniformization vs. dense
-//!   matrix exponential, depends on `Λ·t`), so static chunking would leave
-//!   workers idle behind the most expensive chunk.
-//! * **Deterministic collection** — [`Pool::map_indexed`] writes each result
-//!   into its input-index slot, so the output order (and therefore every
-//!   downstream floating-point reduction) is identical at any thread count.
-//! * **Parking** — idle workers block on a `Condvar` instead of spinning, so
-//!   an oversubscribed pool (e.g. `GSU_THREADS=4` on one core) degrades
-//!   gracefully.
+//! * **Scoped** — each call runs inside [`std::thread::scope`], so the
+//!   closure borrows from the caller's stack (`GsuAnalysis`, calibration
+//!   tables) with no `'static` bounds and no `Arc` plumbing.
+//! * **Self-scheduling** — `threads − 1` helper threads and the caller each
+//!   claim the next input index from one shared atomic cursor until the
+//!   inputs run out, so a slow item never leaves the others idle behind it.
+//! * **Deterministic collection** — each result is written into the slot of
+//!   its input index, so the output order (and therefore every downstream
+//!   floating-point reduction) is identical at any thread count.
 //!
-//! The pool is sized by the `GSU_THREADS` environment variable (default:
-//! [`std::thread::available_parallelism`]). `GSU_THREADS=1` runs every task
-//! inline on the caller's thread — byte-identical to the pre-pool serial
-//! pipeline by construction.
+//! The width comes from the `GSU_THREADS` environment variable (default:
+//! [`std::thread::available_parallelism`]). `GSU_THREADS=1` runs every item
+//! inline on the caller's thread — byte-identical to a serial loop by
+//! construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Locks `m`, recovering the guard if a previous holder panicked. The pool
-/// catches task panics ([`Shared::run_task`]) and re-raises them through its
-/// own channel, so lock poisoning carries no information here — every
-/// protected structure (deques, counters, the panic slot) stays consistent
-/// under unwinding.
+use telemetry::TraceContext;
+
+/// Locks `m`, recovering the guard if a previous holder panicked. Item
+/// panics are caught ([`Claims::work`]) and re-raised by the caller, so
+/// lock poisoning carries no information here.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Mutex::into_inner`], recovering the value as [`lock_unpoisoned`] does.
+fn unpoisoned<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Environment variable selecting the pool width.
 pub const THREADS_ENV: &str = "GSU_THREADS";
 
 /// Environment variable carrying an adversarial schedule-permutation seed
-/// (the `gsu-lint sanitize` debug hook). When set, task-to-deque assignment
-/// and victim scan order are scrambled by a SplitMix64 stream seeded from
-/// it, so work lands on workers — and is stolen back — in an order that has
-/// nothing to do with spawn order. The pool's determinism contract says
-/// results must not care; the sanitizer diffs outputs bitwise across seeds
-/// to prove it.
+/// (the `gsu-lint sanitize` debug hook). When set, the order in which
+/// threads claim input indices is a SplitMix64-driven Fisher–Yates shuffle
+/// seeded from it, so items run in an order that has nothing to do with
+/// input order. The pool's determinism contract says results must not
+/// care; the sanitizer diffs outputs bitwise across seeds to prove it.
 pub const PERMUTE_ENV: &str = "GSU_POOL_PERMUTE";
 
 /// Environment variable enabling the **deliberately order-sensitive**
 /// collection defect (`completion-order`). Test-only: it makes
-/// [`Pool::map_indexed`] return results in task *completion* order instead
+/// [`Pool::map_indexed`] return results in item *completion* order instead
 /// of input order whenever more than one thread is configured — exactly the
 /// hazard class (order-sensitive parallel reduction) the determinism lint
 /// and the differential sanitizer exist to catch. Never set this outside
@@ -124,61 +121,22 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A fixed-width scoped thread pool.
-///
-/// The pool itself is a lightweight configuration value: worker threads live
-/// only for the duration of a [`Pool::scope`] call (they are spawned inside
-/// [`std::thread::scope`], which is what lets tasks borrow non-`'static`
-/// data without unsafe code). For the sweep-shaped workloads this workspace
-/// runs — tens of tasks, each milliseconds to seconds — scope setup cost is
-/// noise.
+/// The width and debug hooks of a parallel map. A plain configuration
+/// value: threads live only for the duration of one [`Pool::map_indexed`]
+/// call. For the workloads this workspace maps — tens of items, each
+/// milliseconds to seconds — thread setup cost is noise.
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
-    /// Schedule-permutation seed (see [`PERMUTE_ENV`]); `None` runs the
-    /// default round-robin/linear-scan schedule.
+    /// Claim-order permutation seed (see [`PERMUTE_ENV`]); `None` claims in
+    /// input order.
     permute: Option<u64>,
     /// Order-sensitive collection defect (see [`DEFECT_ENV`]); test-only.
     defect: bool,
 }
 
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Spawns tasks into a running [`Pool::scope`].
-pub struct Scope<'scope, 'env> {
-    shared: &'scope Shared<'env>,
-}
-
-struct ScopeState {
-    /// Tasks spawned but not yet finished executing.
-    unfinished: usize,
-    /// Set once the scope closure has returned; workers exit when this is
-    /// `true` and `unfinished` reaches zero.
-    closed: bool,
-}
-
-struct Shared<'env> {
-    /// One deque per worker. Owners pop the front; thieves pop the back.
-    queues: Vec<Mutex<VecDeque<Task<'env>>>>,
-    state: Mutex<ScopeState>,
-    /// Signalled on every spawn, completion, and close.
-    signal: Condvar,
-    /// Round-robin cursor for assigning spawned tasks to deques.
-    next_queue: AtomicUsize,
-    /// Counts steal *attempts*, so a permuted victim scan draws a fresh
-    /// shuffle on every retry instead of deterministically re-missing the
-    /// same non-empty queue (which would livelock the parked-worker loop).
-    grab_seq: AtomicU64,
-    /// Schedule-permutation seed ([`PERMUTE_ENV`]); `None` = default order.
-    permute: Option<u64>,
-    steals: AtomicU64,
-    executed: AtomicU64,
-    /// First panic payload raised by a task; re-raised at scope exit.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
 impl Pool {
-    /// Creates a pool that runs scopes on `threads` threads (minimum 1).
+    /// Creates a pool that maps on `threads` threads (minimum 1).
     pub fn new(threads: usize) -> Self {
         Pool {
             threads: threads.max(1),
@@ -195,7 +153,7 @@ impl Pool {
             .with_completion_order_defect(defect_completion_order())
     }
 
-    /// Returns the pool with the given schedule-permutation seed (the
+    /// Returns the pool with the given claim-order permutation seed (the
     /// `gsu-lint sanitize` debug hook; see [`PERMUTE_ENV`]).
     pub fn with_permutation(mut self, seed: Option<u64>) -> Self {
         self.permute = seed;
@@ -209,45 +167,9 @@ impl Pool {
         self
     }
 
-    /// Number of threads scopes run on, including the caller's.
+    /// Number of threads a map runs on, including the caller's.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Runs `f` with a [`Scope`] into which tasks can be spawned, then blocks
-    /// until every spawned task has finished.
-    ///
-    /// The caller's thread participates as a worker (so a 1-thread pool
-    /// spawns no threads at all and runs every task inline, in spawn order).
-    /// If a task panics, the first payload is re-raised here after all other
-    /// tasks have drained.
-    pub fn scope<'env, T>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> T) -> T {
-        let shared = Shared::new(self.threads, self.permute);
-        let out = std::thread::scope(|ts| {
-            let shared = &shared;
-            for worker in 1..self.threads {
-                ts.spawn(move || shared.run_worker(worker));
-            }
-            let out = f(&Scope { shared });
-            shared.close();
-            // Drain as worker 0 until the scope is fully quiesced; the
-            // enclosing thread::scope then joins workers 1..threads.
-            shared.run_worker(0);
-            out
-        });
-        if telemetry::enabled() {
-            telemetry::gauge("pool.threads", self.threads as f64);
-            telemetry::counter("pool.tasks", shared.executed.load(Ordering::Relaxed));
-            telemetry::counter("pool.steals", shared.steals.load(Ordering::Relaxed));
-        }
-        if let Some(payload) = shared
-            .panic
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            resume_unwind(payload);
-        }
-        out
     }
 
     /// Applies `f` to every item, in parallel, returning results **in input
@@ -255,11 +177,16 @@ impl Pool {
     ///
     /// Each result is written into the slot of its input index, so the output
     /// is a pure function of the inputs — bitwise identical at any thread
-    /// count *and under any schedule permutation* ([`PERMUTE_ENV`]). With one
+    /// count *and under any claim permutation* ([`PERMUTE_ENV`]). With one
     /// thread (or one item) the map runs inline on the caller's thread with
     /// no synchronisation at all. The one deliberate exception is the seeded
     /// [`DEFECT_ENV`] hook, which breaks this contract on purpose so the
     /// sanitizer has a known-bad schedule-sensitive reduction to catch.
+    ///
+    /// Spans `f` opens parent under a `pool.map_indexed` span, which parents
+    /// under the caller's: the caller's [`TraceContext`] is attached on every
+    /// helper thread. If an item panics, the first payload is re-raised here
+    /// after every other item has run.
     pub fn map_indexed<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -276,51 +203,49 @@ impl Pool {
         let mut span = telemetry::span("pool.map_indexed");
         span.record("items", items.len());
         span.record("threads", self.threads);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let completion: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        {
-            let f = &f;
-            let slots = &slots;
-            let completion = &completion;
-            let defect = self.defect;
-            self.scope(|scope| {
-                for (i, item) in items.into_iter().enumerate() {
-                    scope.spawn(move || {
-                        let result = f(i, item);
-                        *lock_unpoisoned(&slots[i]) = Some(result);
-                        if defect {
-                            lock_unpoisoned(completion).push(i);
-                        }
-                    });
-                }
-            });
+        let n = items.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        if let Some(seed) = self.permute {
+            // Fisher–Yates driven by the SplitMix64 stream.
+            let mut s = splitmix64(seed);
+            for i in (1..n).rev() {
+                s = splitmix64(s);
+                order.swap(i, (s % (i as u64 + 1)) as usize);
+            }
         }
-        let mut results: Vec<Option<R>> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        if self.defect {
-            // The seeded defect: hand results back in completion order. This
-            // is the order-sensitive parallel reduction the determinism lint
-            // and `gsu-lint sanitize` exist to catch — the inline path above
-            // is untouched, so the 1-thread baseline stays correct and the
-            // differential diff lights up.
-            let order = completion
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            return order
-                .into_iter()
-                .map(|i| match results[i].take() {
-                    Some(result) => result,
-                    None => unreachable!("scope exit guarantees every task ran"),
-                })
-                .collect();
+        let claims = Claims {
+            items: items.into_iter().map(|x| Mutex::new(Some(x))).collect(),
+            results: (0..n).map(|_| Mutex::new(None)).collect(),
+            order,
+            cursor: AtomicUsize::new(0),
+            completion: self.defect.then(|| Mutex::new(Vec::with_capacity(n))),
+            panic: Mutex::new(None),
+            ctx: TraceContext::current(),
+            f: &f,
+        };
+        std::thread::scope(|ts| {
+            for _ in 1..self.threads.min(n) {
+                ts.spawn(|| claims.work());
+            }
+            claims.work();
+        });
+        if let Some(payload) = unpoisoned(claims.panic) {
+            resume_unwind(payload);
         }
-        results
+        let mut results: Vec<Option<R>> = claims.results.into_iter().map(unpoisoned).collect();
+        // The seeded defect hands results back in completion order: the
+        // order-sensitive parallel reduction the determinism lint and
+        // `gsu-lint sanitize` exist to catch. The inline path above is
+        // untouched, so the 1-thread baseline stays correct and the
+        // differential diff lights up.
+        let order = claims
+            .completion
+            .map_or_else(|| (0..n).collect(), unpoisoned);
+        order
             .into_iter()
-            .map(|slot| match slot {
+            .map(|i| match results[i].take() {
                 Some(result) => result,
-                None => unreachable!("scope exit guarantees every task ran"),
+                None => unreachable!("the scope ran every claimed item"),
             })
             .collect()
     }
@@ -329,7 +254,7 @@ impl Pool {
     /// index** (not by completion time), so the reported failure is also
     /// deterministic.
     ///
-    /// Unlike a serial `collect::<Result<_, _>>`, all tasks run to completion
+    /// Unlike a serial `collect::<Result<_, _>>`, all items run to completion
     /// even when an early item fails; only the reported value matches the
     /// serial path.
     pub fn try_map_indexed<T, R, E, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, E>
@@ -350,154 +275,47 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::current()
-    }
+/// The shared state of one parallel [`Pool::map_indexed`] call.
+struct Claims<'f, T, R, F> {
+    /// Inputs; each is taken by the thread that claims its index.
+    items: Vec<Mutex<Option<T>>>,
+    /// Results, by input index.
+    results: Vec<Mutex<Option<R>>>,
+    /// Claim order: the identity, or a [`PERMUTE_ENV`] shuffle of it.
+    order: Vec<usize>,
+    /// Next position of `order` to claim.
+    cursor: AtomicUsize,
+    /// Completion order, kept only under the [`DEFECT_ENV`] defect.
+    completion: Option<Mutex<Vec<usize>>>,
+    /// First panic payload raised by an item; re-raised by the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The caller's trace context, attached on every thread.
+    ctx: TraceContext,
+    f: &'f F,
 }
 
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Queues `task` for execution by the scope's workers.
-    ///
-    /// Tasks may borrow anything that outlives the [`Pool::scope`] call.
-    /// Spawn order is preserved per deque (FIFO for owners), which makes the
-    /// 1-thread pool execute tasks exactly in spawn order.
-    ///
-    /// The spawning thread's [`telemetry::TraceContext`] is captured here
-    /// and re-attached around the task, so spans a task emits parent under
-    /// the span that submitted the work — the trace tree survives the hop
-    /// onto a worker thread.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        let ctx = telemetry::TraceContext::current();
-        self.shared.spawn(Box::new(move || {
-            let _ctx = ctx.attach();
-            task()
-        }));
-    }
-}
-
-impl std::fmt::Debug for Scope<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope").finish_non_exhaustive()
-    }
-}
-
-impl<'env> Shared<'env> {
-    fn new(threads: usize, permute: Option<u64>) -> Self {
-        Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(ScopeState {
-                unfinished: 0,
-                closed: false,
-            }),
-            signal: Condvar::new(),
-            next_queue: AtomicUsize::new(0),
-            grab_seq: AtomicU64::new(0),
-            permute,
-            steals: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn spawn(&self, task: Task<'env>) {
-        let slot = self.next_queue.fetch_add(1, Ordering::Relaxed);
-        let queue = match self.permute {
-            // Default: round-robin in spawn order.
-            None => slot % self.queues.len(),
-            // Permuted: scatter tasks across deques by the seeded stream, so
-            // which worker "owns" a task has nothing to do with spawn order.
-            Some(seed) => (splitmix64(seed ^ slot as u64) % self.queues.len() as u64) as usize,
-        };
-        // Lock order state -> queue, matching the parking re-check in
-        // `run_worker`, so a worker can never observe the task count without
-        // also observing the task.
-        let mut state = lock_unpoisoned(&self.state);
-        state.unfinished += 1;
-        lock_unpoisoned(&self.queues[queue]).push_back(task);
-        drop(state);
-        self.signal.notify_all();
-    }
-
-    fn close(&self) {
-        lock_unpoisoned(&self.state).closed = true;
-        self.signal.notify_all();
-    }
-
-    fn run_worker(&self, worker: usize) {
+impl<T, R, F: Fn(usize, T) -> R> Claims<'_, T, R, F> {
+    /// Claims and runs items until none is left. A panicking item is
+    /// recorded and the loop goes on, so every other item still runs.
+    fn work(&self) {
+        let _ctx = self.ctx.attach();
         loop {
-            if let Some(task) = self.grab(worker) {
-                self.run_task(task);
-                continue;
-            }
-            // Park until there is either work or proof that no more will
-            // come. Queues are re-checked under the state lock to close the
-            // race with a concurrent spawn.
-            let mut state = lock_unpoisoned(&self.state);
-            loop {
-                if state.closed && state.unfinished == 0 {
-                    return;
+            let claim = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = self.order.get(claim) else {
+                return;
+            };
+            let Some(item) = lock_unpoisoned(&self.items[i]).take() else {
+                unreachable!("each index is claimed once");
+            };
+            match catch_unwind(AssertUnwindSafe(|| (self.f)(i, item))) {
+                Ok(result) => *lock_unpoisoned(&self.results[i]) = Some(result),
+                Err(payload) => {
+                    lock_unpoisoned(&self.panic).get_or_insert(payload);
                 }
-                let work_available = self.queues.iter().any(|q| !lock_unpoisoned(q).is_empty());
-                if work_available {
-                    break;
-                }
-                state = self
-                    .signal
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
             }
-        }
-    }
-
-    /// Pops from the worker's own deque, stealing from the back of a victim's
-    /// deque when it is empty.
-    ///
-    /// The victim scan is linear by default; under a [`PERMUTE_ENV`] seed it
-    /// walks a freshly shuffled full permutation of the victims instead, so
-    /// contended steals resolve in a schedule-dependent order. Every victim
-    /// is still visited exactly once per scan — the hook perturbs *order*,
-    /// never coverage.
-    fn grab(&self, worker: usize) -> Option<Task<'env>> {
-        if let Some(task) = lock_unpoisoned(&self.queues[worker]).pop_front() {
-            return Some(task);
-        }
-        let n = self.queues.len();
-        let mut victims: Vec<usize> = (1..n).map(|offset| (worker + offset) % n).collect();
-        if let Some(seed) = self.permute {
-            let attempt = self.grab_seq.fetch_add(1, Ordering::Relaxed);
-            let mut s = splitmix64(seed ^ ((worker as u64) << 32) ^ attempt);
-            // Fisher–Yates driven by the SplitMix64 stream.
-            for i in (1..victims.len()).rev() {
-                s = splitmix64(s);
-                victims.swap(i, (s % (i as u64 + 1)) as usize);
+            if let Some(completion) = &self.completion {
+                lock_unpoisoned(completion).push(i);
             }
-        }
-        for victim in victims {
-            if let Some(task) = lock_unpoisoned(&self.queues[victim]).pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    fn run_task(&self, task: Task<'env>) {
-        // A panicking task must still be counted as finished, or the scope
-        // (and every sibling worker) would park forever.
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-            let mut slot = lock_unpoisoned(&self.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        let mut state = lock_unpoisoned(&self.state);
-        state.unfinished -= 1;
-        let quiesced = state.unfinished == 0;
-        drop(state);
-        if quiesced {
-            self.signal.notify_all();
         }
     }
 }
@@ -505,17 +323,23 @@ impl<'env> Shared<'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn map_preserves_input_order() {
+        // Lengths around the thread counts, empty included, and every 4th
+        // item expensive so threads race for the cursor.
         for threads in [1, 2, 4, 7] {
-            let pool = Pool::new(threads);
-            let out = pool.map_indexed((0..64).collect(), |i, x: usize| {
-                assert_eq!(i, x);
-                x * x
-            });
-            assert_eq!(out, (0..64).map(|x| x * x).collect::<Vec<_>>());
+            for n in [0, 1, 2, 3, 5, 8, 64] {
+                let out = Pool::new(threads).map_indexed((0..n).collect(), |i, x: usize| {
+                    assert_eq!(i, x);
+                    let spin = if i % 4 == 0 { 20_000 } else { 10 };
+                    std::hint::black_box(
+                        (0..spin).fold(x, |a, _| a.wrapping_mul(31).wrapping_add(1)),
+                    );
+                    x * x
+                });
+                assert_eq!(out, (0..n).map(|x| x * x).collect::<Vec<_>>());
+            }
         }
     }
 
@@ -545,64 +369,20 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_every_spawned_task() {
-        let counter = AtomicUsize::new(0);
-        Pool::new(3).scope(|scope| {
-            for _ in 0..100 {
-                scope.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn single_thread_pool_runs_in_spawn_order() {
-        let order = Mutex::new(Vec::new());
-        Pool::new(1).scope(|scope| {
-            let order = &order;
-            for i in 0..10 {
-                scope.spawn(move || order.lock().unwrap().push(i));
-            }
-        });
-        assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn tasks_borrow_caller_state() {
-        let data = [1u64, 2, 3, 4];
-        let sum = AtomicU64::new(0);
-        Pool::new(2).scope(|scope| {
-            for chunk in data.chunks(2) {
-                scope.spawn(|| {
-                    sum.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
     fn task_panic_propagates_after_drain() {
         let finished = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            Pool::new(4).scope(|scope| {
-                let finished = &finished;
-                for i in 0..20 {
-                    scope.spawn(move || {
-                        if i == 5 {
-                            panic!("task 5 exploded");
-                        }
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
+            Pool::new(4).map_indexed((0..20).collect(), |_, i: usize| {
+                if i == 5 {
+                    panic!("task 5 exploded");
                 }
-            });
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
         }));
         let payload = result.unwrap_err();
         let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(message, "task 5 exploded");
-        // Every non-panicking sibling still ran; no worker deadlocked.
+        // Every non-panicking sibling still ran; no thread deadlocked.
         assert_eq!(finished.load(Ordering::Relaxed), 19);
     }
 
@@ -625,23 +405,26 @@ mod tests {
         let submit_ctx = {
             let span = telemetry::span("submit.sweep");
             let ctx = span.context().expect("live span");
-            Pool::new(4).scope(|scope| {
-                for i in 0..8 {
-                    scope.spawn(move || {
-                        let mut s = telemetry::span("sweep.point");
-                        s.record("i", i as u64);
-                    });
-                }
+            Pool::new(4).map_indexed((0..8u64).collect(), |_, i| {
+                let mut s = telemetry::span("sweep.point");
+                s.record("i", i);
             });
             ctx
         };
         telemetry::clear_sink();
+        // Maps of tests running alongside record spans too; this one's is
+        // the map span under the submitting span.
         let spans = collector.spans();
+        let map = spans
+            .iter()
+            .find(|s| s.name == "pool.map_indexed" && s.parent_id == submit_ctx.span_id)
+            .expect("map span under the submitter");
+        assert_eq!(map.trace_id, submit_ctx.trace_id);
         let points: Vec<_> = spans.iter().filter(|s| s.name == "sweep.point").collect();
         assert_eq!(points.len(), 8);
         for p in &points {
             assert_eq!(p.trace_id, submit_ctx.trace_id);
-            assert_eq!(p.parent_id, submit_ctx.span_id);
+            assert_eq!(p.parent_id, map.span_id);
         }
     }
 
@@ -662,45 +445,29 @@ mod tests {
     }
 
     #[test]
-    fn permuted_scope_runs_every_task() {
-        for seed in [7u64, 99] {
-            let counter = AtomicUsize::new(0);
-            Pool::new(4).with_permutation(Some(seed)).scope(|scope| {
-                for _ in 0..200 {
-                    scope.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(counter.load(Ordering::Relaxed), 200);
-        }
-    }
-
-    #[test]
     fn completion_order_defect_reorders_results() {
-        // The defect returns results in completion order. Worker 0 drains its
-        // own deque (even indices under round-robin) before stealing odd ones
-        // back-to-front, so with enough tasks the completion order cannot be
-        // 0..n even on a single hardware thread.
-        let pool = Pool::new(2).with_completion_order_defect(true);
-        let mut scrambled = false;
-        for _ in 0..20 {
-            let out = pool.map_indexed((0..64).collect(), |_, x: usize| x);
-            let mut sorted = out.clone();
-            sorted.sort_unstable();
-            assert_eq!(
-                sorted,
-                (0..64).collect::<Vec<_>>(),
-                "no task lost or duplicated"
-            );
-            if out != (0..64).collect::<Vec<_>>() {
-                scrambled = true;
-                break;
-            }
-        }
-        assert!(scrambled, "defect must scramble order");
+        // The defect returns results in completion order. A permuted claim
+        // order makes completion order differ from input order even when
+        // one thread happens to run every item.
+        let pool = Pool::new(2)
+            .with_permutation(Some(7))
+            .with_completion_order_defect(true);
+        let out = pool.map_indexed((0..64).collect(), |_, x: usize| x);
+        let mut sorted = out.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (0..64).collect::<Vec<_>>(),
+            "no item lost or duplicated"
+        );
+        assert_ne!(
+            out,
+            (0..64).collect::<Vec<_>>(),
+            "defect must scramble order"
+        );
         // The inline path is immune: a 1-thread pool ignores the defect.
         let serial = Pool::new(1)
+            .with_permutation(Some(7))
             .with_completion_order_defect(true)
             .map_indexed((0..64).collect(), |_, x: usize| x);
         assert_eq!(serial, (0..64).collect::<Vec<_>>());
@@ -718,12 +485,5 @@ mod tests {
         assert_eq!(configured_permutation(), None);
         std::env::remove_var(PERMUTE_ENV);
         assert_eq!(configured_permutation(), None);
-    }
-
-    #[test]
-    fn empty_scope_and_empty_map() {
-        Pool::new(4).scope(|_| {});
-        let out: Vec<u8> = Pool::new(4).map_indexed(Vec::<u8>::new(), |_, x| x);
-        assert!(out.is_empty());
     }
 }

@@ -1,9 +1,9 @@
 //! `gsu-serve`: the live observability surface of the guarded-operation
 //! performability pipeline.
 //!
-//! A pure-`std` HTTP/1.1 daemon on [`std::net::TcpListener`] whose
-//! connection handlers run on workers from [`pool`] (the same work-stealing
-//! pool the φ-sweeps use). Endpoints:
+//! A pure-`std` HTTP/1.1 daemon on [`std::net::TcpListener`] whose accept
+//! thread hands connections to a fixed set of worker threads through a
+//! bounded queue ([`ACCEPT_QUEUE_CAPACITY`]). Endpoints:
 //!
 //! | route               | body                                                        |
 //! |---------------------|-------------------------------------------------------------|
@@ -43,7 +43,8 @@ use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use gsu_scenario::{ScenarioAnalysis, ScenarioSpec};
@@ -53,16 +54,16 @@ use telemetry::{ArgValue, Collector, FinishedSpan, Level, TraceContext, WindowHi
 
 use http::{Request, Response};
 
-/// Default number of connection-handling pool workers.
+/// Default number of connection-handling worker threads.
 pub const DEFAULT_WORKERS: usize = 4;
 
-/// Default size of the `/eval` wide-event ring served by `/requests`;
-/// override with the [`REQUEST_LOG_CAP_ENV`] environment variable.
-pub const DEFAULT_REQUEST_LOG_CAP: usize = 256;
+/// How many accepted connections wait for a worker before the accept loop
+/// stops accepting. Each holds an open socket, so the bound is what stops a
+/// burst of clients from growing the daemon's memory.
+pub const ACCEPT_QUEUE_CAPACITY: usize = 64;
 
-/// Environment variable overriding [`DEFAULT_REQUEST_LOG_CAP`] (read once at
-/// [`Server::bind`] through the sanctioned `telemetry::env_usize` path).
-pub const REQUEST_LOG_CAP_ENV: &str = "GSU_REQUEST_LOG_CAP";
+/// Size of the `/eval` wide-event ring served by `/requests`.
+pub const REQUEST_LOG_CAP: usize = 256;
 
 /// Route families tracked by per-route sliding-window latency histograms;
 /// any other path lands in [`OTHER_ROUTE`].
@@ -95,8 +96,6 @@ struct ServerState {
     /// the listener starts serving; re-run `gsu-lint --emit-telemetry` and
     /// restart to refresh it.
     lint_findings: String,
-    /// Capacity of the `/requests` ring (default, or `GSU_REQUEST_LOG_CAP`).
-    request_log_cap: usize,
     /// Committed serving SLOs (`results/SLO.json`), when present.
     slo: Option<slo::SloDoc>,
     /// Per-route sliding-window latency histograms (µs); keys are
@@ -106,7 +105,7 @@ struct ServerState {
     windows: BTreeMap<&'static str, WindowHistogram>,
     /// Connections accepted since start.
     accepted: AtomicU64,
-    /// Connections handed to the pool but not yet picked up by a worker.
+    /// Connections accepted but not yet picked up by a worker.
     queue_depth: AtomicU64,
     /// Connections currently inside a handler.
     inflight: AtomicU64,
@@ -238,7 +237,6 @@ impl Server {
                 (route, WindowHistogram::new(window_secs, bound_us))
             })
             .collect();
-        let request_log_cap = telemetry::env_usize(REQUEST_LOG_CAP_ENV, DEFAULT_REQUEST_LOG_CAP);
         let state = Arc::new(ServerState {
             analysis,
             collector,
@@ -246,14 +244,13 @@ impl Server {
             ready: AtomicBool::new(true),
             shutdown: AtomicBool::new(false),
             lint_findings: lint_exposition(Path::new(LINT_FINDINGS_PATH)),
-            request_log_cap,
             slo: slo_doc,
             windows,
             accepted: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             params_fingerprint: params_fingerprint(&params),
-            requests: Mutex::new(VecDeque::with_capacity(request_log_cap.min(1024))),
+            requests: Mutex::new(VecDeque::with_capacity(REQUEST_LOG_CAP)),
             scenarios,
             analysis_cache: Mutex::new(AnalysisCache::default()),
         });
@@ -277,10 +274,11 @@ impl Server {
         }
     }
 
-    /// Serves until [`ServerHandle::shutdown`] is called. Connections are
-    /// handled by `workers` pool workers (`0` handles every connection
-    /// inline on the accept thread — useful under `GSU_THREADS=1` test
-    /// runs).
+    /// Serves until [`ServerHandle::shutdown`] is called, on `workers`
+    /// handler threads (at least 1). The accept thread hands each
+    /// connection to them through a queue of [`ACCEPT_QUEUE_CAPACITY`];
+    /// when the queue is full, accepting waits, and further clients wait in
+    /// the kernel's listen backlog rather than in server memory.
     pub fn run(self, workers: usize) {
         telemetry::log_event(
             Level::Info,
@@ -291,25 +289,13 @@ impl Server {
                 ("workers", ArgValue::U64(workers as u64)),
             ],
         );
-        let state = self.state;
-        if workers == 0 {
-            for conn in self.listener.incoming() {
-                if state.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Ok(stream) = conn {
-                    state.accepted.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("serve.connections.accepted", 1);
-                    handle_connection(&state, stream, Instant::now());
-                }
+        let state = &*self.state;
+        let (queue, pending) = mpsc::sync_channel(ACCEPT_QUEUE_CAPACITY);
+        let pending = Mutex::new(pending);
+        std::thread::scope(|ts| {
+            for _ in 0..workers.max(1) {
+                ts.spawn(|| serve_queue(state, &pending));
             }
-            return;
-        }
-        // The accept thread occupies one pool slot (it only drains the queue
-        // after shutdown), so size the scope at workers + 1 to get the
-        // requested number of concurrent handlers.
-        let workers_pool = pool::Pool::new(workers + 1);
-        workers_pool.scope(|scope| {
             for conn in self.listener.incoming() {
                 if state.shutdown.load(Ordering::Relaxed) {
                     break;
@@ -317,21 +303,37 @@ impl Server {
                 let Ok(stream) = conn else { continue };
                 state.accepted.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter("serve.connections.accepted", 1);
-                // Queue depth counts connections spawned onto the pool but
-                // not yet picked up by a worker; the handler decrements it
-                // as its first act, and the accept timestamp rides along so
-                // that wait becomes the first request's queueing time.
+                // Queue depth counts connections accepted but not yet picked
+                // up by a worker, the one blocked in `send` included; the
+                // worker decrements it as its first act, and the accept
+                // timestamp rides along so that wait becomes the first
+                // request's queueing time.
                 let depth = state.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                 telemetry::gauge("serve.queue_depth", depth as f64);
-                let accepted_at = Instant::now();
-                let state = state.clone();
-                scope.spawn(move || {
-                    let depth = state.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-                    telemetry::gauge("serve.queue_depth", depth as f64);
-                    handle_connection(&state, stream, accepted_at);
-                });
+                if queue.send((stream, Instant::now())).is_err() {
+                    break;
+                }
             }
+            // Closing the queue lets the workers drain it and exit.
+            drop(queue);
         });
+    }
+}
+
+/// A worker's loop: handles queued connections until the accept loop closes
+/// the queue and it runs dry.
+fn serve_queue(state: &ServerState, pending: &Mutex<Receiver<(TcpStream, Instant)>>) {
+    loop {
+        let next = pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv();
+        let Ok((stream, accepted_at)) = next else {
+            return;
+        };
+        let depth = state.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
+        telemetry::gauge("serve.queue_depth", depth as f64);
+        handle_connection(state, stream, accepted_at);
     }
 }
 
@@ -367,9 +369,9 @@ impl ServerHandle {
 /// requests when the client asks for keep-alive, one otherwise.
 ///
 /// `accepted_at` is when the accept loop saw the connection; the gap to the
-/// first `read_request` is the request's *queueing* time (waiting for a pool
+/// first `read_request` is the request's *queueing* time (waiting for a
 /// worker), split out from service time in the wide events and added to the
-/// latency the windowed histograms observe — a saturated pool must show up
+/// latency the windowed histograms observe — saturated workers must show up
 /// in the served quantiles, not hide between accept and handler.
 fn handle_connection(state: &ServerState, mut stream: TcpStream, accepted_at: Instant) {
     let inflight = state.inflight.fetch_add(1, Ordering::Relaxed) + 1;
@@ -424,7 +426,6 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream, accepted_at: In
         let service_us = start.elapsed().as_micros() as u64;
         let total_us = queue_us + service_us;
         telemetry::counter("serve.requests", 1);
-        telemetry::counter(&format!("serve.status.{}", response.status), 1);
         telemetry::counter(&format!("http.responses.{}", response.status), 1);
         telemetry::observe("serve.request_us", total_us as f64);
         window_for(state, &path).record(total_us as f64);
@@ -747,7 +748,7 @@ fn cached_analysis(
 /// solve the request ran — and appends it to the bounded `/requests` ring.
 ///
 /// `wall` is pure *service* time (request read to response written);
-/// `queue_us` is how long the connection waited for a pool worker before
+/// `queue_us` is how long the connection waited for a worker before
 /// service began (0 for keep-alive follow-ups). `wall_us` stays the service
 /// wall for compatibility; `service_us` spells the same value explicitly
 /// next to `queue_us`.
@@ -814,10 +815,7 @@ fn record_wide_event(
     line.push_str("]}");
 
     let mut ring = state.requests.lock().unwrap_or_else(|e| e.into_inner());
-    if state.request_log_cap == 0 {
-        return; // ring disabled via GSU_REQUEST_LOG_CAP=0
-    }
-    while ring.len() >= state.request_log_cap {
+    while ring.len() >= REQUEST_LOG_CAP {
         ring.pop_front();
     }
     ring.push_back(line);

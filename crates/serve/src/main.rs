@@ -43,7 +43,9 @@ fn parse_args() -> Result<Args, String> {
                 let raw = it.next().ok_or("--workers needs a count")?;
                 args.workers = raw
                     .parse()
-                    .map_err(|_| format!("unparsable --workers value: {raw}"))?;
+                    .ok()
+                    .filter(|&n: &usize| n >= 1)
+                    .ok_or_else(|| format!("--workers needs a positive count, got {raw}"))?;
             }
             "--help" | "-h" => {
                 return Err("usage: gsu-serve [smoke] [--addr HOST:PORT] [--workers N]".to_string());

@@ -271,8 +271,8 @@ fn serves_live_metrics_during_a_sweep() {
     let snapshot = collector.snapshot();
     let requests = counter_of(&snapshot, "serve.requests");
     assert!(requests >= 10, "requests counted: {requests}");
-    assert!(counter_of(&snapshot, "serve.status.200") >= 6);
-    assert!(counter_of(&snapshot, "serve.status.400") >= 3);
+    assert!(counter_of(&snapshot, "http.responses.200") >= 6);
+    assert!(counter_of(&snapshot, "http.responses.400") >= 3);
     let evals = counter_of(&snapshot, "performability.evaluations");
     assert!(
         evals >= swept,

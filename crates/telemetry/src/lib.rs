@@ -162,8 +162,8 @@ thread_local! {
 /// Spans inherit the context automatically within a thread; across threads
 /// the context must be carried explicitly — capture [`TraceContext::current`]
 /// where work is submitted and [`TraceContext::attach`] it inside the
-/// worker. `crates/pool` does exactly this for every spawned task, so spans
-/// emitted by pool workers parent under the submitting span.
+/// worker. `pool::Pool::map_indexed` does exactly this on every thread it
+/// runs items on, so spans its items emit parent under the submitting span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Trace id shared by every span in the tree; 0 means "no trace yet"
@@ -195,15 +195,10 @@ impl TraceContext {
             prev: CONTEXT.with(|c| c.replace(self)),
         }
     }
-
-    /// The trace id as the fixed-width hex string used in HTTP responses,
-    /// wide-event lines, and `/trace?id=`.
-    pub fn trace_id_hex(&self) -> String {
-        format_trace_id(self.trace_id)
-    }
 }
 
-/// Formats a trace id as the canonical 16-digit hex string.
+/// Formats a trace id as the canonical 16-digit hex string used in HTTP
+/// responses, wide-event lines, and `/trace?id=`.
 pub fn format_trace_id(trace_id: u64) -> String {
     format!("{trace_id:016x}")
 }
@@ -315,21 +310,10 @@ fn current_tid() -> u64 {
 /// guard stays live even without a sink, so span durations still stream to
 /// the structured log.
 pub fn span(name: &str) -> SpanGuard {
-    span_in(name, TraceContext::current())
-}
-
-/// Opens a span that starts a **fresh trace** regardless of the calling
-/// thread's current context: a new trace id is minted and the span has no
-/// parent. Request entry points (one trace per `/eval`) use this; nested
-/// library code should use [`span`], which inherits the active trace.
-pub fn root_span(name: &str) -> SpanGuard {
-    span_in(name, TraceContext::new_root())
-}
-
-fn span_in(name: &str, ctx: TraceContext) -> SpanGuard {
     if !enabled() && !log_enabled(Level::Debug) {
         return SpanGuard { inner: None };
     }
+    let ctx = TraceContext::current();
     let depth = DEPTH.with(|d| {
         let depth = d.get();
         d.set(depth + 1);
@@ -440,29 +424,6 @@ pub fn init_from_env(var: &str) -> Option<Arc<Collector>> {
     match std::env::var(var) {
         Ok(v) if v == "1" => Some(Collector::install()),
         _ => None,
-    }
-}
-
-/// Reads a `usize` configuration knob from the environment variable `var`,
-/// falling back to `default` when unset or unparsable (an unparsable value
-/// also emits a telemetry warning so the misconfiguration is visible on
-/// `/metrics` rather than silently ignored).
-///
-/// This is the sanctioned configuration path for library crates: the
-/// workspace lint bans direct `std::env` access outside this crate, so knobs
-/// like `GSU_REQUEST_LOG_CAP` must be read through here.
-pub fn env_usize(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(v) => v,
-            Err(_) => {
-                warning(&format!(
-                    "ignoring {var}={raw:?}: expected a non-negative integer, using {default}"
-                ));
-                default
-            }
-        },
-        Err(_) => default,
     }
 }
 
@@ -640,12 +601,14 @@ mod tests {
     }
 
     #[test]
-    fn root_span_starts_a_fresh_trace() {
+    fn new_root_context_starts_a_fresh_trace() {
         with_collector(|c| {
             {
                 let _outer = span("request.a");
-                // A root span opened *inside* another trace still breaks out.
-                let _root = root_span("request.b");
+                // A fresh root context attached *inside* another trace
+                // still breaks out.
+                let _fresh = TraceContext::new_root().attach();
+                let _root = span("request.b");
                 let _child = span("request.b.child");
             }
             let spans = c.spans();
@@ -681,9 +644,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_id_hex_roundtrip() {
+    fn format_trace_id_roundtrip() {
         let ctx = TraceContext::new_root();
-        let hex = ctx.trace_id_hex();
+        let hex = format_trace_id(ctx.trace_id);
         assert_eq!(hex.len(), 16);
         assert_eq!(parse_trace_id(&hex), Some(ctx.trace_id));
         assert_eq!(parse_trace_id("zz"), None);

@@ -259,7 +259,7 @@ mod tests {
         let text = c.snapshot().prometheus_text();
         let needle = format!(
             "# EXEMPLAR gsu_serve_request_us trace_id=\"{}\" value=123",
-            ctx.trace_id_hex()
+            crate::format_trace_id(ctx.trace_id)
         );
         assert!(text.contains(&needle), "missing exemplar line in {text}");
     }

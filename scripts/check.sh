@@ -26,7 +26,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
 
 # The suite runs twice: once serial, once on a 4-wide pool. Results must be
 # identical (the pool's determinism guarantee); the second run also exercises
-# the work-stealing/parking/shutdown paths under every test workload.
+# the parallel claim path of `map_indexed` under every test workload.
 echo "==> cargo test -q (GSU_THREADS=1)"
 GSU_THREADS=1 cargo test --offline --workspace -q
 

@@ -19,8 +19,8 @@
 //! * [`gsu_scenario`] — the `.gsu` scenario DSL: parameterized GSU families
 //!   (escorts, upgrade waves, coverage decay, aging, phase-type safeguards)
 //!   compiled down to the same pipeline (see `SCENARIOS.md`),
-//! * [`pool`] — the std-only work-stealing thread pool behind the parallel
-//!   φ-sweeps and simulation fan-out (sized by `GSU_THREADS`).
+//! * [`pool`] — the std-only order-preserving parallel map behind the
+//!   per-curve and simulation fan-out (sized by `GSU_THREADS`).
 //!
 //! # Quickstart
 //!

@@ -1,17 +1,18 @@
-//! Concurrency contract of the telemetry collector: four pool workers emit
+//! Concurrency contract of the telemetry collector: four threads emit
 //! counters, observations, and spans while the main thread repeatedly calls
 //! `Collector::snapshot()`. No emission may be lost, counters must be
 //! monotone across snapshots, and both exported formats (Prometheus text
 //! exposition, `gsu-telemetry-v3` run report) must stay well-formed at every
 //! intermediate snapshot. A second test checks trace propagation: span
-//! trees reconstruct per request even when four pool workers interleave
-//! their spans on the same collector.
+//! trees reconstruct per request even when four threads interleave their
+//! spans on the same collector, and a `pool::Pool::map_indexed` fan-out
+//! parents its items under the submitting request.
 //!
 //! The telemetry sink is process-global, so the tests serialize on a local
 //! lock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use telemetry::Snapshot;
 
@@ -26,16 +27,11 @@ static SINK: Mutex<()> = Mutex::new(());
 fn concurrent_emission_loses_nothing_and_snapshots_stay_valid() {
     let _sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     let collector = telemetry::Collector::install();
-    let done = Arc::new(AtomicBool::new(false));
+    let done = AtomicBool::new(false);
 
-    // WORKERS + 1 slots: the scope's calling thread only drains tasks after
-    // the closure returns, and the closure below runs the snapshot loop
-    // until every emitter finishes.
-    let pool = pool::Pool::new(WORKERS + 1);
-    pool.scope(|scope| {
+    std::thread::scope(|scope| {
         let done = &done;
         for worker in 0..WORKERS {
-            let done = done.clone();
             scope.spawn(move || {
                 for i in 0..EMISSIONS_PER_WORKER {
                     telemetry::counter("conc.events", 1);
@@ -114,14 +110,13 @@ fn concurrent_emission_loses_nothing_and_snapshots_stay_valid() {
 fn span_trees_reconstruct_per_request_across_pool_workers() {
     let _sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     let collector = telemetry::Collector::install();
-    let pool = pool::Pool::new(WORKERS);
 
-    // Scenario 1 — four concurrent "requests", one per pool worker. Each
+    // Scenario 1 — four concurrent "requests", one per thread. Each
     // mints its own trace root and nests spans two deep; the trees must come
     // back disjoint and correctly linked even though all four interleave
     // into one collector.
     let request_traces: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    pool.scope(|scope| {
+    std::thread::scope(|scope| {
         let request_traces = &request_traces;
         for worker in 0..WORKERS {
             scope.spawn(move || {
@@ -171,10 +166,10 @@ fn span_trees_reconstruct_per_request_across_pool_workers() {
         }
     }
 
-    // Scenario 2 — one request fanning out through the pool: tasks spawned
-    // via `Scope::spawn` inherit the spawning thread's context, so the
-    // worker-side spans must join the request's trace with the request span
-    // as their parent, despite running on four different threads.
+    // Scenario 2 — one request fanning out through `map_indexed`: every
+    // thread of the map attaches the submitting thread's context, so the
+    // item spans must join the request's trace under the map's span, which
+    // parents under the request span, despite running on four threads.
     let ctx = telemetry::TraceContext::new_root();
     let fan_trace = ctx.trace_id;
     {
@@ -182,26 +177,26 @@ fn span_trees_reconstruct_per_request_across_pool_workers() {
         let _request = telemetry::span("fan.request");
         // The barrier forces the four children to be in flight at once, so
         // they provably run on four distinct threads rather than one fast
-        // worker draining the queue serially.
+        // thread claiming every item.
         let barrier = std::sync::Barrier::new(WORKERS);
-        pool.scope(|scope| {
-            let barrier = &barrier;
-            for _ in 0..WORKERS {
-                scope.spawn(move || {
-                    let _child = telemetry::span("fan.child");
-                    barrier.wait();
-                });
-            }
+        pool::Pool::new(WORKERS).map_indexed(vec![(); WORKERS], |_, ()| {
+            let _child = telemetry::span("fan.child");
+            barrier.wait();
         });
     }
     let spans = collector.trace_spans(fan_trace);
-    assert_eq!(spans.len(), 1 + WORKERS);
+    assert_eq!(spans.len(), 2 + WORKERS);
     let root = spans.iter().find(|s| s.name == "fan.request").unwrap();
+    let map = spans.iter().find(|s| s.name == "pool.map_indexed").unwrap();
+    assert_eq!(
+        map.parent_id, root.span_id,
+        "the map parents to the request"
+    );
     let children: Vec<_> = spans.iter().filter(|s| s.name == "fan.child").collect();
     assert_eq!(children.len(), WORKERS);
     assert!(
-        children.iter().all(|c| c.parent_id == root.span_id),
-        "pool workers must parent to the request span"
+        children.iter().all(|c| c.parent_id == map.span_id),
+        "map items must parent to the map span"
     );
     let tids: std::collections::BTreeSet<u64> = children.iter().map(|c| c.tid).collect();
     assert!(
