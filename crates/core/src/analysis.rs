@@ -1,17 +1,24 @@
 //! The end-to-end analysis pipeline: base models → constituent measures →
 //! performability index.
 //!
-//! [`GsuAnalysis`] is the one φ-evaluation engine. Its constructor
-//! [`GsuAnalysis::from_models`] takes built models — a G-OP dependability
-//! model classified by [`GopPlaces`] and two normal-mode models.
+//! [`GsuAnalysis`] is the one φ-evaluation engine. Every constructor ends
+//! in one place, which takes the state spaces of a G-OP dependability model
+//! classified by [`GopPlaces`] and of two normal-mode models.
+//! [`GsuAnalysis::from_models`] generates them from built models;
 //! [`GsuAnalysis::from_family`] builds them for any member of the model
-//! family ([`crate::gsu`]); [`GsuAnalysis::new`] is the paper's member, and
-//! the scenario layer lowers each `.gsu` spec through the same constructor.
+//! family ([`crate::gsu`]) and gets their spaces through a structure
+//! session ([`Structures`]), which refreshes a space whose structure it has
+//! seen. [`GsuAnalysis::new`] is the paper's member, and the scenario layer
+//! lowers each `.gsu` spec through `from_family`.
 
-use san::{Analyzer, LumpedChain, PlaceId, SanModel};
+use san::{Analyzer, LumpedChain, PlaceId, SanModel, StateSpace};
 
 use crate::gsu::{rmgd, rmgp, rmnd, Family, GopChain, GopPlaces};
-use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, SweepPoint};
+use crate::structures::{Session, Slot};
+use crate::{
+    assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, Structures,
+    SweepPoint,
+};
 
 /// The complete guarded-operation performability analysis for one parameter
 /// set.
@@ -63,7 +70,12 @@ impl GsuAnalysis {
     pub fn new(params: GsuParams) -> Result<Self> {
         // Validated before the family compiles α and β into laws.
         params.validate()?;
-        Self::lower(params, &Family::paper(&params)?, None)
+        Self::paper_in(params, Session::Record(&mut Structures::new()))
+    }
+
+    /// The paper's member of validated parameters, built through `session`.
+    pub(crate) fn paper_in(params: GsuParams, session: Session<'_>) -> Result<Self> {
+        Self::lower(params, &Family::paper(&params)?, None, session)
     }
 
     /// Like [`GsuAnalysis::new`] but with `(ρ1, ρ2)` supplied directly
@@ -75,40 +87,68 @@ impl GsuAnalysis {
     /// `[0, 1]`, and propagates model-building failures.
     pub fn with_fixed_overhead(params: GsuParams, rho1: f64, rho2: f64) -> Result<Self> {
         params.validate()?;
-        Self::lower(params, &Family::paper(&params)?, Some((rho1, rho2)))
+        let family = Family::paper(&params)?;
+        let session = Session::Record(&mut Structures::new());
+        Self::lower(params, &family, Some((rho1, rho2)), session)
     }
 
     /// Lowers a member of the model family: `(ρ1, ρ2)` solved on its
-    /// overhead model, its G-OP model, and its normal-mode model at µ_new
-    /// and µ_old feed [`GsuAnalysis::from_models`].
+    /// overhead model, then its G-OP model and its normal-mode model at
+    /// µ_new and µ_old, on a session of its own.
     ///
     /// # Errors
     ///
     /// Propagates parameter validation and model generation/solution
     /// failures.
     pub fn from_family(params: GsuParams, family: &Family) -> Result<Self> {
-        Self::lower(params, family, None)
+        Self::from_family_with(params, family, &mut Structures::new())
     }
 
-    /// The one lowering of a family member; `rho` fixes `(ρ1, ρ2)` instead
-    /// of solving them.
-    fn lower(params: GsuParams, family: &Family, rho: Option<(f64, f64)>) -> Result<Self> {
-        // Validated before the builds too: the models assume valid rates.
+    /// Like [`GsuAnalysis::from_family`], through a caller-owned structure
+    /// session: each model's state space is refreshed from the session's
+    /// tape when its structure is unchanged, and generated cold (its tape
+    /// kept) otherwise. The analysis is bit for bit the one
+    /// [`GsuAnalysis::from_family`] builds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter validation and model generation/solution
+    /// failures.
+    pub fn from_family_with(
+        params: GsuParams,
+        family: &Family,
+        structures: &mut Structures,
+    ) -> Result<Self> {
         params.validate()?;
+        Self::lower(params, family, None, Session::Record(structures))
+    }
+
+    /// The one lowering of a family member, on validated parameters; `rho`
+    /// fixes `(ρ1, ρ2)` instead of solving them. The normal-mode model at
+    /// µ_old refreshes from the one at µ_new through the session.
+    fn lower(
+        params: GsuParams,
+        family: &Family,
+        rho: Option<(f64, f64)>,
+        mut session: Session<'_>,
+    ) -> Result<Self> {
         let mut span = telemetry::span("performability.build");
         let rho = match rho {
             Some(rho) => rho,
-            None => rmgp::solve_rho_family(&params, family)?,
+            None => {
+                let gp = rmgp::build_family(&params, family)?;
+                rmgp::rho_on(&gp, session.space(Slot::Overhead, &gp.model)?)?
+            }
         };
         let gd = rmgd::build_family(&params, family)?;
         let new = rmnd::build_family(&params, family, params.mu_new)?;
         let old = rmnd::build_family(&params, family, params.mu_old)?;
-        let analysis = Self::from_models(
+        let analysis = Self::from_spaces(
             params,
             rho,
-            (&gd.model, gd.places.gop),
-            (&new.model, new.places.failure),
-            (&old.model, old.places.failure),
+            (session.space(Slot::Gop, &gd.model)?, gd.places.gop),
+            (session.space(Slot::Normal, &new.model)?, new.places.failure),
+            (session.space(Slot::Normal, &old.model)?, old.places.failure),
         )?;
         if telemetry::enabled() {
             telemetry::gauge("performability.rho1", rho.0);
@@ -120,10 +160,10 @@ impl GsuAnalysis {
         Ok(analysis)
     }
 
-    /// The one constructor every lowering goes through: generates the state
-    /// spaces of the built models, prepares the lumped G-OP chain (checking
-    /// that its detected set is closed), lumps the normal-mode chains by
-    /// `failure`, and solves the φ-independent full-window survival.
+    /// Builds the analysis of built models: generates their state spaces,
+    /// prepares the lumped G-OP chain (checking that its detected set is
+    /// closed), lumps the normal-mode chains by `failure`, and solves the
+    /// φ-independent full-window survival.
     ///
     /// * `rho` — the forward-progress fractions `(ρ1, ρ2)`;
     /// * `gd` — the G-OP dependability model and the places that classify
@@ -146,6 +186,25 @@ impl GsuAnalysis {
         np_old: (&SanModel, PlaceId),
     ) -> Result<Self> {
         params.validate()?;
+        let generate = |model: &SanModel| StateSpace::generate(model, &Default::default());
+        Self::from_spaces(
+            params,
+            rho,
+            (generate(gd.0)?, gd.1),
+            (generate(np_new.0)?, np_new.1),
+            (generate(np_old.0)?, np_old.1),
+        )
+    }
+
+    /// [`GsuAnalysis::from_models`] on generated state spaces and validated
+    /// parameters.
+    fn from_spaces(
+        params: GsuParams,
+        rho: (f64, f64),
+        gd: (StateSpace, GopPlaces),
+        np_new: (StateSpace, PlaceId),
+        np_old: (StateSpace, PlaceId),
+    ) -> Result<Self> {
         for (name, value) in [("rho1", rho.0), ("rho2", rho.1)] {
             if !(0.0..=1.0).contains(&value) {
                 return Err(PerfError::InvalidParameter {
@@ -155,11 +214,10 @@ impl GsuAnalysis {
                 });
             }
         }
-        let generate = |model: &SanModel| Analyzer::generate(model, &Default::default());
-        let gd_analyzer = generate(gd.0)?;
+        let gd_analyzer = Analyzer::from_state_space(gd.0);
         let gd_chain = GopChain::new(&gd_analyzer, gd.1)?;
-        let np_new_analyzer = generate(np_new.0)?;
-        let np_old_analyzer = generate(np_old.0)?;
+        let np_new_analyzer = Analyzer::from_state_space(np_new.0);
+        let np_old_analyzer = Analyzer::from_state_space(np_old.0);
         let dropped_self_loop_rates = [&gd_analyzer, &np_new_analyzer, &np_old_analyzer]
             .iter()
             .map(|a| {

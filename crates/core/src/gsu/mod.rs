@@ -23,6 +23,19 @@
 //! [`measure_engine`] reads the Table 1 measures off any G-OP
 //! dependability model through its [`GopPlaces`], for
 //! [`crate::GsuAnalysis`].
+//!
+//! # The builder contract
+//!
+//! Parameters enter a built model only through its numbers: timed
+//! activities' rates, case probabilities and instantaneous weights. Gates,
+//! arcs and enabling predicates are structural: they read and write places
+//! by the family's shape alone, never a [`GsuParams`] value. Two members of
+//! one family that differ only in parameters therefore differ only where
+//! the state-space generator evaluates numbers, which is what lets a
+//! [`crate::Structures`] session refresh one from the other's recorded
+//! generation (`san::Derivation`). A parameter value that zeroes a number
+//! (a coverage of 1, a `p_ext` of 0 or 1) drops a case or an activity; the
+//! refresh sees that the zero pattern moved and the model is generated cold.
 
 use markov::phase_type::PhaseType;
 

@@ -38,7 +38,7 @@
 //! overhead `ρ2`.
 
 use markov::phase_type::PhaseType;
-use san::{Activity, Case, Marking, OutputGateId, PlaceId, RewardSpec, SanModel};
+use san::{Activity, Case, Marking, OutputGateId, PlaceId, RewardSpec, SanModel, StateSpace};
 
 use crate::gsu::Family;
 use crate::GsuParams;
@@ -307,7 +307,15 @@ pub fn solve_rho(params: &GsuParams) -> san::Result<(f64, f64)> {
 /// Propagates SAN generation and steady-state solver failures.
 pub fn solve_rho_family(params: &GsuParams, family: &Family) -> san::Result<(f64, f64)> {
     let rmgp = build_family(params, family)?;
-    let analyzer = san::Analyzer::generate(&rmgp.model, &Default::default())?;
+    rho_on(
+        &rmgp,
+        StateSpace::generate(&rmgp.model, &Default::default())?,
+    )
+}
+
+/// `(ρ1, ρ2)` of a built overhead model on its state space.
+pub(crate) fn rho_on(rmgp: &Rmgp, space: StateSpace) -> san::Result<(f64, f64)> {
+    let analyzer = san::Analyzer::from_state_space(space);
     let overhead1 = analyzer.steady_reward(&one_minus_rho1_spec(&rmgp.places))?;
     let overhead2 = analyzer.steady_reward(&one_minus_rho2_spec(&rmgp.places))?;
     Ok((1.0 - overhead1, 1.0 - overhead2))
@@ -316,7 +324,6 @@ pub fn solve_rho_family(params: &GsuParams, family: &Family) -> san::Result<(f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use san::StateSpace;
 
     fn baseline() -> GsuParams {
         GsuParams::paper_baseline()

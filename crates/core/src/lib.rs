@@ -54,6 +54,7 @@ mod error;
 mod index;
 mod measures;
 mod params;
+mod structures;
 
 pub mod gsu;
 pub mod recommend;
@@ -66,6 +67,7 @@ pub use error::PerfError;
 pub use index::{assemble, GammaPolicy, SweepPoint};
 pub use measures::ConstituentMeasures;
 pub use params::GsuParams;
+pub use structures::Structures;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, PerfError>;

@@ -7,7 +7,8 @@
 //! different scales are comparable — the tornado view of which knobs
 //! actually matter.
 
-use crate::{GsuAnalysis, GsuParams, Result};
+use crate::structures::Session;
+use crate::{GsuAnalysis, GsuParams, Result, Structures};
 
 /// Sensitivity of `Y(φ)` to one parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,13 +75,20 @@ pub fn local_sensitivity(
     }
     params.validate()?;
     params.validate_phi(phi)?;
-    let base_y = GsuAnalysis::new(params)?.evaluate(phi)?.y;
+    // The base build seeds one structure session; every perturbed build
+    // refreshes its state spaces from it (a perturbation that moves a zero
+    // pattern, such as a coverage clamped to 1, generates that model cold).
+    let mut structures = Structures::new();
+    let base_y = GsuAnalysis::paper_in(params, Session::Record(&mut structures))?
+        .evaluate(phi)?
+        .y;
+    let structures = &structures;
 
     // Each parameter's two perturbed pipelines (build + solve) are
-    // independent given `base_y`, so fan them across the global pool. The
-    // per-parameter computation is untouched and results are collected in
-    // accessor order, so the outcome is bitwise identical at any thread
-    // count.
+    // independent given `base_y`, so fan them across the global pool,
+    // sharing the session read-only. The per-parameter computation is
+    // untouched and results are collected in accessor order, so the outcome
+    // is bitwise identical at any thread count.
     let workers = pool::Pool::current();
     let mut span = telemetry::span("performability.local_sensitivity");
     span.record("threads", workers.threads());
@@ -98,8 +106,14 @@ pub fn local_sensitivity(
             let mut high = params;
             set(&mut high, clamp(base_value * (1.0 + rel_step)));
 
-            let y_low = GsuAnalysis::new(low)?.evaluate(phi)?.y;
-            let y_high = GsuAnalysis::new(high)?.evaluate(phi)?.y;
+            let y_at = |p: GsuParams| -> Result<f64> {
+                p.validate()?;
+                Ok(GsuAnalysis::paper_in(p, Session::Read(structures))?
+                    .evaluate(phi)?
+                    .y)
+            };
+            let y_low = y_at(low)?;
+            let y_high = y_at(high)?;
 
             let dp_rel = (get(&high) - get(&low)) / base_value;
             let elasticity = if dp_rel.abs() > 0.0 {

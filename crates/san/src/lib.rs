@@ -13,7 +13,9 @@
 //!   (marking function), alongside plain input/output arcs;
 //! * **Reachability-graph generation** with on-the-fly *vanishing-marking
 //!   elimination*, producing a [`markov::Ctmc`] over the tangible markings
-//!   ([`StateSpace`]);
+//!   ([`StateSpace`]), and its recorded [`Derivation`], which rebuilds the
+//!   space of the same structure with other numbers without exploring it
+//!   again;
 //! * **Predicate-rate reward structures** ([`RewardSpec`]) in the UltraSAN
 //!   style used by Tables 1 and 2 of the paper, mapped onto the generated
 //!   chain;
@@ -67,7 +69,7 @@ pub use marking::Marking;
 pub use model::{
     Activity, ActivityId, ActivityKind, Case, InputGateId, OutputGateId, PlaceId, SanModel,
 };
-pub use reachability::{ReachabilityOptions, StateSpace};
+pub use reachability::{Derivation, ReachabilityOptions, StateSpace};
 pub use reward::RewardSpec;
 
 /// Convenience alias for results produced by this crate.

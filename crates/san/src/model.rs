@@ -51,14 +51,12 @@ pub(crate) struct PlaceDef {
 }
 
 pub(crate) struct InputGateDef {
-    #[allow(dead_code)]
     pub name: String,
     pub predicate: PredicateFn,
     pub function: MarkingFn,
 }
 
 pub(crate) struct OutputGateDef {
-    #[allow(dead_code)]
     pub name: String,
     pub function: MarkingFn,
 }
@@ -495,7 +493,9 @@ impl SanModel {
     /// Returns [`SanError::InvalidFunction`] when a rate evaluates to a
     /// negative or non-finite value.
     pub fn enabled_timed_activities(&self, marking: &Marking) -> Result<Vec<(ActivityId, f64)>> {
-        crate::semantics::enabled_timed(self, marking)
+        let mut enabled = Vec::new();
+        crate::semantics::enabled_timed(self, marking, &mut enabled)?;
+        Ok(enabled)
     }
 
     /// The normalized case distribution of `activity` in `marking`, as
@@ -511,7 +511,9 @@ impl SanModel {
         activity: ActivityId,
         marking: &Marking,
     ) -> Result<Vec<(usize, f64)>> {
-        crate::semantics::case_distribution(self, activity, marking)
+        let mut cases = Vec::new();
+        crate::semantics::case_distribution(self, activity, marking, &mut cases)?;
+        Ok(cases)
     }
 
     pub(crate) fn activity(&self, id: ActivityId) -> &Activity {
@@ -529,6 +531,72 @@ impl SanModel {
     pub(crate) fn activity_ids(&self) -> impl Iterator<Item = ActivityId> {
         (0..self.activities.len()).map(ActivityId)
     }
+
+    /// Walks the model's structure without its numbers: its name; each
+    /// place's name and initial tokens; the gate names; and for each
+    /// activity its name, kind and priority (not its weight), its number of
+    /// enabling predicates, its input arcs and gates, and for each case its
+    /// output arcs and gates (not its probability). Two models that walk
+    /// alike differ at most in rates, case probabilities, instantaneous
+    /// weights and what their closures compute.
+    pub(crate) fn visit_shape(&self, visit: &mut impl FnMut(ShapeToken<'_>)) {
+        use ShapeToken::{Name, Number};
+        visit(Name(&self.name));
+        visit(Number(self.places.len()));
+        for p in &self.places {
+            visit(Name(&p.name));
+            visit(Number(p.initial as usize));
+        }
+        visit(Number(self.input_gates.len()));
+        for g in &self.input_gates {
+            visit(Name(&g.name));
+        }
+        visit(Number(self.output_gates.len()));
+        for g in &self.output_gates {
+            visit(Name(&g.name));
+        }
+        visit(Number(self.activities.len()));
+        for a in &self.activities {
+            visit(Name(&a.name));
+            match a.kind {
+                ActivityKind::Timed => visit(Number(0)),
+                ActivityKind::Instantaneous { priority, .. } => {
+                    visit(Number(1));
+                    visit(Number(priority as usize));
+                }
+            }
+            visit(Number(a.enabling.len()));
+            visit(Number(a.input_arcs.len()));
+            for &(p, c) in &a.input_arcs {
+                visit(Number(p.0));
+                visit(Number(c as usize));
+            }
+            visit(Number(a.input_gates.len()));
+            for g in &a.input_gates {
+                visit(Number(g.0));
+            }
+            visit(Number(a.cases.len()));
+            for case in &a.cases {
+                visit(Number(case.output_arcs.len()));
+                for &(p, c) in &case.output_arcs {
+                    visit(Number(p.0));
+                    visit(Number(c as usize));
+                }
+                visit(Number(case.output_gates.len()));
+                for g in &case.output_gates {
+                    visit(Number(g.0));
+                }
+            }
+        }
+    }
+}
+
+/// One token of [`SanModel::visit_shape`].
+pub(crate) enum ShapeToken<'a> {
+    /// A count, index, kind tag or token number.
+    Number(usize),
+    /// A model, place, gate or activity name.
+    Name(&'a str),
 }
 
 impl fmt::Debug for SanModel {

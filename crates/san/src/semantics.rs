@@ -18,11 +18,15 @@ pub(crate) fn is_enabled(model: &SanModel, activity: &Activity, marking: &Markin
             .all(|&g| (model.input_gate(g).predicate)(marking))
 }
 
-/// Enabled timed activities with their (validated) rates. Timed activities
-/// are suppressed while any instantaneous activity is enabled (maximal
-/// progress).
-pub(crate) fn enabled_timed(model: &SanModel, marking: &Marking) -> Result<Vec<(ActivityId, f64)>> {
-    let mut out = Vec::new();
+/// Enabled timed activities with their (validated) rates, into `out`
+/// (cleared first). Timed activities are suppressed while any instantaneous
+/// activity is enabled (maximal progress).
+pub(crate) fn enabled_timed(
+    model: &SanModel,
+    marking: &Marking,
+    out: &mut Vec<(ActivityId, f64)>,
+) -> Result<()> {
+    out.clear();
     for id in model.activity_ids() {
         let a = model.activity(id);
         if a.kind != ActivityKind::Timed || !is_enabled(model, a, marking) {
@@ -41,7 +45,7 @@ pub(crate) fn enabled_timed(model: &SanModel, marking: &Marking) -> Result<Vec<(
             out.push((id, rate));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Enabled instantaneous activities at the highest enabled priority, with
@@ -78,7 +82,8 @@ pub(crate) fn enabled_instantaneous(
     Ok(best)
 }
 
-/// The normalized case distribution of `activity` in `marking`.
+/// The normalized case distribution of `activity` in `marking`, into `out`
+/// (cleared first).
 ///
 /// # Errors
 ///
@@ -88,9 +93,10 @@ pub(crate) fn case_distribution(
     model: &SanModel,
     activity: ActivityId,
     marking: &Marking,
-) -> Result<Vec<(usize, f64)>> {
+    out: &mut Vec<(usize, f64)>,
+) -> Result<()> {
     let a = model.activity(activity);
-    let mut probs = Vec::with_capacity(a.cases.len());
+    out.clear();
     let mut total = 0.0;
     for (i, case) in a.cases.iter().enumerate() {
         let p = (case.probability)(marking);
@@ -103,7 +109,7 @@ pub(crate) fn case_distribution(
             });
         }
         total += p;
-        probs.push((i, p));
+        out.push((i, p));
     }
     if total <= 0.0 {
         return Err(SanError::InvalidFunction {
@@ -113,11 +119,11 @@ pub(crate) fn case_distribution(
             ),
         });
     }
-    probs.retain(|&(_, p)| p > 0.0);
-    for (_, p) in &mut probs {
+    out.retain(|&(_, p)| p > 0.0);
+    for (_, p) in out.iter_mut() {
         *p /= total;
     }
-    Ok(probs)
+    Ok(())
 }
 
 /// Fires `activity` choosing `case`, producing the successor marking.
@@ -166,6 +172,16 @@ pub(crate) fn fire(
 mod tests {
     use super::*;
     use crate::model::{Activity, Case};
+
+    fn timed(m: &SanModel, mk: &Marking) -> Result<Vec<(ActivityId, f64)>> {
+        let mut out = Vec::new();
+        enabled_timed(m, mk, &mut out).map(|()| out)
+    }
+
+    fn cases(m: &SanModel, id: ActivityId, mk: &Marking) -> Result<Vec<(usize, f64)>> {
+        let mut out = Vec::new();
+        case_distribution(m, id, mk, &mut out).map(|()| out)
+    }
 
     fn model_with_counter() -> (SanModel, crate::PlaceId) {
         let mut m = SanModel::new("t");
@@ -224,7 +240,7 @@ mod tests {
         m.add_activity(Activity::timed_fn("bad", |_| -1.0).with_input_arc(p, 1))
             .unwrap();
         assert!(matches!(
-            enabled_timed(&m, &m.initial_marking()),
+            timed(&m, &m.initial_marking()),
             Err(SanError::InvalidFunction { .. })
         ));
     }
@@ -234,7 +250,7 @@ mod tests {
         let (mut m, p) = model_with_counter();
         m.add_activity(Activity::timed("z", 0.0).with_input_arc(p, 1))
             .unwrap();
-        assert!(enabled_timed(&m, &m.initial_marking()).unwrap().is_empty());
+        assert!(timed(&m, &m.initial_marking()).unwrap().is_empty());
     }
 
     #[test]
@@ -292,7 +308,7 @@ mod tests {
                     .with_case(Case::with_probability(0.6)),
             )
             .unwrap();
-        let dist = case_distribution(&m, id, &m.initial_marking()).unwrap();
+        let dist = cases(&m, id, &m.initial_marking()).unwrap();
         assert_eq!(dist.len(), 2);
         assert_eq!(dist[0].0, 0);
         assert!((dist[0].1 - 0.25).abs() < 1e-12);
@@ -310,7 +326,7 @@ mod tests {
                     .with_case(Case::with_probability(0.0)),
             )
             .unwrap();
-        assert!(case_distribution(&m, id, &m.initial_marking()).is_err());
+        assert!(cases(&m, id, &m.initial_marking()).is_err());
     }
 
     #[test]
@@ -335,11 +351,11 @@ mod tests {
                     })),
             )
             .unwrap();
-        let d1 = case_distribution(&m, id, &m.initial_marking()).unwrap();
+        let d1 = cases(&m, id, &m.initial_marking()).unwrap();
         assert_eq!(d1, vec![(0, 1.0)]);
         let mut empty = m.initial_marking();
         empty.set_tokens(p, 0);
-        let d2 = case_distribution(&m, id, &empty).unwrap();
+        let d2 = cases(&m, id, &empty).unwrap();
         assert_eq!(d2, vec![(1, 1.0)]);
     }
 

@@ -124,8 +124,9 @@ pub fn simulate_trajectory(
     // Resolve any initial vanishing state.
     resolve_instantaneous(model, &mut marking, opts, rng)?;
 
+    let (mut enabled, mut cases) = (Vec::new(), Vec::new());
     loop {
-        let enabled = semantics::enabled_timed(model, &marking)?;
+        semantics::enabled_timed(model, &marking, &mut enabled)?;
         let total_rate: f64 = enabled.iter().map(|&(_, r)| r).sum();
         let dwell = rng.exp(total_rate);
         let rate_now = spec.rate_of(&marking);
@@ -157,7 +158,7 @@ pub fn simulate_trajectory(
         let (act, _) = enabled[rng.pick(&weighted)];
 
         // Select a case and fire.
-        let cases = semantics::case_distribution(model, act, &marking)?;
+        semantics::case_distribution(model, act, &marking, &mut cases)?;
         let case = cases[rng.pick(
             &cases
                 .iter()
@@ -188,7 +189,8 @@ fn resolve_instantaneous(
             .map(|(k, &(_, p))| (k, p))
             .collect();
         let (act, _) = enabled[rng.pick(&weighted)];
-        let cases = semantics::case_distribution(model, act, marking)?;
+        let mut cases = Vec::new();
+        semantics::case_distribution(model, act, marking, &mut cases)?;
         let case = cases[rng.pick(
             &cases
                 .iter()
