@@ -35,8 +35,9 @@
 //!
 //! `scenarios` sweeps the `.gsu` catalog through the analytic pipeline and
 //! checks (or regenerates with `--write-golden`) the committed golden Y(φ)
-//! curves, leaving per-scenario `BenchRecord`s for the regress gate; see
-//! [`gsu_bench::scenarios`].
+//! curves; with `--out DIR` it merges per-scenario `BenchRecord`s into
+//! `DIR/BENCH_sweep.json` for the regress gate, and without it writes no
+//! record. See [`gsu_bench::scenarios`].
 //!
 //! `loadgen` drives a live `gsu-serve` with a seeded workload mix over
 //! persistent connections, writes a `gsu-loadgen-v1` latency report (the
@@ -215,7 +216,7 @@ fn scenarios(mut args: impl Iterator<Item = String>) -> ExitCode {
                 None => return usage("--golden needs a path"),
             },
             "--out" => match args.next() {
-                Some(path) => config.out = path.into(),
+                Some(path) => config.out = Some(path.into()),
                 None => return usage("--out needs a path"),
             },
             "--write-golden" => config.write_golden = true,

@@ -233,13 +233,13 @@ pub fn write_bench_records(path: &Path, records: &[BenchRecord]) -> std::io::Res
 /// Run-scoped telemetry session for `gsu-bench run`.
 ///
 /// When the `GSU_TELEMETRY` environment variable is `1`, construction
-/// installs a [`telemetry::Collector`] as the global sink; dropping the
-/// session writes `telemetry.json` (the structured run report) and
-/// `trace.json` (Chrome `trace_event` JSON, loadable in Perfetto or
-/// `chrome://tracing`) into the experiment's output directory. When the
-/// variable is unset or different the session is inert and every
-/// instrumentation call in the pipeline stays a no-op, so output files are
-/// byte-identical to an uninstrumented run.
+/// installs a [`telemetry::Collector`] as the global collector; dropping
+/// the session writes `trace.json` (Chrome `trace_event` JSON, loadable in
+/// Perfetto or `chrome://tracing`, and the input of `gsu-bench profile`)
+/// into the experiment's output directory. When the variable is unset or
+/// different the session is inert and every instrumentation call in the
+/// pipeline stays a no-op, so output files are byte-identical to an
+/// uninstrumented run.
 pub struct TelemetrySession {
     collector: Option<std::sync::Arc<telemetry::Collector>>,
     out_dir: std::path::PathBuf,
@@ -262,18 +262,10 @@ impl Drop for TelemetrySession {
             return;
         };
         telemetry::clear_sink();
-        let report = self.out_dir.join("telemetry.json");
         let trace = self.out_dir.join("trace.json");
-        match collector
-            .write_run_report(&report)
-            .and_then(|()| collector.write_chrome_trace(&trace))
-        {
-            Ok(()) => println!(
-                "telemetry: wrote {} and {}",
-                report.display(),
-                trace.display()
-            ),
-            Err(e) => eprintln!("telemetry: failed to write reports: {e}"),
+        match collector.write_chrome_trace(&trace) {
+            Ok(()) => println!("telemetry: wrote {}", trace.display()),
+            Err(e) => eprintln!("telemetry: failed to write {}: {e}", trace.display()),
         }
     }
 }
@@ -391,8 +383,7 @@ mod tests {
     use performability::GsuParams;
 
     fn small_curve() -> Curve {
-        let an = GsuAnalysis::with_fixed_overhead(GsuParams::paper_baseline(), 0.98, 0.95)
-            .expect("baseline is valid");
+        let an = GsuAnalysis::new(GsuParams::paper_baseline()).expect("baseline is valid");
         Curve::sweep("test", &an, 4).unwrap()
     }
 
@@ -449,9 +440,8 @@ mod tests {
     #[test]
     fn sweep_many_matches_per_curve_sweeps() {
         let base = GsuParams::paper_baseline();
-        let a = GsuAnalysis::with_fixed_overhead(base, 0.98, 0.95).unwrap();
-        let b =
-            GsuAnalysis::with_fixed_overhead(base.with_mu_new(5e-5).unwrap(), 0.98, 0.95).unwrap();
+        let a = GsuAnalysis::new(base).unwrap();
+        let b = GsuAnalysis::new(base.with_mu_new(5e-5).unwrap()).unwrap();
         let merged = Curve::sweep_many(&[("a", &a), ("b", &b)], 4).unwrap();
         let solo_a = Curve::sweep("a", &a, 4).unwrap();
         let solo_b = Curve::sweep("b", &b, 4).unwrap();

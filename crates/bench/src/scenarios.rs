@@ -4,9 +4,10 @@
 //! analytic pipeline, sweeps the full Y(φ) curve, and either writes the
 //! golden curves (`--write-golden`) or checks the freshly computed curves
 //! against the committed goldens to a tight relative tolerance (`--check`,
-//! the default). Each scenario's wall time (the minimum over warm passes)
-//! and work counters are merged as a `scenario:<name>` [`BenchRecord`] into
-//! `<out>/BENCH_sweep.json`, which `gsu-bench regress` ratchets.
+//! the default). With an output directory (`--out`), each scenario's wall
+//! time (the minimum over warm passes) and work counters are merged as a
+//! `scenario:<name>` [`BenchRecord`] into `<out>/BENCH_sweep.json`, which
+//! `gsu-bench regress` ratchets; without one the run writes no record.
 //!
 //! [`BenchRecord`]: crate::BenchRecord
 
@@ -31,8 +32,8 @@ pub struct ScenariosConfig {
     pub dir: PathBuf,
     /// Directory of golden-curve JSON files.
     pub golden: PathBuf,
-    /// Directory receiving `BENCH_sweep.json` records.
-    pub out: PathBuf,
+    /// Directory receiving `BENCH_sweep.json` records; `None` writes none.
+    pub out: Option<PathBuf>,
     /// Regenerate goldens instead of checking against them.
     pub write_golden: bool,
 }
@@ -42,7 +43,7 @@ impl Default for ScenariosConfig {
         ScenariosConfig {
             dir: PathBuf::from("scenarios"),
             golden: PathBuf::from("results/golden"),
-            out: PathBuf::from("results"),
+            out: None,
             write_golden: false,
         }
     }
@@ -221,8 +222,10 @@ pub fn run(config: &ScenariosConfig) -> Result<ScenariosReport, String> {
             failure,
         });
     }
-    if let Err(e) = crate::merge_bench_records(&config.out.join("BENCH_sweep.json"), records) {
-        eprintln!("bench: failed to update sweep log: {e}");
+    if let Some(out) = &config.out {
+        if let Err(e) = crate::merge_bench_records(&out.join("BENCH_sweep.json"), records) {
+            eprintln!("bench: failed to update sweep log: {e}");
+        }
     }
     Ok(ScenariosReport {
         outcomes,

@@ -75,21 +75,7 @@ impl GsuAnalysis {
 
     /// The paper's member of validated parameters, built through `session`.
     pub(crate) fn paper_in(params: GsuParams, session: Session<'_>) -> Result<Self> {
-        Self::lower(params, &Family::paper(&params)?, None, session)
-    }
-
-    /// Like [`GsuAnalysis::new`] but with `(ρ1, ρ2)` supplied directly
-    /// instead of solved from `RMGp`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PerfError::InvalidParameter`] when a fraction is outside
-    /// `[0, 1]`, and propagates model-building failures.
-    pub fn with_fixed_overhead(params: GsuParams, rho1: f64, rho2: f64) -> Result<Self> {
-        params.validate()?;
-        let family = Family::paper(&params)?;
-        let session = Session::Record(&mut Structures::new());
-        Self::lower(params, &family, Some((rho1, rho2)), session)
+        Self::lower(params, &Family::paper(&params)?, session)
     }
 
     /// Lowers a member of the model family: `(ρ1, ρ2)` solved on its
@@ -120,26 +106,17 @@ impl GsuAnalysis {
         structures: &mut Structures,
     ) -> Result<Self> {
         params.validate()?;
-        Self::lower(params, family, None, Session::Record(structures))
+        Self::lower(params, family, Session::Record(structures))
     }
 
-    /// The one lowering of a family member, on validated parameters; `rho`
-    /// fixes `(ρ1, ρ2)` instead of solving them. The normal-mode model at
-    /// µ_old refreshes from the one at µ_new through the session.
-    fn lower(
-        params: GsuParams,
-        family: &Family,
-        rho: Option<(f64, f64)>,
-        mut session: Session<'_>,
-    ) -> Result<Self> {
+    /// The one lowering of a family member, on validated parameters:
+    /// `(ρ1, ρ2)` solved on its overhead model, then its G-OP and
+    /// normal-mode models. The normal-mode model at µ_old refreshes from the
+    /// one at µ_new through the session.
+    fn lower(params: GsuParams, family: &Family, mut session: Session<'_>) -> Result<Self> {
         let mut span = telemetry::span("performability.build");
-        let rho = match rho {
-            Some(rho) => rho,
-            None => {
-                let gp = rmgp::build_family(&params, family)?;
-                rmgp::rho_on(&gp, session.space(Slot::Overhead, &gp.model)?)?
-            }
-        };
+        let gp = rmgp::build_family(&params, family)?;
+        let rho = rmgp::rho_on(&gp, session.space(Slot::Overhead, &gp.model)?)?;
         let gd = rmgd::build_family(&params, family)?;
         let new = rmnd::build_family(&params, family, params.mu_new)?;
         let old = rmnd::build_family(&params, family, params.mu_old)?;
@@ -549,13 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_overhead_is_respected() {
-        let an = GsuAnalysis::with_fixed_overhead(GsuParams::paper_baseline(), 0.95, 0.90).unwrap();
-        assert_eq!(an.rho(), (0.95, 0.90));
-        assert!(GsuAnalysis::with_fixed_overhead(GsuParams::paper_baseline(), 1.5, 0.9).is_err());
-    }
-
-    #[test]
     fn from_models_validates_params_and_rho() {
         let params = GsuParams::paper_baseline();
         let gd = rmgd::build(&params).unwrap();
@@ -564,8 +534,9 @@ mod tests {
             let np = (&np.model, np.places.failure);
             GsuAnalysis::from_models(params, rho, (&gd.model, gd.places.gop), np, np)
         };
-        assert!(build(params, (0.98, 0.95)).is_ok());
+        assert_eq!(build(params, (0.95, 0.90)).unwrap().rho(), (0.95, 0.90));
         assert!(build(params, (0.98, f64::NAN)).is_err());
+        assert!(build(params, (1.5, 0.9)).is_err());
         let mut bad = params;
         bad.coverage = 2.0;
         assert!(build(bad, (0.98, 0.95)).is_err());

@@ -513,7 +513,7 @@ mod tests {
         let init: Vec<f64> = ss.initial_distribution().to_vec();
         let idx = init.iter().position(|&p| p == 1.0).unwrap();
         assert!(rmgd.places.gop.in_a1(ss.marking(idx)));
-        assert_eq!(ss.marking(idx).total_tokens(), 0);
+        assert_eq!(ss.marking(idx).as_slice().iter().sum::<u32>(), 0);
     }
 
     #[test]

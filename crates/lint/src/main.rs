@@ -50,7 +50,6 @@ struct Options {
 }
 
 fn main() -> ExitCode {
-    telemetry::init_from_env("GSU_TELEMETRY");
     telemetry::init_log_from_env("GSU_LOG");
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {

@@ -88,11 +88,6 @@ impl Marking {
     pub fn as_slice(&self) -> &[u32] {
         &self.tokens
     }
-
-    /// Total number of tokens across all places.
-    pub fn total_tokens(&self) -> u64 {
-        self.tokens.iter().map(|&t| t as u64).sum()
-    }
 }
 
 impl fmt::Display for Marking {
@@ -123,7 +118,7 @@ mod tests {
         m.set_tokens(pid(0), 7);
         assert_eq!(m.tokens(pid(0)), 7);
         assert_eq!(m.n_places(), 3);
-        assert_eq!(m.total_tokens(), 10);
+        assert_eq!(m.as_slice().iter().sum::<u32>(), 10);
     }
 
     #[test]

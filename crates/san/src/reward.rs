@@ -168,7 +168,8 @@ mod tests {
 
     #[test]
     fn rate_of_single_marking() {
-        let spec = RewardSpec::new().rate_when(|mk: &Marking| mk.total_tokens() > 0, 2.0);
+        let spec =
+            RewardSpec::new().rate_when(|mk: &Marking| mk.as_slice().iter().any(|&t| t > 0), 2.0);
         assert_eq!(spec.rate_of(&Marking::from_tokens(vec![1])), 2.0);
         assert_eq!(spec.rate_of(&Marking::from_tokens(vec![0])), 0.0);
     }

@@ -85,11 +85,6 @@ pub struct CrossvalReport {
 }
 
 impl CrossvalReport {
-    /// `true` when every compared point is within tolerance.
-    pub fn all_ok(&self) -> bool {
-        self.points.iter().all(|p| p.ok)
-    }
-
     /// The failing points, for diagnostics.
     pub fn failures(&self) -> Vec<&CrossvalPoint> {
         self.points.iter().filter(|p| !p.ok).collect()
@@ -302,7 +297,7 @@ mod tests {
         let analysis = ScenarioAnalysis::new(scaled_paper_spec()).unwrap();
         let report = crossval(&analysis, 2).unwrap();
         assert_eq!(report.backend, Backend::MdcdExact);
-        assert!(report.all_ok(), "failures: {:?}", report.failures());
+        assert!(report.failures().is_empty(), "{:?}", report.failures());
     }
 
     #[test]
@@ -313,7 +308,7 @@ mod tests {
         let analysis = ScenarioAnalysis::new(spec).unwrap();
         let report = crossval(&analysis, 1).unwrap();
         assert_eq!(report.backend, Backend::SanDes);
-        assert!(report.all_ok(), "failures: {:?}", report.failures());
+        assert!(report.failures().is_empty(), "{:?}", report.failures());
     }
 
     #[test]

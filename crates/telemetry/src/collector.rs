@@ -1,16 +1,19 @@
-//! The in-memory [`Collector`] sink, its concurrent [`Snapshot`], and the
-//! JSON / Prometheus exporters.
+//! The in-memory [`Collector`], its concurrent [`Snapshot`], and the Chrome
+//! trace export.
 //!
 //! Metric state is split per kind so that emission stays cheap and a
 //! snapshot never stalls the emitting threads:
 //!
-//! * counters, gauges, and histograms live in registries of shared atomics
-//!   behind an `RwLock`ed name map — emitters take the **read** lock (writers
-//!   only appear the first time a name is seen) and then update plain
-//!   atomics, so concurrent emitters never contend with each other or with a
+//! * counters, gauges, histograms, and the running per-name span duration
+//!   aggregates live in registries of shared atomics behind an `RwLock`ed
+//!   name map — emitters take the **read** lock (writers only appear the
+//!   first time a name is seen) and then update plain atomics, so
+//!   concurrent emitters never contend with each other or with a
 //!   concurrent [`Collector::snapshot`];
-//! * spans and warnings are event lists behind a short `Mutex` critical
-//!   section (a `Vec` push).
+//! * finished spans are one list behind a short `Mutex` critical section (a
+//!   `Vec` push). Only the trace readers ([`Collector::spans`],
+//!   [`Collector::trace_spans`], the Chrome export) take it; a snapshot
+//!   never does.
 //!
 //! A snapshot is therefore *consistent per metric* (every counter value is a
 //! real value the counter held) but not a cross-metric atomic cut — fine for
@@ -25,7 +28,7 @@ use std::time::Instant;
 
 use crate::buckets::{bucket_bound, bucket_index, estimate_quantile, BUCKETS};
 use crate::json::{escape, fmt_f64};
-use crate::{ArgValue, Sink, SpanRecord};
+use crate::{ArgValue, SpanRecord};
 
 /// An `f64` stored as bits in an `AtomicU64` (std has no `AtomicF64`).
 #[derive(Debug)]
@@ -196,31 +199,11 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(f64, u64)>,
 }
 
-/// Per-name span aggregates, with **exact** duration quantiles (computed
-/// from the full recorded span list, not from buckets).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Number of completed spans with this name.
-    pub count: u64,
-    /// Total time spent in these spans, µs.
-    pub total_us: u64,
-    /// Longest single span, µs.
-    pub max_us: u64,
-    /// Median span duration, µs.
-    pub p50_us: u64,
-    /// 95th-percentile span duration, µs.
-    pub p95_us: u64,
-    /// 99th-percentile span duration, µs.
-    pub p99_us: u64,
-}
-
 /// A point-in-time view of everything a [`Collector`] has aggregated.
 ///
 /// Taken with [`Collector::snapshot`] — safe to call at any time, including
-/// while other threads are emitting. All exporters ([`run
-/// report`](Snapshot::run_report_json) and
-/// [Prometheus](Snapshot::prometheus_text)) render from the same snapshot,
-/// so their values agree by construction.
+/// while other threads are emitting. It reads the metric registries only,
+/// never the span list, so its cost does not grow with the spans recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Counter values, sorted by name.
@@ -229,14 +212,9 @@ pub struct Snapshot {
     pub gauges: Vec<(String, f64)>,
     /// Histogram views, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Per-span-name aggregates, sorted by name.
-    pub spans: Vec<(String, SpanStats)>,
-    /// Total span records collected.
-    pub span_records: u64,
-    /// Number of distinct trace ids among the collected spans.
-    pub trace_count: u64,
-    /// Warnings, in emission order.
-    pub warnings: Vec<String>,
+    /// Span durations in µs per span name, sorted by name: the count, sum
+    /// and max are exact, the quantiles are bucket estimates.
+    pub spans: Vec<(String, HistogramSnapshot)>,
 }
 
 /// A completed span with collector-relative timestamps (microseconds).
@@ -262,21 +240,18 @@ pub struct FinishedSpan {
     pub args: Vec<(String, ArgValue)>,
 }
 
-#[derive(Debug, Default)]
-struct Events {
-    spans: Vec<FinishedSpan>,
-    warnings: Vec<String>,
-}
-
-/// The standard [`Sink`](crate::Sink): thread-safe in-memory aggregation
-/// with concurrent snapshots and JSON / Prometheus exporters.
+/// The global telemetry destination: thread-safe in-memory aggregation
+/// with concurrent snapshots, the span list, and its Chrome trace export.
 #[derive(Debug)]
 pub struct Collector {
     epoch: Instant,
     counters: Registry<AtomicU64>,
     gauges: Registry<AtomicF64>,
     histograms: Registry<AtomicHistogram>,
-    events: Mutex<Events>,
+    // Running per-name span durations (µs), updated as each span closes, so
+    // a snapshot never reads the span list.
+    span_stats: Registry<AtomicHistogram>,
+    spans: Mutex<Vec<FinishedSpan>>,
 }
 
 impl Default for Collector {
@@ -293,21 +268,22 @@ impl Collector {
             counters: Registry::new(),
             gauges: Registry::new(),
             histograms: Registry::new(),
-            events: Mutex::new(Events::default()),
+            span_stats: Registry::new(),
+            spans: Mutex::new(Vec::new()),
         }
     }
 
-    /// Creates a collector and installs it as the global sink.
+    /// Creates a collector and installs it as the global one.
     pub fn install() -> Arc<Self> {
         let collector = Arc::new(Collector::new());
         crate::set_sink(collector.clone());
         collector
     }
 
-    fn lock_events(&self) -> std::sync::MutexGuard<'_, Events> {
-        // A panic while holding the short critical section below cannot
-        // leave the aggregates torn; keep collecting.
-        self.events.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_spans(&self) -> std::sync::MutexGuard<'_, Vec<FinishedSpan>> {
+        // A panic while holding the push below cannot leave the list torn;
+        // keep collecting.
+        self.spans.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Current value of counter `name`.
@@ -327,77 +303,39 @@ impl Collector {
 
     /// All completed spans, in completion order.
     pub fn spans(&self) -> Vec<FinishedSpan> {
-        self.lock_events().spans.clone()
-    }
-
-    /// All recorded warnings, in order.
-    pub fn warnings(&self) -> Vec<String> {
-        self.lock_events().warnings.clone()
+        self.lock_spans().clone()
     }
 
     /// Takes a point-in-time [`Snapshot`] of every aggregate.
     ///
-    /// Callable concurrently with emitting threads: metric registries are
-    /// read under shared locks and the values are plain atomic loads, so a
-    /// snapshot never blocks (or is blocked by) emission — this is what lets
-    /// `gsu-serve` answer `/metrics` in the middle of a φ-sweep.
+    /// Callable concurrently with emitting threads: registries are read
+    /// under shared locks and the values are plain atomic loads, so a
+    /// snapshot never blocks (or is blocked by) emission, nor by a reader
+    /// of the span list — this is what lets `gsu-serve` answer `/metrics`
+    /// in the middle of a φ-sweep at a cost independent of its uptime.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .entries()
-            .into_iter()
-            .map(|(name, c)| (name, c.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = self
-            .gauges
-            .entries()
-            .into_iter()
-            .map(|(name, g)| (name, g.load()))
-            .collect();
-        let histograms = self
-            .histograms
-            .entries()
-            .into_iter()
-            .map(|(name, h)| (name, h.snapshot()))
-            .collect();
-        let (spans, warnings) = {
-            let events = self.lock_events();
-            (events.spans.clone(), events.warnings.clone())
+        let histograms = |registry: &Registry<AtomicHistogram>| {
+            registry
+                .entries()
+                .into_iter()
+                .map(|(name, h)| (name, h.snapshot()))
+                .collect()
         };
-        let span_records = spans.len() as u64;
-        let trace_count = {
-            let mut ids: Vec<u64> = spans.iter().map(|s| s.trace_id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len() as u64
-        };
-        let mut durations: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for s in &spans {
-            durations.entry(s.name.clone()).or_default().push(s.dur_us);
-        }
-        let span_stats = durations
-            .into_iter()
-            .map(|(name, mut durs)| {
-                durs.sort_unstable();
-                let stats = SpanStats {
-                    count: durs.len() as u64,
-                    total_us: durs.iter().sum(),
-                    max_us: durs.last().copied().unwrap_or_default(),
-                    p50_us: exact_quantile_us(&durs, 0.50),
-                    p95_us: exact_quantile_us(&durs, 0.95),
-                    p99_us: exact_quantile_us(&durs, 0.99),
-                };
-                (name, stats)
-            })
-            .collect();
         Snapshot {
-            counters,
-            gauges,
-            histograms,
-            spans: span_stats,
-            span_records,
-            trace_count,
-            warnings,
+            counters: self
+                .counters
+                .entries()
+                .into_iter()
+                .map(|(name, c)| (name, c.load(Ordering::Relaxed)))
+                .collect(),
+            gauges: self
+                .gauges
+                .entries()
+                .into_iter()
+                .map(|(name, g)| (name, g.load()))
+                .collect(),
+            histograms: histograms(&self.histograms),
+            spans: histograms(&self.span_stats),
         }
     }
 
@@ -406,8 +344,7 @@ impl Collector {
     /// exactly; an empty result means the trace is unknown (or recorded
     /// nothing).
     pub fn trace_spans(&self, trace_id: u64) -> Vec<FinishedSpan> {
-        self.lock_events()
-            .spans
+        self.lock_spans()
             .iter()
             .filter(|s| s.trace_id == trace_id)
             .cloned()
@@ -418,12 +355,6 @@ impl Collector {
         t.checked_duration_since(self.epoch)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0)
-    }
-
-    /// Renders the structured run report (`gsu-telemetry-v3` schema); see
-    /// [`Snapshot::run_report_json`].
-    pub fn run_report_json(&self) -> String {
-        self.snapshot().run_report_json()
     }
 
     /// Renders the Chrome `trace_event` document (`{"traceEvents": [...]}`,
@@ -442,11 +373,11 @@ impl Collector {
     }
 
     fn render_chrome_trace(&self, only_trace: Option<u64>) -> String {
-        let events = self.lock_events();
+        let spans = self.lock_spans();
         let mut out = String::with_capacity(4096);
         out.push_str("{\"traceEvents\":[");
         let mut first = true;
-        for s in &events.spans {
+        for s in spans.iter() {
             if only_trace.is_some_and(|t| s.trace_id != t) {
                 continue;
             }
@@ -480,19 +411,6 @@ impl Collector {
         out
     }
 
-    /// Writes [`Collector::run_report_json`] to `path`, creating parent
-    /// directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_run_report(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.run_report_json())
-    }
-
     /// Writes [`Collector::chrome_trace_json`] to `path`, creating parent
     /// directories.
     ///
@@ -505,149 +423,35 @@ impl Collector {
         }
         std::fs::write(path, self.chrome_trace_json())
     }
-}
 
-/// Exact quantile over an ascending-sorted duration list (nearest-rank).
-fn exact_quantile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-impl Snapshot {
-    /// Renders the structured run report (`gsu-telemetry-v3` schema):
-    /// counters, gauges, histogram aggregates with p50/p95/p99 and fixed
-    /// log₁₀ buckets, per-span-name aggregates with exact duration
-    /// quantiles, trace totals, and warnings. (v3 over v2: spans carry
-    /// trace/span/parent ids end to end, surfaced here as the `traces`
-    /// object and in the Chrome trace export's `args`.)
-    pub fn run_report_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"gsu-telemetry-v3\"");
-        out.push_str(&format!(
-            ",\"traces\":{{\"count\":{},\"span_records\":{}}}",
-            self.trace_count, self.span_records
-        ));
-
-        out.push_str(",\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", escape(name), v));
-        }
-        out.push('}');
-
-        out.push_str(",\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", escape(name), fmt_f64(*v)));
-        }
-        out.push('}');
-
-        out.push_str(",\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\
-                 \"p50\":{},\"p95\":{},\"p99\":{}",
-                escape(name),
-                h.count,
-                fmt_f64(h.sum),
-                fmt_f64(h.min),
-                fmt_f64(h.max),
-                fmt_f64(h.mean),
-                fmt_f64(h.p50),
-                fmt_f64(h.p95),
-                fmt_f64(h.p99),
-            ));
-            if let Some((trace_id, value)) = h.exemplar {
-                out.push_str(&format!(
-                    ",\"exemplar\":{{\"trace_id\":\"{:016x}\",\"value\":{}}}",
-                    trace_id,
-                    fmt_f64(value)
-                ));
-            }
-            out.push_str(",\"buckets\":[");
-            for (b, (le, count)) in h.buckets.iter().enumerate() {
-                if b > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{{\"le\":{},\"count\":{}}}", fmt_f64(*le), count));
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-
-        out.push_str(",\"spans\":{");
-        for (i, (name, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_us\":{},\"max_us\":{},\
-                 \"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-                escape(name),
-                s.count,
-                s.total_us,
-                s.max_us,
-                s.p50_us,
-                s.p95_us,
-                s.p99_us
-            ));
-        }
-        out.push('}');
-
-        out.push_str(",\"warnings\":[");
-        for (i, w) in self.warnings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", escape(w)));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4); see [`crate::prometheus`] for the mapping.
-    pub fn prometheus_text(&self) -> String {
-        crate::prometheus::render(self)
-    }
-}
-
-impl Sink for Collector {
-    fn counter_add(&self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&self, name: &str, delta: u64) {
         self.counters
             .get_or_insert(name, || AtomicU64::new(0))
             .fetch_add(delta, Ordering::Relaxed);
     }
 
-    fn gauge_set(&self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&self, name: &str, value: f64) {
         self.gauges
             .get_or_insert(name, || AtomicF64::new(value))
             .store(value);
     }
 
-    fn observe(&self, name: &str, value: f64) {
+    pub(crate) fn observe(&self, name: &str, value: f64) {
         self.histograms
             .get_or_insert(name, AtomicHistogram::new)
             .observe(value);
     }
 
-    fn record_span(&self, span: SpanRecord) {
+    pub(crate) fn record_span(&self, span: SpanRecord) {
         let start_us = self.us_since_epoch(span.start);
-        let end_us = self.us_since_epoch(span.end);
+        let dur_us = self.us_since_epoch(span.end).saturating_sub(start_us);
+        self.span_stats
+            .get_or_insert(&span.name, AtomicHistogram::new)
+            .observe(dur_us as f64);
         let finished = FinishedSpan {
             name: span.name,
             start_us,
-            dur_us: end_us.saturating_sub(start_us),
+            dur_us,
             tid: span.tid,
             depth: span.depth,
             trace_id: span.trace_id,
@@ -655,49 +459,63 @@ impl Sink for Collector {
             parent_id: span.parent_id,
             args: span.args,
         };
-        self.lock_events().spans.push(finished);
+        self.lock_spans().push(finished);
     }
+}
 
-    fn warning(&self, message: &str) {
-        self.lock_events().warnings.push(message.to_string());
+impl Snapshot {
+    /// Renders the snapshot in the Prometheus text exposition format
+    /// (version 0.0.4); see [`crate::prometheus`] for the mapping.
+    pub fn prometheus_text(&self) -> String {
+        crate::prometheus::render(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
-    use crate::json::{parse, Value};
+    use crate::json::parse;
+
+    fn span_record(name: &str, start: Instant, dur_us: u64) -> SpanRecord {
+        SpanRecord {
+            name: name.to_string(),
+            start,
+            end: start + Duration::from_micros(dur_us),
+            tid: 1,
+            depth: 0,
+            trace_id: 1,
+            span_id: 1,
+            parent_id: 0,
+            args: Vec::new(),
+        }
+    }
 
     #[test]
     fn empty_collector_exports_valid_skeletons() {
         let c = Collector::new();
-        let report = c.run_report_json();
-        assert!(report.starts_with("{\"schema\":\"gsu-telemetry-v3\""));
-        assert!(report.contains("\"traces\":{\"count\":0,\"span_records\":0}"));
-        assert!(report.contains("\"counters\":{}"));
-        assert!(report.ends_with("\"warnings\":[]}"));
         assert_eq!(
             c.chrome_trace_json(),
             "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}"
         );
         let snap = c.snapshot();
-        assert!(snap.counters.is_empty());
+        assert!(snap.counters.is_empty() && snap.spans.is_empty());
         assert!(snap.prometheus_text().is_empty());
     }
 
     #[test]
     fn escaping_reaches_exports() {
         let c = Collector::new();
-        c.counter_add("weird\"name\\", 1);
-        c.warning("line\nbreak");
-        let report = c.run_report_json();
-        assert!(report.contains("weird\\\"name\\\\"));
-        assert!(report.contains("line\\nbreak"));
-        let doc = parse(&report).expect("run report is JSON");
-        assert_eq!(doc.string("schema"), Ok("gsu-telemetry-v3"));
-        assert_eq!(doc.get("counters").unwrap().uint("weird\"name\\"), Ok(1));
-        let warnings = doc.array("warnings").unwrap();
-        assert_eq!(warnings, [Value::Str("line\nbreak".to_string())]);
+        let mut span = span_record("weird\"name\\", Instant::now(), 3);
+        span.args = vec![("line".to_string(), ArgValue::Str("a\nb".to_string()))];
+        c.record_span(span);
+        let doc = parse(&c.chrome_trace_json()).expect("Chrome trace is JSON");
+        let events = doc.array("traceEvents").unwrap();
+        assert_eq!(events[0].string("name"), Ok("weird\"name\\"));
+        assert_eq!(events[0].get("args").unwrap().string("line"), Ok("a\nb"));
+        let text = c.snapshot().prometheus_text();
+        assert!(text.contains("gsu_span_count{span=\"weird\\\"name\\\\\"} 1"));
     }
 
     #[test]
@@ -729,13 +547,51 @@ mod tests {
     }
 
     #[test]
-    fn span_stats_quantiles_are_exact() {
-        let durs: Vec<u64> = (1..=100).collect();
-        assert_eq!(exact_quantile_us(&durs, 0.50), 50);
-        assert_eq!(exact_quantile_us(&durs, 0.95), 95);
-        assert_eq!(exact_quantile_us(&durs, 0.99), 99);
-        assert_eq!(exact_quantile_us(&[42], 0.5), 42);
-        assert_eq!(exact_quantile_us(&[], 0.5), 0);
+    fn span_aggregates_stay_exact_over_many_spans() {
+        let c = Collector::new();
+        let start = Instant::now();
+        for dur_us in 1..=10_000u64 {
+            c.record_span(span_record("many", start, dur_us));
+        }
+        let snap = c.snapshot();
+        let (name, s) = &snap.spans[0];
+        assert_eq!(name, "many");
+        assert_eq!(s.count, 10_000);
+        assert_eq!(s.sum, 50_005_000.0);
+        assert_eq!(s.max, 10_000.0);
+        // The median, 5000 µs, lies in the (1e3, 1e4] bucket.
+        assert!(s.p50 > 1e3 && s.p50 <= 1e4, "p50 = {}", s.p50);
+        let text = snap.prometheus_text();
+        for line in [
+            "gsu_span_count{span=\"many\"} 10000",
+            "gsu_span_total_us{span=\"many\"} 50005000",
+            "gsu_span_max_us{span=\"many\"} 10000",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing {line} in {text}");
+        }
+        // The estimate is exported in whole µs, like the exact families.
+        let p50 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("gsu_span_p50_us{span=\"many\"} "))
+            .unwrap();
+        assert_eq!(p50.parse::<f64>().unwrap(), s.p50.round(), "{p50}");
+        assert!(!p50.contains('.'), "{p50}");
+    }
+
+    #[test]
+    fn snapshot_does_not_wait_for_the_span_list() {
+        let c = Arc::new(Collector::new());
+        c.record_span(span_record("held", Instant::now(), 5));
+        let held = c.lock_spans();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&c);
+        let scraper = std::thread::spawn(move || tx.send(reader.snapshot()).unwrap());
+        let snap = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("snapshot blocked on the span list");
+        assert_eq!(snap.spans[0].1.count, 1);
+        drop(held);
+        scraper.join().unwrap();
     }
 
     #[test]
@@ -743,15 +599,10 @@ mod tests {
         let c = Collector::new();
         let now = Instant::now();
         let mk = |name: &str, trace_id: u64, span_id: u64, parent_id: u64| SpanRecord {
-            name: name.to_string(),
-            start: now,
-            end: now,
-            tid: 1,
-            depth: 0,
             trace_id,
             span_id,
             parent_id,
-            args: Vec::new(),
+            ..span_record(name, now, 0)
         };
         c.record_span(mk("a.root", 7, 10, 0));
         let mut child = mk("a.child", 7, 11, 10);
@@ -791,13 +642,7 @@ mod tests {
         assert_eq!(args.string("note"), Ok("say \"hi\" {\"name\":\"x\"}"));
         assert_eq!(args.num("residual"), Ok(1e-13));
         assert_eq!(args.uint("parent_id"), Ok(10));
-
-        let snap = c.snapshot();
-        assert_eq!(snap.span_records, 3);
-        assert_eq!(snap.trace_count, 2);
-        assert!(snap
-            .run_report_json()
-            .contains("\"traces\":{\"count\":2,\"span_records\":3}"));
+        assert_eq!(c.snapshot().spans.len(), 3);
     }
 
     #[test]
@@ -806,15 +651,11 @@ mod tests {
         c.counter_add("a", 2);
         c.gauge_set("g", 1.5);
         c.observe("h", 3.0);
-        c.warning("w");
         let snap = c.snapshot();
         assert_eq!(snap.counters, vec![("a".to_string(), 2)]);
         assert_eq!(snap.gauges, vec![("g".to_string(), 1.5)]);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].1.count, 1);
-        assert_eq!(snap.warnings, vec!["w".to_string()]);
-        // Report and exposition render from the same data.
-        assert!(snap.run_report_json().contains("\"a\":2"));
         assert!(snap.prometheus_text().contains("gsu_a 2"));
     }
 }

@@ -1,24 +1,25 @@
 //! Workspace-wide telemetry: hierarchical spans, monotonic counters, gauges,
-//! and fixed-bucket histograms behind a pluggable global sink.
+//! and fixed-bucket histograms behind one global [`Collector`].
 //!
 //! Every layer of the analysis pipeline (sparse solvers, transient engines,
 //! reachability generation, the `GsuAnalysis` φ-sweep, the simulator) emits
-//! events through the free functions in this crate. When no sink is
+//! events through the free functions in this crate. When no collector is
 //! installed — the default — every emission is a single relaxed atomic load
 //! and nothing else, so instrumented code costs effectively nothing in
 //! production paths. Installing a [`Collector`] turns the same calls into
 //! in-memory aggregation that can be exported two ways:
 //!
-//! * [`Collector::run_report_json`] — a structured run report
-//!   (`results/telemetry.json` in the bench harness), and
-//! * [`Collector::chrome_trace_json`] — a Chrome `trace_event` document
-//!   loadable in Perfetto / `chrome://tracing`, with spans nested per
-//!   thread.
+//! * [`Snapshot::prometheus_text`] — the running aggregates (counters,
+//!   gauges, histograms, per-name span durations) as a Prometheus text
+//!   exposition, what `gsu-serve /metrics` serves, and
+//! * [`Collector::chrome_trace_json`] — every finished span as a Chrome
+//!   `trace_event` document loadable in Perfetto / `chrome://tracing`, with
+//!   spans nested per thread (`trace.json` in the bench harness).
 //!
 //! Dependency policy: this crate is **pure `std`** (`Instant`, atomics, a
-//! `Mutex`-guarded sink). The crates.io registry is unreachable in some
-//! build environments this workspace targets, and the telemetry layer sits
-//! below every other crate, so it must not pull in anything. For the same
+//! `Mutex`-guarded global collector). The crates.io registry is unreachable
+//! in some build environments this workspace targets, and the telemetry
+//! layer sits below every other crate, so it must not pull in anything. For the same
 //! reason it hosts [`json`], the workspace's one JSON reader and writer:
 //! every crate that writes or reads a JSON document does it through that
 //! module.
@@ -54,7 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use collector::{Collector, FinishedSpan, HistogramSnapshot, Snapshot, SpanStats};
+pub use collector::{Collector, FinishedSpan, HistogramSnapshot, Snapshot};
 pub use diag::SolveDiag;
 pub use log::{
     init_log_from_env, log_enabled, log_event, log_level, set_log_level, set_log_writer,
@@ -103,9 +104,9 @@ impl From<String> for ArgValue {
     }
 }
 
-/// A completed span as handed to the sink.
+/// A completed span as handed to the collector.
 #[derive(Debug, Clone)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// Span name.
     pub name: String,
     /// Start instant.
@@ -126,23 +127,8 @@ pub struct SpanRecord {
     pub args: Vec<(String, ArgValue)>,
 }
 
-/// Destination for telemetry events. Implementations must be cheap and
-/// non-blocking enough to sit on solver hot paths.
-pub trait Sink: Send + Sync {
-    /// Adds `delta` to the monotonic counter `name`.
-    fn counter_add(&self, name: &str, delta: u64);
-    /// Sets the gauge `name` to `value` (last write wins).
-    fn gauge_set(&self, name: &str, value: f64);
-    /// Records one observation of `value` into the histogram `name`.
-    fn observe(&self, name: &str, value: f64);
-    /// Records a completed span.
-    fn record_span(&self, span: SpanRecord);
-    /// Records a warning message.
-    fn warning(&self, message: &str);
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Option<Arc<dyn Sink>>> = Mutex::new(None);
+static SINK: Mutex<Option<Arc<Collector>>> = Mutex::new(None);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -225,7 +211,7 @@ impl Drop for ContextGuard {
     }
 }
 
-/// Whether a sink is installed. The fast path of every emission; callers
+/// Whether a collector is installed. The fast path of every emission; callers
 /// building expensive event payloads (formatted names, derived statistics)
 /// should gate on this first.
 #[inline]
@@ -233,35 +219,35 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Locks the sink registry, recovering the guard when a previous holder
-/// panicked: the registry only stores an `Option<Arc<dyn Sink>>`, so there is
+/// Locks the global slot, recovering the guard when a previous holder
+/// panicked: the slot only stores an `Option<Arc<Collector>>`, so there is
 /// no half-written state to protect and telemetry must never take the
 /// process down.
-fn lock_sink() -> std::sync::MutexGuard<'static, Option<Arc<dyn Sink>>> {
+fn lock_sink() -> std::sync::MutexGuard<'static, Option<Arc<Collector>>> {
     SINK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Installs `sink` as the global telemetry destination, replacing any
-/// previous one.
-pub fn set_sink(sink: Arc<dyn Sink>) {
-    *lock_sink() = Some(sink);
+/// Installs `collector` as the global telemetry destination, replacing any
+/// previous one; see [`Collector::install`].
+pub(crate) fn set_sink(collector: Arc<Collector>) {
+    *lock_sink() = Some(collector);
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Removes the global sink, restoring the no-op default.
+/// Removes the global collector, restoring the no-op default.
 pub fn clear_sink() {
     ENABLED.store(false, Ordering::Relaxed);
     *lock_sink() = None;
 }
 
-fn with_sink(f: impl FnOnce(&dyn Sink)) {
+fn with_sink(f: impl FnOnce(&Collector)) {
     if !enabled() {
         return;
     }
-    let sink = lock_sink().clone();
-    if let Some(sink) = sink {
-        f(sink.as_ref());
+    let collector = lock_sink().clone();
+    if let Some(collector) = collector {
+        f(&collector);
     }
 }
 
@@ -283,12 +269,12 @@ pub fn observe(name: &str, value: f64) {
     with_sink(|s| s.observe(name, value));
 }
 
-/// Records a warning message (and, when `GSU_LOG` enables `warn`, emits a
-/// structured log event alongside it).
+/// Emits `message` as a `warn` log event (when `GSU_LOG` enables `warn`)
+/// and counts it in the `telemetry.warnings` counter.
 #[inline]
 pub fn warning(message: &str) {
     log_event(Level::Warn, "telemetry", message, &[]);
-    with_sink(|s| s.warning(message));
+    counter("telemetry.warnings", 1);
 }
 
 fn current_tid() -> u64 {
@@ -305,10 +291,10 @@ fn current_tid() -> u64 {
 /// another is live on the same thread records a larger depth and renders
 /// nested in the Chrome trace.
 ///
-/// When no sink is installed (and `debug` logging is off) this returns an
-/// inert guard at the cost of two atomic loads. With `GSU_LOG=debug` the
-/// guard stays live even without a sink, so span durations still stream to
-/// the structured log.
+/// When no collector is installed (and `debug` logging is off) this returns
+/// an inert guard at the cost of two atomic loads. With `GSU_LOG=debug` the
+/// guard stays live even without a collector, so span durations still
+/// stream to the structured log.
 pub fn span(name: &str) -> SpanGuard {
     if !enabled() && !log_enabled(Level::Debug) {
         return SpanGuard { inner: None };
@@ -462,7 +448,7 @@ mod tests {
         let c = Collector::install();
         assert_eq!(c.counter_value("x"), None);
         assert!(c.spans().is_empty());
-        assert!(c.warnings().is_empty());
+        assert_eq!(c.counter_value("telemetry.warnings"), None);
         clear_sink();
     }
 
@@ -578,26 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn run_report_is_populated() {
-        let report = with_collector(|c| {
-            counter("solver.iterations", 17);
-            gauge("san.states.rmgd", 11.0);
-            observe("fox_glynn.window_len", 40.0);
-            warning("model X: dropped self-loop rate 2");
-            let _s = span("evaluate");
-            drop(_s);
-            c.run_report_json()
+    fn warnings_are_counted() {
+        with_collector(|c| {
+            for i in 0..5 {
+                warning(&format!("model {i}: dropped self-loop rate"));
+            }
+            assert_eq!(c.counter_value("telemetry.warnings"), Some(5));
         });
-        for needle in [
-            "\"schema\":\"gsu-telemetry-v3\"",
-            "\"solver.iterations\":17",
-            "\"san.states.rmgd\":11",
-            "\"fox_glynn.window_len\"",
-            "dropped self-loop rate",
-            "\"evaluate\"",
-        ] {
-            assert!(report.contains(needle), "missing {needle} in {report}");
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::ArgValue;
 pub enum Level {
     /// Unrecoverable or data-losing conditions.
     Error = 1,
-    /// Suspicious but survivable conditions (mirrors sink warnings).
+    /// Suspicious but survivable conditions (what `telemetry::warning` emits).
     Warn = 2,
     /// Request/operation progress.
     Info = 3,

@@ -10,13 +10,13 @@
 //! * histograms export as native Prometheus histograms — cumulative
 //!   `_bucket{le="…"}` samples (ending in `le="+Inf"`), `_sum`, and
 //!   `_count` — plus `_alltime_p50` / `_alltime_p95` / `_alltime_p99`
-//!   gauges carrying the same bucket-estimated quantiles the JSON run
-//!   report publishes, so the two surfaces agree by construction (the
-//!   `_alltime` marker distinguishes these cumulative since-process-start
-//!   quantiles from the recent-window families rendered by `gsu-serve`);
-//! * span aggregates export as `gsu_span_*{span="<name>"}` families.
-//!
-//! Warnings have no numeric representation and stay in the JSON report.
+//!   gauges carrying the bucket-estimated quantiles (the `_alltime` marker
+//!   distinguishes these cumulative since-process-start quantiles from the
+//!   recent-window families rendered by `gsu-serve`);
+//! * span duration aggregates export as `gsu_span_*{span="<name>"}`
+//!   families: `count`, `total_us` and `max_us` exact, `p50_us` / `p95_us`
+//!   / `p99_us` estimated from the same log₁₀ buckets and rounded to whole
+//!   µs (exact per-span timing is in the Chrome trace).
 
 use std::fmt::Write as _;
 
@@ -97,13 +97,14 @@ pub fn render(snapshot: &Snapshot) -> String {
             let _ = writeln!(out, "# TYPE {family} {kind}");
             for (name, s) in &snapshot.spans {
                 let value = match family {
-                    "gsu_span_count" => s.count,
-                    "gsu_span_total_us" => s.total_us,
-                    "gsu_span_max_us" => s.max_us,
-                    "gsu_span_p50_us" => s.p50_us,
-                    "gsu_span_p95_us" => s.p95_us,
-                    _ => s.p99_us,
+                    "gsu_span_count" => s.count as f64,
+                    "gsu_span_total_us" => s.sum,
+                    "gsu_span_max_us" => s.max,
+                    "gsu_span_p50_us" => s.p50.round(),
+                    "gsu_span_p95_us" => s.p95.round(),
+                    _ => s.p99.round(),
                 };
+                let value = fmt_value(value);
                 let _ = writeln!(out, "{family}{{span=\"{}\"}} {value}", escape_label(name));
             }
         }
@@ -159,7 +160,6 @@ fn fmt_value(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::collector::Collector;
-    use crate::Sink as _;
 
     #[test]
     fn sanitize_prefixes_and_replaces() {

@@ -2,7 +2,7 @@
 //!
 //! Unlike every other emission in this crate, these counters are **always
 //! on** — they are process-global relaxed atomics, not routed through the
-//! pluggable sink. Each is incremented once per whole operation (one per
+//! global collector. Each is incremented once per whole operation (one per
 //! sparse matrix-vector product, one per solver sweep), so the overhead is
 //! a single relaxed add amortised over thousands of floating-point
 //! operations, and the totals are identical across machines, thread counts,
@@ -44,7 +44,7 @@ pub fn count_axpy(n: u64) {
 
 /// Counts `n` solver iterations: uniformization steps, or the squarings
 /// of a matrix exponential. The one tally of solver work: an installed
-/// sink sees the same `n` as the `solver.iterations` counter.
+/// collector sees the same `n` as the `solver.iterations` counter.
 #[inline]
 pub fn count_iterations(n: u64) {
     SOLVER_ITERATIONS.fetch_add(n, Ordering::Relaxed);

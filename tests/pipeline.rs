@@ -151,9 +151,20 @@ fn gamma_policy_changes_the_tradeoff() {
 fn fixed_overhead_matches_computed_overhead_closely() {
     // Running with the paper's rounded ρ values instead of the RMGp solution
     // must not change the story.
+    use performability::gsu::{rmgd, rmnd};
     let params = GsuParams::paper_baseline();
     let computed = GsuAnalysis::new(params).unwrap();
-    let fixed = GsuAnalysis::with_fixed_overhead(params, 0.98, 0.95).unwrap();
+    let gd = rmgd::build(&params).unwrap();
+    let new = rmnd::build(&params, params.mu_new).unwrap();
+    let old = rmnd::build(&params, params.mu_old).unwrap();
+    let fixed = GsuAnalysis::from_models(
+        params,
+        (0.98, 0.95),
+        (&gd.model, gd.places.gop),
+        (&new.model, new.places.failure),
+        (&old.model, old.places.failure),
+    )
+    .unwrap();
     for phi in [2000.0, 5000.0, 8000.0] {
         let a = computed.evaluate(phi).unwrap();
         let b = fixed.evaluate(phi).unwrap();
