@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! gsu-bench run <experiment>|all [--steps N] [--out DIR]
-//! gsu-bench regress [--baseline PATH] [--current PATH]
+//! gsu-bench regress [--baseline PATH] --current PATH
 //!                   [--threshold FRACTION] [--no-update]
 //! gsu-bench profile --trace PATH [--folded | --table]
 //! gsu-bench scenarios [--dir PATH] [--golden PATH] [--out PATH]
@@ -21,12 +21,14 @@
 //! `figures` workload runs the same work and `regress` gates its counters.
 //!
 //! `regress` compares the records of `--current` against the committed
-//! baseline — wall time *and* deterministic work counters. The input's kind
+//! baseline (`--baseline`, default `results/BENCH_baseline.json`) — wall
+//! time *and* deterministic work counters. `--current` has no default: the
+//! gate reads only records measured for the run at hand. The input's kind
 //! is read from the document: the record log `scenarios` writes, a
 //! `gsu-benchmark` run set, or a `loadgen` report. It exits 0 on pass, 1 on
 //! a regression or on a baseline record missing from the input, and 2 on
-//! usage or I/O errors or an input of no known kind. See
-//! [`gsu_bench::regress`] for the gate semantics.
+//! usage or I/O errors (a missing `--current` among them) or an input of no
+//! known kind. See [`gsu_bench::regress`] for the gate semantics.
 //!
 //! `profile` rebuilds the span tree of a Chrome trace written by a
 //! `GSU_TELEMETRY=1` run (or fetched from `gsu-serve /trace?id=`) and prints
@@ -49,10 +51,10 @@
 use std::process::ExitCode;
 
 use gsu_bench::experiments::{self, RunContext, EXPERIMENTS};
-use gsu_bench::regress::RegressConfig;
+use gsu_bench::regress::{RegressConfig, DEFAULT_THRESHOLD};
 
 const USAGE: &str = "usage: gsu-bench run <experiment>|all [--steps N] [--out DIR]\n  \
-                     | gsu-bench regress [--baseline PATH] [--current PATH] \
+                     | gsu-bench regress [--baseline PATH] --current PATH \
                      [--threshold FRACTION] [--no-update]\n  \
                      | gsu-bench profile --trace PATH [--folded | --table]\n  \
                      | gsu-bench scenarios [--dir PATH] [--golden PATH] [--out PATH] \
@@ -168,25 +170,37 @@ fn profile(mut args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 fn regress(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut config = RegressConfig::default();
+    let mut baseline = "results/BENCH_baseline.json".into();
+    let mut current = None;
+    let mut threshold = DEFAULT_THRESHOLD;
+    let mut update = true;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--baseline" => match args.next() {
-                Some(path) => config.baseline = path.into(),
+                Some(path) => baseline = path.into(),
                 None => return usage("--baseline needs a path"),
             },
             "--current" => match args.next() {
-                Some(path) => config.current = path.into(),
+                Some(path) => current = Some(path.into()),
                 None => return usage("--current needs a path"),
             },
             "--threshold" => match args.next().and_then(|raw| raw.parse::<f64>().ok()) {
-                Some(t) if t.is_finite() && t >= 0.0 => config.threshold = t,
+                Some(t) if t.is_finite() && t >= 0.0 => threshold = t,
                 _ => return usage("--threshold needs a non-negative fraction (e.g. 0.10)"),
             },
-            "--no-update" => config.update = false,
+            "--no-update" => update = false,
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
+    let Some(current) = current else {
+        return usage("regress needs --current PATH");
+    };
+    let config = RegressConfig {
+        baseline,
+        current,
+        threshold,
+        update,
+    };
     match gsu_bench::regress::run(&config) {
         Ok(report) => {
             print!("{}", report.render());

@@ -61,17 +61,6 @@ pub struct RegressConfig {
     pub update: bool,
 }
 
-impl Default for RegressConfig {
-    fn default() -> Self {
-        RegressConfig {
-            baseline: PathBuf::from("results/BENCH_baseline.json"),
-            current: PathBuf::from("results/BENCH_sweep.json"),
-            threshold: DEFAULT_THRESHOLD,
-            update: true,
-        }
-    }
-}
-
 /// One metric of a record present in both the baseline and the current
 /// input.
 #[derive(Debug, Clone, PartialEq)]
@@ -735,7 +724,7 @@ mod tests {
             baseline: dir.join("BENCH_baseline.json"),
             current: dir.join("BENCH_sweep.json"),
             threshold: 0.10,
-            ..RegressConfig::default()
+            update: true,
         };
         let bar = |config: &RegressConfig| read_bench_records(&config.baseline).unwrap()[0].wall_ms;
 
@@ -788,8 +777,8 @@ mod tests {
         let config = RegressConfig {
             baseline: dir.join("BENCH_baseline.json"),
             current: dir.join("BENCH_sweep.json"),
+            threshold: DEFAULT_THRESHOLD,
             update: false,
-            ..RegressConfig::default()
         };
         let baseline = [rec("fig9", 100.0, 1), rec("fig10", 100.0, 1)];
         write_bench_records(
@@ -1005,8 +994,8 @@ mod tests {
         let config = RegressConfig {
             baseline: committed("BENCH_baseline.json"),
             current: dir.join("current.json"),
+            threshold: DEFAULT_THRESHOLD,
             update: false,
-            ..RegressConfig::default()
         };
         for text in [
             "{}",

@@ -1,7 +1,8 @@
 //! End-to-end tests of `gsu-bench run`: each experiment writes only under
 //! `--out`, its CSV, markdown and DOT outputs match the committed
 //! `results/` files byte for byte, it leaves no timing record, and
-//! malformed invocations exit 2 through the usage path.
+//! malformed invocations (a bare `regress` among them) exit 2 through the
+//! usage path.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -102,4 +103,19 @@ fn usage_errors_exit_2_and_list_the_experiments() {
         );
     }
     assert!(!out.exists(), "a rejected invocation must not write output");
+
+    // `regress` has no default input: a bare run (from the repository root,
+    // where a committed record log once served as the default) is a usage
+    // error, not a gate over stale records.
+    let output = Command::new(env!("CARGO_BIN_EXE_gsu-bench"))
+        .args(["regress", "--no-update"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("launch gsu-bench");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("usage:") && stderr.contains("--current"),
+        "{stderr}"
+    );
 }

@@ -80,7 +80,7 @@ impl Ctmc {
         }
         Ok(Ctmc {
             n,
-            q: coo.to_csr(),
+            q: coo.into_csr(),
             exit_rates: exit,
         })
     }
@@ -146,7 +146,7 @@ impl Ctmc {
             // Clamp tiny negative rounding noise.
             coo.push(s, s, stay.max(0.0));
         }
-        Dtmc::from_matrix(coo.to_csr())
+        Dtmc::from_matrix(coo.into_csr())
     }
 
     /// Validates that `pi` is a probability distribution over this chain's

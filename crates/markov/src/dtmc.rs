@@ -71,11 +71,11 @@ mod tests {
         coo.push(0, 0, 0.5);
         coo.push(0, 1, 0.5);
         coo.push(1, 1, 1.0);
-        assert!(Dtmc::from_matrix(coo.to_csr()).is_ok());
+        assert!(Dtmc::from_matrix(coo.into_csr()).is_ok());
 
         let mut bad = CooMatrix::new(2, 2);
         bad.push(0, 0, 0.9);
         bad.push(1, 1, 1.0);
-        assert!(Dtmc::from_matrix(bad.to_csr()).is_err());
+        assert!(Dtmc::from_matrix(bad.into_csr()).is_err());
     }
 }

@@ -142,7 +142,7 @@ mod tests {
         for &(u, v) in edges {
             coo.push(u, v, 1.0);
         }
-        coo.to_csr()
+        coo.into_csr()
     }
 
     #[test]

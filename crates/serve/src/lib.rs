@@ -10,7 +10,7 @@
 //! | `GET /metrics`      | Prometheus text exposition of the live [`telemetry::Collector`] |
 //! | `GET /healthz`      | liveness (`200 ok` whenever the accept loop is up)          |
 //! | `GET /readyz`       | readiness (`200` once the `GsuAnalysis` is built)           |
-//! | `GET /trace`        | the Chrome `trace_event` document collected so far          |
+//! | `GET /trace`        | the Chrome `trace_event` document of the newest 256 traces  |
 //! | `GET /trace?id=…`   | the same document restricted to one request's span tree     |
 //! | `GET /eval?phi=…`   | a span-instrumented `Y(φ)` evaluation, as JSON              |
 //! | `GET /eval?phi=…&mu_new=…` | the same with paper-parameter overrides, memoized per params fingerprint in a bounded cache |
@@ -27,7 +27,8 @@
 //! `/trace?id=` resolves to exactly that request's span tree. Each `/eval`
 //! additionally appends one canonical wide-event line (φ, parameter
 //! fingerprint, per-phase wall breakdown, solver flight-recorder diags,
-//! status) to a bounded in-memory ring served by `/requests`.
+//! status) to a ring of [`telemetry::TRACE_CAP`] lines served by
+//! `/requests`, as many as the collector keeps traces.
 //!
 //! Dependency policy: pure `std` + in-workspace crates, hand-rolled
 //! HTTP/1.1, no TLS (see DESIGN.md, "Dependency policy").
@@ -61,9 +62,6 @@ pub const DEFAULT_WORKERS: usize = 4;
 /// stops accepting. Each holds an open socket, so the bound is what stops a
 /// burst of clients from growing the daemon's memory.
 pub const ACCEPT_QUEUE_CAPACITY: usize = 64;
-
-/// Size of the `/eval` wide-event ring served by `/requests`.
-pub const REQUEST_LOG_CAP: usize = 256;
 
 /// Route families tracked by per-route sliding-window latency histograms;
 /// any other path lands in [`OTHER_ROUTE`].
@@ -250,7 +248,7 @@ impl Server {
             queue_depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             params_fingerprint: params_fingerprint(&params),
-            requests: Mutex::new(VecDeque::with_capacity(REQUEST_LOG_CAP)),
+            requests: Mutex::new(VecDeque::with_capacity(telemetry::TRACE_CAP)),
             scenarios,
             analysis_cache: Mutex::new(AnalysisCache::default()),
         });
@@ -815,7 +813,7 @@ fn record_wide_event(
     line.push_str("]}");
 
     let mut ring = state.requests.lock().unwrap_or_else(|e| e.into_inner());
-    while ring.len() >= REQUEST_LOG_CAP {
+    while ring.len() >= telemetry::TRACE_CAP {
         ring.pop_front();
     }
     ring.push_back(line);
@@ -1184,13 +1182,11 @@ mod tests {
 
     #[test]
     fn solve_json_renders_flight_recorder_args_only() {
-        let now = std::time::Instant::now();
         let mut span = FinishedSpan {
             name: "markov.solve.uniformization".to_string(),
             start_us: 0,
             dur_us: 10,
             tid: 1,
-            depth: 2,
             trace_id: 7,
             span_id: 3,
             parent_id: 2,
@@ -1207,7 +1203,6 @@ mod tests {
                 ("states".to_string(), ArgValue::U64(9)),
             ],
         };
-        let _ = now;
         let json = solve_json(&span).expect("a solve span");
         assert_eq!(
             json,

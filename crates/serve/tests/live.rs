@@ -1,22 +1,31 @@
 //! End-to-end test of the observability daemon: the acceptance criterion is
 //! that `/metrics` answers in Prometheus text format with live counter and
-//! histogram values **while a φ-sweep is running in another thread**.
+//! histogram values **while a φ-sweep is running in another thread**; and
+//! that a long-running daemon keeps only the newest [`TRACE_CAP`] traces.
 //!
-//! One `#[test]` because the telemetry sink is process-global.
+//! The telemetry sink is process-global, so the tests serialize on a local
+//! lock.
 
+use std::collections::BTreeSet;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gsu_serve::http::http_get;
 use gsu_serve::{validate_exposition, Server, SCENARIOS_DIR};
 use performability::{GsuAnalysis, GsuParams};
 use telemetry::json::{self, Value};
-use telemetry::Collector;
+use telemetry::{Collector, TRACE_CAP};
+
+/// Serializes the `#[test]`s in this binary: each installs its own global
+/// collector and must not observe the other's traffic.
+static SINK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn serves_live_metrics_during_a_sweep() {
+    let _sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     let collector = Collector::install();
     let server = Server::bind("127.0.0.1:0", collector.clone(), Path::new(SCENARIOS_DIR))
         .expect("bind ephemeral port");
@@ -279,6 +288,74 @@ fn serves_live_metrics_during_a_sweep() {
         "collector saw {evals} evaluations, sweep thread alone did {swept}"
     );
     telemetry::clear_sink();
+}
+
+#[test]
+fn retains_only_the_newest_traces() {
+    let _sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = Collector::install();
+    let server = Server::bind("127.0.0.1:0", collector.clone(), Path::new(SCENARIOS_DIR))
+        .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let serving = std::thread::spawn(move || server.run(2));
+
+    let ids: Vec<String> = (1..=TRACE_CAP + 20)
+        .map(|i| {
+            let (status, body) = http_get(addr, &format!("/eval?phi={}", 25 * i)).expect("/eval");
+            assert_eq!(status, 200, "eval body: {body}");
+            let eval = json::parse(&body).expect("/eval body is JSON");
+            eval.string("trace_id").expect("trace_id field").to_string()
+        })
+        .collect();
+
+    // The first eval's trace was evicted: its id still answers 200, with
+    // no events, as an unknown id does. The newest resolves whole.
+    assert!(trace_events(addr, &format!("/trace?id={}", ids[0])).is_empty());
+    let newest = trace_events(addr, &format!("/trace?id={}", ids[ids.len() - 1]));
+    assert!(
+        newest.iter().any(|e| e.string("name") == Ok("serve.eval")),
+        "newest trace lacks its serve.eval span: {newest:?}"
+    );
+
+    // The whole-ring export holds at most TRACE_CAP traces.
+    let traces: BTreeSet<String> = trace_events(addr, "/trace")
+        .iter()
+        .map(|e| {
+            let args = e.get("args").expect("event args");
+            args.string("trace_id").expect("trace_id").to_string()
+        })
+        .collect();
+    assert!(traces.len() <= TRACE_CAP, "{} traces served", traces.len());
+
+    // Every wide-event line the /requests ring holds still resolves.
+    let (status, log) = http_get(addr, "/requests").expect("/requests");
+    assert_eq!(status, 200);
+    assert_eq!(log.lines().count(), TRACE_CAP);
+    for line in log.lines() {
+        let event = json::parse(line).expect("wide-event line is JSON");
+        let phases = event.get("phases").and_then(Value::as_object);
+        if phases.is_some_and(|p| !p.is_empty()) {
+            let id = event.string("trace_id").expect("trace_id");
+            assert!(
+                !trace_events(addr, &format!("/trace?id={id}")).is_empty(),
+                "/requests line does not resolve: {line}"
+            );
+        }
+    }
+    assert!(collector.counter_value("telemetry.traces_evicted") >= Some(20));
+
+    handle.shutdown();
+    serving.join().expect("server thread");
+    telemetry::clear_sink();
+}
+
+/// The `traceEvents` of the Chrome trace document served at `target`.
+fn trace_events(addr: SocketAddr, target: &str) -> Vec<Value> {
+    let (status, doc) = http_get(addr, target).expect(target);
+    assert_eq!(status, 200, "{target}: {doc}");
+    let trace = json::parse(&doc).expect("/trace document is JSON");
+    trace.array("traceEvents").expect("traceEvents").to_vec()
 }
 
 fn counter_of(snapshot: &telemetry::Snapshot, name: &str) -> u64 {

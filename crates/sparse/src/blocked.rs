@@ -123,7 +123,7 @@ mod tests {
         coo.push(1, 2, 1.0);
         coo.push(2, 0, 0.2);
         coo.push(2, 2, 0.8);
-        coo.to_csr()
+        coo.into_csr()
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
         coo.push(0, 0, 1.0);
         coo.push(0, 2, 2.0);
         coo.push(1, 1, 3.0);
-        let a = coo.to_csr();
+        let a = coo.into_csr();
         let k = BlockedKernel::from_csr(&a);
         assert_eq!((k.rows(), k.cols()), (2, 3));
         let mut y = vec![0.0; 3];
@@ -169,7 +169,7 @@ mod tests {
             for &(r, c, v) in &triplets {
                 coo.push(r, c, v);
             }
-            let a = coo.to_csr();
+            let a = coo.into_csr();
             let k = BlockedKernel::from_csr(&a);
             let mut want = vec![0.0; 24];
             a.mul_vec_transpose_into(&x, &mut want);

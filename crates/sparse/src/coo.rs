@@ -18,7 +18,7 @@ use crate::CsrMatrix;
 /// let mut coo = CooMatrix::new(2, 2);
 /// coo.push(0, 1, 2.0);
 /// coo.push(0, 1, 3.0); // summed with the previous entry
-/// let csr = coo.to_csr();
+/// let csr = coo.into_csr();
 /// assert_eq!(csr.get(0, 1), 5.0);
 /// assert_eq!(csr.nnz(), 1);
 /// ```
@@ -77,9 +77,10 @@ impl CooMatrix {
     }
 
     /// Converts to compressed sparse row format, summing duplicates and
-    /// dropping entries that cancel to exactly zero.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut sorted = self.entries.clone();
+    /// dropping entries that cancel to exactly zero. The entry list is
+    /// sorted in place; a caller that needs the COO afterwards clones it.
+    pub fn into_csr(self) -> CsrMatrix {
+        let mut sorted = self.entries;
         sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
 
         let mut row_ptr = Vec::with_capacity(self.rows + 1);
@@ -145,7 +146,7 @@ mod tests {
     #[test]
     fn empty_matrix_has_no_entries() {
         let coo = CooMatrix::new(3, 4);
-        let csr = coo.to_csr();
+        let csr = coo.into_csr();
         assert_eq!(csr.rows(), 3);
         assert_eq!(csr.cols(), 4);
         assert_eq!(csr.nnz(), 0);
@@ -157,7 +158,7 @@ mod tests {
         coo.push(1, 0, 1.5);
         coo.push(1, 0, 2.5);
         coo.push(0, 0, 1.0);
-        let csr = coo.to_csr();
+        let csr = coo.into_csr();
         assert_eq!(csr.get(1, 0), 4.0);
         assert_eq!(csr.get(0, 0), 1.0);
         assert_eq!(csr.nnz(), 2);
@@ -168,14 +169,14 @@ mod tests {
         let mut coo = CooMatrix::new(1, 1);
         coo.push(0, 0, 1.0);
         coo.push(0, 0, -1.0);
-        assert_eq!(coo.to_csr().nnz(), 0);
+        assert_eq!(coo.into_csr().nnz(), 0);
     }
 
     #[test]
     fn zero_push_is_skipped() {
         let mut coo = CooMatrix::new(1, 1);
         coo.push(0, 0, 0.0);
-        assert_eq!(coo.to_csr().nnz(), 0);
+        assert_eq!(coo.into_csr().nnz(), 0);
     }
 
     #[test]
@@ -195,21 +196,21 @@ mod tests {
     fn extend_appends() {
         let mut coo = CooMatrix::new(2, 2);
         coo.extend(vec![(0, 0, 1.0), (1, 1, 2.0)]);
-        assert_eq!(coo.to_csr().nnz(), 2);
+        assert_eq!(coo.into_csr().nnz(), 2);
     }
 
     #[test]
     fn trailing_empty_rows_are_represented() {
         let mut coo = CooMatrix::new(4, 4);
         coo.push(0, 0, 1.0);
-        let csr = coo.to_csr();
+        let csr = coo.into_csr();
         assert_eq!(csr.rows(), 4);
         assert_eq!(csr.row(3).count(), 0);
     }
 
     proptest! {
         #[test]
-        fn to_csr_preserves_sums(
+        fn into_csr_preserves_sums(
             triplets in proptest::collection::vec(
                 (0usize..6, 0usize..6, -10.0..10.0f64), 0..50)
         ) {
@@ -217,7 +218,7 @@ mod tests {
             for &(r, c, v) in &triplets {
                 coo.push(r, c, v);
             }
-            let csr = coo.to_csr();
+            let csr = coo.into_csr();
             // Dense reference accumulation.
             let mut dense = [[0.0f64; 6]; 6];
             for &(r, c, v) in &triplets {
@@ -243,7 +244,7 @@ mod tests {
             for &(r, c, v) in triplets.iter().rev() {
                 b.push(r, c, v);
             }
-            let (ca, cb) = (a.to_csr(), b.to_csr());
+            let (ca, cb) = (a.into_csr(), b.into_csr());
             for r in 0..5 {
                 for c in 0..5 {
                     prop_assert!((ca.get(r, c) - cb.get(r, c)).abs() < 1e-12);

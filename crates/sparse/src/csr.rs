@@ -8,7 +8,7 @@ use crate::{CooMatrix, DenseMatrix, LinAlgError, Result};
 /// uniformization and power-iteration kernels repeatedly compute `xᵀ·A`
 /// (equivalently `Aᵀ·x`), which CSR supports with one pass over the data.
 ///
-/// Construct via [`CooMatrix::to_csr`] or [`CsrMatrix::from_dense`].
+/// Construct via [`CooMatrix::into_csr`] or [`CsrMatrix::from_dense`].
 ///
 /// # Example
 ///
@@ -19,7 +19,7 @@ use crate::{CooMatrix, DenseMatrix, LinAlgError, Result};
 /// coo.push(0, 0, 1.0);
 /// coo.push(0, 2, 2.0);
 /// coo.push(1, 1, 3.0);
-/// let a = coo.to_csr();
+/// let a = coo.into_csr();
 /// assert_eq!(a.mul_vec(&[1.0, 1.0, 1.0]), vec![3.0, 3.0]);
 /// assert_eq!(a.mul_vec_transpose(&[1.0, 1.0]), vec![1.0, 3.0, 2.0]);
 /// ```
@@ -35,7 +35,7 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Assembles a CSR matrix from raw parts.
     ///
-    /// Intended for use by [`CooMatrix::to_csr`]; asserts structural
+    /// Intended for use by [`CooMatrix::into_csr`]; asserts structural
     /// invariants in debug builds.
     pub(crate) fn from_raw_parts(
         rows: usize,
@@ -87,7 +87,7 @@ impl CsrMatrix {
                 coo.push(r, c, dense[(r, c)]);
             }
         }
-        coo.to_csr()
+        coo.into_csr()
     }
 
     /// Number of rows.
@@ -224,7 +224,7 @@ impl CsrMatrix {
         for (r, c, v) in self.iter() {
             coo.push(c, r, v);
         }
-        coo.to_csr()
+        coo.into_csr()
     }
 
     /// Per-row sums `Σ_c A[r, c]`.
@@ -347,7 +347,7 @@ mod tests {
         coo.push(0, 0, 1.0);
         coo.push(0, 2, 2.0);
         coo.push(1, 1, 3.0);
-        coo.to_csr()
+        coo.into_csr()
     }
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
     fn triplets_skip_empty_leading_rows() {
         let mut coo = CooMatrix::new(3, 3);
         coo.push(2, 2, 5.0);
-        let a = coo.to_csr();
+        let a = coo.into_csr();
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![(2, 2, 5.0)]);
     }
 
@@ -457,7 +457,7 @@ mod tests {
             for &(r, c, v) in &triplets {
                 coo.push(r, c, v);
             }
-            let a = coo.to_csr();
+            let a = coo.into_csr();
             let via_transpose_matrix = a.transpose().mul_vec(&x);
             let via_kernel = a.mul_vec_transpose(&x);
             for (u, v) in via_transpose_matrix.iter().zip(&via_kernel) {
@@ -475,7 +475,7 @@ mod tests {
             for &(r, c, v) in &triplets {
                 coo.push(r, c, v);
             }
-            let a = coo.to_csr();
+            let a = coo.into_csr();
             let d = a.to_dense();
             let ys = a.mul_vec(&x);
             for r in 0..4 {

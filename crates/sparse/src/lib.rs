@@ -28,7 +28,7 @@
 //! coo.push(0, 1, -1.0);
 //! coo.push(1, 0, -1.0);
 //! coo.push(1, 1, 2.0);
-//! let csr = coo.to_csr();
+//! let csr = coo.into_csr();
 //! let y = csr.mul_vec(&[1.0, 1.0]);
 //! assert_eq!(y, vec![1.0, 1.0]);
 //! assert!((vector::norm_l2(&y) - 2f64.sqrt()).abs() < 1e-15);

@@ -10,8 +10,9 @@
 //!   first time a name is seen) and then update plain atomics, so
 //!   concurrent emitters never contend with each other or with a
 //!   concurrent [`Collector::snapshot`];
-//! * finished spans are one list behind a short `Mutex` critical section (a
-//!   `Vec` push). Only the trace readers ([`Collector::spans`],
+//! * finished spans are kept whole in a ring of the newest [`TRACE_CAP`]
+//!   traces behind a short `Mutex` critical section (a push onto the
+//!   trace's entry). Only the trace readers ([`Collector::spans`],
 //!   [`Collector::trace_spans`], the Chrome export) take it; a snapshot
 //!   never does.
 //!
@@ -20,7 +21,7 @@
 //! a live `/metrics` endpoint, documented here so nobody builds invariants
 //! across metrics.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -28,7 +29,15 @@ use std::time::Instant;
 
 use crate::buckets::{bucket_bound, bucket_index, estimate_quantile, BUCKETS};
 use crate::json::{escape, fmt_f64};
-use crate::{ArgValue, SpanRecord};
+use crate::ArgValue;
+
+/// How many traces the collector keeps whole: a trace past the cap evicts
+/// the oldest one. `gsu-serve` sizes its `/requests` ring by the same cap,
+/// so each wide-event line it holds resolves on `/trace?id=`.
+pub const TRACE_CAP: usize = 256;
+
+/// The trace ring: `(trace id, spans in completion order)`, oldest first.
+type Traces = VecDeque<(u64, Vec<FinishedSpan>)>;
 
 /// An `f64` stored as bits in an `AtomicU64` (std has no `AtomicF64`).
 #[derive(Debug)]
@@ -203,7 +212,7 @@ pub struct HistogramSnapshot {
 ///
 /// Taken with [`Collector::snapshot`] — safe to call at any time, including
 /// while other threads are emitting. It reads the metric registries only,
-/// never the span list, so its cost does not grow with the spans recorded.
+/// never the trace ring, so its cost does not grow with the spans recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Counter values, sorted by name.
@@ -228,8 +237,6 @@ pub struct FinishedSpan {
     pub dur_us: u64,
     /// Per-thread index.
     pub tid: u64,
-    /// Nesting depth on its thread (0 = root).
-    pub depth: usize,
     /// Trace id shared by every span in the same request/run tree.
     pub trace_id: u64,
     /// Unique id of this span.
@@ -241,7 +248,7 @@ pub struct FinishedSpan {
 }
 
 /// The global telemetry destination: thread-safe in-memory aggregation
-/// with concurrent snapshots, the span list, and its Chrome trace export.
+/// with concurrent snapshots, the trace ring, and its Chrome trace export.
 #[derive(Debug)]
 pub struct Collector {
     epoch: Instant,
@@ -249,9 +256,9 @@ pub struct Collector {
     gauges: Registry<AtomicF64>,
     histograms: Registry<AtomicHistogram>,
     // Running per-name span durations (µs), updated as each span closes, so
-    // a snapshot never reads the span list.
+    // a snapshot never reads the trace ring.
     span_stats: Registry<AtomicHistogram>,
-    spans: Mutex<Vec<FinishedSpan>>,
+    traces: Mutex<Traces>,
 }
 
 impl Default for Collector {
@@ -269,7 +276,7 @@ impl Collector {
             gauges: Registry::new(),
             histograms: Registry::new(),
             span_stats: Registry::new(),
-            spans: Mutex::new(Vec::new()),
+            traces: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -280,10 +287,10 @@ impl Collector {
         collector
     }
 
-    fn lock_spans(&self) -> std::sync::MutexGuard<'_, Vec<FinishedSpan>> {
-        // A panic while holding the push below cannot leave the list torn;
+    fn lock_traces(&self) -> std::sync::MutexGuard<'_, Traces> {
+        // A panic while holding the push below cannot leave the ring torn;
         // keep collecting.
-        self.spans.lock().unwrap_or_else(|e| e.into_inner())
+        self.traces.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Current value of counter `name`.
@@ -301,9 +308,14 @@ impl Collector {
         self.histograms.get(name).map(|h| h.snapshot())
     }
 
-    /// All completed spans, in completion order.
+    /// The spans of every retained trace: oldest trace first, each trace's
+    /// spans in completion order.
     pub fn spans(&self) -> Vec<FinishedSpan> {
-        self.lock_spans().clone()
+        self.lock_traces()
+            .iter()
+            .flat_map(|(_, spans)| spans)
+            .cloned()
+            .collect()
     }
 
     /// Takes a point-in-time [`Snapshot`] of every aggregate.
@@ -311,7 +323,7 @@ impl Collector {
     /// Callable concurrently with emitting threads: registries are read
     /// under shared locks and the values are plain atomic loads, so a
     /// snapshot never blocks (or is blocked by) emission, nor by a reader
-    /// of the span list — this is what lets `gsu-serve` answer `/metrics`
+    /// of the trace ring — this is what lets `gsu-serve` answer `/metrics`
     /// in the middle of a φ-sweep at a cost independent of its uptime.
     pub fn snapshot(&self) -> Snapshot {
         let histograms = |registry: &Registry<AtomicHistogram>| {
@@ -341,74 +353,34 @@ impl Collector {
 
     /// Every span belonging to trace `trace_id`, in completion order. The
     /// parent links (`parent_id`) reconstruct the request's span tree
-    /// exactly; an empty result means the trace is unknown (or recorded
-    /// nothing).
+    /// exactly; an empty result means the trace is unknown, evicted, or
+    /// recorded nothing.
     pub fn trace_spans(&self, trace_id: u64) -> Vec<FinishedSpan> {
-        self.lock_spans()
-            .iter()
-            .filter(|s| s.trace_id == trace_id)
-            .cloned()
-            .collect()
+        find_trace(&self.lock_traces(), trace_id)
+            .map(<[FinishedSpan]>::to_vec)
+            .unwrap_or_default()
     }
 
-    fn us_since_epoch(&self, t: Instant) -> u64 {
+    pub(crate) fn us_since_epoch(&self, t: Instant) -> u64 {
         t.checked_duration_since(self.epoch)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0)
     }
 
     /// Renders the Chrome `trace_event` document (`{"traceEvents": [...]}`,
-    /// complete "X" events) loadable in Perfetto or `chrome://tracing`.
-    /// Every event's `args` carries `trace_id` (hex), `span_id`, and
-    /// `parent_id`, so the span tree survives the export (and `gsu-bench
-    /// profile` rebuilds it from exactly these fields).
+    /// complete "X" events) of every retained trace, oldest first, loadable
+    /// in Perfetto or `chrome://tracing`. Every event's `args` carries
+    /// `trace_id` (hex), `span_id`, and `parent_id`, so the span tree
+    /// survives the export (and `gsu-bench profile` rebuilds it from exactly
+    /// these fields).
     pub fn chrome_trace_json(&self) -> String {
-        self.render_chrome_trace(None)
+        render_chrome_trace(self.lock_traces().iter().flat_map(|(_, spans)| spans))
     }
 
-    /// Like [`Collector::chrome_trace_json`] but restricted to the spans of
-    /// one trace — the document behind `gsu-serve /trace?id=`.
+    /// Like [`Collector::chrome_trace_json`] but for the spans of one trace
+    /// — the document behind `gsu-serve /trace?id=`.
     pub fn chrome_trace_json_for(&self, trace_id: u64) -> String {
-        self.render_chrome_trace(Some(trace_id))
-    }
-
-    fn render_chrome_trace(&self, only_trace: Option<u64>) -> String {
-        let spans = self.lock_spans();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        for s in spans.iter() {
-            if only_trace.is_some_and(|t| s.trace_id != t) {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"gsu\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{}",
-                escape(&s.name),
-                s.start_us,
-                s.dur_us,
-                s.tid
-            ));
-            out.push_str(&format!(
-                ",\"args\":{{\"trace_id\":\"{:016x}\",\"span_id\":{},\"parent_id\":{}",
-                s.trace_id, s.span_id, s.parent_id
-            ));
-            for (k, v) in &s.args {
-                out.push_str(&format!(",\"{}\":", escape(k)));
-                match v {
-                    ArgValue::F64(x) => out.push_str(&fmt_f64(*x)),
-                    ArgValue::U64(x) => out.push_str(&x.to_string()),
-                    ArgValue::Str(x) => out.push_str(&format!("\"{}\"", escape(x))),
-                }
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        render_chrome_trace(find_trace(&self.lock_traces(), trace_id).unwrap_or_default())
     }
 
     /// Writes [`Collector::chrome_trace_json`] to `path`, creating parent
@@ -442,25 +414,67 @@ impl Collector {
             .observe(value);
     }
 
-    pub(crate) fn record_span(&self, span: SpanRecord) {
-        let start_us = self.us_since_epoch(span.start);
-        let dur_us = self.us_since_epoch(span.end).saturating_sub(start_us);
+    /// Adds a closed span to its trace's entry, opening an entry (and
+    /// evicting the oldest trace past [`TRACE_CAP`]) for a new trace id.
+    pub(crate) fn record_span(&self, span: FinishedSpan) {
         self.span_stats
             .get_or_insert(&span.name, AtomicHistogram::new)
-            .observe(dur_us as f64);
-        let finished = FinishedSpan {
-            name: span.name,
-            start_us,
-            dur_us,
-            tid: span.tid,
-            depth: span.depth,
-            trace_id: span.trace_id,
-            span_id: span.span_id,
-            parent_id: span.parent_id,
-            args: span.args,
-        };
-        self.lock_spans().push(finished);
+            .observe(span.dur_us as f64);
+        let mut traces = self.lock_traces();
+        if let Some((_, spans)) = traces.iter_mut().rev().find(|(id, _)| *id == span.trace_id) {
+            spans.push(span);
+            return;
+        }
+        let evicted = (traces.len() >= TRACE_CAP).then(|| traces.pop_front());
+        traces.push_back((span.trace_id, vec![span]));
+        drop(traces);
+        if evicted.is_some() {
+            self.counter_add("telemetry.traces_evicted", 1);
+        }
     }
+}
+
+/// The spans of trace `trace_id`, searched from the newest end of the ring.
+fn find_trace(traces: &Traces, trace_id: u64) -> Option<&[FinishedSpan]> {
+    traces
+        .iter()
+        .rev()
+        .find(|(id, _)| *id == trace_id)
+        .map(|(_, spans)| spans.as_slice())
+}
+
+/// The one Chrome `trace_event` renderer behind both exports.
+fn render_chrome_trace<'a>(spans: impl IntoIterator<Item = &'a FinishedSpan>) -> String {
+    let mut out = String::with_capacity(4096);
+    out.push_str("{\"traceEvents\":[");
+    for (i, s) in spans.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"name\":\"{}\",\"cat\":\"gsu\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+             \"pid\":1,\"tid\":{}",
+            escape(&s.name),
+            s.start_us,
+            s.dur_us,
+            s.tid
+        ));
+        out.push_str(&format!(
+            ",\"args\":{{\"trace_id\":\"{:016x}\",\"span_id\":{},\"parent_id\":{}",
+            s.trace_id, s.span_id, s.parent_id
+        ));
+        for (k, v) in &s.args {
+            out.push_str(&format!(",\"{}\":", escape(k)));
+            match v {
+                ArgValue::F64(x) => out.push_str(&fmt_f64(*x)),
+                ArgValue::U64(x) => out.push_str(&x.to_string()),
+                ArgValue::Str(x) => out.push_str(&format!("\"{}\"", escape(x))),
+            }
+        }
+        out.push_str("}}");
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
 }
 
 impl Snapshot {
@@ -478,13 +492,13 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    fn span_record(name: &str, start: Instant, dur_us: u64) -> SpanRecord {
-        SpanRecord {
+    /// A root span of trace 1 lasting `dur_us`.
+    fn span(name: &str, dur_us: u64) -> FinishedSpan {
+        FinishedSpan {
             name: name.to_string(),
-            start,
-            end: start + Duration::from_micros(dur_us),
+            start_us: 0,
+            dur_us,
             tid: 1,
-            depth: 0,
             trace_id: 1,
             span_id: 1,
             parent_id: 0,
@@ -507,9 +521,10 @@ mod tests {
     #[test]
     fn escaping_reaches_exports() {
         let c = Collector::new();
-        let mut span = span_record("weird\"name\\", Instant::now(), 3);
-        span.args = vec![("line".to_string(), ArgValue::Str("a\nb".to_string()))];
-        c.record_span(span);
+        c.record_span(FinishedSpan {
+            args: vec![("line".to_string(), ArgValue::Str("a\nb".to_string()))],
+            ..span("weird\"name\\", 3)
+        });
         let doc = parse(&c.chrome_trace_json()).expect("Chrome trace is JSON");
         let events = doc.array("traceEvents").unwrap();
         assert_eq!(events[0].string("name"), Ok("weird\"name\\"));
@@ -549,9 +564,8 @@ mod tests {
     #[test]
     fn span_aggregates_stay_exact_over_many_spans() {
         let c = Collector::new();
-        let start = Instant::now();
         for dur_us in 1..=10_000u64 {
-            c.record_span(span_record("many", start, dur_us));
+            c.record_span(span("many", dur_us));
         }
         let snap = c.snapshot();
         let (name, s) = &snap.spans[0];
@@ -579,16 +593,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_does_not_wait_for_the_span_list() {
+    fn snapshot_does_not_wait_for_the_trace_ring() {
         let c = Arc::new(Collector::new());
-        c.record_span(span_record("held", Instant::now(), 5));
-        let held = c.lock_spans();
+        c.record_span(span("held", 5));
+        let held = c.lock_traces();
         let (tx, rx) = std::sync::mpsc::channel();
         let reader = Arc::clone(&c);
         let scraper = std::thread::spawn(move || tx.send(reader.snapshot()).unwrap());
         let snap = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("snapshot blocked on the span list");
+            .expect("snapshot blocked on the trace ring");
         assert_eq!(snap.spans[0].1.count, 1);
         drop(held);
         scraper.join().unwrap();
@@ -597,12 +611,11 @@ mod tests {
     #[test]
     fn trace_spans_filter_and_chrome_export_carry_ids() {
         let c = Collector::new();
-        let now = Instant::now();
-        let mk = |name: &str, trace_id: u64, span_id: u64, parent_id: u64| SpanRecord {
+        let mk = |name: &str, trace_id: u64, span_id: u64, parent_id: u64| FinishedSpan {
             trace_id,
             span_id,
             parent_id,
-            ..span_record(name, now, 0)
+            ..span(name, 0)
         };
         c.record_span(mk("a.root", 7, 10, 0));
         let mut child = mk("a.child", 7, 11, 10);
@@ -643,6 +656,59 @@ mod tests {
         assert_eq!(args.num("residual"), Ok(1e-13));
         assert_eq!(args.uint("parent_id"), Ok(10));
         assert_eq!(c.snapshot().spans.len(), 3);
+    }
+
+    #[test]
+    fn trace_ring_keeps_the_newest_traces_whole() {
+        let c = Collector::new();
+        let traces = 10 * TRACE_CAP as u64;
+        for trace_id in 1..=traces {
+            c.record_span(FinishedSpan {
+                trace_id,
+                span_id: trace_id,
+                ..span("one", 1)
+            });
+        }
+        // A three-span trace closes leaf first, root last.
+        let last = traces + 1;
+        let (root, mid, leaf) = (last, last + 1, last + 2);
+        for (name, span_id, parent_id) in
+            [("leaf", leaf, mid), ("mid", mid, root), ("root", root, 0)]
+        {
+            c.record_span(FinishedSpan {
+                trace_id: last,
+                span_id,
+                parent_id,
+                ..span(name, 1)
+            });
+        }
+        let spans = c.spans();
+        assert_eq!(spans.len(), TRACE_CAP + 2);
+        // Oldest retained trace first, the three-span trace last.
+        assert_eq!(spans[0].trace_id, traces + 2 - TRACE_CAP as u64);
+        assert_eq!(
+            c.counter_value("telemetry.traces_evicted"),
+            Some(9 * TRACE_CAP as u64 + 1)
+        );
+        assert!(c.trace_spans(1).is_empty());
+        let doc = parse(&c.chrome_trace_json_for(1)).expect("Chrome trace is JSON");
+        assert!(doc.array("traceEvents").unwrap().is_empty());
+        let tree = c.trace_spans(last);
+        let names: Vec<&str> = tree.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["leaf", "mid", "root"]);
+        for s in &tree {
+            assert!(
+                s.parent_id == 0 || tree.iter().any(|p| p.span_id == s.parent_id),
+                "orphaned span {}",
+                s.name
+            );
+        }
+        let tail: Vec<u64> = spans[TRACE_CAP - 1..].iter().map(|s| s.span_id).collect();
+        assert_eq!(tail, [leaf, mid, root]);
+        // The aggregates still count every span ever closed.
+        let snap = c.snapshot();
+        let one = snap.spans.iter().find(|(name, _)| name == "one").unwrap();
+        assert_eq!(one.1.count, traces);
     }
 
     #[test]

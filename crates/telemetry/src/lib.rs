@@ -12,9 +12,10 @@
 //! * [`Snapshot::prometheus_text`] — the running aggregates (counters,
 //!   gauges, histograms, per-name span durations) as a Prometheus text
 //!   exposition, what `gsu-serve /metrics` serves, and
-//! * [`Collector::chrome_trace_json`] — every finished span as a Chrome
-//!   `trace_event` document loadable in Perfetto / `chrome://tracing`, with
-//!   spans nested per thread (`trace.json` in the bench harness).
+//! * [`Collector::chrome_trace_json`] — the spans of the newest
+//!   [`TRACE_CAP`] traces as a Chrome `trace_event` document loadable in
+//!   Perfetto / `chrome://tracing`, with spans nested per thread
+//!   (`trace.json` in the bench harness).
 //!
 //! Dependency policy: this crate is **pure `std`** (`Instant`, atomics, a
 //! `Mutex`-guarded global collector). The crates.io registry is unreachable
@@ -55,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use collector::{Collector, FinishedSpan, HistogramSnapshot, Snapshot};
+pub use collector::{Collector, FinishedSpan, HistogramSnapshot, Snapshot, TRACE_CAP};
 pub use diag::SolveDiag;
 pub use log::{
     init_log_from_env, log_enabled, log_event, log_level, set_log_level, set_log_writer,
@@ -104,29 +105,6 @@ impl From<String> for ArgValue {
     }
 }
 
-/// A completed span as handed to the collector.
-#[derive(Debug, Clone)]
-pub(crate) struct SpanRecord {
-    /// Span name.
-    pub name: String,
-    /// Start instant.
-    pub start: Instant,
-    /// End instant.
-    pub end: Instant,
-    /// Small per-thread index (dense, assigned on first span per thread).
-    pub tid: u64,
-    /// Nesting depth on its thread at the time the span opened (0 = root).
-    pub depth: usize,
-    /// Trace id shared by every span in the same request/run tree.
-    pub trace_id: u64,
-    /// Unique id of this span (process-global, never reused).
-    pub span_id: u64,
-    /// Span id of the enclosing span, or 0 for a trace root.
-    pub parent_id: u64,
-    /// Arguments recorded on the span.
-    pub args: Vec<(String, ArgValue)>,
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<Arc<Collector>>> = Mutex::new(None);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -134,7 +112,6 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    static DEPTH: Cell<usize> = const { Cell::new(0) };
     static TID: Cell<u64> = const { Cell::new(0) };
     static CONTEXT: Cell<TraceContext> = const {
         Cell::new(TraceContext { trace_id: 0, span_id: 0 })
@@ -287,9 +264,9 @@ fn current_tid() -> u64 {
 }
 
 /// Opens a span named `name`; the span closes (and is recorded) when the
-/// returned guard drops. Nesting is tracked per thread — a span opened while
-/// another is live on the same thread records a larger depth and renders
-/// nested in the Chrome trace.
+/// returned guard drops. Nesting is tracked per thread through the trace
+/// context — a span opened while another is live on the same thread
+/// records that span as its parent and renders nested in the Chrome trace.
 ///
 /// When no collector is installed (and `debug` logging is off) this returns
 /// an inert guard at the cost of two atomic loads. With `GSU_LOG=debug` the
@@ -300,11 +277,6 @@ pub fn span(name: &str) -> SpanGuard {
         return SpanGuard { inner: None };
     }
     let ctx = TraceContext::current();
-    let depth = DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth
-    });
     let trace_id = if ctx.trace_id != 0 {
         ctx.trace_id
     } else {
@@ -314,29 +286,28 @@ pub fn span(name: &str) -> SpanGuard {
     let prev_context = CONTEXT.with(|c| c.replace(TraceContext { trace_id, span_id }));
     SpanGuard {
         inner: Some(SpanInner {
-            name: name.to_string(),
+            span: FinishedSpan {
+                name: name.to_string(),
+                start_us: 0,
+                dur_us: 0,
+                tid: current_tid(),
+                trace_id,
+                span_id,
+                parent_id: ctx.span_id,
+                args: Vec::new(),
+            },
             start: Instant::now(),
-            tid: current_tid(),
-            depth,
-            trace_id,
-            span_id,
-            parent_id: ctx.span_id,
             prev_context,
-            args: Vec::new(),
         }),
     }
 }
 
+/// An open span: the span as it will be recorded (its times are set when
+/// it closes), its start instant, and the context to restore.
 struct SpanInner {
-    name: String,
+    span: FinishedSpan,
     start: Instant,
-    tid: u64,
-    depth: usize,
-    trace_id: u64,
-    span_id: u64,
-    parent_id: u64,
     prev_context: TraceContext,
-    args: Vec<(String, ArgValue)>,
 }
 
 /// RAII guard for an open span; see [`span`].
@@ -348,7 +319,7 @@ impl SpanGuard {
     /// Attaches an argument to the span (a no-op on an inert guard).
     pub fn record(&mut self, key: &str, value: impl Into<ArgValue>) {
         if let Some(inner) = self.inner.as_mut() {
-            inner.args.push((key.to_string(), value.into()));
+            inner.span.args.push((key.to_string(), value.into()));
         }
     }
 
@@ -356,39 +327,35 @@ impl SpanGuard {
     /// an inert guard.
     pub fn context(&self) -> Option<TraceContext> {
         self.inner.as_ref().map(|inner| TraceContext {
-            trace_id: inner.trace_id,
-            span_id: inner.span_id,
+            trace_id: inner.span.trace_id,
+            span_id: inner.span.span_id,
         })
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-            CONTEXT.with(|c| c.set(inner.prev_context));
+        if let Some(SpanInner {
+            mut span,
+            start,
+            prev_context,
+        }) = self.inner.take()
+        {
+            CONTEXT.with(|c| c.set(prev_context));
             let end = Instant::now();
             if log_enabled(Level::Debug) {
-                let dur_us = end.duration_since(inner.start).as_micros() as u64;
+                let dur_us = end.duration_since(start).as_micros() as u64;
                 log_event(
                     Level::Debug,
                     "telemetry.span",
-                    &inner.name,
+                    &span.name,
                     &[("dur_us", ArgValue::U64(dur_us))],
                 );
             }
-            with_sink(|s| {
-                s.record_span(SpanRecord {
-                    name: inner.name,
-                    start: inner.start,
-                    end,
-                    tid: inner.tid,
-                    depth: inner.depth,
-                    trace_id: inner.trace_id,
-                    span_id: inner.span_id,
-                    parent_id: inner.parent_id,
-                    args: inner.args,
-                })
+            with_sink(|c| {
+                span.start_us = c.us_since_epoch(start);
+                span.dur_us = c.us_since_epoch(end).saturating_sub(span.start_us);
+                c.record_span(span);
             });
         }
     }
@@ -397,7 +364,7 @@ impl Drop for SpanGuard {
 impl std::fmt::Debug for SpanGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(inner) => write!(f, "SpanGuard({:?}, depth {})", inner.name, inner.depth),
+            Some(inner) => write!(f, "SpanGuard({:?})", inner.span.name),
             None => write!(f, "SpanGuard(inert)"),
         }
     }
@@ -477,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn span_nesting_depths_and_order() {
+    fn span_nesting_parents_and_order() {
         with_collector(|c| {
             {
                 let mut outer = span("outer");
@@ -495,13 +462,8 @@ mod tests {
             // Spans finish innermost-first.
             let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
             assert_eq!(names, ["inner1", "innermost", "inner2", "outer"]);
-            let depth_of = |n: &str| spans.iter().find(|s| s.name == n).unwrap().depth;
-            assert_eq!(depth_of("outer"), 0);
-            assert_eq!(depth_of("inner1"), 1);
-            assert_eq!(depth_of("inner2"), 1);
-            assert_eq!(depth_of("innermost"), 2);
             // All four spans share the trace minted at "outer", and parent
-            // links reconstruct the same tree the depths suggest.
+            // links reconstruct the tree.
             let of = |n: &str| spans.iter().find(|s| s.name == n).unwrap();
             let outer = of("outer");
             assert_ne!(outer.trace_id, 0);

@@ -208,12 +208,11 @@ mod tests {
     #[test]
     fn span_families_carry_labels() {
         let c = Collector::new();
-        c.record_span(crate::SpanRecord {
+        c.record_span(crate::FinishedSpan {
             name: "performability.evaluate".into(),
-            start: std::time::Instant::now(),
-            end: std::time::Instant::now(),
+            start_us: 0,
+            dur_us: 0,
             tid: 1,
-            depth: 0,
             trace_id: 1,
             span_id: 1,
             parent_id: 0,
