@@ -89,10 +89,23 @@ pub fn build(params: &GsuParams) -> san::Result<Rmgd> {
 
 /// Builds the guarded-operation dependability model of a family member.
 ///
+/// With more than one escort, each escort's `(P{i+2}ctn, dirty bit[,
+/// P{i+2}aged])` tuple is declared a replica
+/// ([`SanModel::add_replica_group`]), so the model generates as its
+/// symmetric quotient: every gate, rate, case and reward of the net is
+/// symmetric in the escorts, and its measures read only `detected` and
+/// `failure`.
+///
 /// # Errors
 ///
 /// Fails on rates the SAN rejects.
 pub fn build_family(params: &GsuParams, family: &Family) -> san::Result<Rmgd> {
+    build_net(params, family, true)
+}
+
+/// The net of [`build_family`]; with `replicas` false no replica group is
+/// declared, and the model generates every escort permutation.
+pub(crate) fn build_net(params: &GsuParams, family: &Family, replicas: bool) -> san::Result<Rmgd> {
     let n = family.escorts;
     let lambda = params.lambda;
     let p_ext = params.p_ext;
@@ -369,6 +382,17 @@ pub fn build_family(params: &GsuParams, family: &Family) -> san::Result<Rmgd> {
                 .with_case(Case::with_probability(p_ext).with_output_gate(og_fail))
                 .with_case(Case::with_probability(1.0 - p_ext).with_output_gate(og_escort_norm)),
         )?;
+    }
+
+    if replicas && n > 1 {
+        let tuples: Vec<Vec<PlaceId>> = (0..n)
+            .map(|i| {
+                let mut tuple = vec![escort_ctn[i], escort_dirty[i]];
+                tuple.extend(aged.get(i));
+                tuple
+            })
+            .collect();
+        m.add_replica_group(&tuples)?;
     }
 
     Ok(Rmgd {

@@ -60,12 +60,27 @@ pub fn build(params: &GsuParams, mu_first: f64) -> san::Result<Rmnd> {
 }
 
 /// Builds the normal-mode model of a family member: the first component
-/// manifests faults at `mu_first`, every escort at µ_old.
+/// manifests faults at `mu_first`, every escort at µ_old. With more than
+/// one escort, the escorts' `P{i+2}ctn` places are declared replicas
+/// ([`SanModel::add_replica_group`]): the net and its `failure` reward are
+/// symmetric in the escorts, so the model generates as its symmetric
+/// quotient.
 ///
 /// # Errors
 ///
 /// Fails on rates the SAN rejects.
 pub fn build_family(params: &GsuParams, family: &Family, mu_first: f64) -> san::Result<Rmnd> {
+    build_net(params, family, mu_first, true)
+}
+
+/// The net of [`build_family`]; with `replicas` false no replica group is
+/// declared, and the model generates every escort permutation.
+pub(crate) fn build_net(
+    params: &GsuParams,
+    family: &Family,
+    mu_first: f64,
+    replicas: bool,
+) -> san::Result<Rmnd> {
     let n = family.escorts;
     let lambda = params.lambda;
     let p_ext = params.p_ext;
@@ -117,6 +132,11 @@ pub fn build_family(params: &GsuParams, family: &Family, mu_first: f64) -> san::
             );
         }
         m.add_activity(msg)?;
+    }
+
+    if replicas && n > 1 {
+        let tuples: Vec<Vec<PlaceId>> = ctn[1..].iter().map(|&c| vec![c]).collect();
+        m.add_replica_group(&tuples)?;
     }
 
     Ok(Rmnd {

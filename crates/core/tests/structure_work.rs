@@ -7,14 +7,18 @@
 //!   perturbed builds refresh all 56 of their models from it but one:
 //!   the coverage-high variant clamps coverage to 1, which removes the AT's
 //!   miss cases from `RMGd`, so that refresh declines and `RMGd` is
-//!   generated cold.
+//!   generated cold;
+//! * each generation records its `replica_groups`: none on the paper's
+//!   models, one on `RMGd` and `RMNd` with two escorts (their symmetric
+//!   quotients).
 //!
 //! Kept in a test binary of its own: the telemetry sink is process-global,
 //! so no other build may run beside the ones being counted.
 
+use performability::gsu::Family;
 use performability::sensitivity::local_sensitivity;
 use performability::{GsuAnalysis, GsuParams};
-use telemetry::Collector;
+use telemetry::{ArgValue, Collector};
 
 /// `(san.generate spans, san.refresh spans, san.generations,
 /// san.refreshes)` recorded by `work`.
@@ -53,6 +57,38 @@ fn each_structure_is_generated_once() {
     // refresh attempts: the base build's 1 and the 14 variants' 56, of
     // which one (coverage-high RMGd) declines.
     assert_eq!(tornado, (4, 57, 4, 56), "local_sensitivity");
+
+    // Each generation records its replica groups: the paper's models
+    // declare none, two escorts make `RMGd` and `RMNd` symmetric quotients.
+    let replica_groups = || -> Vec<(String, u64)> {
+        let arg = |span: &telemetry::FinishedSpan, key: &str| {
+            span.args
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        collector
+            .spans()
+            .iter()
+            .filter(|s| s.name == "san.generate")
+            .map(|s| match (arg(s, "model"), arg(s, "replica_groups")) {
+                (Some(ArgValue::Str(model)), Some(ArgValue::U64(groups))) => (model, groups),
+                other => panic!("san.generate args {other:?}"),
+            })
+            .collect()
+    };
+    assert!(replica_groups().iter().all(|(_, groups)| *groups == 0));
+    let seen = replica_groups().len();
+    let family = Family {
+        escorts: 2,
+        ..Family::paper(&params).unwrap()
+    };
+    GsuAnalysis::from_family(params, &family).unwrap();
+    let named = |model: &str, groups: u64| (model.to_string(), groups);
+    assert_eq!(
+        replica_groups()[seen..],
+        [named("RMGp", 0), named("RMGd", 1), named("RMNd", 1)]
+    );
 
     telemetry::clear_sink();
 }

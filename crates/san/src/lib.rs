@@ -16,6 +16,9 @@
 //!   ([`StateSpace`]), and its recorded [`Derivation`], which rebuilds the
 //!   space of the same structure with other numbers without exploring it
 //!   again;
+//! * **Replica groups** ([`SanModel::add_replica_group`]), UltraSAN's
+//!   `Rep`: tuples of places that permute together, generated as the
+//!   symmetric quotient (each tangible marking in canonical form);
 //! * **Predicate-rate reward structures** ([`RewardSpec`]) in the UltraSAN
 //!   style used by Tables 1 and 2 of the paper, mapped onto the generated
 //!   chain;

@@ -88,6 +88,10 @@ impl Marking {
     pub fn as_slice(&self) -> &[u32] {
         &self.tokens
     }
+
+    pub(crate) fn tokens_mut(&mut self) -> &mut [u32] {
+        &mut self.tokens
+    }
 }
 
 impl fmt::Display for Marking {

@@ -308,6 +308,55 @@ impl fmt::Debug for Activity {
     }
 }
 
+/// Tuples of places that permute together: replicas of one submodel, as
+/// declared by [`SanModel::add_replica_group`].
+#[derive(Clone)]
+pub(crate) struct ReplicaGroup {
+    /// Places per tuple, at least one.
+    width: usize,
+    /// The tuples' place indices, tuple after tuple.
+    places: Vec<usize>,
+}
+
+impl ReplicaGroup {
+    /// Sorts the group's tuples of `tokens` into ascending lexicographic
+    /// order, in place: the canonical member of the marking's orbit under
+    /// permutations of the tuples. An insertion sort, since groups are
+    /// small and the tuples arrive nearly sorted.
+    fn canonicalize(&self, tokens: &mut [u32]) {
+        let w = self.width;
+        let tuple = |k: usize| &self.places[k * w..(k + 1) * w];
+        for i in 1..self.places.len() / w {
+            let mut j = i;
+            while j > 0
+                && tuple(j - 1)
+                    .iter()
+                    .map(|&p| tokens[p])
+                    .cmp(tuple(j).iter().map(|&p| tokens[p]))
+                    .is_gt()
+            {
+                for (&a, &b) in tuple(j - 1).iter().zip(tuple(j)) {
+                    tokens.swap(a, b);
+                }
+                j -= 1;
+            }
+        }
+    }
+}
+
+/// Puts `marking` into the canonical form of `groups`: each group's tuples
+/// sorted in place, without allocating.
+///
+/// # Panics
+///
+/// Panics if `marking` has fewer places than a group names.
+pub(crate) fn canonicalize(groups: &[ReplicaGroup], marking: &mut Marking) {
+    let tokens = marking.tokens_mut();
+    for group in groups {
+        group.canonicalize(tokens);
+    }
+}
+
 /// A stochastic activity network model.
 ///
 /// Create places and gates first, then add activities referencing them. See
@@ -318,6 +367,7 @@ pub struct SanModel {
     pub(crate) activities: Vec<Activity>,
     pub(crate) input_gates: Vec<InputGateDef>,
     pub(crate) output_gates: Vec<OutputGateDef>,
+    pub(crate) replicas: Vec<ReplicaGroup>,
 }
 
 impl SanModel {
@@ -329,6 +379,7 @@ impl SanModel {
             activities: Vec::new(),
             input_gates: Vec::new(),
             output_gates: Vec::new(),
+            replicas: Vec::new(),
         }
     }
 
@@ -426,6 +477,73 @@ impl SanModel {
         }
         self.activities.push(activity);
         Ok(ActivityId(self.activities.len() - 1))
+    }
+
+    /// Declares `tuples` as replicas: tuples of places that permute
+    /// together, one tuple per replica of a submodel, in the same order of
+    /// roles (UltraSAN's `Rep`).
+    ///
+    /// [`StateSpace::generate`](crate::StateSpace::generate) then generates
+    /// the symmetric quotient (Sanders & Meyer's *reduced base model*): it
+    /// puts every tangible marking into canonical form, each group's tuples
+    /// sorted ascending, before numbering it, and sums the rates that land
+    /// on one canonical marking. Markings that differ only by a permutation
+    /// of the tuples become one state.
+    ///
+    /// The quotient is exact only under this contract, which the caller
+    /// keeps and the generator does not check: every enabling predicate,
+    /// gate predicate and function, rate, case probability, instantaneous
+    /// weight and reward predicate read off the space must be invariant
+    /// under permuting the tuples, so the chain is strongly lumpable by
+    /// the permutation. No reward may name one replica alone (the paper's
+    /// `P2` `dirty_bit` is one escort's, so a model with several escorts
+    /// measures escorts only through symmetric functions of all of them).
+    /// The states' markings are the canonical representatives, so the
+    /// structural reports ([`crate::structural`]) read representatives.
+    /// Simulation ([`crate::simulate`]) keeps firing the full net.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SanError::InvalidModel`] when a tuple is empty or differs
+    /// in width from the first, a place is unknown, a place appears twice
+    /// in the group, or a place belongs to a group declared before.
+    pub fn add_replica_group(&mut self, tuples: &[Vec<PlaceId>]) -> Result<()> {
+        let width = tuples.first().map_or(1, Vec::len);
+        let invalid = |context: String| Err(SanError::InvalidModel { context });
+        let mut places = Vec::with_capacity(width * tuples.len());
+        for tuple in tuples {
+            if tuple.is_empty() || tuple.len() != width {
+                return invalid(format!(
+                    "replica group of width {width} has a tuple of width {}",
+                    tuple.len()
+                ));
+            }
+            for &p in tuple {
+                if p.0 >= self.places.len() {
+                    return invalid(format!("replica group names unknown place #{}", p.0));
+                }
+                if places.contains(&p.0) {
+                    return invalid(format!(
+                        "replica group names place '{}' twice",
+                        self.places[p.0].name
+                    ));
+                }
+                if self.replicas.iter().any(|g| g.places.contains(&p.0)) {
+                    return invalid(format!(
+                        "place '{}' is already in another replica group",
+                        self.places[p.0].name
+                    ));
+                }
+                places.push(p.0);
+            }
+        }
+        self.replicas.push(ReplicaGroup { width, places });
+        Ok(())
+    }
+
+    /// Number of declared replica groups.
+    pub fn n_replica_groups(&self) -> usize {
+        self.replicas.len()
     }
 
     /// Number of places.
@@ -536,7 +654,8 @@ impl SanModel {
     /// place's name and initial tokens; the gate names; and for each
     /// activity its name, kind and priority (not its weight), its number of
     /// enabling predicates, its input arcs and gates, and for each case its
-    /// output arcs and gates (not its probability). Two models that walk
+    /// output arcs and gates (not its probability); then its replica
+    /// groups. Two models that walk
     /// alike differ at most in rates, case probabilities, instantaneous
     /// weights and what their closures compute.
     pub(crate) fn visit_shape(&self, visit: &mut impl FnMut(ShapeToken<'_>)) {
@@ -588,6 +707,14 @@ impl SanModel {
                 }
             }
         }
+        visit(Number(self.replicas.len()));
+        for group in &self.replicas {
+            visit(Number(group.width));
+            visit(Number(group.places.len()));
+            for &p in &group.places {
+                visit(Number(p));
+            }
+        }
     }
 }
 
@@ -607,6 +734,7 @@ impl fmt::Debug for SanModel {
             .field("activities", &self.activities.len())
             .field("input_gates", &self.input_gates.len())
             .field("output_gates", &self.output_gates.len())
+            .field("replica_groups", &self.replicas.len())
             .finish()
     }
 }
@@ -727,6 +855,44 @@ mod tests {
                 weight: 2.0
             }
         );
+    }
+
+    #[test]
+    fn replica_groups_are_validated() {
+        let mut m = SanModel::new("t");
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|name| m.add_place(name, 0));
+        let invalid = |r: Result<()>| matches!(r, Err(SanError::InvalidModel { .. }));
+        // Tuples of different widths, or an empty one.
+        assert!(invalid(m.add_replica_group(&[vec![a, b], vec![c]])));
+        assert!(invalid(m.add_replica_group(&[vec![], vec![]])));
+        // A place repeated within the group.
+        assert!(invalid(m.add_replica_group(&[vec![a, b], vec![b, c]])));
+        assert!(invalid(m.add_replica_group(&[vec![a, a], vec![b, c]])));
+        // A place of another model.
+        assert!(invalid(m.add_replica_group(&[vec![a], vec![PlaceId(9)]])));
+        assert_eq!(m.n_replica_groups(), 0);
+        m.add_replica_group(&[vec![a, b], vec![c, d]]).unwrap();
+        // A place shared with a group declared before.
+        let e = m.add_place("e", 0);
+        assert!(invalid(m.add_replica_group(&[vec![e], vec![d]])));
+        assert_eq!(m.n_replica_groups(), 1);
+    }
+
+    #[test]
+    fn canonical_form_sorts_the_tuples() {
+        let mut m = SanModel::new("t");
+        let places = ["a0", "a1", "a2", "x", "b0", "b1", "b2"].map(|name| m.add_place(name, 0));
+        let [a0, a1, a2, _, b0, b1, b2] = places;
+        m.add_replica_group(&[vec![a0, b0], vec![a1, b1], vec![a2, b2]])
+            .unwrap();
+        // Tuples (a_i, b_i) = (1, 0), (0, 5), (1, 0 → 2); the unrelated
+        // place x keeps its 7.
+        let mut mk = Marking::from_tokens(vec![1, 0, 1, 7, 0, 5, 2]);
+        canonicalize(&m.replicas, &mut mk);
+        assert_eq!(mk.as_slice(), &[0, 1, 1, 7, 5, 0, 2]);
+        let mut again = mk.clone();
+        canonicalize(&m.replicas, &mut again);
+        assert_eq!(again, mk);
     }
 
     #[test]

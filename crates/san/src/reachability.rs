@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use markov::Ctmc;
 
-use crate::model::{ActivityId, SanModel, ShapeToken};
+use crate::model::{self, ActivityId, ReplicaGroup, SanModel, ShapeToken};
 use crate::semantics;
 use crate::{Marking, Result, SanError};
 
@@ -115,9 +115,22 @@ impl StateSpace {
         &self.markings.states[i]
     }
 
-    /// The state index of `marking`, if tangible and reachable.
+    /// The state index of `marking`, if tangible and reachable. On the
+    /// quotient of a model with replica groups
+    /// ([`SanModel::add_replica_group`]) a marking is looked up by its
+    /// canonical form, so every permutation of the replicas resolves to the
+    /// same state.
     pub fn state_of(&self, marking: &Marking) -> Option<usize> {
-        self.markings.find(marking).1
+        let markings = &*self.markings;
+        if markings.replicas.is_empty() {
+            return markings.find(marking).1;
+        }
+        if marking.n_places() != markings.states[0].n_places() {
+            return None;
+        }
+        let mut canonical = marking.clone();
+        model::canonicalize(&markings.replicas, &mut canonical);
+        markings.find(&canonical).1
     }
 
     /// The generated CTMC over tangible states.
@@ -404,11 +417,31 @@ fn term(weight: f64, case_p: f64, q: f64) -> f64 {
 }
 
 /// The one generator: breadth-first over tangible markings, recording the
-/// tape as it goes.
+/// tape as it goes. A model with replica groups is generated as its
+/// symmetric quotient, each tangible marking put into canonical form before
+/// it is numbered; the choice is made once here, so a model without groups
+/// runs no per-term canonicalization.
 fn explore(model: &SanModel, opts: &ReachabilityOptions) -> Result<(StateSpace, Tape)> {
     let mut span = telemetry::span("san.generate");
     span.record("model", model.name());
-    let mut markings = Markings::new();
+    span.record("replica_groups", model.replicas.len());
+    if model.replicas.is_empty() {
+        explore_as(model, opts, &mut span, |_| {})
+    } else {
+        let groups = &model.replicas;
+        explore_as(model, opts, &mut span, |mk| model::canonicalize(groups, mk))
+    }
+}
+
+/// [`explore`] with every tangible marking passed through `canonical`
+/// before it is interned: the initial resolution and every term.
+fn explore_as(
+    model: &SanModel,
+    opts: &ReachabilityOptions,
+    span: &mut telemetry::SpanGuard,
+    canonical: impl Fn(&mut Marking),
+) -> Result<(StateSpace, Tape)> {
+    let mut markings = Markings::new(model.replicas.clone());
     let mut tape = Tape::default();
     let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
     let mut completes = vec![false; model.n_activities()];
@@ -418,7 +451,8 @@ fn explore(model: &SanModel, opts: &ReachabilityOptions) -> Result<(StateSpace, 
     let (initial, landing) =
         resolve_vanishing(model, model.initial_marking(), opts, 0, &mut tape.nodes)?;
     let mut initial_pairs: Vec<(usize, f64)> = Vec::with_capacity(initial.len());
-    for (mk, p) in initial {
+    for (mut mk, p) in initial {
+        canonical(&mut mk);
         let i = markings.intern(mk);
         tape.initial.1.push(i);
         initial_pairs.push((i, p));
@@ -457,7 +491,8 @@ fn explore(model: &SanModel, opts: &ReachabilityOptions) -> Result<(StateSpace, 
                 );
             }
         }
-        for (tangible, r) in terms.drain(..) {
+        for (mut tangible, r) in terms.drain(..) {
+            canonical(&mut tangible);
             let ti = markings.intern(tangible);
             tape.targets.push(ti);
             if ti == si {
@@ -488,7 +523,7 @@ fn explore(model: &SanModel, opts: &ReachabilityOptions) -> Result<(StateSpace, 
         telemetry::counter("san.generations", 1);
         telemetry::counter("san.states.generated", n as u64);
         telemetry::counter("san.transitions.generated", n_transitions as u64);
-        report_space(&mut span, model, &space, n_transitions);
+        report_space(span, model, &space, n_transitions);
     }
     Ok((space, tape))
 }
@@ -651,15 +686,18 @@ impl Shape {
 /// open-addressing index from marking to state number.
 struct Markings {
     states: Vec<Marking>,
+    /// The model's replica groups: the states are canonical in them.
+    replicas: Vec<ReplicaGroup>,
     /// State number + 1 per slot, 0 when empty; linear probing from the
     /// marking's hash, at most half full.
     slots: Vec<usize>,
 }
 
 impl Markings {
-    fn new() -> Self {
+    fn new(replicas: Vec<ReplicaGroup>) -> Self {
         Markings {
             states: Vec::new(),
+            replicas,
             slots: vec![0; 16],
         }
     }
@@ -716,7 +754,7 @@ fn home_slot(marking: &Marking, capacity: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Activity, Case};
+    use crate::model::{Activity, Case, PlaceId};
 
     #[test]
     fn birth_death_statespace() {
@@ -1043,9 +1081,136 @@ mod tests {
         assert!(tape.refresh(&other).is_none());
     }
 
+    /// `n` independent two-state components (up at `fail`, down at
+    /// `repair`, shared by the down ones) behind one instantaneous
+    /// dispatcher, each component's `(down, flagged)` pair a replica.
+    /// Failures go through a vanishing marking that flags the failed
+    /// component with probability `flag`.
+    fn components(n: usize, fail: f64, repair: f64, flag: f64, replicas: bool) -> SanModel {
+        let mut m = SanModel::new("components");
+        let down: Vec<PlaceId> = (0..n).map(|i| m.add_place(format!("down{i}"), 0)).collect();
+        let flagged: Vec<PlaceId> = (0..n).map(|i| m.add_place(format!("flag{i}"), 0)).collect();
+        let pending: Vec<PlaceId> = (0..n).map(|i| m.add_place(format!("pend{i}"), 0)).collect();
+        let all_down: std::sync::Arc<[PlaceId]> = down.iter().copied().collect();
+        for i in 0..n {
+            let (d, f, p) = (down[i], flagged[i], pending[i]);
+            m.add_activity(
+                Activity::timed(format!("fail{i}"), fail)
+                    .with_enabling(move |mk| mk.tokens(d) == 0)
+                    .with_output_arc(p, 1),
+            )
+            .unwrap();
+            m.add_activity(
+                Activity::instantaneous(format!("dispatch{i}"))
+                    .with_input_arc(p, 1)
+                    .with_case(
+                        Case::with_probability(flag)
+                            .with_output_arc(d, 1)
+                            .with_output_arc(f, 1),
+                    )
+                    .with_case(Case::with_probability(1.0 - flag).with_output_arc(d, 1)),
+            )
+            .unwrap();
+            let all_down = all_down.clone();
+            let og = m.add_output_gate(format!("clear{i}"), move |mk| mk.set_tokens(f, 0));
+            m.add_activity(
+                Activity::timed_fn(format!("repair{i}"), move |mk| {
+                    let busy = all_down.iter().map(|&q| mk.tokens(q)).sum::<u32>();
+                    repair / f64::from(busy)
+                })
+                .with_input_arc(d, 1)
+                .with_output_gate(og),
+            )
+            .unwrap();
+        }
+        if replicas {
+            let tuples: Vec<Vec<PlaceId>> = (0..n)
+                .map(|i| vec![down[i], flagged[i], pending[i]])
+                .collect();
+            m.add_replica_group(&tuples).unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn independent_replicas_generate_one_state_per_count() {
+        // n two-state components, no flagging: 2ⁿ markings, n + 1 counts.
+        for n in 1..=6 {
+            let full =
+                StateSpace::generate(&components(n, 1.0, 3.0, 0.0, false), &Default::default())
+                    .unwrap();
+            assert_eq!(full.n_states(), 1 << n);
+            let quotient =
+                StateSpace::generate(&components(n, 1.0, 3.0, 0.0, true), &Default::default())
+                    .unwrap();
+            assert_eq!(quotient.n_states(), n + 1);
+            // The quotient is the birth–death chain of the count of down
+            // components: up at (n − k)·fail, down at the shared repair.
+            let q = quotient.ctmc().generator();
+            for k in 0..n {
+                let count = |j: usize| {
+                    let tokens: Vec<u32> =
+                        (0..3 * n).map(|p| u32::from(p < n && p >= n - j)).collect();
+                    quotient.state_of(&Marking::from_tokens(tokens)).unwrap()
+                };
+                assert_eq!(q.get(count(k), count(k + 1)), (n - k) as f64);
+                assert!((q.get(count(k + 1), count(k)) - 3.0).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn state_of_resolves_every_permutation_to_one_state() {
+        let quotient =
+            StateSpace::generate(&components(3, 1.0, 3.0, 0.5, true), &Default::default()).unwrap();
+        let full = StateSpace::generate(&components(3, 1.0, 3.0, 0.5, false), &Default::default())
+            .unwrap();
+        assert!(quotient.n_states() < full.n_states());
+        // Swapping two components' (down, flag, pending) triples of any
+        // reachable marking resolves to the state of the marking itself.
+        for s in 0..full.n_states() {
+            let tokens = full.marking(s).as_slice().to_vec();
+            let at = quotient
+                .state_of(full.marking(s))
+                .expect("every marking has a class");
+            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                let mut swapped = tokens.clone();
+                for role in 0..3 {
+                    swapped.swap(3 * role + a, 3 * role + b);
+                }
+                assert_eq!(quotient.state_of(&Marking::from_tokens(swapped)), Some(at));
+            }
+        }
+        assert_eq!(quotient.state_of(&Marking::from_tokens(vec![0; 4])), None);
+    }
+
+    #[test]
+    fn replica_refresh_matches_generation_bit_for_bit() {
+        let (_, tape) =
+            StateSpace::generate_recorded(&components(3, 1.0, 3.0, 0.5, true), &Default::default())
+                .unwrap();
+        for (fail, repair, flag) in [(1.0, 3.0, 0.5), (0.2, 7.5, 0.01), (4.0, 0.3, 0.9)] {
+            let model = components(3, fail, repair, flag, true);
+            let refreshed = tape.refresh(&model).expect("same structure refreshes");
+            let cold = StateSpace::generate(&model, &Default::default()).unwrap();
+            assert_same_bits(&refreshed, &cold);
+        }
+        // The groups are part of the shape: a tape recorded without them
+        // declines the model that declares them, and the other way round.
+        let (_, full_tape) = StateSpace::generate_recorded(
+            &components(3, 1.0, 3.0, 0.5, false),
+            &Default::default(),
+        )
+        .unwrap();
+        assert!(full_tape
+            .refresh(&components(3, 1.0, 3.0, 0.5, true))
+            .is_none());
+        assert!(tape.refresh(&components(3, 1.0, 3.0, 0.5, false)).is_none());
+    }
+
     #[test]
     fn markings_index_finds_every_state_across_growth() {
-        let mut markings = Markings::new();
+        let mut markings = Markings::new(Vec::new());
         for i in 0..1000u32 {
             assert_eq!(
                 markings.intern(Marking::from_tokens(vec![i % 7, i / 7, 1])),

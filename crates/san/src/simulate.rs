@@ -11,7 +11,9 @@
 //! The estimator intentionally shares **no code** with the reachability /
 //! CTMC path, so agreement between the two is a meaningful end-to-end test
 //! (see `estimate_instant_reward` tests and the workspace integration
-//! suite).
+//! suite). It ignores replica groups
+//! ([`SanModel::add_replica_group`]) and fires the full net, so on a model
+//! that declares them it also checks the generated symmetric quotient.
 
 use crate::model::ActivityKind;
 use crate::semantics;

@@ -45,6 +45,11 @@ cargo test --offline --release -p performability --test dense_chain_accuracy -- 
 echo "==> cargo test --release -- --ignored (lumped stiff points)"
 cargo test --offline --release -p gsu-scenario --test gop_single_pass -- --ignored
 
+# The symmetric quotient of four aged escorts against its 33k-state full
+# generation (≈1 s in release, ≈18 s unoptimized).
+echo "==> cargo test --release -- --ignored (four aged escorts' quotient)"
+cargo test --offline --release -p performability --lib gsu::tests -- --ignored
+
 cargo build --offline --release -p gsu-serve -p gsu-bench -p gsu-lint --bins
 
 # Examples: the suites above only compile them. Each drives the public API
