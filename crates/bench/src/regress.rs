@@ -304,9 +304,11 @@ pub const BENCHMARK_COUNTERS: [&str; 5] = [
 ];
 
 /// The traced runs of a `gsu-benchmark` run set as `benchmark:<workload>`
-/// records, one per workload, holding the [`BENCHMARK_COUNTERS`] per pass.
-/// Each counter is the largest value over the workload's traced runs, so a
-/// run that did more work than another cannot hide.
+/// records, one per workload that `BENCHMARK.json` gates (its `serve-*`
+/// runs hold per-request averages and are skipped), holding the
+/// [`BENCHMARK_COUNTERS`] per pass. Each counter is the largest value over
+/// the workload's traced runs, so a run that did more work than another
+/// cannot hide.
 ///
 /// # Errors
 ///
@@ -317,12 +319,15 @@ pub fn parse_run_set(text: &str) -> Result<Vec<BenchRecord>, String> {
     if doc.string("schema") != Ok(RUN_SET_SCHEMA) {
         return Err(format!("not a {RUN_SET_SCHEMA} run set"));
     }
+    // The repository benchmark's declaration, read at build time.
+    let declaration = json::parse(include_str!("../../../BENCHMARK.json"))?;
+    let gated = declaration.array("workloads")?;
     let mut out: Vec<BenchRecord> = Vec::new();
     for run in doc.array("runs")? {
-        if !run.boolean("trace")? {
+        let workload = run.string("workload")?;
+        if !run.boolean("trace")? || !gated.iter().any(|w| w.string("name") == Ok(workload)) {
             continue;
         }
-        let workload = run.string("workload")?;
         let name = format!("benchmark:{workload}");
         let metrics = run.array("metrics")?;
         let mut counters = Vec::new();
@@ -845,11 +850,15 @@ mod tests {
 
     #[test]
     fn run_set_counters_come_from_traced_runs_at_their_worst() {
+        // The benchmark's serve workloads are traced in a `--workload all`
+        // run set, but `BENCHMARK.json` gates only figures and catalog.
         let text = run_set(&[
             ("catalog", true, 800),
             ("catalog", false, 0),
+            ("serve-churn", true, 53),
             ("catalog", true, 801),
             ("figures", true, 0),
+            ("serve-cached", true, 53),
         ]);
         let records = parse_run_set(&text).unwrap();
         assert_eq!(records.len(), 2);
@@ -886,12 +895,10 @@ mod tests {
             }
         }
 
-        // A workload that stopped running fails; a new one is seeded.
-        let current =
-            parse_run_set(&run_set(&[("catalog", true, 700), ("serve", true, 5)])).unwrap();
+        // A workload that stopped running fails.
+        let current = parse_run_set(&run_set(&[("catalog", true, 700)])).unwrap();
         let report = compare(&base, &current, DEFAULT_THRESHOLD);
         assert_eq!(report.stale.len(), 1);
-        assert_eq!(report.added.len(), 1);
         assert!(!report.passed());
     }
 

@@ -122,9 +122,6 @@ impl StateSpace {
     /// same state.
     pub fn state_of(&self, marking: &Marking) -> Option<usize> {
         let markings = &*self.markings;
-        if markings.replicas.is_empty() {
-            return markings.find(marking).1;
-        }
         if marking.n_places() != markings.states[0].n_places() {
             return None;
         }
@@ -418,29 +415,14 @@ fn term(weight: f64, case_p: f64, q: f64) -> f64 {
 
 /// The one generator: breadth-first over tangible markings, recording the
 /// tape as it goes. A model with replica groups is generated as its
-/// symmetric quotient, each tangible marking put into canonical form before
-/// it is numbered; the choice is made once here, so a model without groups
-/// runs no per-term canonicalization.
+/// symmetric quotient: every tangible marking, from the initial resolution
+/// and from each term, is put into canonical form before it is numbered.
+/// Without groups the canonical form is the marking itself.
 fn explore(model: &SanModel, opts: &ReachabilityOptions) -> Result<(StateSpace, Tape)> {
     let mut span = telemetry::span("san.generate");
     span.record("model", model.name());
     span.record("replica_groups", model.replicas.len());
-    if model.replicas.is_empty() {
-        explore_as(model, opts, &mut span, |_| {})
-    } else {
-        let groups = &model.replicas;
-        explore_as(model, opts, &mut span, |mk| model::canonicalize(groups, mk))
-    }
-}
-
-/// [`explore`] with every tangible marking passed through `canonical`
-/// before it is interned: the initial resolution and every term.
-fn explore_as(
-    model: &SanModel,
-    opts: &ReachabilityOptions,
-    span: &mut telemetry::SpanGuard,
-    canonical: impl Fn(&mut Marking),
-) -> Result<(StateSpace, Tape)> {
+    let groups = &model.replicas;
     let mut markings = Markings::new(model.replicas.clone());
     let mut tape = Tape::default();
     let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
@@ -452,7 +434,7 @@ fn explore_as(
         resolve_vanishing(model, model.initial_marking(), opts, 0, &mut tape.nodes)?;
     let mut initial_pairs: Vec<(usize, f64)> = Vec::with_capacity(initial.len());
     for (mut mk, p) in initial {
-        canonical(&mut mk);
+        model::canonicalize(groups, &mut mk);
         let i = markings.intern(mk);
         tape.initial.1.push(i);
         initial_pairs.push((i, p));
@@ -492,7 +474,7 @@ fn explore_as(
             }
         }
         for (mut tangible, r) in terms.drain(..) {
-            canonical(&mut tangible);
+            model::canonicalize(groups, &mut tangible);
             let ti = markings.intern(tangible);
             tape.targets.push(ti);
             if ti == si {
@@ -523,7 +505,7 @@ fn explore_as(
         telemetry::counter("san.generations", 1);
         telemetry::counter("san.states.generated", n as u64);
         telemetry::counter("san.transitions.generated", n_transitions as u64);
-        report_space(span, model, &space, n_transitions);
+        report_space(&mut span, model, &space, n_transitions);
     }
     Ok((space, tape))
 }

@@ -15,7 +15,7 @@
 //! | `GET /eval?phi=…`   | a span-instrumented `Y(φ)` evaluation, as JSON              |
 //! | `GET /eval?phi=…&mu_new=…` | the same with paper-parameter overrides, memoized per params fingerprint in a bounded cache |
 //! | `GET /eval?scenario=…&phi=…` | the same against a named `.gsu` catalog scenario   |
-//! | `GET /requests`     | recent `/eval` wide-event lines (JSONL, newest last; `?n=` limits) |
+//! | `GET /requests`     | the wide-event lines of the retained `/eval` traces (JSONL, newest last; `?n=` limits) |
 //! | `GET /stats`        | windowed per-route latency quantiles and SLO attainment     |
 //! | `GET /version`      | build identity (crate version, git hash, profile)           |
 //! | `GET /`             | a plain-text endpoint index                                 |
@@ -24,11 +24,11 @@
 //! a real `GsuAnalysis::evaluate` under a `serve.eval` span **inside a fresh
 //! trace context**, so traffic shows up in `/metrics` and `/trace` like any
 //! other pipeline work — and every response carries its `trace_id`, which
-//! `/trace?id=` resolves to exactly that request's span tree. Each `/eval`
-//! additionally appends one canonical wide-event line (φ, parameter
-//! fingerprint, per-phase wall breakdown, solver flight-recorder diags,
-//! status) to a ring of [`telemetry::TRACE_CAP`] lines served by
-//! `/requests`, as many as the collector keeps traces.
+//! `/trace?id=` resolves to exactly that request's span tree. The
+//! `serve.eval` root span carries the request's own facts (status, φ,
+//! parameter fingerprint, queueing time, outcome), so the trace is the whole
+//! record of the request: `/requests` renders one canonical wide-event line
+//! per retained trace from the collector's trace ring when it is read.
 //!
 //! Dependency policy: pure `std` + in-workspace crates, hand-rolled
 //! HTTP/1.1, no TLS (see DESIGN.md, "Dependency policy").
@@ -107,12 +107,6 @@ struct ServerState {
     queue_depth: AtomicU64,
     /// Connections currently inside a handler.
     inflight: AtomicU64,
-    /// Hex fingerprint of the served [`GsuParams`], stamped into every
-    /// wide-event line so a log mixes runs against different parameter
-    /// assignments detectably.
-    params_fingerprint: String,
-    /// Bounded ring of canonical `/eval` wide-event JSONL lines.
-    requests: Mutex<VecDeque<String>>,
     /// The `.gsu` scenario catalog served by `/eval?scenario=`, keyed by
     /// scenario name; read once by [`Server::bind`].
     scenarios: BTreeMap<String, ScenarioSpec>,
@@ -200,8 +194,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let params = GsuParams::paper_baseline();
-        let analysis = GsuAnalysis::new(params)
+        let analysis = GsuAnalysis::new(GsuParams::paper_baseline())
             .map(Arc::new)
             .map_err(|e| std::io::Error::other(format!("building GsuAnalysis: {e}")))?;
         let scenarios = if scenarios_dir.is_dir() {
@@ -247,8 +240,6 @@ impl Server {
             accepted: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            params_fingerprint: params_fingerprint(&params),
-            requests: Mutex::new(VecDeque::with_capacity(telemetry::TRACE_CAP)),
             scenarios,
             analysis_cache: Mutex::new(AnalysisCache::default()),
         });
@@ -488,13 +479,7 @@ fn route(state: &ServerState, request: &Request, queue_us: u64) -> Response {
             None => Response::json(200, state.collector.chrome_trace_json()),
             Some(raw) => match telemetry::parse_trace_id(raw) {
                 Some(id) => Response::json(200, state.collector.chrome_trace_json_for(id)),
-                None => Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":\"unparsable trace id: {}\",\"param\":\"id\"}}",
-                        json::escape(raw)
-                    ),
-                ),
+                None => unparsable("id", "trace id", raw),
             },
         },
         "/eval" => eval(state, request, queue_us),
@@ -503,25 +488,24 @@ fn route(state: &ServerState, request: &Request, queue_us: u64) -> Response {
             // get the same structured 400 shape as /eval's parameter
             // failures.
             let limit = match request.query_value("n") {
-                None => None,
+                None => usize::MAX,
                 Some(raw) => match raw.parse::<usize>() {
-                    Ok(n) => Some(n),
-                    Err(_) => {
-                        return Response::json(
-                            400,
-                            format!(
-                                "{{\"error\":\"unparsable n: {}\",\"param\":\"n\"}}",
-                                json::escape(raw)
-                            ),
-                        )
-                    }
+                    Ok(n) => n,
+                    Err(_) => return unparsable("n", "n", raw),
                 },
             };
-            let ring = state.requests.lock().unwrap_or_else(|e| e.into_inner());
-            let skip = limit.map_or(0, |n| ring.len().saturating_sub(n));
+            // Only copy the traces out under the ring's lock, so a span
+            // closing on a worker waits for a copy, not for the render.
+            let mut traces = Vec::new();
+            state.collector.read_traces(|spans| {
+                if traces.len() < limit && eval_root(spans).is_some() {
+                    traces.push(spans.to_vec());
+                }
+                traces.len() < limit
+            });
             let mut body = String::new();
-            for line in ring.iter().skip(skip) {
-                body.push_str(line);
+            for line in traces.iter().rev().filter_map(|spans| wide_event(spans)) {
+                body.push_str(&line);
                 body.push('\n');
             }
             Response {
@@ -550,123 +534,114 @@ fn route(state: &ServerState, request: &Request, queue_us: u64) -> Response {
     }
 }
 
+/// The structured 400 for an unparsable query parameter `param`.
+fn unparsable(param: &str, what: &str, raw: &str) -> Response {
+    let msg = json::escape(raw);
+    let body = format!("{{\"error\":\"unparsable {what}: {msg}\",\"param\":\"{param}\"}}");
+    Response::json(400, body)
+}
+
+/// Serves one `/eval` under its `serve.eval` span, the root of the
+/// request's trace. The span records the request's facts, which are the
+/// fields of its wide event: `queue_us`, `scenario`, `phi` and (on the
+/// paper model) `params` once they resolve, `status`, and `y` or `error`.
+/// Its duration is the service time, and a failure is a trace like a
+/// success.
 fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
-    let started = Instant::now();
-    let trace_id = TraceContext::current().trace_id;
-    let scenario_name = request.query_value("scenario").map(str::to_string);
-    // Every failure names the offending query parameter — `scenario` and
-    // `phi` alike — so clients can distinguish a bad duration from a bad
-    // scenario reference without parsing prose.
-    let fail = |param: &str, phi: Option<f64>, msg: &str| -> Response {
-        record_wide_event(
-            state,
-            trace_id,
-            scenario_name.as_deref(),
-            phi,
-            400,
-            None,
-            started.elapsed(),
-            queue_us,
-            Some(msg),
-        );
-        Response::json(
-            400,
-            format!(
-                "{{\"error\":\"{}\",\"param\":\"{param}\"}}",
-                json::escape(msg)
-            ),
-        )
-    };
-    // Resolve the scenario reference first (a cheap catalog lookup) so an
-    // unknown name 400s before any φ parsing or expensive model building.
-    let scenario_spec = match scenario_name.as_deref() {
-        None => None,
-        Some(name) => match lookup_scenario(state, name) {
-            Ok(spec) => Some(spec),
-            Err(msg) => return fail("scenario", None, &msg),
-        },
-    };
-    let Some(raw) = request.query_value("phi") else {
-        return fail("phi", None, "missing query parameter phi");
-    };
-    let Ok(phi) = raw.parse::<f64>() else {
-        return fail("phi", None, &format!("unparsable phi: {raw}"));
-    };
-    if !phi.is_finite() || phi < 0.0 {
-        return fail("phi", Some(phi), &format!("phi out of domain: {phi}"));
+    let mut span = telemetry::span("serve.eval");
+    span.record("queue_us", queue_us);
+    let scenario = request.query_value("scenario");
+    if let Some(name) = scenario {
+        span.record("scenario", name);
     }
-    // Paper-parameter overrides (`mu_new=`, `coverage=`, `theta=`): only
-    // meaningful against the paper model, so they are rejected alongside a
-    // scenario reference rather than silently ignored.
-    let overridden = match paper_overrides(request) {
-        Ok(params) => {
-            if params.is_some() && scenario_spec.is_some() {
-                return fail(
-                    "scenario",
-                    Some(phi),
-                    "parameter overrides do not apply to catalog scenarios",
-                );
-            }
-            params
-        }
-        Err((param, msg)) => return fail(param, Some(phi), &msg),
-    };
-    // The eval span (and every solver span nested inside it) must be dropped
-    // — hence recorded — before the wide event reconstructs the request's
-    // span tree from the collector.
-    let result = {
-        let mut span = telemetry::span("serve.eval");
-        span.record("phi", phi);
-        let analysis = match (scenario_spec, overridden) {
-            (None, None) => Ok(state.analysis.clone()),
-            (None, Some(params)) => cached_analysis(state, params_fingerprint(&params), || {
-                GsuAnalysis::new(params)
-                    .map_err(|e| format!("overridden analysis failed to build: {e}"))
-            })
-            .map_err(|msg| ("params", msg)),
-            (Some(spec), _) => {
-                span.record("scenario", spec.name.as_str());
-                cached_analysis(state, format!("scenario:{}", spec.name), || {
-                    ScenarioAnalysis::new(spec.clone())
-                        .map(ScenarioAnalysis::into_analysis)
-                        .map_err(|e| format!("scenario `{}` failed to build: {e}", spec.name))
-                })
-                .map_err(|msg| ("scenario", msg))
-            }
-        };
-        let result = analysis
-            .and_then(|analysis| analysis.evaluate(phi).map_err(|e| ("phi", e.to_string())));
-        if let Ok(point) = &result {
-            span.record("y", point.y);
-        }
-        result
-    };
-    match result {
+    // Both outcomes lead with the trace id, which `/trace?id=` and the
+    // request's `/requests` line resolve.
+    let mut body = format!(
+        "{{\"trace_id\":\"{}\"",
+        telemetry::format_trace_id(TraceContext::current().trace_id)
+    );
+    match evaluate(state, request, scenario, &mut span) {
         Ok(point) => {
-            record_wide_event(
-                state,
-                trace_id,
-                scenario_name.as_deref(),
-                Some(phi),
-                200,
-                Some(point.y),
-                started.elapsed(),
-                queue_us,
-                None,
-            );
-            let mut body = format!(
-                "{{\"trace_id\":\"{}\"",
-                telemetry::format_trace_id(trace_id)
-            );
-            if let Some(name) = scenario_name.as_deref() {
+            span.record("status", 200u64);
+            span.record("y", point.y);
+            if let Some(name) = scenario {
                 let _ = write!(body, ",\"scenario\":\"{}\"", json::escape(name));
             }
             body.push(',');
             body.push_str(&sweep_point_json(&point)[1..]);
             Response::json(200, body)
         }
-        Err((param, msg)) => fail(param, Some(phi), &msg),
+        // Every failure names the offending query parameter — `scenario`
+        // and `phi` alike — so clients can distinguish a bad duration from
+        // a bad scenario reference without parsing prose.
+        Err((param, msg)) => {
+            span.record("status", 400u64);
+            span.record("error", msg.as_str());
+            let _ = write!(
+                body,
+                ",\"error\":\"{}\",\"param\":\"{param}\"}}",
+                json::escape(&msg)
+            );
+            Response::json(400, body)
+        }
     }
+}
+
+/// Resolves an `/eval` request's scenario, φ and parameter overrides and
+/// evaluates it, recording `phi` and the paper model's `params` fingerprint
+/// on `span` as they resolve. A failure names the query parameter at fault.
+fn evaluate(
+    state: &ServerState,
+    request: &Request,
+    scenario: Option<&str>,
+    span: &mut telemetry::SpanGuard,
+) -> Result<SweepPoint, (&'static str, String)> {
+    // Resolve the scenario reference first (a cheap catalog lookup) so an
+    // unknown name 400s before any φ parsing or expensive model building.
+    let spec = scenario
+        .map(|name| lookup_scenario(state, name))
+        .transpose()
+        .map_err(|msg| ("scenario", msg))?;
+    let raw = request
+        .query_value("phi")
+        .ok_or_else(|| ("phi", "missing query parameter phi".to_string()))?;
+    let phi = raw
+        .parse::<f64>()
+        .map_err(|_| ("phi", format!("unparsable phi: {raw}")))?;
+    span.record("phi", phi);
+    if !phi.is_finite() || phi < 0.0 {
+        return Err(("phi", format!("phi out of domain: {phi}")));
+    }
+    // Paper-parameter overrides (`mu_new=`, `coverage=`, `theta=`): only
+    // meaningful against the paper model, so they are rejected alongside a
+    // scenario reference rather than silently ignored. `params` fingerprints
+    // the paper model's parameters; a scenario's `scenario` names its model.
+    let analysis = match (spec, paper_overrides(request)?) {
+        (None, None) => {
+            span.record("params", params_fingerprint(state.analysis.params()));
+            state.analysis.clone()
+        }
+        (None, Some(params)) => {
+            let fingerprint = params_fingerprint(&params);
+            span.record("params", fingerprint.as_str());
+            cached_analysis(state, fingerprint, || {
+                GsuAnalysis::new(params)
+                    .map_err(|e| format!("overridden analysis failed to build: {e}"))
+            })
+            .map_err(|msg| ("params", msg))?
+        }
+        (Some(_), Some(_)) => {
+            let msg = "parameter overrides do not apply to catalog scenarios";
+            return Err(("scenario", msg.to_string()));
+        }
+        (Some(spec), None) => cached_analysis(state, format!("scenario:{}", spec.name), || {
+            ScenarioAnalysis::new(spec.clone())
+                .map(ScenarioAnalysis::into_analysis)
+                .map_err(|e| format!("scenario `{}` failed to build: {e}", spec.name))
+        })
+        .map_err(|msg| ("scenario", msg))?,
+    };
+    analysis.evaluate(phi).map_err(|e| ("phi", e.to_string()))
 }
 
 /// Finds a scenario by name in the loaded catalog.
@@ -740,50 +715,25 @@ fn cached_analysis(
     Ok(lock().insert(key, built))
 }
 
-/// Builds the canonical wide-event line for one `/eval` request — trace id,
-/// parameter fingerprint, outcome, the queueing-time vs service-time split,
-/// per-phase wall breakdown, and the flight-recorder diagnostics of every
-/// solve the request ran — and appends it to the bounded `/requests` ring.
-///
-/// `wall` is pure *service* time (request read to response written);
-/// `queue_us` is how long the connection waited for a worker before
-/// service began (0 for keep-alive follow-ups). `wall_us` stays the service
-/// wall for compatibility; `service_us` spells the same value explicitly
-/// next to `queue_us`.
-#[allow(clippy::too_many_arguments)]
-fn record_wide_event(
-    state: &ServerState,
-    trace_id: u64,
-    scenario: Option<&str>,
-    phi: Option<f64>,
-    status: u16,
-    y: Option<f64>,
-    wall: std::time::Duration,
-    queue_us: u64,
-    error: Option<&str>,
-) {
-    let spans = state.collector.trace_spans(trace_id);
+/// Renders the canonical wide-event line (`gsu-wide-event-v1`) of one trace
+/// whose root is a closed `serve.eval` span, or `None` for any other trace
+/// (the bind-time build of the baseline analysis, a request still in
+/// flight). Every arg of the root is a field, so whatever [`eval`] records
+/// there reaches `/requests` as it reaches `/trace?id=`; `service_us` is the
+/// root's duration, `phases` totals every span of the trace by name, and
+/// `solves` lists the flight-recorder diagnostics of each solve in it.
+fn wide_event(spans: &[FinishedSpan]) -> Option<String> {
+    let root = eval_root(spans)?;
     let mut line = format!(
-        "{{\"schema\":\"gsu-wide-event-v1\",\"trace_id\":\"{}\",\"params\":\"{}\",\
-         \"phi\":{},\"status\":{status},\"wall_us\":{},\"queue_us\":{queue_us},\
-         \"service_us\":{}",
-        telemetry::format_trace_id(trace_id),
-        state.params_fingerprint,
-        phi.map_or_else(|| "null".to_string(), fmt_f64),
-        wall.as_micros(),
-        wall.as_micros()
+        "{{\"schema\":\"gsu-wide-event-v1\",\"trace_id\":\"{}\"",
+        telemetry::format_trace_id(root.trace_id)
     );
-    if let Some(scenario) = scenario {
-        let _ = write!(line, ",\"scenario\":\"{}\"", json::escape(scenario));
+    for (key, value) in &root.args {
+        let _ = write!(line, ",\"{}\":{}", json::escape(key), value.to_json());
     }
-    if let Some(y) = y {
-        let _ = write!(line, ",\"y\":{}", fmt_f64(y));
-    }
-    if let Some(error) = error {
-        let _ = write!(line, ",\"error\":\"{}\"", json::escape(error));
-    }
+    let _ = write!(line, ",\"service_us\":{}", root.dur_us);
     let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for s in &spans {
+    for s in spans {
         let entry = phases.entry(s.name.as_str()).or_insert((0, 0));
         entry.0 += 1;
         entry.1 += s.dur_us;
@@ -800,23 +750,21 @@ fn record_wide_event(
         );
     }
     line.push_str("},\"solves\":[");
-    let mut first = true;
-    for s in &spans {
-        if let Some(solve) = solve_json(s) {
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            line.push_str(&solve);
+    for (i, solve) in spans.iter().filter_map(solve_json).enumerate() {
+        if i > 0 {
+            line.push(',');
         }
+        line.push_str(&solve);
     }
     line.push_str("]}");
+    Some(line)
+}
 
-    let mut ring = state.requests.lock().unwrap_or_else(|e| e.into_inner());
-    while ring.len() >= telemetry::TRACE_CAP {
-        ring.pop_front();
-    }
-    ring.push_back(line);
+/// The closed `serve.eval` root span of a trace, if it has one.
+fn eval_root(spans: &[FinishedSpan]) -> Option<&FinishedSpan> {
+    spans
+        .iter()
+        .find(|s| s.parent_id == 0 && s.name == "serve.eval")
 }
 
 /// Renders one span's `solve.*` flight-recorder args as a JSON object, or
@@ -830,14 +778,7 @@ fn solve_json(span: &FinishedSpan) -> Option<String> {
         let Some(field) = key.strip_prefix("solve.") else {
             continue;
         };
-        let _ = write!(out, ",\"{}\":", json::escape(field));
-        match value {
-            ArgValue::F64(v) => out.push_str(&fmt_f64(*v)),
-            ArgValue::U64(v) => out.push_str(&v.to_string()),
-            ArgValue::Str(v) => {
-                let _ = write!(out, "\"{}\"", json::escape(v));
-            }
-        }
+        let _ = write!(out, ",\"{}\":{}", json::escape(field), value.to_json());
     }
     out.push('}');
     Some(out)

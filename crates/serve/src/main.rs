@@ -102,8 +102,7 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(workers));
 
-    // A Cell so both the `check` closure and the trace round-trip below can
-    // bump the count without fighting over a mutable borrow.
+    // A Cell so the shared `check` closure can bump the count.
     let failures = std::cell::Cell::new(0u32);
     let check = |target: &str, want_status: u16, probe: &dyn Fn(&str) -> Result<(), String>| {
         match http_get(addr, target) {
@@ -191,45 +190,34 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
     // Round-trip one request through the trace surfaces: the trace id the
     // /eval response returns must resolve to a span tree on /trace?id= and
     // to a wide-event line on /requests.
-    match http_get(addr, "/eval?phi=5000") {
-        Ok((200, body)) => {
-            let trace_id = json::parse(&body)
-                .ok()
-                .and_then(|doc| doc.string("trace_id").ok().map(str::to_string))
-                .unwrap_or_default();
-            if trace_id.is_empty() {
-                eprintln!("smoke: /eval?phi=5000 response has no trace id: {body}");
-                failures.set(failures.get() + 1);
-            } else {
-                check(&format!("/trace?id={trace_id}"), 200, &|body| {
-                    let doc = json::parse(body)?;
-                    doc.array("traceEvents")?
-                        .iter()
-                        .any(|e| {
-                            let args = e.get("args");
-                            e.string("name") == Ok("serve.eval")
-                                && args.is_some_and(|a| a.string("trace_id") == Ok(&trace_id))
-                        })
-                        .then_some(())
-                        .ok_or_else(|| format!("trace {trace_id} not resolved: {body}"))
-                });
-                check("/requests", 200, &|body| {
-                    body.lines()
-                        .filter_map(|line| json::parse(line).ok())
-                        .any(|e| e.string("trace_id") == Ok(&trace_id) && e.array("solves").is_ok())
-                        .then_some(())
-                        .ok_or_else(|| format!("no wide event for {trace_id}"))
-                });
-            }
-        }
-        Ok((status, body)) => {
-            eprintln!("smoke: /eval?phi=5000 -> {status}: {body}");
-            failures.set(failures.get() + 1);
-        }
-        Err(e) => {
-            eprintln!("smoke: /eval?phi=5000 failed: {e}");
-            failures.set(failures.get() + 1);
-        }
+    // An /eval that fails is reported once, and the two probes are skipped.
+    let trace_id = std::cell::RefCell::new(String::new());
+    check("/eval?phi=5000", 200, &|body| {
+        let id = json::parse(body).and_then(|doc| Ok(doc.string("trace_id")?.to_string()));
+        *trace_id.borrow_mut() = id.map_err(|e| format!("{e}: {body}"))?;
+        Ok(())
+    });
+    let trace_id = trace_id.into_inner();
+    if !trace_id.is_empty() {
+        check(&format!("/trace?id={trace_id}"), 200, &|body| {
+            let doc = json::parse(body)?;
+            doc.array("traceEvents")?
+                .iter()
+                .any(|e| {
+                    let args = e.get("args");
+                    e.string("name") == Ok("serve.eval")
+                        && args.is_some_and(|a| a.string("trace_id") == Ok(&trace_id))
+                })
+                .then_some(())
+                .ok_or_else(|| format!("trace {trace_id} not resolved: {body}"))
+        });
+        check("/requests", 200, &|body| {
+            body.lines()
+                .filter_map(|line| json::parse(line).ok())
+                .any(|e| e.string("trace_id") == Ok(&trace_id) && e.array("solves").is_ok())
+                .then_some(())
+                .ok_or_else(|| format!("no wide event for {trace_id}"))
+        });
     }
 
     handle.shutdown();

@@ -1,12 +1,14 @@
 //! End-to-end test of the observability daemon: the acceptance criterion is
 //! that `/metrics` answers in Prometheus text format with live counter and
-//! histogram values **while a φ-sweep is running in another thread**; and
-//! that a long-running daemon keeps only the newest [`TRACE_CAP`] traces.
+//! histogram values **while a φ-sweep is running in another thread**; that
+//! every `/eval` outcome is a trace whose `/requests` line is rendered from
+//! it; and that a long-running daemon keeps only the newest [`TRACE_CAP`]
+//! traces.
 //!
 //! The telemetry sink is process-global, so the tests serialize on a local
 //! lock.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,7 +19,7 @@ use gsu_serve::http::http_get;
 use gsu_serve::{validate_exposition, Server, SCENARIOS_DIR};
 use performability::{GsuAnalysis, GsuParams};
 use telemetry::json::{self, Value};
-use telemetry::{Collector, TRACE_CAP};
+use telemetry::{Collector, TraceContext, TRACE_CAP};
 
 /// Serializes the `#[test]`s in this binary: each installs its own global
 /// collector and must not observe the other's traffic.
@@ -179,18 +181,16 @@ fn serves_live_metrics_during_a_sweep() {
     assert_eq!(event.num("y"), Ok(served_y), "{line}");
     assert_eq!(event.uint("status"), Ok(200), "{line}");
     assert!(event.string("params").is_ok(), "{line}");
-    assert!(
-        event.get("phases").and_then(Value::as_object).is_some(),
-        "{line}"
-    );
+    assert_phases(&event, events);
     let solves = event.array("solves").expect("solves");
     assert!(
         solves.iter().any(|s| s.uint("iterations").is_ok()),
         "wide event without solver iterations: {line}"
     );
-    // The queueing-time vs service-time split is spelled out per event.
+    // The queueing-time vs service-time split is spelled out per event;
+    // the service time is the serve.eval root's duration.
     assert!(event.uint("queue_us").is_ok(), "{line}");
-    assert!(event.uint("service_us").is_ok(), "{line}");
+    assert_eq!(event.uint("service_us"), root.uint("dur"), "{line}");
 
     // /requests?n= limits to the newest lines; bad values 400 structurally.
     let (status, limited) = http_get(addr, "/requests?n=1").expect("/requests?n=1");
@@ -254,14 +254,31 @@ fn serves_live_metrics_during_a_sweep() {
         .expect("/metrics route");
     assert!(metrics_route.num("p999_us").is_ok(), "{metrics_route:?}");
 
-    // Error handling: missing, unparsable, and out-of-domain φ all produce
-    // structured bodies naming the offending parameter.
-    for target in ["/eval", "/eval?phi=bogus", "/eval?phi=-5"] {
+    // Error handling: missing, unparsable, and out-of-domain φ, an unknown
+    // scenario and a bad override all produce structured bodies naming the
+    // offending parameter. Each is a trace too, rooted at its serve.eval
+    // span, with a /requests line carrying its status, error and scenario.
+    for (target, param, scenario) in [
+        ("/eval", "phi", None),
+        ("/eval?phi=bogus", "phi", None),
+        ("/eval?phi=-5", "phi", None),
+        ("/eval?scenario=nope&phi=25", "scenario", Some("nope")),
+        ("/eval?phi=2500&mu_new=bogus", "mu_new", None),
+    ] {
         let (status, body) = http_get(addr, target).expect(target);
         assert_eq!(status, 400, "{target}: {body}");
         let error = json::parse(&body).expect("error body is JSON");
         assert!(error.string("error").is_ok(), "{target}: {body}");
-        assert_eq!(error.string("param"), Ok("phi"), "{target}: {body}");
+        assert_eq!(error.string("param"), Ok(param), "{target}: {body}");
+        let id = error.string("trace_id").expect("trace_id field");
+        let (_, log) = http_get(addr, "/requests").expect("/requests");
+        let line = log.lines().find(|l| l.contains(id)).expect("a line");
+        let event = json::parse(line).expect("wide-event line is JSON");
+        assert_eq!(event.uint("status"), Ok(400), "{line}");
+        assert_eq!(event.string("error"), error.string("error"), "{line}");
+        assert_eq!(event.string("scenario").ok(), scenario, "{line}");
+        let trace = trace_events(addr, &format!("/trace?id={id}"));
+        assert_eq!(trace.last().unwrap().string("name"), Ok("serve.eval"));
     }
     let (status, _) = http_get(addr, "/trace?id=nothex!").expect("/trace bad id");
     assert_eq!(status, 400);
@@ -300,17 +317,25 @@ fn retains_only_the_newest_traces() {
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run(2));
 
-    let ids: Vec<String> = (1..=TRACE_CAP + 20)
-        .map(|i| {
-            let (status, body) = http_get(addr, &format!("/eval?phi={}", 25 * i)).expect("/eval");
-            assert_eq!(status, 200, "eval body: {body}");
-            let eval = json::parse(&body).expect("/eval body is JSON");
-            eval.string("trace_id").expect("trace_id field").to_string()
-        })
-        .collect();
+    // The bind-time build of the baseline analysis is a trace, but not a
+    // request: it renders no line.
+    assert!(!collector.spans().is_empty());
+    assert_eq!(http_get(addr, "/requests").expect("/requests").1, "");
 
-    // The first eval's trace was evicted: its id still answers 200, with
-    // no events, as an unknown id does. The newest resolves whole.
+    // Two clients, so the two workers interleave the traces.
+    let eval = move |phi: usize| {
+        let (status, body) = http_get(addr, &format!("/eval?phi={}", 25 * phi)).expect("/eval");
+        assert_eq!(status, 200, "eval body: {body}");
+        let eval = json::parse(&body).expect("/eval body is JSON");
+        eval.string("trace_id").expect("trace_id field").to_string()
+    };
+    let half = (TRACE_CAP + 20) / 2;
+    let odd = std::thread::spawn(move || (0..half).map(|i| eval(2 * i + 1)).collect::<Vec<_>>());
+    let mut ids: Vec<String> = (0..half).map(|i| eval(2 * i + 2)).collect();
+    ids.extend(odd.join().expect("client thread"));
+
+    // A first eval's trace was evicted: its id still answers 200, with no
+    // events, as an unknown id does. A newest resolves whole.
     assert!(trace_events(addr, &format!("/trace?id={}", ids[0])).is_empty());
     let newest = trace_events(addr, &format!("/trace?id={}", ids[ids.len() - 1]));
     assert!(
@@ -328,26 +353,51 @@ fn retains_only_the_newest_traces() {
         .collect();
     assert!(traces.len() <= TRACE_CAP, "{} traces served", traces.len());
 
-    // Every wide-event line the /requests ring holds still resolves.
+    // /requests renders one line per retained trace, and every line, the
+    // ones the two workers interleaved included, resolves on /trace?id= to
+    // a trace whose spans are exactly its phases.
     let (status, log) = http_get(addr, "/requests").expect("/requests");
     assert_eq!(status, 200);
     assert_eq!(log.lines().count(), TRACE_CAP);
     for line in log.lines() {
         let event = json::parse(line).expect("wide-event line is JSON");
-        let phases = event.get("phases").and_then(Value::as_object);
-        if phases.is_some_and(|p| !p.is_empty()) {
-            let id = event.string("trace_id").expect("trace_id");
-            assert!(
-                !trace_events(addr, &format!("/trace?id={id}")).is_empty(),
-                "/requests line does not resolve: {line}"
-            );
-        }
+        let id = event.string("trace_id").expect("trace_id");
+        let trace = trace_events(addr, &format!("/trace?id={id}"));
+        assert_phases(&event, &trace);
     }
     assert!(collector.counter_value("telemetry.traces_evicted") >= Some(20));
+
+    // A request in flight: its trace holds closed spans, but until its
+    // root closes it renders no line.
+    let ctx = TraceContext::new_root();
+    let attached = ctx.attach();
+    let root = telemetry::span("serve.eval");
+    drop(telemetry::span("performability.evaluate"));
+    let id = telemetry::format_trace_id(ctx.trace_id);
+    let newest = || http_get(addr, "/requests?n=1").unwrap().1.contains(&id);
+    assert!(!newest());
+    drop((root, attached));
+    assert!(newest());
 
     handle.shutdown();
     serving.join().expect("server thread");
     telemetry::clear_sink();
+}
+
+/// Asserts that a wide event's `phases` are the `(count, total µs)` of
+/// `trace`'s events per span name.
+fn assert_phases(event: &Value, trace: &[Value]) {
+    let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for e in trace {
+        let total = totals.entry(e.string("name").unwrap()).or_default();
+        *total = (total.0 + 1, total.1 + e.uint("dur").unwrap());
+    }
+    let phases = event.get("phases").and_then(Value::as_object).unwrap();
+    assert_eq!(phases.len(), totals.len(), "{event:?}");
+    for (name, p) in phases {
+        let phase = (p.uint("count").unwrap(), p.uint("total_us").unwrap());
+        assert_eq!(totals.get(name.as_str()), Some(&phase), "{name}");
+    }
 }
 
 /// The `traceEvents` of the Chrome trace document served at `target`.

@@ -6,7 +6,7 @@
 use std::path::Path;
 
 use gsu_serve::http::http_get;
-use gsu_serve::{Server, ANALYSIS_CACHE_CAPACITY, SCENARIOS_DIR};
+use gsu_serve::{params_fingerprint, Server, ANALYSIS_CACHE_CAPACITY, SCENARIOS_DIR};
 use performability::{GsuAnalysis, GsuParams};
 use telemetry::Collector;
 
@@ -63,6 +63,17 @@ fn param_override_eval_is_memoized_and_validated() {
         collector.counter_value("serve.analysis_cache.misses"),
         Some(2)
     );
+
+    // Each wide event carries the fingerprint of the parameters its answer
+    // was computed with: the override's, or the baseline's.
+    let (_, log) = http_get(addr, "/requests").expect("/requests");
+    for (body, params) in [(&body, params), (&baseline, GsuParams::paper_baseline())] {
+        let eval = telemetry::json::parse(body).expect("/eval body is JSON");
+        let id = eval.string("trace_id").expect("trace_id field");
+        let line = log.lines().find(|l| l.contains(id)).expect("a line");
+        let params = format!("\"params\":\"{}\"", params_fingerprint(&params));
+        assert!(line.contains(&params), "{line}");
+    }
 
     // The cache is bounded: distinct assignments beyond its capacity evict
     // the oldest insertion, which then has to be rebuilt. A hit does not

@@ -81,11 +81,19 @@ fn scenario_eval_round_trip_and_structured_errors() {
     assert!(body.contains("\"param\":\"scenario\""), "{body}");
 
     // The wide-event log carries the scenario name on success and failure.
+    // A scenario line has no `params`: that fingerprint covers only the paper
+    // model's parameters, and `scenario` names the model.
     let (status, log) = http_get(addr, "/requests").expect("/requests");
     assert_eq!(status, 200);
     assert!(
         log.lines()
             .any(|l| l.contains("\"scenario\":\"tiny\"") && l.contains("\"status\":200")),
+        "{log}"
+    );
+    assert!(
+        log.lines()
+            .filter(|l| l.contains("\"scenario\":"))
+            .all(|l| !l.contains("\"params\":")),
         "{log}"
     );
     assert!(

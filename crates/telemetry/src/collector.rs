@@ -13,8 +13,8 @@
 //! * finished spans are kept whole in a ring of the newest [`TRACE_CAP`]
 //!   traces behind a short `Mutex` critical section (a push onto the
 //!   trace's entry). Only the trace readers ([`Collector::spans`],
-//!   [`Collector::trace_spans`], the Chrome export) take it; a snapshot
-//!   never does.
+//!   [`Collector::trace_spans`], [`Collector::read_traces`], the Chrome
+//!   export) take it; a snapshot never does.
 //!
 //! A snapshot is therefore *consistent per metric* (every counter value is a
 //! real value the counter held) but not a cross-metric atomic cut — fine for
@@ -28,12 +28,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::buckets::{bucket_bound, bucket_index, estimate_quantile, BUCKETS};
-use crate::json::{escape, fmt_f64};
+use crate::json::escape;
 use crate::ArgValue;
 
 /// How many traces the collector keeps whole: a trace past the cap evicts
-/// the oldest one. `gsu-serve` sizes its `/requests` ring by the same cap,
-/// so each wide-event line it holds resolves on `/trace?id=`.
+/// the oldest one.
 pub const TRACE_CAP: usize = 256;
 
 /// The trace ring: `(trace id, spans in completion order)`, oldest first.
@@ -361,6 +360,18 @@ impl Collector {
             .unwrap_or_default()
     }
 
+    /// Calls `read` with the spans of each retained trace, in completion
+    /// order, newest trace first, until it returns `false`. The ring stays
+    /// locked for the walk, so `read` must not close spans, and should only
+    /// pick out and copy what it needs: every span closing meanwhile waits.
+    pub fn read_traces(&self, mut read: impl FnMut(&[FinishedSpan]) -> bool) {
+        for (_, spans) in self.lock_traces().iter().rev() {
+            if !read(spans) {
+                return;
+            }
+        }
+    }
+
     pub(crate) fn us_since_epoch(&self, t: Instant) -> u64 {
         t.checked_duration_since(self.epoch)
             .map(|d| d.as_micros() as u64)
@@ -464,12 +475,7 @@ fn render_chrome_trace<'a>(spans: impl IntoIterator<Item = &'a FinishedSpan>) ->
             s.trace_id, s.span_id, s.parent_id
         ));
         for (k, v) in &s.args {
-            out.push_str(&format!(",\"{}\":", escape(k)));
-            match v {
-                ArgValue::F64(x) => out.push_str(&fmt_f64(*x)),
-                ArgValue::U64(x) => out.push_str(&x.to_string()),
-                ArgValue::Str(x) => out.push_str(&format!("\"{}\"", escape(x))),
-            }
+            out.push_str(&format!(",\"{}\":{}", escape(k), v.to_json()));
         }
         out.push_str("}}");
     }

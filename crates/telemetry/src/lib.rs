@@ -75,6 +75,17 @@ pub enum ArgValue {
     Str(String),
 }
 
+impl ArgValue {
+    /// The value as a JSON literal, as every export renders it.
+    pub fn to_json(&self) -> String {
+        match self {
+            ArgValue::F64(v) => json::fmt_f64(*v),
+            ArgValue::U64(v) => v.to_string(),
+            ArgValue::Str(v) => format!("\"{}\"", json::escape(v)),
+        }
+    }
+}
+
 impl From<f64> for ArgValue {
     fn from(v: f64) -> Self {
         ArgValue::F64(v)

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::{escape, fmt_f64};
+use crate::json::escape;
 use crate::ArgValue;
 
 /// Event severity, ordered `Error < Warn < Info < Debug` (a level enables
@@ -132,12 +132,7 @@ pub fn log_event(level: Level, target: &str, message: &str, fields: &[(&str, Arg
             if i > 0 {
                 line.push(',');
             }
-            line.push_str(&format!("\"{}\":", escape(key)));
-            match value {
-                ArgValue::F64(v) => line.push_str(&fmt_f64(*v)),
-                ArgValue::U64(v) => line.push_str(&v.to_string()),
-                ArgValue::Str(v) => line.push_str(&format!("\"{}\"", escape(v))),
-            }
+            line.push_str(&format!("\"{}\":{}", escape(key), value.to_json()));
         }
         line.push('}');
     }

@@ -142,11 +142,18 @@ if command -v curl > /dev/null; then
     [ -n "$TRACE_ID" ] || { echo "/eval returned no trace id: $EVAL_BODY"; exit 1; }
     curl -fsS "$SERVE_URL/trace?id=$TRACE_ID" | grep '"serve.eval"' >/dev/null
     curl -fsS "$SERVE_URL/requests" | grep "$TRACE_ID" | grep '"solves":\[' >/dev/null
+    # A failed /eval is a trace too: its 400 names its trace id, and
+    # /requests renders that request's line with its status.
+    BAD_BODY="$(curl -sS "$SERVE_URL/eval?phi=bogus")"
+    BAD_ID="$(echo "$BAD_BODY" | sed -n 's#.*"trace_id":"\([0-9a-f]*\)".*#\1#p')"
+    [ -n "$BAD_ID" ] || { echo "/eval 400 returned no trace id: $BAD_BODY"; exit 1; }
+    curl -fsS "$SERVE_URL/requests" | grep "\"trace_id\":\"$BAD_ID\"" \
+        | grep '"status":400' >/dev/null
     # Scenario route: the daemon runs from the workspace root, so the
     # committed catalog must be loaded and evaluable by name.
     curl -fsS "$SERVE_URL/eval?scenario=paper-baseline&phi=5000" \
         | grep '"scenario":"paper-baseline"' >/dev/null
-    echo "curl probes ok ($SERVE_URL, trace $TRACE_ID)"
+    echo "curl probes ok ($SERVE_URL, traces $TRACE_ID, $BAD_ID)"
 fi
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
